@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Measure fixation: how long until all but one species is wiped out.
+"""Measure fixation: how long until the population stops changing.
 
-Every finite population eventually hits a single-species absorbing state.
-This script tabulates absorption time and event-count quantiles across
-population sizes; the event count grows like M^2, so the per-capita time
-grows linearly in M.
+Every finite population eventually hits an absorbing state, one in which no
+two cyclically adjacent species both survive: a single species for n=3, but
+possibly non-adjacent survivors such as (a, 0, b, 0) for n>=4.  This
+script tabulates absorption time and event-count quantiles across population
+sizes; the event count grows like M^2, so the per-capita time grows linearly
+in M.
 """
 import argparse
 

@@ -33,20 +33,16 @@ from .fluctuation import (
     GaussianPath,
     diffusion_matrix,
     drift_matrix,
-    gaussian_initial,
     propagate_covariance,
-    propagate_moments,
     psd_sqrt,
     run_sde_ensemble,
     simulate_limit_sde,
 )
 from .meanfield import (
-    CollisionRate,
     ConservationAudit,
     MeanFieldPath,
     MeanFieldState,
     conserved_quantities,
-    cyclic_field,
     integrate,
     rk4_step,
     vector_field,
@@ -90,13 +86,11 @@ __all__ = [
     # event-driven simulation
     "Absorbed", "Ensemble", "next_event", "run_until", "run_ensemble",
     # deterministic limit
-    "CollisionRate", "ConservationAudit", "MeanFieldPath", "MeanFieldState",
-    "conserved_quantities", "cyclic_field", "integrate", "rk4_step",
-    "vector_field",
+    "ConservationAudit", "MeanFieldPath", "MeanFieldState",
+    "conserved_quantities", "integrate", "rk4_step", "vector_field",
     # fluctuation layer
     "CovarianceState", "FluctuationModel", "GaussianPath",
-    "diffusion_matrix", "drift_matrix", "gaussian_initial",
-    "propagate_covariance", "propagate_moments", "psd_sqrt",
+    "diffusion_matrix", "drift_matrix", "propagate_covariance", "psd_sqrt",
     "run_sde_ensemble", "simulate_limit_sde",
     # statistical harness
     "CltReport", "GillespieReport", "LlnRecord", "LlnReport",

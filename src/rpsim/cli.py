@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import io
-from .core import ModelSpec, RpsimError, counts_from_fractions, symmetric_counts
+from .core import (DomainError, ModelSpec, RpsimError, counts_from_fractions,
+                   symmetric_counts)
 from .fluctuation import FluctuationModel, propagate_covariance, run_sde_ensemble
 from .meanfield import DEFAULT_STEP, integrate
 from .simulate import DEFAULT_MAX_EVENTS, run_ensemble
@@ -102,6 +103,9 @@ def _cmd_fluctuation(args) -> int:
         sigma0 = np.zeros((n, n))
     else:
         vals = _floats(args.sigma0)
+        if len(vals) != n * n:
+            raise DomainError(f"initial covariance needs n² = {n * n} values, "
+                              f"got {len(vals)}")
         sigma0 = np.array(vals).reshape(n, n)
     states = propagate_covariance(model, sigma0)
     from pathlib import Path

@@ -31,6 +31,8 @@ __all__ = [
     "JumpEvent",
     "Trajectory",
     "validate_spec",
+    "check_rate",
+    "check_fractions",
     "rng_stream",
     "counts_from_fractions",
     "symmetric_counts",
@@ -136,8 +138,7 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     """
     if spec.n < 3:
         raise DomainError(f"need at least 3 species, got n={spec.n}")
-    if not (math.isfinite(spec.lam) and spec.lam > 0):
-        raise DomainError(f"collision rate must be positive and finite, got {spec.lam}")
+    check_rate(spec.lam)
     if spec.total < 1:
         raise DomainError(f"population total must be at least 1, got {spec.total}")
     if len(spec.initial) != spec.n:
@@ -153,16 +154,30 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     return spec
 
 
-def counts_from_fractions(fractions, total: int) -> tuple[int, ...]:
-    """Round non-negative fractions summing to 1 into integer counts summing
-    to ``total`` (largest-remainder method; ties go to the lowest index)."""
-    f = np.asarray(fractions, dtype=float)
+def check_rate(lam) -> float:
+    """Return the collision rate as a float; it must be positive and finite."""
+    if lam is None or not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"collision rate must be positive and finite, got {lam}")
+    return float(lam)
+
+
+def check_fractions(fractions) -> np.ndarray:
+    """Return at least 3 finite, non-negative fractions summing to 1 (within
+    1e-9) as a fresh float array."""
+    f = np.array(fractions, dtype=float)
     if f.ndim != 1 or len(f) < 3:
         raise DomainError("need at least 3 fractions")
     if np.any(f < 0) or not np.all(np.isfinite(f)):
         raise DomainError(f"fractions must be finite and non-negative, got {f}")
     if abs(f.sum() - 1.0) > 1e-9:
-        raise NormalizationError(f"fractions sum to {f.sum()!r}, expected 1")
+        raise NormalizationError(f"fractions sum to {float(f.sum())!r}, expected 1")
+    return f
+
+
+def counts_from_fractions(fractions, total: int) -> tuple[int, ...]:
+    """Round non-negative fractions summing to 1 into integer counts summing
+    to ``total`` (largest-remainder method; ties go to the lowest index)."""
+    f = check_fractions(fractions)
     scaled = f * total
     counts = np.floor(scaled).astype(int)
     short = total - int(counts.sum())

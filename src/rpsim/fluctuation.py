@@ -6,10 +6,11 @@ process from its deterministic limit converges to a linear Gaussian diffusion
     dV(t) = b(t) V(t) dt + c(t)^{1/2} dW(t),
 
 where b(t) is the Jacobian of the cyclic vector field along u(t) and c(t)
-collects the reaction intensities in a cyclic band (each reaction contributes
-its rate times the outer product of its stoichiometric vector e_j - e_{j+1}).
-This module builds b and c, propagates the covariance of V through the moment
-ODE dS/dt = bS + Sb' + c, and simulates the limiting SDE directly.
+collects the reaction intensities in a cyclic band (reaction j, at intensity
+lam*u_j*u_{j+1}, contributes that intensity times the outer product of its
+stoichiometric vector e_j - e_{j+1}).  This module builds b and c, propagates
+the covariance of V through the moment ODE dS/dt = bS + Sb' + c, and
+simulates the limiting SDE directly.
 """
 from __future__ import annotations
 
@@ -18,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NotPSD, NumericError, rng_stream
-from .meanfield import (
-    CollisionRate,
-    MeanFieldPath,
-    cyclic_field,
-    resolve_rates,
-    rk4_step,
-)
+from .core import DomainError, NotPSD, NumericError, check_rate, rng_stream
+from .meanfield import MeanFieldPath, rk4_step, snap_grid, vector_field
 
 __all__ = [
     "FluctuationModel",
@@ -35,46 +30,14 @@ __all__ = [
     "diffusion_matrix",
     "psd_sqrt",
     "propagate_covariance",
-    "propagate_moments",
     "simulate_limit_sde",
     "run_sde_ensemble",
-    "gaussian_initial",
 ]
 
 # PSD tolerances: construction-time (strict) and propagation monitor (loose)
 _PSD_EIG_TOL = 1e-9
 _PSD_MONITOR_TOL = 1e-6
 _SYMMETRY_TOL = 1e-12
-
-
-def _drift_from_rates(u: np.ndarray, rates) -> np.ndarray:
-    """Jacobian of the cyclic field: edge j contributes its two partials to
-    rows j (gain) and j+1 (loss)."""
-    n = len(u)
-    b = np.zeros((n, n))
-    for j in range(n):
-        k = (j + 1) % n
-        dx = rates[j].dx(u[j], u[k])
-        dy = rates[j].dy(u[j], u[k])
-        b[j, j] += dx
-        b[j, k] += dy
-        b[k, j] -= dx
-        b[k, k] -= dy
-    return b
-
-
-def _diffusion_from_rates(u: np.ndarray, rates) -> np.ndarray:
-    """Sum over edges of rate * s s' with stoichiometric vector s = e_j - e_{j+1}."""
-    n = len(u)
-    c = np.zeros((n, n))
-    for j in range(n):
-        k = (j + 1) % n
-        f = rates[j](u[j], u[k])
-        c[j, j] += f
-        c[k, k] += f
-        c[j, k] -= f
-        c[k, j] -= f
-    return c
 
 
 def drift_matrix(u, lam: float) -> np.ndarray:
@@ -89,8 +52,18 @@ def drift_matrix(u, lam: float) -> np.ndarray:
     (0-based indices).  Columns sum to zero: the fluctuation dynamics never
     move total population.
     """
-    u = np.asarray(u, dtype=float)
-    return _drift_from_rates(u, resolve_rates(lam, None, len(u)))
+    x = np.asarray(u, dtype=float).tolist()
+    n = len(x)
+    b = np.zeros((n, n))
+    for j in range(n):
+        # edge j: intensity lam*x[j]*x[k] gains species j, loses species k
+        k = (j + 1) % n
+        dx, dy = lam * x[k], lam * x[j]
+        b[j, j] += dx
+        b[j, k] += dy
+        b[k, j] -= dx
+        b[k, k] -= dy
+    return b
 
 
 def diffusion_matrix(u, lam: float) -> np.ndarray:
@@ -102,8 +75,17 @@ def diffusion_matrix(u, lam: float) -> np.ndarray:
     an eigenvector with eigenvalue 0; the matrix is positive semi-definite by
     construction (a non-negative sum of rank-one terms).
     """
-    u = np.asarray(u, dtype=float)
-    return _diffusion_from_rates(u, resolve_rates(lam, None, len(u)))
+    x = np.asarray(u, dtype=float).tolist()
+    n = len(x)
+    c = np.zeros((n, n))
+    for j in range(n):
+        k = (j + 1) % n
+        f = lam * x[j] * x[k]
+        c[j, j] += f
+        c[k, k] += f
+        c[j, k] -= f
+        c[k, j] -= f
+    return c
 
 
 def psd_sqrt(c: np.ndarray) -> np.ndarray:
@@ -169,35 +151,30 @@ class FluctuationModel:
     """
 
     path: MeanFieldPath
-    lam: float | None
-    n: int
-    rates: tuple | None = None
+    lam: float
 
     def __post_init__(self):
-        if self.n != self.path.n:
-            raise DomainError(
-                f"model n={self.n} does not match path n={self.path.n}"
-            )
+        object.__setattr__(self, "lam", check_rate(self.lam))
         sums = self.path.step_states.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > 1e-6 or self.path.step_states.min() < -1e-6:
             raise DomainError("path states must lie on the simplex")
-        object.__setattr__(
-            self, "rates",
-            resolve_rates(self.lam, self.rates, self.n),
-        )
 
     @classmethod
-    def from_path(cls, path: MeanFieldPath, lam: float, rates=None):
-        return cls(path=path, lam=lam, n=path.n, rates=rates)
+    def from_path(cls, path: MeanFieldPath, lam: float):
+        return cls(path=path, lam=lam)
+
+    @property
+    def n(self) -> int:
+        return self.path.n
 
     def u_at(self, t: float) -> np.ndarray:
         return self.path.u_at(t)
 
     def drift_at(self, t: float) -> np.ndarray:
-        return _drift_from_rates(self.path.u_at(t), self.rates)
+        return drift_matrix(self.path.u_at(t), self.lam)
 
     def diffusion_at(self, t: float) -> np.ndarray:
-        return _diffusion_from_rates(self.path.u_at(t), self.rates)
+        return diffusion_matrix(self.path.u_at(t), self.lam)
 
 
 def _validate_sigma0(sigma0, n: int) -> np.ndarray:
@@ -211,186 +188,104 @@ def _validate_sigma0(sigma0, n: int) -> np.ndarray:
     return s
 
 
-def propagate_moments(b_of, c_of, sigma0: np.ndarray, times: np.ndarray,
-                      step: float) -> list[np.ndarray]:
-    """Integrate dS/dt = b(t)S + Sb(t)' + c(t) with fixed-step RK4.
-
-    ``b_of``/``c_of`` map a time to the coefficient matrices.  Returns S at
-    each requested time (each snapped to the nearest integrator step).
-    Symmetry is re-enforced after every step; a drop of the smallest
-    eigenvalue below -1e-6 aborts with :class:`NotPSD`.
-    """
-    n = sigma0.shape[0]
-    times = np.asarray(times, dtype=float)
-    n_steps = int(round(times[-1] / step)) if len(times) else 0
-    wanted = {}
-    for pos, t in enumerate(times):
-        idx = min(max(int(round(t / step)), 0), n_steps)
-        wanted.setdefault(idx, []).append(pos)
-    out: list[np.ndarray | None] = [None] * len(times)
-
-    def rhs(tau, sig):
-        b = b_of(tau)
-        return b @ sig + sig @ b.T + c_of(tau)
-
-    s = sigma0.copy()
-    for pos in wanted.get(0, ()):
-        out[pos] = s.copy()
-    for k in range(n_steps):
-        t = k * step
-        h = step
-        k1 = rhs(t, s)
-        k2 = rhs(t + 0.5 * h, s + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, s + (0.5 * h) * k2)
-        k4 = rhs(t + h, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = 0.5 * (s + s.T)
-        if np.linalg.eigvalsh(s)[0] < -_PSD_MONITOR_TOL:
-            raise NotPSD(
-                f"covariance lost positive semi-definiteness at t={t + h:.6g}"
-            )
-        for pos in wanted.get(k + 1, ()):
-            out[pos] = s.copy()
-    return out  # type: ignore[return-value]
-
-
 def propagate_covariance(model: FluctuationModel, sigma0,
                          step: float | None = None) -> list[CovarianceState]:
     """Propagate the fluctuation covariance along the model's path.
 
-    Integrates the pair (u, S) jointly: the u component uses the identical
-    RK4 stage arithmetic as the mean-field integrator, so at equal steps it
-    reproduces the stored path bit-for-bit, and b/c are evaluated at the RK4
-    stage states rather than interpolated.  Output is aligned with the
-    path's sample grid.
+    Marches the joint vector (u, vec S) with one RK4 step, so b and c are
+    evaluated at the RK4 stage states rather than interpolated, and at equal
+    steps the u part reproduces the stored path bit for bit.  S is
+    re-symmetrized after every step; a drop of its smallest eigenvalue below
+    -1e-6 aborts with :class:`NotPSD`.  Output is aligned with the path's
+    sample grid.
     """
     if step is None:
         step = model.path.step
-    if not (step > 0 and math.isfinite(step)):
-        raise DomainError(f"step must be positive and finite, got {step}")
-    n = model.n
-    sigma = _validate_sigma0(sigma0, n)
-    rates = model.rates
+    grid, indices, n_steps = snap_grid(model.path.grid, step)
+    n, lam = model.n, model.lam
+    z = np.concatenate([model.path.step_states[0],
+                        _validate_sigma0(sigma0, n).ravel()])
 
-    # same fast-path expression as the mean-field integrator, so the embedded
-    # u march is arithmetic-identical to the stored path at equal steps
-    if isinstance(rates[0], CollisionRate) and all(r is rates[0] for r in rates):
-        lam_val = rates[0].lam
+    def field(z):
+        u, s = z[:n], z[n:].reshape(n, n)
+        b = drift_matrix(u, lam)
+        ds = b @ s + s @ b.T + diffusion_matrix(u, lam)
+        return np.concatenate([vector_field(u, lam), ds.ravel()])
 
-        def field(x):
-            return lam_val * (x * np.roll(x, -1) - np.roll(x, 1) * x)
-    else:
-        def field(x):
-            return cyclic_field(x, rates)
-
-    grid = model.path.grid
-    horizon = float(grid[-1]) if len(grid) else 0.0
-    n_steps = int(round(horizon / step))
-    wanted = {}
-    for pos, t in enumerate(grid):
-        idx = min(max(int(round(t / step)), 0), n_steps)
-        wanted.setdefault(idx, []).append(pos)
-
-    out: list[CovarianceState | None] = [None] * len(grid)
-    u = model.path.step_states[0].copy()
-    s = sigma.copy()
-
-    def emit(idx):
-        for pos in wanted.get(idx, ()):
-            label = float(grid[pos])
+    out: list[CovarianceState] = []
+    for k in range(n_steps + 1):
+        if k:
+            z = rk4_step(field, z, step)
+            s = z[n:].reshape(n, n)
+            s[:] = 0.5 * (s + s.T)
+            if np.linalg.eigvalsh(s)[0] < -_PSD_MONITOR_TOL:
+                raise NotPSD(
+                    f"covariance lost positive semi-definiteness at t={k * step:.6g}"
+                )
+        while len(out) < len(grid) and indices[len(out)] == k:
+            label = float(grid[len(out)])
             # guard: the embedded march must track the stored path (catches a
-            # model whose rates disagree with the path it carries); only
+            # model whose rate disagrees with the path it carries); only
             # meaningful when the label sits on a stored step
             on_step = abs(round(label / model.path.step) * model.path.step - label)
-            if on_step < 1e-9 and np.max(np.abs(u - model.path.u_at(label))) > 1e-6:
+            if on_step < 1e-9 and np.max(np.abs(z[:n] - model.path.u_at(label))) > 1e-6:
                 raise NumericError(
                     "covariance propagation diverged from the stored mean-field "
                     f"path at t={label:.6g}"
                 )
-            out[pos] = CovarianceState(sigma=s.copy(), time=label)
-
-    emit(0)
-    for k in range(n_steps):
-        u_next, (ua, ub, uc, ud) = rk4_step(field, u, step)
-
-        def rhs(x, sig):
-            b = _drift_from_rates(x, rates)
-            return b @ sig + sig @ b.T + _diffusion_from_rates(x, rates)
-
-        k1 = rhs(ua, s)
-        k2 = rhs(ub, s + (0.5 * step) * k1)
-        k3 = rhs(uc, s + (0.5 * step) * k2)
-        k4 = rhs(ud, s + step * k3)
-        s = s + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = 0.5 * (s + s.T)
-        if np.linalg.eigvalsh(s)[0] < -_PSD_MONITOR_TOL:
-            raise NotPSD(
-                f"covariance lost positive semi-definiteness at t={(k + 1) * step:.6g}"
-            )
-        u = u_next
-        emit(k + 1)
-    return out  # type: ignore[return-value]
+            out.append(CovarianceState(sigma=z[n:].reshape(n, n).copy(), time=label))
+    return out
 
 
-def gaussian_initial(cov) -> "callable":
-    """Sampler for a centered Gaussian initial condition of the limit SDE."""
-    cov = np.asarray(cov, dtype=float)
-    root = psd_sqrt(cov)
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return root @ rng.standard_normal(len(cov))
-
-    return sample
+def _sde_grid(grid, step: float):
+    grid, indices, n_steps = snap_grid(grid, step)
+    if len(grid) and (np.any(np.diff(grid) < 0) or grid[0] < 0):
+        raise DomainError("grid must be ascending and non-negative")
+    return grid, indices, n_steps
 
 
-def _resolve_v0(v0, n: int, rng: np.random.Generator) -> np.ndarray:
+def _resolve_v0(v0, n: int) -> np.ndarray:
     if v0 is None:
         return np.zeros(n)
-    if callable(v0):
-        v = np.asarray(v0(rng), dtype=float)
-    else:
-        v = np.asarray(v0, dtype=float).copy()
+    v = np.asarray(v0, dtype=float).copy()
     if v.shape != (n,):
         raise DomainError(f"initial value must have shape ({n},), got {v.shape}")
     return v
 
 
-def _sde_grid_indices(grid, step: float) -> tuple[np.ndarray, np.ndarray, int]:
-    grid = np.asarray(grid, dtype=float).copy()
-    if grid.ndim != 1:
-        raise DomainError("grid must be one-dimensional")
-    if len(grid) and (np.any(np.diff(grid) < 0) or grid[0] < 0):
-        raise DomainError("grid must be ascending and non-negative")
-    n_steps = int(round(grid[-1] / step)) if len(grid) else 0
-    indices = np.clip(np.rint(grid / step).astype(int), 0, n_steps) if len(grid) \
-        else np.zeros(0, dtype=int)
-    return grid, indices, n_steps
+def _sde_coefficients(model: FluctuationModel, step: float, n_steps: int):
+    """Per-step drift matrices and noise square roots, each (n_steps, n, n)."""
+    n = model.n
+    drifts = np.empty((n_steps, n, n))
+    roots = np.empty((n_steps, n, n))
+    for k in range(n_steps):
+        drifts[k] = model.drift_at(k * step)
+        roots[k] = psd_sqrt(model.diffusion_at(k * step))
+    return drifts, roots
 
 
-def _em_core(model: FluctuationModel, v: np.ndarray, normals: np.ndarray,
+def _em_core(coefficients, v: np.ndarray, normals: np.ndarray,
              step: float, indices: np.ndarray) -> np.ndarray:
     """Euler-Maruyama march shared by the single-path and ensemble runners.
 
-    ``v`` is (paths, n), ``normals`` is (paths, n_steps, n).  The noise
-    square root is recomputed from scratch at every step (never cached).
-    Returns samples (paths, len(indices), n): entry g is the value after
-    ``indices[g]`` steps.
+    ``coefficients`` is the ``(drifts, roots)`` table from
+    :func:`_sde_coefficients`, computed once per run and shared by every
+    block of paths.  ``v`` is (paths, n), ``normals`` is (paths, n_steps, n),
+    ``indices`` is non-decreasing.  Returns samples (paths, len(indices), n):
+    entry g is the value after ``indices[g]`` steps.
     """
+    drifts, roots = coefficients
     n_paths, n_steps = normals.shape[0], normals.shape[1]
     sqrt_step = math.sqrt(step)
     out = np.empty((n_paths, len(indices), v.shape[1]))
-    order = np.argsort(indices, kind="stable")
-    pointer = 0
+    g = 0
     for k in range(n_steps + 1):
-        while pointer < len(order) and indices[order[pointer]] == k:
-            out[:, order[pointer], :] = v
-            pointer += 1
+        while g < len(indices) and indices[g] == k:
+            out[:, g, :] = v
+            g += 1
         if k == n_steps:
             break
-        t = k * step
-        b = model.drift_at(t)
-        root = psd_sqrt(model.diffusion_at(t))
-        v = v + (v @ b.T) * step + (normals[:, k, :] @ root.T) * sqrt_step
+        v = v + (v @ drifts[k].T) * step + (normals[:, k, :] @ roots[k].T) * sqrt_step
     return out
 
 
@@ -400,16 +295,15 @@ def simulate_limit_sde(model: FluctuationModel, v0, step: float, grid,
     """Euler-Maruyama simulation of the limiting linear SDE.
 
     One step: V <- V + b(t) V step + psd_sqrt(c(t)) sqrt(step) xi, with xi a
-    standard normal vector.  ``v0`` may be a vector, a sampler (callable on
-    the rng), or None for the default point mass at zero.  Grid times are
-    served by the nearest step, like every other grid in the package.
+    standard normal vector.  ``v0`` is a vector, or None for the default
+    point mass at zero.  Grid times are served by the nearest step, like
+    every other grid in the package.
     """
-    if not (step > 0 and math.isfinite(step)):
-        raise DomainError(f"step must be positive and finite, got {step}")
-    grid_arr, indices, n_steps = _sde_grid_indices(grid, step)
-    v = _resolve_v0(v0, model.n, rng)
+    grid_arr, indices, n_steps = _sde_grid(grid, step)
+    v = _resolve_v0(v0, model.n)
     normals = rng.standard_normal((1, n_steps, model.n))
-    values = _em_core(model, v[None, :], normals, step, indices)[0]
+    coefficients = _sde_coefficients(model, step, n_steps)
+    values = _em_core(coefficients, v[None, :], normals, step, indices)[0]
     return GaussianPath(grid=grid_arr, values=values, seed=seed)
 
 
@@ -426,22 +320,19 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     """
     if paths < 1:
         raise DomainError(f"need at least one path, got {paths}")
-    grid_arr, indices, n_steps = _sde_grid_indices(grid, step)
+    grid_arr, indices, n_steps = _sde_grid(grid, step)
+    v = _resolve_v0(v0, model.n)
+    coefficients = _sde_coefficients(model, step, n_steps)
+    # one noise buffer, refilled for each block of paths
+    normals = np.empty((min(block, paths), n_steps, model.n))
     out: list[GaussianPath] = []
     for start in range(0, paths, block):
         stop = min(start + block, paths)
-        v_rows = []
-        normal_rows = []
-        for i in range(start, stop):
-            rng = rng_stream(base_seed, i)
-            v_rows.append(_resolve_v0(v0, model.n, rng))
-            normal_rows.append(rng.standard_normal((n_steps, model.n)))
-        values = _em_core(
-            model, np.stack(v_rows),
-            np.stack(normal_rows) if normal_rows else
-            np.zeros((0, n_steps, model.n)),
-            step, indices,
-        )
+        rows = normals[:stop - start]
+        for row, i in zip(rows, range(start, stop)):
+            rng_stream(base_seed, i).standard_normal(out=row)
+        values = _em_core(coefficients, np.tile(v, (stop - start, 1)), rows,
+                          step, indices)
         for offset, i in enumerate(range(start, stop)):
             out.append(GaussianPath(grid=grid_arr.copy(), values=values[offset],
                                     seed=i))

@@ -2,30 +2,29 @@
 
 As the population grows, species fractions follow the cyclic ODE system
 
-    du_i/dt = f_i(u_i, u_{i+1}) - f_{i-1}(u_{i-1}, u_i)      (indices mod n)
+    du_i/dt = lam * (u_i*u_{i+1} - u_{i-1}*u_i)      (indices mod n)
 
-with the built-in collision kernel f(x, y) = lam*x*y, i.e.
-
-    du_i/dt = lam * (u_i*u_{i+1} - u_{i-1}*u_i).
+with the same single collision rate lam as the exact simulator.
 
 Two quantities are conserved by the flow: the total sum(u) and the product
 prod(u).  The integrator audits both at every step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NormalizationError, StepError
+from .core import DomainError, StepError, check_fractions, check_rate
 
 __all__ = [
-    "CollisionRate",
     "MeanFieldState",
     "MeanFieldPath",
     "ConservationAudit",
     "vector_field",
-    "cyclic_field",
+    "rk4_step",
+    "snap_grid",
     "integrate",
     "conserved_quantities",
     "INTEGRATOR_TOL",
@@ -38,41 +37,6 @@ INTEGRATOR_TOL = 1e-9
 # near-boundary warning threshold for min u_i
 NEAR_BOUNDARY = 1e-4
 DEFAULT_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class CollisionRate:
-    """Bilinear collision kernel f(x, y) = lam*x*y.
-
-    The only built-in rate function.  Custom kernels may be substituted
-    anywhere a rate function is accepted; they must be callables with the
-    same three methods (value and both partial derivatives).
-    """
-
-    lam: float
-
-    def __call__(self, x: float, y: float) -> float:
-        return self.lam * x * y
-
-    def dx(self, x: float, y: float) -> float:
-        return self.lam * y
-
-    def dy(self, x: float, y: float) -> float:
-        return self.lam * x
-
-
-def resolve_rates(lam: float | None, rates, n: int) -> tuple:
-    """Normalize the (lam, rates) pair into one rate function per edge."""
-    if rates is None:
-        if lam is None:
-            raise DomainError("either a collision rate or rate functions required")
-        return (CollisionRate(float(lam)),) * n
-    if callable(rates):
-        return (rates,) * n
-    rates = tuple(rates)
-    if len(rates) != n:
-        raise DomainError(f"got {len(rates)} rate functions for {n} edges")
-    return rates
 
 
 @dataclass(frozen=True)
@@ -133,50 +97,58 @@ def vector_field(u, lam: float) -> np.ndarray:
     return lam * (u * np.roll(u, -1) - np.roll(u, 1) * u)
 
 
-def cyclic_field(u, rates) -> np.ndarray:
-    """General per-edge form: du_i/dt = f_i(u_i, u_{i+1}) - f_{i-1}(u_{i-1}, u_i)."""
-    u = np.asarray(u, dtype=float)
-    n = len(u)
-    f = np.array([rates[j](u[j], u[(j + 1) % n]) for j in range(n)])
-    return f - np.roll(f, 1)
-
-
 def conserved_quantities(u) -> tuple[float, float]:
     """The two constants of motion: (sum(u), prod(u))."""
     u = np.asarray(u, dtype=float)
     return float(u.sum()), float(u.prod())
 
 
-def rk4_step(field, u: np.ndarray, h: float):
-    """One classical 4th-order step.
+def rk4_step(field, u: np.ndarray, h: float) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of du/dt = field(u).
 
-    Returns ``(u_next, stage_points)`` where the stage points are the four
-    states at which the right-hand side was evaluated.  The covariance
-    propagator reuses this helper so its embedded mean-field march is
-    arithmetic-identical to :func:`integrate`.
+    The package's only RK4 formula.  The covariance propagator marches the
+    joint vector (u, vec S) through it; the combination is elementwise, so
+    its u part is arithmetic-identical to :func:`integrate`.
     """
     k1 = field(u)
-    u2 = u + (0.5 * h) * k1
-    k2 = field(u2)
-    u3 = u + (0.5 * h) * k2
-    k3 = field(u3)
-    u4 = u + h * k3
-    k4 = field(u4)
-    u_next = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u_next, (u, u2, u3, u4)
+    k2 = field(u + (0.5 * h) * k1)
+    k3 = field(u + (0.5 * h) * k2)
+    k4 = field(u + h * k3)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(u0, lam: float | None = None, t_end: float = 1.0,
-              step: float = DEFAULT_STEP, grid=None, *, rates=None) -> MeanFieldPath:
+def snap_grid(grid, step: float, horizon: float | None = None):
+    """Serve each sample time from the nearest whole integrator step.
+
+    Returns ``(grid, indices, n_steps)``: a float copy of the grid (every
+    step when ``grid`` is None), the step index serving each time, and the
+    number of steps to ``horizon`` (default: the last grid time).  Indices
+    are clipped to ``[0, n_steps]``.
+    """
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"step must be positive and finite, got {step}")
+    if grid is None:
+        grid = np.arange(int(round(horizon / step)) + 1) * step
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("grid must be one-dimensional")
+    if horizon is None:
+        horizon = grid[-1] if len(grid) else 0.0
+    n_steps = int(round(horizon / step))
+    indices = np.clip(np.rint(grid / step).astype(int), 0, n_steps)
+    return grid, indices, n_steps
+
+
+def integrate(u0, lam: float, t_end: float = 1.0,
+              step: float = DEFAULT_STEP, grid=None) -> MeanFieldPath:
     """Fixed-step 4th-order integration of the cyclic system.
 
     Parameters
     ----------
     u0 : sequence of float
         Initial fractions on the simplex.
-    lam : float, optional
-        Collision rate for the built-in bilinear kernel.  Ignored when
-        ``rates`` is given.
+    lam : float
+        Collision rate, positive and finite.
     t_end : float
         Horizon; internally snapped to the nearest whole number of steps.
     step : float
@@ -184,37 +156,27 @@ def integrate(u0, lam: float | None = None, t_end: float = 1.0,
     grid : sequence of float, optional
         Requested sample times; each is served by the nearest integrator
         step.  Default: every integrator step.
-    rates : rate function or sequence of them, optional
-        Per-edge kernels replacing the built-in one.
 
     Raises
     ------
     StepError
         If any component falls below ``-10 * INTEGRATOR_TOL`` (blow-up).
     """
-    u = np.asarray(u0, dtype=float).copy()
-    if u.ndim != 1 or len(u) < 3:
-        raise DomainError("need at least 3 species fractions")
-    if np.any(u < 0) or not np.all(np.isfinite(u)):
-        raise DomainError(f"fractions must be finite and non-negative, got {u}")
-    if abs(u.sum() - 1.0) > 1e-9:
-        raise NormalizationError(f"fractions sum to {u.sum()!r}, expected 1")
-    if not (step > 0 and np.isfinite(step)):
-        raise DomainError(f"step must be positive and finite, got {step}")
+    u = check_fractions(u0)
+    lam = check_rate(lam)
     if not (t_end >= 0 and np.isfinite(t_end)):
         raise DomainError(f"t_end must be non-negative and finite, got {t_end}")
+    grid_arr, indices, n_steps = snap_grid(grid, step, t_end)
+    if grid is not None and len(grid_arr):
+        if np.any(np.diff(grid_arr) <= 0):
+            raise DomainError("grid must be strictly increasing")
+        if grid_arr[0] < -step / 2 or grid_arr[-1] > n_steps * step + step / 2:
+            raise DomainError("grid must lie within [0, t_end]")
+
+    def field(x):
+        return vector_field(x, lam)
+
     n = len(u)
-    edge_rates = resolve_rates(lam, rates, n)
-    if rates is None:
-        lam_val = float(lam)
-
-        def field(x):
-            return lam_val * (x * np.roll(x, -1) - np.roll(x, 1) * x)
-    else:
-        def field(x):
-            return cyclic_field(x, edge_rates)
-
-    n_steps = int(round(t_end / step))
     states = np.empty((n_steps + 1, n))
     states[0] = u
     sums = np.empty(n_steps + 1)
@@ -222,7 +184,7 @@ def integrate(u0, lam: float | None = None, t_end: float = 1.0,
     sums[0], products[0] = conserved_quantities(u)
     min_seen = float(u.min())
     for k in range(n_steps):
-        u, _ = rk4_step(field, u, step)
+        u = rk4_step(field, u, step)
         low = float(u.min())
         if low < -10.0 * INTEGRATOR_TOL:
             raise StepError(
@@ -235,20 +197,6 @@ def integrate(u0, lam: float | None = None, t_end: float = 1.0,
         sums[k + 1], products[k + 1] = conserved_quantities(u)
 
     step_times = np.arange(n_steps + 1) * step
-    if grid is None:
-        grid_arr = step_times.copy()
-        indices = np.arange(n_steps + 1)
-    else:
-        grid_arr = np.asarray(grid, dtype=float).copy()
-        if grid_arr.ndim != 1:
-            raise DomainError("grid must be one-dimensional")
-        if len(grid_arr):
-            if np.any(np.diff(grid_arr) <= 0):
-                raise DomainError("grid must be strictly increasing")
-            if grid_arr[0] < -step / 2 or grid_arr[-1] > n_steps * step + step / 2:
-                raise DomainError("grid must lie within [0, t_end]")
-        indices = np.clip(np.rint(grid_arr / step).astype(int), 0, n_steps)
-
     path_states = tuple(
         MeanFieldState(u=states[idx].copy(), time=float(t))
         for idx, t in zip(indices, grid_arr)

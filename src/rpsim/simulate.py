@@ -191,6 +191,19 @@ def _expected_events(spec: ModelSpec, t_end: float) -> float:
     return rate * t_end
 
 
+def _check_run(spec: ModelSpec, t_end: float, grid) -> np.ndarray:
+    """Validate a run's spec, horizon and sample grid; return the grid."""
+    validate_spec(spec)
+    if not (t_end >= 0.0):
+        raise DomainError(f"t_end must be non-negative, got {t_end}")
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("grid must be one-dimensional")
+    if len(grid) and (np.any(np.diff(grid) < 0) or grid[0] < 0 or grid[-1] > t_end):
+        raise DomainError("grid must be ascending and within [0, t_end]")
+    return grid
+
+
 def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
               *, seed: int = 0, record_events: bool | None = None,
               max_events: int = DEFAULT_MAX_EVENTS) -> Trajectory:
@@ -219,14 +232,7 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     records the post-event state.  After absorption all remaining grid times
     repeat the absorbing state.
     """
-    validate_spec(spec)
-    if not (t_end >= 0.0):
-        raise DomainError(f"t_end must be non-negative, got {t_end}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise DomainError("grid must be one-dimensional")
-    if len(grid) and (np.any(np.diff(grid) < 0) or grid[0] < 0 or grid[-1] > t_end):
-        raise DomainError("grid must be ascending and within [0, t_end]")
+    grid = _check_run(spec, t_end, grid)
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
 
@@ -324,7 +330,8 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     """
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
-    grid = np.asarray(grid, dtype=float)
+    # checked once here so a bad input is not reported as a replica failure
+    grid = _check_run(spec, t_end, grid)
 
     def one(i: int) -> Trajectory:
         try:

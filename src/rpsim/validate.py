@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import stats
@@ -551,50 +551,43 @@ class ValidationConfig:
 
     @classmethod
     def from_ini(cls, path) -> "ValidationConfig":
+        """Read a config file: ``[model]``, ``[run]`` and ``[validate]``
+        sections whose options are the field names (``lambda`` for ``lam``).
+        ``[model] initial`` counts set both ``total`` and ``fractions``."""
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
             raise DomainError(f"could not read config file {path!r}")
+
+        # field types are annotation strings here (postponed annotations)
+        def value(section, option, type_name):
+            text = parser.get(section, option)
+            cast = int if type_name.startswith(("int", "tuple[int")) else float
+            try:
+                if type_name.startswith("tuple"):
+                    return tuple(cast(v) for v in text.replace(",", " ").split())
+                return cast(text)
+            except ValueError:
+                raise DomainError(
+                    f"[{section}] {option}: cannot parse {text!r} as {type_name}"
+                ) from None
+
         kw = {}
-
-        def grab(section, option, cast, name=None):
+        for f in fields(cls):
+            section = _INI_SECTIONS.get(f.name, "validate")
+            option = "lambda" if f.name == "lam" else f.name
             if parser.has_option(section, option):
-                kw[name or option] = cast(parser.get(section, option))
-
-        ints = lambda s: tuple(int(v) for v in s.replace(",", " ").split())
-        floats = lambda s: tuple(float(v) for v in s.replace(",", " ").split())
-
-        grab("model", "n", int)
-        grab("model", "lambda", float, "lam")
-        grab("model", "total", int)
-        grab("model", "fractions", floats)
+                kw[f.name] = value(section, option, f.type)
         if parser.has_option("model", "initial"):
-            counts = ints(parser.get("model", "initial"))
+            counts = value("model", "initial", "tuple[int, ...]")
             kw["total"] = sum(counts)
             kw["fractions"] = tuple(c / kw["total"] for c in counts)
-        grab("run", "base_seed", int)
-        grab("run", "workers", int)
-        grab("validate", "meanfield_step", float)
-        grab("validate", "lln_populations", ints)
-        grab("validate", "lln_replicas", int)
-        grab("validate", "lln_time", float)
-        grab("validate", "lln_grid_points", int)
-        grab("validate", "lln_median_bound", float)
-        grab("validate", "lln_ratio_low", float)
-        grab("validate", "lln_ratio_high", float)
-        grab("validate", "clt_population", int)
-        grab("validate", "clt_replicas", int)
-        grab("validate", "clt_time", float)
-        grab("validate", "clt_frobenius_bound", float)
-        grab("validate", "martingale_population", int)
-        grab("validate", "martingale_replicas", int)
-        grab("validate", "martingale_time", float)
-        grab("validate", "martingale_z_bound", float)
-        grab("validate", "gillespie_counts", ints)
-        grab("validate", "gillespie_lambda", float)
-        grab("validate", "gillespie_samples", int)
-        grab("validate", "gillespie_p_threshold", float)
         return cls(**kw)
+
+
+# config-file section of each ValidationConfig field outside [validate]
+_INI_SECTIONS = {"n": "model", "lam": "model", "total": "model",
+                 "fractions": "model", "base_seed": "run", "workers": "run"}
 
 
 # deterministic sub-seed offsets so the four checks use unrelated streams

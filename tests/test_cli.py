@@ -61,6 +61,14 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_bad_grid_is_not_blamed_on_a_replica(self, tmp_path, capsys):
+        rc = main(["simulate", "--initial", "3,3,3", "--replicas", "2",
+                   "--grid", "0.5,0.2", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid must be ascending")
+
+
 class TestMeanfieldCommand:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "mf.csv"
@@ -79,6 +87,16 @@ class TestMeanfieldCommand:
               "--out", str(out)])
         row = out.read_text().splitlines()[1].split(",")
         assert [float(v) for v in row[1:5]] == [0.25] * 4
+
+
+    @pytest.mark.parametrize("rate", ["nan", "-1", "0"])
+    def test_invalid_rate_is_rejected(self, tmp_path, capsys, rate):
+        out = tmp_path / "mf.csv"
+        rc = main(["meanfield", "--rate", rate, "--out", str(out)])
+        assert rc == 1
+        assert "collision rate must be positive and finite" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFluctuationCommand:
@@ -103,6 +121,13 @@ class TestFluctuationCommand:
         vals = [float(v) for v in first.split(",")[1:]]
         assert np.allclose(np.array(vals).reshape(3, 3), np.eye(3))
 
+    def test_sigma0_wrong_length_is_a_domain_error(self, tmp_path, capsys):
+        rc = main(["fluctuation", "--t-end", "0.1", "--sigma0", "1,2,3",
+                   "--out", str(tmp_path / "fl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "initial covariance needs n² = 9 values, got 3" in err
+
 
 class TestValidateCommand:
     def test_default_scales_are_too_slow_so_use_config(self, tmp_path):
@@ -124,3 +149,11 @@ class TestValidateCommand:
         assert summary["all"] is True
         for name in ("gillespie", "lln", "clt", "martingale"):
             assert (tmp_path / "rep" / f"{name}.json").exists()
+
+    def test_malformed_config_is_reported(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[model]\nn = abc\n")
+        rc = main(["validate", "--config", str(ini),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert "error: [model] n: cannot parse 'abc'" in capsys.readouterr().err

@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpsim import (
-    CollisionRate,
     DomainError,
     NormalizationError,
     StepError,
     conserved_quantities,
-    cyclic_field,
+    counts_from_fractions,
     integrate,
     rk4_step,
     vector_field,
 )
-from rpsim.meanfield import resolve_rates
 
 
 def simplex(*vals):
@@ -38,18 +36,6 @@ class TestVectorField:
         u = simplex(0.1, 0.2, 0.3, 0.25, 0.15)
         assert abs(vector_field(u, 1.7).sum()) < 1e-15
 
-    def test_cyclic_field_matches_builtin_kernel(self):
-        u = simplex(0.4, 0.35, 0.25)
-        rates = resolve_rates(2.5, None, 3)
-        assert np.allclose(cyclic_field(u, rates), vector_field(u, 2.5))
-
-
-def test_collision_rate_partials():
-    r = CollisionRate(lam=2.0)
-    assert r(0.3, 0.4) == pytest.approx(0.24)
-    assert r.dx(0.3, 0.4) == pytest.approx(0.8)   # d/dx lam*x*y = lam*y
-    assert r.dy(0.3, 0.4) == pytest.approx(0.6)
-
 
 def test_conserved_quantities():
     s, p = conserved_quantities(simplex(*[1 / 3] * 3))
@@ -58,9 +44,15 @@ def test_conserved_quantities():
 
 
 def test_rk4_step_stage_points():
-    field = lambda x: -x
+    stages = []
+
+    def field(x):
+        stages.append(x.copy())
+        return -x
+
     u = simplex(1.0, 2.0, 4.0)
-    u_next, stages = rk4_step(field, u, 0.1)
+    u_next = rk4_step(field, u, 0.1)
+    assert len(stages) == 4
     assert np.array_equal(stages[0], u)
     assert np.allclose(stages[1], u * (1 - 0.05))
     # one step of y' = -y: classical RK4 polynomial in h
@@ -140,26 +132,29 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(simplex(0.5, 0.3, 0.2), None)  # no rate at all
 
-    def test_custom_rates_blowup_raises_step_error(self):
-        # a constant edge flow keeps draining species 2 below zero
-        drain = lambda x, y: 10.0
-        zero = lambda x, y: 0.0
-        with pytest.raises(StepError):
-            integrate(simplex(0.4, 0.3, 0.3), rates=(drain, zero, zero),
-                      t_end=1.0, step=0.25)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_invalid_rate(self, lam):
+        # same rule as validate_spec: positive and finite
+        with pytest.raises(DomainError, match="positive and finite"):
+            integrate(simplex(0.5, 0.3, 0.2), lam)
+
+    def test_normalization_message_is_a_plain_number(self):
+        for call in (lambda: integrate(simplex(0.5, 0.5, 0.2), 1.0),
+                     lambda: counts_from_fractions([0.5, 0.5, 0.2], 10)):
+            with pytest.raises(NormalizationError) as err:
+                call()
+            assert str(err.value) == "fractions sum to 1.2, expected 1"
+
+    def test_oversized_step_raises_step_error(self):
+        # one step of 10 time units overshoots the simplex near a vertex
+        with pytest.raises(StepError, match="at t=10;"):
+            integrate(simplex(0.98, 0.01, 0.01), 1.0, t_end=100.0, step=10.0)
 
     def test_near_boundary_flag(self):
         hugging = integrate(simplex(0.5, 0.5 - 1e-5, 1e-5), 1.0, t_end=0.1)
         assert hugging.warned_near_boundary
         interior = integrate(simplex(*[1 / 3] * 3), 1.0, t_end=0.1)
         assert not interior.warned_near_boundary
-
-    def test_custom_rates_match_builtin_when_identical(self):
-        u0 = simplex(0.5, 0.3, 0.2)
-        builtin = integrate(u0, 2.0, t_end=1.0, step=1e-2)
-        custom = integrate(u0, rates=CollisionRate(2.0), t_end=1.0, step=1e-2)
-        assert np.allclose(builtin.states[-1].u, custom.states[-1].u,
-                           atol=1e-13)
 
     @given(
         weights=st.lists(st.integers(min_value=1, max_value=20),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -134,6 +135,22 @@ class TestRunUntil:
         assert finals <= {(3, 0, 0), (0, 3, 0), (0, 0, 3)}
         assert len(finals) > 1  # sanity: more than one outcome seen
 
+    def test_absorbing_exactly_when_no_adjacent_pair_survives(self):
+        # absorbed at t=0 iff no cyclically adjacent pair of species is both
+        # positive; for n >= 4 that allows non-adjacent survivors (5,0,5,0).
+        # Checked on every state with counts in {0, 1, 2} for n = 3, 4, 5.
+        states = [(5, 0, 5, 0), (5, 5, 0, 0), (1, 0, 1, 0, 1)]
+        for n in (3, 4, 5):
+            states += [c for c in itertools.product(range(3), repeat=n) if sum(c)]
+        for counts in states:
+            n = len(counts)
+            spec = ModelSpec(n=n, lam=1.0, total=sum(counts), initial=counts)
+            traj = run_until(spec, 0.0, np.array([]), rng_stream(0, 0), seed=0)
+            alive_pair = any(counts[j] and counts[(j + 1) % n] for j in range(n))
+            assert (traj.absorbed is not None) is not alive_pair, counts
+            if traj.absorbed is not None:
+                assert traj.absorbed == 0.0
+
     def test_t_end_zero(self):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
         traj = run_until(spec, 0.0, np.array([0.0]), rng_stream(0, 0), seed=0)
@@ -240,6 +257,13 @@ class TestRunEnsemble:
                          max_events=5)
         assert err.value.index == 0
         assert isinstance(err.value.__cause__, BudgetExceeded)
+
+    def test_bad_grid_is_reported_before_any_replica(self):
+        spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
+        with pytest.raises(DomainError) as err:
+            run_ensemble(spec, 2, 1.0, np.array([0.5, 0.2]), base_seed=0)
+        assert not isinstance(err.value, ReplicaError)
+        assert str(err.value).startswith("grid must be ascending")
 
     def test_rejects_zero_replicas(self):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))

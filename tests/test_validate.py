@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,43 @@ class TestValidationConfig:
     def test_missing_file(self):
         with pytest.raises(DomainError):
             ValidationConfig.from_ini("/nonexistent/nope.ini")
+
+    def test_every_field_reads_from_its_section(self, tmp_path):
+        changed = dict(n=5, lam=0.5, total=77, fractions=(0.5, 0.5, 0.0),
+                       base_seed=1, workers=2, meanfield_step=2e-3,
+                       lln_populations=(10, 40), lln_replicas=3, lln_time=0.25,
+                       lln_grid_points=5, lln_median_bound=0.5,
+                       lln_ratio_low=1.1, lln_ratio_high=3.0,
+                       clt_population=9, clt_replicas=8, clt_time=0.75,
+                       clt_frobenius_bound=0.25, martingale_population=7,
+                       martingale_replicas=6, martingale_time=0.5,
+                       martingale_z_bound=2.5, gillespie_counts=(1, 2, 3),
+                       gillespie_lambda=1.5, gillespie_samples=44,
+                       gillespie_p_threshold=0.05)
+        assert set(changed) == {f.name for f in fields(ValidationConfig)}
+        sections = {"model": ("n", "lam", "total", "fractions"),
+                    "run": ("base_seed", "workers")}
+        lines = {"model": [], "run": [], "validate": []}
+        for name, value in changed.items():
+            section = next((s for s, names in sections.items()
+                            if name in names), "validate")
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) \
+                else str(value)
+            option = "lambda" if name == "lam" else name
+            lines[section].append(f"{option} = {text}")
+        ini = tmp_path / "v.ini"
+        ini.write_text("".join(f"[{s}]\n" + "\n".join(body) + "\n"
+                               for s, body in lines.items()))
+        assert ValidationConfig.from_ini(ini) == ValidationConfig(**changed)
+
+    def test_malformed_value_names_section_and_option(self, tmp_path):
+        ini = tmp_path / "v.ini"
+        ini.write_text("[model]\nn = abc\n")
+        with pytest.raises(DomainError, match=r"\[model\] n: cannot parse 'abc'"):
+            ValidationConfig.from_ini(ini)
+        ini.write_text("[validate]\nlln_populations = 10, x\n")
+        with pytest.raises(DomainError, match=r"\[validate\] lln_populations"):
+            ValidationConfig.from_ini(ini)
 
 
 def test_run_validation_smoke(tmp_path):
