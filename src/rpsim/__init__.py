@@ -11,14 +11,12 @@ from .core import (
     DomainError,
     GridMismatch,
     InsufficientReplicas,
-    JumpEvent,
     MissingEventLog,
     ModelSpec,
     NormalizationError,
     NotPSD,
     NumericError,
     RpsimError,
-    SimState,
     StepError,
     Trajectory,
     counts_from_fractions,
@@ -48,10 +46,8 @@ from .meanfield import (
     vector_field,
 )
 from .simulate import (
-    Absorbed,
     Ensemble,
     ReplicaError,
-    next_event,
     run_ensemble,
     run_until,
 )
@@ -80,11 +76,11 @@ __all__ = [
     "BudgetExceeded", "StepError", "NotPSD", "GridMismatch",
     "InsufficientReplicas", "MissingEventLog", "ReplicaError",
     # core types and helpers
-    "ModelSpec", "SimState", "JumpEvent", "Trajectory",
+    "ModelSpec", "Trajectory",
     "counts_from_fractions", "symmetric_counts", "rng_stream",
     "trajectories_identical", "validate_spec",
     # event-driven simulation
-    "Absorbed", "Ensemble", "next_event", "run_until", "run_ensemble",
+    "Ensemble", "run_until", "run_ensemble",
     # deterministic limit
     "ConservationAudit", "MeanFieldPath", "MeanFieldState",
     "conserved_quantities", "integrate", "rk4_step", "vector_field",

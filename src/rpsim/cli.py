@@ -23,21 +23,25 @@ from .validate import ValidationConfig, run_validation
 __all__ = ["main"]
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.replace(",", " ").split())
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _numbers(text: str, cast, flag: str) -> tuple:
+    """Parse a comma- or space-separated list given to ``flag``."""
+    values = []
+    for token in text.replace(",", " ").split():
+        try:
+            values.append(cast(token))
+        except ValueError:
+            raise DomainError(f"{flag}: cannot parse {token!r} as "
+                              f"{cast.__name__}") from None
+    return tuple(values)
 
 
 def _spec_from_args(args) -> ModelSpec:
     if args.initial is not None:
-        counts = _ints(args.initial)
+        counts = _numbers(args.initial, int, "--initial")
         return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
                          initial=counts)
     if args.fractions is not None:
-        fracs = _floats(args.fractions)
+        fracs = _numbers(args.fractions, float, "--fractions")
         counts = counts_from_fractions(fracs, args.total)
         return ModelSpec(n=len(counts), lam=args.rate, total=args.total,
                          initial=counts)
@@ -47,7 +51,7 @@ def _spec_from_args(args) -> ModelSpec:
 
 def _grid_from_args(args, t_end: float) -> np.ndarray:
     if getattr(args, "grid", None) is not None:
-        return np.array(_floats(args.grid))
+        return np.array(_numbers(args.grid, float, "--grid"))
     return np.linspace(0.0, t_end, args.grid_points)
 
 
@@ -77,7 +81,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
-    u0 = _floats(args.u0) if args.u0 is not None else \
+    u0 = _numbers(args.u0, float, "--u0") if args.u0 is not None else \
         np.full(args.n, 1.0 / args.n)
     grid = _grid_from_args(args, args.t_end)
     path = integrate(u0, args.rate, t_end=args.t_end, step=args.step,
@@ -92,7 +96,7 @@ def _cmd_meanfield(args) -> int:
 
 
 def _cmd_fluctuation(args) -> int:
-    u0 = _floats(args.u0) if args.u0 is not None else \
+    u0 = _numbers(args.u0, float, "--u0") if args.u0 is not None else \
         np.full(args.n, 1.0 / args.n)
     n = len(u0)
     grid = _grid_from_args(args, args.t_end)
@@ -102,7 +106,7 @@ def _cmd_fluctuation(args) -> int:
     if args.sigma0 is None:
         sigma0 = np.zeros((n, n))
     else:
-        vals = _floats(args.sigma0)
+        vals = _numbers(args.sigma0, float, "--sigma0")
         if len(vals) != n * n:
             raise DomainError(f"initial covariance needs n² = {n * n} values, "
                               f"got {len(vals)}")

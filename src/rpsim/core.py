@@ -26,9 +26,6 @@ __all__ = [
     "InsufficientReplicas",
     "MissingEventLog",
     "ModelSpec",
-    "PoissonClock",
-    "SimState",
-    "JumpEvent",
     "Trajectory",
     "validate_spec",
     "check_rate",
@@ -210,65 +207,6 @@ def rng_stream(base_seed: int, replica_index: int) -> np.random.Generator:
 
 
 # --------------------------------------------------------------------------
-# simulator state
-# --------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class PoissonClock:
-    """One reaction's unit-rate clock.
-
-    ``internal_time`` is the accumulated intensity integral for the reaction;
-    ``next_threshold`` is the next unit-Poisson arrival beyond it.  The gap
-    ``next_threshold - internal_time`` is always positive between events.
-    """
-
-    internal_time: float = 0.0
-    next_threshold: float = 0.0
-
-    @property
-    def gap(self) -> float:
-        return self.next_threshold - self.internal_time
-
-
-@dataclass(slots=True)
-class SimState:
-    """Mutable per-replica simulator state."""
-
-    counts: list[int]
-    time: float
-    clocks: list[PoissonClock]
-    event_count: list[int]
-
-    @classmethod
-    def initial(cls, spec: ModelSpec, rng: np.random.Generator) -> "SimState":
-        """Fresh state at time 0 with one exponential threshold per clock.
-
-        Thresholds are drawn in clock order (0, 1, ..., n-1), which fixes the
-        stream layout every consumer of ``rng`` relies on.
-        """
-        clocks = [
-            PoissonClock(0.0, float(rng.standard_exponential()))
-            for _ in range(spec.n)
-        ]
-        return cls(
-            counts=list(spec.initial),
-            time=0.0,
-            clocks=clocks,
-            event_count=[0] * spec.n,
-        )
-
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """A single state change: species ``reaction`` converts one individual of
-    its cyclic successor."""
-
-    time: float
-    reaction: int
-    counts_after: tuple[int, ...]
-
-
-# --------------------------------------------------------------------------
 # trajectory
 # --------------------------------------------------------------------------
 
@@ -314,21 +252,6 @@ class Trajectory:
         if not self.has_event_log:
             raise MissingEventLog("run was made in samples-only mode")
         return len(self.event_times)
-
-    @property
-    def events(self) -> list[JumpEvent]:
-        """Materialize the event log as JumpEvent objects (replayed counts)."""
-        if not self.has_event_log:
-            raise MissingEventLog("run was made in samples-only mode")
-        n = self.spec.n
-        counts = list(self.spec.initial)
-        out = []
-        for t, r in zip(self.event_times, self.event_reactions):
-            r = int(r)
-            counts[r] += 1
-            counts[(r + 1) % n] -= 1
-            out.append(JumpEvent(float(t), r, tuple(counts)))
-        return out
 
     def _counts_after_each_event(self, k: int) -> np.ndarray:
         """Counts after each of the first ``k`` events, plus the initial row."""

@@ -1,16 +1,20 @@
 """Exact event-driven simulation of the cyclic collision process.
 
-Each reaction owns a unit-rate clock: an accumulated intensity integral
-(``internal_time``) racing toward its next arrival (``next_threshold``).
+The process is a random time change of unit Poisson processes, one per
+reaction, and :func:`run_until` simulates it by the modified next reaction
+method (Anderson 2007).  Reaction ``j`` fires at rate
+``lam/M * X_j * X_{j+1}``; its clock carries an accumulated intensity
+(``internal``) racing toward its next unit-Poisson arrival (``threshold``).
 The next event is the reaction whose clock reaches its threshold first in
-wall time, which for reaction ``j`` happens after
-``(threshold - internal) / rate_j`` with ``rate_j = lam/M * X_j * X_{j+1}``.
-Reactions with a zero rate never fire; when every rate is zero the state is
-absorbing and the replica stops.
+wall time, after ``(threshold - internal) / rate`` (ties go to the lowest
+index); zero-rate reactions never fire, and when every rate is zero the state
+is absorbing and the replica stops.  All other clocks then advance by
+``rate * dt``, and the fired one draws a fresh Exp(1) gap.
 
-The construction is exact (no time discretization): inter-event times and
-reaction choices have exactly the competing-exponentials law, which the
-statistical harness verifies.
+Replica ``i`` of an ensemble reads ``rng_stream(base_seed, i)`` in a fixed
+order: ``n`` initial thresholds in clock order, then one draw per event.
+The construction is exact (no time discretization); the statistical harness
+checks the first-event law of this loop against competing exponentials.
 """
 from __future__ import annotations
 
@@ -23,21 +27,17 @@ import numpy as np
 from .core import (
     BudgetExceeded,
     DomainError,
-    JumpEvent,
     ModelSpec,
     NumericError,
     RpsimError,
-    SimState,
     Trajectory,
     rng_stream,
     validate_spec,
 )
 
 __all__ = [
-    "Absorbed",
     "Ensemble",
     "ReplicaError",
-    "next_event",
     "run_until",
     "run_ensemble",
     "DEFAULT_MAX_EVENTS",
@@ -49,13 +49,6 @@ RETENTION_LIMIT = 10**7
 # relative tolerance for the clock-overshoot guard
 _OVERSHOOT_RTOL = 1e-9
 _EXP_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class Absorbed:
-    """Returned by :func:`next_event` when no reaction can ever fire again."""
-
-    time: float
 
 
 class ReplicaError(RpsimError):
@@ -99,7 +92,7 @@ class _ExpStream:
     Block draws from a numpy Generator consume the bit stream exactly like
     repeated scalar draws, so values coming out of this buffer are identical
     to calling ``rng.standard_exponential()`` one value at a time (a property
-    the single-step/batched equivalence tests pin down).
+    the one-event reference stepper in the tests pins down).
     """
 
     __slots__ = ("_rng", "_buf", "_i")
@@ -116,71 +109,6 @@ class _ExpStream:
             i = 0
         self._i = i + 1
         return self._buf[i]
-
-
-def _advance_clock(internal: float, threshold: float, rate: float, dt: float,
-                   reaction: int) -> float:
-    """Advance one non-fired clock, guarding against threshold overshoot."""
-    advanced = internal + rate * dt
-    if advanced > threshold:
-        if advanced - threshold > _OVERSHOOT_RTOL * max(1.0, threshold):
-            raise NumericError(
-                f"clock {reaction} overshot its threshold by "
-                f"{advanced - threshold:.3e} (internal-time drift)"
-            )
-        advanced = threshold
-    return advanced
-
-
-def next_event(state: SimState, spec: ModelSpec,
-               rng: np.random.Generator) -> JumpEvent | Absorbed:
-    """Advance the state by exactly one event (or detect absorption).
-
-    For each reaction the candidate waiting time is the clock gap divided by
-    the current rate; zero-rate reactions never fire.  The minimal candidate
-    wins (ties break to the lowest index).  All clocks advance over the
-    waiting interval using the pre-event counts; the fired clock lands
-    exactly on its threshold and draws a fresh exponential for the next one.
-    """
-    n = spec.n
-    lam_over_m = spec.lam / spec.total
-    counts = state.counts
-    clocks = state.clocks
-
-    best = -1
-    best_dt = math.inf
-    for j in range(n):
-        nx = j + 1 if j + 1 < n else 0
-        rate = lam_over_m * counts[j] * counts[nx]
-        if rate > 0.0:
-            dt = (clocks[j].next_threshold - clocks[j].internal_time) / rate
-            if dt < best_dt:
-                best_dt = dt
-                best = j
-    if best < 0:
-        return Absorbed(state.time)
-
-    for j in range(n):
-        if j == best:
-            continue
-        nx = j + 1 if j + 1 < n else 0
-        rate = lam_over_m * counts[j] * counts[nx]
-        if rate > 0.0:
-            clocks[j].internal_time = _advance_clock(
-                clocks[j].internal_time, clocks[j].next_threshold, rate, best_dt, j
-            )
-    fired = clocks[best]
-    fired.internal_time = fired.next_threshold
-    fired.next_threshold = fired.internal_time + rng.standard_exponential()
-
-    nx = best + 1 if best + 1 < n else 0
-    counts[best] += 1
-    counts[nx] -= 1
-    state.event_count[best] += 1
-    state.time = state.time + best_dt
-    if sum(counts) != spec.total:
-        raise AssertionError("population conservation violated")  # unreachable
-    return JumpEvent(state.time, best, tuple(counts))
 
 
 def _expected_events(spec: ModelSpec, t_end: float) -> float:
@@ -279,9 +207,17 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
             if j != best:
                 rate = lam_over_m * counts[j] * counts[nxt[j]]
                 if rate > 0.0:
-                    internal[j] = _advance_clock(
-                        internal[j], threshold[j], rate, best_dt, j
-                    )
+                    advanced = internal[j] + rate * best_dt
+                    if advanced > threshold[j]:
+                        # rounding may carry a clock a hair past its threshold
+                        over = advanced - threshold[j]
+                        if over > _OVERSHOOT_RTOL * max(1.0, threshold[j]):
+                            raise NumericError(
+                                f"clock {j} overshot its threshold by "
+                                f"{over:.3e} (internal-time drift)"
+                            )
+                        advanced = threshold[j]
+                    internal[j] = advanced
         internal[best] = threshold[best]
         threshold[best] = internal[best] + draw()
         counts[best] += 1

@@ -10,8 +10,9 @@ Four checks are provided:
 * the compensated-counting martingale identities: zero mean, quadratic
   variation equal to the accumulated intensity, orthogonality across
   reactions (``martingale_test``),
-* exactness of the event engine against the closed-form competing
-  exponentials law for the first event (``gillespie_equivalence_test``).
+* exactness of the event engine: the first event of ``run_until``, one
+  replica per sample, against the closed-form competing-exponentials law
+  (``gillespie_equivalence_test``).
 
 Every report is a pure function of its inputs.  Every pass threshold is
 configuration, not a theorem constant; reports carry a calibration note
@@ -32,14 +33,13 @@ from .core import (
     InsufficientReplicas,
     MissingEventLog,
     ModelSpec,
-    SimState,
     counts_from_fractions,
     rng_stream,
     validate_spec,
 )
 from .fluctuation import CovarianceState, FluctuationModel, propagate_covariance
 from .meanfield import DEFAULT_STEP, MeanFieldPath, integrate
-from .simulate import Absorbed, Ensemble, next_event, run_ensemble
+from .simulate import Ensemble, run_ensemble, run_until
 
 __all__ = [
     "LlnRecord",
@@ -451,12 +451,15 @@ class GillespieReport:
 
 def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
                                p_threshold: float = 0.01) -> GillespieReport:
-    """First-event law of the engine against closed-form expectations.
+    """First-event law of the event engine against closed-form expectations.
 
-    From a fixed initial state the first-event time must be exponential with
-    the summed reaction rate, and the fired reaction must be categorical
-    with probabilities proportional to the rates (competing exponentials).
-    Kolmogorov-Smirnov and chi-square at the configured p threshold.
+    Sample ``i`` is the first event of replica ``i``, run by
+    :func:`~rpsim.simulate.run_until` on ``rng_stream(base_seed, i)`` exactly
+    as an ensemble would run it.  From the fixed initial state the
+    first-event time must be exponential with the summed reaction rate, and
+    the fired reaction must be categorical with probabilities proportional
+    to the rates (competing exponentials).  Kolmogorov-Smirnov and
+    chi-square at the configured p threshold.
     """
     validate_spec(spec)
     if samples < 1:
@@ -470,15 +473,15 @@ def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
     if total_rate == 0.0:
         raise DomainError("all reaction rates are zero in the initial state")
 
-    rng = rng_stream(base_seed, 0)
+    # a replica with no event before this horizon has probability e^-40
+    horizon = 40.0 / total_rate
     times = np.empty(samples)
     fired = np.empty(samples, dtype=int)
     for i in range(samples):
-        state = SimState.initial(spec, rng)
-        ev = next_event(state, spec, rng)
-        assert not isinstance(ev, Absorbed)  # total_rate > 0
-        times[i] = ev.time
-        fired[i] = ev.reaction
+        traj = run_until(spec, horizon, (), rng_stream(base_seed, i), seed=i,
+                         record_events=True)
+        times[i] = traj.event_times[0]
+        fired[i] = traj.event_reactions[0]
 
     ks_stat, ks_p = stats.kstest(times, "expon", args=(0.0, 1.0 / total_rate))
     observed = np.bincount(fired, minlength=n)
@@ -553,7 +556,8 @@ class ValidationConfig:
     def from_ini(cls, path) -> "ValidationConfig":
         """Read a config file: ``[model]``, ``[run]`` and ``[validate]``
         sections whose options are the field names (``lambda`` for ``lam``).
-        ``[model] initial`` counts set both ``total`` and ``fractions``."""
+        ``[model] initial`` counts set both ``total`` and ``fractions``.  An
+        unknown section or option is a :class:`DomainError`."""
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -572,10 +576,21 @@ class ValidationConfig:
                     f"[{section}] {option}: cannot parse {text!r} as {type_name}"
                 ) from None
 
+        known = {
+            (_INI_SECTIONS.get(f.name, "validate"),
+             "lambda" if f.name == "lam" else f.name): f
+            for f in fields(cls)
+        }
+        for section in parser.sections():
+            if section not in ("model", "run", "validate"):
+                raise DomainError(f"[{section}]: unknown section")
+            for option in parser.options(section):
+                if (section, option) not in known and \
+                        (section, option) != ("model", "initial"):
+                    raise DomainError(f"[{section}] {option}: unknown option")
+
         kw = {}
-        for f in fields(cls):
-            section = _INI_SECTIONS.get(f.name, "validate")
-            option = "lambda" if f.name == "lam" else f.name
+        for (section, option), f in known.items():
             if parser.has_option(section, option):
                 kw[f.name] = value(section, option, f.type)
         if parser.has_option("model", "initial"):

@@ -9,8 +9,9 @@ compensated counters, algebraic structure of the coefficient matrices,
 the linear-noise sampler against the moment ODE, and byte determinism of
 all serialized output.
 
-Statistical criteria use fixed seeds chosen once, with wide margins
-(3-5x the threshold); they are not tuned per run.
+Statistical criteria use fixed seeds chosen once; they are not tuned per
+run.  Their margins to the thresholds vary (README lists the measured ones
+of ``rpsim validate``).
 """
 import math
 import time

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -67,6 +68,62 @@ class TestSimulateCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: grid must be ascending")
+
+
+class TestBadListArguments:
+    @pytest.mark.parametrize("argv, flag, token", [
+        (["meanfield", "--u0", "a,b,c"], "--u0", "a"),
+        (["fluctuation", "--u0", "0.5,0.5,x"], "--u0", "x"),
+        (["simulate", "--initial", "1,x,1"], "--initial", "x"),
+        (["simulate", "--initial", "1,1.5,1"], "--initial", "1.5"),
+        (["simulate", "--fractions", "0.5,half,0"], "--fractions", "half"),
+        (["simulate", "--grid", "0,1e,1"], "--grid", "1e"),
+        (["meanfield", "--grid", "0;1"], "--grid", "0;1"),
+        (["fluctuation", "--sigma0", "1,0,0,0,1,0,0,0,one"], "--sigma0", "one"),
+    ])
+    def test_non_numeric_token_is_a_domain_error(self, tmp_path, capsys,
+                                                 argv, flag, token):
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: cannot parse {token!r}")
+
+
+# sha256 of each output file at small fixed arguments, pinned when the files
+# were last known good: any byte that changes fails here
+SIMULATE_ARGS = ["simulate", "--initial", "20,20,20", "--replicas", "4",
+                 "--t-end", "2", "--base-seed", "8", "--events"]
+SIMULATE_SHA256 = {
+    "samples.csv":
+        "481cbb7296036fa376f415ddfcb2f81e749ded121944bf8dd46503dce86a4ea3",
+    "events.csv":
+        "8b512c902b868c57a0f741271208366a26095b2048a070ac38e2831a4356747d",
+    "manifest.json":
+        "1332e47730406a6e12a80dcefd8074ccbaf42f2158d0f4f2379c6a0e958f3a66",
+}
+MEANFIELD_ARGS = ["meanfield", "--u0", "0.5,0.3,0.2", "--t-end", "3",
+                  "--grid-points", "7"]
+MEANFIELD_SHA256 = \
+    "c538289fe67cecd6a8156835ab84399f281c9be792ebce8288b5bb8c72578647"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_simulate(self, tmp_path, workers):
+        out = tmp_path / "sim"
+        assert main(SIMULATE_ARGS + ["--workers", workers,
+                                     "--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in SIMULATE_SHA256} \
+            == SIMULATE_SHA256
+
+    def test_meanfield(self, tmp_path):
+        out = tmp_path / "mf.csv"
+        assert main(MEANFIELD_ARGS + ["--out", str(out)]) == 0
+        assert sha256(out) == MEANFIELD_SHA256
 
 
 class TestMeanfieldCommand:
@@ -149,6 +206,15 @@ class TestValidateCommand:
         assert summary["all"] is True
         for name in ("gillespie", "lln", "clt", "martingale"):
             assert (tmp_path / "rep" / f"{name}.json").exists()
+
+    def test_misspelt_config_option_is_reported(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[validate]\nlln_replica = 5\n")
+        rc = main(["validate", "--config", str(ini),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: [validate] lln_replica: unknown option\n"
 
     def test_malformed_config_is_reported(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"

@@ -14,11 +14,11 @@ from rpsim import (
     Trajectory,
     counts_from_fractions,
     rng_stream,
+    run_until,
     symmetric_counts,
     trajectories_identical,
     validate_spec,
 )
-from rpsim.core import SimState
 
 
 def spec3(**kw) -> ModelSpec:
@@ -136,14 +136,18 @@ class TestRngStream:
 
 
 def test_sim_state_initial_draws_thresholds_in_clock_order():
+    # the engine's first n draws are the clock thresholds, in clock order:
+    # from (1,1,1) every rate is 1/3, so the first event is the clock with
+    # the smallest threshold, at that threshold divided by the rate
     spec = spec3()
-    state = SimState.initial(spec, rng_stream(5, 0))
-    expected = rng_stream(5, 0).standard_exponential(3)
-    assert [c.next_threshold for c in state.clocks] == list(expected)
-    assert [c.internal_time for c in state.clocks] == [0.0, 0.0, 0.0]
-    assert state.counts == [1, 1, 1]
-    assert state.time == 0.0
-    assert state.event_count == [0, 0, 0]
+    traj = run_until(spec, 100.0, [], rng_stream(5, 0), seed=0,
+                     record_events=True)
+    thresholds = rng_stream(5, 0).standard_exponential(3)
+    # the smallest draw is the last one, so a reversed order would fire
+    # clock 0 instead
+    assert int(np.argmin(thresholds)) == 2
+    assert traj.event_reactions[0] == 2
+    assert traj.event_times[0] == thresholds[2] / (1.0 / 3)
 
 
 # hand-built two-event history used by the replay tests below:
@@ -185,13 +189,6 @@ class TestTrajectoryValidation:
 
 
 class TestTrajectoryReplay:
-    def test_events_property(self):
-        evs = tiny_trajectory().events
-        assert [(e.time, e.reaction, e.counts_after) for e in evs] == [
-            (0.2, 0, (2, 0, 1)),
-            (0.5, 2, (1, 0, 2)),
-        ]
-
     def test_jump_counts(self):
         traj = tiny_trajectory()
         assert traj.jump_counts(0.1).tolist() == [0, 0, 0]
@@ -214,7 +211,7 @@ class TestTrajectoryReplay:
     def test_samples_only_mode_raises(self):
         traj = tiny_trajectory(event_times=None, event_reactions=None)
         assert not traj.has_event_log
-        for call in (lambda: traj.n_events, lambda: traj.events,
+        for call in (lambda: traj.n_events,
                      lambda: traj.jump_counts(0.5),
                      lambda: traj.internal_times(0.5),
                      lambda: traj.counts_at(0.5)):

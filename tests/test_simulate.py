@@ -7,73 +7,115 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpsim import (
-    Absorbed,
     BudgetExceeded,
     DomainError,
     MissingEventLog,
     ModelSpec,
     ReplicaError,
-    next_event,
     rng_stream,
     run_ensemble,
     run_until,
     symmetric_counts,
     trajectories_identical,
 )
-from rpsim.core import PoissonClock, SimState
 
 
-def make_state(counts, thresholds):
-    return SimState(
-        counts=list(counts), time=0.0,
-        clocks=[PoissonClock(0.0, t) for t in thresholds],
-        event_count=[0] * len(counts),
-    )
+class FixedDraws:
+    """Stands in for a numpy Generator: the engine's first block of Exp(1)
+    draws is ``values`` (the initial clock thresholds, then the draws of the
+    first events), padded with a gap too large to matter."""
+
+    def __init__(self, *values, pad=1e9):
+        self.values = values
+        self.pad = pad
+
+    def standard_exponential(self, size):
+        out = np.full(size, self.pad)
+        out[:len(self.values)] = self.values
+        self.values = ()
+        return out
+
+
+def run_fixed(counts, thresholds, t_end=1.0, lam=3.0):
+    spec = ModelSpec(n=len(counts), lam=lam, total=sum(counts),
+                     initial=counts)
+    return run_until(spec, t_end, np.array([0.0, t_end]),
+                     FixedDraws(*thresholds), seed=0, record_events=True)
 
 
 class TestNextEvent:
-    # waiting times are fully determined by injected clock thresholds, so
-    # these are exact hand-computed checks of the time-change construction
+    # run_until's waiting times are fully determined by injected clock
+    # thresholds, so these are exact hand-computed checks of the
+    # time-change construction
 
     def test_single_active_reaction(self):
         # rate of reaction 0 is (3/3)*2*1 = 2, gap 0.5 -> fires at dt = 0.25
-        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(2, 1, 0))
-        state = make_state((2, 1, 0), (0.5, 0.5, 0.5))
-        ev = next_event(state, spec, rng_stream(0, 0))
-        assert (ev.time, ev.reaction, ev.counts_after) == (0.25, 0, (3, 0, 0))
-        assert state.counts == [3, 0, 0]
-        assert state.event_count == [1, 0, 0]
+        traj = run_fixed((2, 1, 0), (0.5, 0.5, 0.5))
+        assert traj.event_times.tolist() == [0.25]
+        assert traj.event_reactions.tolist() == [0]
+        assert traj.final_counts == (3, 0, 0)
+        assert traj.jump_counts(1.0).tolist() == [1, 0, 0]
 
     def test_absorbing_state_returns_absorbed(self):
-        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(2, 1, 0))
-        state = make_state((3, 0, 0), (0.5, 0.5, 0.5))
-        state.time = 0.25
-        assert next_event(state, spec, rng_stream(0, 0)) == Absorbed(0.25)
+        # (3,0,0) has no active pair: absorbed at once, and after the single
+        # event from (2,1,0) at t=0.25
+        traj = run_fixed((3, 0, 0), (0.5, 0.5, 0.5))
+        assert (traj.absorbed, traj.n_events) == (0.0, 0)
+        assert traj.samples.tolist() == [[3, 0, 0], [3, 0, 0]]
+        traj = run_fixed((2, 1, 0), (0.5, 0.5, 0.5))
+        assert (traj.absorbed, traj.final_time) == (0.25, 0.25)
 
     def test_smallest_candidate_wins_and_clocks_advance(self):
-        # all rates are 1, so candidate dts equal the thresholds
-        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
-        state = make_state((1, 1, 1), (0.9, 0.3, 0.6))
-        ev = next_event(state, spec, rng_stream(0, 0))
-        assert (ev.time, ev.reaction, ev.counts_after) == (0.3, 1, (1, 2, 0))
-        # non-fired clocks moved by rate*dt = 0.3; fired one sits on its
-        # old threshold with a fresh one strictly beyond it
-        assert [c.internal_time for c in state.clocks] == [0.3, 0.3, 0.3]
-        assert state.clocks[1].next_threshold > 0.3
-        assert state.clocks[0].next_threshold == 0.9
+        # all rates are 1, so candidate dts equal the thresholds: reaction 1
+        # fires at 0.3 -> (1,2,0).  Reaction 0's clock advanced to 0.3 on the
+        # way, and its rate is now 2, so it fires (0.9-0.3)/2 later at 0.6
+        # (0.9/2 later, at 0.75, had it not advanced); reaction 1's fresh
+        # threshold lies beyond the horizon
+        traj = run_fixed((1, 1, 1), (0.9, 0.3, 0.6))
+        assert traj.event_reactions.tolist() == [1, 0]
+        assert traj.event_times.tolist() == [0.3, 0.3 + (0.9 - 0.3) / 2]
+        assert traj.final_counts == (2, 1, 0)
 
     def test_tie_breaks_to_lowest_index(self):
-        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
-        state = make_state((1, 1, 1), (0.5, 0.5, 0.5))
-        ev = next_event(state, spec, rng_stream(0, 0))
-        assert ev.reaction == 0
+        traj = run_fixed((1, 1, 1), (0.5, 0.5, 0.5))
+        assert traj.event_reactions[0] == 0
 
     def test_zero_rate_reaction_never_fires(self):
         # reaction 1 has rate x2*x3 = 0 despite the smallest threshold
-        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(2, 1, 0))
-        state = make_state((2, 1, 0), (0.7, 1e-12, 0.9))
-        ev = next_event(state, spec, rng_stream(0, 0))
-        assert ev.reaction == 0
+        traj = run_fixed((2, 1, 0), (0.7, 1e-12, 0.9))
+        assert traj.event_reactions.tolist() == [0]
+        assert traj.event_times.tolist() == [0.35]
+
+
+def reference_events(spec, t_end, rng):
+    """One event at a time, scalar draws straight from ``rng``: the modified
+    next reaction method as written in the textbook, for checking the
+    buffered engine draw for draw.  Returns event times and reactions."""
+    n = spec.n
+    counts = list(spec.initial)
+    internal = [0.0] * n
+    threshold = [rng.standard_exponential() for _ in range(n)]
+    t = 0.0
+    times, reactions = [], []
+    while True:
+        rates = [spec.lam / spec.total * counts[j] * counts[(j + 1) % n]
+                 for j in range(n)]
+        waits = [(threshold[j] - internal[j]) / r if r > 0.0 else math.inf
+                 for j, r in enumerate(rates)]
+        best = min(range(n), key=waits.__getitem__)  # lowest index on ties
+        if waits[best] == math.inf or t + waits[best] > t_end:
+            return times, reactions
+        for j in range(n):
+            if rates[j] > 0.0:
+                internal[j] = min(internal[j] + rates[j] * waits[best],
+                                  threshold[j])
+        internal[best] = threshold[best]
+        threshold[best] = internal[best] + rng.standard_exponential()
+        counts[best] += 1
+        counts[(best + 1) % n] -= 1
+        t = t + waits[best]
+        times.append(t)
+        reactions.append(best)
 
 
 def grid01(points=5, t_end=1.0):
@@ -83,26 +125,28 @@ def grid01(points=5, t_end=1.0):
 class TestRunUntil:
     def test_matches_repeated_next_event(self):
         # the buffered production loop must reproduce the one-event reference
-        # implementation draw for draw
-        spec = ModelSpec(n=3, lam=2.0, total=12, initial=(5, 4, 3))
-        t_end = 3.0
-        traj = run_until(spec, t_end, grid01(7, t_end), rng_stream(11, 0),
-                         seed=0, record_events=True)
+        # implementation draw for draw: a short run, one past the first
+        # 4096-draw block, and one to absorption
+        for initial, lam, t_end, min_events in (
+            ((5, 4, 3), 2.0, 3.0, 10),
+            ((100, 100, 100, 100), 1.0, 50.0, 4096),
+            ((2, 2, 2), 5.0, math.inf, 1),
+        ):
+            spec = ModelSpec(n=len(initial), lam=lam, total=sum(initial),
+                             initial=initial)
+            grid = grid01(7, t_end) if math.isfinite(t_end) else []
+            traj = run_until(spec, t_end, grid, rng_stream(11, 0), seed=0,
+                             record_events=True)
 
-        rng = rng_stream(11, 0)
-        state = SimState.initial(spec, rng)
-        times, reactions = [], []
-        while True:
-            ev = next_event(state, spec, rng)
-            if isinstance(ev, Absorbed) or ev.time > t_end:
-                break
-            times.append(ev.time)
-            reactions.append(ev.reaction)
-        assert traj.event_times.tolist() == times
-        assert traj.event_reactions.tolist() == reactions
-        # grid samples are the post-event counts at each grid time
-        for g, row in zip(traj.grid, traj.samples):
-            assert row.tolist() == traj.counts_at(g).tolist()
+            times, reactions = reference_events(spec, t_end,
+                                                rng_stream(11, 0))
+            assert len(times) >= min_events
+            assert traj.event_times.tolist() == times
+            assert traj.event_reactions.tolist() == reactions
+            assert (traj.absorbed is None) == math.isfinite(t_end)
+            # grid samples are the post-event counts at each grid time
+            for g, row in zip(traj.grid, traj.samples):
+                assert row.tolist() == traj.counts_at(g).tolist()
 
     def test_deterministic_across_runs(self):
         spec = ModelSpec(n=4, lam=1.5, total=40, initial=(10, 10, 10, 10))
@@ -221,8 +265,9 @@ class TestRunUntil:
         traj = run_until(spec, 1.0, grid01(4), rng_stream(seed, 0), seed=0,
                          record_events=True)
         assert np.all(traj.samples.sum(axis=1) == spec.total)
-        for ev in traj.events:
-            assert sum(ev.counts_after) == spec.total
+        for t in traj.event_times:
+            after = traj.counts_at(t)
+            assert after.sum() == spec.total and after.min() >= 0
 
 
 class TestRunEnsemble:

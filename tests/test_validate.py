@@ -1,7 +1,9 @@
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rpsim import (
     DomainError,
@@ -51,6 +53,21 @@ class TestGillespieEquivalence:
         b = gillespie_equivalence_test(spec, 500, base_seed=2)
         assert a.ks_stat == b.ks_stat
         assert a.observed_counts.tolist() == b.observed_counts.tolist()
+
+    def test_samples_are_first_events_of_the_shipping_engine(self):
+        # sample i is the first event of replica i of the ensemble that
+        # run_ensemble would run to the check's horizon 40/R
+        spec = ModelSpec(n=3, lam=4.0, total=4, initial=(2, 1, 1))
+        rep = gillespie_equivalence_test(spec, 300, base_seed=7)
+        ens = run_ensemble(spec, 300, 40.0 / rep.total_rate, (), 7,
+                           record_events=True)
+        times = [t.event_times[0] for t in ens.trajectories]
+        fired = [t.event_reactions[0] for t in ens.trajectories]
+        assert rep.observed_counts.tolist() == \
+            np.bincount(fired, minlength=3).tolist()
+        expected = stats.kstest(times, "expon",
+                                args=(0.0, 1.0 / rep.total_rate))
+        assert rep.ks_stat == expected.statistic
 
     def test_absorbing_initial_state_rejected(self):
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(3, 0, 0))
@@ -294,6 +311,27 @@ class TestValidationConfig:
         ini.write_text("[validate]\nlln_populations = 10, x\n")
         with pytest.raises(DomainError, match=r"\[validate\] lln_populations"):
             ValidationConfig.from_ini(ini)
+
+    def test_unknown_option_or_section_is_an_error(self, tmp_path):
+        ini = tmp_path / "v.ini"
+        ini.write_text("[validate]\nlln_replica = 5\n")  # lln_replicas
+        with pytest.raises(DomainError,
+                           match=r"\[validate\] lln_replica: unknown option"):
+            ValidationConfig.from_ini(ini)
+        ini.write_text("[run]\nlambda = 2\n")  # belongs to [model]
+        with pytest.raises(DomainError, match=r"\[run\] lambda: unknown"):
+            ValidationConfig.from_ini(ini)
+        ini.write_text("[modle]\nn = 4\n")
+        with pytest.raises(DomainError, match=r"\[modle\]: unknown section"):
+            ValidationConfig.from_ini(ini)
+
+    def test_readme_example_loads_as_the_defaults(self, tmp_path):
+        # the INI block in README.md lists every key with its default
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        ini = tmp_path / "v.ini"
+        ini.write_text(block)
+        assert ValidationConfig.from_ini(ini) == ValidationConfig()
 
 
 def test_run_validation_smoke(tmp_path):
