@@ -28,7 +28,8 @@ def main() -> int:
     ap.add_argument("--replicas", type=int, default=2000)
     ap.add_argument("--t", type=float, default=1.0)
     ap.add_argument("--base-seed", type=int, default=2)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=4,
+                    help="accepted; changes neither results nor speed")
     args = ap.parse_args()
 
     fractions = np.array([float(v) for v in args.fractions.split(",")])

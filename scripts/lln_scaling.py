@@ -26,7 +26,8 @@ def main() -> int:
     ap.add_argument("--t-end", type=float, default=2.0)
     ap.add_argument("--grid-points", type=int, default=201)
     ap.add_argument("--base-seed", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=4,
+                    help="accepted; changes neither results nor speed")
     args = ap.parse_args()
 
     fractions = np.array([float(v) for v in args.fractions.split(",")])

@@ -94,7 +94,10 @@ class MeanFieldPath:
 def vector_field(u, lam: float) -> np.ndarray:
     """Right-hand side du_i/dt = lam*(u_i*u_{i+1} - u_{i-1}*u_i)."""
     u = np.asarray(u, dtype=float)
-    return lam * (u * np.roll(u, -1) - np.roll(u, 1) * u)
+    # the cyclic neighbours u_{i+1} and u_{i-1}; concatenate is several times
+    # faster than np.roll on these short vectors
+    return lam * (u * np.concatenate((u[1:], u[:1]))
+                  - np.concatenate((u[-1:], u[:-1])) * u)
 
 
 def conserved_quantities(u) -> tuple[float, float]:

@@ -1,25 +1,38 @@
 """Exact event-driven simulation of the cyclic collision process.
 
 The process is a random time change of unit Poisson processes, one per
-reaction, and :func:`run_until` simulates it by the modified next reaction
-method (Anderson 2007).  Reaction ``j`` fires at rate
-``lam/M * X_j * X_{j+1}``; its clock carries an accumulated intensity
-(``internal``) racing toward its next unit-Poisson arrival (``threshold``).
-The next event is the reaction whose clock reaches its threshold first in
-wall time, after ``(threshold - internal) / rate`` (ties go to the lowest
-index); zero-rate reactions never fire, and when every rate is zero the state
-is absorbing and the replica stops.  All other clocks then advance by
-``rate * dt``, and the fired one draws a fresh Exp(1) gap.
+reaction, simulated by the modified next reaction method (Anderson 2007).
+Reaction ``j`` fires at rate ``lam/M * X_j * X_{j+1}``; its clock carries an
+accumulated intensity (``internal``) racing toward its next unit-Poisson
+arrival (``threshold``).  The next event is the reaction whose clock reaches
+its threshold first in wall time, after ``(threshold - internal) / rate``
+(ties go to the lowest index); zero-rate reactions never fire, and when
+every rate is zero the state is absorbing and the replica stops.  All other
+clocks then advance by ``rate * dt``, and the fired one draws a fresh Exp(1)
+gap.
 
-Replica ``i`` of an ensemble reads ``rng_stream(base_seed, i)`` in a fixed
-order: ``n`` initial thresholds in clock order, then one draw per event.
-The construction is exact (no time discretization); the statistical harness
-checks the first-event law of this loop against competing exponentials.
+Two engines run this loop with the same arithmetic in the same order:
+
+* :func:`run_until` runs one replica, one event at a time.  Ensembles of
+  fewer than 32 replicas (``_LOCKSTEP_MIN``) run it once per replica.
+* ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together
+  on ``(replicas, n)`` arrays, one event per replica per step.
+  :func:`run_ensemble` takes it from 32 replicas up, in chunks; below that
+  it measured slower than one replica at a time.
+
+Draw order, the contract both engines keep: replica ``i`` of an ensemble
+reads ``rng_stream(base_seed, i)``, ``n`` initial thresholds in clock order,
+then one draw per event.  The draws are taken in blocks; a numpy Generator
+gives the same values in blocks of any size as one at a time.  So every
+replica is the same trajectory, bit for bit, whichever engine ran it.  The
+construction is exact (no time discretization); the statistical harness
+checks the first-event law of the ensemble engine against competing
+exponentials.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +62,12 @@ RETENTION_LIMIT = 10**7
 # relative tolerance for the clock-overshoot guard
 _OVERSHOOT_RTOL = 1e-9
 _EXP_BLOCK = 4096
+# ensembles of at least this many replicas take the lockstep engine
+_LOCKSTEP_MIN = 32
+# replicas stepped together at most; larger ensembles run in chunks
+_LOCKSTEP_MAX = 2048
+# columns of each replica's draw block in the lockstep engine
+_LOCKSTEP_DRAWS = 64
 
 
 class ReplicaError(RpsimError):
@@ -253,6 +272,173 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     )
 
 
+def _replica(spec: ModelSpec, t_end: float, grid: np.ndarray, base_seed: int,
+             i: int, record_events: bool, max_events: int) -> Trajectory:
+    """Replica ``i`` through :func:`run_until`, a failure tagged with ``i``."""
+    try:
+        return run_until(spec, t_end, grid, rng_stream(base_seed, i), seed=i,
+                         record_events=record_events, max_events=max_events)
+    except RpsimError as exc:
+        raise ReplicaError(i, exc) from exc
+
+
+def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
+                  grid: np.ndarray, base_seed: int, record_events: bool,
+                  max_events: int) -> list[Trajectory]:
+    """Replicas ``first, first + 1, ...`` all at once, one event each per step.
+
+    The loop of :func:`run_until`, with the same operations in the same
+    order, on (live replicas, n) arrays.  Every live replica fires its
+    event ``k`` at step ``k`` and so takes draw ``n + k`` of its stream:
+    one column pointer into per-replica blocks of ``_LOCKSTEP_DRAWS`` draws
+    replays ``_ExpStream`` exactly.  A replica that absorbs or passes the
+    horizon is compacted away; event ``k`` of each replica goes to column
+    ``k`` of the ``(replicas, K)`` event log.
+    """
+    n = spec.n
+    lam_over_m = spec.lam / spec.total
+    total = spec.total
+    nxt = np.array([(j + 1) % n for j in range(n)])
+    ones = np.ones(n)
+    width = max(_LOCKSTEP_DRAWS, n)
+    gens = [rng_stream(base_seed, first + i) for i in range(replicas)]
+    draws = np.empty((replicas, width))
+    for gen, row in zip(gens, draws):
+        gen.standard_exponential(out=row)
+
+    glen = len(grid)
+    grid_next = np.append(grid, math.inf)   # next grid time after index gi
+    samples = np.empty((replicas, glen, n), dtype=np.int64)
+    final = np.empty((replicas, n), dtype=np.int64)
+    absorbed_at = np.full(replicas, math.nan)
+    n_events = np.empty(replicas, dtype=np.intp)
+    ev_times = np.empty((replicas, 8 if record_events else 0))
+    ev_reactions = np.empty(ev_times.shape, dtype=np.int16)
+
+    # state of the live replicas, one row each; counts are exact in float64
+    ids = np.arange(replicas)       # replica index - first
+    counts = np.tile(np.asarray(spec.initial, dtype=float), (replicas, 1))
+    internal = np.zeros((replicas, n))
+    threshold = draws[:, :n].copy()
+    col = n
+    t = np.zeros(replicas)
+    gi = np.zeros(replicas, dtype=np.intp)
+    g_next = np.full(replicas, grid_next[0])
+    # new_time > stop ends a replica; with an infinite horizon only absorption
+    stop = t_end if t_end < math.inf else np.finfo(float).max
+    k = 0                           # events fired so far by every live replica
+    base = np.arange(0, replicas * n, n)    # flat index of each row's clock 0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(ids):
+            rate = lam_over_m * counts * counts[:, nxt]
+            gap = (threshold - internal) / rate
+            gap[rate == 0.0] = math.inf
+            best = gap.argmin(axis=1)
+            flat = base + best
+            dt = gap.take(flat)
+            new_time = t + dt
+
+            done = new_time > stop
+            if done.any():
+                out = ids[done]
+                final[out] = counts[done]
+                n_events[out] = k
+                hit = dt[done] == math.inf
+                absorbed_at[out[hit]] = t[done][hit]
+                if glen:  # the state no longer changes
+                    for i, row, start in zip(out, counts[done], gi[done]):
+                        samples[i, start:] = row
+                keep = ~done
+                (ids, counts, internal, threshold, t, gi, g_next, draws,
+                 rate, best, dt, new_time) = (
+                    a[keep] for a in (ids, counts, internal, threshold, t, gi,
+                                      g_next, draws, rate, best, dt, new_time))
+                gens = list(itertools.compress(gens, keep))
+                if not len(ids):
+                    break
+                base = base[:len(ids)]
+                flat = base + best
+
+            cross = g_next < new_time
+            if cross.any():
+                # grid times before the event record the pre-event state
+                rows = np.flatnonzero(cross)
+                lo = gi[rows]
+                hi = np.searchsorted(grid, new_time[rows], side="left")
+                span = hi - lo
+                rep = np.repeat(rows, span)
+                start = np.cumsum(span) - span   # each row's first slot in rep
+                cols = np.arange(len(rep)) + np.repeat(lo - start, span)
+                samples[ids[rep], cols] = counts[rep]
+                gi[rows] = hi
+                g_next[rows] = grid_next[hi]
+
+            if col == width:
+                for gen, row in zip(gens, draws):
+                    gen.standard_exponential(out=row)
+                col = 0
+            advanced = internal + rate * dt[:, None]
+            fired = threshold.take(flat)
+            advanced.put(flat, fired)
+            if (advanced > threshold).any():
+                # rounding may carry a clock a hair past its threshold
+                over = advanced - threshold
+                bad = over > _OVERSHOOT_RTOL * np.maximum(1.0, threshold)
+                if bad.any():
+                    # internal-time drift: rerun serially up to the first
+                    # failing replica, so the error is the serial path's
+                    last = first + int(ids[bad.any(axis=1)][0])
+                    for i in range(first, last + 1):
+                        _replica(spec, t_end, grid, base_seed, i,
+                                 record_events, max_events)
+                    raise AssertionError("lockstep and serial engines disagree")
+                np.minimum(advanced, threshold, out=advanced)
+            internal = advanced
+            threshold.put(flat, fired + draws[:, col])
+            col += 1
+            flat_counts = counts.reshape(-1)
+            flat_counts[flat] += 1.0
+            flat_counts[base + nxt[best]] -= 1.0
+            t = new_time
+            k += 1
+            if k > max_events:
+                # every live replica exceeds it now; the lowest-indexed one
+                # is the first a serial run would meet
+                exc = BudgetExceeded(f"exceeded {max_events} events at "
+                                     f"t={t[0]:.6g} (horizon {t_end})")
+                raise ReplicaError(first + int(ids[0]), exc) from exc
+            # exact: the row sums are integers far below 2**53
+            if np.any(counts @ ones != total):
+                raise AssertionError("population conservation violated")  # unreachable
+            if record_events:
+                if k > ev_times.shape[1]:
+                    ev_times, ev_reactions = (
+                        np.concatenate((a, np.empty_like(a)), axis=1)
+                        for a in (ev_times, ev_reactions))
+                ev_times[ids, k - 1] = t
+                ev_reactions[ids, k - 1] = best
+
+    grid = grid.copy()          # one copy, shared (read-only) by the replicas
+    grid.flags.writeable = False
+    trajectories = []
+    for i in range(replicas):
+        m = n_events[i]
+        absorbed = None if math.isnan(absorbed_at[i]) else float(absorbed_at[i])
+        trajectories.append(Trajectory(
+            spec=spec,
+            seed=first + i,
+            grid=grid,
+            samples=samples[i],
+            event_times=ev_times[i, :m] if record_events else None,
+            event_reactions=ev_reactions[i, :m] if record_events else None,
+            absorbed=absorbed,
+            final_counts=tuple(final[i].tolist()),
+            final_time=absorbed if absorbed is not None else t_end,
+        ))
+    return trajectories
+
+
 def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
                  base_seed: int, *, workers: int = 1,
                  record_events: bool | None = None,
@@ -260,29 +446,33 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     """Run ``replicas`` independent trajectories.
 
     Replica ``i`` always consumes the stream ``rng_stream(base_seed, i)``, so
-    the result is identical no matter the execution order or the number of
-    workers.  Failures are re-raised as :class:`ReplicaError` carrying the
-    replica index.
+    every replica equals ``run_until`` on its own stream, bit for bit.  From
+    ``_LOCKSTEP_MIN`` replicas up they are stepped together on arrays;
+    smaller ensembles run one replica at a time.  ``workers`` is accepted
+    for compatibility and changes neither the results nor the speed: all
+    replicas run in the calling thread.  Failures are re-raised as
+    :class:`ReplicaError` carrying the index of the lowest-indexed failing
+    replica, as a serial run would report it.
     """
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
     # checked once here so a bad input is not reported as a replica failure
     grid = _check_run(spec, t_end, grid)
-
-    def one(i: int) -> Trajectory:
-        try:
-            return run_until(
-                spec, t_end, grid, rng_stream(base_seed, i), seed=i,
-                record_events=record_events, max_events=max_events,
-            )
-        except RpsimError as exc:
-            raise ReplicaError(i, exc) from exc
-
-    if workers <= 1:
-        trajectories = [one(i) for i in range(replicas)]
+    if record_events is None:
+        record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
+    if replicas >= _LOCKSTEP_MIN:
+        # in near-equal chunks of at most _LOCKSTEP_MAX, to bound memory
+        size = -(-replicas // -(-replicas // _LOCKSTEP_MAX))
+        trajectories = []
+        for first in range(0, replicas, size):
+            trajectories += _run_lockstep(
+                spec, first, min(size, replicas - first), t_end, grid,
+                base_seed, record_events, max_events)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(one, range(replicas)))
+        trajectories = [
+            _replica(spec, t_end, grid, base_seed, i, record_events, max_events)
+            for i in range(replicas)
+        ]
     return Ensemble(
         spec=spec,
         trajectories=tuple(trajectories),

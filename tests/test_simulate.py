@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import rpsim.simulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from rpsim import (
     symmetric_counts,
     trajectories_identical,
 )
+from rpsim.simulate import _LOCKSTEP_DRAWS, _LOCKSTEP_MAX
 
 
 class FixedDraws:
@@ -29,8 +31,10 @@ class FixedDraws:
         self.values = values
         self.pad = pad
 
-    def standard_exponential(self, size):
-        out = np.full(size, self.pad)
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[:] = self.pad
         out[:len(self.values)] = self.values
         self.values = ()
         return out
@@ -314,6 +318,148 @@ class TestRunEnsemble:
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
         with pytest.raises(DomainError):
             run_ensemble(spec, 0, 1.0, grid01(3), base_seed=0)
+
+
+def assert_matches_run_until(ens, t_end, grid, record_events):
+    """Every replica of ``ens`` equals run_until on its own stream, bit for
+    bit: samples, final counts, absorption, event times and reactions."""
+    for i, traj in enumerate(ens.trajectories):
+        ref = run_until(ens.spec, t_end, grid, rng_stream(ens.base_seed, i),
+                        seed=i, record_events=record_events)
+        assert trajectories_identical(traj, ref), i
+
+
+class TestLockstep:
+    # ensembles of _LOCKSTEP_MIN replicas or more are stepped together on
+    # arrays; each replica must still be exactly its run_until trajectory
+
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=10),
+                        min_size=3, max_size=5)
+        .filter(lambda c: 1 <= sum(c) <= 30),
+        lam=st.floats(min_value=0.1, max_value=5.0),
+        replicas=st.integers(min_value=32, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**31),
+        record_events=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_run_until(self, counts, lam, replicas, seed,
+                               record_events):
+        spec = ModelSpec(n=len(counts), lam=lam, total=sum(counts),
+                         initial=tuple(counts))
+        grid = grid01(4)
+        ens = run_ensemble(spec, replicas, 1.0, grid, seed,
+                           record_events=record_events)
+        assert_matches_run_until(ens, 1.0, grid, record_events)
+
+    @pytest.mark.parametrize("counts, thresholds, lam", [
+        ((1, 1, 1), (0.9, 0.3, 0.6), 3.0),    # the other clocks advance
+        ((1, 1, 1), (0.5, 0.5, 0.5), 3.0),    # a tie goes to reaction 0
+        ((2, 1, 0), (0.7, 1e-12, 0.9), 3.0),  # a zero-rate clock never fires
+        ((2, 2, 2), (0.1, 0.1, 0.7), 0.3),    # the tie's loser is clipped
+    ])
+    def test_injected_draws(self, monkeypatch, counts, thresholds, lam):
+        # every replica gets the same hand-picked thresholds, as in
+        # TestNextEvent, and must match run_until on them
+        spec = ModelSpec(n=len(counts), lam=lam, total=sum(counts),
+                         initial=counts)
+        grid = np.array([0.0, 0.5, 1.0])
+        monkeypatch.setattr(rpsim.simulate, "rng_stream",
+                            lambda base_seed, i: FixedDraws(*thresholds))
+        ens = run_ensemble(spec, 32, 1.0, grid, 0, record_events=True)
+        for i, traj in enumerate(ens.trajectories):
+            ref = run_until(spec, 1.0, grid, FixedDraws(*thresholds),
+                            seed=i, record_events=True)
+            assert trajectories_identical(traj, ref)
+        if lam == 0.3:
+            # (0.1/r)*r rounds above 0.1 for r = 0.3/6*2*2; clipped, the
+            # losing clock sits on its threshold and fires at the same time
+            assert ref.event_reactions[:2].tolist() == [0, 1]
+            assert ref.event_times[0] == ref.event_times[1]
+
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_grid_point_exactly_at_an_event(self, record_events):
+        # a grid time equal to an event time records the post-event state,
+        # also when an earlier grid time falls in the same waiting time
+        spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+        log = run_until(spec, 1.0, (), rng_stream(4, 5), seed=5,
+                        record_events=True)
+        before, at = log.event_times[1:3]
+        grid = np.array([0.0, (before + at) / 2, at, at, 1.0])
+        ens = run_ensemble(spec, 40, 1.0, grid, 4, record_events=record_events)
+        assert_matches_run_until(ens, 1.0, grid, record_events)
+        assert ens.trajectories[5].samples[2].tolist() == \
+            log.counts_at(at).tolist()
+
+    @pytest.mark.parametrize("grid", [[], [0.0], [1.0], [0.0, 1.0]])
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_empty_and_end_point_grids(self, grid, record_events):
+        spec = ModelSpec(n=4, lam=2.0, total=20, initial=(5, 5, 5, 5))
+        ens = run_ensemble(spec, 32, 1.0, grid, 6, record_events=record_events)
+        assert_matches_run_until(ens, 1.0, grid, record_events)
+
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_run_past_several_draw_blocks(self, record_events):
+        spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
+        grid = grid01(31, 3.0)
+        ens = run_ensemble(spec, 32, 3.0, grid, 8, record_events=True)
+        assert min(t.n_events for t in ens.trajectories) > 3 * _LOCKSTEP_DRAWS
+        ens = run_ensemble(spec, 32, 3.0, grid, 8,
+                           record_events=record_events)
+        assert_matches_run_until(ens, 3.0, grid, record_events)
+
+    def test_absorption_with_infinite_horizon(self):
+        # replicas absorb at very different steps and leave the batch
+        spec = ModelSpec(n=3, lam=1.0, total=12, initial=(4, 4, 4))
+        ens = run_ensemble(spec, 48, math.inf, [], 2, record_events=True)
+        assert all(t.absorbed is not None for t in ens.trajectories)
+        assert len({t.n_events for t in ens.trajectories}) > 5
+        assert_matches_run_until(ens, math.inf, [], True)
+
+    def test_31_and_32_replicas_agree(self, monkeypatch):
+        # 31 replicas run one by one through run_until, 32 in lockstep
+        spec = ModelSpec(n=3, lam=1.0, total=60, initial=(20, 20, 20))
+        grid = grid01(5)
+        serial = run_ensemble(spec, 31, 1.0, grid, 12, record_events=True)
+
+        def no_run_until(*args, **kwargs):
+            raise AssertionError("run_until called")
+
+        monkeypatch.setattr(rpsim.simulate, "run_until", no_run_until)
+        with pytest.raises(AssertionError):
+            run_ensemble(spec, 31, 1.0, grid, 12)
+        lockstep = run_ensemble(spec, 32, 1.0, grid, 12, record_events=True)
+        monkeypatch.undo()
+        for a, b in zip(serial.trajectories, lockstep.trajectories):
+            assert trajectories_identical(a, b)
+        assert_matches_run_until(lockstep, 1.0, grid, True)
+
+    def test_chunked_ensemble(self):
+        # more than _LOCKSTEP_MAX replicas run in several lockstep batches
+        spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
+        ens = run_ensemble(spec, _LOCKSTEP_MAX + 1, 40.0, [], 13,
+                           record_events=True)
+        assert [t.seed for t in ens.trajectories] == \
+            list(range(_LOCKSTEP_MAX + 1))
+        assert_matches_run_until(ens, 40.0, [], True)
+
+    def test_budget_names_the_same_replica_as_a_serial_run(self):
+        # replicas 0-4 absorb within the budget, replica 5 is the first to
+        # exceed it, and higher replicas exceed it as well
+        spec = ModelSpec(n=3, lam=1.0, total=12, initial=(4, 4, 4))
+        serial = None
+        for i in range(40):
+            try:
+                run_until(spec, math.inf, [], rng_stream(2, i), seed=i,
+                          max_events=40)
+            except BudgetExceeded as exc:
+                serial = (i, f"replica {i}: {exc}")
+                break
+        assert serial is not None and serial[0] == 5
+        with pytest.raises(ReplicaError) as err:
+            run_ensemble(spec, 40, math.inf, [], 2, max_events=40)
+        assert (err.value.index, str(err.value)) == serial
+        assert isinstance(err.value.__cause__, BudgetExceeded)
 
 
 def test_event_times_strictly_positive_and_increasing():
