@@ -289,7 +289,8 @@ class Trajectory:
         counts = self._counts_after_each_event(k).astype(float)
         bounds = np.concatenate(([0.0], self.event_times[:k], [t]))
         durations = np.diff(bounds)
-        products = counts * np.roll(counts, -1, axis=1)
+        products = counts * np.concatenate((counts[:, 1:], counts[:, :1]),
+                                           axis=1)
         return (self.spec.lam / self.spec.total) * (
             durations[:, None] * products
         ).sum(axis=0)

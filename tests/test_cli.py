@@ -101,10 +101,30 @@ SIMULATE_SHA256 = {
     "manifest.json":
         "1332e47730406a6e12a80dcefd8074ccbaf42f2158d0f4f2379c6a0e958f3a66",
 }
+# 40 replicas take the lockstep engine, 4 take run_until once per replica
+SIMULATE_40_SHA256 = {
+    "samples.csv":
+        "b6d0dd27ad077bd60923bbec98ce12a8d27a6970eb8df6ee88b60ae1fd25fda5",
+    "events.csv":
+        "cd0561987b9330b3d0aefd2e6effff6582178736a6bc669bcf84df0dd8a16d32",
+    "manifest.json":
+        "86a44cf91d3f8cc3efea6fa4ba6399c7f50e0b7bf787807a0b0defab58736ea0",
+}
 MEANFIELD_ARGS = ["meanfield", "--u0", "0.5,0.3,0.2", "--t-end", "3",
                   "--grid-points", "7"]
 MEANFIELD_SHA256 = \
     "c538289fe67cecd6a8156835ab84399f281c9be792ebce8288b5bb8c72578647"
+FLUCTUATION_ARGS = ["fluctuation", "--u0", "0.5,0.3,0.2", "--t-end", "2",
+                    "--step", "1e-2", "--grid-points", "9", "--paths", "5",
+                    "--base-seed", "3"]
+FLUCTUATION_SHA256 = {
+    "meanfield.csv":
+        "1eb1dba8a54b2ded80c65133676095aa30be91118a814aa88cf0f63c1076d563",
+    "covariance.csv":
+        "ef67aff0ee1e7e1619b73f1d67bbdbf25a457b1d2d9d977c680eff8ef367209e",
+    "paths.csv":
+        "fb802d8c5f2516d36e69c7fd8956b25ccf4395c7df3e54c48de8166cce1810b1",
+}
 
 
 def sha256(path) -> str:
@@ -120,10 +140,24 @@ class TestPinnedOutput:
         assert {name: sha256(out / name) for name in SIMULATE_SHA256} \
             == SIMULATE_SHA256
 
+    def test_simulate_lockstep(self, tmp_path):
+        out = tmp_path / "sim"
+        args = SIMULATE_ARGS.copy()
+        args[args.index("--replicas") + 1] = "40"
+        assert main(args + ["--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in SIMULATE_40_SHA256} \
+            == SIMULATE_40_SHA256
+
     def test_meanfield(self, tmp_path):
         out = tmp_path / "mf.csv"
         assert main(MEANFIELD_ARGS + ["--out", str(out)]) == 0
         assert sha256(out) == MEANFIELD_SHA256
+
+    def test_fluctuation_paths(self, tmp_path):
+        out = tmp_path / "fl"
+        assert main(FLUCTUATION_ARGS + ["--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in FLUCTUATION_SHA256} \
+            == FLUCTUATION_SHA256
 
 
 class TestMeanfieldCommand:
@@ -177,6 +211,13 @@ class TestFluctuationCommand:
         first = (out / "covariance.csv").read_text().splitlines()[1]
         vals = [float(v) for v in first.split(",")[1:]]
         assert np.allclose(np.array(vals).reshape(3, 3), np.eye(3))
+
+    def test_empty_grid_is_a_domain_error(self, tmp_path, capsys):
+        rc = main(["fluctuation", "--t-end", "0.1", "--grid-points", "0",
+                   "--out", str(tmp_path / "fl")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: no covariance states to write\n"
 
     def test_sigma0_wrong_length_is_a_domain_error(self, tmp_path, capsys):
         rc = main(["fluctuation", "--t-end", "0.1", "--sigma0", "1,2,3",

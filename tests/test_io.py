@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rpsim import (
+    DomainError,
     ModelSpec,
+    Trajectory,
     gillespie_equivalence_test,
     integrate,
     run_ensemble,
@@ -14,7 +16,9 @@ from rpsim import (
     trajectories_identical,
 )
 from rpsim.fluctuation import (
+    CovarianceState,
     FluctuationModel,
+    GaussianPath,
     propagate_covariance,
     run_sde_ensemble,
 )
@@ -30,6 +34,8 @@ from rpsim.io import (
     write_trajectory,
     write_validation_reports,
 )
+from rpsim.meanfield import MeanFieldPath, MeanFieldState, conserved_quantities
+from rpsim.simulate import Ensemble
 
 SPEC = ModelSpec(n=3, lam=1.0, total=60, initial=(20, 20, 20))
 GRID = np.linspace(0.0, 1.0, 5)
@@ -170,3 +176,292 @@ def test_write_json_sorts_keys(tmp_path):
     text = (tmp_path / "x.json").read_text()
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+# -- block writers against the row-by-row writers they replaced ------------
+#
+# The reference below formats one row at a time with one ``%.17g`` per float
+# and ``str(int(.))`` per count, as the writers did before they formatted
+# blocks of rows; every writer must match it byte for byte.
+
+def ref_fmt(x) -> str:
+    return "%.17g" % float(x)
+
+
+def ref_csv(header, rows) -> str:
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+def reference_trajectory_csvs(trajs, replica: bool) -> dict:
+    """samples.csv and events.csv as the row-by-row writers rendered them."""
+    head = ["replica"] if replica else []
+
+    def lead(i):
+        return [str(i)] if replica else []
+
+    n = trajs[0].spec.n
+    files = {"samples.csv": ref_csv(
+        head + ["time"] + [f"x{j + 1}" for j in range(n)],
+        [lead(i) + [ref_fmt(t)] + [str(int(c)) for c in row]
+         for i, tr in enumerate(trajs) for t, row in zip(tr.grid, tr.samples)])}
+    if all(tr.has_event_log for tr in trajs):
+        files["events.csv"] = ref_csv(
+            head + ["time", "reaction"],
+            [lead(i) + [ref_fmt(t), str(int(r))] for i, tr in enumerate(trajs)
+             for t, r in zip(tr.event_times, tr.event_reactions)])
+    return files
+
+
+def reference_meanfield(path) -> str:
+    rows = []
+    for st in path.states:
+        s, p = conserved_quantities(st.u)
+        rows.append([ref_fmt(st.time)] + [ref_fmt(v) for v in st.u]
+                    + [ref_fmt(s), ref_fmt(p)])
+    return ref_csv(["time"] + [f"u{j + 1}" for j in range(path.n)]
+                   + ["sum", "product"], rows)
+
+
+def reference_covariances(states) -> str:
+    n = states[0].sigma.shape[0]
+    return ref_csv(
+        ["time"] + [f"s{j + 1}{k + 1}" for j in range(n) for k in range(n)],
+        [[ref_fmt(st.time)] + [ref_fmt(v) for v in st.sigma.ravel()]
+         for st in states])
+
+
+def reference_gaussian_paths(paths) -> str:
+    n = paths[0].values.shape[1]
+    return ref_csv(
+        ["replica", "time"] + [f"v{j + 1}" for j in range(n)],
+        [[str(i), ref_fmt(t)] + [ref_fmt(v) for v in row]
+         for i, p in enumerate(paths) for t, row in zip(p.grid, p.values)])
+
+
+SPECIAL = [-0.0, 5e-324, 1 / 3, 1e300]   # ascending, so also a valid grid
+BLOCK = 65536 + 4                        # crosses one writer chunk boundary
+
+
+def synthetic(spec, grid, event_times, seed=0) -> Trajectory:
+    """A trajectory with the given grid and event times; the counts and
+    reactions are random but valid."""
+    rng = np.random.default_rng(seed)
+    logged = event_times is not None
+    return Trajectory(
+        spec=spec, seed=seed, grid=np.asarray(grid, dtype=float),
+        samples=rng.multinomial(spec.total, np.full(spec.n, 1 / spec.n),
+                                size=len(grid)),
+        event_times=np.asarray(event_times, dtype=float) if logged else None,
+        event_reactions=(rng.integers(0, spec.n, len(event_times))
+                         .astype(np.int16) if logged else None),
+        absorbed=None, final_counts=spec.initial, final_time=1.0)
+
+
+def synthetic_ensemble(spec, grid, event_logs) -> Ensemble:
+    return Ensemble(spec=spec, grid=np.asarray(grid, dtype=float), base_seed=0,
+                    trajectories=tuple(synthetic(spec, grid, ev, seed=i)
+                                       for i, ev in enumerate(event_logs)))
+
+
+SPEC4 = ModelSpec(n=4, lam=1.0, total=40, initial=(10, 10, 10, 10))
+SPEC5 = ModelSpec(n=5, lam=2.0, total=25, initial=(9, 3, 5, 7, 1))
+ENSEMBLES = {
+    "special-values": lambda: synthetic_ensemble(
+        SPEC, SPECIAL, [SPECIAL, SPECIAL[1:]]),
+    "empty-grid": lambda: synthetic_ensemble(SPEC, [], [[0.5, 0.7], []]),
+    "zero-event-replicas": lambda: synthetic_ensemble(
+        SPEC, GRID, [[], [0.1, 0.2], []]),
+    "all-zero-events": lambda: synthetic_ensemble(SPEC, GRID, [[], []]),
+    "samples-only": lambda: synthetic_ensemble(SPEC, GRID, [None, None]),
+    "n=4": lambda: run_ensemble(SPEC4, 3, 1.0, GRID, base_seed=1,
+                                record_events=True),
+    "n=5": lambda: run_ensemble(SPEC5, 3, 1.0, GRID, base_seed=1,
+                                record_events=True),
+    "over-one-chunk": lambda: synthetic_ensemble(
+        SPEC, np.linspace(0.0, 1.0, BLOCK),
+        [[], np.sort(np.random.default_rng(0).random(BLOCK))]),
+}
+
+
+def assert_same_bits(a: Trajectory, b: Trajectory) -> None:
+    """``trajectories_identical``, plus dtypes and bits (so -0.0 != 0.0)."""
+    assert trajectories_identical(a, b)
+    for name in ("grid", "samples", "event_times", "event_reactions"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), name
+
+
+def assert_files(out, expected: dict) -> None:
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(expected)
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
+@pytest.mark.parametrize("case", ENSEMBLES)
+class TestBlockWritersAndReaders:
+    def test_ensemble_bytes_and_round_trip(self, tmp_path, case):
+        ens = ENSEMBLES[case]()
+        write_ensemble(ens, tmp_path / "e")
+        assert_files(tmp_path / "e",
+                     reference_trajectory_csvs(ens.trajectories, replica=True))
+        back = read_ensemble(tmp_path / "e")
+        assert back.replicas == ens.replicas
+        for a, b in zip(ens.trajectories, back.trajectories):
+            assert_same_bits(a, b)
+
+    def test_trajectory_bytes_and_round_trip(self, tmp_path, case):
+        for i, traj in enumerate(ENSEMBLES[case]().trajectories):
+            out = tmp_path / f"t{i}"
+            write_trajectory(traj, out)
+            assert_files(out, reference_trajectory_csvs([traj], replica=False))
+            assert_same_bits(traj, read_trajectory(out))
+
+
+def meanfield_path(times, rows) -> MeanFieldPath:
+    rows = np.asarray(rows, dtype=float)
+    return MeanFieldPath(
+        grid=np.asarray(times, dtype=float),
+        states=tuple(MeanFieldState(u=u, time=t) for t, u in zip(times, rows)),
+        step=1.0, step_states=rows[:1], invariant_audit=None,
+        warned_near_boundary=False)
+
+
+MEANFIELD_PATHS = {
+    "special-values": lambda: meanfield_path(
+        SPECIAL, [SPECIAL, SPECIAL[::-1], [0.25] * 4, [1e-300] * 4]),
+    "empty-grid": lambda: meanfield_path([], np.empty((0, 3))),
+    "n=5": lambda: integrate(np.array([0.3, 0.1, 0.2, 0.15, 0.25]), 1.0,
+                             t_end=1.0, grid=np.linspace(0.0, 1.0, 11)),
+    "over-one-chunk": lambda: meanfield_path(
+        np.arange(BLOCK) / 3.0,
+        np.random.default_rng(0).dirichlet(np.ones(3), 7)[np.arange(BLOCK) % 7]),
+}
+
+
+@pytest.mark.parametrize("case", MEANFIELD_PATHS)
+def test_write_meanfield_matches_reference(tmp_path, case):
+    path = MEANFIELD_PATHS[case]()
+    write_meanfield(path, tmp_path / "mf.csv")
+    assert (tmp_path / "mf.csv").read_bytes() == \
+        reference_meanfield(path).encode()
+
+
+def covariance_states(n_rows, n=3) -> list:
+    """``n_rows`` states cycling through 7 distinct covariances."""
+    rng = np.random.default_rng(0)
+    cycle = []
+    for k in range(7):
+        a = rng.standard_normal((n, n))
+        cycle.append(CovarianceState(sigma=a @ a.T, time=k / 3.0))
+    return [cycle[i % 7] for i in range(n_rows)]
+
+
+COVARIANCES = {
+    "special-values": lambda: [
+        CovarianceState(sigma=np.array([[1 / 3, -0.0, 0.0],
+                                        [-0.0, 5e-324, 0.0],
+                                        [0.0, 0.0, 1e300]]), time=t)
+        for t in SPECIAL],
+    "n=4": lambda: covariance_states(5, n=4),
+    "n=5": lambda: covariance_states(5, n=5),
+    "over-one-chunk": lambda: covariance_states(BLOCK, n=1),
+}
+
+
+@pytest.mark.parametrize("case", COVARIANCES)
+def test_write_covariances_matches_reference(tmp_path, case):
+    states = COVARIANCES[case]()
+    write_covariances(states, tmp_path / "cov.csv")
+    assert (tmp_path / "cov.csv").read_bytes() == \
+        reference_covariances(states).encode()
+
+
+GAUSSIAN_PATHS = {
+    "special-values": lambda: [
+        GaussianPath(grid=np.array(SPECIAL),
+                     values=np.array([SPECIAL, SPECIAL[::-1], SPECIAL,
+                                      [-1e300, -5e-324, -1 / 3, 0.0]]))] * 2,
+    "empty-grid": lambda: [GaussianPath(grid=np.empty(0),
+                                        values=np.empty((0, 3)))] * 3,
+    "n=5": lambda: [GaussianPath(grid=np.linspace(0.0, 1.0, 4),
+                                 values=np.random.default_rng(i)
+                                 .standard_normal((4, 5)), seed=i)
+                    for i in range(3)],
+    "over-one-chunk": lambda: [GaussianPath(
+        grid=np.linspace(0.0, 1.0, BLOCK),
+        values=np.random.default_rng(0).standard_normal((BLOCK, 3)))],
+}
+
+
+@pytest.mark.parametrize("case", GAUSSIAN_PATHS)
+def test_write_gaussian_paths_matches_reference(tmp_path, case):
+    paths = GAUSSIAN_PATHS[case]()
+    write_gaussian_paths(paths, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == \
+        reference_gaussian_paths(paths).encode()
+
+
+def test_no_covariance_states_is_a_domain_error(tmp_path):
+    # an empty grid leaves no states, and so no n for the header
+    with pytest.raises(DomainError, match="no covariance states"):
+        write_covariances([], tmp_path / "cov.csv")
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def ens_dir(self, tmp_path):
+        ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3,
+                           record_events=True)
+        return write_ensemble(ens, tmp_path / "e")
+
+    @staticmethod
+    def corrupt(path, line: int, cells: str) -> None:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line] = cells + "\n"
+        path.write_text("".join(lines))
+
+    @pytest.mark.parametrize("name, line, cells, message", [
+        ("samples.csv", 2, "0,0.25,20,19.5,21", "'19.5' to int64"),
+        ("samples.csv", 2, "0,0.25,20,20.0,20", "'20.0' to int64"),
+        ("samples.csv", 3, "0,abc,20,20,20", "'abc' to float64"),
+        ("samples.csv", 3, "0,0.5,20,20", "requires 5 columns but 4"),
+        ("samples.csv", 3, "0,0.5,20,20,20,0", "requires 5 columns but 6"),
+        ("events.csv", 1, "0,0.01,1.0", "'1.0' to int16"),
+        ("events.csv", 1, "0,0.01,x", "'x' to int16"),
+        ("events.csv", 1, "0,0.01,40000", "'40000' to int16"),
+        ("events.csv", 2, "0,1e,1", "'1e' to float64"),
+        ("events.csv", 2, "0,0.01", "requires 3 columns but 2"),
+        ("events.csv", 1, "7,0.01,1", "not grouped by replica 0..2"),
+        ("events.csv", 1, "-1,0.01,1", "not grouped by replica 0..2"),
+        ("samples.csv", 1, "2,0,20,20,20", "not grouped by replica 0..2"),
+    ])
+    def test_is_a_domain_error_naming_the_file(self, ens_dir, name, line,
+                                              cells, message):
+        self.corrupt(ens_dir / name, line, cells)
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value).startswith(f"{ens_dir / name}: ")
+        assert message in str(err.value)
+
+    def test_loadtxt_row_is_named(self, ens_dir):
+        self.corrupt(ens_dir / "samples.csv", 4, "0,0.75,20,x,20")
+        with pytest.raises(DomainError, match=r"at row 3, column 4"):
+            read_ensemble(ens_dir)
+
+    def test_empty_file_is_a_domain_error(self, ens_dir):
+        (ens_dir / "events.csv").write_text("")
+        with pytest.raises(DomainError, match="empty file"):
+            read_ensemble(ens_dir)
+
+    def test_header_only_events_read_as_empty_logs(self, ens_dir):
+        # a run in which no replica fired leaves events.csv with its header
+        ens = synthetic_ensemble(SPEC, GRID, [[], [], []])
+        write_ensemble(ens, ens_dir)
+        assert (ens_dir / "events.csv").read_text() == "replica,time,reaction\n"
+        for traj in read_ensemble(ens_dir).trajectories:
+            assert traj.event_times.dtype == np.float64
+            assert traj.event_reactions.dtype == np.int16
+            assert traj.n_events == 0
