@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -100,6 +101,8 @@ def _cmd_fluctuation(args) -> int:
         np.full(args.n, 1.0 / args.n)
     n = len(u0)
     grid = _grid_from_args(args, args.t_end)
+    if not len(grid):
+        raise DomainError("no covariance states to write")
     path = integrate(u0, args.rate, t_end=args.t_end, step=args.step,
                      grid=grid)
     model = FluctuationModel.from_path(path, args.rate)
@@ -111,15 +114,16 @@ def _cmd_fluctuation(args) -> int:
             raise DomainError(f"initial covariance needs n² = {n * n} values, "
                               f"got {len(vals)}")
         sigma0 = np.array(vals).reshape(n, n)
+    # everything is computed before the first file is opened, so a failure
+    # leaves no partial output behind
     states = propagate_covariance(model, sigma0)
-    from pathlib import Path
+    sde = run_sde_ensemble(model, None, args.step, grid, args.paths,
+                           args.base_seed) if args.paths > 0 else None
     out = Path(args.out)
     io.write_meanfield(path, out / "meanfield.csv")
     io.write_covariances(states, out / "covariance.csv")
     wrote = ["meanfield.csv", "covariance.csv"]
-    if args.paths > 0:
-        sde = run_sde_ensemble(model, None, args.step, grid, args.paths,
-                               args.base_seed)
+    if sde is not None:
         io.write_gaussian_paths(sde, out / "paths.csv")
         wrote.append("paths.csv")
     print(f"wrote {', '.join(wrote)} to {out}")

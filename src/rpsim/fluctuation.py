@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, NotPSD, NumericError, check_rate, rng_stream
-from .meanfield import MeanFieldPath, rk4_step, snap_grid, vector_field
+from .meanfield import (MeanFieldPath, integrate, rk4_step, snap_grid,
+                        vector_field)
 
 __all__ = [
     "FluctuationModel",
@@ -38,6 +39,9 @@ __all__ = [
 _PSD_EIG_TOL = 1e-9
 _PSD_MONITOR_TOL = 1e-6
 _SYMMETRY_TOL = 1e-12
+# steps per block of the covariance march: bounds the memory of its stage
+# coefficient tables and of its batched PSD monitor
+_COV_BLOCK = 1024
 
 
 def drift_matrix(u, lam: float) -> np.ndarray:
@@ -50,19 +54,20 @@ def drift_matrix(u, lam: float) -> np.ndarray:
          [ lam*u2,     -lam*u2,       lam*(u0-u1)]]
 
     (0-based indices).  Columns sum to zero: the fluctuation dynamics never
-    move total population.
+    move total population.  A stack ``u`` of shape (..., n) gives a stack of
+    shape (..., n, n), each matrix bit-identical to its own call.
     """
-    x = np.asarray(u, dtype=float).tolist()
-    n = len(x)
-    b = np.zeros((n, n))
+    x = np.asarray(u, dtype=float)
+    n = x.shape[-1]
+    b = np.zeros(x.shape + (n,))
     for j in range(n):
         # edge j: intensity lam*x[j]*x[k] gains species j, loses species k
         k = (j + 1) % n
-        dx, dy = lam * x[k], lam * x[j]
-        b[j, j] += dx
-        b[j, k] += dy
-        b[k, j] -= dx
-        b[k, k] -= dy
+        dx, dy = lam * x[..., k], lam * x[..., j]
+        b[..., j, j] += dx
+        b[..., j, k] += dy
+        b[..., k, j] -= dx
+        b[..., k, k] -= dy
     return b
 
 
@@ -73,18 +78,19 @@ def diffusion_matrix(u, lam: float) -> np.ndarray:
     off-diagonal band carries minus the shared edge intensity, and every
     entry with 2 <= |j-k| <= n-2 is zero.  Rows sum to zero, so (1,...,1) is
     an eigenvector with eigenvalue 0; the matrix is positive semi-definite by
-    construction (a non-negative sum of rank-one terms).
+    construction (a non-negative sum of rank-one terms).  Stacks as
+    :func:`drift_matrix` does.
     """
-    x = np.asarray(u, dtype=float).tolist()
-    n = len(x)
-    c = np.zeros((n, n))
+    x = np.asarray(u, dtype=float)
+    n = x.shape[-1]
+    c = np.zeros(x.shape + (n,))
     for j in range(n):
         k = (j + 1) % n
-        f = lam * x[j] * x[k]
-        c[j, j] += f
-        c[k, k] += f
-        c[j, k] -= f
-        c[k, j] -= f
+        f = lam * x[..., j] * x[..., k]
+        c[..., j, j] += f
+        c[..., k, k] += f
+        c[..., j, k] -= f
+        c[..., k, j] -= f
     return c
 
 
@@ -93,22 +99,28 @@ def psd_sqrt(c: np.ndarray) -> np.ndarray:
 
     Eigenvalues in ``[-1e-9, 0)`` are treated as rounding noise and clamped
     to zero; anything lower raises :class:`NotPSD`.  The result R is
-    symmetric and satisfies ``max|R@R - c| < 1e-10 * (1 + max|c|)``.
+    symmetric and satisfies ``max|R@R - c| < 1e-10 * (1 + max|c|)``.  A
+    stack of shape (..., n, n) is rooted matrix by matrix in one batched
+    call; each root is bit-identical to its own call, and an error names the
+    first failing matrix exactly as its own call would.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {c.shape}")
-    if np.max(np.abs(c - c.T)) > _SYMMETRY_TOL:
+    if np.max(np.abs(c - c.swapaxes(-1, -2)), initial=0.0) > _SYMMETRY_TOL:
         raise DomainError("matrix is not symmetric within 1e-12")
     w, v = np.linalg.eigh(c)
-    if w[0] < -_PSD_EIG_TOL:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{_PSD_EIG_TOL}")
+    low = np.ravel(w[..., 0])
+    bad = low < -_PSD_EIG_TOL
+    if np.any(bad):
+        raise NotPSD(f"eigenvalue {low[bad][0]:.3e} below -{_PSD_EIG_TOL}")
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    root = 0.5 * (root + root.T)
-    err = np.max(np.abs(root @ root - c))
-    if err >= 1e-10 * (1.0 + np.max(np.abs(c))):
-        raise NumericError(f"square root multiply-back error {err:.3e}")
+    root = (v * np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2)
+    root = 0.5 * (root + root.swapaxes(-1, -2))
+    err = np.ravel(np.max(np.abs(root @ root - c), axis=(-2, -1)))
+    bad = err >= 1e-10 * (1.0 + np.ravel(np.max(np.abs(c), axis=(-2, -1))))
+    if np.any(bad):
+        raise NumericError(f"square root multiply-back error {err[bad][0]:.3e}")
     return root
 
 
@@ -177,91 +189,100 @@ class FluctuationModel:
         return diffusion_matrix(self.path.u_at(t), self.lam)
 
 
-def _validate_sigma0(sigma0, n: int) -> np.ndarray:
-    s = np.asarray(sigma0, dtype=float).copy()
-    if s.shape != (n, n):
-        raise DomainError(f"initial covariance must be {n}x{n}, got {s.shape}")
-    if np.max(np.abs(s - s.T)) > _SYMMETRY_TOL:
-        raise DomainError("initial covariance is not symmetric within 1e-12")
-    if np.linalg.eigvalsh(s)[0] < -_PSD_EIG_TOL:
-        raise NotPSD("initial covariance is not positive semi-definite")
-    return s
+def _rk4_stages(u: np.ndarray, lam: float, h: float):
+    """One mean-field RK4 step from every column of ``u`` (n, steps) at
+    once: the next states and the list of the four stage states."""
+    stages = []
+
+    def field(x):
+        stages.append(x)
+        return vector_field(x, lam)
+
+    return rk4_step(field, u, h), stages
 
 
 def propagate_covariance(model: FluctuationModel, sigma0,
                          step: float | None = None) -> list[CovarianceState]:
     """Propagate the fluctuation covariance along the model's path.
 
-    Marches the joint vector (u, vec S) with one RK4 step, so b and c are
-    evaluated at the RK4 stage states rather than interpolated, and at equal
-    steps the u part reproduces the stored path bit for bit.  S is
-    re-symmetrized after every step; a drop of its smallest eigenvalue below
-    -1e-6 aborts with :class:`NotPSD`.  Output is aligned with the path's
-    sample grid.
+    The moment ODE dS/dt = bS + Sb' + c is marched by RK4 with b and c taken
+    at the mean field's own RK4 stage states, not interpolated.  Those
+    stages do not depend on S, so they come first for every step at once:
+    from the stored path when ``step`` is its step, else from a fresh
+    :func:`integrate` at ``step``.  The stored path must be an RK4 march at
+    the model's rate (each step within 1e-12), or :class:`NumericError`.
+    S is re-symmetrized after every step; a drop of its smallest eigenvalue
+    below -1e-6 aborts with :class:`NotPSD` at the first such step.  Output
+    is aligned with the path's sample grid.
     """
+    path, n, lam = model.path, model.n, model.lam
     if step is None:
-        step = model.path.step
-    grid, indices, n_steps = snap_grid(model.path.grid, step)
-    n, lam = model.n, model.lam
-    z = np.concatenate([model.path.step_states[0],
-                        _validate_sigma0(sigma0, n).ravel()])
+        step = path.step
+    grid, indices, n_steps = snap_grid(path.grid, step)
+    s = np.asarray(sigma0, dtype=float).copy()
+    if s.shape != (n, n):
+        raise DomainError(f"initial covariance must be {n}x{n}, got {s.shape}")
+    s = CovarianceState(sigma=s, time=0.0).sigma  # symmetric and PSD
+    stored = path.step_states
+    marched, stages = _rk4_stages(stored[:-1].T, lam, path.step)
+    if np.max(np.abs(marched - stored[1:].T), initial=0.0) > 1e-12:
+        raise NumericError("the stored mean-field path is not an RK4 march "
+                           f"at the model's rate {lam:g}")
+    if step != path.step or n_steps >= len(stored):
+        u = integrate(stored[0], lam, t_end=n_steps * step, step=step,
+                      grid=[0.0]).step_states
+        stages = _rk4_stages(u[:-1].T, lam, step)[1]
 
-    def field(z):
-        u, s = z[:n], z[n:].reshape(n, n)
-        b = drift_matrix(u, lam)
-        ds = b @ s + s @ b.T + diffusion_matrix(u, lam)
-        return np.concatenate([vector_field(u, lam), ds.ravel()])
+    # rk4_step calls the field once per stage, in stage order; each call
+    # takes that stage's b and c
+    coefficients = iter(())
 
-    out: list[CovarianceState] = []
-    for k in range(n_steps + 1):
-        if k:
-            z = rk4_step(field, z, step)
-            s = z[n:].reshape(n, n)
-            s[:] = 0.5 * (s + s.T)
-            if np.linalg.eigvalsh(s)[0] < -_PSD_MONITOR_TOL:
-                raise NotPSD(
-                    f"covariance lost positive semi-definiteness at t={k * step:.6g}"
-                )
-        while len(out) < len(grid) and indices[len(out)] == k:
-            label = float(grid[len(out)])
-            # guard: the embedded march must track the stored path (catches a
-            # model whose rate disagrees with the path it carries); only
-            # meaningful when the label sits on a stored step
-            on_step = abs(round(label / model.path.step) * model.path.step - label)
-            if on_step < 1e-9 and np.max(np.abs(z[:n] - model.path.u_at(label))) > 1e-6:
-                raise NumericError(
-                    "covariance propagation diverged from the stored mean-field "
-                    f"path at t={label:.6g}"
-                )
-            out.append(CovarianceState(sigma=z[n:].reshape(n, n).copy(), time=label))
+    def moment_field(sig):
+        b, c = next(coefficients)
+        return b @ sig + sig @ b.T + c
+
+    out = [CovarianceState(sigma=s.copy(), time=t)
+           for t in grid[indices == 0].tolist()]
+    for lo in range(0, n_steps, _COV_BLOCK):
+        # b and c at the four stage states of each step, (steps, 4, n, n)
+        x = np.stack([st[:, lo:min(lo + _COV_BLOCK, n_steps)].T
+                      for st in stages], axis=1)
+        bs, cs = drift_matrix(x, lam), diffusion_matrix(x, lam)
+        sigmas = np.empty((len(x), n, n))  # sigmas[i] is S after step lo + i
+        for i in range(len(x)):
+            coefficients = zip(bs[i], cs[i])
+            s = rk4_step(moment_field, s, step)
+            sigmas[i] = s = 0.5 * (s + s.T)
+        low = np.linalg.eigvalsh(sigmas)[:, 0]
+        bad = np.flatnonzero(low < -_PSD_MONITOR_TOL)
+        stop = lo + 1 + (bad[0] if len(bad) else len(x))
+        while len(out) < len(grid) and indices[len(out)] < stop:
+            k = indices[len(out)] - lo - 1
+            out.append(CovarianceState(sigma=sigmas[k].copy(),
+                                       time=float(grid[len(out)])))
+        if len(bad):
+            raise NotPSD(f"covariance lost positive semi-definiteness at "
+                         f"t={stop * step:.6g}")
     return out
 
 
-def _sde_grid(grid, step: float):
+def _sde_setup(model: FluctuationModel, v0, step: float, grid):
+    """Grid, step indices, start value and the per-step ``(drifts, roots)``
+    table, each (n_steps, n, n), of one SDE run.  Step k is served by the
+    path's step nearest to ``k * step``, rounded as
+    :meth:`MeanFieldPath.step_index` rounds."""
     grid, indices, n_steps = snap_grid(grid, step)
     if len(grid) and (np.any(np.diff(grid) < 0) or grid[0] < 0):
         raise DomainError("grid must be ascending and non-negative")
-    return grid, indices, n_steps
-
-
-def _resolve_v0(v0, n: int) -> np.ndarray:
-    if v0 is None:
-        return np.zeros(n)
-    v = np.asarray(v0, dtype=float).copy()
+    n, path = model.n, model.path
+    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
     if v.shape != (n,):
         raise DomainError(f"initial value must have shape ({n},), got {v.shape}")
-    return v
-
-
-def _sde_coefficients(model: FluctuationModel, step: float, n_steps: int):
-    """Per-step drift matrices and noise square roots, each (n_steps, n, n)."""
-    n = model.n
-    drifts = np.empty((n_steps, n, n))
-    roots = np.empty((n_steps, n, n))
-    for k in range(n_steps):
-        drifts[k] = model.drift_at(k * step)
-        roots[k] = psd_sqrt(model.diffusion_at(k * step))
-    return drifts, roots
+    nearest = np.rint(np.arange(n_steps) * step / path.step)
+    u = path.step_states[np.clip(nearest, 0, len(path.step_states) - 1)
+                         .astype(int)]
+    return grid, indices, v, (drift_matrix(u, model.lam),
+                              psd_sqrt(diffusion_matrix(u, model.lam)))
 
 
 def _em_core(coefficients, v: np.ndarray, normals: np.ndarray,
@@ -269,7 +290,7 @@ def _em_core(coefficients, v: np.ndarray, normals: np.ndarray,
     """Euler-Maruyama march shared by the single-path and ensemble runners.
 
     ``coefficients`` is the ``(drifts, roots)`` table from
-    :func:`_sde_coefficients`, computed once per run and shared by every
+    :func:`_sde_setup`, computed once per run and shared by every
     block of paths.  ``v`` is (paths, n), ``normals`` is (paths, n_steps, n),
     ``indices`` is non-decreasing.  Returns samples (paths, len(indices), n):
     entry g is the value after ``indices[g]`` steps.
@@ -299,10 +320,8 @@ def simulate_limit_sde(model: FluctuationModel, v0, step: float, grid,
     point mass at zero.  Grid times are served by the nearest step, like
     every other grid in the package.
     """
-    grid_arr, indices, n_steps = _sde_grid(grid, step)
-    v = _resolve_v0(v0, model.n)
-    normals = rng.standard_normal((1, n_steps, model.n))
-    coefficients = _sde_coefficients(model, step, n_steps)
+    grid_arr, indices, v, coefficients = _sde_setup(model, v0, step, grid)
+    normals = rng.standard_normal((1, len(coefficients[0]), model.n))
     values = _em_core(coefficients, v[None, :], normals, step, indices)[0]
     return GaussianPath(grid=grid_arr, values=values, seed=seed)
 
@@ -320,11 +339,9 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     """
     if paths < 1:
         raise DomainError(f"need at least one path, got {paths}")
-    grid_arr, indices, n_steps = _sde_grid(grid, step)
-    v = _resolve_v0(v0, model.n)
-    coefficients = _sde_coefficients(model, step, n_steps)
+    grid_arr, indices, v, coefficients = _sde_setup(model, v0, step, grid)
     # one noise buffer, refilled for each block of paths
-    normals = np.empty((min(block, paths), n_steps, model.n))
+    normals = np.empty((min(block, paths), len(coefficients[0]), model.n))
     out: list[GaussianPath] = []
     for start in range(0, paths, block):
         stop = min(start + block, paths)

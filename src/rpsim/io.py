@@ -3,7 +3,8 @@
 Every writer produces byte-identical output for equal inputs: floats are
 rendered with ``%.17g`` (lossless for IEEE doubles), JSON keys are sorted,
 newlines are always ``\\n``.  Readers invert the writers exactly, so a
-write/read round trip reproduces trajectories bit for bit.
+write/read round trip reproduces trajectories bit for bit, and they check
+each event log against the manifest's event count and final counts.
 
 CSVs are written and read a block of rows at a time: one ``%`` on a repeated
 row template formats up to ``_CHUNK`` rows, and :func:`numpy.loadtxt` parses
@@ -170,6 +171,27 @@ def _load(path: Path, fields: list, replicas: int | None) -> list:
     return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _check_log(path: Path, i: int, spec: ModelSpec, meta: dict,
+               reactions: np.ndarray) -> None:
+    """Raise DomainError unless replica ``i``'s event log matches its
+    manifest entry: as many events, and replaying them gives its final
+    counts (reaction j moves one unit from species j+1 to species j)."""
+    n = spec.n
+    if len(reactions) != meta["n_events"]:
+        raise DomainError(f"{path}: replica {i} has {len(reactions)} events, "
+                          f"the manifest says {meta['n_events']}")
+    # one pass per reaction over the int16 log, with no full-size int copy
+    fired = [int(np.count_nonzero(reactions == j)) for j in range(n)]
+    if sum(fired) != len(reactions):
+        raise DomainError(f"{path}: replica {i} has a reaction outside "
+                          f"0..{n - 1}")
+    final = [spec.initial[j] + fired[j] - fired[j - 1] for j in range(n)]
+    if final != list(meta["final_counts"]):
+        raise DomainError(f"{path}: replica {i} replays to final counts "
+                          f"{tuple(final)}, the manifest says "
+                          f"{tuple(meta['final_counts'])}")
+
+
 def _read(out_dir, replica: bool) -> tuple[dict, list[Trajectory]]:
     """The manifest and the trajectories that ``_write`` wrote."""
     out = Path(out_dir)
@@ -184,6 +206,9 @@ def _read(out_dir, replica: bool) -> tuple[dict, list[Trajectory]]:
     if any(meta["has_event_log"] for meta in metas):
         events = _load(out / "events.csv",
                        [("time", np.float64), ("reaction", np.int16)], replicas)
+        for i, (meta, ev) in enumerate(zip(metas, events)):
+            if meta["has_event_log"]:
+                _check_log(out / "events.csv", i, spec, meta, ev["reaction"])
     return manifest, [
         Trajectory(
             spec=spec,

@@ -109,9 +109,10 @@ def conserved_quantities(u) -> tuple[float, float]:
 def rk4_step(field, u: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of du/dt = field(u).
 
-    The package's only RK4 formula.  The covariance propagator marches the
-    joint vector (u, vec S) through it; the combination is elementwise, so
-    its u part is arithmetic-identical to :func:`integrate`.
+    The package's only RK4 formula.  Its combination is elementwise, so a
+    stack of states, one per column, marches each column exactly as its own
+    call would; the covariance propagator takes the mean field's stage states
+    that way, then marches S through it with coefficients fixed per stage.
     """
     k1 = field(u)
     k2 = field(u + (0.5 * h) * k1)
@@ -146,24 +147,11 @@ def integrate(u0, lam: float, t_end: float = 1.0,
               step: float = DEFAULT_STEP, grid=None) -> MeanFieldPath:
     """Fixed-step 4th-order integration of the cyclic system.
 
-    Parameters
-    ----------
-    u0 : sequence of float
-        Initial fractions on the simplex.
-    lam : float
-        Collision rate, positive and finite.
-    t_end : float
-        Horizon; internally snapped to the nearest whole number of steps.
-    step : float
-        Integrator step (default 1e-3).
-    grid : sequence of float, optional
-        Requested sample times; each is served by the nearest integrator
-        step.  Default: every integrator step.
-
-    Raises
-    ------
-    StepError
-        If any component falls below ``-10 * INTEGRATOR_TOL`` (blow-up).
+    ``u0`` holds initial fractions on the simplex and ``lam`` is the
+    positive, finite collision rate.  The horizon ``t_end`` is snapped to a
+    whole number of steps, and each time in ``grid`` (default: every step)
+    is served by the nearest step.  Raises :class:`StepError` if any
+    component falls below ``-10 * INTEGRATOR_TOL`` (blow-up).
     """
     u = check_fractions(u0)
     lam = check_rate(lam)
@@ -179,13 +167,8 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     def field(x):
         return vector_field(x, lam)
 
-    n = len(u)
-    states = np.empty((n_steps + 1, n))
+    states = np.empty((n_steps + 1, len(u)))
     states[0] = u
-    sums = np.empty(n_steps + 1)
-    products = np.empty(n_steps + 1)
-    sums[0], products[0] = conserved_quantities(u)
-    min_seen = float(u.min())
     for k in range(n_steps):
         u = rk4_step(field, u, step)
         low = float(u.min())
@@ -194,23 +177,15 @@ def integrate(u0, lam: float, t_end: float = 1.0,
                 f"component fell to {low:.3e} at t={(k + 1) * step:.6g}; "
                 "integration left the simplex"
             )
-        if low < min_seen:
-            min_seen = low
         states[k + 1] = u
-        sums[k + 1], products[k + 1] = conserved_quantities(u)
 
-    step_times = np.arange(n_steps + 1) * step
-    path_states = tuple(
-        MeanFieldState(u=states[idx].copy(), time=float(t))
-        for idx, t in zip(indices, grid_arr)
-    )
+    # row by row, the audit equals conserved_quantities of each state
+    audit = ConservationAudit(times=np.arange(n_steps + 1) * step,
+                              sums=states.sum(axis=1),
+                              products=states.prod(axis=1))
     return MeanFieldPath(
         grid=grid_arr,
-        states=path_states,
-        step=float(step),
-        step_states=states,
-        invariant_audit=ConservationAudit(
-            times=step_times, sums=sums, products=products
-        ),
-        warned_near_boundary=bool(min_seen < NEAR_BOUNDARY),
-    )
+        states=tuple(MeanFieldState(u=states[idx].copy(), time=float(t))
+                     for idx, t in zip(indices, grid_arr)),
+        step=float(step), step_states=states, invariant_audit=audit,
+        warned_near_boundary=bool(states.min() < NEAR_BOUNDARY))

@@ -126,6 +126,13 @@ FLUCTUATION_SHA256 = {
         "fb802d8c5f2516d36e69c7fd8956b25ccf4395c7df3e54c48de8166cce1810b1",
 }
 
+# the covariance march at the benchmark's scale: 10 000 RK4 steps, over
+# several blocks of the batched coefficient tables and PSD monitor
+COVARIANCE_ARGS = ["fluctuation", "--u0", "0.5,0.3,0.2", "--t-end", "10",
+                   "--step", "1e-3", "--grid-points", "101", "--paths", "0"]
+COVARIANCE_SHA256 = \
+    "c58ce3f01ae9f9ca2a03425d26ef4b048a335740970cd2b01b5c07945f01aaf4"
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -158,6 +165,11 @@ class TestPinnedOutput:
         assert main(FLUCTUATION_ARGS + ["--out", str(out)]) == 0
         assert {name: sha256(out / name) for name in FLUCTUATION_SHA256} \
             == FLUCTUATION_SHA256
+
+    def test_covariance(self, tmp_path):
+        out = tmp_path / "fl"
+        assert main(COVARIANCE_ARGS + ["--out", str(out)]) == 0
+        assert sha256(out / "covariance.csv") == COVARIANCE_SHA256
 
 
 class TestMeanfieldCommand:
@@ -218,6 +230,17 @@ class TestFluctuationCommand:
         assert rc == 1
         assert capsys.readouterr().err == \
             "error: no covariance states to write\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid-points", "0"],
+        ["--grid-points", "0", "--paths", "3"],
+        ["--sigma0", "1,0,0,0,-1,0,0,0,1"],
+    ])
+    def test_failure_leaves_no_file(self, tmp_path, argv):
+        out = tmp_path / "fl"
+        rc = main(["fluctuation", "--t-end", "0.1", "--out", str(out)] + argv)
+        assert rc == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_sigma0_wrong_length_is_a_domain_error(self, tmp_path, capsys):
         rc = main(["fluctuation", "--t-end", "0.1", "--sigma0", "1,2,3",

@@ -161,6 +161,53 @@ class TestPsdSqrt:
         with pytest.raises(DomainError):
             psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad, error", [
+        (np.diag([1.0, -1e-3, 1.0]), NotPSD),
+        (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         DomainError),
+        # -5e-10 is clamped to 0, which misses c by more than 1e-10*(1+1e-3)
+        (np.diag([1e-3, -5e-10, 0.0]), NumericError),
+    ])
+    def test_stack_with_one_bad_matrix_raises_as_its_own_call(self, bad,
+                                                              error):
+        good = diffusion_matrix(np.array([0.5, 0.3, 0.2]), 1.0)
+        with pytest.raises(error) as single:
+            psd_sqrt(bad)
+        with pytest.raises(error) as stacked:
+            psd_sqrt(np.stack([good, good, bad, good, bad]))
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_shape_is_checked(self):
+        with pytest.raises(DomainError):
+            psd_sqrt(np.zeros((4, 3, 2)))
+        with pytest.raises(DomainError):
+            psd_sqrt(np.zeros(3))
+
+    def test_empty_stack(self):
+        assert psd_sqrt(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       n=st.sampled_from([3, 5, 8]), k=st.integers(min_value=1, max_value=6),
+       zeros=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_batched_builders_match_per_matrix_calls(seed, n, k, zeros):
+    # bit for bit, signed zeros included, so compare bytes
+    rng = np.random.default_rng(seed)
+    u = rng.dirichlet(np.ones(n), size=k)
+    if zeros:  # boundary states, where -0.0 entries can appear
+        u[:, rng.integers(0, n)] = 0.0
+    lam = float(rng.uniform(0.1, 3.0))
+    b, c = drift_matrix(u, lam), diffusion_matrix(u, lam)
+    assert b.shape == c.shape == (k, n, n)
+    roots = psd_sqrt(c)
+    for i in range(k):
+        assert b[i].tobytes() == drift_matrix(u[i], lam).tobytes()
+        assert c[i].tobytes() == diffusion_matrix(u[i], lam).tobytes()
+        assert roots[i].tobytes() == psd_sqrt(c[i]).tobytes()
+    # a (k, n) stack and a (1, k, n) stack give the same tables
+    assert drift_matrix(u[None], lam)[0].tobytes() == b.tobytes()
+
 
 class TestCovarianceState:
     def test_accepts_psd(self):
@@ -290,6 +337,60 @@ class TestPropagateCovariance:
         mismatched = FluctuationModel.from_path(path, 2.0)
         with pytest.raises(NumericError):
             propagate_covariance(mismatched, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("step", [None, 1e-3, 1e-2])
+    def test_divergence_guard_catches_a_small_rate_mismatch(self, step):
+        # each stored step must be one RK4 step at the model's rate, whatever
+        # step the covariance is marched at
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
+                         step=1e-3, grid=np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(NumericError):
+            propagate_covariance(FluctuationModel.from_path(path, 1.001),
+                                 np.zeros((3, 3)), step=step)
+        propagate_covariance(FluctuationModel.from_path(path, 1.0),
+                             np.zeros((3, 3)), step=step)
+
+    def test_off_step_labels_are_served(self):
+        # a march step that does not divide the path's labels serves each
+        # label from its nearest march step, as every other grid does
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
+                         step=1e-3, grid=np.array([0.0, 0.5, 1.0]))
+        model = FluctuationModel.from_path(path, 1.0)
+        fine = propagate_covariance(model, np.zeros((3, 3)))
+        odd = propagate_covariance(model, np.zeros((3, 3)), step=3.3e-3)
+        assert [st.time for st in odd] == [0.0, 0.5, 1.0]
+        for a, b in zip(fine[1:], odd[1:]):
+            assert np.max(np.abs(a.sigma - b.sigma)) < 1e-3
+
+    def test_monitor_reports_the_first_failing_step(self, monkeypatch):
+        # a negated noise rate drives S indefinite; at the fixed point the
+        # coefficients are constant, so the reference march fails at the same
+        # step, which lies past the first of several small blocks
+        import rpsim.fluctuation as fl
+        diffusion = fl.diffusion_matrix
+        monkeypatch.setattr(fl, "diffusion_matrix",
+                            lambda u, lam: -1e-5 * diffusion(u, lam))
+        monkeypatch.setattr(fl, "_COV_BLOCK", 64)
+        b, c = drift_matrix(THIRD, 1.0), -1e-5 * diffusion(THIRD, 1.0)
+        with pytest.raises(NotPSD) as reference:
+            propagate_moments(lambda t: b, lambda t: c, np.zeros((3, 3)),
+                              np.array([1.0]), step=1e-3)
+        with pytest.raises(NotPSD) as err:
+            propagate_covariance(fixed_point_model(), np.zeros((3, 3)))
+        assert str(err.value) == str(reference.value)
+        assert float(str(err.value).rsplit("=", 1)[1]) > 64e-3
+
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        import rpsim.fluctuation as fl
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=0.3,
+                         step=1e-3, grid=np.linspace(0.0, 0.3, 7))
+        model = FluctuationModel.from_path(path, 1.0)
+        whole = propagate_covariance(model, np.eye(3) / 3)
+        monkeypatch.setattr(fl, "_COV_BLOCK", 7)
+        blocked = propagate_covariance(model, np.eye(3) / 3)
+        assert [a.sigma.tobytes() for a in whole] == \
+            [b.sigma.tobytes() for b in blocked]
+        assert [a.time for a in whole] == [b.time for b in blocked]
 
     def test_sigma0_validation(self):
         model = fixed_point_model()

@@ -242,19 +242,31 @@ SPECIAL = [-0.0, 5e-324, 1 / 3, 1e300]   # ascending, so also a valid grid
 BLOCK = 65536 + 4                        # crosses one writer chunk boundary
 
 
+def replayed_final_counts(spec, reactions) -> tuple:
+    counts = list(spec.initial)
+    for r in reactions.tolist():
+        counts[r] += 1
+        counts[(r + 1) % spec.n] -= 1
+    return tuple(counts)
+
+
 def synthetic(spec, grid, event_times, seed=0) -> Trajectory:
     """A trajectory with the given grid and event times; the counts and
-    reactions are random but valid."""
+    reactions are random but valid, and the final counts replay the log."""
     rng = np.random.default_rng(seed)
     logged = event_times is not None
+    samples = rng.multinomial(spec.total, np.full(spec.n, 1 / spec.n),
+                              size=len(grid))
+    reactions = (rng.integers(0, spec.n, len(event_times)).astype(np.int16)
+                 if logged else None)
     return Trajectory(
         spec=spec, seed=seed, grid=np.asarray(grid, dtype=float),
-        samples=rng.multinomial(spec.total, np.full(spec.n, 1 / spec.n),
-                                size=len(grid)),
+        samples=samples,
         event_times=np.asarray(event_times, dtype=float) if logged else None,
-        event_reactions=(rng.integers(0, spec.n, len(event_times))
-                         .astype(np.int16) if logged else None),
-        absorbed=None, final_counts=spec.initial, final_time=1.0)
+        event_reactions=reactions, absorbed=None,
+        final_counts=(replayed_final_counts(spec, reactions) if logged
+                      else spec.initial),
+        final_time=1.0)
 
 
 def synthetic_ensemble(spec, grid, event_logs) -> Ensemble:
@@ -445,6 +457,44 @@ class TestMalformedInput:
             read_ensemble(ens_dir)
         assert str(err.value).startswith(f"{ens_dir / name}: ")
         assert message in str(err.value)
+
+    def test_truncated_event_log_is_a_domain_error(self, ens_dir):
+        # the last replica loses 5 events: its count and its replayed final
+        # counts both disagree with the manifest
+        events = ens_dir / "events.csv"
+        lines = events.read_text().splitlines(keepends=True)
+        assert lines[-6].startswith("2,")
+        events.write_text("".join(lines[:-5]))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        n_events = json.loads((ens_dir / "manifest.json").read_text())[
+            "trajectories"][2]["n_events"]
+        assert str(err.value) == (f"{events}: replica 2 has {n_events - 5} "
+                                  f"events, the manifest says {n_events}")
+
+    @pytest.mark.parametrize("cells, message", [
+        ("0,{t},{r}", "replica 0 replays to final counts"),
+        ("0,{t},3", "replica 0 has a reaction outside 0..2"),
+        ("0,{t},-1", "replica 0 has a reaction outside 0..2"),
+    ])
+    def test_altered_reaction_is_a_domain_error(self, ens_dir, cells,
+                                                message):
+        events = ens_dir / "events.csv"
+        _, t, r = events.read_text().splitlines()[1].split(",")
+        self.corrupt(events, 1, cells.format(t=t, r=(int(r) + 1) % 3))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value).startswith(f"{events}: {message}")
+
+    def test_truncated_trajectory_log_is_a_domain_error(self, tmp_path):
+        traj = run_until(SPEC, 1.0, GRID, rng_stream(7, 0), seed=0,
+                         record_events=True)
+        out = write_trajectory(traj, tmp_path / "t")
+        events = out / "events.csv"
+        events.write_text("".join(
+            events.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(DomainError, match="replica 0 has"):
+            read_trajectory(out)
 
     def test_loadtxt_row_is_named(self, ens_dir):
         self.corrupt(ens_dir / "samples.csv", 4, "0,0.75,20,x,20")

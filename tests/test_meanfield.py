@@ -73,6 +73,15 @@ class TestIntegrate:
         assert np.max(np.abs(audit.sums - 1.0)) < 1e-12
         assert np.max(np.abs(audit.products - 0.03)) < 1e-8
 
+    @pytest.mark.parametrize("n", [3, 5, 8, 13])
+    def test_audit_equals_the_conserved_quantities_of_each_state(self, n):
+        u0 = np.random.default_rng(n).dirichlet(np.ones(n))
+        path = integrate(u0, 1.0, t_end=0.5, step=1e-2)
+        audit = path.invariant_audit
+        pairs = np.array([conserved_quantities(u) for u in path.step_states])
+        assert audit.sums.tobytes() == pairs[:, 0].tobytes()
+        assert audit.products.tobytes() == pairs[:, 1].tobytes()
+
     def test_fourth_order_convergence(self):
         u0 = simplex(0.5, 0.3, 0.2)
         ends = {}
