@@ -8,6 +8,7 @@ statistical harness).  All output is deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,9 @@ def _spec_from_args(args) -> ModelSpec:
 def _grid_from_args(args, t_end: float) -> np.ndarray:
     if getattr(args, "grid", None) is not None:
         return np.array(_numbers(args.grid, float, "--grid"))
+    if not math.isfinite(t_end):
+        raise DomainError(f"--t-end must be finite for the default grid, "
+                          f"got {t_end}; give --grid")
     return np.linspace(0.0, t_end, args.grid_points)
 
 
@@ -75,7 +79,7 @@ def _cmd_simulate(args) -> int:
                        workers=args.workers, record_events=args.events,
                        max_events=args.max_events)
     out = io.write_ensemble(ens, args.out)
-    absorbed = sum(t.absorbed is not None for t in ens.trajectories)
+    absorbed = np.count_nonzero(~np.isnan(ens.absorbed))
     print(f"wrote {ens.replicas} trajectories to {out} "
           f"({absorbed} absorbed by t={args.t_end:g})")
     return 0
@@ -211,6 +215,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for count in ("grid_points", "paths", "max_events"):
+            if getattr(args, count, 0) < 0:
+                raise DomainError(f"--{count.replace('_', '-')} must be "
+                                  f"non-negative, got {getattr(args, count)}")
         return args.func(args)
     except RpsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

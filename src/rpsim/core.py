@@ -30,6 +30,7 @@ __all__ = [
     "validate_spec",
     "check_rate",
     "check_fractions",
+    "check_grid",
     "rng_stream",
     "counts_from_fractions",
     "symmetric_counts",
@@ -171,6 +172,20 @@ def check_fractions(fractions) -> np.ndarray:
     return f
 
 
+def check_grid(grid) -> np.ndarray:
+    """Return sample times as a fresh 1-D float array; they must be finite
+    and non-decreasing.  Each layer adds its own rules on top."""
+    g = np.array(grid, dtype=float)
+    if g.ndim != 1:
+        raise DomainError("grid must be one-dimensional")
+    if not np.all(np.isfinite(g)):
+        raise DomainError(
+            f"grid times must be finite, got {g[~np.isfinite(g)][0]}")
+    if np.any(np.diff(g) < 0):
+        raise DomainError("grid must be ascending")
+    return g
+
+
 def counts_from_fractions(fractions, total: int) -> tuple[int, ...]:
     """Round non-negative fractions summing to 1 into integer counts summing
     to ``total`` (largest-remainder method; ties go to the lowest index)."""
@@ -216,8 +231,9 @@ class Trajectory:
 
     Grid samples are right-continuous: the value at grid time ``t`` is the
     state after all events with time <= t.  When the run was made in
-    samples-only mode the event arrays are ``None`` and event-dependent
-    accessors raise :class:`MissingEventLog`.
+    samples-only mode the event arrays are ``None`` and ``n_events`` raises
+    :class:`MissingEventLog`.  Replays of the event log are ensemble
+    methods (:meth:`rpsim.simulate.Ensemble.jump_counts`).
     """
 
     spec: ModelSpec
@@ -252,55 +268,6 @@ class Trajectory:
         if not self.has_event_log:
             raise MissingEventLog("run was made in samples-only mode")
         return len(self.event_times)
-
-    def _counts_after_each_event(self, k: int) -> np.ndarray:
-        """Counts after each of the first ``k`` events, plus the initial row."""
-        n = self.spec.n
-        counts = np.empty((k + 1, n), dtype=np.int64)
-        counts[0] = self.spec.initial
-        if k:
-            r = self.event_reactions[:k].astype(np.int64)
-            delta = np.zeros((k, n), dtype=np.int64)
-            delta[np.arange(k), r] = 1
-            delta[np.arange(k), (r + 1) % n] -= 1
-            counts[1:] = np.asarray(self.spec.initial) + np.cumsum(delta, axis=0)
-        return counts
-
-    def jump_counts(self, t: float) -> np.ndarray:
-        """Number of firings per reaction up to and including time ``t``."""
-        if not self.has_event_log:
-            raise MissingEventLog("run was made in samples-only mode")
-        k = int(np.searchsorted(self.event_times, t, side="right"))
-        return np.bincount(
-            self.event_reactions[:k].astype(np.int64), minlength=self.spec.n
-        )
-
-    def internal_times(self, t: float) -> np.ndarray:
-        """Accumulated intensity integral per reaction at time ``t``.
-
-        Reconstructed from the event log: the integrand is piecewise constant
-        between events, equal to ``lam/total * counts[j] * counts[j+1]`` with
-        the counts in force on each inter-event interval.  Valid for any
-        ``t`` within the simulated horizon.
-        """
-        if not self.has_event_log:
-            raise MissingEventLog("run was made in samples-only mode")
-        k = int(np.searchsorted(self.event_times, t, side="right"))
-        counts = self._counts_after_each_event(k).astype(float)
-        bounds = np.concatenate(([0.0], self.event_times[:k], [t]))
-        durations = np.diff(bounds)
-        products = counts * np.concatenate((counts[:, 1:], counts[:, :1]),
-                                           axis=1)
-        return (self.spec.lam / self.spec.total) * (
-            durations[:, None] * products
-        ).sum(axis=0)
-
-    def counts_at(self, t: float) -> np.ndarray:
-        """State after all events with time <= ``t`` (needs the event log)."""
-        if not self.has_event_log:
-            raise MissingEventLog("run was made in samples-only mode")
-        k = int(np.searchsorted(self.event_times, t, side="right"))
-        return self._counts_after_each_event(k)[-1]
 
 
 def trajectories_identical(a: Trajectory, b: Trajectory) -> bool:

@@ -97,8 +97,10 @@ def diffusion_matrix(u, lam: float) -> np.ndarray:
 def psd_sqrt(c: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via spectral decomposition.
 
-    Eigenvalues in ``[-1e-9, 0)`` are treated as rounding noise and clamped
-    to zero; anything lower raises :class:`NotPSD`.  The result R is
+    A non-finite or asymmetric (beyond 1e-12) input raises
+    :class:`DomainError`.  Eigenvalues in ``[-1e-9, 0)`` are treated as
+    rounding noise and clamped to zero; anything lower raises
+    :class:`NotPSD`.  The result R is
     symmetric and satisfies ``max|R@R - c| < 1e-10 * (1 + max|c|)``.  A
     stack of shape (..., n, n) is rooted matrix by matrix in one batched
     call; each root is bit-identical to its own call, and an error names the
@@ -107,6 +109,8 @@ def psd_sqrt(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise DomainError("matrix has a non-finite entry")
     if np.max(np.abs(c - c.swapaxes(-1, -2)), initial=0.0) > _SYMMETRY_TOL:
         raise DomainError("matrix is not symmetric within 1e-12")
     w, v = np.linalg.eigh(c)
@@ -133,6 +137,8 @@ class CovarianceState:
 
     def __post_init__(self):
         s = np.asarray(self.sigma, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise DomainError("covariance has a non-finite entry")
         if np.max(np.abs(s - s.T)) > _SYMMETRY_TOL:
             raise DomainError("covariance is not symmetric within 1e-12")
         w = np.linalg.eigvalsh(s)
@@ -272,8 +278,8 @@ def _sde_setup(model: FluctuationModel, v0, step: float, grid):
     path's step nearest to ``k * step``, rounded as
     :meth:`MeanFieldPath.step_index` rounds."""
     grid, indices, n_steps = snap_grid(grid, step)
-    if len(grid) and (np.any(np.diff(grid) < 0) or grid[0] < 0):
-        raise DomainError("grid must be ascending and non-negative")
+    if len(grid) and grid[0] < 0:
+        raise DomainError("grid must be non-negative")
     n, path = model.n, model.path
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
     if v.shape != (n,):

@@ -3,7 +3,7 @@
 Every writer produces byte-identical output for equal inputs: floats are
 rendered with ``%.17g`` (lossless for IEEE doubles), JSON keys are sorted,
 newlines are always ``\\n``.  Readers invert the writers exactly, so a
-write/read round trip reproduces trajectories bit for bit, and they check
+write/read round trip reproduces an ensemble bit for bit, and they check
 each event log against the manifest's event count and final counts.
 
 CSVs are written and read a block of rows at a time: one ``%`` on a repeated
@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, ModelSpec, Trajectory
+from .core import DomainError, ModelSpec, check_grid
 from .meanfield import MeanFieldPath, conserved_quantities
 from .simulate import Ensemble
 
 __all__ = [
     "fmt",
     "write_json",
-    "write_trajectory",
-    "read_trajectory",
     "write_ensemble",
     "read_ensemble",
     "write_meanfield",
@@ -92,64 +91,48 @@ def _count_header(n: int, prefix: str = "x") -> list[str]:
     return [f"{prefix}{i + 1}" for i in range(n)]
 
 
-def _traj_manifest(traj: Trajectory) -> dict:
-    return {
-        "seed": traj.seed,
-        "absorbed": traj.absorbed,
-        "final_time": traj.final_time,
-        "final_counts": list(traj.final_counts),
-        "n_events": traj.n_events if traj.has_event_log else None,
-        "has_event_log": traj.has_event_log,
-    }
-
-
-def _write(out_dir, trajs, replica: bool, manifest: dict) -> Path:
-    """samples.csv, events.csv when every trajectory keeps its log, and
-    manifest.json; with ``replica``, each CSV row leads with its index."""
-    out = Path(out_dir)
-    head = ["replica"] if replica else []
-    n = trajs[0].spec.n
-    with _open_w(out / "samples.csv", head + ["time"] + _count_header(n)) as f:
-        for i, traj in enumerate(trajs):
-            _rows(f, (f"{i}," if replica else "") + "%.17g" + ",%d" * n + "\n",
-                  traj.grid, *traj.samples.T)
-    if all(traj.has_event_log for traj in trajs):
-        with _open_w(out / "events.csv", head + ["time", "reaction"]) as f:
-            for i, traj in enumerate(trajs):
-                _rows(f, (f"{i}," if replica else "") + "%.17g,%d\n",
-                      traj.event_times, traj.event_reactions)
-    write_json({"format_version": FORMAT_VERSION,
-                "model": _spec_dict(trajs[0].spec), **manifest},
-               out / "manifest.json")
-    return out
-
-
-def write_trajectory(traj: Trajectory, out_dir) -> Path:
-    """samples.csv + manifest.json (+ events.csv when the log is retained)."""
-    return _write(out_dir, [traj], False,
-                  {"kind": "trajectory", "trajectory": _traj_manifest(traj)})
-
-
 def write_ensemble(ens: Ensemble, out_dir) -> Path:
-    """samples.csv (replica-major) + manifest.json (+ events.csv)."""
-    absorbed = [t.absorbed for t in ens.trajectories]
-    return _write(out_dir, ens.trajectories, True, {
+    """samples.csv and, when the ensemble keeps its event log, events.csv,
+    both replica-major with each row led by its replica index; then
+    manifest.json."""
+    out = Path(out_dir)
+    n, off = ens.spec.n, ens.event_offsets
+    with _open_w(out / "samples.csv",
+                 ["replica", "time"] + _count_header(n)) as f:
+        for i in range(ens.replicas):
+            _rows(f, f"{i},%.17g" + ",%d" * n + "\n", ens.grid,
+                  *ens.samples[i].T)
+    if off is not None:
+        with _open_w(out / "events.csv", ["replica", "time", "reaction"]) as f:
+            for i in range(ens.replicas):
+                _rows(f, f"{i},%.17g,%d\n", ens.event_times[off[i]:off[i + 1]],
+                      ens.event_reactions[off[i]:off[i + 1]])
+    absorbed = [None if math.isnan(a) else a for a in ens.absorbed.tolist()]
+    n_events = [None] * ens.replicas if off is None else np.diff(off).tolist()
+    write_json({
+        "format_version": FORMAT_VERSION,
+        "model": _spec_dict(ens.spec),
         "kind": "ensemble",
         "base_seed": ens.base_seed,
         "replicas": ens.replicas,
         "absorbed_fraction":
             sum(a is not None for a in absorbed) / ens.replicas,
-        "trajectories": [_traj_manifest(t) for t in ens.trajectories],
-    })
+        "trajectories": [
+            {"seed": i, "absorbed": a, "final_time": final_time,
+             "final_counts": final, "n_events": k,
+             "has_event_log": off is not None}
+            for i, (a, final_time, final, k) in enumerate(zip(
+                absorbed, ens.final_time.tolist(), ens.final_counts.tolist(),
+                n_events))],
+    }, out / "manifest.json")
+    return out
 
 
-def _load(path: Path, fields: list, replicas: int | None) -> list:
-    """The rows of CSV ``path`` below its header, one field per column, cut
-    into one block per replica ``0..replicas - 1`` of the leading replica
-    column; with no ``replicas``, one block and no replica column."""
-    if replicas is not None:
-        fields = [("replica", np.int64)] + fields
-    rows = np.empty(0, fields)
+def _load(path: Path, fields: list, replicas: int):
+    """The rows of CSV ``path`` below its header, one field per column after
+    the leading replica column, and the bounds of each replica's rows: those
+    of replica ``i`` are ``rows[bounds[i]:bounds[i + 1]]``."""
+    rows = np.empty(0, [("replica", np.int64)] + fields)
     with open(path, encoding="utf-8") as f:
         if not f.readline():
             raise DomainError(f"{path}: empty file, expected a header row")
@@ -161,25 +144,26 @@ def _load(path: Path, fields: list, replicas: int | None) -> list:
                                   comments=None, ndmin=1)
             except ValueError as exc:  # its message names the row it can
                 raise DomainError(f"{path}: {exc}") from exc
-    if replicas is None:
-        return [rows]
     rep = rows["replica"]
     bounds = np.searchsorted(rep, np.arange(replicas + 1))
     if bounds[0] or bounds[-1] != len(rep) or np.any(rep[1:] < rep[:-1]):
         raise DomainError(
             f"{path}: rows are not grouped by replica 0..{replicas - 1}")
-    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return rows, bounds
 
 
 def _check_log(path: Path, i: int, spec: ModelSpec, meta: dict,
-               reactions: np.ndarray) -> None:
-    """Raise DomainError unless replica ``i``'s event log matches its
-    manifest entry: as many events, and replaying them gives its final
-    counts (reaction j moves one unit from species j+1 to species j)."""
+               times: np.ndarray, reactions: np.ndarray) -> None:
+    """Raise DomainError unless replica ``i``'s event log is in time order
+    and matches its manifest entry: as many events, and replaying them gives
+    its final counts (reaction j moves one unit from species j+1 to species
+    j)."""
     n = spec.n
     if len(reactions) != meta["n_events"]:
         raise DomainError(f"{path}: replica {i} has {len(reactions)} events, "
                           f"the manifest says {meta['n_events']}")
+    if not np.all(np.diff(times) >= 0):
+        raise DomainError(f"{path}: replica {i} has event times out of order")
     # one pass per reaction over the int16 log, with no full-size int copy
     fired = [int(np.count_nonzero(reactions == j)) for j in range(n)]
     if sum(fired) != len(reactions):
@@ -192,50 +176,73 @@ def _check_log(path: Path, i: int, spec: ModelSpec, meta: dict,
                           f"{tuple(meta['final_counts'])}")
 
 
-def _read(out_dir, replica: bool) -> tuple[dict, list[Trajectory]]:
-    """The manifest and the trajectories that ``_write`` wrote."""
-    out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    spec = _spec_from_dict(manifest["model"])
-    metas = manifest["trajectories"] if replica else [manifest["trajectory"]]
-    replicas = len(metas) if replica else None
-    samples = _load(out / "samples.csv",
-                    [("time", np.float64), ("counts", np.int64, (spec.n,))],
-                    replicas)
-    events = [None] * len(metas)
-    if any(meta["has_event_log"] for meta in metas):
-        events = _load(out / "events.csv",
-                       [("time", np.float64), ("reaction", np.int16)], replicas)
-        for i, (meta, ev) in enumerate(zip(metas, events)):
-            if meta["has_event_log"]:
-                _check_log(out / "events.csv", i, spec, meta, ev["reaction"])
-    return manifest, [
-        Trajectory(
-            spec=spec,
-            seed=meta["seed"],
-            grid=rows["time"].copy(),
-            samples=rows["counts"].copy(),
-            event_times=ev["time"].copy() if meta["has_event_log"] else None,
-            event_reactions=(
-                ev["reaction"].copy() if meta["has_event_log"] else None),
-            absorbed=meta["absorbed"],
-            final_counts=tuple(meta["final_counts"]),
-            final_time=meta["final_time"],
-        )
-        for meta, rows, ev in zip(metas, samples, events)
-    ]
-
-
-def read_trajectory(out_dir) -> Trajectory:
-    return _read(out_dir, replica=False)[1][0]
-
-
 def read_ensemble(out_dir) -> Ensemble:
-    manifest, trajectories = _read(out_dir, replica=True)
-    return Ensemble(spec=trajectories[0].spec,
-                    trajectories=tuple(trajectories),
-                    grid=trajectories[0].grid,
-                    base_seed=manifest["base_seed"])
+    """The ensemble that :func:`write_ensemble` wrote, bit for bit.
+
+    Raises :class:`DomainError` for a manifest of another kind, or whose
+    replicas are not seeds ``0..R-1`` or mix logged and unlogged runs; for
+    replicas that do not share one ascending grid, or a sample that breaks
+    conservation; and for an event log that is out of order or does not
+    replay to its manifest entry.
+    """
+    out = Path(out_dir)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if manifest.get("kind") != "ensemble":
+        raise DomainError(f"{path}: kind is {manifest.get('kind')!r}, "
+                          "expected 'ensemble'")
+    spec = _spec_from_dict(manifest["model"])
+    metas = manifest["trajectories"]
+    replicas = len(metas)
+    if not replicas or [m["seed"] for m in metas] != list(range(replicas)):
+        raise DomainError(f"{path}: replica seeds are not 0..R-1, R >= 1")
+    logged = {meta["has_event_log"] for meta in metas}
+    if len(logged) > 1:
+        raise DomainError(f"{path}: replicas mix kept and dropped event logs")
+
+    path = out / "samples.csv"
+    rows, bounds = _load(path, [("time", np.float64),
+                                ("counts", np.int64, (spec.n,))], replicas)
+    size = bounds[1]
+    if np.any(np.diff(bounds) != size):
+        raise DomainError(f"{path}: replicas do not share one grid")
+    times = rows["time"].reshape(replicas, size)
+    try:
+        grid = check_grid(times[0])
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    if np.any(times != grid):
+        raise DomainError(f"{path}: replicas do not share one grid")
+    samples = np.ascontiguousarray(rows["counts"]).reshape(replicas, size,
+                                                           spec.n)
+    if np.any(samples.sum(axis=2) != spec.total):
+        raise DomainError(f"{path}: a sample breaks population conservation")
+
+    event_times = event_reactions = offsets = None
+    if metas[0]["has_event_log"]:
+        path = out / "events.csv"
+        rows, offsets = _load(path, [("time", np.float64),
+                                     ("reaction", np.int16)], replicas)
+        event_times = rows["time"].copy()
+        event_reactions = rows["reaction"].copy()
+        for i, meta in enumerate(metas):
+            lo, hi = offsets[i], offsets[i + 1]
+            _check_log(path, i, spec, meta, event_times[lo:hi],
+                       event_reactions[lo:hi])
+    return Ensemble(
+        spec=spec,
+        grid=grid,
+        base_seed=manifest["base_seed"],
+        samples=samples,
+        final_counts=np.array([meta["final_counts"] for meta in metas],
+                              dtype=np.int64),
+        absorbed=np.array([meta["absorbed"] for meta in metas], dtype=float),
+        final_time=np.array([meta["final_time"] for meta in metas],
+                            dtype=float),
+        event_times=event_times,
+        event_reactions=event_reactions,
+        event_offsets=offsets,
+    )
 
 
 def write_meanfield(path: MeanFieldPath, out_path) -> Path:

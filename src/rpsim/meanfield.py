@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, StepError, check_fractions, check_rate
+from .core import (DomainError, StepError, check_fractions, check_grid,
+                   check_rate)
 
 __all__ = [
     "MeanFieldState",
@@ -125,17 +126,15 @@ def snap_grid(grid, step: float, horizon: float | None = None):
     """Serve each sample time from the nearest whole integrator step.
 
     Returns ``(grid, indices, n_steps)``: a float copy of the grid (every
-    step when ``grid`` is None), the step index serving each time, and the
-    number of steps to ``horizon`` (default: the last grid time).  Indices
-    are clipped to ``[0, n_steps]``.
+    step when ``grid`` is None), which must be finite and ascending, the
+    step index serving each time, and the number of steps to ``horizon``
+    (default: the last grid time).  Indices are clipped to ``[0, n_steps]``.
     """
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"step must be positive and finite, got {step}")
     if grid is None:
         grid = np.arange(int(round(horizon / step)) + 1) * step
-    grid = np.array(grid, dtype=float)
-    if grid.ndim != 1:
-        raise DomainError("grid must be one-dimensional")
+    grid = check_grid(grid)
     if horizon is None:
         horizon = grid[-1] if len(grid) else 0.0
     n_steps = int(round(horizon / step))

@@ -31,6 +31,8 @@ exponentials.
 """
 from __future__ import annotations
 
+import array
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,10 +42,12 @@ import numpy as np
 from .core import (
     BudgetExceeded,
     DomainError,
+    MissingEventLog,
     ModelSpec,
     NumericError,
     RpsimError,
     Trajectory,
+    check_grid,
     rng_stream,
     validate_spec,
 )
@@ -68,6 +72,8 @@ _LOCKSTEP_MIN = 32
 _LOCKSTEP_MAX = 2048
 # columns of each replica's draw block in the lockstep engine
 _LOCKSTEP_DRAWS = 64
+# replicas per block of an event-log replay; bounds its temporaries
+_REPLAY_BLOCK = 512
 
 
 class ReplicaError(RpsimError):
@@ -80,29 +86,135 @@ class ReplicaError(RpsimError):
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """A batch of replicas sharing one model spec and one sample grid."""
+    """A batch of replicas sharing one model spec and one sample grid.
+
+    Each per-replica field is one array over the replicas, replica-major;
+    replica ``i`` ran on ``rng_stream(base_seed, i)``.  A kept event log is
+    flat: replica ``i``'s events are entries ``event_offsets[i]`` up to
+    ``event_offsets[i + 1]`` of ``event_times`` and ``event_reactions``.
+    Without the log all three are ``None``.
+    """
 
     spec: ModelSpec
-    trajectories: tuple[Trajectory, ...]
-    grid: np.ndarray
+    grid: np.ndarray                    # (G,) sample times
     base_seed: int
+    samples: np.ndarray                 # (R, G, n) int64 counts
+    final_counts: np.ndarray            # (R, n) int64
+    absorbed: np.ndarray                # (R,) absorption time, NaN if none
+    final_time: np.ndarray              # (R,)
+    event_times: np.ndarray | None = None       # (E,) float64
+    event_reactions: np.ndarray | None = None   # (E,) int16
+    event_offsets: np.ndarray | None = None     # (R + 1,)
 
     def __post_init__(self):
-        if len(self.trajectories) < 1:
+        if len(self.samples) < 1:
             raise DomainError("an ensemble needs at least one replica")
-        for traj in self.trajectories:
-            if traj.spec != self.spec:
-                raise DomainError("all trajectories must share the ensemble spec")
-            if not np.array_equal(traj.grid, self.grid):
-                raise DomainError("all trajectories must share the ensemble grid")
 
     @property
     def replicas(self) -> int:
-        return len(self.trajectories)
+        return len(self.samples)
 
-    def sample_stack(self) -> np.ndarray:
-        """All grid samples as one (replicas, grid, n) integer array."""
-        return np.stack([t.samples for t in self.trajectories])
+    @classmethod
+    def from_trajectories(cls, trajs, base_seed: int) -> Ensemble:
+        """Stack the trajectories of replicas ``0..R-1``, which must share
+        one spec and one grid, and all keep their event log or none."""
+        trajs = list(trajs)
+        if not trajs or [t.seed for t in trajs] != list(range(len(trajs))):
+            raise DomainError("need one or more replicas with seeds 0..R-1")
+        first = trajs[0]
+        if any(t.spec != first.spec or t.has_event_log != first.has_event_log
+               or not np.array_equal(t.grid, first.grid) for t in trajs):
+            raise DomainError("replicas must share one spec, one grid and "
+                              "whether they keep their event log")
+        logged = first.has_event_log
+        return cls(
+            spec=first.spec, grid=first.grid.copy(), base_seed=base_seed,
+            samples=np.stack([t.samples for t in trajs]),
+            final_counts=np.array([t.final_counts for t in trajs],
+                                  dtype=np.int64),
+            absorbed=np.array([t.absorbed for t in trajs], dtype=float),
+            final_time=np.array([t.final_time for t in trajs], dtype=float),
+            event_times=(np.concatenate([t.event_times for t in trajs])
+                         if logged else None),
+            event_reactions=(np.concatenate([t.event_reactions for t in trajs])
+                             if logged else None),
+            event_offsets=(np.cumsum([0] + [t.n_events for t in trajs])
+                           if logged else None))
+
+    @functools.cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """One :class:`Trajectory` per replica, built on first use; its
+        arrays are views into the ensemble's, so a write shows in both."""
+        off = self.event_offsets
+        logs = ([(self.event_times[lo:hi], self.event_reactions[lo:hi])
+                 for lo, hi in zip(off[:-1], off[1:])] if off is not None
+                else [(None, None)] * self.replicas)
+        return tuple(
+            Trajectory(spec=self.spec, seed=i, grid=self.grid,
+                       samples=self.samples[i], event_times=times,
+                       event_reactions=reactions,
+                       absorbed=None if math.isnan(absorbed) else absorbed,
+                       final_counts=tuple(final), final_time=final_time)
+            for i, ((times, reactions), absorbed, final, final_time)
+            in enumerate(zip(logs, self.absorbed.tolist(),
+                             self.final_counts.tolist(),
+                             self.final_time.tolist())))
+
+    def _logged_blocks(self, t: float):
+        """Per block of up to ``_REPLAY_BLOCK`` replicas ``lo..hi - 1``:
+        ``(lo, hi, rep, reactions, times)`` of its events at times <= ``t``
+        in log order (a prefix of each replica's ascending log), ``rep``
+        being each event's replica less ``lo``."""
+        off = self.event_offsets
+        if off is None:
+            raise MissingEventLog("the ensemble was run in samples-only mode")
+        for lo in range(0, self.replicas, _REPLAY_BLOCK):
+            hi = min(lo + _REPLAY_BLOCK, self.replicas)
+            times = self.event_times[off[lo]:off[hi]]
+            keep = times <= t
+            rep = np.repeat(np.arange(hi - lo), np.diff(off[lo:hi + 1]))[keep]
+            yield (lo, hi, rep, self.event_reactions[off[lo]:off[hi]][keep],
+                   times[keep])
+
+    def jump_counts(self, t: float) -> np.ndarray:
+        """(replicas, n) firings of each reaction up to and including ``t``."""
+        n = self.spec.n
+        out = np.empty((self.replicas, n), dtype=np.int64)
+        for lo, hi, rep, reactions, _ in self._logged_blocks(t):
+            out[lo:hi] = np.bincount(rep * n + reactions,
+                                     minlength=(hi - lo) * n).reshape(-1, n)
+        return out
+
+    def internal_times(self, t: float) -> np.ndarray:
+        """(replicas, n) accumulated intensity of each reaction at ``t``,
+        within the simulated horizon.
+
+        The integrand is ``lam/total * counts[j] * counts[j+1]`` with the
+        counts in force on each interval between events.  ``np.add.at``
+        adds a replica's intervals one by one in time order, so the sums
+        are bit-identical to a loop over each replica's intervals.
+        """
+        n = self.spec.n
+        nxt = np.roll(np.arange(n), -1)         # species j + 1
+        out = np.empty((self.replicas, n))
+        for lo, hi, rep, reactions, times in self._logged_blocks(t):
+            jump = np.zeros((len(rep), n), dtype=np.int64)
+            jump[np.arange(len(rep)), reactions] = 1
+            jump[np.arange(len(rep)), nxt[reactions]] -= 1
+            # a row at time 0, with no jump, opens each replica's intervals
+            opens = np.searchsorted(rep, np.arange(hi - lo))
+            rep = np.insert(rep, opens, np.arange(hi - lo))
+            times = np.insert(times, opens, 0.0)
+            jumps = np.cumsum(np.insert(jump, opens, 0, axis=0), axis=0)
+            opens += np.arange(hi - lo)
+            x = (self.spec.initial + jumps - jumps[opens][rep]).astype(float)
+            end = np.full(len(rep), float(t))   # the replica's next event, or t
+            same = rep[1:] == rep[:-1]
+            end[:-1][same] = times[1:][same]
+            acc = np.zeros((hi - lo, n))
+            np.add.at(acc, rep, (end - times)[:, None] * (x * x[:, nxt]))
+            out[lo:hi] = (self.spec.lam / self.spec.total) * acc
+        return out
 
 
 class _ExpStream:
@@ -141,15 +253,14 @@ def _expected_events(spec: ModelSpec, t_end: float) -> float:
 
 
 def _check_run(spec: ModelSpec, t_end: float, grid) -> np.ndarray:
-    """Validate a run's spec, horizon and sample grid; return the grid."""
+    """Validate a run's spec, horizon and sample grid; return a fresh copy
+    of the grid."""
     validate_spec(spec)
     if not (t_end >= 0.0):
         raise DomainError(f"t_end must be non-negative, got {t_end}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise DomainError("grid must be one-dimensional")
-    if len(grid) and (np.any(np.diff(grid) < 0) or grid[0] < 0 or grid[-1] > t_end):
-        raise DomainError("grid must be ascending and within [0, t_end]")
+    grid = check_grid(grid)
+    if len(grid) and (grid[0] < 0 or grid[-1] > t_end):
+        raise DomainError("grid must lie within [0, t_end]")
     return grid
 
 
@@ -203,8 +314,9 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     grid_next = grid.tolist() + [inf]   # next grid time after index gi
     rates = [0.0] * n
     samples: list[tuple[int, ...]] = []
-    ev_times: list[float] = []
-    ev_reactions: list[int] = []
+    # raw doubles and shorts, which np.asarray views without a copy
+    ev_times = array.array("d")
+    ev_reactions = array.array("h")
     absorbed: float | None = None
     n_events = 0
 
@@ -264,12 +376,10 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     return Trajectory(
         spec=spec,
         seed=seed,
-        grid=grid.copy(),
+        grid=grid,
         samples=np.asarray(samples, dtype=np.int64).reshape(glen, n),
-        event_times=np.asarray(ev_times, dtype=float) if record_events else None,
-        event_reactions=(
-            np.asarray(ev_reactions, dtype=np.int16) if record_events else None
-        ),
+        event_times=np.asarray(ev_times) if record_events else None,
+        event_reactions=np.asarray(ev_reactions) if record_events else None,
         absorbed=absorbed,
         final_counts=tuple(counts),
         final_time=absorbed if absorbed is not None else t_end,
@@ -288,7 +398,7 @@ def _replica(spec: ModelSpec, t_end: float, grid: np.ndarray, base_seed: int,
 
 def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
                   grid: np.ndarray, base_seed: int, record_events: bool,
-                  max_events: int) -> list[Trajectory]:
+                  max_events: int) -> tuple[np.ndarray, ...]:
     """Replicas ``first, first + 1, ...`` all at once, one event each per step.
 
     The loop of :func:`run_until`, with the same operations in the same
@@ -298,6 +408,10 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
     replays ``_ExpStream`` exactly.  A replica that absorbs or passes the
     horizon is compacted away; event ``k`` of each replica goes to column
     ``k`` of the ``(replicas, K)`` event log.
+
+    Returns the fields of :class:`Ensemble` for these replicas: samples,
+    final counts, absorption times, the flat event times and reactions
+    (empty without ``record_events``) and each replica's event count.
     """
     n = spec.n
     lam_over_m = spec.lam / spec.total
@@ -423,24 +537,9 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
                 ev_times[ids, k - 1] = t
                 ev_reactions[ids, k - 1] = best
 
-    grid = grid.copy()          # one copy, shared (read-only) by the replicas
-    grid.flags.writeable = False
-    trajectories = []
-    for i in range(replicas):
-        m = n_events[i]
-        absorbed = None if math.isnan(absorbed_at[i]) else float(absorbed_at[i])
-        trajectories.append(Trajectory(
-            spec=spec,
-            seed=first + i,
-            grid=grid,
-            samples=samples[i],
-            event_times=ev_times[i, :m] if record_events else None,
-            event_reactions=ev_reactions[i, :m] if record_events else None,
-            absorbed=absorbed,
-            final_counts=tuple(final[i].tolist()),
-            final_time=absorbed if absorbed is not None else t_end,
-        ))
-    return trajectories
+    logged = np.arange(ev_times.shape[1]) < n_events[:, None]
+    return (samples, final, absorbed_at, ev_times[logged], ev_reactions[logged],
+            n_events)
 
 
 def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
@@ -464,22 +563,27 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     grid = _check_run(spec, t_end, grid)
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
-    if replicas >= _LOCKSTEP_MIN:
-        # in near-equal chunks of at most _LOCKSTEP_MAX, to bound memory
-        size = -(-replicas // -(-replicas // _LOCKSTEP_MAX))
-        trajectories = []
-        for first in range(0, replicas, size):
-            trajectories += _run_lockstep(
-                spec, first, min(size, replicas - first), t_end, grid,
-                base_seed, record_events, max_events)
-    else:
-        trajectories = [
-            _replica(spec, t_end, grid, base_seed, i, record_events, max_events)
-            for i in range(replicas)
-        ]
+    if replicas < _LOCKSTEP_MIN:
+        return Ensemble.from_trajectories(
+            [_replica(spec, t_end, grid, base_seed, i, record_events, max_events)
+             for i in range(replicas)], base_seed)
+    # in near-equal chunks of at most _LOCKSTEP_MAX, to bound memory
+    size = -(-replicas // -(-replicas // _LOCKSTEP_MAX))
+    samples, final, absorbed, times, reactions, n_events = (
+        np.concatenate(parts) for parts in zip(*(
+            _run_lockstep(spec, first, min(size, replicas - first), t_end,
+                          grid, base_seed, record_events, max_events)
+            for first in range(0, replicas, size))))
     return Ensemble(
         spec=spec,
-        trajectories=tuple(trajectories),
         grid=grid,
         base_seed=base_seed,
+        samples=samples,
+        final_counts=final,
+        absorbed=absorbed,
+        final_time=np.where(np.isnan(absorbed), t_end, absorbed),
+        event_times=times if record_events else None,
+        event_reactions=reactions if record_events else None,
+        event_offsets=(np.concatenate(([0], np.cumsum(n_events)))
+                       if record_events else None),
     )

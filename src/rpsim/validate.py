@@ -31,8 +31,8 @@ from .core import (
     DomainError,
     GridMismatch,
     InsufficientReplicas,
-    MissingEventLog,
     ModelSpec,
+    RpsimError,
     counts_from_fractions,
     validate_spec,
 )
@@ -188,7 +188,7 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
 
     records = []
     for e in ensembles:
-        x = e.sample_stack()[:, mask, :].astype(float) / e.spec.total
+        x = e.samples[:, mask, :].astype(float) / e.spec.total
         devs = np.abs(x - u[None, :, :]).sum(axis=2).max(axis=1)
         records.append(
             LlnRecord(
@@ -275,7 +275,7 @@ def clt_test(ensemble: Ensemble, meanfield: MeanFieldPath,
     u = meanfield.states[u_idx].u
     m = ensemble.spec.total
 
-    x = ensemble.sample_stack()[:, g_idx, :].astype(float)
+    x = ensemble.samples[:, g_idx, :].astype(float)
     y = (x - m * u[None, :]) / math.sqrt(m)
     mean = y.mean(axis=0)
     cov = np.cov(y, rowvar=False, ddof=1)
@@ -379,16 +379,8 @@ def martingale_test(ensemble: Ensemble, t: float, *,
     """
     n = ensemble.spec.n
     replicas = ensemble.replicas
-    counts = np.empty((replicas, n))
-    times = np.empty((replicas, n))
-    for i, traj in enumerate(ensemble.trajectories):
-        if not traj.has_event_log:
-            raise MissingEventLog(
-                f"replica {i} was run in samples-only mode; martingale checks "
-                "need the event log"
-            )
-        counts[i] = traj.jump_counts(t)
-        times[i] = traj.internal_times(t)
+    counts = ensemble.jump_counts(t).astype(float)
+    times = ensemble.internal_times(t)
     d = counts - times
 
     checks = []
@@ -475,9 +467,13 @@ def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
     # a replica with no event before this horizon has probability e^-40
     ensemble = run_ensemble(spec, samples, 40.0 / total_rate, (), base_seed,
                             record_events=True)
-    times = np.array([t.event_times[0] for t in ensemble.trajectories])
-    fired = np.array([t.event_reactions[0] for t in ensemble.trajectories],
-                     dtype=int)
+    first = ensemble.event_offsets[:-1]
+    silent = np.flatnonzero(first == ensemble.event_offsets[1:])
+    if len(silent):
+        raise RpsimError(f"replica {silent[0]} fired no event before the "
+                         "horizon, so it has no first event")
+    times = ensemble.event_times[first]
+    fired = ensemble.event_reactions[first].astype(int)
 
     ks_stat, ks_p = stats.kstest(times, "expon", args=(0.0, 1.0 / total_rate))
     observed = np.bincount(fired, minlength=n)

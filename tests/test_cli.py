@@ -89,6 +89,58 @@ class TestBadListArguments:
         assert err.startswith(f"error: {flag}: cannot parse {token!r}")
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--grid", "0,nan,1"], "grid times must be finite"),
+        (["simulate", "--t-end", "inf"],
+         "--t-end must be finite for the default grid"),
+        (["simulate", "--t-end", "nan"],
+         "--t-end must be finite for the default grid"),
+        (["meanfield", "--t-end", "1", "--grid", "0,nan,1"],
+         "grid times must be finite"),
+        (["meanfield", "--t-end", "inf"],
+         "--t-end must be finite for the default grid"),
+        (["fluctuation", "--t-end", "1", "--grid", "0,nan,1"],
+         "grid times must be finite"),
+        (["fluctuation", "--t-end", "1", "--grid", "0,inf"],
+         "grid times must be finite"),
+        (["fluctuation", "--t-end", "inf"],
+         "--t-end must be finite for the default grid"),
+    ])
+    def test_non_finite_grid_is_a_domain_error(self, tmp_path, capsys, argv,
+                                               message):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["simulate", "--grid-points", "-3"], "--grid-points", -3),
+        (["meanfield", "--grid-points", "-3"], "--grid-points", -3),
+        (["fluctuation", "--grid-points", "-3"], "--grid-points", -3),
+        (["fluctuation", "--paths", "-2"], "--paths", -2),
+        (["simulate", "--max-events", "-1"], "--max-events", -1),
+    ])
+    def test_negative_count_is_a_domain_error(self, tmp_path, capsys, argv,
+                                              flag, value):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {flag} must be non-negative, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma0_is_a_domain_error(self, tmp_path, capsys,
+                                                 value):
+        out = tmp_path / "fl"
+        rc = main(["fluctuation", "--t-end", "0.1",
+                   f"--sigma0={value},0,0,0,1,0,0,0,1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: covariance has a non-finite entry\n"
+        assert not out.exists()
+
+
 # sha256 of each output file at small fixed arguments, pinned when the files
 # were last known good: any byte that changes fails here
 SIMULATE_ARGS = ["simulate", "--initial", "20,20,20", "--replicas", "4",

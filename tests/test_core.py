@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rpsim import (
     DomainError,
+    Ensemble,
     MissingEventLog,
     ModelSpec,
     NormalizationError,
@@ -189,32 +190,39 @@ class TestTrajectoryValidation:
 
 
 class TestTrajectoryReplay:
+    # the replays are ensemble methods; here on a one-replica ensemble
+
+    @staticmethod
+    def replay(**overrides) -> Ensemble:
+        return Ensemble.from_trajectories([tiny_trajectory(**overrides)], 0)
+
     def test_jump_counts(self):
-        traj = tiny_trajectory()
-        assert traj.jump_counts(0.1).tolist() == [0, 0, 0]
-        assert traj.jump_counts(0.3).tolist() == [1, 0, 0]
-        assert traj.jump_counts(1.0).tolist() == [1, 0, 1]
+        ens = self.replay()
+        assert ens.jump_counts(0.1).tolist() == [[0, 0, 0]]
+        assert ens.jump_counts(0.3).tolist() == [[1, 0, 0]]
+        assert ens.jump_counts(1.0).tolist() == [[1, 0, 1]]
 
     def test_counts_at_is_right_continuous(self):
-        traj = tiny_trajectory()
-        assert traj.counts_at(0.19).tolist() == [1, 1, 1]
-        assert traj.counts_at(0.2).tolist() == [2, 0, 1]   # at the jump
-        assert traj.counts_at(0.8).tolist() == [1, 0, 2]
+        # an event at time t counts at t: (1,1,1) -> (2,0,1) at t=0.2
+        ens = self.replay()
+        assert ens.jump_counts(0.19).tolist() == [[0, 0, 0]]
+        assert ens.jump_counts(0.2).tolist() == [[1, 0, 0]]   # at the jump
+        assert ens.jump_counts(0.5).tolist() == [[1, 0, 1]]
 
     def test_internal_times(self):
         # products (x_j * x_{j+1}) are (1,1,1) on [0,0.2) and (0,0,2) after
-        traj = tiny_trajectory()
-        assert np.allclose(traj.internal_times(0.3), [0.2, 0.2, 0.4])
-        assert np.allclose(traj.internal_times(1.0), [0.2, 0.2, 1.8])
-        assert np.allclose(traj.internal_times(0.0), [0.0, 0.0, 0.0])
+        ens = self.replay()
+        assert np.allclose(ens.internal_times(0.3), [[0.2, 0.2, 0.4]])
+        assert np.allclose(ens.internal_times(1.0), [[0.2, 0.2, 1.8]])
+        assert np.allclose(ens.internal_times(0.0), [[0.0, 0.0, 0.0]])
 
     def test_samples_only_mode_raises(self):
         traj = tiny_trajectory(event_times=None, event_reactions=None)
         assert not traj.has_event_log
+        ens = self.replay(event_times=None, event_reactions=None)
         for call in (lambda: traj.n_events,
-                     lambda: traj.jump_counts(0.5),
-                     lambda: traj.internal_times(0.5),
-                     lambda: traj.counts_at(0.5)):
+                     lambda: ens.jump_counts(0.5),
+                     lambda: ens.internal_times(0.5)):
             with pytest.raises(MissingEventLog):
                 call()
 

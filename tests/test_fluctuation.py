@@ -167,6 +167,8 @@ class TestPsdSqrt:
          DomainError),
         # -5e-10 is clamped to 0, which misses c by more than 1e-10*(1+1e-3)
         (np.diag([1e-3, -5e-10, 0.0]), NumericError),
+        (np.diag([1.0, np.nan, 1.0]), DomainError),
+        (np.diag([1.0, 1.0, np.inf]), DomainError),
     ])
     def test_stack_with_one_bad_matrix_raises_as_its_own_call(self, bad,
                                                               error):
@@ -222,6 +224,15 @@ class TestCovarianceState:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             CovarianceState(sigma=np.diag([1.0, -1e-6, 1.0]), time=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        bad = np.eye(3)
+        bad[1, 2] = bad[2, 1] = value
+        with pytest.raises(DomainError, match="non-finite entry"):
+            CovarianceState(sigma=bad, time=0.0)
+        with pytest.raises(DomainError, match="non-finite entry"):
+            psd_sqrt(bad)
 
 
 class TestPropagateMoments:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -25,13 +26,11 @@ from rpsim.fluctuation import (
 from rpsim.io import (
     fmt,
     read_ensemble,
-    read_trajectory,
     write_covariances,
     write_ensemble,
     write_gaussian_paths,
     write_json,
     write_meanfield,
-    write_trajectory,
     write_validation_reports,
 )
 from rpsim.meanfield import MeanFieldPath, MeanFieldState, conserved_quantities
@@ -54,19 +53,32 @@ class TestFmt:
         assert float(fmt(x)) == x
 
 
+def write_one(traj: Trajectory, out_dir):
+    """Write ``traj`` as a one-replica ensemble; return its directory."""
+    return write_ensemble(
+        Ensemble.from_trajectories([dataclasses.replace(traj, seed=0)], 0),
+        out_dir)
+
+
+def read_one(out_dir) -> Trajectory:
+    ens = read_ensemble(out_dir)
+    assert ens.replicas == 1
+    return ens.trajectories[0]
+
+
 class TestTrajectoryRoundTrip:
+    # a single trajectory is stored as a one-replica ensemble
+
     def test_with_event_log(self, tmp_path):
         traj = run_until(SPEC, 1.0, GRID, rng_stream(7, 0), seed=0,
                          record_events=True)
-        write_trajectory(traj, tmp_path / "t")
-        back = read_trajectory(tmp_path / "t")
+        back = read_one(write_one(traj, tmp_path / "t"))
         assert trajectories_identical(traj, back)
 
     def test_samples_only(self, tmp_path):
         traj = run_until(SPEC, 1.0, GRID, rng_stream(7, 0), seed=0,
                          record_events=False)
-        write_trajectory(traj, tmp_path / "t")
-        back = read_trajectory(tmp_path / "t")
+        back = read_one(write_one(traj, tmp_path / "t"))
         assert trajectories_identical(traj, back)
         assert not (tmp_path / "t" / "events.csv").exists()
 
@@ -75,8 +87,8 @@ class TestTrajectoryRoundTrip:
         traj = run_until(spec, 100.0, np.linspace(0, 100, 6),
                          rng_stream(0, 0), seed=0, record_events=True)
         assert traj.absorbed is not None
-        write_trajectory(traj, tmp_path / "t")
-        assert trajectories_identical(traj, read_trajectory(tmp_path / "t"))
+        assert trajectories_identical(
+            traj, read_one(write_one(traj, tmp_path / "t")))
 
 
 class TestEnsembleRoundTrip:
@@ -192,22 +204,17 @@ def ref_csv(header, rows) -> str:
     return "".join(",".join(cells) + "\n" for cells in [header, *rows])
 
 
-def reference_trajectory_csvs(trajs, replica: bool) -> dict:
+def reference_ensemble_csvs(trajs) -> dict:
     """samples.csv and events.csv as the row-by-row writers rendered them."""
-    head = ["replica"] if replica else []
-
-    def lead(i):
-        return [str(i)] if replica else []
-
     n = trajs[0].spec.n
     files = {"samples.csv": ref_csv(
-        head + ["time"] + [f"x{j + 1}" for j in range(n)],
-        [lead(i) + [ref_fmt(t)] + [str(int(c)) for c in row]
+        ["replica", "time"] + [f"x{j + 1}" for j in range(n)],
+        [[str(i), ref_fmt(t)] + [str(int(c)) for c in row]
          for i, tr in enumerate(trajs) for t, row in zip(tr.grid, tr.samples)])}
     if all(tr.has_event_log for tr in trajs):
         files["events.csv"] = ref_csv(
-            head + ["time", "reaction"],
-            [lead(i) + [ref_fmt(t), str(int(r))] for i, tr in enumerate(trajs)
+            ["replica", "time", "reaction"],
+            [[str(i), ref_fmt(t), str(int(r))] for i, tr in enumerate(trajs)
              for t, r in zip(tr.event_times, tr.event_reactions)])
     return files
 
@@ -270,9 +277,9 @@ def synthetic(spec, grid, event_times, seed=0) -> Trajectory:
 
 
 def synthetic_ensemble(spec, grid, event_logs) -> Ensemble:
-    return Ensemble(spec=spec, grid=np.asarray(grid, dtype=float), base_seed=0,
-                    trajectories=tuple(synthetic(spec, grid, ev, seed=i)
-                                       for i, ev in enumerate(event_logs)))
+    return Ensemble.from_trajectories(
+        [synthetic(spec, grid, ev, seed=i) for i, ev in enumerate(event_logs)],
+        0)
 
 
 SPEC4 = ModelSpec(n=4, lam=1.0, total=40, initial=(10, 10, 10, 10))
@@ -317,19 +324,18 @@ class TestBlockWritersAndReaders:
     def test_ensemble_bytes_and_round_trip(self, tmp_path, case):
         ens = ENSEMBLES[case]()
         write_ensemble(ens, tmp_path / "e")
-        assert_files(tmp_path / "e",
-                     reference_trajectory_csvs(ens.trajectories, replica=True))
+        assert_files(tmp_path / "e", reference_ensemble_csvs(ens.trajectories))
         back = read_ensemble(tmp_path / "e")
         assert back.replicas == ens.replicas
         for a, b in zip(ens.trajectories, back.trajectories):
             assert_same_bits(a, b)
 
     def test_trajectory_bytes_and_round_trip(self, tmp_path, case):
+        # each replica alone, as a one-replica ensemble
         for i, traj in enumerate(ENSEMBLES[case]().trajectories):
-            out = tmp_path / f"t{i}"
-            write_trajectory(traj, out)
-            assert_files(out, reference_trajectory_csvs([traj], replica=False))
-            assert_same_bits(traj, read_trajectory(out))
+            out = write_one(traj, tmp_path / f"t{i}")
+            assert_files(out, reference_ensemble_csvs([traj]))
+            assert_same_bits(dataclasses.replace(traj, seed=0), read_one(out))
 
 
 def meanfield_path(times, rows) -> MeanFieldPath:
@@ -489,12 +495,63 @@ class TestMalformedInput:
     def test_truncated_trajectory_log_is_a_domain_error(self, tmp_path):
         traj = run_until(SPEC, 1.0, GRID, rng_stream(7, 0), seed=0,
                          record_events=True)
-        out = write_trajectory(traj, tmp_path / "t")
+        out = write_one(traj, tmp_path / "t")
         events = out / "events.csv"
         events.write_text("".join(
             events.read_text().splitlines(keepends=True)[:-1]))
         with pytest.raises(DomainError, match="replica 0 has"):
-            read_trajectory(out)
+            read_ensemble(out)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(kind="trajectory"),
+         "kind is 'trajectory', expected 'ensemble'"),
+        (lambda m: m.pop("kind"), "kind is None, expected 'ensemble'"),
+        (lambda m: m["trajectories"][2].update(seed=5),
+         "replica seeds are not 0..R-1, R >= 1"),
+        (lambda m: m["trajectories"].reverse(),
+         "replica seeds are not 0..R-1, R >= 1"),
+        (lambda m: m["trajectories"][1].update(has_event_log=False),
+         "replicas mix kept and dropped event logs"),
+        (lambda m: m.update(trajectories=[]),
+         "replica seeds are not 0..R-1, R >= 1"),
+    ])
+    def test_bad_manifest_is_a_domain_error(self, ens_dir, edit, message):
+        path = ens_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name, line, cells, message", [
+        # replica 1's first sample time moves off the shared grid
+        ("samples.csv", 6, "1,0.125,{2},{3},{4}",
+         "replicas do not share one grid"),
+        ("samples.csv", 2, "0,nan,{2},{3},{4}",
+         "grid times must be finite, got nan"),
+        ("samples.csv", 2, "0,0.75,{2},{3},{4}", "grid must be ascending"),
+        ("samples.csv", 2, "0,{1},{2},{3},7", "breaks population conservation"),
+        ("events.csv", 1, "0,1.5,{2}", "replica 0 has event times out of order"),
+    ])
+    def test_bad_samples_or_events_are_a_domain_error(self, ens_dir, name,
+                                                      line, cells, message):
+        path = ens_dir / name
+        old = path.read_text().splitlines()[line].split(",")
+        self.corrupt(path, line, cells.format(*old))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
+
+    def test_replica_with_a_missing_sample_is_a_domain_error(self, ens_dir):
+        path = ens_dir / "samples.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[6].startswith("1,0,")
+        path.write_text("".join(lines[:6] + lines[7:]))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == f"{path}: replicas do not share one grid"
 
     def test_loadtxt_row_is_named(self, ens_dir):
         self.corrupt(ens_dir / "samples.csv", 4, "0,0.75,20,x,20")

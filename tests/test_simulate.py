@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from rpsim import (
     BudgetExceeded,
     DomainError,
+    Ensemble,
     MissingEventLog,
     ModelSpec,
     ReplicaError,
@@ -40,6 +43,15 @@ class FixedDraws:
         return out
 
 
+def counts_at(traj, t):
+    """The state of ``traj`` after its events at times <= ``t``, from the
+    jump counts of a one-replica ensemble (reaction j moves one unit from
+    species j+1 to species j)."""
+    ens = Ensemble.from_trajectories([dataclasses.replace(traj, seed=0)], 0)
+    jumps = ens.jump_counts(t)[0]
+    return np.asarray(traj.spec.initial) + jumps - np.roll(jumps, 1)
+
+
 def run_fixed(counts, thresholds, t_end=1.0, lam=3.0):
     spec = ModelSpec(n=len(counts), lam=lam, total=sum(counts),
                      initial=counts)
@@ -58,7 +70,8 @@ class TestNextEvent:
         assert traj.event_times.tolist() == [0.25]
         assert traj.event_reactions.tolist() == [0]
         assert traj.final_counts == (3, 0, 0)
-        assert traj.jump_counts(1.0).tolist() == [1, 0, 0]
+        assert Ensemble.from_trajectories([traj], 0).jump_counts(1.0) \
+            .tolist() == [[1, 0, 0]]
 
     def test_absorbing_state_returns_absorbed(self):
         # (3,0,0) has no active pair: absorbed at once, and after the single
@@ -150,7 +163,7 @@ class TestRunUntil:
             assert (traj.absorbed is None) == math.isfinite(t_end)
             # grid samples are the post-event counts at each grid time
             for g, row in zip(traj.grid, traj.samples):
-                assert row.tolist() == traj.counts_at(g).tolist()
+                assert row.tolist() == counts_at(traj, g).tolist()
 
     def test_deterministic_across_runs(self):
         spec = ModelSpec(n=4, lam=1.5, total=40, initial=(10, 10, 10, 10))
@@ -270,7 +283,7 @@ class TestRunUntil:
                          record_events=True)
         assert np.all(traj.samples.sum(axis=1) == spec.total)
         for t in traj.event_times:
-            after = traj.counts_at(t)
+            after = counts_at(traj, t)
             assert after.sum() == spec.total and after.min() >= 0
 
 
@@ -279,7 +292,7 @@ class TestRunEnsemble:
         spec = ModelSpec(n=3, lam=1.0, total=60, initial=(20, 20, 20))
         a = run_ensemble(spec, 5, 1.0, grid01(4), base_seed=9)
         b = run_ensemble(spec, 5, 1.0, grid01(4), base_seed=9)
-        assert a.sample_stack().shape == (5, 4, 3)
+        assert a.samples.shape == (5, 4, 3)
         for ta, tb in zip(a.trajectories, b.trajectories):
             assert trajectories_identical(ta, tb)
 
@@ -389,7 +402,7 @@ class TestLockstep:
         ens = run_ensemble(spec, 40, 1.0, grid, 4, record_events=record_events)
         assert_matches_run_until(ens, 1.0, grid, record_events)
         assert ens.trajectories[5].samples[2].tolist() == \
-            log.counts_at(at).tolist()
+            counts_at(log, at).tolist()
 
     @pytest.mark.parametrize("grid", [[], [0.0], [1.0], [0.0, 1.0]])
     @pytest.mark.parametrize("record_events", [True, False])
@@ -460,6 +473,131 @@ class TestLockstep:
             run_ensemble(spec, 40, math.inf, [], 2, max_events=40)
         assert (err.value.index, str(err.value)) == serial
         assert isinstance(err.value.__cause__, BudgetExceeded)
+
+
+def reference_replay(spec, times, reactions, t):
+    """Jump counts and internal times of one replica's log at ``t``, as the
+    per-replica accessors computed them before the replay moved to arrays:
+    the intervals are summed by ``.sum(axis=0)`` in time order."""
+    n = spec.n
+    k = int(np.searchsorted(times, t, side="right"))
+    r = reactions[:k].astype(np.int64)
+    counts = np.empty((k + 1, n), dtype=np.int64)
+    counts[0] = spec.initial
+    if k:
+        delta = np.zeros((k, n), dtype=np.int64)
+        delta[np.arange(k), r] = 1
+        delta[np.arange(k), (r + 1) % n] -= 1
+        counts[1:] = np.asarray(spec.initial) + np.cumsum(delta, axis=0)
+    counts = counts.astype(float)
+    durations = np.diff(np.concatenate(([0.0], times[:k], [t])))
+    products = counts * np.concatenate((counts[:, 1:], counts[:, :1]), axis=1)
+    internal = (spec.lam / spec.total) * (durations[:, None] * products).sum(
+        axis=0)
+    return np.bincount(r, minlength=n), internal
+
+
+@st.composite
+def event_logs(draw):
+    """A spec and a flat replica-major log in which replicas have zero or
+    more events, ties included."""
+    n = draw(st.sampled_from([3, 5]))
+    initial = tuple(draw(st.lists(st.integers(0, 40), min_size=n,
+                                  max_size=n)))
+    spec = ModelSpec(n=n, lam=draw(st.floats(0.1, 5.0)),
+                     total=max(sum(initial), 1), initial=initial)
+    logs = draw(st.lists(st.lists(st.floats(0.0, 2.0), max_size=60),
+                         min_size=1, max_size=7))
+    times = [sorted(log) for log in logs]
+    reactions = [draw(st.lists(st.integers(0, n - 1), min_size=len(log),
+                               max_size=len(log))) for log in logs]
+    return spec, times, reactions
+
+
+@given(log=event_logs(), block=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_replay_matches_per_replica_reference(log, block, data):
+    spec, times, reactions = log
+    replicas = len(times)
+    ens = Ensemble(
+        spec=spec, grid=np.empty(0), base_seed=0,
+        samples=np.empty((replicas, 0, spec.n), dtype=np.int64),
+        final_counts=np.tile(spec.initial, (replicas, 1)),
+        absorbed=np.full(replicas, math.nan),
+        final_time=np.full(replicas, 2.0),
+        event_times=np.array([x for tt in times for x in tt], dtype=float),
+        event_reactions=np.array([r for rr in reactions for r in rr],
+                                 dtype=np.int16),
+        event_offsets=np.cumsum([0] + [len(tt) for tt in times]))
+    # before, at and after logged times, and at the ends of the horizon
+    logged = sorted({x for tt in times for x in tt})
+    at = data.draw(st.sampled_from(logged)) if logged else 1.0
+    for t in (0.0, at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf),
+              2.0, 3.0):
+        with unittest.mock.patch.object(rpsim.simulate, "_REPLAY_BLOCK",
+                                        block):
+            jumps, internal = ens.jump_counts(t), ens.internal_times(t)
+        assert jumps.shape == internal.shape == (replicas, spec.n)
+        for i in range(replicas):
+            ref_jumps, ref_internal = reference_replay(
+                spec, np.array(times[i], dtype=float),
+                np.array(reactions[i], dtype=np.int16), t)
+            assert jumps[i].tobytes() == ref_jumps.tobytes()
+            assert internal[i].tobytes() == ref_internal.tobytes()
+
+
+def assert_same_arrays(a: Ensemble, b: Ensemble) -> None:
+    for f in dataclasses.fields(Ensemble):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestFromTrajectories:
+    @pytest.mark.parametrize("replicas", [3, 40])
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_round_trip_is_bit_for_bit(self, replicas, record_events):
+        # tiny populations, so that some replicas absorb
+        spec = ModelSpec(n=3, lam=2.0, total=4, initial=(2, 1, 1))
+        ens = run_ensemble(spec, replicas, 3.0, grid01(4, 3.0), 5,
+                           record_events=record_events)
+        assert np.isnan(ens.absorbed).any() and not np.isnan(ens.absorbed).all()
+        back = Ensemble.from_trajectories(ens.trajectories, 5)
+        assert_same_arrays(ens, back)
+        for a, b in zip(ens.trajectories, back.trajectories):
+            for name in ("grid", "samples", "event_times", "event_reactions"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
+            assert trajectories_identical(a, b)
+
+    def test_trajectories_are_cached_views(self):
+        spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+        ens = run_ensemble(spec, 32, 1.0, grid01(3), 0, record_events=True)
+        assert ens.trajectories is ens.trajectories
+        ens.trajectories[1].event_reactions[:] = 0
+        lo, hi = ens.event_offsets[1:3]
+        assert not ens.event_reactions[lo:hi].any()
+        assert ens.event_reactions[:lo].any()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda t, i: dataclasses.replace(t, seed=i + 1), "seeds 0..R-1"),
+        (lambda t, i: dataclasses.replace(t, grid=t.grid + i), "one grid"),
+        (lambda t, i: dataclasses.replace(
+            t, event_times=None, event_reactions=None) if i else t,
+         "keep their event log"),
+    ])
+    def test_rejects_replicas_that_do_not_stack(self, change, message):
+        spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+        trajs = run_ensemble(spec, 3, 1.0, grid01(3), 0,
+                             record_events=True).trajectories
+        with pytest.raises(DomainError, match=message):
+            Ensemble.from_trajectories(
+                [change(t, i) for i, t in enumerate(trajs)], 0)
 
 
 def test_event_times_strictly_positive_and_increasing():

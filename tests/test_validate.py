@@ -1,16 +1,21 @@
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import rpsim.core
+import rpsim.validate
 from scipy import stats
 
 from rpsim import (
     DomainError,
+    Ensemble,
     GridMismatch,
     InsufficientReplicas,
     MissingEventLog,
     ModelSpec,
+    RpsimError,
     ValidationConfig,
     clt_test,
     counts_from_fractions,
@@ -68,6 +73,25 @@ class TestGillespieEquivalence:
         expected = stats.kstest(times, "expon",
                                 args=(0.0, 1.0 / rep.total_rate))
         assert rep.ks_stat == expected.statistic
+
+    def test_replica_without_an_event_is_an_error(self, monkeypatch):
+        # replica 1 fired nothing: its first event must not be read from
+        # replica 2's log
+        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
+
+        def silent_replica(spec, replicas, t_end, grid, base_seed, **kw):
+            return Ensemble(
+                spec=spec, grid=np.empty(0), base_seed=base_seed,
+                samples=np.empty((3, 0, 3), dtype=np.int64),
+                final_counts=np.array([[2, 0, 1], [1, 1, 1], [1, 2, 0]]),
+                absorbed=np.full(3, math.nan), final_time=np.full(3, t_end),
+                event_times=np.array([0.1, 0.2]),
+                event_reactions=np.array([0, 1], dtype=np.int16),
+                event_offsets=np.array([0, 1, 1, 2]))
+
+        monkeypatch.setattr(rpsim.validate, "run_ensemble", silent_replica)
+        with pytest.raises(RpsimError, match="replica 1 fired no event"):
+            gillespie_equivalence_test(spec, 3, base_seed=0)
 
     def test_absorbing_initial_state_rejected(self):
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(3, 0, 0))
@@ -351,3 +375,19 @@ def test_run_validation_smoke(tmp_path):
     assert all(r.passed for r in reports.values())
     assert len(lines) == 4
     assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
+
+
+def test_run_validation_builds_no_trajectory_objects(monkeypatch):
+    # every ensemble here takes the lockstep engine, and every check reads
+    # the ensemble's arrays, so no per-replica object is ever made
+    built = []
+    post_init = rpsim.core.Trajectory.__post_init__
+    monkeypatch.setattr(rpsim.core.Trajectory, "__post_init__",
+                        lambda self: built.append(post_init(self)))
+    cfg = ValidationConfig(
+        lln_populations=(50, 200), lln_replicas=32, lln_time=0.5,
+        lln_grid_points=11, clt_population=500, clt_replicas=120,
+        clt_time=0.5, martingale_population=50, martingale_replicas=100,
+        gillespie_samples=500, base_seed=21)
+    run_validation(cfg)
+    assert built == []
