@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, ModelSpec, check_grid
+from .core import DomainError, ModelSpec, RpsimError, check_grid, validate_spec
 from .meanfield import MeanFieldPath, conserved_quantities
 from .simulate import Ensemble
 
@@ -152,16 +152,17 @@ def _load(path: Path, fields: list, replicas: int):
     return rows, bounds
 
 
-def _check_log(path: Path, i: int, spec: ModelSpec, meta: dict,
-               times: np.ndarray, reactions: np.ndarray) -> None:
+def _check_log(path: Path, i: int, spec: ModelSpec, n_events: int,
+               final_counts: list, times: np.ndarray,
+               reactions: np.ndarray) -> None:
     """Raise DomainError unless replica ``i``'s event log is in time order
-    and matches its manifest entry: as many events, and replaying them gives
-    its final counts (reaction j moves one unit from species j+1 to species
-    j)."""
+    and matches its manifest entry: ``n_events`` events, and replaying them
+    gives ``final_counts`` (reaction j moves one unit from species j+1 to
+    species j)."""
     n = spec.n
-    if len(reactions) != meta["n_events"]:
+    if len(reactions) != n_events:
         raise DomainError(f"{path}: replica {i} has {len(reactions)} events, "
-                          f"the manifest says {meta['n_events']}")
+                          f"the manifest says {n_events}")
     if not np.all(np.diff(times) >= 0):
         raise DomainError(f"{path}: replica {i} has event times out of order")
     # one pass per reaction over the int16 log, with no full-size int copy
@@ -170,20 +171,21 @@ def _check_log(path: Path, i: int, spec: ModelSpec, meta: dict,
         raise DomainError(f"{path}: replica {i} has a reaction outside "
                           f"0..{n - 1}")
     final = [spec.initial[j] + fired[j] - fired[j - 1] for j in range(n)]
-    if final != list(meta["final_counts"]):
+    if final != list(final_counts):
         raise DomainError(f"{path}: replica {i} replays to final counts "
                           f"{tuple(final)}, the manifest says "
-                          f"{tuple(meta['final_counts'])}")
+                          f"{tuple(final_counts)}")
 
 
 def read_ensemble(out_dir) -> Ensemble:
     """The ensemble that :func:`write_ensemble` wrote, bit for bit.
 
-    Raises :class:`DomainError` for a manifest of another kind, or whose
-    replicas are not seeds ``0..R-1`` or mix logged and unlogged runs; for
-    replicas that do not share one ascending grid, or a sample that breaks
-    conservation; and for an event log that is out of order or does not
-    replay to its manifest entry.
+    Raises :class:`DomainError` for a manifest of another kind, one that
+    lacks a key, whose model fails :func:`~rpsim.core.validate_spec`, or
+    whose replicas are not seeds ``0..R-1`` or mix logged and unlogged
+    runs; for replicas that do not share one ascending grid, or a sample
+    that breaks conservation; and for an event log that is out of order or
+    does not replay to its manifest entry.
     """
     out = Path(out_dir)
     path = out / "manifest.json"
@@ -191,13 +193,24 @@ def read_ensemble(out_dir) -> Ensemble:
     if manifest.get("kind") != "ensemble":
         raise DomainError(f"{path}: kind is {manifest.get('kind')!r}, "
                           "expected 'ensemble'")
-    spec = _spec_from_dict(manifest["model"])
-    metas = manifest["trajectories"]
+    try:
+        spec = _spec_from_dict(manifest["model"])
+        base_seed = manifest["base_seed"]
+        metas = manifest["trajectories"]
+        seeds, logged, n_events, final_counts, absorbed, final_time = (
+            [meta[key] for meta in metas]
+            for key in ("seed", "has_event_log", "n_events", "final_counts",
+                        "absorbed", "final_time"))
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing key {exc}") from None
+    try:
+        validate_spec(spec)
+    except RpsimError as exc:
+        raise DomainError(f"{path}: model: {exc}") from exc
     replicas = len(metas)
-    if not replicas or [m["seed"] for m in metas] != list(range(replicas)):
+    if not replicas or seeds != list(range(replicas)):
         raise DomainError(f"{path}: replica seeds are not 0..R-1, R >= 1")
-    logged = {meta["has_event_log"] for meta in metas}
-    if len(logged) > 1:
+    if len(set(logged)) > 1:
         raise DomainError(f"{path}: replicas mix kept and dropped event logs")
 
     path = out / "samples.csv"
@@ -219,26 +232,24 @@ def read_ensemble(out_dir) -> Ensemble:
         raise DomainError(f"{path}: a sample breaks population conservation")
 
     event_times = event_reactions = offsets = None
-    if metas[0]["has_event_log"]:
+    if logged[0]:
         path = out / "events.csv"
         rows, offsets = _load(path, [("time", np.float64),
                                      ("reaction", np.int16)], replicas)
         event_times = rows["time"].copy()
         event_reactions = rows["reaction"].copy()
-        for i, meta in enumerate(metas):
+        for i in range(replicas):
             lo, hi = offsets[i], offsets[i + 1]
-            _check_log(path, i, spec, meta, event_times[lo:hi],
-                       event_reactions[lo:hi])
+            _check_log(path, i, spec, n_events[i], final_counts[i],
+                       event_times[lo:hi], event_reactions[lo:hi])
     return Ensemble(
         spec=spec,
         grid=grid,
-        base_seed=manifest["base_seed"],
+        base_seed=base_seed,
         samples=samples,
-        final_counts=np.array([meta["final_counts"] for meta in metas],
-                              dtype=np.int64),
-        absorbed=np.array([meta["absorbed"] for meta in metas], dtype=float),
-        final_time=np.array([meta["final_time"] for meta in metas],
-                            dtype=float),
+        final_counts=np.array(final_counts, dtype=np.int64),
+        absorbed=np.array(absorbed, dtype=float),
+        final_time=np.array(final_time, dtype=float),
         event_times=event_times,
         event_reactions=event_reactions,
         event_offsets=offsets,
@@ -275,6 +286,8 @@ def write_covariances(states, out_path) -> Path:
 def write_gaussian_paths(paths, out_path) -> Path:
     """replica,time,v1..vn for a collection of fluctuation paths."""
     out, paths = Path(out_path), list(paths)
+    if not paths:
+        raise DomainError("no paths to write")
     n = paths[0].values.shape[1]
     with _open_w(out, ["replica", "time"] + _count_header(n, "v")) as f:
         for i, p in enumerate(paths):

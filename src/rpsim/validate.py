@@ -16,7 +16,9 @@ Four checks are provided:
 
 Every report is a pure function of its inputs.  Every pass threshold is
 configuration, not a theorem constant; reports carry a calibration note
-saying exactly that.
+saying exactly that.  The KS and chi-square p-values are computed here with
+``math`` and numpy (tests check them against scipy), so importing the package
+does not import scipy.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     DomainError,
@@ -220,6 +221,9 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
 # central limit behavior
 # --------------------------------------------------------------------------
 
+_CLT_MIN_REPLICAS = 100
+
+
 @dataclass(frozen=True, eq=False)
 class CltReport:
     t: float
@@ -265,9 +269,10 @@ def clt_test(ensemble: Ensemble, meanfield: MeanFieldPath,
     zero-sum subspace (the full matrices are singular along (1,...,1)).
     """
     replicas = ensemble.replicas
-    if replicas < 100:
+    if replicas < _CLT_MIN_REPLICAS:
         raise InsufficientReplicas(
-            f"need at least 100 replicas for a covariance estimate, got {replicas}"
+            f"need at least {_CLT_MIN_REPLICAS} replicas for a covariance "
+            f"estimate, got {replicas}"
         )
     t = covariance.time
     g_idx = _match_times(ensemble.grid, np.array([t]))[0]
@@ -401,6 +406,196 @@ def martingale_test(ensemble: Ensemble, t: float, *,
 
 
 # --------------------------------------------------------------------------
+# goodness-of-fit statistics and p-values
+# --------------------------------------------------------------------------
+
+# Cephes expm1, as scipy.special.expm1 computes it: a rational function on
+# [-0.5, 0.5] (coefficients highest power first), libm's exp - 1 outside
+_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
+            9.9999999999999999991025e-1)
+_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
+            2.2726554820815502876593e-1, 2.0000000000000000009103e0)
+# B_2k / (2k (2k-1)) for k = 8..1, the Stirling series of log m!
+_STIRLING = (-2.955065359477124183e-2, 6.4102564102564102564e-3,
+             -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+             -5.952380952380952381e-4, 7.9365079365079365079e-4,
+             -2.7777777777777777778e-3, 8.3333333333333333333e-2)
+_STIRLING_SMALL = np.array([0.0] + [
+    math.lgamma(m + 1) - (m * math.log(m) - m + 0.5 * math.log(2 * math.pi * m))
+    for m in range(1, 10)])
+
+
+def _ks_statistic(times: np.ndarray, scale: float) -> float:
+    """Two-sided KS distance between ``times`` and Exp(mean ``scale``),
+    bit for bit as ``scipy.stats.kstest(times, "expon", args=(0, scale))``
+    computes it.  The CDF 1 - exp(-t/scale) is rounded as scipy's Cephes
+    expm1 rounds it; ``np.expm1`` and ``np.exp`` round part of their
+    arguments the other way, and that would move the statistic by an ulp."""
+    u = -(np.sort(times) / scale)
+    uu = u * u
+    r = u * np.polyval(_EXPM1_P, uu)
+    cdf = -2.0 * (r / (np.polyval(_EXPM1_Q, uu) - r))
+    far = u < -0.5
+    cdf[far] = [1.0 - math.exp(v) for v in u[far].tolist()]
+    n = len(cdf)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
+def _stirling_remainder(m):
+    """log m! - (m log m - m + log(2 pi m) / 2) for integers m >= 1 (an
+    array): tabulated below 10, the Stirling series (error < 1e-17) above."""
+    r = 1.0 / m
+    return np.where(m < 10, _STIRLING_SMALL[np.minimum(m, 9).astype(int)],
+                    r * np.polyval(_STIRLING, r * r))
+
+
+def _smirnov(n: int, x: float) -> float:
+    """P(D+_n >= x) for the one-sided KS statistic, 0 < x < 1, by the
+    Birnbaum-Tingey sum x * sum_j C(n,j) (x+j/n)^(j-1) (1-x-j/n)^(n-j).
+
+    Term j is summed as its log, written as the log of the binomial pmf at
+    its own mean, C(n,j) (j/n)^j (1-j/n)^(n-j), plus j log1p(nx/j) and
+    (n-j) log1p(-nx/(n-j)).  Each part is of order nx, not n log n, so the
+    sum keeps about 13 digits up to n = 2 * 10^5.
+    """
+    c = n * x
+    j = np.arange(1.0, math.ceil(n - c))     # the terms with n - j > nx
+    k = n - j
+    logs = (0.5 * np.log(n / (2 * math.pi * j * k))
+            + _stirling_remainder(n) - _stirling_remainder(j)
+            - _stirling_remainder(k)
+            + j * np.log1p(c / j) + k * np.log1p(-c / k) - np.log(x + j / n))
+    logs = np.append(logs, n * math.log1p(-x) - math.log(x))   # j = 0
+    top = float(logs.max())
+    return math.exp(math.log(x) + top + math.log(np.exp(logs - top).sum()))
+
+
+def _durbin_cdf(n: int, d: float) -> float:
+    """P(D_n < d), exact, by the Durbin matrix as Marsaglia, Tsang & Wang
+    (J. Stat. Softw. 8(18), 2003) evaluate it: the middle entry of H^n,
+    times n!/n^n, with powers of two kept aside against overflow."""
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    i = np.arange(1, m + 1)
+    inv_fact = np.cumprod(1.0 / i)                       # 1/i!
+    v = (1.0 - h ** i.astype(float)) * inv_fact
+    v[-1] = (1.0 - 2 * h ** m + max(2 * h - 1.0, 0.0) ** m) * inv_fact[-1]
+    w = np.concatenate(([1.0], inv_fact[:-1]))           # 1/(i-1)!
+    hm = np.zeros((m, m))
+    for col in range(1, m):
+        hm[col - 1:, col] = w[:m - col + 1]
+    hm[:, 0] = v
+    hm[-1, :] = v[::-1]
+    power, e_power, e_h = np.eye(m), 0, 0    # H^n = power * 2^e_power
+    bits = n
+    while bits:
+        if bits % 2:
+            power = power @ hm
+            e_power += e_h
+        hm = hm @ hm
+        e_h *= 2
+        if hm[k - 1, k - 1] > 2.0 ** 128:
+            hm /= 2.0 ** 128
+            e_h += 128
+        bits //= 2
+    p = power[k - 1, k - 1]
+    for j in range(1, n + 1):
+        p = j * p / n
+        if p < 2.0 ** -128:
+            p *= 2.0 ** 128
+            e_power -= 128
+    return math.ldexp(p, e_power)
+
+
+def _pelz_good_cdf(n: int, x: float) -> float:
+    """P(D_n <= x) by the Pelz-Good expansion (J. R. Stat. Soc. B 38(2),
+    1976): the Li-Chien/Korolyuk series to order n^-3/2, each term recast
+    with Jacobi theta identities so that it converges fast for small
+    z = x sqrt(n)."""
+    z = math.sqrt(n) * x
+    z2 = z * z
+    z4, z6 = z2 * z2, z2 * z2 * z2
+    pi2 = math.pi ** 2
+    if -pi2 / 8 / z2 < -708:
+        return 0.0
+    q = math.exp(-pi2 / 8 / z2)
+    maxk = math.ceil(16 * z / math.pi)
+    terms = np.zeros(4)
+    for k in range(maxk, 0, -1):        # Horner in q^8 over odd m = 2k-1
+        m2 = (2 * k - 1) ** 2
+        terms *= q ** (8 * k)
+        terms += (1.0,
+                  -z2 + pi2 / 4 * m2,
+                  6 * z6 + 2 * z4 + (2 * z4 - 5 * z2) * pi2 / 4 * m2
+                  + pi2 ** 2 * (1 - 2 * z2) / 16 * m2 ** 2,
+                  -30 * z6 - 90 * z4 * z4 + pi2 * (135 * z4 - 96 * z6) / 4 * m2
+                  + pi2 ** 2 * (212 * z4 - 60 * z2) / 16 * m2 ** 2
+                  + pi2 ** 3 * (5 - 30 * z2) / 64 * m2 ** 3)
+    root2pi = math.sqrt(2 * math.pi)
+    terms *= q * root2pi
+    terms /= (z, 6 * z4, 72 * z4 * z2 * z, 6480 * z6 * z4)
+    k2 = np.arange(maxk, 0, -1.0) ** 2   # the sums over all k >= 1
+    qk = math.exp(-pi2 / 2 / z2) ** k2
+    terms[2] -= np.sum(k2 * qk) * pi2 * root2pi / (36 * z2 * z)
+    terms[3] += np.sum((3 * z2 - pi2 * k2) * k2 * qk) * pi2 * root2pi \
+        / (216 * z6)
+    return float(np.sum(terms / np.sqrt(float(n)) ** np.arange(4)))
+
+
+def _kstwo_sf(n: int, x: float) -> float:
+    """P(D_n >= x) for the two-sided one-sample KS statistic of n samples.
+
+    The branches are those of Simard & L'Ecuyer (J. Stat. Softw. 39(11),
+    2011), as ``scipy.stats.kstwo.sf`` takes them: Ruben-Gambino at both
+    edges, twice the one-sided tail where it is exact (x >= 1/2) or close
+    (large n x^2), the Durbin matrix for small n x^2 and Pelz-Good
+    otherwise.  For n <= 140 with 0.754693 < n x^2 <= 4, where scipy runs
+    the Pomeranz recursion, the Durbin matrix runs; both are exact.
+    """
+    if x >= 1.0:
+        return 0.0
+    t = n * x
+    if t <= 0.5:
+        return 1.0
+    if t <= 1.0:  # P(D_n < x) = n!/n^n (2t-1)^n, below 1e-59 for n > 140
+        if n > 140:
+            return 1.0
+        return 1.0 - math.prod(i * (1.0 / n) * (2 * t - 1)
+                               for i in range(1, n + 1))
+    if t >= n - 1:
+        return 2 * (1.0 - x) ** n
+    nx2 = t * x
+    if n > 140 and nx2 >= 370.0:
+        return 0.0
+    if x >= 0.5 or (nx2 > 4.0 if n <= 140 else nx2 >= 2.2):
+        return min(1.0, 2 * _smirnov(n, x))
+    if n <= 140 or (n <= 100_000 and n * x ** 1.5 <= 1.4):
+        cdf = _durbin_cdf(n, x)
+    else:
+        cdf = _pelz_good_cdf(n, x)
+    return min(1.0, max(0.0, 1.0 - cdf))
+
+
+def _chi2_sf(x: float, k: int) -> float:
+    """P(X >= x) for X chi-square with k degrees of freedom: the regularised
+    upper incomplete gamma Q(k/2, x/2) in closed form.  With y = x/2 it is
+    sum_{i < k/2} e^-y y^i / i! for even k, and erfc(sqrt y) plus
+    sum_{i < (k-1)/2} e^-y y^(i+1/2) / Gamma(i+3/2) for odd k."""
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    half = 0.5 * (k % 2)
+    total = math.erfc(math.sqrt(y)) if k % 2 else 0.0
+    for i in range(k // 2):
+        total += math.exp((i + half) * math.log(y) - y
+                          - math.lgamma(i + half + 1))
+    return total
+
+
+# --------------------------------------------------------------------------
 # exactness of the event engine
 # --------------------------------------------------------------------------
 
@@ -475,16 +670,18 @@ def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
     times = ensemble.event_times[first]
     fired = ensemble.event_reactions[first].astype(int)
 
-    ks_stat, ks_p = stats.kstest(times, "expon", args=(0.0, 1.0 / total_rate))
+    ks_stat = _ks_statistic(times, 1.0 / total_rate)
+    ks_p = _kstwo_sf(samples, ks_stat)
     observed = np.bincount(fired, minlength=n)
     active = rates > 0
-    if int(active.sum()) == 1:
+    n_active = int(active.sum())
+    if n_active == 1:
         # a single active reaction carries all the mass; nothing to test
         chi2_stat, chi2_p = 0.0, 1.0
     else:
-        chi2_stat, chi2_p = stats.chisquare(
-            observed[active], samples * rates[active] / total_rate
-        )
+        expected = samples * rates[active] / total_rate
+        chi2_stat = float(np.sum((observed[active] - expected) ** 2 / expected))
+        chi2_p = _chi2_sf(chi2_stat, n_active - 1)
     passed = ks_p > p_threshold and chi2_p > p_threshold
     return GillespieReport(
         spec=spec, samples=samples, total_rate=total_rate,
@@ -604,28 +801,69 @@ _SEED_CLT = 101
 _SEED_MARTINGALE = 102
 
 
+def _check_config(config: ValidationConfig) -> list[ModelSpec]:
+    """Check every setting before any ensemble runs, and return the model of
+    each check in run order: Gillespie, each LLN population, CLT, martingale.
+
+    Raises :class:`DomainError` for a non-positive count, replica count or
+    sample count, LLN populations that do not strictly increase, fewer than
+    two LLN grid points, a time or step that is not positive and finite, or
+    a p threshold outside (0, 1); :class:`InsufficientReplicas` for fewer
+    CLT replicas than :func:`clt_test` needs; and whatever
+    :func:`~rpsim.core.validate_spec` raises for a model.
+    """
+    for name in ("lln_replicas", "clt_replicas", "martingale_replicas",
+                 "gillespie_samples", "clt_population",
+                 "martingale_population"):
+        if getattr(config, name) < 1:
+            raise DomainError(f"{name} must be positive, "
+                              f"got {getattr(config, name)}")
+    pops = config.lln_populations
+    if not pops or pops[0] < 1 or any(b <= a for a, b in zip(pops, pops[1:])):
+        raise DomainError("lln_populations must be positive and strictly "
+                          f"increasing, got {pops}")
+    if config.lln_grid_points < 2:
+        raise DomainError("lln_grid_points must be at least 2, "
+                          f"got {config.lln_grid_points}")
+    for name in ("meanfield_step", "lln_time", "clt_time", "martingale_time"):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, "
+                              f"got {value}")
+    if not 0.0 < config.gillespie_p_threshold < 1.0:
+        raise DomainError("gillespie_p_threshold must lie in (0, 1), "
+                          f"got {config.gillespie_p_threshold}")
+    if config.clt_replicas < _CLT_MIN_REPLICAS:
+        raise InsufficientReplicas(
+            f"clt_replicas must be at least {_CLT_MIN_REPLICAS}, "
+            f"got {config.clt_replicas}")
+
+    g_counts = config.gillespie_counts or (1,) * config.n
+    g_lam = config.gillespie_lambda
+    specs = [ModelSpec(n=config.n, lam=config.lam if g_lam is None else g_lam,
+                       total=sum(g_counts), initial=g_counts)]
+    fractions = config.model_fractions()
+    for m in (*pops, config.clt_population, config.martingale_population):
+        specs.append(ModelSpec(n=config.n, lam=config.lam, total=m,
+                               initial=counts_from_fractions(fractions, m)))
+    return [validate_spec(spec) for spec in specs]
+
+
 def run_validation(config: ValidationConfig, *, workers: int | None = None,
                    echo=None) -> dict:
     """Run all four checks from one configuration.
 
     Returns ``{"gillespie": ..., "lln": ..., "clt": ..., "martingale": ...}``.
-    ``echo`` (e.g. ``print``) receives one status line per check.
+    ``echo`` (e.g. ``print``) receives one status line per check.  Every
+    setting is checked before any ensemble runs (see :func:`_check_config`).
     """
+    g_spec, *lln_specs, clt_spec, mart_spec = _check_config(config)
     if workers is None:
         workers = config.workers
     say = echo or (lambda *_: None)
-    fractions = config.model_fractions()
     reports: dict[str, object] = {}
 
     # -- engine exactness ---------------------------------------------------
-    g_counts = config.gillespie_counts or (1,) * config.n
-    g_spec = ModelSpec(
-        n=config.n,
-        lam=config.gillespie_lambda
-        if config.gillespie_lambda is not None else config.lam,
-        total=sum(g_counts),
-        initial=tuple(g_counts),
-    )
     rep = gillespie_equivalence_test(
         g_spec, config.gillespie_samples,
         config.base_seed + _SEED_GILLESPIE,
@@ -637,17 +875,14 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
 
     # -- law of large numbers -----------------------------------------------
     grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
-    mf = integrate(fractions, config.lam, t_end=config.lln_time,
+    mf = integrate(config.model_fractions(), config.lam, t_end=config.lln_time,
                    step=config.meanfield_step, grid=grid)
-    ensembles = []
-    for k, m in enumerate(config.lln_populations):
-        spec = ModelSpec(n=config.n, lam=config.lam, total=m,
-                         initial=counts_from_fractions(fractions, m))
-        ensembles.append(
-            run_ensemble(spec, config.lln_replicas, config.lln_time, grid,
-                         config.base_seed + _SEED_LLN + k, workers=workers,
-                         record_events=False)
-        )
+    ensembles = [
+        run_ensemble(spec, config.lln_replicas, config.lln_time, grid,
+                     config.base_seed + _SEED_LLN + k, workers=workers,
+                     record_events=False)
+        for k, spec in enumerate(lln_specs)
+    ]
     rep = lln_test(ensembles, mf, config.lln_time,
                    median_bound=config.lln_median_bound,
                    ratio_band=(config.lln_ratio_low, config.lln_ratio_high))
@@ -656,18 +891,15 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
         f"(medians={[round(r.median, 4) for r in rep.records]})")
 
     # -- fluctuation covariance ----------------------------------------------
-    m = config.clt_population
-    spec = ModelSpec(n=config.n, lam=config.lam, total=m,
-                     initial=counts_from_fractions(fractions, m))
-    u0 = spec.fractions          # exact finite-M fractions, so Y(0) = 0
+    u0 = clt_spec.fractions      # exact finite-M fractions, so Y(0) = 0
     t = config.clt_time
     mf_clt = integrate(u0, config.lam, t_end=t, step=config.meanfield_step,
                        grid=np.array([0.0, t]))
     model = FluctuationModel.from_path(mf_clt, config.lam)
     sigma_t = propagate_covariance(model, np.zeros((config.n, config.n)))[-1]
-    ensemble = run_ensemble(spec, config.clt_replicas, t, np.array([0.0, t]),
-                            config.base_seed + _SEED_CLT, workers=workers,
-                            record_events=False)
+    ensemble = run_ensemble(clt_spec, config.clt_replicas, t,
+                            np.array([0.0, t]), config.base_seed + _SEED_CLT,
+                            workers=workers, record_events=False)
     rep = clt_test(ensemble, mf_clt, sigma_t,
                    frobenius_bound=config.clt_frobenius_bound)
     reports["clt"] = rep
@@ -675,11 +907,8 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
         f"(frobenius={rep.frobenius_rel_err:.4f})")
 
     # -- martingale structure -------------------------------------------------
-    m = config.martingale_population
-    spec = ModelSpec(n=config.n, lam=config.lam, total=m,
-                     initial=counts_from_fractions(fractions, m))
     t = config.martingale_time
-    ensemble = run_ensemble(spec, config.martingale_replicas, t,
+    ensemble = run_ensemble(mart_spec, config.martingale_replicas, t,
                             np.array([t]), config.base_seed + _SEED_MARTINGALE,
                             workers=workers, record_events=True)
     rep = martingale_test(ensemble, t, z_bound=config.martingale_z_bound)

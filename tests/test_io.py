@@ -428,6 +428,13 @@ def test_no_covariance_states_is_a_domain_error(tmp_path):
         write_covariances([], tmp_path / "cov.csv")
 
 
+def test_no_gaussian_paths_is_a_domain_error(tmp_path):
+    # no paths, and so no n for the header
+    with pytest.raises(DomainError, match="no paths to write"):
+        write_gaussian_paths([], tmp_path / "p.csv")
+    assert not (tmp_path / "p.csv").exists()
+
+
 class TestMalformedInput:
     @pytest.fixture
     def ens_dir(self, tmp_path):
@@ -514,6 +521,14 @@ class TestMalformedInput:
          "replicas mix kept and dropped event logs"),
         (lambda m: m.update(trajectories=[]),
          "replica seeds are not 0..R-1, R >= 1"),
+        (lambda m: m["model"].update(initial=[30, 30]),
+         "model: initial counts have length 2, expected n=3"),
+        (lambda m: m["model"].update({"lambda": -1.0}),
+         "model: collision rate must be positive and finite, got -1.0"),
+        (lambda m: m.pop("model"), "missing key 'model'"),
+        (lambda m: m["model"].pop("total"), "missing key 'total'"),
+        (lambda m: m["trajectories"][1].pop("final_time"),
+         "missing key 'final_time'"),
     ])
     def test_bad_manifest_is_a_domain_error(self, ens_dir, edit, message):
         path = ens_dir / "manifest.json"

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from rpsim import (
     zero_sum_projector,
 )
 from rpsim.fluctuation import CovarianceState, FluctuationModel, propagate_covariance
+from rpsim.validate import _chi2_sf, _ks_statistic, _kstwo_sf
 
 
 def test_zero_sum_projector():
@@ -112,6 +115,104 @@ class TestGillespieEquivalence:
         json.dumps(d)
         assert d["check"] == "gillespie_equivalence"
         assert isinstance(d["pass"], bool)
+
+
+# (n, x) points of each branch of the KS survival function, with the helper
+# the branch calls (None: a closed form)
+KS_BRANCHES = {
+    "t<=1/2": (None, [(1, 0.3), (3, 0.1), (300, 1e-3), (10_000, 4e-5)]),
+    "ruben-gambino-low-n<=140": (None, [(1, 0.75), (1, 0.999), (3, 0.3),
+                                        (100, 0.008), (140, 0.007)]),
+    "ruben-gambino-low-n>140": (None, [(141, 0.007), (300, 0.003)]),
+    "t>=n-1": (None, [(3, 0.7), (100, 0.995), (141, 0.996), (300, 0.999)]),
+    "x>=1/2": ("_smirnov", [(3, 0.5), (3, 0.6), (100, 0.5), (141, 0.7),
+                            (300, 0.55)]),
+    "durbin": ("_durbin_cdf", [(3, 0.4), (100, 0.05), (140, 0.07),
+                               (141, 0.04), (300, 0.02), (10_000, 0.0025)]),
+    "n<=140-middle": ("_durbin_cdf", [(100, 0.1), (100, 0.199),
+                                      (140, 0.12), (140, 0.168)]),
+    "smirnov": ("_smirnov", [(100, 0.25), (140, 0.3), (141, 0.15),
+                             (300, 0.1), (300, 0.4), (10_000, 0.1),
+                             (200_000, 0.004), (200_000, 0.04)]),
+    "nx2>=370": (None, [(10_000, 0.2), (200_000, 0.05)]),
+    "pelz-good": ("_pelz_good_cdf", [(10_000, 0.0087), (10_000, 0.01),
+                                     (200_000, 0.001), (200_000, 0.003)]),
+}
+
+
+def assert_close_to_scipy(got: float, want: float, rtol: float) -> None:
+    if want > 1e-300:
+        assert abs(got - want) <= rtol * want, (got, want)
+    else:
+        assert got <= 1e-300, (got, want)
+
+
+class TestPValues:
+    @pytest.mark.parametrize("branch", KS_BRANCHES)
+    def test_kstwo_sf_branch_matches_scipy(self, branch, monkeypatch):
+        helper, points = KS_BRANCHES[branch]
+        called = set()
+        for name in ("_smirnov", "_durbin_cdf", "_pelz_good_cdf"):
+            original = getattr(rpsim.validate, name)
+            monkeypatch.setattr(
+                rpsim.validate, name,
+                lambda *a, _f=original, _n=name: called.add(_n) or _f(*a))
+        for n, x in points:
+            called.clear()
+            got = _kstwo_sf(n, x)
+            assert called == ({helper} if helper else set()), (n, x, called)
+            assert_close_to_scipy(got, float(stats.kstwo.sf(x, n)), 1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3, 100, 140, 141, 300, 10_000, 200_000])
+    def test_kstwo_sf_sweep_matches_scipy(self, n):
+        # every branch boundary in n*x and n*x^2 of this n, and a sweep
+        t = [0.5, 0.75, 1.0, 1.5, n - 1.5, n - 1.0, n - 0.5]
+        nx2 = [0.1, 0.754693, 0.76, 1.0, 2.2, 2.21, 3.99, 4.0, 4.01, 18.0,
+               50.0, 369.0, 370.0]
+        xs = [v / n for v in t] + [math.sqrt(v / n) for v in nx2] \
+            + [0.4999, 0.5, 0.5001] + np.linspace(1e-3, 0.999, 25).tolist()
+        for x in sorted(v for v in xs if 0.0 < v < 1.0):
+            assert_close_to_scipy(_kstwo_sf(n, x),
+                                  float(stats.kstwo.sf(x, n)), 1e-10)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, 1.0, 1.5])
+    def test_kstwo_sf_outside_the_support(self, x):
+        assert _kstwo_sf(50, x) == float(stats.kstwo.sf(x, 50))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_chi2_sf_matches_scipy(self, k):
+        for x in np.concatenate(([0.0, 1e-8, 1e-3, 0.1],
+                                 np.linspace(0.5, 200.0, 400))):
+            assert_close_to_scipy(_chi2_sf(float(x), k),
+                                  float(stats.chi2.sf(x, k)), 1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ks_statistic_is_bit_identical_to_kstest(self, seed):
+        rng = np.random.default_rng(seed)
+        rate = rng.uniform(0.1, 30.0)
+        times = rng.exponential(1.0 / rate, 3000) * (1.0 + 0.01 * seed)
+        expected = stats.kstest(times, "expon", args=(0.0, 1.0 / rate))
+        assert _ks_statistic(times, 1.0 / rate) == expected.statistic
+
+
+def test_import_and_help_load_no_scipy():
+    # the p-values are computed in-house, so no process of the package pays
+    # for importing scipy
+    code = (
+        "import runpy, sys\n"
+        "import rpsim\n"
+        "sys.argv = ['rpsim', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('rpsim', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(rpsim.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert "usage: rpsim" in out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def small_lln_setup(populations=(100, 400), replicas=40, t=1.0, seed=5):
@@ -375,6 +476,61 @@ def test_run_validation_smoke(tmp_path):
     assert all(r.passed for r in reports.values())
     assert len(lines) == 4
     assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
+
+
+@pytest.mark.parametrize("line, error, message", [
+    ("[validate]\nlln_grid_points = -3", DomainError,
+     "lln_grid_points must be at least 2, got -3"),
+    ("[validate]\nlln_grid_points = 1", DomainError,
+     "lln_grid_points must be at least 2, got 1"),
+    ("[validate]\nlln_time = inf", DomainError,
+     "lln_time must be positive and finite, got inf"),
+    ("[validate]\nclt_time = nan", DomainError,
+     "clt_time must be positive and finite, got nan"),
+    ("[validate]\nmartingale_time = 0", DomainError,
+     "martingale_time must be positive and finite, got 0.0"),
+    ("[validate]\nmeanfield_step = -0.001", DomainError,
+     "meanfield_step must be positive and finite, got -0.001"),
+    ("[validate]\nclt_replicas = 0", DomainError,
+     "clt_replicas must be positive, got 0"),
+    ("[validate]\nclt_replicas = 99", InsufficientReplicas,
+     "clt_replicas must be at least 100, got 99"),
+    ("[validate]\nlln_replicas = -1", DomainError,
+     "lln_replicas must be positive, got -1"),
+    ("[validate]\nmartingale_replicas = 0", DomainError,
+     "martingale_replicas must be positive, got 0"),
+    ("[validate]\ngillespie_samples = 0", DomainError,
+     "gillespie_samples must be positive, got 0"),
+    ("[validate]\nclt_population = 0", DomainError,
+     "clt_population must be positive, got 0"),
+    ("[validate]\nmartingale_population = -5", DomainError,
+     "martingale_population must be positive, got -5"),
+    ("[validate]\nlln_populations = 0 100", DomainError,
+     "lln_populations must be positive and strictly increasing"),
+    ("[validate]\nlln_populations = 400 100", DomainError,
+     "lln_populations must be positive and strictly increasing"),
+    ("[validate]\ngillespie_p_threshold = 0", DomainError,
+     "gillespie_p_threshold must lie in"),
+    ("[validate]\ngillespie_p_threshold = 1", DomainError,
+     "gillespie_p_threshold must lie in"),
+    ("[validate]\ngillespie_lambda = -2", DomainError, "collision rate"),
+    ("[validate]\ngillespie_counts = 1 1", DomainError,
+     "initial counts have length 2"),
+    ("[model]\nlambda = nan\n[validate]\ngillespie_lambda = 1", DomainError,
+     "collision rate"),
+    ("[model]\nfractions = 0.5 0.6 0.1", rpsim.core.NormalizationError,
+     "fractions sum to"),
+])
+def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
+                                                   line, error, message):
+    def no_ensemble(*args, **kw):
+        raise AssertionError("an ensemble ran")
+
+    monkeypatch.setattr(rpsim.validate, "run_ensemble", no_ensemble)
+    ini = tmp_path / "v.ini"
+    ini.write_text(line + "\n")
+    with pytest.raises(error, match=message):
+        run_validation(ValidationConfig.from_ini(ini))
 
 
 def test_run_validation_builds_no_trajectory_objects(monkeypatch):
