@@ -34,7 +34,6 @@ from .fluctuation import (
     propagate_covariance,
     psd_sqrt,
     run_sde_ensemble,
-    simulate_limit_sde,
 )
 from .meanfield import (
     ConservationAudit,
@@ -87,7 +86,7 @@ __all__ = [
     # fluctuation layer
     "CovarianceState", "FluctuationModel", "GaussianPath",
     "diffusion_matrix", "drift_matrix", "propagate_covariance", "psd_sqrt",
-    "run_sde_ensemble", "simulate_limit_sde",
+    "run_sde_ensemble",
     # statistical harness
     "CltReport", "GillespieReport", "LlnRecord", "LlnReport",
     "MartingaleCheck", "MartingaleReport", "ValidationConfig",

@@ -110,6 +110,17 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "initial", tuple(int(c) for c in self.initial))
 
+    def to_dict(self) -> dict:
+        """The JSON form that manifests and reports record."""
+        return {"n": self.n, "lambda": self.lam, "total": self.total,
+                "initial": list(self.initial)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> ModelSpec:
+        """Inverse of :meth:`to_dict`; a missing key raises ``KeyError``."""
+        return cls(n=d["n"], lam=d["lambda"], total=d["total"],
+                   initial=tuple(d["initial"]))
+
     @property
     def fractions(self) -> np.ndarray:
         """Initial counts divided by the total population."""

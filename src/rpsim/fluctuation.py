@@ -10,7 +10,9 @@ collects the reaction intensities in a cyclic band (reaction j, at intensity
 lam*u_j*u_{j+1}, contributes that intensity times the outer product of its
 stoichiometric vector e_j - e_{j+1}).  This module builds b and c, propagates
 the covariance of V through the moment ODE dS/dt = bS + Sb' + c, and
-simulates the limiting SDE directly.
+simulates the limiting SDE directly.  Both consumers take b and c from one
+stored mean-field march, which :class:`FluctuationModel` checks once, when
+it is made.
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, NotPSD, NumericError, check_rate, rng_stream
-from .meanfield import (MeanFieldPath, integrate, rk4_step, snap_grid,
-                        vector_field)
+from .meanfield import MeanFieldPath, rk4_step, snap_grid, vector_field
 
 __all__ = [
     "FluctuationModel",
@@ -31,7 +32,6 @@ __all__ = [
     "diffusion_matrix",
     "psd_sqrt",
     "propagate_covariance",
-    "simulate_limit_sde",
     "run_sde_ensemble",
 ]
 
@@ -42,6 +42,8 @@ _SYMMETRY_TOL = 1e-12
 # steps per block of the covariance march: bounds the memory of its stage
 # coefficient tables and of its batched PSD monitor
 _COV_BLOCK = 1024
+# SDE paths marched together: bounds the memory of the noise buffer
+_SDE_BLOCK = 256
 
 
 def drift_matrix(u, lam: float) -> np.ndarray:
@@ -153,7 +155,6 @@ class GaussianPath:
 
     grid: np.ndarray
     values: np.ndarray            # (len(grid), n)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.values.shape[0] != len(self.grid):
@@ -165,7 +166,10 @@ class FluctuationModel:
     """Coefficients b(t), c(t) evaluated along a stored mean-field path.
 
     Times are served by snapping to the path's integrator steps, exactly as
-    the path itself samples; nothing is interpolated.
+    the path itself samples; nothing is interpolated.  The path must lie on
+    the simplex (:class:`DomainError`) and be an RK4 march at ``lam``, each
+    stored step within 1e-12 of one RK4 step from the one before
+    (:class:`NumericError`).
     """
 
     path: MeanFieldPath
@@ -173,9 +177,14 @@ class FluctuationModel:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", check_rate(self.lam))
-        sums = self.path.step_states.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-6 or self.path.step_states.min() < -1e-6:
+        stored = self.path.step_states
+        sums = stored.sum(axis=1)
+        if np.max(np.abs(sums - 1.0)) > 1e-6 or stored.min() < -1e-6:
             raise DomainError("path states must lie on the simplex")
+        marched = _rk4_stages(stored[:-1].T, self.lam, self.path.step)[0]
+        if np.max(np.abs(marched - stored[1:].T), initial=0.0) > 1e-12:
+            raise NumericError("the stored mean-field path is not an RK4 march "
+                               f"at the model's rate {self.lam:g}")
 
     @classmethod
     def from_path(cls, path: MeanFieldPath, lam: float):
@@ -184,15 +193,6 @@ class FluctuationModel:
     @property
     def n(self) -> int:
         return self.path.n
-
-    def u_at(self, t: float) -> np.ndarray:
-        return self.path.u_at(t)
-
-    def drift_at(self, t: float) -> np.ndarray:
-        return drift_matrix(self.path.u_at(t), self.lam)
-
-    def diffusion_at(self, t: float) -> np.ndarray:
-        return diffusion_matrix(self.path.u_at(t), self.lam)
 
 
 def _rk4_stages(u: np.ndarray, lam: float, h: float):
@@ -207,37 +207,30 @@ def _rk4_stages(u: np.ndarray, lam: float, h: float):
     return rk4_step(field, u, h), stages
 
 
-def propagate_covariance(model: FluctuationModel, sigma0,
-                         step: float | None = None) -> list[CovarianceState]:
+def propagate_covariance(model: FluctuationModel,
+                         sigma0) -> list[CovarianceState]:
     """Propagate the fluctuation covariance along the model's path.
 
-    The moment ODE dS/dt = bS + Sb' + c is marched by RK4 with b and c taken
-    at the mean field's own RK4 stage states, not interpolated.  Those
-    stages do not depend on S, so they come first for every step at once:
-    from the stored path when ``step`` is its step, else from a fresh
-    :func:`integrate` at ``step``.  The stored path must be an RK4 march at
-    the model's rate (each step within 1e-12), or :class:`NumericError`.
-    S is re-symmetrized after every step; a drop of its smallest eigenvalue
-    below -1e-6 aborts with :class:`NotPSD` at the first such step.  Output
-    is aligned with the path's sample grid.
+    The moment ODE dS/dt = bS + Sb' + c is marched by RK4 at the path's own
+    step, with b and c taken at the mean field's RK4 stage states, not
+    interpolated.  Those stages do not depend on S, so they are re-marched
+    from the stored path for every step at once.  S is re-symmetrized after
+    every step; a drop of its smallest eigenvalue below -1e-6 aborts with
+    :class:`NotPSD` at the first such step.  Output is aligned with the
+    path's sample grid, each label served by the step that serves it in the
+    path.
     """
-    path, n, lam = model.path, model.n, model.lam
-    if step is None:
-        step = path.step
+    path, n, lam, step = model.path, model.n, model.lam, model.path.step
     grid, indices, n_steps = snap_grid(path.grid, step)
+    # a label up to half a step past the path's end can round to a step
+    # past it; the path serves it from its last step, and so does S
+    n_steps = min(n_steps, len(path.step_states) - 1)
+    indices = np.minimum(indices, n_steps)
     s = np.asarray(sigma0, dtype=float).copy()
     if s.shape != (n, n):
         raise DomainError(f"initial covariance must be {n}x{n}, got {s.shape}")
     s = CovarianceState(sigma=s, time=0.0).sigma  # symmetric and PSD
-    stored = path.step_states
-    marched, stages = _rk4_stages(stored[:-1].T, lam, path.step)
-    if np.max(np.abs(marched - stored[1:].T), initial=0.0) > 1e-12:
-        raise NumericError("the stored mean-field path is not an RK4 march "
-                           f"at the model's rate {lam:g}")
-    if step != path.step or n_steps >= len(stored):
-        u = integrate(stored[0], lam, t_end=n_steps * step, step=step,
-                      grid=[0.0]).step_states
-        stages = _rk4_stages(u[:-1].T, lam, step)[1]
+    stages = _rk4_stages(path.step_states[:-1].T, lam, step)[1]
 
     # rk4_step calls the field once per stage, in stage order; each call
     # takes that stage's b and c
@@ -272,91 +265,58 @@ def propagate_covariance(model: FluctuationModel, sigma0,
     return out
 
 
-def _sde_setup(model: FluctuationModel, v0, step: float, grid):
-    """Grid, step indices, start value and the per-step ``(drifts, roots)``
-    table, each (n_steps, n, n), of one SDE run.  Step k is served by the
-    path's step nearest to ``k * step``, rounded as
-    :meth:`MeanFieldPath.step_index` rounds."""
+def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
+                     paths: int, base_seed: int) -> list[GaussianPath]:
+    """Euler-Maruyama simulation of ``paths`` paths of the limiting SDE.
+
+    One step: V <- V + b V step + psd_sqrt(c) sqrt(step) xi, with xi a
+    standard normal vector.  ``v0`` is a vector, or None for the default
+    point mass at zero.  Grid times are served by the nearest step, like
+    every other grid in the package.  Step k takes b and c at the path's
+    step nearest to ``k * step``; a grid that needs the mean field past the
+    path's end raises :class:`DomainError`.
+
+    Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: one
+    standard normal per species per step, step-major.  Paths are marched
+    ``_SDE_BLOCK`` at a time, which reassociates the matrix arithmetic, so
+    the block size moves values by float rounding (~1e-13) only.
+    """
+    if paths < 1:
+        raise DomainError(f"need at least one path, got {paths}")
     grid, indices, n_steps = snap_grid(grid, step)
     if len(grid) and grid[0] < 0:
         raise DomainError("grid must be non-negative")
     n, path = model.n, model.path
-    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    if v.shape != (n,):
-        raise DomainError(f"initial value must have shape ({n},), got {v.shape}")
-    nearest = np.rint(np.arange(n_steps) * step / path.step)
-    u = path.step_states[np.clip(nearest, 0, len(path.step_states) - 1)
-                         .astype(int)]
-    return grid, indices, v, (drift_matrix(u, model.lam),
-                              psd_sqrt(diffusion_matrix(u, model.lam)))
-
-
-def _em_core(coefficients, v: np.ndarray, normals: np.ndarray,
-             step: float, indices: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama march shared by the single-path and ensemble runners.
-
-    ``coefficients`` is the ``(drifts, roots)`` table from
-    :func:`_sde_setup`, computed once per run and shared by every
-    block of paths.  ``v`` is (paths, n), ``normals`` is (paths, n_steps, n),
-    ``indices`` is non-decreasing.  Returns samples (paths, len(indices), n):
-    entry g is the value after ``indices[g]`` steps.
-    """
-    drifts, roots = coefficients
-    n_paths, n_steps = normals.shape[0], normals.shape[1]
+    v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
+    if v0.shape != (n,):
+        raise DomainError(f"initial value must have shape ({n},), got {v0.shape}")
+    nearest = np.rint(np.arange(n_steps) * step / path.step).astype(int)
+    if n_steps and nearest[-1] >= len(path.step_states):
+        raise DomainError(
+            f"the SDE grid runs to t={n_steps * step:.6g}, past the end "
+            f"t={(len(path.step_states) - 1) * path.step:.6g} of the "
+            "model's mean-field path")
+    u = path.step_states[nearest]
+    drifts = drift_matrix(u, model.lam)
+    roots = psd_sqrt(diffusion_matrix(u, model.lam))
     sqrt_step = math.sqrt(step)
-    out = np.empty((n_paths, len(indices), v.shape[1]))
-    g = 0
-    for k in range(n_steps + 1):
-        while g < len(indices) and indices[g] == k:
-            out[:, g, :] = v
-            g += 1
-        if k == n_steps:
-            break
-        v = v + (v @ drifts[k].T) * step + (normals[:, k, :] @ roots[k].T) * sqrt_step
-    return out
-
-
-def simulate_limit_sde(model: FluctuationModel, v0, step: float, grid,
-                       rng: np.random.Generator, *,
-                       seed: int | None = None) -> GaussianPath:
-    """Euler-Maruyama simulation of the limiting linear SDE.
-
-    One step: V <- V + b(t) V step + psd_sqrt(c(t)) sqrt(step) xi, with xi a
-    standard normal vector.  ``v0`` is a vector, or None for the default
-    point mass at zero.  Grid times are served by the nearest step, like
-    every other grid in the package.
-    """
-    grid_arr, indices, v, coefficients = _sde_setup(model, v0, step, grid)
-    normals = rng.standard_normal((1, len(coefficients[0]), model.n))
-    values = _em_core(coefficients, v[None, :], normals, step, indices)[0]
-    return GaussianPath(grid=grid_arr, values=values, seed=seed)
-
-
-def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
-                     paths: int, base_seed: int, *,
-                     block: int = 256) -> list[GaussianPath]:
-    """Simulate ``paths`` independent limit-SDE paths.
-
-    Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)`` in
-    the same draw order as :func:`simulate_limit_sde`, so every draw matches
-    the one-at-a-time runner; paths are marched in blocks for speed, which
-    reassociates the matrix arithmetic, so values agree with the single-path
-    runner to float rounding (~1e-13) rather than bit for bit.
-    """
-    if paths < 1:
-        raise DomainError(f"need at least one path, got {paths}")
-    grid_arr, indices, v, coefficients = _sde_setup(model, v0, step, grid)
     # one noise buffer, refilled for each block of paths
-    normals = np.empty((min(block, paths), len(coefficients[0]), model.n))
+    normals = np.empty((min(_SDE_BLOCK, paths), n_steps, n))
     out: list[GaussianPath] = []
-    for start in range(0, paths, block):
-        stop = min(start + block, paths)
-        rows = normals[:stop - start]
-        for row, i in zip(rows, range(start, stop)):
+    for start in range(0, paths, _SDE_BLOCK):
+        rows = normals[:min(start + _SDE_BLOCK, paths) - start]
+        for i, row in enumerate(rows, start):
             rng_stream(base_seed, i).standard_normal(out=row)
-        values = _em_core(coefficients, np.tile(v, (stop - start, 1)), rows,
-                          step, indices)
-        for offset, i in enumerate(range(start, stop)):
-            out.append(GaussianPath(grid=grid_arr.copy(), values=values[offset],
-                                    seed=i))
+        v = np.tile(v0, (len(rows), 1))
+        values = np.empty((len(rows), len(indices), n))
+        g = 0  # values[:, g] is V after indices[g] steps
+        for k in range(n_steps + 1):
+            while g < len(indices) and indices[g] == k:
+                values[:, g, :] = v
+                g += 1
+            if k == n_steps:
+                break
+            v = (v + (v @ drifts[k].T) * step
+                 + (rows[:, k, :] @ roots[k].T) * sqrt_step)
+        out.extend(GaussianPath(grid=grid.copy(), values=x) for x in values)
     return out

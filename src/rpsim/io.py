@@ -73,20 +73,6 @@ def write_json(obj, path) -> None:
         f.write("\n")
 
 
-def _spec_dict(spec: ModelSpec) -> dict:
-    return {
-        "n": spec.n,
-        "lambda": spec.lam,
-        "total": spec.total,
-        "initial": list(spec.initial),
-    }
-
-
-def _spec_from_dict(d: dict) -> ModelSpec:
-    return ModelSpec(n=d["n"], lam=d["lambda"], total=d["total"],
-                     initial=tuple(d["initial"]))
-
-
 def _count_header(n: int, prefix: str = "x") -> list[str]:
     return [f"{prefix}{i + 1}" for i in range(n)]
 
@@ -111,7 +97,7 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
     n_events = [None] * ens.replicas if off is None else np.diff(off).tolist()
     write_json({
         "format_version": FORMAT_VERSION,
-        "model": _spec_dict(ens.spec),
+        "model": ens.spec.to_dict(),
         "kind": "ensemble",
         "base_seed": ens.base_seed,
         "replicas": ens.replicas,
@@ -194,7 +180,7 @@ def read_ensemble(out_dir) -> Ensemble:
         raise DomainError(f"{path}: kind is {manifest.get('kind')!r}, "
                           "expected 'ensemble'")
     try:
-        spec = _spec_from_dict(manifest["model"])
+        spec = ModelSpec.from_dict(manifest["model"])
         base_seed = manifest["base_seed"]
         metas = manifest["trajectories"]
         seeds, logged, n_events, final_counts, absorbed, final_time = (

@@ -29,14 +29,11 @@ __all__ = [
     "integrate",
     "conserved_quantities",
     "INTEGRATOR_TOL",
-    "NEAR_BOUNDARY",
     "DEFAULT_STEP",
 ]
 
 # tolerance backing the blow-up guard: StepError below -10*INTEGRATOR_TOL
 INTEGRATOR_TOL = 1e-9
-# near-boundary warning threshold for min u_i
-NEAR_BOUNDARY = 1e-4
 DEFAULT_STEP = 1e-3
 
 
@@ -64,8 +61,7 @@ class MeanFieldPath:
     ``grid``/``states`` report the caller's requested sample times verbatim;
     for each one the value is taken at the nearest integrator step (snapping,
     never interpolation).  ``step_states`` keeps the full per-step solution,
-    which downstream consumers (fluctuation coefficients) sample the same way
-    via :meth:`u_at`.
+    which the fluctuation layer samples the same way.
     """
 
     grid: np.ndarray
@@ -73,23 +69,10 @@ class MeanFieldPath:
     step: float
     step_states: np.ndarray          # (n_steps + 1, n)
     invariant_audit: ConservationAudit
-    warned_near_boundary: bool
 
     @property
     def n(self) -> int:
         return self.step_states.shape[1]
-
-    @property
-    def horizon(self) -> float:
-        return (len(self.step_states) - 1) * self.step
-
-    def step_index(self, t: float) -> int:
-        """Integrator step nearest to time ``t`` (clipped to the horizon)."""
-        idx = int(round(t / self.step))
-        return min(max(idx, 0), len(self.step_states) - 1)
-
-    def u_at(self, t: float) -> np.ndarray:
-        return self.step_states[self.step_index(t)]
 
 
 def vector_field(u, lam: float) -> np.ndarray:
@@ -122,22 +105,22 @@ def rk4_step(field, u: np.ndarray, h: float) -> np.ndarray:
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def snap_grid(grid, step: float, horizon: float | None = None):
+def snap_grid(grid, step: float, t_end: float | None = None):
     """Serve each sample time from the nearest whole integrator step.
 
     Returns ``(grid, indices, n_steps)``: a float copy of the grid (every
     step when ``grid`` is None), which must be finite and ascending, the
-    step index serving each time, and the number of steps to ``horizon``
+    step index serving each time, and the number of steps to ``t_end``
     (default: the last grid time).  Indices are clipped to ``[0, n_steps]``.
     """
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"step must be positive and finite, got {step}")
     if grid is None:
-        grid = np.arange(int(round(horizon / step)) + 1) * step
+        grid = np.arange(int(round(t_end / step)) + 1) * step
     grid = check_grid(grid)
-    if horizon is None:
-        horizon = grid[-1] if len(grid) else 0.0
-    n_steps = int(round(horizon / step))
+    if t_end is None:
+        t_end = grid[-1] if len(grid) else 0.0
+    n_steps = int(round(t_end / step))
     indices = np.clip(np.rint(grid / step).astype(int), 0, n_steps)
     return grid, indices, n_steps
 
@@ -147,7 +130,7 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     """Fixed-step 4th-order integration of the cyclic system.
 
     ``u0`` holds initial fractions on the simplex and ``lam`` is the
-    positive, finite collision rate.  The horizon ``t_end`` is snapped to a
+    positive, finite collision rate.  The end time ``t_end`` is snapped to a
     whole number of steps, and each time in ``grid`` (default: every step)
     is served by the nearest step.  Raises :class:`StepError` if any
     component falls below ``-10 * INTEGRATOR_TOL`` (blow-up).
@@ -186,5 +169,4 @@ def integrate(u0, lam: float, t_end: float = 1.0,
         grid=grid_arr,
         states=tuple(MeanFieldState(u=states[idx].copy(), time=float(t))
                      for idx, t in zip(indices, grid_arr)),
-        step=float(step), step_states=states, invariant_audit=audit,
-        warned_near_boundary=bool(states.min() < NEAR_BOUNDARY))
+        step=float(step), step_states=states, invariant_audit=audit)

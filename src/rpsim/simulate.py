@@ -164,10 +164,19 @@ class Ensemble:
         """Per block of up to ``_REPLAY_BLOCK`` replicas ``lo..hi - 1``:
         ``(lo, hi, rep, reactions, times)`` of its events at times <= ``t``
         in log order (a prefix of each replica's ascending log), ``rep``
-        being each event's replica less ``lo``."""
+        being each event's replica less ``lo``.
+
+        A replica that was not absorbed has no log past its final time, so
+        a ``t`` beyond it raises :class:`DomainError`.
+        """
         off = self.event_offsets
         if off is None:
             raise MissingEventLog("the ensemble was run in samples-only mode")
+        running = self.final_time[np.isnan(self.absorbed)]
+        if len(running) and t > running.min():
+            raise DomainError(f"replay time t={t:g} lies past the simulated "
+                              f"time t={running.min():g} of an unabsorbed "
+                              "replica")
         for lo in range(0, self.replicas, _REPLAY_BLOCK):
             hi = min(lo + _REPLAY_BLOCK, self.replicas)
             times = self.event_times[off[lo]:off[hi]]

@@ -619,12 +619,7 @@ class GillespieReport:
             "check": "gillespie_equivalence",
             "pass": bool(self.passed),
             "samples": self.samples,
-            "model": {
-                "n": self.spec.n,
-                "lambda": self.spec.lam,
-                "total": self.spec.total,
-                "initial": list(self.spec.initial),
-            },
+            "model": self.spec.to_dict(),
             "total_rate": float(self.total_rate),
             "expected_probs": self.expected_probs.tolist(),
             "observed_counts": self.observed_counts.tolist(),

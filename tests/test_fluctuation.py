@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,6 @@ from rpsim import (
     psd_sqrt,
     rng_stream,
     run_sde_ensemble,
-    simulate_limit_sde,
     vector_field,
 )
 
@@ -55,6 +57,29 @@ def propagate_moments(b_of, c_of, sigma0, times, step):
         for pos in np.flatnonzero(wanted == k + 1):
             out[pos] = s.copy()
     return out
+
+
+def reference_em(model, v0, step, grid, rng):
+    """Reference Euler-Maruyama march, one path and one step at a time:
+    step k takes b and c at the path step nearest to ``k * step``, and the
+    noise is one standard normal per species per step, step-major."""
+    path, n = model.path, model.n
+    n_steps = int(round(grid[-1] / step))
+    xi = rng.standard_normal((n_steps, n))
+    v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
+    after = [v]                             # after[k] is V after k steps
+    for k in range(n_steps):
+        u = path.step_states[round(k * step / path.step)]
+        b = drift_matrix(u, model.lam)
+        root = psd_sqrt(diffusion_matrix(u, model.lam))
+        v = v + (b @ v) * step + (root @ xi[k]) * math.sqrt(step)
+        after.append(v)
+    return np.array([after[round(t / step)] for t in grid])
+
+
+def one_path(model, v0, step, grid, seed):
+    """The single path of a one-path ensemble: it runs on rng_stream(seed, 0)."""
+    return run_sde_ensemble(model, v0, step, grid, 1, seed)[0]
 
 
 def random_simplex(rng, n):
@@ -315,14 +340,16 @@ class TestPropagateCovariance:
         assert np.max(np.abs(sigma_h / h - diffusion_matrix(u0, 1.0))) < 10 * h
 
     def test_step_refinement_converges(self):
-        # independent route: the same model propagated at a 10x coarser step
-        # must agree to far better than either step's nominal accuracy
+        # independent route: the same flow on a path integrated at a 10x
+        # coarser step must agree to far better than either step's nominal
+        # accuracy
         u0 = np.array([0.5, 0.3, 0.2])
         grid = np.array([0.0, 0.5, 1.0])
-        path = integrate(u0, 1.0, t_end=1.0, step=1e-3, grid=grid)
-        model = FluctuationModel.from_path(path, 1.0)
-        fine = propagate_covariance(model, np.zeros((3, 3)))
-        coarse = propagate_covariance(model, np.zeros((3, 3)), step=1e-2)
+        fine, coarse = (
+            propagate_covariance(FluctuationModel.from_path(
+                integrate(u0, 1.0, t_end=1.0, step=step, grid=grid), 1.0),
+                np.zeros((3, 3)))
+            for step in (1e-3, 1e-2))
         for a, b in zip(fine, coarse):
             assert np.max(np.abs(a.sigma - b.sigma)) < 1e-8
 
@@ -336,39 +363,48 @@ class TestPropagateCovariance:
         path = integrate(u0, 1.0, t_end=1.0, step=step, grid=grid)
         model = FluctuationModel.from_path(path, 1.0)
         joint = propagate_covariance(model, np.zeros((3, 3)))
-        injected = propagate_moments(model.drift_at, model.diffusion_at,
-                                     np.zeros((3, 3)), grid, step=step)
+        injected = propagate_moments(
+            lambda t: drift_matrix(path.step_states[round(t / step)], 1.0),
+            lambda t: diffusion_matrix(path.step_states[round(t / step)], 1.0),
+            np.zeros((3, 3)), grid, step=step)
         for a, b in zip(joint, injected):
             assert np.max(np.abs(a.sigma - b)) < 3e-5
 
     def test_divergence_guard(self):
-        # a model whose rate disagrees with its stored path must be caught
+        # a model whose rate disagrees with its stored path is refused when
+        # it is made, so neither consumer can run it
         path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
                          step=1e-3, grid=np.array([0.0, 1.0]))
-        mismatched = FluctuationModel.from_path(path, 2.0)
+        with pytest.raises(NumericError, match="not an RK4 march"):
+            FluctuationModel.from_path(path, 2.0)
+        # a copy at another rate is made, and checked, the same way
+        good = FluctuationModel.from_path(path, 1.0)
         with pytest.raises(NumericError):
-            propagate_covariance(mismatched, np.zeros((3, 3)))
+            run_sde_ensemble(dataclasses.replace(good, lam=2.0), None, 1e-3,
+                             path.grid, 2, 0)
 
     @pytest.mark.parametrize("step", [None, 1e-3, 1e-2])
     def test_divergence_guard_catches_a_small_rate_mismatch(self, step):
         # each stored step must be one RK4 step at the model's rate, whatever
-        # step the covariance is marched at
+        # step the path was integrated at (None: the default step)
+        kwargs = {} if step is None else {"step": step}
         path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
-                         step=1e-3, grid=np.array([0.0, 0.5, 1.0]))
+                         grid=np.array([0.0, 0.5, 1.0]), **kwargs)
         with pytest.raises(NumericError):
-            propagate_covariance(FluctuationModel.from_path(path, 1.001),
-                                 np.zeros((3, 3)), step=step)
+            FluctuationModel.from_path(path, 1.001)
         propagate_covariance(FluctuationModel.from_path(path, 1.0),
-                             np.zeros((3, 3)), step=step)
+                             np.zeros((3, 3)))
 
     def test_off_step_labels_are_served(self):
         # a march step that does not divide the path's labels serves each
         # label from its nearest march step, as every other grid does
-        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
-                         step=1e-3, grid=np.array([0.0, 0.5, 1.0]))
-        model = FluctuationModel.from_path(path, 1.0)
-        fine = propagate_covariance(model, np.zeros((3, 3)))
-        odd = propagate_covariance(model, np.zeros((3, 3)), step=3.3e-3)
+        def covariance(step):
+            path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
+                             step=step, grid=np.array([0.0, 0.5, 1.0]))
+            return propagate_covariance(FluctuationModel.from_path(path, 1.0),
+                                        np.zeros((3, 3)))
+
+        fine, odd = covariance(1e-3), covariance(3.3e-3)
         assert [st.time for st in odd] == [0.0, 0.5, 1.0]
         for a, b in zip(fine[1:], odd[1:]):
             assert np.max(np.abs(a.sigma - b.sigma)) < 1e-3
@@ -403,6 +439,22 @@ class TestPropagateCovariance:
             [b.sigma.tobytes() for b in blocked]
         assert [a.time for a in whole] == [b.time for b in blocked]
 
+    def test_label_past_the_path_end_takes_its_last_step(self):
+        # the label 0.75 is half a step past t_end = 0.5 and rounds to step
+        # 2 of a 1-step path; it is served by the last step, in the
+        # covariance as in the path
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=0.5,
+                         step=0.5, grid=np.array([0.0, 0.75]))
+        model = FluctuationModel.from_path(path, 1.0)
+        short = FluctuationModel.from_path(
+            integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=0.5, step=0.5,
+                      grid=np.array([0.0, 0.5])), 1.0)
+        out = propagate_covariance(model, np.zeros((3, 3)))
+        assert [st.time for st in out] == [0.0, 0.75]
+        assert np.array_equal(path.states[1].u, path.step_states[1])
+        assert out[1].sigma.tobytes() == \
+            propagate_covariance(short, np.zeros((3, 3)))[1].sigma.tobytes()
+
     def test_sigma0_validation(self):
         model = fixed_point_model()
         with pytest.raises(DomainError):
@@ -415,14 +467,15 @@ class TestPropagateCovariance:
 
 class TestFluctuationModel:
     def test_from_path_snaps_coefficients(self):
+        # an SDE step that does not divide the path's step takes b and c at
+        # the nearest path step, never interpolated
         u0 = np.array([0.5, 0.3, 0.2])
         path = integrate(u0, 1.0, t_end=1.0, step=1e-2)
         model = FluctuationModel.from_path(path, 1.0)
-        assert np.array_equal(model.u_at(0.333), path.u_at(0.333))
-        assert np.array_equal(model.drift_at(0.5),
-                              drift_matrix(path.u_at(0.5), 1.0))
-        assert np.array_equal(model.diffusion_at(0.5),
-                              diffusion_matrix(path.u_at(0.5), 1.0))
+        grid = np.array([0.0, 0.333, 0.999])
+        sde = one_path(model, None, 3e-3, grid, 4)
+        ref = reference_em(model, None, 3e-3, grid, rng_stream(4, 0))
+        assert np.allclose(sde.values, ref, rtol=0, atol=1e-12)
 
     def test_rejects_off_simplex_path(self):
         path = integrate(THIRD, 1.0, t_end=0.1, step=1e-2)
@@ -432,66 +485,83 @@ class TestFluctuationModel:
 
 
 class TestLimitSde:
+    # one-path ensembles: the ensemble runner is the only SDE runner
+
     def test_reproducible(self):
         model = fixed_point_model()
         grid = np.array([0.0, 0.5, 1.0])
-        a = simulate_limit_sde(model, None, 1e-2, grid, rng_stream(1, 0))
-        b = simulate_limit_sde(model, None, 1e-2, grid, rng_stream(1, 0))
-        assert np.array_equal(a.values, b.values)
+        a = one_path(model, None, 1e-2, grid, 1)
+        b = one_path(model, None, 1e-2, grid, 1)
+        assert a.values.tobytes() == b.values.tobytes()
 
     def test_zero_start_records_zero_at_time_zero(self):
         model = fixed_point_model()
-        path = simulate_limit_sde(model, None, 1e-2, np.array([0.0, 1.0]),
-                                  rng_stream(1, 0))
+        path = one_path(model, None, 1e-2, np.array([0.0, 1.0]), 1)
         assert np.array_equal(path.values[0], np.zeros(3))
         assert not np.allclose(path.values[1], 0.0)
 
     def test_component_sum_stays_zero(self):
         # noise and drift both live in the zero-sum subspace
         model = fixed_point_model()
-        path = simulate_limit_sde(model, None, 1e-3,
-                                  np.linspace(0, 1, 7), rng_stream(2, 0))
+        path = one_path(model, None, 1e-3, np.linspace(0, 1, 7), 2)
         assert np.max(np.abs(path.values.sum(axis=1))) < 1e-12
 
     def test_vector_start(self):
         model = fixed_point_model()
         v0 = np.array([0.3, -0.1, -0.2])
-        path = simulate_limit_sde(model, v0, 1e-2, np.array([0.0]),
-                                  rng_stream(3, 0))
+        path = one_path(model, v0, 1e-2, np.array([0.0, 0.5]), 3)
         assert np.array_equal(path.values[0], v0)
+        ref = reference_em(model, v0, 1e-2, path.grid, rng_stream(3, 0))
+        assert np.allclose(path.values, ref, rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
         model = fixed_point_model()
         with pytest.raises(DomainError):
-            simulate_limit_sde(model, np.zeros(4), 1e-2, np.array([0.0]),
-                               rng_stream(0, 0))
+            one_path(model, np.zeros(4), 1e-2, np.array([0.0]), 0)
         with pytest.raises(DomainError):
-            simulate_limit_sde(model, None, 0.0, np.array([0.0]),
-                               rng_stream(0, 0))
+            one_path(model, None, 0.0, np.array([0.0]), 0)
+        with pytest.raises(DomainError):
+            one_path(model, None, 1e-2, np.array([-0.5, 0.0]), 0)
 
 
 class TestSdeEnsemble:
-    def test_matches_single_path_runner(self):
-        # same streams, blocked arithmetic: equal to float rounding
+    def test_matches_single_path_runner(self, monkeypatch):
+        # with one path per block each path is marched on its own, as a
+        # reference march on its stream; the default block differs from it
+        # by float rounding only
+        import rpsim.fluctuation as fl
         model = fixed_point_model()
         grid = np.array([0.0, 0.5, 1.0])
-        ens = run_sde_ensemble(model, None, 1e-2, grid, 5, base_seed=13,
-                               block=2)
-        for i, path in enumerate(ens):
-            single = simulate_limit_sde(model, None, 1e-2, grid,
-                                        rng_stream(13, i), seed=i)
-            assert np.allclose(path.values, single.values, rtol=0,
-                               atol=1e-12)
-            assert path.seed == i
+        blocked = run_sde_ensemble(model, None, 1e-2, grid, 5, 13)
+        monkeypatch.setattr(fl, "_SDE_BLOCK", 1)
+        single = run_sde_ensemble(model, None, 1e-2, grid, 5, 13)
+        assert single[0].values.tobytes() == \
+            one_path(model, None, 1e-2, grid, 13).values.tobytes()
+        for i, (a, b) in enumerate(zip(single, blocked)):
+            ref = reference_em(model, None, 1e-2, grid, rng_stream(13, i))
+            assert np.allclose(a.values, ref, rtol=0, atol=1e-12)
+            assert np.allclose(a.values, b.values, rtol=0, atol=1e-12)
 
-    def test_block_size_does_not_change_results(self):
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        import rpsim.fluctuation as fl
         model = fixed_point_model()
         grid = np.array([0.0, 1.0])
-        a = run_sde_ensemble(model, None, 1e-2, grid, 7, base_seed=5, block=3)
-        b = run_sde_ensemble(model, None, 1e-2, grid, 7, base_seed=5,
-                             block=256)
+        b = run_sde_ensemble(model, None, 1e-2, grid, 7, 5)
+        monkeypatch.setattr(fl, "_SDE_BLOCK", 3)
+        a = run_sde_ensemble(model, None, 1e-2, grid, 7, 5)
+        assert len(a) == len(b) == 7
         for pa, pb in zip(a, b):
             assert np.allclose(pa.values, pb.values, rtol=0, atol=1e-12)
+
+    def test_grid_past_the_path_end_raises(self):
+        # b and c exist only along the stored path: a grid that needs them
+        # past its end is refused, naming both ends
+        model = fixed_point_model(t_end=1.0)
+        with pytest.raises(DomainError,
+                           match=r"runs to t=5, past the end t=1 "):
+            run_sde_ensemble(model, None, 1e-2, np.array([0.0, 5.0]), 2, 0)
+        # the last step starts inside the path, so this grid still runs
+        run_sde_ensemble(model, None, 1e-2, np.array([0.0, 1.0]), 2, 0)
 
     def test_rejects_zero_paths(self):
         with pytest.raises(DomainError):

@@ -343,8 +343,7 @@ def meanfield_path(times, rows) -> MeanFieldPath:
     return MeanFieldPath(
         grid=np.asarray(times, dtype=float),
         states=tuple(MeanFieldState(u=u, time=t) for t, u in zip(times, rows)),
-        step=1.0, step_states=rows[:1], invariant_audit=None,
-        warned_near_boundary=False)
+        step=1.0, step_states=rows[:1], invariant_audit=None)
 
 
 MEANFIELD_PATHS = {
@@ -406,7 +405,7 @@ GAUSSIAN_PATHS = {
                                         values=np.empty((0, 3)))] * 3,
     "n=5": lambda: [GaussianPath(grid=np.linspace(0.0, 1.0, 4),
                                  values=np.random.default_rng(i)
-                                 .standard_normal((4, 5)), seed=i)
+                                 .standard_normal((4, 5)))
                     for i in range(3)],
     "over-one-chunk": lambda: [GaussianPath(
         grid=np.linspace(0.0, 1.0, BLOCK),

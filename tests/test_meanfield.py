@@ -111,15 +111,6 @@ class TestIntegrate:
         # value served from the nearest step, never interpolated
         assert np.array_equal(path.states[1].u, path.step_states[250])
 
-    def test_u_at_clips_to_horizon(self):
-        path = integrate(simplex(0.5, 0.3, 0.2), 1.0, t_end=1.0, step=1e-2)
-        assert np.array_equal(path.u_at(99.0), path.step_states[-1])
-        assert np.array_equal(path.u_at(-1.0), path.step_states[0])
-
-    def test_horizon_property(self):
-        path = integrate(simplex(0.5, 0.3, 0.2), 1.0, t_end=2.0, step=1e-2)
-        assert path.horizon == pytest.approx(2.0)
-
     def test_grid_validation(self):
         u0 = simplex(0.5, 0.3, 0.2)
         with pytest.raises(DomainError):
@@ -158,12 +149,6 @@ class TestIntegrate:
         # one step of 10 time units overshoots the simplex near a vertex
         with pytest.raises(StepError, match="at t=10;"):
             integrate(simplex(0.98, 0.01, 0.01), 1.0, t_end=100.0, step=10.0)
-
-    def test_near_boundary_flag(self):
-        hugging = integrate(simplex(0.5, 0.5 - 1e-5, 1e-5), 1.0, t_end=0.1)
-        assert hugging.warned_near_boundary
-        interior = integrate(simplex(*[1 / 3] * 3), 1.0, t_end=0.1)
-        assert not interior.warned_near_boundary
 
     @given(
         weights=st.lists(st.integers(min_value=1, max_value=20),

@@ -529,13 +529,19 @@ def test_replay_matches_per_replica_reference(log, block, data):
         event_reactions=np.array([r for rr in reactions for r in rr],
                                  dtype=np.int16),
         event_offsets=np.cumsum([0] + [len(tt) for tt in times]))
-    # before, at and after logged times, and at the ends of the horizon
+    # before, at and after logged times, and at the ends of the horizon;
+    # past the final time 2.0 there is nothing to replay
     logged = sorted({x for tt in times for x in tt})
     at = data.draw(st.sampled_from(logged)) if logged else 1.0
     for t in (0.0, at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf),
               2.0, 3.0):
         with unittest.mock.patch.object(rpsim.simulate, "_REPLAY_BLOCK",
                                         block):
+            if t > 2.0:
+                for replay in (ens.jump_counts, ens.internal_times):
+                    with pytest.raises(DomainError, match="past the simulated"):
+                        replay(t)
+                continue
             jumps, internal = ens.jump_counts(t), ens.internal_times(t)
         assert jumps.shape == internal.shape == (replicas, spec.n)
         for i in range(replicas):

@@ -351,6 +351,25 @@ class TestMartingale:
         with pytest.raises(MissingEventLog):
             martingale_test(ens, 1.0)
 
+    def test_time_past_the_run_is_a_domain_error(self):
+        # an unabsorbed replica has no log past t_end, so replaying there
+        # would count no events while its intensity kept accumulating
+        spec = ModelSpec(n=3, lam=1.0, total=100, initial=(34, 33, 33))
+        ens = run_ensemble(spec, 40, 1.0, np.array([1.0]), base_seed=5,
+                           record_events=True)
+        martingale_test(ens, 1.0)
+        with pytest.raises(DomainError, match=r"t=2 lies past the simulated "
+                           r"time t=1 of an unabsorbed replica"):
+            martingale_test(ens, 2.0)
+        # an absorbed replica's state is final, so it replays at any time
+        spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
+        ens = run_ensemble(spec, 20, math.inf, np.array([0.0]), base_seed=5,
+                           record_events=True)
+        assert not np.isnan(ens.absorbed).any()
+        rep = martingale_test(ens, 100.0)
+        assert rep.mean_jump_counts.sum() == \
+            ens.event_offsets[-1] / ens.replicas
+
     def test_counting_decomposition_consistency(self):
         # mean jump counts ~ mean internal times (that is the identity)
         spec = ModelSpec(n=3, lam=1.0, total=100, initial=(34, 33, 33))
