@@ -42,8 +42,8 @@ _SYMMETRY_TOL = 1e-12
 # steps per block of the covariance march: bounds the memory of its stage
 # coefficient tables and of its batched PSD monitor
 _COV_BLOCK = 1024
-# SDE paths marched together: bounds the memory of the noise buffer
-_SDE_BLOCK = 256
+# SDE steps whose normals are drawn at a time: bounds the noise buffer
+_SDE_CHUNK = 256
 
 
 def drift_matrix(u, lam: float) -> np.ndarray:
@@ -277,9 +277,10 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     path's end raises :class:`DomainError`.
 
     Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: one
-    standard normal per species per step, step-major.  Paths are marched
-    ``_SDE_BLOCK`` at a time, which reassociates the matrix arithmetic, so
-    the block size moves values by float rounding (~1e-13) only.
+    standard normal per species per step, step-major.  Every path is marched
+    at once; each path's normals are drawn ``_SDE_CHUNK`` steps at a time,
+    which takes them from its stream in the same order as one draw, so the
+    chunk size never changes a value.
     """
     if paths < 1:
         raise DomainError(f"need at least one path, got {paths}")
@@ -300,23 +301,23 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     drifts = drift_matrix(u, model.lam)
     roots = psd_sqrt(diffusion_matrix(u, model.lam))
     sqrt_step = math.sqrt(step)
-    # one noise buffer, refilled for each block of paths
-    normals = np.empty((min(_SDE_BLOCK, paths), n_steps, n))
-    out: list[GaussianPath] = []
-    for start in range(0, paths, _SDE_BLOCK):
-        rows = normals[:min(start + _SDE_BLOCK, paths) - start]
-        for i, row in enumerate(rows, start):
-            rng_stream(base_seed, i).standard_normal(out=row)
-        v = np.tile(v0, (len(rows), 1))
-        values = np.empty((len(rows), len(indices), n))
-        g = 0  # values[:, g] is V after indices[g] steps
-        for k in range(n_steps + 1):
-            while g < len(indices) and indices[g] == k:
-                values[:, g, :] = v
-                g += 1
-            if k == n_steps:
-                break
-            v = (v + (v @ drifts[k].T) * step
-                 + (rows[:, k, :] @ roots[k].T) * sqrt_step)
-        out.extend(GaussianPath(grid=grid.copy(), values=x) for x in values)
-    return out
+    gens = [rng_stream(base_seed, i) for i in range(paths)]
+    # one noise buffer, refilled for each chunk of steps
+    normals = np.empty((paths, min(_SDE_CHUNK, n_steps), n))
+    v = np.tile(v0, (paths, 1))
+    values = np.empty((paths, len(indices), n))
+    g = 0  # values[:, g] is V after indices[g] steps
+    for k in range(n_steps + 1):
+        while g < len(indices) and indices[g] == k:
+            values[:, g, :] = v
+            g += 1
+        if k == n_steps:
+            break
+        j = k % _SDE_CHUNK
+        if j == 0:
+            rows = normals[:, :min(_SDE_CHUNK, n_steps - k)]
+            for gen, row in zip(gens, rows):
+                gen.standard_normal(out=row)
+        v = (v + (v @ drifts[k].T) * step
+             + (rows[:, j, :] @ roots[k].T) * sqrt_step)
+    return [GaussianPath(grid=grid.copy(), values=x) for x in values]

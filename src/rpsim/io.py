@@ -7,14 +7,19 @@ write/read round trip reproduces an ensemble bit for bit, and they check
 each event log against the manifest's event count and final counts.
 
 CSVs are written and read a block of rows at a time: one ``%`` on a repeated
-row template formats up to ``_CHUNK`` rows, and :func:`numpy.loadtxt` parses
-a file.  Malformed CSV input raises :class:`DomainError` naming the file.
+row template formats up to ``_CHUNK`` rows, and one :func:`numpy.loadtxt`
+call parses up to ``_CHUNK``.  An event log is read into arrays sized from
+the manifest, so reading holds it once plus one block.  Malformed CSV input
+raises :class:`DomainError` naming the file and, where it can, the row.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import os
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,41 +119,135 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
     return out
 
 
-def _load(path: Path, fields: list, replicas: int):
-    """The rows of CSV ``path`` below its header, one field per column after
-    the leading replica column, and the bounds of each replica's rows: those
-    of replica ``i`` are ``rows[bounds[i]:bounds[i + 1]]``."""
-    rows = np.empty(0, [("replica", np.int64)] + fields)
-    with open(path, encoding="utf-8") as f:
-        if not f.readline():
-            raise DomainError(f"{path}: empty file, expected a header row")
-        start = f.tell()
-        if f.read(1):  # a header alone is an empty table, not a loadtxt warning
-            f.seek(start)
-            try:
-                rows = np.loadtxt(f, dtype=rows.dtype, delimiter=",",
-                                  comments=None, ndmin=1)
-            except ValueError as exc:  # its message names the row it can
-                raise DomainError(f"{path}: {exc}") from exc
+def _open_r(path: Path):
+    """Open CSV ``path`` for reading, past its header row."""
+    f = open(path, encoding="utf-8")
+    if not f.readline():
+        f.close()
+        raise DomainError(f"{path}: empty file, expected a header row")
+    return f
+
+
+def _blocks(f, path: Path, fields: list):
+    """The rows of CSV file ``f`` (``path``) after its header, up to
+    ``_CHUNK`` at a time: ``(lo, rows)`` per block, ``rows`` being the
+    file's rows ``lo..`` parsed as a leading replica column and then one
+    field per column."""
+    dtype = [("replica", np.int64)] + fields
+    lo = 0
+    while True:
+        # loadtxt warns on a block with no rows, and skips empty lines
+        line = f.readline()
+        while line == "\n":
+            line = f.readline()
+        if not line:
+            return
+        try:
+            with warnings.catch_warnings():
+                # an empty line inside a block is skipped, as in a whole
+                # file, though with max_rows numpy warns about it
+                warnings.filterwarnings("ignore", "Input line .* no data",
+                                        UserWarning)
+                rows = np.loadtxt(itertools.chain((line,), f), dtype=dtype,
+                                  delimiter=",", comments=None, ndmin=1,
+                                  max_rows=_CHUNK)
+        except ValueError as exc:
+            # its message ends by naming the row it can, counted within the
+            # block; name the row of the file instead
+            message = re.sub(r"(.*at row )(\d+)",
+                             lambda m: f"{m[1]}{int(m[2]) + lo}", str(exc),
+                             count=1, flags=re.DOTALL)
+            raise DomainError(f"{path}: {message}") from exc
+        yield lo, rows
+        lo += len(rows)
+
+
+def _ungrouped(path: Path, replicas: int) -> DomainError:
+    return DomainError(
+        f"{path}: rows are not grouped by replica 0..{replicas - 1}")
+
+
+def _load_samples(path: Path, spec: ModelSpec, replicas: int):
+    """The shared grid and the ``(replicas, G, n)`` samples of CSV
+    ``path``, which must give every replica the same ascending grid and
+    conserve the population in every sample."""
+    fields = [("time", np.float64), ("counts", np.int64, (spec.n,))]
+    with _open_r(path) as f:
+        parts = [rows for _, rows in _blocks(f, path, fields)]
+    rows = (np.concatenate(parts) if parts
+            else np.empty(0, [("replica", np.int64)] + fields))
     rep = rows["replica"]
     bounds = np.searchsorted(rep, np.arange(replicas + 1))
     if bounds[0] or bounds[-1] != len(rep) or np.any(rep[1:] < rep[:-1]):
-        raise DomainError(
-            f"{path}: rows are not grouped by replica 0..{replicas - 1}")
-    return rows, bounds
+        raise _ungrouped(path, replicas)
+    size = bounds[1]
+    if np.any(np.diff(bounds) != size):
+        raise DomainError(f"{path}: replicas do not share one grid")
+    times = rows["time"].reshape(replicas, size)
+    try:
+        grid = check_grid(times[0])
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    if np.any(times != grid):
+        raise DomainError(f"{path}: replicas do not share one grid")
+    samples = np.ascontiguousarray(rows["counts"]).reshape(replicas, size,
+                                                           spec.n)
+    if np.any(samples.sum(axis=2) != spec.total):
+        raise DomainError(f"{path}: a sample breaks population conservation")
+    return grid, samples
 
 
-def _check_log(path: Path, i: int, spec: ModelSpec, n_events: int,
-               final_counts: list, times: np.ndarray,
-               reactions: np.ndarray) -> None:
+def _load_events(path: Path, spec: ModelSpec, n_events: list,
+                 final_counts: list):
+    """The flat event times, reactions and replica offsets of CSV ``path``,
+    checked against the manifest's ``n_events`` and ``final_counts``.
+
+    The log is parsed a block of rows at a time into arrays sized from the
+    manifest; rows past its total are counted, not kept.
+    """
+    if not all(type(k) is int and k >= 0 for k in n_events):
+        raise DomainError(f"{path}: the manifest's n_events must be "
+                          "non-negative integers")
+    replicas, total = len(n_events), sum(n_events)
+    with _open_r(path) as f:
+        # the shortest row, "0,0,0\n", has 6 bytes
+        if total > os.fstat(f.fileno()).st_size // 6:
+            raise DomainError(f"{path}: the manifest counts {total} events, "
+                              "more than the file can hold")
+        times = np.empty(total)
+        reactions = np.empty(total, dtype=np.int16)
+        counts = np.zeros(replicas, dtype=np.int64)
+        last = 0
+        for lo, rows in _blocks(f, path, [("time", np.float64),
+                                          ("reaction", np.int16)]):
+            rep = rows["replica"]
+            if (rep[0] < last or rep[-1] >= replicas
+                    or np.any(rep[1:] < rep[:-1])):
+                raise _ungrouped(path, replicas)
+            last = rep[-1]
+            counts += np.bincount(rep, minlength=replicas)
+            kept = rows[:max(0, total - lo)]
+            times[lo:lo + len(kept)] = kept["time"]
+            reactions[lo:lo + len(kept)] = kept["reaction"]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    for i in range(replicas):
+        # every replica before the first miscounted one is where the
+        # manifest puts it
+        if counts[i] != n_events[i]:
+            raise DomainError(f"{path}: replica {i} has {counts[i]} events, "
+                              f"the manifest says {n_events[i]}")
+        lo, hi = offsets[i], offsets[i + 1]
+        _check_log(path, i, spec, final_counts[i], times[lo:hi],
+                   reactions[lo:hi])
+    return times, reactions, offsets
+
+
+def _check_log(path: Path, i: int, spec: ModelSpec, final_counts: list,
+               times: np.ndarray, reactions: np.ndarray) -> None:
     """Raise DomainError unless replica ``i``'s event log is in time order
-    and matches its manifest entry: ``n_events`` events, and replaying them
-    gives ``final_counts`` (reaction j moves one unit from species j+1 to
-    species j)."""
+    and replaying it gives ``final_counts`` (reaction j moves one unit from
+    species j+1 to species j)."""
     n = spec.n
-    if len(reactions) != n_events:
-        raise DomainError(f"{path}: replica {i} has {len(reactions)} events, "
-                          f"the manifest says {n_events}")
     if not np.all(np.diff(times) >= 0):
         raise DomainError(f"{path}: replica {i} has event times out of order")
     # one pass per reaction over the int16 log, with no full-size int copy
@@ -171,7 +270,9 @@ def read_ensemble(out_dir) -> Ensemble:
     whose replicas are not seeds ``0..R-1`` or mix logged and unlogged
     runs; for replicas that do not share one ascending grid, or a sample
     that breaks conservation; and for an event log that is out of order or
-    does not replay to its manifest entry.
+    does not replay to its manifest entry, or whose manifest event counts
+    are not non-negative integers or add up to more rows than
+    ``events.csv`` can hold (checked before anything is sized from them).
     """
     out = Path(out_dir)
     path = out / "manifest.json"
@@ -199,35 +300,11 @@ def read_ensemble(out_dir) -> Ensemble:
     if len(set(logged)) > 1:
         raise DomainError(f"{path}: replicas mix kept and dropped event logs")
 
-    path = out / "samples.csv"
-    rows, bounds = _load(path, [("time", np.float64),
-                                ("counts", np.int64, (spec.n,))], replicas)
-    size = bounds[1]
-    if np.any(np.diff(bounds) != size):
-        raise DomainError(f"{path}: replicas do not share one grid")
-    times = rows["time"].reshape(replicas, size)
-    try:
-        grid = check_grid(times[0])
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
-    if np.any(times != grid):
-        raise DomainError(f"{path}: replicas do not share one grid")
-    samples = np.ascontiguousarray(rows["counts"]).reshape(replicas, size,
-                                                           spec.n)
-    if np.any(samples.sum(axis=2) != spec.total):
-        raise DomainError(f"{path}: a sample breaks population conservation")
-
+    grid, samples = _load_samples(out / "samples.csv", spec, replicas)
     event_times = event_reactions = offsets = None
     if logged[0]:
-        path = out / "events.csv"
-        rows, offsets = _load(path, [("time", np.float64),
-                                     ("reaction", np.int16)], replicas)
-        event_times = rows["time"].copy()
-        event_reactions = rows["reaction"].copy()
-        for i in range(replicas):
-            lo, hi = offsets[i], offsets[i + 1]
-            _check_log(path, i, spec, n_events[i], final_counts[i],
-                       event_times[lo:hi], event_reactions[lo:hi])
+        event_times, event_reactions, offsets = _load_events(
+            out / "events.csv", spec, n_events, final_counts)
     return Ensemble(
         spec=spec,
         grid=grid,

@@ -14,7 +14,8 @@ gap.
 Two engines run this loop with the same arithmetic in the same order:
 
 * :func:`run_until` runs one replica, one event at a time.  Ensembles of
-  fewer than 32 replicas (``_LOCKSTEP_MIN``) run it once per replica.
+  fewer than 32 replicas (``_LOCKSTEP_MIN``) run it once per replica, every
+  replica appending its events to one shared log.
 * ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together
   on ``(replicas, n)`` arrays, one event per replica per step.
   :func:`run_ensemble` takes it from 32 replicas up, in chunks; below that
@@ -275,7 +276,7 @@ def _check_run(spec: ModelSpec, t_end: float, grid) -> np.ndarray:
 
 def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
               *, seed: int = 0, record_events: bool | None = None,
-              max_events: int = DEFAULT_MAX_EVENTS) -> Trajectory:
+              max_events: int = DEFAULT_MAX_EVENTS, _log=None) -> Trajectory:
     """Simulate one replica until ``t_end`` (or absorption), sampling on ``grid``.
 
     Parameters
@@ -296,6 +297,10 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
         count (initial total rate times horizon) is below ``10**7``.
     max_events : int
         Hard event budget; exceeding it raises :class:`BudgetExceeded`.
+    _log : pair of ``array.array``, private
+        With ``record_events`` false, the events are appended to these
+        buffers of doubles and shorts instead: :func:`run_ensemble` passes
+        every replica the same pair, so its flat log is built in one copy.
 
     Grid samples are right-continuous: a grid time equal to an event time
     records the post-event state.  After absorption all remaining grid times
@@ -324,8 +329,9 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     rates = [0.0] * n
     samples: list[tuple[int, ...]] = []
     # raw doubles and shorts, which np.asarray views without a copy
-    ev_times = array.array("d")
-    ev_reactions = array.array("h")
+    log = (array.array("d"), array.array("h")) if record_events else _log
+    if log is not None:
+        log_time, log_reaction = log[0].append, log[1].append
     absorbed: float | None = None
     n_events = 0
 
@@ -374,9 +380,9 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
             )
         if sum(counts) != total:
             raise AssertionError("population conservation violated")  # unreachable
-        if record_events:
-            ev_times.append(t)
-            ev_reactions.append(best)
+        if log is not None:
+            log_time(t)
+            log_reaction(best)
 
     while gi < glen:  # horizon reached or absorbed: state no longer changes
         samples.append(tuple(counts))
@@ -387,8 +393,8 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
         seed=seed,
         grid=grid,
         samples=np.asarray(samples, dtype=np.int64).reshape(glen, n),
-        event_times=np.asarray(ev_times) if record_events else None,
-        event_reactions=np.asarray(ev_reactions) if record_events else None,
+        event_times=np.asarray(log[0]) if record_events else None,
+        event_reactions=np.asarray(log[1]) if record_events else None,
         absorbed=absorbed,
         final_counts=tuple(counts),
         final_time=absorbed if absorbed is not None else t_end,
@@ -396,11 +402,12 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
 
 
 def _replica(spec: ModelSpec, t_end: float, grid: np.ndarray, base_seed: int,
-             i: int, record_events: bool, max_events: int) -> Trajectory:
-    """Replica ``i`` through :func:`run_until`, a failure tagged with ``i``."""
+             i: int, max_events: int, log=None) -> Trajectory:
+    """Replica ``i`` through :func:`run_until`, its events appended to
+    ``log`` if given, a failure tagged with ``i``."""
     try:
         return run_until(spec, t_end, grid, rng_stream(base_seed, i), seed=i,
-                         record_events=record_events, max_events=max_events)
+                         record_events=False, max_events=max_events, _log=log)
     except RpsimError as exc:
         raise ReplicaError(i, exc) from exc
 
@@ -517,8 +524,7 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
                     # failing replica, so the error is the serial path's
                     last = first + int(ids[bad.any(axis=1)][0])
                     for i in range(first, last + 1):
-                        _replica(spec, t_end, grid, base_seed, i,
-                                 record_events, max_events)
+                        _replica(spec, t_end, grid, base_seed, i, max_events)
                     raise AssertionError("lockstep and serial engines disagree")
                 np.minimum(advanced, threshold, out=advanced)
             internal = advanced
@@ -573,16 +579,28 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
     if replicas < _LOCKSTEP_MIN:
-        return Ensemble.from_trajectories(
-            [_replica(spec, t_end, grid, base_seed, i, record_events, max_events)
-             for i in range(replicas)], base_seed)
-    # in near-equal chunks of at most _LOCKSTEP_MAX, to bound memory
-    size = -(-replicas // -(-replicas // _LOCKSTEP_MAX))
-    samples, final, absorbed, times, reactions, n_events = (
-        np.concatenate(parts) for parts in zip(*(
-            _run_lockstep(spec, first, min(size, replicas - first), t_end,
-                          grid, base_seed, record_events, max_events)
-            for first in range(0, replicas, size))))
+        # every replica appends to one shared log, which the ensemble views
+        log = (array.array("d"), array.array("h")) if record_events else None
+        trajs, ends = [], [0]
+        for i in range(replicas):
+            trajs.append(_replica(spec, t_end, grid, base_seed, i, max_events,
+                                  log))
+            ends.append(len(log[0]) if log else 0)
+        samples = np.stack([t.samples for t in trajs])
+        final = np.array([t.final_counts for t in trajs], dtype=np.int64)
+        absorbed = np.array([math.nan if t.absorbed is None else t.absorbed
+                             for t in trajs])
+        times, reactions = map(np.asarray, log) if log else (None, None)
+        offsets = np.array(ends)
+    else:
+        # in near-equal chunks of at most _LOCKSTEP_MAX, to bound memory
+        size = -(-replicas // -(-replicas // _LOCKSTEP_MAX))
+        samples, final, absorbed, times, reactions, n_events = (
+            np.concatenate(parts) for parts in zip(*(
+                _run_lockstep(spec, first, min(size, replicas - first), t_end,
+                              grid, base_seed, record_events, max_events)
+                for first in range(0, replicas, size))))
+        offsets = np.concatenate(([0], np.cumsum(n_events)))
     return Ensemble(
         spec=spec,
         grid=grid,
@@ -593,6 +611,5 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
         final_time=np.where(np.isnan(absorbed), t_end, absorbed),
         event_times=times if record_events else None,
         event_reactions=reactions if record_events else None,
-        event_offsets=(np.concatenate(([0], np.cumsum(n_events)))
-                       if record_events else None),
+        event_offsets=offsets if record_events else None,
     )

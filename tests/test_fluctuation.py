@@ -525,33 +525,63 @@ class TestLimitSde:
 
 
 class TestSdeEnsemble:
-    def test_matches_single_path_runner(self, monkeypatch):
-        # with one path per block each path is marched on its own, as a
-        # reference march on its stream; the default block differs from it
-        # by float rounding only
-        import rpsim.fluctuation as fl
+    def test_matches_single_path_runner(self):
+        # every path follows a per-step reference march on its own stream;
+        # a one-path ensemble rounds its matrix products differently
         model = fixed_point_model()
         grid = np.array([0.0, 0.5, 1.0])
-        blocked = run_sde_ensemble(model, None, 1e-2, grid, 5, 13)
-        monkeypatch.setattr(fl, "_SDE_BLOCK", 1)
-        single = run_sde_ensemble(model, None, 1e-2, grid, 5, 13)
-        assert single[0].values.tobytes() == \
-            one_path(model, None, 1e-2, grid, 13).values.tobytes()
-        for i, (a, b) in enumerate(zip(single, blocked)):
+        paths = run_sde_ensemble(model, None, 1e-2, grid, 5, 13)
+        for i, p in enumerate(paths):
             ref = reference_em(model, None, 1e-2, grid, rng_stream(13, i))
-            assert np.allclose(a.values, ref, rtol=0, atol=1e-12)
-            assert np.allclose(a.values, b.values, rtol=0, atol=1e-12)
+            assert np.allclose(p.values, ref, rtol=0, atol=1e-12)
+        assert np.allclose(paths[0].values,
+                           one_path(model, None, 1e-2, grid, 13).values,
+                           rtol=0, atol=1e-12)
 
     def test_block_size_does_not_change_results(self, monkeypatch):
+        # chunks of steps only split each path's draws, which come from its
+        # stream in the same order, so every value is the same, bit for bit
         import rpsim.fluctuation as fl
-        model = fixed_point_model()
-        grid = np.array([0.0, 1.0])
-        b = run_sde_ensemble(model, None, 1e-2, grid, 7, 5)
-        monkeypatch.setattr(fl, "_SDE_BLOCK", 3)
-        a = run_sde_ensemble(model, None, 1e-2, grid, 7, 5)
-        assert len(a) == len(b) == 7
-        for pa, pb in zip(a, b):
-            assert np.allclose(pa.values, pb.values, rtol=0, atol=1e-12)
+        model = fixed_point_model(t_end=3.0)
+        v0 = np.array([0.3, -0.1, -0.2])
+        grids = [
+            [0.0, 0.37, 1.0],   # 100 steps: one short default chunk
+            [0.0, 3.0],         # 300 steps: a full default chunk, a short one
+            [0.0],              # no step at all
+        ]
+        for grid in grids:
+            monkeypatch.undo()
+            default = run_sde_ensemble(model, v0, 1e-2, grid, 7, 5)
+            assert all(np.array_equal(p.values[0], v0) for p in default)
+            for chunk in (1, 3):
+                monkeypatch.setattr(fl, "_SDE_CHUNK", chunk)
+                chunked = run_sde_ensemble(model, v0, 1e-2, grid, 7, 5)
+                assert len(chunked) == 7
+                for a, b in zip(chunked, default):
+                    assert a.values.tobytes() == b.values.tobytes()
+
+    def test_peak_memory_does_not_grow_with_steps(self, monkeypatch):
+        # the noise buffer holds one chunk of steps for every path; ten
+        # times the steps add only the per-step b and sqrt(c) tables, less
+        # than one chunk of noise, where a buffer of every step would add
+        # nine times the short run's noise
+        import tracemalloc
+
+        import rpsim.fluctuation as fl
+        monkeypatch.setattr(fl, "_SDE_CHUNK", 64)
+        model = fixed_point_model(t_end=1.3)
+        paths = 500
+        run_sde_ensemble(model, None, 1e-3, [0.0, 0.01], 2, 0)
+        peaks = []
+        for t in (0.128, 1.28):
+            tracemalloc.start()
+            try:
+                run_sde_ensemble(model, None, 1e-3, [0.0, t], paths, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = paths * 64 * model.n * 8
+        assert peaks[1] - peaks[0] < chunk_bytes
 
     def test_grid_past_the_path_end_raises(self):
         # b and c exist only along the stored path: a grid that needs them

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import rpsim.io
 
 from rpsim import (
     DomainError,
@@ -572,6 +574,54 @@ class TestMalformedInput:
         with pytest.raises(DomainError, match=r"at row 3, column 4"):
             read_ensemble(ens_dir)
 
+    @pytest.mark.parametrize("cells, message", [
+        ("{0},x,{2}", "could not convert string 'x' to float64 at row 9,"),
+        ("{0},{1}", "requires 3 columns but 2 were found at row 10;"),
+    ])
+    def test_row_past_the_first_block_is_named_by_its_file_row(
+            self, ens_dir, monkeypatch, cells, message):
+        # events.csv is read 4 rows at a time; line 10 is in the third block
+        events = ens_dir / "events.csv"
+        old = events.read_text().splitlines()[10].split(",")
+        self.corrupt(events, 10, cells.format(*old))
+        with pytest.raises(DomainError) as whole:
+            read_ensemble(ens_dir)
+        monkeypatch.setattr(rpsim.io, "_CHUNK", 4)
+        with pytest.raises(DomainError) as blocked:
+            read_ensemble(ens_dir)
+        assert str(blocked.value) == str(whole.value)
+        assert message in str(blocked.value)
+
+    def test_blank_lines_between_blocks_are_skipped(self, ens_dir,
+                                                    monkeypatch):
+        # one row a block: each empty line comes where a block would start
+        monkeypatch.setattr(rpsim.io, "_CHUNK", 1)
+        expected = read_ensemble(ens_dir)
+        events = ens_dir / "events.csv"
+        lines = events.read_text().splitlines(keepends=True)
+        events.write_text("".join(lines[:5] + ["\n", "\n"] + lines[5:]
+                                  + ["\n"]))
+        back = read_ensemble(ens_dir)
+        assert np.array_equal(back.event_times, expected.event_times)
+        assert np.array_equal(back.event_offsets, expected.event_offsets)
+
+    @pytest.mark.parametrize("n_events, message", [
+        (10**12, "the manifest counts 1000000000"),
+        (-1, "n_events must be non-negative integers"),
+        (2.5, "n_events must be non-negative integers"),
+    ])
+    def test_manifest_event_count_is_checked_before_allocating(
+            self, ens_dir, n_events, message):
+        # 10**12 events would be 10 TB of arrays; the file cannot hold them
+        path = ens_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["trajectories"][1]["n_events"] = n_events
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value).startswith(f"{ens_dir / 'events.csv'}: ")
+        assert message in str(err.value)
+
     def test_empty_file_is_a_domain_error(self, ens_dir):
         (ens_dir / "events.csv").write_text("")
         with pytest.raises(DomainError, match="empty file"):
@@ -586,3 +636,25 @@ class TestMalformedInput:
             assert traj.event_times.dtype == np.float64
             assert traj.event_reactions.dtype == np.int16
             assert traj.n_events == 0
+
+
+def test_read_holds_the_event_log_once_plus_one_block(tmp_path, monkeypatch):
+    # events.csv is parsed a block of rows at a time into arrays sized from
+    # the manifest, so the reader's peak above its result is one parsed
+    # block (numpy.loadtxt allocates its max_rows up front), not the file
+    monkeypatch.setattr(rpsim.io, "_CHUNK", 4096)
+    spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
+    ens = run_ensemble(spec, 16, 30.0, np.linspace(0.0, 30.0, 11), 1,
+                       record_events=True)
+    assert len(ens.event_times) > 10 * rpsim.io._CHUNK
+    write_ensemble(ens, tmp_path / "e")
+    tracemalloc.start()
+    try:
+        back = read_ensemble(tmp_path / "e")
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trajectories_identical(back.trajectories[3], ens.trajectories[3])
+    # a samples.csv row, the widest: replica, time and n counts
+    block = rpsim.io._CHUNK * 8 * (2 + spec.n)
+    assert peak - result < 1.5 * block

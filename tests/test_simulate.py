@@ -320,6 +320,40 @@ class TestRunEnsemble:
         assert err.value.index == 0
         assert isinstance(err.value.__cause__, BudgetExceeded)
 
+    def test_replica_error_carries_a_later_index(self):
+        # replica 0 fits the budget, replica 1 does not
+        spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
+        ens = run_ensemble(spec, 2, 1.0, np.array([0.0]), base_seed=1,
+                           record_events=True)
+        first, second = np.diff(ens.event_offsets).tolist()
+        assert first < second
+        with pytest.raises(ReplicaError) as err:
+            run_ensemble(spec, 2, 1.0, np.array([0.0]), base_seed=1,
+                         record_events=True, max_events=first)
+        assert err.value.index == 1
+        assert isinstance(err.value.__cause__, BudgetExceeded)
+
+    def test_event_log_is_kept_in_one_copy(self, monkeypatch):
+        # every replica appends to one shared log, which the ensemble views
+        # without a copy; concatenating per-replica logs would peak at
+        # twice the log.  A small draw block keeps the engine's own buffers
+        # small next to the log (block size never changes a draw).
+        import tracemalloc
+        monkeypatch.setattr(rpsim.simulate, "_EXP_BLOCK", 64)
+        spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
+        run_ensemble(spec, 4, 1.0, [0.0, 1.0], 1, record_events=True)
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(spec, 4, 30.0, [0.0, 30.0], 1,
+                               record_events=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log = ens.event_times.nbytes + ens.event_reactions.nbytes
+        assert log > 10**5
+        assert peak < 1.25 * log
+        assert_matches_run_until(ens, 30.0, [0.0, 30.0], True)
+
     def test_bad_grid_is_reported_before_any_replica(self):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
         with pytest.raises(DomainError) as err:
