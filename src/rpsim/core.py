@@ -86,6 +86,10 @@ class MissingEventLog(RpsimError):
 # model definition
 # --------------------------------------------------------------------------
 
+# event logs store reaction indices as int16
+MAX_SPECIES = 2**15 - 1
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable problem definition.
@@ -140,13 +144,17 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     Raises
     ------
     DomainError
-        For a species count below 3, a non-positive or non-finite rate,
-        a non-positive total, a length mismatch, or negative counts.
+        For a species count below 3 or above ``MAX_SPECIES``, a
+        non-positive or non-finite rate, a non-positive total, a length
+        mismatch, or negative counts.
     NormalizationError
         When the initial counts do not sum to the total.
     """
     if spec.n < 3:
         raise DomainError(f"need at least 3 species, got n={spec.n}")
+    if spec.n > MAX_SPECIES:
+        raise DomainError(f"at most {MAX_SPECIES} species fit the int16 "
+                          f"reaction log, got n={spec.n}")
     check_rate(spec.lam)
     if spec.total < 1:
         raise DomainError(f"population total must be at least 1, got {spec.total}")

@@ -8,7 +8,8 @@ each event log against the manifest's event count and final counts.
 
 CSVs are written and read a block of rows at a time: one ``%`` on a repeated
 row template formats up to ``_CHUNK`` rows, and one :func:`numpy.loadtxt`
-call parses up to ``_CHUNK``.  An event log is read into arrays sized from
+call parses up to ``_CHUNK``, or fewer if the file cannot hold them (loadtxt
+allocates them all up front).  An event log is read into arrays sized from
 the manifest, so reading holds it once plus one block.  Malformed CSV input
 raises :class:`DomainError` naming the file and, where it can, the row.
 """
@@ -128,12 +129,23 @@ def _open_r(path: Path):
     return f
 
 
+def _rows_fit(f, fields: list) -> int:
+    """The most rows CSV file ``f`` can hold, a replica column and then
+    ``fields``: its size over the shortest row, one digit and a separator
+    per column."""
+    columns = 1 + sum(math.prod(field[2]) if len(field) > 2 else 1
+                      for field in fields)
+    return os.fstat(f.fileno()).st_size // (2 * columns)
+
+
 def _blocks(f, path: Path, fields: list):
     """The rows of CSV file ``f`` (``path``) after its header, up to
-    ``_CHUNK`` at a time: ``(lo, rows)`` per block, ``rows`` being the
-    file's rows ``lo..`` parsed as a leading replica column and then one
-    field per column."""
+    ``_CHUNK`` (or as many as the file can hold) at a time: ``(lo, rows)``
+    per block, ``rows`` being the file's rows ``lo..`` parsed as a leading
+    replica column and then one field per column."""
     dtype = [("replica", np.int64)] + fields
+    # loadtxt allocates max_rows rows up front
+    max_rows = max(1, min(_CHUNK, _rows_fit(f, fields)))
     lo = 0
     while True:
         # loadtxt warns on a block with no rows, and skips empty lines
@@ -150,7 +162,7 @@ def _blocks(f, path: Path, fields: list):
                                         UserWarning)
                 rows = np.loadtxt(itertools.chain((line,), f), dtype=dtype,
                                   delimiter=",", comments=None, ndmin=1,
-                                  max_rows=_CHUNK)
+                                  max_rows=max_rows)
         except ValueError as exc:
             # its message ends by naming the row it can, counted within the
             # block; name the row of the file instead
@@ -160,6 +172,7 @@ def _blocks(f, path: Path, fields: list):
             raise DomainError(f"{path}: {message}") from exc
         yield lo, rows
         lo += len(rows)
+        del rows    # not held while the next block is parsed
 
 
 def _ungrouped(path: Path, replicas: int) -> DomainError:
@@ -209,17 +222,16 @@ def _load_events(path: Path, spec: ModelSpec, n_events: list,
         raise DomainError(f"{path}: the manifest's n_events must be "
                           "non-negative integers")
     replicas, total = len(n_events), sum(n_events)
+    fields = [("time", np.float64), ("reaction", np.int16)]
     with _open_r(path) as f:
-        # the shortest row, "0,0,0\n", has 6 bytes
-        if total > os.fstat(f.fileno()).st_size // 6:
+        if total > _rows_fit(f, fields):
             raise DomainError(f"{path}: the manifest counts {total} events, "
                               "more than the file can hold")
         times = np.empty(total)
         reactions = np.empty(total, dtype=np.int16)
         counts = np.zeros(replicas, dtype=np.int64)
         last = 0
-        for lo, rows in _blocks(f, path, [("time", np.float64),
-                                          ("reaction", np.int16)]):
+        for lo, rows in _blocks(f, path, fields):
             rep = rows["replica"]
             if (rep[0] < last or rep[-1] >= replicas
                     or np.any(rep[1:] < rep[:-1])):
@@ -229,6 +241,7 @@ def _load_events(path: Path, spec: ModelSpec, n_events: list,
             kept = rows[:max(0, total - lo)]
             times[lo:lo + len(kept)] = kept["time"]
             reactions[lo:lo + len(kept)] = kept["reaction"]
+            del rows, rep, kept     # nor here: one block at a time
     offsets = np.concatenate(([0], np.cumsum(counts)))
     for i in range(replicas):
         # every replica before the first miscounted one is where the

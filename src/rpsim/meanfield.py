@@ -133,13 +133,20 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     positive, finite collision rate.  The end time ``t_end`` is snapped to a
     whole number of steps, and each time in ``grid`` (default: every step)
     is served by the nearest step.  Raises :class:`StepError` if any
-    component falls below ``-10 * INTEGRATOR_TOL`` (blow-up).
+    component falls below ``-10 * INTEGRATOR_TOL`` (blow-up), and
+    :class:`DomainError` if the steps' states do not fit in memory.
     """
     u = check_fractions(u0)
     lam = check_rate(lam)
     if not (t_end >= 0 and np.isfinite(t_end)):
         raise DomainError(f"t_end must be non-negative and finite, got {t_end}")
-    grid_arr, indices, n_steps = snap_grid(grid, step, t_end)
+    try:
+        grid_arr, indices, n_steps = snap_grid(grid, step, t_end)
+        states = np.empty((n_steps + 1, len(u)))
+    except MemoryError:
+        raise DomainError(f"t_end={t_end:g} takes {round(t_end / step)} "
+                          f"steps of {step:g}, too many states to hold in "
+                          "memory") from None
     if grid is not None and len(grid_arr):
         if np.any(np.diff(grid_arr) <= 0):
             raise DomainError("grid must be strictly increasing")
@@ -149,7 +156,6 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     def field(x):
         return vector_field(x, lam)
 
-    states = np.empty((n_steps + 1, len(u)))
     states[0] = u
     for k in range(n_steps):
         u = rk4_step(field, u, step)

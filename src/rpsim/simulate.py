@@ -13,9 +13,11 @@ gap.
 
 Two engines run this loop with the same arithmetic in the same order:
 
-* :func:`run_until` runs one replica, one event at a time.  Ensembles of
-  fewer than 32 replicas (``_LOCKSTEP_MIN``) run it once per replica, every
-  replica appending its events to one shared log.
+* :func:`run_until` runs one replica, one event at a time, in a loop
+  generated and compiled once per species count, unrolled so that every
+  count, clock and threshold is a local variable.  Ensembles of fewer than
+  32 replicas (``_LOCKSTEP_MIN``) run it once per replica, all appending
+  their events to one shared log.
 * ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together
   on ``(replicas, n)`` arrays, one event per replica per step.
   :func:`run_ensemble` takes it from 32 replicas up, in chunks; below that
@@ -23,12 +25,12 @@ Two engines run this loop with the same arithmetic in the same order:
 
 Draw order, the contract both engines keep: replica ``i`` of an ensemble
 reads ``rng_stream(base_seed, i)``, ``n`` initial thresholds in clock order,
-then one draw per event.  The draws are taken in blocks; a numpy Generator
-gives the same values in blocks of any size as one at a time.  So every
-replica is the same trajectory, bit for bit, whichever engine ran it.  The
-construction is exact (no time discretization); the statistical harness
-checks the first-event law of the ensemble engine against competing
-exponentials.
+then one draw per event.  The draws are taken in blocks, which a numpy
+Generator fills with the same values as one draw at a time (as Python floats
+they take the same IEEE arithmetic).  So every replica is the same
+trajectory, bit for bit, whichever engine ran it.  The construction is exact
+(no time discretization); the statistical harness checks the first-event law
+of the ensemble engine against competing exponentials.
 """
 from __future__ import annotations
 
@@ -227,31 +229,97 @@ class Ensemble:
         return out
 
 
-class _ExpStream:
-    """Buffered Exp(1) draws, as Python floats.
+# run_until's loop, unrolled: species j's count, clock (accumulated intensity),
+# threshold and rate are c{j}, i{j}, h{j} and r{j}; the draws are buf[k], in
+# blocks of blk >= n
+_LOOP = """\
+def loop(counts, draw, blk, rtol, t_end, grid_next, samples, log,
+         max_events, lom, total):
+    {c}, = counts
+    {i}, = (0.0,) * {n}
+    buf = draw(blk).tolist()
+    {h}, = buf[:{n}]
+    k = {n}
+    inf = float("inf")
+    if log is not None:
+        log_time, log_reaction = log[0].append, log[1].append
+    t, gi, n_events, absorbed = 0.0, 0, 0, None
+    while True:
+        best, dt = -1, inf
+{select}
+        if best < 0:
+            absorbed = t
+            break
+        new_time = t + dt
+        if new_time > t_end:
+            break
+        while grid_next[gi] < new_time:
+            samples.append(({c},))
+            gi += 1
+{advance}
+        if k == blk:
+            buf, k = draw(blk).tolist(), 0
+        e = buf[k]
+        k += 1
+{fire}
+        t = new_time
+        n_events += 1
+        if n_events > max_events:
+            raise BudgetExceeded(f"exceeded {{max_events}} events at "
+                                 f"t={{t:.6g}} (horizon {{t_end}})")
+        if {c_sum} != total:
+            raise AssertionError("population conservation violated")
+        if log is not None:
+            log_time(t)
+            log_reaction(best)
+    return ({c},), absorbed, gi
+"""
+_SELECT = """\
+        r{j} = lom * c{j} * c{k}
+        if r{j} > 0.0:
+            d = (h{j} - i{j}) / r{j}
+            if d < dt:
+                dt = d
+                best = {j}"""
+# every live clock but the fired one advances by rate * dt
+_ADVANCE = """\
+        if r{j} > 0.0 and best != {j}:
+            i{j} += r{j} * dt
+            if i{j} > h{j}:
+                i{j} = _clamp({j}, i{j}, h{j}, rtol)"""
+_FIRE = """\
+        if best == {j}:
+            i{j} = h{j}
+            h{j} += e
+            c{j} += 1
+            c{k} -= 1"""
 
-    Block draws from a numpy Generator consume the bit stream exactly like
-    repeated scalar draws, so values coming out of this buffer are identical
-    to calling ``rng.standard_exponential()`` one value at a time (a property
-    the one-event reference stepper in the tests pins down).  Each block is
-    converted to Python floats once: float arithmetic on them is exact IEEE
-    double arithmetic, as on ``np.float64``, and much cheaper per operation.
-    """
 
-    __slots__ = ("_rng", "_buf", "_i")
+def _clamp(j: int, advanced: float, threshold: float, rtol: float) -> float:
+    """Clamp clock ``j``, carried past its threshold by rounding."""
+    over = advanced - threshold
+    if over > rtol * max(1.0, threshold):
+        raise NumericError(f"clock {j} overshot its threshold by {over:.3e} "
+                           "(internal-time drift)")
+    return threshold
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.standard_exponential(_EXP_BLOCK).tolist()
-        self._i = 0
 
-    def __call__(self) -> float:
-        i = self._i
-        if i == _EXP_BLOCK:
-            self._buf = self._rng.standard_exponential(_EXP_BLOCK).tolist()
-            i = 0
-        self._i = i + 1
-        return self._buf[i]
+@functools.lru_cache(maxsize=16)
+def _event_loop(n: int):
+    """run_until's event loop for ``n`` species, compiled on first use."""
+    def each(template, sep="\n"):
+        return sep.join(template.format(j=j, k=(j + 1) % n) for j in range(n))
+
+    c = [f"c{j}" for j in range(n)]
+    source = _LOOP.format(
+        n=n, c=", ".join(c), i=each("i{j}", ", "), h=each("h{j}", ", "),
+        # summed in groups: one long sum nests too deep for the compiler
+        c_sum=" + ".join(f"({' + '.join(c[lo:lo + 64])})"
+                         for lo in range(0, n, 64)),
+        select=each(_SELECT), advance=each(_ADVANCE), fire=each(_FIRE))
+    namespace = {"BudgetExceeded": BudgetExceeded, "_clamp": _clamp}
+    exec(compile(source, f"<run_until loop, n={n}>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def _expected_events(spec: ModelSpec, t_end: float) -> float:
@@ -310,93 +378,25 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
 
-    n = spec.n
-    lam_over_m = spec.lam / spec.total
-    total = spec.total
-    nxt = [(j + 1) % n for j in range(n)]
-    pairs = list(enumerate(nxt))
-    draw = _ExpStream(rng)
-
-    counts = list(spec.initial)
-    internal = [0.0] * n
-    threshold = [draw() for _ in range(n)]
-    t = 0.0
-    inf = math.inf
-
-    glen = len(grid)
-    gi = 0
-    grid_next = grid.tolist() + [inf]   # next grid time after index gi
-    rates = [0.0] * n
     samples: list[tuple[int, ...]] = []
     # raw doubles and shorts, which np.asarray views without a copy
     log = (array.array("d"), array.array("h")) if record_events else _log
-    if log is not None:
-        log_time, log_reaction = log[0].append, log[1].append
-    absorbed: float | None = None
-    n_events = 0
-
-    while True:
-        best = -1
-        best_dt = inf
-        for j, k in pairs:
-            rate = rates[j] = lam_over_m * counts[j] * counts[k]
-            if rate > 0.0:
-                dt = (threshold[j] - internal[j]) / rate
-                if dt < best_dt:
-                    best_dt = dt
-                    best = j
-        if best < 0:
-            absorbed = t
-            break
-        new_time = t + best_dt
-        if new_time > t_end:
-            break
-        while grid_next[gi] < new_time:
-            samples.append(tuple(counts))
-            gi += 1
-        for j, rate in enumerate(rates):
-            if rate > 0.0 and j != best:
-                advanced = internal[j] + rate * best_dt
-                if advanced > threshold[j]:
-                    # rounding may carry a clock a hair past its threshold
-                    over = advanced - threshold[j]
-                    if over > _OVERSHOOT_RTOL * max(1.0, threshold[j]):
-                        raise NumericError(
-                            f"clock {j} overshot its threshold by "
-                            f"{over:.3e} (internal-time drift)"
-                        )
-                    advanced = threshold[j]
-                internal[j] = advanced
-        fired = threshold[best]
-        internal[best] = fired
-        threshold[best] = fired + draw()
-        counts[best] += 1
-        counts[nxt[best]] -= 1
-        t = new_time
-        n_events += 1
-        if n_events > max_events:
-            raise BudgetExceeded(
-                f"exceeded {max_events} events at t={t:.6g} (horizon {t_end})"
-            )
-        if sum(counts) != total:
-            raise AssertionError("population conservation violated")  # unreachable
-        if log is not None:
-            log_time(t)
-            log_reaction(best)
-
-    while gi < glen:  # horizon reached or absorbed: state no longer changes
-        samples.append(tuple(counts))
-        gi += 1
+    counts, absorbed, gi = _event_loop(spec.n)(
+        spec.initial, rng.standard_exponential, max(_EXP_BLOCK, spec.n),
+        _OVERSHOOT_RTOL, t_end, grid.tolist() + [math.inf], samples, log,
+        max_events, spec.lam / spec.total, spec.total)
+    # horizon reached or absorbed: the state no longer changes
+    samples += [counts] * (len(grid) - gi)
 
     return Trajectory(
         spec=spec,
         seed=seed,
         grid=grid,
-        samples=np.asarray(samples, dtype=np.int64).reshape(glen, n),
+        samples=np.asarray(samples, dtype=np.int64).reshape(len(grid), spec.n),
         event_times=np.asarray(log[0]) if record_events else None,
         event_reactions=np.asarray(log[1]) if record_events else None,
         absorbed=absorbed,
-        final_counts=tuple(counts),
+        final_counts=counts,
         final_time=absorbed if absorbed is not None else t_end,
     )
 
@@ -421,7 +421,7 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
     order, on (live replicas, n) arrays.  Every live replica fires its
     event ``k`` at step ``k`` and so takes draw ``n + k`` of its stream:
     one column pointer into per-replica blocks of ``_LOCKSTEP_DRAWS`` draws
-    replays ``_ExpStream`` exactly.  A replica that absorbs or passes the
+    replays the draws of :func:`run_until` exactly.  A replica that absorbs or passes the
     horizon is compacted away; event ``k`` of each replica goes to column
     ``k`` of the ``(replicas, K)`` event log.
 

@@ -162,6 +162,16 @@ SIMULATE_40_SHA256 = {
     "manifest.json":
         "86a44cf91d3f8cc3efea6fa4ba6399c7f50e0b7bf787807a0b0defab58736ea0",
 }
+# five species: every pin above is at n = 3
+SIMULATE_N5_ARGS = ["simulate", "--n", "5", "--replicas", "4", "--events"]
+SIMULATE_N5_SHA256 = {
+    "samples.csv":
+        "a59f9fe6d5ab338d7e5a87b222f91fbe13a11de71439d27cf1a047ec4f1f2cd9",
+    "events.csv":
+        "35abc294ebb8005c20e1af72fd3903185ce80eedbf5708efd5c5494b5c6af3ec",
+    "manifest.json":
+        "579aa4fe9cb30dd78adef5c2e2d443eac7dc1eebad9e42d66f72990c10489e0c",
+}
 MEANFIELD_ARGS = ["meanfield", "--u0", "0.5,0.3,0.2", "--t-end", "3",
                   "--grid-points", "7"]
 MEANFIELD_SHA256 = \
@@ -207,6 +217,12 @@ class TestPinnedOutput:
         assert {name: sha256(out / name) for name in SIMULATE_40_SHA256} \
             == SIMULATE_40_SHA256
 
+    def test_simulate_five_species(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(SIMULATE_N5_ARGS + ["--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in SIMULATE_N5_SHA256} \
+            == SIMULATE_N5_SHA256
+
     def test_meanfield(self, tmp_path):
         out = tmp_path / "mf.csv"
         assert main(MEANFIELD_ARGS + ["--out", str(out)]) == 0
@@ -251,6 +267,17 @@ class TestMeanfieldCommand:
         assert rc == 1
         assert "collision rate must be positive and finite" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_many_steps_is_a_domain_error(self, tmp_path, capsys):
+        # 10**12 steps: the (10**12 + 1, 3) state array cannot be allocated
+        out = tmp_path / "mf.csv"
+        rc = main(["meanfield", "--u0", "1,0,0", "--t-end", "1e9",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: t_end=1e+09 takes 1000000000000 steps of 0.001, too "
+            "many states to hold in memory\n")
         assert not out.exists()
 
 

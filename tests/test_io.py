@@ -658,3 +658,24 @@ def test_read_holds_the_event_log_once_plus_one_block(tmp_path, monkeypatch):
     # a samples.csv row, the widest: replica, time and n counts
     block = rpsim.io._CHUNK * 8 * (2 + spec.n)
     assert peak - result < 1.5 * block
+
+
+def test_reading_a_small_ensemble_peaks_near_its_size(tmp_path):
+    # loadtxt allocates its max_rows up front; capped by what the file can
+    # hold, an 8-row ensemble is not parsed into a default block of
+    # _CHUNK rows (2.6 MB for a samples.csv row)
+    spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+    ens = run_ensemble(spec, 1, 1.0, np.linspace(0.0, 1.0, 8), 0,
+                       record_events=True)
+    write_ensemble(ens, tmp_path / "e")
+    size = sum(p.stat().st_size for p in (tmp_path / "e").iterdir())
+    assert size < 1000
+    read_ensemble(tmp_path / "e")   # warm up numpy's parser
+    tracemalloc.start()
+    try:
+        back = read_ensemble(tmp_path / "e")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trajectories_identical(back.trajectories[0], ens.trajectories[0])
+    assert peak < 64 * size

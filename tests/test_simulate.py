@@ -15,6 +15,7 @@ from rpsim import (
     Ensemble,
     MissingEventLog,
     ModelSpec,
+    NumericError,
     ReplicaError,
     rng_stream,
     run_ensemble,
@@ -22,6 +23,7 @@ from rpsim import (
     symmetric_counts,
     trajectories_identical,
 )
+from rpsim.core import MAX_SPECIES
 from rpsim.simulate import _LOCKSTEP_DRAWS, _LOCKSTEP_MAX
 
 
@@ -104,6 +106,43 @@ class TestNextEvent:
         assert traj.event_times.tolist() == [0.35]
 
 
+class TestOvershootClamp:
+    # three equal rates and thresholds: reaction 0 wins the tie, and
+    # rate * (h / rate) rounds one ulp above h, so clocks 1 and 2 are
+    # carried past their thresholds as they advance
+    H = 0.23668341708542714
+    SPEC = ModelSpec(n=3, lam=0.7, total=3, initial=(1, 1, 1))
+
+    def run(self):
+        return run_until(self.SPEC, 10.0, [0.0, 10.0],
+                         FixedDraws(self.H, self.H, self.H),
+                         record_events=True)
+
+    def test_clamped_clock_fires_at_the_same_time(self):
+        rate = 0.7 / 3
+        assert rate * (self.H / rate) > self.H
+        traj = self.run()
+        # clamped onto its threshold, clock 2 has zero gap once (2, 0, 1)
+        # makes it the only live reaction
+        assert traj.event_reactions.tolist() == [0, 2]
+        assert traj.event_times.tolist() == [self.H / rate] * 2
+        assert traj.event_times[0] == pytest.approx(1.0143575)
+        assert traj.final_counts == (1, 0, 2)
+
+    def test_guard_names_the_first_overshooting_clock(self, monkeypatch):
+        monkeypatch.setattr(rpsim.simulate, "_OVERSHOOT_RTOL", 0.0)
+        with pytest.raises(NumericError,
+                           match=r"^clock 1 overshot its threshold by "
+                                 r"2\.776e-17 \(internal-time drift\)$"):
+            self.run()
+        # the lockstep engine reports the serial engine's error
+        monkeypatch.setattr(rpsim.simulate, "rng_stream",
+                            lambda base_seed, i: FixedDraws(*[self.H] * 3))
+        with pytest.raises(ReplicaError, match="replica 0: clock 1") as err:
+            run_ensemble(self.SPEC, 32, 10.0, [0.0, 10.0], 0)
+        assert isinstance(err.value.__cause__, NumericError)
+
+
 def reference_events(spec, t_end, rng):
     """One event at a time, scalar draws straight from ``rng``: the modified
     next reaction method as written in the textbook, for checking the
@@ -143,11 +182,14 @@ class TestRunUntil:
     def test_matches_repeated_next_event(self):
         # the buffered production loop must reproduce the one-event reference
         # implementation draw for draw: a short run, one past the first
-        # 4096-draw block, and one to absorption
+        # 4096-draw block, one to absorption, and runs at n = 6 and n = 64
+        # (with zero-rate reactions among the live ones)
         for initial, lam, t_end, min_events in (
             ((5, 4, 3), 2.0, 3.0, 10),
             ((100, 100, 100, 100), 1.0, 50.0, 4096),
             ((2, 2, 2), 5.0, math.inf, 1),
+            ((30, 10, 40, 10, 50, 90), 1.5, 3.0, 100),
+            (tuple(3 * (j % 5) for j in range(64)), 2.0, 50.0, 500),
         ):
             spec = ModelSpec(n=len(initial), lam=lam, total=sum(initial),
                              initial=initial)
@@ -360,6 +402,22 @@ class TestRunEnsemble:
             run_ensemble(spec, 2, 1.0, np.array([0.5, 0.2]), base_seed=0)
         assert not isinstance(err.value, ReplicaError)
         assert str(err.value).startswith("grid must be ascending")
+
+    def test_species_count_must_fit_the_reaction_log(self):
+        # reactions are logged as int16: reaction 39 998 would wrap
+        init = [0] * 40_000
+        init[-2:] = 1, 1
+        spec = ModelSpec(n=40_000, lam=1.0, total=2, initial=tuple(init))
+        with pytest.raises(DomainError, match="at most 32767 species"):
+            run_until(spec, 1.0, [], rng_stream(0, 0))
+        with pytest.raises(DomainError, match="at most 32767 species") as err:
+            run_ensemble(spec, 32, 1.0, [], 0)
+        assert not isinstance(err.value, ReplicaError)
+        # at the largest count, the lockstep engine logs reaction n - 2
+        n = MAX_SPECIES
+        spec = ModelSpec(n=n, lam=1.0, total=2, initial=tuple(init[-n:]))
+        ens = run_ensemble(spec, 32, math.inf, [], 0, record_events=True)
+        assert ens.event_reactions.tolist() == [n - 2] * 32
 
     def test_rejects_zero_replicas(self):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
