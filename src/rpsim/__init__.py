@@ -21,6 +21,7 @@ from .core import (
     Trajectory,
     counts_from_fractions,
     rng_stream,
+    rng_streams,
     symmetric_counts,
     trajectories_identical,
     validate_spec,
@@ -77,7 +78,7 @@ __all__ = [
     # core types and helpers
     "ModelSpec", "Trajectory",
     "counts_from_fractions", "symmetric_counts", "rng_stream",
-    "trajectories_identical", "validate_spec",
+    "rng_streams", "trajectories_identical", "validate_spec",
     # event-driven simulation
     "Ensemble", "run_until", "run_ensemble",
     # deterministic limit

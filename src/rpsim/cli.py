@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import (DomainError, ModelSpec, RpsimError, counts_from_fractions,
-                   symmetric_counts)
+from .core import (DomainError, ModelSpec, RpsimError, check_seed,
+                   counts_from_fractions, symmetric_counts)
 from .fluctuation import FluctuationModel, propagate_covariance, run_sde_ensemble
 from .meanfield import DEFAULT_STEP, integrate
 from .simulate import DEFAULT_MAX_EVENTS, run_ensemble
@@ -219,6 +219,8 @@ def main(argv=None) -> int:
             if getattr(args, count, 0) < 0:
                 raise DomainError(f"--{count.replace('_', '-')} must be "
                                   f"non-negative, got {getattr(args, count)}")
+        if hasattr(args, "base_seed"):  # also where no stream is drawn
+            check_seed(args.base_seed)
         return args.func(args)
     except RpsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,9 @@ __all__ = [
     "check_rate",
     "check_fractions",
     "check_grid",
+    "check_seed",
     "rng_stream",
+    "rng_streams",
     "counts_from_fractions",
     "symmetric_counts",
     "trajectories_identical",
@@ -228,16 +230,129 @@ def symmetric_counts(n: int, total: int) -> tuple[int, ...]:
 # random streams
 # --------------------------------------------------------------------------
 
+def check_seed(value, name: str = "base seed") -> int:
+    """Return a seed or stream index as an int; it must be a non-negative
+    Python or numpy integer (not a bool)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and value >= 0:
+        return int(value)
+    raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size and
+# hash constants, which do not depend on the data
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _words(x):
+    """The 32-bit words, low first, that SeedSequence splits the
+    non-negative integer ``x`` into (one for 0)."""
+    return [x >> 32 * m & _M32
+            for m in range(max(1, -(-x.bit_length() // 32)))]
+
+
+# The helpers below take a word as a Python int or as an integer array of
+# words, one per stream; the masks keep both at 32 bits.
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix``, each call advancing its running constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words."""
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _state_words(entropy: list) -> list:
+    """SeedSequence's ``mix_entropy`` then ``generate_state(8, uint32)``
+    for an assembled entropy of at least ``_POOL`` words."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    return [hashmix(pool[k % _POOL]) for k in range(8)]
+
+
+class _StateWords:
+    """The four words a PCG64 is seeded with, computed in advance: a
+    ``numpy.random.bit_generator.ISeedSequence``, registered as one on first
+    use so that importing rpsim does not import ``numpy.random``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise DomainError("a precomputed stream seed holds only "
+                              "generate_state(4, numpy.uint64)")
+        return self.words
+
+
+def rng_streams(base_seed: int, first: int,
+                count: int) -> list[np.random.Generator]:
+    """Streams ``first`` to ``first + count - 1`` of ``base_seed``.
+
+    Stream ``i`` equals, state for state,
+    ``default_rng(SeedSequence(base_seed, spawn_key=(i,)))``: this runs
+    SeedSequence's steps for every stream at once, on arrays of words.  The
+    assembled entropy is the base seed's words, zero-padded to the pool
+    size, then those of ``i``, so the hashing up to the first word of ``i``
+    runs once, on Python ints.  Each generator's
+    ``bit_generator.seed_seq`` is a minimal seed sequence holding the four
+    words its PCG64 was seeded with.  A seed, index or count that is not a
+    non-negative integer raises :class:`DomainError`.
+    """
+    base = _words(check_seed(base_seed))
+    base += [0] * (_POOL - len(base))
+    # a no-op after the first call
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    first = check_seed(first, "stream index")
+    end = first + check_seed(count, "stream count")
+    words = np.empty((end - first, 4), dtype=np.uint64)
+    lo = first
+    while lo < end:     # the indices with as many words as lo
+        k = len(_words(lo))
+        hi = min(end, 1 << 32 * k)
+        # a single stream hashes faster on Python ints
+        index = lo if hi - lo == 1 else np.arange(
+            lo, hi, dtype=np.uint64 if hi <= 2**64 else object)
+        state = _state_words(base + [index >> 32 * m & _M32 for m in range(k)])
+        rows = words[lo - first:hi - first]
+        for m in range(4):  # little-endian pairs, as SeedSequence reads them
+            rows[:, m] = state[2 * m] | state[2 * m + 1] << 32
+        lo = hi
+    return [np.random.Generator(np.random.PCG64(_StateWords(w)))
+            for w in words]
+
+
 def rng_stream(base_seed: int, replica_index: int) -> np.random.Generator:
-    """Deterministic, replica-indexed random stream.
+    """Deterministic, replica-indexed random stream: stream
+    ``replica_index`` of :func:`rng_streams`.
 
     The same ``(base_seed, replica_index)`` pair always yields an identical
     stream, and distinct indices yield streams with no shared state, so
     ensembles are reproducible regardless of execution order or parallelism.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(base_seed, spawn_key=(replica_index,))
-    )
+    return rng_streams(base_seed, replica_index, 1)[0]
 
 
 # --------------------------------------------------------------------------

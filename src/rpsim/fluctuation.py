@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NotPSD, NumericError, check_rate, rng_stream
+from .core import DomainError, NotPSD, NumericError, check_rate, rng_streams
 from .meanfield import MeanFieldPath, rk4_step, snap_grid, vector_field
 
 __all__ = [
@@ -301,7 +301,7 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     drifts = drift_matrix(u, model.lam)
     roots = psd_sqrt(diffusion_matrix(u, model.lam))
     sqrt_step = math.sqrt(step)
-    gens = [rng_stream(base_seed, i) for i in range(paths)]
+    fills = [gen.standard_normal for gen in rng_streams(base_seed, 0, paths)]
     # one noise buffer, refilled for each chunk of steps
     normals = np.empty((paths, min(_SDE_CHUNK, n_steps), n))
     v = np.tile(v0, (paths, 1))
@@ -316,8 +316,8 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
         j = k % _SDE_CHUNK
         if j == 0:
             rows = normals[:, :min(_SDE_CHUNK, n_steps - k)]
-            for gen, row in zip(gens, rows):
-                gen.standard_normal(out=row)
+            for fill, row in zip(fills, rows):
+                fill(out=row)
         v = (v + (v @ drifts[k].T) * step
              + (rows[:, j, :] @ roots[k].T) * sqrt_step)
     return [GaussianPath(grid=grid.copy(), values=x) for x in values]

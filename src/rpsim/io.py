@@ -10,7 +10,8 @@ CSVs are written and read a block of rows at a time: one ``%`` on a repeated
 row template formats up to ``_CHUNK`` rows, and one :func:`numpy.loadtxt`
 call parses up to ``_CHUNK``, or fewer if the file cannot hold them (loadtxt
 allocates them all up front).  An event log is read into arrays sized from
-the manifest, so reading holds it once plus one block.  Malformed CSV input
+the manifest, and the samples into one sized from replica 0's rows, which
+come first, so reading holds each once plus one block.  Malformed CSV input
 raises :class:`DomainError` naming the file and, where it can, the row.
 """
 from __future__ import annotations
@@ -44,7 +45,9 @@ FORMAT_VERSION = 1
 
 
 def fmt(x: float) -> str:
-    """Shortest-guaranteed-lossless rendering of a double."""
+    """Lossless rendering of a double: always 17 significant digits
+    (``%.17g``), which round-trip every double but are not the shortest
+    form that does (0.1 renders as ``0.10000000000000001``)."""
     return "%.17g" % float(x)
 
 
@@ -183,31 +186,71 @@ def _ungrouped(path: Path, replicas: int) -> DomainError:
 def _load_samples(path: Path, spec: ModelSpec, replicas: int):
     """The shared grid and the ``(replicas, G, n)`` samples of CSV
     ``path``, which must give every replica the same ascending grid and
-    conserve the population in every sample."""
-    fields = [("time", np.float64), ("counts", np.int64, (spec.n,))]
+    conserve the population in every sample.
+
+    The rows are parsed a block at a time.  Replica 0's rows come first and
+    give the grid, and with it the size of the samples array; each later
+    row is copied to its place there as its block arrives.  Rows that are
+    not grouped by replica fail at once; the other checks, in the order
+    above, after the last row.
+    """
+    n = spec.n
+    fields = [("time", np.float64), ("counts", np.int64, (n,))]
+    sizes = np.zeros(replicas, dtype=np.int64)
+    # replica 0's times and counts, until its last row
+    head = [(np.empty(0), np.empty((0, n), dtype=np.int64))]
+    grid = flat = None
+    tiled = np.empty(0)
+    last, off_grid, broken = 0, False, False
+
+    def allocate():
+        grid = np.concatenate([times for times, _ in head])
+        flat = np.empty((replicas * len(grid), n), dtype=np.int64)
+        flat[:len(grid)] = np.concatenate([counts for _, counts in head])
+        return grid, flat
+
     with _open_r(path) as f:
-        parts = [rows for _, rows in _blocks(f, path, fields)]
-    rows = (np.concatenate(parts) if parts
-            else np.empty(0, [("replica", np.int64)] + fields))
-    rep = rows["replica"]
-    bounds = np.searchsorted(rep, np.arange(replicas + 1))
-    if bounds[0] or bounds[-1] != len(rep) or np.any(rep[1:] < rep[:-1]):
-        raise _ungrouped(path, replicas)
-    size = bounds[1]
-    if np.any(np.diff(bounds) != size):
+        for lo, rows in _blocks(f, path, fields):
+            rep = rows["replica"]
+            if (rep[0] < last or rep[-1] >= replicas
+                    or np.any(rep[1:] < rep[:-1])):
+                raise _ungrouped(path, replicas)
+            last = rep[-1]
+            sizes += np.bincount(rep, minlength=replicas)
+            times, counts = rows["time"], rows["counts"]
+            broken = broken or bool(np.any(counts.sum(axis=1) != spec.total))
+            if grid is None:
+                zero = int(np.searchsorted(rep, 1))
+                head.append((times[:zero].copy(), counts[:zero].copy()))
+                if zero == len(rows):
+                    continue
+                grid, flat = allocate()
+                head = None
+                lo, times, counts = lo + zero, times[zero:], counts[zero:]
+            # grouped rows of equal-sized replicas: row k is sample
+            # k % G of replica k // G; the checks below catch any other
+            hi = min(lo + len(times), len(flat))
+            if hi > lo:
+                flat[lo:hi] = counts[:hi - lo]
+                at = lo % len(grid)
+                if len(tiled) < at + hi - lo:
+                    tiled = np.resize(grid, at + hi - lo)   # grid, repeated
+                off_grid = off_grid or bool(
+                    np.any(times[:hi - lo] != tiled[at:at + hi - lo]))
+            del rows, rep, times, counts    # one block at a time
+    if grid is None:
+        grid, flat = allocate()
+    if np.any(sizes != sizes[0]):
         raise DomainError(f"{path}: replicas do not share one grid")
-    times = rows["time"].reshape(replicas, size)
     try:
-        grid = check_grid(times[0])
+        check_grid(grid)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
-    if np.any(times != grid):
+    if off_grid:
         raise DomainError(f"{path}: replicas do not share one grid")
-    samples = np.ascontiguousarray(rows["counts"]).reshape(replicas, size,
-                                                           spec.n)
-    if np.any(samples.sum(axis=2) != spec.total):
+    if broken:
         raise DomainError(f"{path}: a sample breaks population conservation")
-    return grid, samples
+    return grid, flat.reshape(replicas, len(grid), n)
 
 
 def _load_events(path: Path, spec: ModelSpec, n_events: list,

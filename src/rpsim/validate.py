@@ -34,6 +34,7 @@ from .core import (
     InsufficientReplicas,
     ModelSpec,
     RpsimError,
+    check_seed,
     counts_from_fractions,
     validate_spec,
 )
@@ -800,13 +801,15 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
     """Check every setting before any ensemble runs, and return the model of
     each check in run order: Gillespie, each LLN population, CLT, martingale.
 
-    Raises :class:`DomainError` for a non-positive count, replica count or
-    sample count, LLN populations that do not strictly increase, fewer than
-    two LLN grid points, a time or step that is not positive and finite, or
-    a p threshold outside (0, 1); :class:`InsufficientReplicas` for fewer
+    Raises :class:`DomainError` for a base seed that is not a non-negative
+    integer, a non-positive count, replica count or sample count, LLN
+    populations that do not strictly increase, fewer than two LLN grid
+    points, a time or step that is not positive and finite, or a p
+    threshold outside (0, 1); :class:`InsufficientReplicas` for fewer
     CLT replicas than :func:`clt_test` needs; and whatever
     :func:`~rpsim.core.validate_spec` raises for a model.
     """
+    check_seed(config.base_seed)
     for name in ("lln_replicas", "clt_replicas", "martingale_replicas",
                  "gillespie_samples", "clt_population",
                  "martingale_population"):

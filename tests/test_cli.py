@@ -195,6 +195,37 @@ COVARIANCE_ARGS = ["fluctuation", "--u0", "0.5,0.3,0.2", "--t-end", "10",
 COVARIANCE_SHA256 = \
     "c58ce3f01ae9f9ca2a03425d26ef4b048a335740970cd2b01b5c07945f01aaf4"
 
+# validate at small scales; 3000 Gillespie samples take the lockstep engine
+# in two chunks
+VALIDATE_INI = """\
+[validate]
+lln_populations = 50, 200
+lln_replicas = 40
+lln_time = 0.5
+lln_grid_points = 11
+lln_median_bound = 0.3
+clt_population = 800
+clt_replicas = 120
+clt_time = 0.5
+clt_frobenius_bound = 0.5
+martingale_population = 50
+martingale_replicas = 150
+martingale_z_bound = 4.5
+gillespie_samples = 3000
+"""
+VALIDATE_SHA256 = {
+    "gillespie.json":
+        "9b5485e114209eaccea64929f8b27b286538e76cce8154768a9a7aa827df8770",
+    "lln.json":
+        "14caf5132cc9437e8cee1703deb2c71f2fb8f6459cfb84b17c34ea5e5bbf370e",
+    "clt.json":
+        "53858e801fba95dcc32939a0709277110f33f9e4dbd5fee4702a56eaf8ff0557",
+    "martingale.json":
+        "ac3b8b4ac5c57de51042a85b529272680ae004f78141a88a92ecaa46cc676e69",
+    "summary.json":
+        "8a357cb177a87a3c9399cc0e8f5db945aa952f28b4a62bf211fd38a13b3e5b9a",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -238,6 +269,38 @@ class TestPinnedOutput:
         out = tmp_path / "fl"
         assert main(COVARIANCE_ARGS + ["--out", str(out)]) == 0
         assert sha256(out / "covariance.csv") == COVARIANCE_SHA256
+
+    def test_validate(self, tmp_path):
+        ini = tmp_path / "v.ini"
+        ini.write_text(VALIDATE_INI)
+        out = tmp_path / "rep"
+        assert main(["validate", "--config", str(ini), "--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in VALIDATE_SHA256} \
+            == VALIDATE_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replicas", "4"],
+    ["simulate", "--replicas", "40"],
+    ["fluctuation", "--paths", "2"],
+    ["fluctuation", "--paths", "0"],
+])
+def test_negative_base_seed_is_a_domain_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--base-seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: base seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_validate_negative_base_seed_is_a_domain_error(tmp_path, capsys):
+    ini = tmp_path / "v.ini"
+    ini.write_text("[run]\nbase_seed = -3\n")
+    out = tmp_path / "rep"
+    assert main(["validate", "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: base seed must be a non-negative integer, got -3\n"
+    assert not out.exists()
 
 
 class TestMeanfieldCommand:

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpsim import (
@@ -15,6 +16,7 @@ from rpsim import (
     Trajectory,
     counts_from_fractions,
     rng_stream,
+    rng_streams,
     run_until,
     symmetric_counts,
     trajectories_identical,
@@ -134,6 +136,46 @@ class TestRngStream:
             np.random.SeedSequence(7, spawn_key=(4,)))
         assert rng_stream(7, 4).standard_exponential() == \
             manual.standard_exponential()
+
+
+class TestRngStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # up to 2**130: a base seed of more than the pool's four words
+        base=st.one_of(st.integers(0, 2**130),
+                       st.integers(0, 2**63 - 1).map(np.int64),
+                       st.integers(0, 2**64 - 1).map(np.uint64)),
+        # a batch may cross 2**32 or 2**64, where indices take another word
+        first=st.one_of(st.integers(0, 10**6),
+                        st.integers(2**32 - 6, 2**32 + 2),
+                        st.integers(2**64 - 6, 2**64 + 2)),
+        count=st.integers(0, 8))
+    def test_equals_numpy_seed_sequence(self, base, first, count):
+        streams = rng_streams(base, first, count)
+        assert len(streams) == count
+        for i, gen in enumerate(streams):
+            ref = np.random.default_rng(
+                np.random.SeedSequence(base, spawn_key=(first + i,)))
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(gen.standard_exponential(6),
+                                  ref.standard_exponential(6))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, np.int64(-2), None])
+    def test_bad_base_seed_is_a_domain_error(self, seed):
+        message = "^" + re.escape(
+            f"base seed must be a non-negative integer, got {seed!r}") + "$"
+        with pytest.raises(DomainError, match=message):
+            rng_streams(seed, 0, 3)
+        with pytest.raises(DomainError, match=message):
+            rng_stream(seed, 0)
+
+    def test_bad_index_or_count_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="stream index must be a "
+                           "non-negative integer, got -1"):
+            rng_stream(0, -1)
+        with pytest.raises(DomainError, match="stream count must be a "
+                           "non-negative integer, got 2.0"):
+            rng_streams(0, 0, 2.0)
 
 
 def test_sim_state_initial_draws_thresholds_in_clock_order():

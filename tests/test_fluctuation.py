@@ -538,6 +538,13 @@ class TestSdeEnsemble:
                            one_path(model, None, 1e-2, grid, 13).values,
                            rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_bad_base_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError, match="base seed must be a "
+                           "non-negative integer"):
+            run_sde_ensemble(fixed_point_model(), None, 1e-2, [0.0, 0.1], 3,
+                             seed)
+
     def test_block_size_does_not_change_results(self, monkeypatch):
         # chunks of steps only split each path's draws, which come from its
         # stream in the same order, so every value is the same, bit for bit

@@ -660,6 +660,29 @@ def test_read_holds_the_event_log_once_plus_one_block(tmp_path, monkeypatch):
     assert peak - result < 1.5 * block
 
 
+def test_read_holds_the_samples_once_plus_one_block(tmp_path, monkeypatch):
+    # samples.csv is parsed a block of rows at a time into the samples
+    # array, sized once replica 0's rows have given the grid; the peak above
+    # the result is one parsed block, loadtxt's own buffers, a few arrays of
+    # one value per row and the manifest, where a reader that kept every
+    # block peaked at 11 blocks above it
+    monkeypatch.setattr(rpsim.io, "_CHUNK", 4096)
+    spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
+    ens = run_ensemble(spec, 50, 1.0, np.linspace(0.0, 1.0, 401), 1,
+                       record_events=False)
+    assert ens.samples.shape[0] * ens.samples.shape[1] > 4 * rpsim.io._CHUNK
+    write_ensemble(ens, tmp_path / "e")
+    tracemalloc.start()
+    try:
+        back = read_ensemble(tmp_path / "e")
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.samples, ens.samples)
+    block = rpsim.io._CHUNK * 8 * (2 + spec.n)
+    assert peak - result < 2 * block
+
+
 def test_reading_a_small_ensemble_peaks_near_its_size(tmp_path):
     # loadtxt allocates its max_rows up front; capped by what the file can
     # hold, an 8-row ensemble is not parsed into a default block of

@@ -135,7 +135,11 @@ class TestOvershootClamp:
                            match=r"^clock 1 overshot its threshold by "
                                  r"2\.776e-17 \(internal-time drift\)$"):
             self.run()
-        # the lockstep engine reports the serial engine's error
+        # the lockstep engine reports the serial engine's error; it builds
+        # its streams in one batch and reruns replicas one stream at a time
+        monkeypatch.setattr(rpsim.simulate, "rng_streams",
+                            lambda base_seed, first, count:
+                            [FixedDraws(*[self.H] * 3) for _ in range(count)])
         monkeypatch.setattr(rpsim.simulate, "rng_stream",
                             lambda base_seed, i: FixedDraws(*[self.H] * 3))
         with pytest.raises(ReplicaError, match="replica 0: clock 1") as err:
@@ -419,6 +423,15 @@ class TestRunEnsemble:
         ens = run_ensemble(spec, 32, math.inf, [], 0, record_events=True)
         assert ens.event_reactions.tolist() == [n - 2] * 32
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("replicas", [4, 40])
+    def test_bad_base_seed_is_not_blamed_on_a_replica(self, replicas, seed):
+        spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
+        with pytest.raises(DomainError, match="base seed must be a "
+                           "non-negative integer") as err:
+            run_ensemble(spec, replicas, 1.0, grid01(3), seed)
+        assert not isinstance(err.value, ReplicaError)
+
     def test_rejects_zero_replicas(self):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
         with pytest.raises(DomainError):
@@ -469,8 +482,9 @@ class TestLockstep:
         spec = ModelSpec(n=len(counts), lam=lam, total=sum(counts),
                          initial=counts)
         grid = np.array([0.0, 0.5, 1.0])
-        monkeypatch.setattr(rpsim.simulate, "rng_stream",
-                            lambda base_seed, i: FixedDraws(*thresholds))
+        monkeypatch.setattr(rpsim.simulate, "rng_streams",
+                            lambda base_seed, first, count:
+                            [FixedDraws(*thresholds) for _ in range(count)])
         ens = run_ensemble(spec, 32, 1.0, grid, 0, record_events=True)
         for i, traj in enumerate(ens.trajectories):
             ref = run_until(spec, 1.0, grid, FixedDraws(*thresholds),

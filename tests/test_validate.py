@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -539,6 +540,8 @@ def test_run_validation_smoke(tmp_path):
      "collision rate"),
     ("[model]\nfractions = 0.5 0.6 0.1", rpsim.core.NormalizationError,
      "fractions sum to"),
+    ("[run]\nbase_seed = -3", DomainError,
+     "base seed must be a non-negative integer, got -3"),
 ])
 def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
                                                    line, error, message):
@@ -550,6 +553,14 @@ def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
     ini.write_text(line + "\n")
     with pytest.raises(error, match=message):
         run_validation(ValidationConfig.from_ini(ini))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_bad_base_seed_fails_before_any_ensemble_runs(monkeypatch, seed):
+    monkeypatch.setattr(rpsim.validate, "run_ensemble", None)
+    with pytest.raises(DomainError, match=re.escape(
+            f"base seed must be a non-negative integer, got {seed!r}")):
+        run_validation(ValidationConfig(base_seed=seed))
 
 
 def test_run_validation_builds_no_trajectory_objects(monkeypatch):
