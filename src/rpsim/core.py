@@ -9,6 +9,7 @@ module.  The model itself: ``n`` species arranged on a cycle, population size
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -274,9 +275,14 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _state_words(entropy: list) -> list:
-    """SeedSequence's ``mix_entropy`` then ``generate_state(8, uint32)``
-    for an assembled entropy of at least ``_POOL`` words."""
+@functools.lru_cache(maxsize=16)
+def _base_pool(base_seed: int) -> tuple:
+    """SeedSequence's pool once ``mix_entropy`` has mixed in the words of
+    ``base_seed``, zero-padded to the pool size, and ``hashmix``'s running
+    constant by then: the part of every stream's hashing that the base
+    seed alone decides."""
+    entropy = _words(base_seed)
+    entropy += [0] * (_POOL - len(entropy))
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
@@ -284,6 +290,20 @@ def _state_words(entropy: list) -> list:
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # hashmix has run 4 times per entropy word
+    return tuple(pool), _INIT_A * pow(_MULT_A, 4 * len(entropy), 1 << 32) & _M32
+
+
+def _state_words(base_seed: int, words: list) -> list:
+    """SeedSequence's ``mix_entropy`` then ``generate_state(8, uint32)``
+    for an entropy of ``base_seed``'s words, zero-padded to the pool size,
+    then ``words``."""
+    pool, const = _base_pool(base_seed)
+    pool = list(pool)
+    hashmix = _hasher(const, _MULT_A)
+    for word in words:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
@@ -316,13 +336,13 @@ def rng_streams(base_seed: int, first: int,
     SeedSequence's steps for every stream at once, on arrays of words.  The
     assembled entropy is the base seed's words, zero-padded to the pool
     size, then those of ``i``, so the hashing up to the first word of ``i``
-    runs once, on Python ints.  Each generator's
+    runs on Python ints, once per base seed: the last few base seeds' pools
+    are cached.  Each generator's
     ``bit_generator.seed_seq`` is a minimal seed sequence holding the four
     words its PCG64 was seeded with.  A seed, index or count that is not a
     non-negative integer raises :class:`DomainError`.
     """
-    base = _words(check_seed(base_seed))
-    base += [0] * (_POOL - len(base))
+    base_seed = check_seed(base_seed)
     # a no-op after the first call
     np.random.bit_generator.ISeedSequence.register(_StateWords)
     first = check_seed(first, "stream index")
@@ -335,7 +355,8 @@ def rng_streams(base_seed: int, first: int,
         # a single stream hashes faster on Python ints
         index = lo if hi - lo == 1 else np.arange(
             lo, hi, dtype=np.uint64 if hi <= 2**64 else object)
-        state = _state_words(base + [index >> 32 * m & _M32 for m in range(k)])
+        state = _state_words(base_seed,
+                             [index >> 32 * m & _M32 for m in range(k)])
         rows = words[lo - first:hi - first]
         for m in range(4):  # little-endian pairs, as SeedSequence reads them
             rows[:, m] = state[2 * m] | state[2 * m + 1] << 32

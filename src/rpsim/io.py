@@ -6,9 +6,15 @@ newlines are always ``\\n``.  Readers invert the writers exactly, so a
 write/read round trip reproduces an ensemble bit for bit, and they check
 each event log against the manifest's event count and final counts.
 
-CSVs are written and read a block of rows at a time: one ``%`` on a repeated
-row template formats up to ``_CHUNK`` rows, and one :func:`numpy.loadtxt`
-call parses up to ``_CHUNK``, or fewer if the file cannot hold them (loadtxt
+CSVs are written and read a block of rows at a time.  A writer formats up
+to ``_WRITE_CELLS`` cells at once, in rows of all replicas or paths alike,
+column by column in numpy: each double's 17 significant digits come from an
+exact (Dekker) product, rounded half-even as CPython's ``%.17g`` rounds
+them, and a table of 4-digit groups turns digits and integers into text.
+The block's text is one ``uint8`` array, written in one call.  Only the
+doubles that ``%.17g`` prints with an exponent, and non-finite ones, go
+through ``%`` itself, one at a time.  One :func:`numpy.loadtxt` call parses
+up to ``_CHUNK`` rows, or fewer if the file cannot hold them (loadtxt
 allocates them all up front).  An event log is read into arrays sized from
 the manifest, and the samples into one sized from replica 0's rows, which
 come first, so reading holds each once plus one block.  Malformed CSV input
@@ -51,33 +57,241 @@ def fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-# rows formatted by one ``%`` operation at most; bounds a writer's memory
+# rows parsed by one loadtxt call, and cells formatted as one block of text,
+# at most; they bound the readers' and the writers' memory (a writer's block
+# holds about 100 bytes a cell)
 _CHUNK = 65536
+_WRITE_CELLS = 3 * 16384
+
+# every 4-digit group '0000'..'9999' as the uint32 whose bytes are its text
+_QUADS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# 10^k, exact as a double for k <= 22, and its Veltkamp split into halves
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLIT = 2.0**27 + 1
 
 
-def _rows(f, template: str, *columns) -> None:
-    """Write ``template % row`` for each row of the equal-length ``columns``.
+def _halves(a):
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
 
-    The cells go through ``.tolist()``, as Python floats and ints, so
-    ``%.17g`` and ``%d`` render them exactly as ``fmt`` and ``str`` do.
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _float_layout() -> np.ndarray:
+    """Which slots of a ``%.17g`` cell print, one row per sign ``s``,
+    decimal exponent ``e = -4..15`` and significant digit count
+    ``d = 1..17``, at row ``(20 s + e + 4) * 17 + d - 1``; its last row,
+    none of them, is for a cell that ``%`` itself prints.
+
+    The slots are, in order: ``-``; ``0.000``, the lead of a magnitude
+    below 1 (``0.`` and ``-e - 1`` zeros); the 17 digits, of which the
+    integer part prints; ``.``; the 17 digits again, of which the fraction
+    prints.
     """
-    for lo in range(0, len(columns[0]), _CHUNK):
-        block = [np.asarray(c[lo:lo + _CHUNK]).tolist() for c in columns]
-        cells = tuple(itertools.chain.from_iterable(zip(*block)))
-        f.write((template * len(block[0])) % cells)
+    sign = (np.arange(2) == 1)[:, None, None, None]
+    e = np.arange(-4, 16)[:, None, None]
+    d = np.arange(1, 18)[:, None]
+    j = np.arange(17)
+    slots = [sign, e < np.minimum(0, 1 - np.arange(5)), j <= e,
+             (e >= 0) & (d > e + 1), (j > e) & (j < d)]
+    layout = np.concatenate(
+        [np.broadcast_to(p, (2, 20, 17, p.shape[-1])) for p in slots],
+        axis=-1).reshape(2 * 20 * 17, 41)
+    return np.vstack([layout, np.zeros(41, dtype=bool)])
 
 
-def _open_w(path: Path, header: list[str] | None = None):
-    """Open ``path`` for writing (making its directory), a CSV header first."""
+_FLOAT_LAYOUT = _float_layout()
+_FLOAT_LEAD = np.frombuffer(b"-0.000", dtype=np.uint8)
+
+
+def _const(byte: int, rows: int):
+    return np.broadcast_to(np.uint8(byte), (rows, 1))
+
+
+def _split(n: np.ndarray, d):
+    """``divmod(n, d)``, in two cheaper steps than numpy's divmod takes."""
+    q = n // d
+    return q, n - q * d
+
+
+def _mantissa(a, e):
+    """``a * 10^(16 - e)`` rounded half-even to an integer, exactly: the
+    product is Dekker's (1971) unevaluated sum ``hi + lo``, in which ``hi``
+    is an even integer (it is at least 2^53), so rounding ``lo`` alone
+    rounds the sum."""
+    k = 16 - e
+    p, p_hi, p_lo = (np.take(t, k) for t in (_POW10, _POW10_HI, _POW10_LO))
+    hi = a * p
+    a_hi, a_lo = _halves(a)
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _float_cells(x: np.ndarray):
+    """The ``%.17g`` text of each double of ``x``: ``(text, valid, late)``,
+    ``text`` and ``valid`` being two lists of arrays of ``len(x)`` rows
+    whose column-wise concatenations' valid bytes, row by row, are the
+    text, but for the cells in ``late``: their indices, and their text,
+    which goes where their (invalid) bytes are.
+
+    A finite ``1e-4 <= |x| < 1e16`` prints in fixed notation: its 17
+    significant digits are ``N = round(|x| * 10^(16 - e))`` for its decimal
+    exponent ``e``, rounded half-even as CPython's correctly rounded
+    conversion does, with trailing fraction zeros dropped.  Zeros print as
+    ``0`` or ``-0``.  Any other double (non-finite, subnormal or printed
+    with an exponent) goes through ``%`` itself, one at a time.
+    """
+    rows = len(x)
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)     # False for nan
+    slow = ~fast & (a != 0)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    n = _mantissa(a, e)
+    # log10 may put e one off; the digits then fall outside [10^16, 10^17)
+    # (no double in range rounds up to 10^17: none lies within half a unit
+    # of its 17th digit below a power of 10)
+    off = (n >= 10**17) | (n < 10**16)
+    if off.any():
+        off = np.flatnonzero(off)
+        e[off] += np.where(n[off] >= 10**17, 1, -1)
+        n[off] = _mantissa(a[off], e[off])
+    n[~fast] = 0
+    e[~fast] = 0
+    # the 17 digits: the leading one, after 3 unused bytes, then four
+    # groups of four
+    quads = np.empty((rows, 5), dtype=np.uint32)
+    digits = quads.view(np.uint8).reshape(rows, 20)[:, 3:]
+    head, n = _split(n, 10**16)
+    digits[:, 0] = head + ord("0")
+    high, low = _split(n, 10**8)
+    for k, part in enumerate((*_split(high, 10**4), *_split(low, 10**4))):
+        quads[:, k + 1] = np.take(_QUADS, part)
+    # significant digits: to the last nonzero one, and at least one
+    sig = np.full(rows, 17)
+    last = np.flatnonzero(fast & (digits[:, 16] == ord("0")))
+    while len(last):
+        sig[last] -= 1
+        last = last[digits[last, sig[last] - 1] == ord("0")]
+    sig[~fast] = 1
+    neg = np.signbit(x) & ~slow
+    key = (neg * 20 + e + 4) * 17 + sig - 1
+    key[slow] = len(_FLOAT_LAYOUT) - 1
+    # the slots any row of this block prints
+    low_e, high_e = int(e.min()), int(e.max())
+    lead = list(range(1, 2 - low_e)) if low_e < 0 else []
+    first, end = max(0, low_e + 1), int(sig.max())
+    slots = ([0] if neg.any() else []) + lead
+    text = [np.broadcast_to(_FLOAT_LEAD[slots], (rows, len(slots)))]
+    if high_e >= 0:
+        slots += list(range(6, 7 + high_e)) + [23]
+        text += [digits[:, :high_e + 1], _const(ord("."), rows)]
+    slots += range(24 + first, 24 + end)
+    text.append(digits[:, first:end])
+    valid = [np.take(_FLOAT_LAYOUT[:, slots], key, axis=0)]
+    where = np.flatnonzero(slow)
+    return text, valid, (where, [("%.17g" % v).encode()
+                                 for v in x[where].tolist()])
+
+
+def _int_cells(x: np.ndarray):
+    """The ``%d`` text of each integer of ``x``, as ``(text, valid)`` of
+    :func:`_float_cells`."""
+    rows = len(x)
+    x = x.astype(np.int64, copy=False)
+    m = x.astype(np.uint64)
+    neg = x < 0
+    np.negative(m, out=m, where=neg)     # exact for the int64 minimum too
+    width = len(str(int(m.max())))
+    count = np.ones(rows, dtype=np.int64)
+    for k in range(1, width):
+        count += m >= np.uint64(10**k)
+    groups = -(-width // 4)
+    quads = np.empty((rows, groups), dtype=np.uint32)
+    for k in range(groups - 1, 0, -1):
+        m, part = _split(m, np.uint64(10**4))
+        quads[:, k] = np.take(_QUADS, part)
+    quads[:, 0] = np.take(_QUADS, m)
+    text = [quads.view(np.uint8).reshape(rows, 4 * groups)[:, -width:]]
+    valid = [np.arange(width) >= width - count[:, None]]
+    if neg.any():
+        text.insert(0, _const(ord("-"), rows))
+        valid.insert(0, neg[:, None])
+    return text, valid
+
+
+def _csv_block(columns: list) -> np.ndarray:
+    """The CSV text of rows given as ``columns`` of equal length, each a
+    1-D array (one CSV column) or a 2-D one (a CSV column per column of
+    it), as one ``uint8`` array: floats as ``%.17g``, integers as ``%d``.
+    """
+    rows = len(columns[0])
+    comma, every = _const(ord(","), rows), np.broadcast_to(True, (rows, 1))
+    text, valid, late = [], [], []
+    for column in columns:
+        for cells in (column.T if column.ndim == 2 else (column,)):
+            if cells.dtype.kind == "f":
+                t, v, (where, texts) = _float_cells(cells)
+                if len(where):
+                    late.append((sum(p.shape[1] for p in text), where, texts))
+            else:
+                t, v = _int_cells(cells)
+            text += t
+            valid += v
+            text.append(comma)
+            valid.append(every)
+    text[-1] = _const(ord("\n"), rows)
+    valid = np.concatenate(valid, axis=1)
+    out = np.concatenate(text, axis=1)[valid]
+    if late:
+        # a late cell's text goes where its slots start: the bytes before
+        # its row's end, less those of its row from there on
+        ends = np.cumsum(valid.sum(axis=1))
+        at = [np.repeat(ends[where] - valid[where, start:].sum(axis=1),
+                        [len(t) for t in texts])
+              for start, where, texts in late]
+        out = np.insert(out, np.concatenate(at), np.frombuffer(
+            b"".join(t for _, _, texts in late for t in texts), np.uint8))
+    return out
+
+
+def _write_csv(path: Path, header: list[str], parts: list,
+               indexed: bool) -> None:
+    """Write CSV ``path``: ``header``, then the rows of each part in turn,
+    a part being a tuple of equal-length column arrays (see
+    :func:`_csv_block`), each row led by its part's index if ``indexed``.
+
+    The rows of all parts are formatted a block of ``_WRITE_CELLS`` cells
+    (or one row) at a time, whatever part they come from, and each block's
+    text is written in one call.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    f = open(path, "w", encoding="utf-8", newline="\n")
-    if header:
-        f.write(",".join(header) + "\n")
-    return f
+    offsets = np.cumsum([0] + [len(part[0]) for part in parts])
+    block = max(1, _WRITE_CELLS // len(header))
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for lo in range(0, int(offsets[-1]), block):
+            hi = min(lo + block, int(offsets[-1]))
+            spans = [(i, max(lo, offsets[i]) - offsets[i],
+                      min(hi, offsets[i + 1]) - offsets[i])
+                     for i in range(np.searchsorted(offsets, lo, "right") - 1,
+                                    np.searchsorted(offsets, hi, "left"))]
+            columns = [np.concatenate([parts[i][c][a:b] for i, a, b in spans])
+                       for c in range(len(parts[0]))]
+            if indexed:
+                columns.insert(0, np.repeat([i for i, _, _ in spans],
+                                            [b - a for _, a, b in spans]))
+            f.write(_csv_block(columns))
 
 
 def write_json(obj, path) -> None:
-    with _open_w(Path(path)) as f:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -92,16 +306,12 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
     manifest.json."""
     out = Path(out_dir)
     n, off = ens.spec.n, ens.event_offsets
-    with _open_w(out / "samples.csv",
-                 ["replica", "time"] + _count_header(n)) as f:
-        for i in range(ens.replicas):
-            _rows(f, f"{i},%.17g" + ",%d" * n + "\n", ens.grid,
-                  *ens.samples[i].T)
+    _write_csv(out / "samples.csv", ["replica", "time"] + _count_header(n),
+               [(ens.grid, counts) for counts in ens.samples], indexed=True)
     if off is not None:
-        with _open_w(out / "events.csv", ["replica", "time", "reaction"]) as f:
-            for i in range(ens.replicas):
-                _rows(f, f"{i},%.17g,%d\n", ens.event_times[off[i]:off[i + 1]],
-                      ens.event_reactions[off[i]:off[i + 1]])
+        _write_csv(out / "events.csv", ["replica", "time", "reaction"],
+                   [(ens.event_times[lo:hi], ens.event_reactions[lo:hi])
+                    for lo, hi in zip(off[:-1], off[1:])], indexed=True)
     absorbed = [None if math.isnan(a) else a for a in ens.absorbed.tolist()]
     n_events = [None] * ens.replicas if off is None else np.diff(off).tolist()
     write_json({
@@ -378,13 +588,12 @@ def read_ensemble(out_dir) -> Ensemble:
 def write_meanfield(path: MeanFieldPath, out_path) -> Path:
     """time,u1..un,sum,product — one row per reported grid label."""
     out, n, m = Path(out_path), path.n, len(path.states)
-    header = ["time"] + _count_header(n, "u") + ["sum", "product"]
-    with _open_w(out, header) as f:
-        u = np.reshape([st.u for st in path.states], (m, n))
-        conserved = np.reshape(
-            [conserved_quantities(st.u) for st in path.states], (m, 2))
-        _rows(f, "%.17g" + ",%.17g" * (n + 2) + "\n",
-              [st.time for st in path.states], *u.T, *conserved.T)
+    u = np.reshape([st.u for st in path.states], (m, n))
+    conserved = np.reshape(
+        [conserved_quantities(st.u) for st in path.states], (m, 2))
+    _write_csv(out, ["time"] + _count_header(n, "u") + ["sum", "product"],
+               [(np.array([st.time for st in path.states], dtype=float), u,
+                 conserved)], indexed=False)
     return out
 
 
@@ -394,11 +603,11 @@ def write_covariances(states, out_path) -> Path:
     if not states:
         raise DomainError("no covariance states to write")
     n = states[0].sigma.shape[0]
-    header = ["time"] + [f"s{j + 1}{k + 1}" for j in range(n) for k in range(n)]
-    with _open_w(out, header) as f:
-        sigma = np.reshape([st.sigma for st in states], (len(states), n * n))
-        _rows(f, "%.17g" + ",%.17g" * (n * n) + "\n",
-              [st.time for st in states], *sigma.T)
+    sigma = np.reshape([st.sigma for st in states], (len(states), n * n))
+    _write_csv(out, ["time"] + [f"s{j + 1}{k + 1}" for j in range(n)
+                                for k in range(n)],
+               [(np.array([st.time for st in states], dtype=float), sigma)],
+               indexed=False)
     return out
 
 
@@ -408,9 +617,8 @@ def write_gaussian_paths(paths, out_path) -> Path:
     if not paths:
         raise DomainError("no paths to write")
     n = paths[0].values.shape[1]
-    with _open_w(out, ["replica", "time"] + _count_header(n, "v")) as f:
-        for i, p in enumerate(paths):
-            _rows(f, f"{i},%.17g" + ",%.17g" * n + "\n", p.grid, *p.values.T)
+    _write_csv(out, ["replica", "time"] + _count_header(n, "v"),
+               [(p.grid, p.values) for p in paths], indexed=True)
     return out
 
 

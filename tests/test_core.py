@@ -151,14 +151,16 @@ class TestRngStreams:
                         st.integers(2**64 - 6, 2**64 + 2)),
         count=st.integers(0, 8))
     def test_equals_numpy_seed_sequence(self, base, first, count):
-        streams = rng_streams(base, first, count)
-        assert len(streams) == count
-        for i, gen in enumerate(streams):
-            ref = np.random.default_rng(
-                np.random.SeedSequence(base, spawn_key=(first + i,)))
-            assert gen.bit_generator.state == ref.bit_generator.state
-            assert np.array_equal(gen.standard_exponential(6),
-                                  ref.standard_exponential(6))
+        # the second call takes the base seed's pool from the cache
+        for streams in (rng_streams(base, first, count),
+                        rng_streams(base, first, count)):
+            assert len(streams) == count
+            for i, gen in enumerate(streams):
+                ref = np.random.default_rng(
+                    np.random.SeedSequence(base, spawn_key=(first + i,)))
+                assert gen.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(gen.standard_exponential(6),
+                                      ref.standard_exponential(6))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, np.int64(-2), None])
     def test_bad_base_seed_is_a_domain_error(self, seed):

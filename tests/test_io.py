@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import rpsim.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpsim import (
     DomainError,
@@ -192,6 +194,70 @@ def test_write_json_sorts_keys(tmp_path):
     assert text.endswith("\n")
 
 
+# -- the block formatter against ``%`` ---------------------------------------
+
+def block_cells(values) -> list[str]:
+    """The cells that the writers' block formatter renders for ``values``,
+    one CSV column."""
+    text = rpsim.io._csv_block([np.asarray(values)]).tobytes().decode()
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
+def as_double(bits: int) -> float:
+    return float(np.uint64(bits).view(np.float64))
+
+
+class TestBlockFormatter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        # any bit pattern: nan payloads, infinities, subnormals, both zeros
+        st.integers(0, 2**64 - 1).map(as_double),
+        # the fixed-notation range and its ends
+        st.floats(1e-5, 1e17).flatmap(lambda x: st.sampled_from([x, -x]))),
+        min_size=1, max_size=64))
+    def test_floats_match_percent_17g(self, values):
+        assert block_cells(np.array(values)) == ["%.17g" % v for v in values]
+
+    @staticmethod
+    def edge_values() -> list[float]:
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                  2.2250738585072014e-308, np.finfo(float).max, 2.0**53,
+                  2.0**53 + 2, 2.0**54]
+        for k in range(-5, 18):
+            p = float(f"1e{k}")
+            # 10^k and one ulp each side, where log10 may misjudge the
+            # exponent and where (just below) the 17 digits come closest to
+            # rounding up into the next one
+            values += [p, np.nextafter(p, 0), np.nextafter(p, math.inf)]
+        for p in (1e-4, 1e16):
+            values += [np.nextafter(np.nextafter(p, 0), 0),
+                       np.nextafter(np.nextafter(p, math.inf), math.inf)]
+        # exact ties at the 17th digit, which round half to even
+        values += [1 + 2.0**-17, 3 + 2.0**-17, 1 + 3 * 2.0**-17,
+                   2.0**-17, 1 + 2.0**-20, 2.0**52 + 0.5, 2.0**51 + 0.25]
+        return values + [-v for v in values]
+
+    def test_edge_values_match_percent_17g(self):
+        values = self.edge_values()
+        assert block_cells(np.array(values)) == ["%.17g" % v for v in values]
+        # each alone too: the layout of a block depends on all its cells
+        for v in values:
+            assert block_cells(np.array([v])) == ["%.17g" % v]
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_integers_match_str(self, dtype):
+        info = np.iinfo(dtype)
+        edges = [info.min, info.min + 1, -10000, -9999, -10, -9, -1, 0, 1,
+                 9, 10, 99, 100, 9999, 10000, info.max - 1, info.max]
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.array(edges, dtype=dtype), rng.integers(
+            info.min, info.max, 1000, dtype=dtype, endpoint=True)])
+        assert block_cells(x) == [str(int(c)) for c in x]
+        for c in edges:
+            assert block_cells(np.array([c], dtype=dtype)) == [str(int(c))]
+
+
 # -- block writers against the row-by-row writers they replaced ------------
 #
 # The reference below formats one row at a time with one ``%.17g`` per float
@@ -248,7 +314,9 @@ def reference_gaussian_paths(paths) -> str:
 
 
 SPECIAL = [-0.0, 5e-324, 1 / 3, 1e300]   # ascending, so also a valid grid
-BLOCK = 65536 + 4                        # crosses one writer chunk boundary
+# crosses a reader chunk boundary and a writer block boundary (a block has
+# at most _WRITE_CELLS cells, and so at most as many rows)
+BLOCK = max(rpsim.io._CHUNK, rpsim.io._WRITE_CELLS) + 4
 
 
 def replayed_final_counts(spec, reactions) -> tuple:
@@ -702,3 +770,26 @@ def test_reading_a_small_ensemble_peaks_near_its_size(tmp_path):
         tracemalloc.stop()
     assert trajectories_identical(back.trajectories[0], ens.trajectories[0])
     assert peak < 64 * size
+
+
+def test_write_peak_does_not_grow_with_rows(tmp_path, monkeypatch):
+    # the writer formats one block of rows at a time, so four times the
+    # event rows add less than one block's buffers (the whole peak of
+    # writing a one-block log), where formatting every row at once would
+    # add three times the shorter log's text and more
+    monkeypatch.setattr(rpsim.io, "_WRITE_CELLS", 3 * 1024)
+    block = 1024        # rows of events.csv: replica, time and reaction
+    peaks = []
+    for size in (block, 8 * block, 32 * block):
+        times = np.sort(np.random.default_rng(size).random(size))
+        ens = synthetic_ensemble(SPEC, GRID, [times[:size // 3],
+                                              times[size // 3:]])
+        write_ensemble(ens, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            write_ensemble(ens, tmp_path / f"e{size}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_block, short, long = peaks
+    assert long - short < one_block
