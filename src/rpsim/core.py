@@ -1,4 +1,5 @@
-"""Shared domain types, validation, and the deterministic RNG contract.
+"""Shared domain types, validation, the deterministic RNG contract, and the
+builder of the loops compiled per species count.
 
 Everything downstream (the event engine, the deterministic limit, the
 fluctuation machinery, the statistical harness) builds on the types in this
@@ -238,6 +239,27 @@ def check_seed(value, name: str = "base seed") -> int:
             and value >= 0:
         return int(value)
     raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+# --------------------------------------------------------------------------
+# loops generated per species count
+# --------------------------------------------------------------------------
+
+def per_species(template: str, n: int, sep: str = "\n") -> str:
+    """``template`` once per species of ``n``, joined by ``sep``: ``{j}`` is
+    the species, ``{k}`` the next one and ``{m}`` the previous one on the
+    cycle."""
+    return sep.join(template.format(j=j, k=(j + 1) % n, m=(j - 1) % n)
+                    for j in range(n))
+
+
+def compile_loop(source: str, label: str, **names):
+    """Compile ``source``, which defines a function ``loop``, with ``names``
+    as its globals, and return that function.  Callers cache the result per
+    species count, so each count is compiled on first use only."""
+    namespace = dict(names)
+    exec(compile(source, label, "exec"), namespace)
+    return namespace["loop"]
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size and

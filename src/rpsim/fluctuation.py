@@ -167,9 +167,9 @@ class FluctuationModel:
 
     Times are served by snapping to the path's integrator steps, exactly as
     the path itself samples; nothing is interpolated.  The path must lie on
-    the simplex (:class:`DomainError`) and be an RK4 march at ``lam``, each
-    stored step within 1e-12 of one RK4 step from the one before
-    (:class:`NumericError`).
+    the simplex, with no nan state (:class:`DomainError`), and be an RK4
+    march at ``lam``, each stored step within 1e-12 of one RK4 step from the
+    one before (:class:`NumericError`).
     """
 
     path: MeanFieldPath
@@ -179,10 +179,12 @@ class FluctuationModel:
         object.__setattr__(self, "lam", check_rate(self.lam))
         stored = self.path.step_states
         sums = stored.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-6 or stored.min() < -1e-6:
+        # written so that a nan fails each check: every comparison with it
+        # is False
+        if not (np.max(np.abs(sums - 1.0)) <= 1e-6 and stored.min() >= -1e-6):
             raise DomainError("path states must lie on the simplex")
         marched = _rk4_stages(stored[:-1].T, self.lam, self.path.step)[0]
-        if np.max(np.abs(marched - stored[1:].T), initial=0.0) > 1e-12:
+        if not (np.max(np.abs(marched - stored[1:].T), initial=0.0) <= 1e-12):
             raise NumericError("the stored mean-field path is not an RK4 march "
                                f"at the model's rate {self.lam:g}")
 

@@ -8,16 +8,24 @@ with the same single collision rate lam as the exact simulator.
 
 Two quantities are conserved by the flow: the total sum(u) and the product
 prod(u).  The integrator audits both at every step.
+
+:func:`rk4_step` through :func:`vector_field` is the reference RK4 march.
+:func:`integrate` runs it as a loop generated and compiled once per species
+count, with each fraction a local Python float and every operation of the
+two functions written out per component, in their order.  Python floats and
+numpy's elementwise float64 take the same IEEE operations, so the stored
+steps are bit for bit those of the reference.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DomainError, StepError, check_fractions, check_grid,
-                   check_rate)
+                   check_rate, compile_loop, per_species)
 
 __all__ = [
     "MeanFieldState",
@@ -32,7 +40,7 @@ __all__ = [
     "DEFAULT_STEP",
 ]
 
-# tolerance backing the blow-up guard: StepError below -10*INTEGRATOR_TOL
+# the blow-up guard raises StepError below -10*INTEGRATOR_TOL, or at nan
 INTEGRATOR_TOL = 1e-9
 DEFAULT_STEP = 1e-3
 
@@ -93,10 +101,12 @@ def conserved_quantities(u) -> tuple[float, float]:
 def rk4_step(field, u: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of du/dt = field(u).
 
-    The package's only RK4 formula.  Its combination is elementwise, so a
-    stack of states, one per column, marches each column exactly as its own
-    call would; the covariance propagator takes the mean field's stage states
-    that way, then marches S through it with coefficients fixed per stage.
+    The package's RK4 formula, and the reference that :func:`integrate`'s
+    compiled march is pinned to bit for bit.  Its combination is
+    elementwise, so a stack of states, one per column, marches each column
+    exactly as its own call would; the covariance propagator takes the mean
+    field's stage states that way, then marches S through it with
+    coefficients fixed per stage.
     """
     k1 = field(u)
     k2 = field(u + (0.5 * h) * k1)
@@ -125,6 +135,68 @@ def snap_grid(grid, step: float, t_end: float | None = None):
     return grid, indices, n_steps
 
 
+def _left_simplex(u, k: int, h: float) -> StepError:
+    """The blow-up guard's error: step ``k`` left a component ``u`` below
+    the floor, or not a number."""
+    low = float(np.min(u))
+    what = "became nan" if math.isnan(low) else f"fell to {low:.3e}"
+    return StepError(f"component {what} at t={(k + 1) * h:.6g}; "
+                     "integration left the simplex")
+
+
+# integrate's march, unrolled: fraction j is u{j}, the slopes of its four RK4
+# stages are a{j}..d{j}, and v{j} holds each stage's state in turn.  Each
+# line is rk4_step's and vector_field's elementwise operation, in their
+# order, on Python floats: the same IEEE arithmetic, so the same bits.  Step
+# k + 1 is stored at out[p:p + n] of the flat states array.
+_MARCH = """\
+def loop(u, lam, h, n_steps, out, floor):
+    {u}, = u
+    half, sixth = 0.5 * h, h / 6.0
+    p = {n}
+    for k in range(n_steps):
+{a}
+{v_a}
+{b}
+{v_b}
+{c}
+{v_c}
+{d}
+{update}
+        if not ({guard}):
+            raise _left_simplex(({u},), k, h)
+{store}
+        p += {n}
+"""
+
+
+def _field(slope: str, x: str) -> str:
+    """vector_field's line for component j, writing ``slope`` from state
+    ``x``."""
+    return (f"        {slope}{{j}} = lam * ({x}{{j}} * {x}{{k}} "
+            f"- {x}{{m}} * {x}{{j}})")
+
+
+@functools.lru_cache(maxsize=16)
+def _march(n: int):
+    """integrate's RK4 march for ``n`` species, compiled on first use."""
+    source = _MARCH.format(
+        n=n, u=per_species("u{j}", n, ", "),
+        a=per_species(_field("a", "u"), n),
+        v_a=per_species("        v{j} = u{j} + half * a{j}", n),
+        b=per_species(_field("b", "v"), n),
+        v_b=per_species("        v{j} = u{j} + half * b{j}", n),
+        c=per_species(_field("c", "v"), n),
+        v_c=per_species("        v{j} = u{j} + h * c{j}", n),
+        d=per_species(_field("d", "v"), n),
+        update=per_species("        u{j} = u{j} + sixth * "
+                           "(a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})", n),
+        guard=per_species("u{j} >= floor", n, " and "),
+        store=per_species("        out[p + {j}] = u{j}", n))
+    return compile_loop(source, f"<integrate march, n={n}>",
+                        _left_simplex=_left_simplex)
+
+
 def integrate(u0, lam: float, t_end: float = 1.0,
               step: float = DEFAULT_STEP, grid=None) -> MeanFieldPath:
     """Fixed-step 4th-order integration of the cyclic system.
@@ -133,8 +205,16 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     positive, finite collision rate.  The end time ``t_end`` is snapped to a
     whole number of steps, and each time in ``grid`` (default: every step)
     is served by the nearest step.  Raises :class:`StepError` if any
-    component falls below ``-10 * INTEGRATOR_TOL`` (blow-up), and
-    :class:`DomainError` if the steps' states do not fit in memory.
+    component falls below ``-10 * INTEGRATOR_TOL`` or is not a number
+    (blow-up), and :class:`DomainError` if the steps' states do not fit in
+    memory.
+
+    The steps are marched by a loop compiled on first use per species
+    count (the last 16 counts stay cached), at a cost of about 0.2 ms per
+    species: 0.4-0.7 ms at n = 3, 8-13 ms at n = 64.  It writes each step
+    straight into the returned ``step_states`` array, bit for bit what
+    :func:`rk4_step` gives, in about 2 µs a step at n = 3 against 36-49 µs
+    through numpy.
     """
     u = check_fractions(u0)
     lam = check_rate(lam)
@@ -153,19 +233,9 @@ def integrate(u0, lam: float, t_end: float = 1.0,
         if grid_arr[0] < -step / 2 or grid_arr[-1] > n_steps * step + step / 2:
             raise DomainError("grid must lie within [0, t_end]")
 
-    def field(x):
-        return vector_field(x, lam)
-
     states[0] = u
-    for k in range(n_steps):
-        u = rk4_step(field, u, step)
-        low = float(u.min())
-        if low < -10.0 * INTEGRATOR_TOL:
-            raise StepError(
-                f"component fell to {low:.3e} at t={(k + 1) * step:.6g}; "
-                "integration left the simplex"
-            )
-        states[k + 1] = u
+    _march(len(u))(u.tolist(), lam, float(step), n_steps,
+                   memoryview(states.reshape(-1)), -10.0 * INTEGRATOR_TOL)
 
     # row by row, the audit equals conserved_quantities of each state
     audit = ConservationAudit(times=np.arange(n_steps + 1) * step,

@@ -52,6 +52,8 @@ from .core import (
     Trajectory,
     check_grid,
     check_seed,
+    compile_loop,
+    per_species,
     rng_stream,
     rng_streams,
     validate_spec,
@@ -309,19 +311,17 @@ def _clamp(j: int, advanced: float, threshold: float, rtol: float) -> float:
 @functools.lru_cache(maxsize=16)
 def _event_loop(n: int):
     """run_until's event loop for ``n`` species, compiled on first use."""
-    def each(template, sep="\n"):
-        return sep.join(template.format(j=j, k=(j + 1) % n) for j in range(n))
-
     c = [f"c{j}" for j in range(n)]
     source = _LOOP.format(
-        n=n, c=", ".join(c), i=each("i{j}", ", "), h=each("h{j}", ", "),
+        n=n, c=", ".join(c), i=per_species("i{j}", n, ", "),
+        h=per_species("h{j}", n, ", "),
         # summed in groups: one long sum nests too deep for the compiler
         c_sum=" + ".join(f"({' + '.join(c[lo:lo + 64])})"
                          for lo in range(0, n, 64)),
-        select=each(_SELECT), advance=each(_ADVANCE), fire=each(_FIRE))
-    namespace = {"BudgetExceeded": BudgetExceeded, "_clamp": _clamp}
-    exec(compile(source, f"<run_until loop, n={n}>", "exec"), namespace)
-    return namespace["loop"]
+        select=per_species(_SELECT, n), advance=per_species(_ADVANCE, n),
+        fire=per_species(_FIRE, n))
+    return compile_loop(source, f"<run_until loop, n={n}>",
+                        BudgetExceeded=BudgetExceeded, _clamp=_clamp)
 
 
 def _expected_events(spec: ModelSpec, t_end: float) -> float:

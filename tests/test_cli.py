@@ -344,6 +344,20 @@ class TestMeanfieldCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, out_name", [("meanfield", "mf.csv"),
+                                               ("fluctuation", "fl")])
+def test_blow_up_is_a_step_error(tmp_path, capsys, command, out_name):
+    # one step of 1e30 overflows to nan, which the guard must not let pass
+    out = tmp_path / out_name
+    rc = main([command, "--u0", "0.5,0.3,0.2", "--step", "1e30",
+               "--t-end", "3e30", "--grid-points", "3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: component became nan at t=1e+30; integration left the "
+        "simplex\n")
+    assert not out.exists()
+
+
 class TestFluctuationCommand:
     def test_writes_covariance_and_paths(self, tmp_path):
         out = tmp_path / "fl"

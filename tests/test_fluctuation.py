@@ -483,6 +483,16 @@ class TestFluctuationModel:
         with pytest.raises(DomainError):
             FluctuationModel.from_path(path, 1.0)
 
+    def test_rejects_a_non_finite_path(self):
+        # nan compares False both ways, so each check must fail on it
+        path = integrate(THIRD, 1.0, t_end=0.1, step=1e-2)
+        states = path.step_states.copy()
+        states[3, 1] = np.nan
+        with pytest.raises(DomainError,
+                           match="path states must lie on the simplex"):
+            FluctuationModel.from_path(
+                dataclasses.replace(path, step_states=states), 1.0)
+
 
 class TestLimitSde:
     # one-path ensembles: the ensemble runner is the only SDE runner

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +16,21 @@ from rpsim import (
     rk4_step,
     vector_field,
 )
+from rpsim.meanfield import INTEGRATOR_TOL
 
 
 def simplex(*vals):
     return np.array(vals, dtype=float)
+
+
+def reference_march(u0, lam, step, n_steps):
+    """Every state of ``n_steps`` steps of rk4_step through vector_field."""
+    u = np.array(u0, dtype=float)
+    out = [u]
+    for _ in range(n_steps):
+        u = rk4_step(lambda x: vector_field(x, lam), u, step)
+        out.append(u)
+    return np.array(out)
 
 
 class TestVectorField:
@@ -162,3 +176,66 @@ class TestIntegrate:
         audit = path.invariant_audit
         assert np.max(np.abs(audit.sums - 1.0)) < 1e-10
         assert np.min(path.step_states) > -1e-8
+
+
+class TestCompiledMarch:
+    # integrate marches in a loop compiled per species count, which must
+    # give rk4_step's bits, and stop at rk4_step's first blow-up
+
+    @given(data=st.data(), n=st.sampled_from([3, 4, 5, 7, 65]),
+           lam=st.floats(min_value=0.1, max_value=4.0),
+           h=st.floats(min_value=1e-4, max_value=0.05))
+    @settings(max_examples=30, deadline=None)
+    def test_bits_equal_the_rk4_step_march(self, data, n, lam, h):
+        weights = data.draw(st.lists(st.integers(min_value=1, max_value=20),
+                                     min_size=n, max_size=n))
+        u0 = np.array(weights, dtype=float) / sum(weights)
+        path = integrate(u0, lam, t_end=40 * h, step=h)
+        ref = reference_march(path.step_states[0], lam, h,
+                              len(path.step_states) - 1)
+        assert np.array_equal(path.step_states.view(np.int64),
+                              ref.view(np.int64))
+
+    @pytest.mark.parametrize("n", [3, 65])
+    @pytest.mark.parametrize("start, step, message", [
+        # a finite step too long for the flow
+        ("head", 10.0, r"component fell to -\S+ at t=10; "),
+        # every component overflows to inf - inf = nan, which compares False
+        ("ramp", 1e100, "component became nan at t=1e[+]100; "),
+    ])
+    def test_step_error_at_the_reference_blow_up(self, n, start, step,
+                                                 message):
+        weights = {"head": np.r_[5.0, 3.0, np.full(n - 2, 2.0 / (n - 2))],
+                   "ramp": np.arange(1.0, n + 1)}[start]
+        u0 = weights / weights.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepError, match=message) as err:
+                integrate(u0, 1.0, t_end=3 * step, step=step)
+        # the first rk4_step state below the floor, or nan, is the one named
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = reference_march(u0, 1.0, step, 3)
+        low = ref.min(axis=1)
+        k = int(np.argmax(~(low >= -10 * INTEGRATOR_TOL)))
+        assert k > 0
+        what = ("became nan" if np.isnan(low[k])
+                else f"fell to {low[k]:.3e}")
+        assert str(err.value) == (f"component {what} at t={k * step:.6g}; "
+                                  "integration left the simplex")
+
+    def test_peak_memory_is_the_path_arrays(self):
+        # steps go straight into the states array: no per-step Python
+        # objects (a list of float tuples costs about 6x the array)
+        integrate(simplex(0.5, 0.3, 0.2), 1.0, t_end=0.1, step=1e-2)  # compile
+        tracemalloc.start()
+        try:
+            path = integrate(simplex(0.5, 0.3, 0.2), 1.0, t_end=100.0,
+                             step=1e-3, grid=[0.0, 100.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        audit = path.invariant_audit
+        kept = sum(a.nbytes for a in (path.step_states, audit.times,
+                                      audit.sums, audit.products))
+        assert len(path.step_states) == 100_001
+        assert peak <= kept + 64 * 1024
