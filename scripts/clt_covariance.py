@@ -49,12 +49,14 @@ def main() -> int:
     report = clt_test(ens, mf, sigma)
 
     np.set_printoptions(precision=5, suppress=True)
-    print(f"\nempirical covariance at t={args.t}:\n{report.empirical_cov}")
-    print(f"\npredicted covariance:\n{report.reference_cov}")
-    print(f"\nentrywise z-scores:\n{report.z_scores}")
+    cov, ref, z = (np.array(report[key]) for key in
+                   ("empirical_cov", "reference_cov", "z_scores"))
+    print(f"\nempirical covariance at t={args.t}:\n{cov}")
+    print(f"\npredicted covariance:\n{ref}")
+    print(f"\nentrywise z-scores:\n{z}")
     print(f"\nFrobenius relative error (zero-sum subspace): "
-          f"{report.frobenius_rel_err:.4f}  "
-          f"-> {'PASS' if report.passed else 'FAIL'}")
+          f"{report['frobenius_rel_err']:.4f}  "
+          f"-> {'PASS' if report['pass'] else 'FAIL'}")
     return 0
 
 

@@ -48,11 +48,11 @@ def main() -> int:
 
     report = lln_test(ensembles, mf, args.t_end, ratio_band=None)
     print(f"\n{'M':>8} {'median':>10} {'q95':>10} {'median*sqrt(M)':>16}")
-    for r in report.records:
-        print(f"{r.M:>8} {r.median:>10.5f} {r.q95:>10.5f} "
-              f"{r.median * np.sqrt(r.M):>16.4f}")
+    for r in report["records"]:
+        print(f"{r['M']:>8} {r['median']:>10.5f} {r['q95']:>10.5f} "
+              f"{r['median'] * np.sqrt(r['M']):>16.4f}")
     print(f"\nsuccessive median ratios: "
-          f"{[round(x, 3) for x in report.ratios]} "
+          f"{[round(x, 3) for x in report['ratios']]} "
           f"(sqrt scaling predicts about 2.0 per 4x step)")
     return 0
 

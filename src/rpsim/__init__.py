@@ -52,12 +52,6 @@ from .simulate import (
     run_until,
 )
 from .validate import (
-    CltReport,
-    GillespieReport,
-    LlnRecord,
-    LlnReport,
-    MartingaleCheck,
-    MartingaleReport,
     ValidationConfig,
     clt_test,
     gillespie_equivalence_test,
@@ -89,8 +83,6 @@ __all__ = [
     "diffusion_matrix", "drift_matrix", "propagate_covariance", "psd_sqrt",
     "run_sde_ensemble",
     # statistical harness
-    "CltReport", "GillespieReport", "LlnRecord", "LlnReport",
-    "MartingaleCheck", "MartingaleReport", "ValidationConfig",
-    "clt_test", "gillespie_equivalence_test", "lln_test", "martingale_test",
-    "run_validation", "zero_sum_projector",
+    "ValidationConfig", "clt_test", "gillespie_equivalence_test", "lln_test",
+    "martingale_test", "run_validation", "zero_sum_projector",
 ]

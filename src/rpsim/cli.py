@@ -93,7 +93,7 @@ def _cmd_meanfield(args) -> int:
                      grid=grid)
     out = io.write_meanfield(path, args.out)
     audit = path.invariant_audit
-    print(f"wrote {len(path.states)} states to {out} "
+    print(f"wrote {len(path.grid)} states to {out} "
           f"(max |sum-1|={np.max(np.abs(audit.sums - audit.sums[0])):.3e}, "
           f"max |prod drift|="
           f"{np.max(np.abs(audit.products - audit.products[0])):.3e})")
@@ -139,7 +139,7 @@ def _cmd_validate(args) -> int:
         else ValidationConfig()
     reports = run_validation(config, workers=args.workers, echo=print)
     io.write_validation_reports(reports, args.out)
-    ok = all(r.passed for r in reports.values())
+    ok = all(r["pass"] for r in reports.values())
     print(f"summary: {'ALL PASS' if ok else 'FAILURES'} (reports in {args.out})")
     return 0 if ok else 1
 

@@ -223,11 +223,8 @@ def propagate_covariance(model: FluctuationModel,
     path.
     """
     path, n, lam, step = model.path, model.n, model.lam, model.path.step
-    grid, indices, n_steps = snap_grid(path.grid, step)
-    # a label up to half a step past the path's end can round to a step
-    # past it; the path serves it from its last step, and so does S
-    n_steps = min(n_steps, len(path.step_states) - 1)
-    indices = np.minimum(indices, n_steps)
+    grid, indices = path.grid, path.indices
+    n_steps = int(indices[-1]) if len(indices) else 0
     s = np.asarray(sigma0, dtype=float).copy()
     if s.shape != (n, n):
         raise DomainError(f"initial covariance must be {n}x{n}, got {s.shape}")

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DomainError, ModelSpec, RpsimError, check_grid, validate_spec
-from .meanfield import MeanFieldPath, conserved_quantities
+from .meanfield import MeanFieldPath
 from .simulate import Ensemble
 
 __all__ = [
@@ -586,14 +586,12 @@ def read_ensemble(out_dir) -> Ensemble:
 
 
 def write_meanfield(path: MeanFieldPath, out_path) -> Path:
-    """time,u1..un,sum,product — one row per reported grid label."""
-    out, n, m = Path(out_path), path.n, len(path.states)
-    u = np.reshape([st.u for st in path.states], (m, n))
-    conserved = np.reshape(
-        [conserved_quantities(st.u) for st in path.states], (m, 2))
-    _write_csv(out, ["time"] + _count_header(n, "u") + ["sum", "product"],
-               [(np.array([st.time for st in path.states], dtype=float), u,
-                 conserved)], indexed=False)
+    """time,u1..un,sum,product — one row per reported grid label, the
+    step that serves it and that step's row of the conservation audit."""
+    out, idx, audit = Path(out_path), path.indices, path.invariant_audit
+    _write_csv(out, ["time"] + _count_header(path.n, "u") + ["sum", "product"],
+               [(path.grid, path.step_states[idx], audit.sums[idx],
+                 audit.products[idx])], indexed=False)
     return out
 
 
@@ -623,13 +621,14 @@ def write_gaussian_paths(paths, out_path) -> Path:
 
 
 def write_validation_reports(reports: dict, out_dir) -> Path:
-    """One JSON per check plus summary.json with the pass booleans."""
+    """``<name>.json`` for each report, as it is, plus summary.json with
+    each report's ``"pass"``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
     for name, report in reports.items():
-        write_json(report.to_dict(), out / f"{name}.json")
-        summary[name] = bool(report.passed)
+        write_json(report, out / f"{name}.json")
+        summary[name] = report["pass"]
     summary["all"] = all(summary.values())
     write_json(summary, out / "summary.json")
     return out

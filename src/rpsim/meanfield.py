@@ -66,14 +66,14 @@ class ConservationAudit:
 class MeanFieldPath:
     """Integrated mean-field solution.
 
-    ``grid``/``states`` report the caller's requested sample times verbatim;
-    for each one the value is taken at the nearest integrator step (snapping,
-    never interpolation).  ``step_states`` keeps the full per-step solution,
-    which the fluctuation layer samples the same way.
+    ``grid`` holds the caller's requested sample times verbatim, and
+    ``indices`` the integrator step that serves each one, the nearest
+    (snapping, never interpolation).  ``step_states`` keeps the full
+    per-step solution, which the fluctuation layer samples the same way.
     """
 
     grid: np.ndarray
-    states: tuple[MeanFieldState, ...]
+    indices: np.ndarray              # (len(grid),) step of each sample time
     step: float
     step_states: np.ndarray          # (n_steps + 1, n)
     invariant_audit: ConservationAudit
@@ -81,6 +81,13 @@ class MeanFieldPath:
     @property
     def n(self) -> int:
         return self.step_states.shape[1]
+
+    @functools.cached_property
+    def states(self) -> tuple[MeanFieldState, ...]:
+        """One :class:`MeanFieldState` per sample time, built on first use:
+        the time verbatim and the state of the step that serves it."""
+        return tuple(MeanFieldState(u=u, time=t) for u, t in
+                     zip(self.step_states[self.indices], self.grid.tolist()))
 
 
 def vector_field(u, lam: float) -> np.ndarray:
@@ -207,7 +214,8 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     is served by the nearest step.  Raises :class:`StepError` if any
     component falls below ``-10 * INTEGRATOR_TOL`` or is not a number
     (blow-up), and :class:`DomainError` if the steps' states do not fit in
-    memory.
+    memory.  The path keeps every step's state and the step serving each
+    grid time; it builds its per-time ``states`` only when they are read.
 
     The steps are marched by a loop compiled on first use per species
     count (the last 16 counts stay cached), at a cost of about 0.2 ms per
@@ -241,8 +249,5 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     audit = ConservationAudit(times=np.arange(n_steps + 1) * step,
                               sums=states.sum(axis=1),
                               products=states.prod(axis=1))
-    return MeanFieldPath(
-        grid=grid_arr,
-        states=tuple(MeanFieldState(u=states[idx].copy(), time=float(t))
-                     for idx, t in zip(indices, grid_arr)),
-        step=float(step), step_states=states, invariant_audit=audit)
+    return MeanFieldPath(grid=grid_arr, indices=indices, step=float(step),
+                         step_states=states, invariant_audit=audit)

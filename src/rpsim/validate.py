@@ -14,11 +14,14 @@ Four checks are provided:
   ensemble, one replica per sample, against the closed-form
   competing-exponentials law (``gillespie_equivalence_test``).
 
-Every report is a pure function of its inputs.  Every pass threshold is
-configuration, not a theorem constant; reports carry a calibration note
-saying exactly that.  The KS and chi-square p-values are computed here with
-``math`` and numpy (tests check them against scipy), so importing the package
-does not import scipy.
+Each check returns its report as a plain dict of JSON values (lists, not
+arrays; Python floats, ints and bools, not numpy scalars), the dict that
+``rpsim validate`` writes to ``<check>.json``, with the verdict under
+``"pass"``.  Every report is a pure function of its inputs.  Every pass
+threshold is configuration, not a theorem constant; reports carry a
+calibration note saying exactly that.  The KS and chi-square p-values are
+computed here with ``math`` and numpy (tests check them against scipy), so
+importing the package does not import scipy.
 """
 from __future__ import annotations
 
@@ -43,12 +46,6 @@ from .meanfield import DEFAULT_STEP, MeanFieldPath, integrate
 from .simulate import Ensemble, run_ensemble
 
 __all__ = [
-    "LlnRecord",
-    "LlnReport",
-    "CltReport",
-    "MartingaleCheck",
-    "MartingaleReport",
-    "GillespieReport",
     "ValidationConfig",
     "lln_test",
     "clt_test",
@@ -108,54 +105,9 @@ def _match_times(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
 # law of large numbers
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LlnRecord:
-    M: int
-    replicas: int
-    median: float
-    q95: float
-    deviations: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class LlnReport:
-    t: float
-    records: tuple[LlnRecord, ...]
-    ratios: tuple[float, ...]
-    monotone: bool
-    median_bound: float
-    ratio_band: tuple[float, float] | None
-    ratios_in_band: bool
-    passed: bool
-    notes: tuple[str, ...] = (CALIBRATION_NOTE, GRID_SUP_NOTE)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "lln",
-            "pass": bool(self.passed),
-            "t": self.t,
-            "median_bound": self.median_bound,
-            "ratio_band": list(self.ratio_band) if self.ratio_band else None,
-            "monotone": bool(self.monotone),
-            "ratios": [float(r) for r in self.ratios],
-            "ratios_in_band": bool(self.ratios_in_band),
-            "records": [
-                {
-                    "M": r.M,
-                    "replicas": r.replicas,
-                    "median": float(r.median),
-                    "q95": float(r.q95),
-                    "deviations": [float(d) for d in r.deviations],
-                }
-                for r in self.records
-            ],
-            "notes": list(self.notes),
-        }
-
-
 def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
              median_bound: float = 0.05,
-             ratio_band: tuple[float, float] | None = (1.6, 2.5)) -> LlnReport:
+             ratio_band: tuple[float, float] | None = (1.6, 2.5)) -> dict:
     """Sup-deviation scaling check across increasing population sizes.
 
     Per replica the statistic is max over grid times s <= t of the l1 norm
@@ -186,36 +138,34 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
     mask = grid <= t + _TIME_MATCH_TOL
     used = grid[mask]
     mf_idx = _match_times(meanfield.grid, used)
-    u = np.stack([meanfield.states[i].u for i in mf_idx])
+    u = meanfield.step_states[meanfield.indices[mf_idx]]
 
     records = []
     for e in ensembles:
         x = e.samples[:, mask, :].astype(float) / e.spec.total
         devs = np.abs(x - u[None, :, :]).sum(axis=2).max(axis=1)
-        records.append(
-            LlnRecord(
-                M=e.spec.total,
-                replicas=e.replicas,
-                median=float(np.median(devs)),
-                q95=float(np.quantile(devs, 0.95)),
-                deviations=devs,
-            )
-        )
-    medians = [r.median for r in records]
-    ratios = tuple(
+        records.append({"M": e.spec.total, "replicas": e.replicas,
+                        "median": float(np.median(devs)),
+                        "q95": float(np.quantile(devs, 0.95)),
+                        "deviations": devs.tolist()})
+    medians = [r["median"] for r in records]
+    ratios = [
         medians[i] / medians[i + 1] if medians[i + 1] > 0 else math.inf
         for i in range(len(medians) - 1)
-    )
+    ]
     monotone = all(a > b for a, b in zip(medians, medians[1:]))
     in_band = ratio_band is None or all(
         ratio_band[0] <= r <= ratio_band[1] for r in ratios
     )
-    passed = monotone and medians[-1] < median_bound and in_band
-    return LlnReport(
-        t=t, records=tuple(records), ratios=ratios, monotone=monotone,
-        median_bound=median_bound, ratio_band=ratio_band,
-        ratios_in_band=in_band, passed=passed,
-    )
+    return {
+        "check": "lln",
+        "pass": bool(monotone and medians[-1] < median_bound and in_band),
+        "t": t, "median_bound": median_bound,
+        "ratio_band": list(ratio_band) if ratio_band else None,
+        "monotone": monotone, "ratios": ratios,
+        "ratios_in_band": in_band, "records": records,
+        "notes": [CALIBRATION_NOTE, GRID_SUP_NOTE],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -225,42 +175,9 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
 _CLT_MIN_REPLICAS = 100
 
 
-@dataclass(frozen=True, eq=False)
-class CltReport:
-    t: float
-    M: int
-    replicas: int
-    empirical_mean: np.ndarray
-    empirical_cov: np.ndarray
-    reference_cov: np.ndarray
-    z_scores: np.ndarray
-    frobenius_rel_err: float
-    frobenius_bound: float
-    degenerate: bool
-    passed: bool
-    notes: tuple[str, ...] = (CALIBRATION_NOTE,)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "clt",
-            "pass": bool(self.passed),
-            "t": self.t,
-            "M": self.M,
-            "replicas": self.replicas,
-            "degenerate": bool(self.degenerate),
-            "frobenius_rel_err": float(self.frobenius_rel_err),
-            "frobenius_bound": float(self.frobenius_bound),
-            "empirical_mean": self.empirical_mean.tolist(),
-            "empirical_cov": self.empirical_cov.tolist(),
-            "reference_cov": self.reference_cov.tolist(),
-            "z_scores": self.z_scores.tolist(),
-            "notes": list(self.notes),
-        }
-
-
 def clt_test(ensemble: Ensemble, meanfield: MeanFieldPath,
              covariance: CovarianceState, *,
-             frobenius_bound: float = 0.15) -> CltReport:
+             frobenius_bound: float = 0.15) -> dict:
     """Empirical fluctuation covariance against the propagated reference.
 
     Forms Y = (counts - M*u(t)) / sqrt(M) per replica at the covariance's
@@ -278,7 +195,7 @@ def clt_test(ensemble: Ensemble, meanfield: MeanFieldPath,
     t = covariance.time
     g_idx = _match_times(ensemble.grid, np.array([t]))[0]
     u_idx = _match_times(meanfield.grid, np.array([t]))[0]
-    u = meanfield.states[u_idx].u
+    u = meanfield.step_states[meanfield.indices[u_idx]]
     m = ensemble.spec.total
 
     x = ensemble.samples[:, g_idx, :].astype(float)
@@ -301,65 +218,23 @@ def clt_test(ensemble: Ensemble, meanfield: MeanFieldPath,
             np.where(cov == ref, 0.0, math.inf),
         )
     frob = _frobenius_zero_sum(cov, ref)
-    passed = (not degenerate) and frob < frobenius_bound
-    return CltReport(
-        t=t, M=m, replicas=replicas, empirical_mean=mean, empirical_cov=cov,
-        reference_cov=ref, z_scores=z, frobenius_rel_err=frob,
-        frobenius_bound=frobenius_bound, degenerate=degenerate, passed=passed,
-    )
+    return {
+        "check": "clt",
+        "pass": bool(not degenerate and frob < frobenius_bound),
+        "t": t, "M": m, "replicas": replicas, "degenerate": degenerate,
+        "frobenius_rel_err": frob, "frobenius_bound": float(frobenius_bound),
+        "empirical_mean": mean.tolist(), "empirical_cov": cov.tolist(),
+        "reference_cov": ref.tolist(), "z_scores": z.tolist(),
+        "notes": [CALIBRATION_NOTE],
+    }
 
 
 # --------------------------------------------------------------------------
 # martingale structure
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MartingaleCheck:
-    kind: str                      # "mean", "qv", or "cross"
-    reactions: tuple[int, ...]
-    estimate: float
-    se: float
-    z: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "reactions": list(self.reactions),
-            "estimate": float(self.estimate),
-            "se": float(self.se),
-            "z": float(self.z),
-            "pass": bool(self.passed),
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class MartingaleReport:
-    t: float
-    replicas: int
-    mean_jump_counts: np.ndarray
-    mean_internal_times: np.ndarray
-    checks: tuple[MartingaleCheck, ...]
-    z_bound: float
-    passed: bool
-    notes: tuple[str, ...] = (CALIBRATION_NOTE,)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "martingale",
-            "pass": bool(self.passed),
-            "t": self.t,
-            "replicas": self.replicas,
-            "z_bound": self.z_bound,
-            "mean_jump_counts": self.mean_jump_counts.tolist(),
-            "mean_internal_times": self.mean_internal_times.tolist(),
-            "checks": [c.to_dict() for c in self.checks],
-            "notes": list(self.notes),
-        }
-
-
 def _z_check(kind: str, reactions: tuple[int, ...], values: np.ndarray,
-             z_bound: float) -> MartingaleCheck:
+             z_bound: float) -> dict:
     est = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 \
         else 0.0
@@ -367,14 +242,12 @@ def _z_check(kind: str, reactions: tuple[int, ...], values: np.ndarray,
         z = 0.0 if est == 0.0 else math.inf
     else:
         z = est / se
-    return MartingaleCheck(
-        kind=kind, reactions=reactions, estimate=est, se=se, z=z,
-        passed=abs(z) <= z_bound,
-    )
+    return {"kind": kind, "reactions": list(reactions), "estimate": est,
+            "se": se, "z": z, "pass": bool(abs(z) <= z_bound)}
 
 
 def martingale_test(ensemble: Ensemble, t: float, *,
-                    z_bound: float = 3.0) -> MartingaleReport:
+                    z_bound: float = 3.0) -> dict:
     """Compensated-counter identities across an ensemble at time ``t``.
 
     With N_j the number of firings of reaction j by time t and T_j the
@@ -397,13 +270,13 @@ def martingale_test(ensemble: Ensemble, t: float, *,
     for j in range(n):
         for k in range(j + 1, n):
             checks.append(_z_check("cross", (j, k), d[:, j] * d[:, k], z_bound))
-    return MartingaleReport(
-        t=t, replicas=replicas,
-        mean_jump_counts=counts.mean(axis=0),
-        mean_internal_times=times.mean(axis=0),
-        checks=tuple(checks), z_bound=z_bound,
-        passed=all(c.passed for c in checks),
-    )
+    return {
+        "check": "martingale", "pass": all(c["pass"] for c in checks),
+        "t": t, "replicas": replicas, "z_bound": z_bound,
+        "mean_jump_counts": counts.mean(axis=0).tolist(),
+        "mean_internal_times": times.mean(axis=0).tolist(),
+        "checks": checks, "notes": [CALIBRATION_NOTE],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -600,39 +473,8 @@ def _chi2_sf(x: float, k: int) -> float:
 # exactness of the event engine
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GillespieReport:
-    spec: ModelSpec
-    samples: int
-    total_rate: float
-    expected_probs: np.ndarray
-    observed_counts: np.ndarray
-    ks_stat: float
-    ks_pvalue: float
-    chi2_stat: float
-    chi2_pvalue: float
-    p_threshold: float
-    passed: bool
-    notes: tuple[str, ...] = (CALIBRATION_NOTE,)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "gillespie_equivalence",
-            "pass": bool(self.passed),
-            "samples": self.samples,
-            "model": self.spec.to_dict(),
-            "total_rate": float(self.total_rate),
-            "expected_probs": self.expected_probs.tolist(),
-            "observed_counts": self.observed_counts.tolist(),
-            "ks": {"stat": float(self.ks_stat), "pvalue": float(self.ks_pvalue)},
-            "chi2": {"stat": float(self.chi2_stat), "pvalue": float(self.chi2_pvalue)},
-            "p_threshold": self.p_threshold,
-            "notes": list(self.notes),
-        }
-
-
 def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
-                               p_threshold: float = 0.01) -> GillespieReport:
+                               p_threshold: float = 0.01) -> dict:
     """First-event law of the event engine against closed-form expectations.
 
     Sample ``i`` is the first event of replica ``i`` of one
@@ -678,14 +520,16 @@ def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
         expected = samples * rates[active] / total_rate
         chi2_stat = float(np.sum((observed[active] - expected) ** 2 / expected))
         chi2_p = _chi2_sf(chi2_stat, n_active - 1)
-    passed = ks_p > p_threshold and chi2_p > p_threshold
-    return GillespieReport(
-        spec=spec, samples=samples, total_rate=total_rate,
-        expected_probs=rates / total_rate, observed_counts=observed,
-        ks_stat=float(ks_stat), ks_pvalue=float(ks_p),
-        chi2_stat=float(chi2_stat), chi2_pvalue=float(chi2_p),
-        p_threshold=p_threshold, passed=passed,
-    )
+    return {
+        "check": "gillespie_equivalence",
+        "pass": bool(ks_p > p_threshold and chi2_p > p_threshold),
+        "samples": samples, "model": spec.to_dict(), "total_rate": total_rate,
+        "expected_probs": (rates / total_rate).tolist(),
+        "observed_counts": observed.tolist(),
+        "ks": {"stat": ks_stat, "pvalue": ks_p},
+        "chi2": {"stat": chi2_stat, "pvalue": chi2_p},
+        "p_threshold": p_threshold, "notes": [CALIBRATION_NOTE],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -848,28 +692,29 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
 
 
 def run_validation(config: ValidationConfig, *, workers: int | None = None,
-                   echo=None) -> dict:
+                   echo=None) -> dict[str, dict]:
     """Run all four checks from one configuration.
 
-    Returns ``{"gillespie": ..., "lln": ..., "clt": ..., "martingale": ...}``.
-    ``echo`` (e.g. ``print``) receives one status line per check.  Every
-    setting is checked before any ensemble runs (see :func:`_check_config`).
+    Returns their reports, ``{"gillespie": ..., "lln": ..., "clt": ...,
+    "martingale": ...}``.  ``echo`` (e.g. ``print``) receives one status
+    line per check.  Every setting is checked before any ensemble runs (see
+    :func:`_check_config`).
     """
     g_spec, *lln_specs, clt_spec, mart_spec = _check_config(config)
     if workers is None:
         workers = config.workers
     say = echo or (lambda *_: None)
-    reports: dict[str, object] = {}
+    reports = {}
 
     # -- engine exactness ---------------------------------------------------
-    rep = gillespie_equivalence_test(
+    rep = reports["gillespie"] = gillespie_equivalence_test(
         g_spec, config.gillespie_samples,
         config.base_seed + _SEED_GILLESPIE,
         p_threshold=config.gillespie_p_threshold,
     )
-    reports["gillespie"] = rep
-    say(f"gillespie_equivalence: {'PASS' if rep.passed else 'FAIL'} "
-        f"(KS p={rep.ks_pvalue:.4f}, chi2 p={rep.chi2_pvalue:.4f})")
+    say(f"gillespie_equivalence: {'PASS' if rep['pass'] else 'FAIL'} "
+        f"(KS p={rep['ks']['pvalue']:.4f}, "
+        f"chi2 p={rep['chi2']['pvalue']:.4f})")
 
     # -- law of large numbers -----------------------------------------------
     grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
@@ -881,12 +726,11 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
                      record_events=False)
         for k, spec in enumerate(lln_specs)
     ]
-    rep = lln_test(ensembles, mf, config.lln_time,
-                   median_bound=config.lln_median_bound,
-                   ratio_band=(config.lln_ratio_low, config.lln_ratio_high))
-    reports["lln"] = rep
-    say(f"lln: {'PASS' if rep.passed else 'FAIL'} "
-        f"(medians={[round(r.median, 4) for r in rep.records]})")
+    rep = reports["lln"] = lln_test(
+        ensembles, mf, config.lln_time, median_bound=config.lln_median_bound,
+        ratio_band=(config.lln_ratio_low, config.lln_ratio_high))
+    say(f"lln: {'PASS' if rep['pass'] else 'FAIL'} "
+        f"(medians={[round(r['median'], 4) for r in rep['records']]})")
 
     # -- fluctuation covariance ----------------------------------------------
     u0 = clt_spec.fractions      # exact finite-M fractions, so Y(0) = 0
@@ -898,19 +742,19 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     ensemble = run_ensemble(clt_spec, config.clt_replicas, t,
                             np.array([0.0, t]), config.base_seed + _SEED_CLT,
                             workers=workers, record_events=False)
-    rep = clt_test(ensemble, mf_clt, sigma_t,
-                   frobenius_bound=config.clt_frobenius_bound)
-    reports["clt"] = rep
-    say(f"clt: {'PASS' if rep.passed else 'FAIL'} "
-        f"(frobenius={rep.frobenius_rel_err:.4f})")
+    rep = reports["clt"] = clt_test(
+        ensemble, mf_clt, sigma_t, frobenius_bound=config.clt_frobenius_bound)
+    say(f"clt: {'PASS' if rep['pass'] else 'FAIL'} "
+        f"(frobenius={rep['frobenius_rel_err']:.4f})")
 
     # -- martingale structure -------------------------------------------------
     t = config.martingale_time
     ensemble = run_ensemble(mart_spec, config.martingale_replicas, t,
                             np.array([t]), config.base_seed + _SEED_MARTINGALE,
                             workers=workers, record_events=True)
-    rep = martingale_test(ensemble, t, z_bound=config.martingale_z_bound)
-    reports["martingale"] = rep
-    worst = max(abs(c.z) for c in rep.checks)
-    say(f"martingale: {'PASS' if rep.passed else 'FAIL'} (worst |z|={worst:.2f})")
+    rep = reports["martingale"] = martingale_test(
+        ensemble, t, z_bound=config.martingale_z_bound)
+    worst = max(abs(c["z"]) for c in rep["checks"])
+    say(f"martingale: {'PASS' if rep['pass'] else 'FAIL'} "
+        f"(worst |z|={worst:.2f})")
     return reports

@@ -89,10 +89,11 @@ def test_criterion_2_first_event_law_is_exact():
     spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
     rep = gillespie_equivalence_test(spec, 10_000, base_seed=2222,
                                      p_threshold=0.01)
-    ok = rep.passed and rep.total_rate == 3.0
+    ok = rep["pass"] and rep["total_rate"] == 3.0
     report(2, "first-event law", ok,
-           f"KS p={rep.ks_pvalue:.4f}, chi2 p={rep.chi2_pvalue:.4f} "
-           f"(both > 0.01), counts={rep.observed_counts.tolist()}")
+           f"KS p={rep['ks']['pvalue']:.4f}, "
+           f"chi2 p={rep['chi2']['pvalue']:.4f} "
+           f"(both > 0.01), counts={rep['observed_counts']}")
 
 
 def test_criterion_3_large_population_convergence():
@@ -114,11 +115,11 @@ def test_criterion_3_large_population_convergence():
     rep = lln_test(ensembles, mf, 2.0, median_bound=0.05,
                    ratio_band=(1.6, 2.5))
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and elapsed < 120.0
+    ok = rep["pass"] and elapsed < 120.0
     report(3, "law of large numbers", ok,
-           f"medians={[round(r.median, 4) for r in rep.records]} "
-           f"(monotone={rep.monotone}, last < 0.05), "
-           f"ratios={[round(x, 2) for x in rep.ratios]} in [1.6, 2.5], "
+           f"medians={[round(r['median'], 4) for r in rep['records']]} "
+           f"(monotone={rep['monotone']}, last < 0.05), "
+           f"ratios={[round(x, 2) for x in rep['ratios']]} in [1.6, 2.5], "
            f"{elapsed:.1f}s (< 120s)")
 
 
@@ -152,9 +153,9 @@ def test_criterion_5_fluctuation_covariance():
                        record_events=False)
     rep = clt_test(ens, mf, sigma, frobenius_bound=0.15)
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and elapsed < 300.0
+    ok = rep["pass"] and elapsed < 300.0
     report(5, "fluctuation covariance", ok,
-           f"Frobenius rel err = {rep.frobenius_rel_err:.4f} (< 0.15), "
+           f"Frobenius rel err = {rep['frobenius_rel_err']:.4f} (< 0.15), "
            f"2000 replicas at M=10000 in {elapsed:.1f}s (< 300s)")
 
 
@@ -167,14 +168,14 @@ def test_criterion_6_martingale_identities():
     ens = run_ensemble(spec, 5000, 1.0, np.array([1.0]), 3200,
                        workers=WORKERS, record_events=True)
     rep = martingale_test(ens, 1.0, z_bound=3.0)
-    worst = max(abs(c.z) for c in rep.checks)
+    worst = max(abs(c["z"]) for c in rep["checks"])
     by_kind = {
-        kind: max(abs(c.z) for c in rep.checks if c.kind == kind)
+        kind: max(abs(c["z"]) for c in rep["checks"] if c["kind"] == kind)
         for kind in ("mean", "qv", "cross")
     }
-    report(6, "martingale identities", rep.passed,
+    report(6, "martingale identities", rep["pass"],
            f"worst |z| = {worst:.2f} (< 3) across "
-           f"{len(rep.checks)} checks; per family: "
+           f"{len(rep['checks'])} checks; per family: "
            + ", ".join(f"{k}={v:.2f}" for k, v in by_kind.items()))
 
 

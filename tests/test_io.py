@@ -37,7 +37,8 @@ from rpsim.io import (
     write_meanfield,
     write_validation_reports,
 )
-from rpsim.meanfield import MeanFieldPath, MeanFieldState, conserved_quantities
+from rpsim.meanfield import (ConservationAudit, MeanFieldPath,
+                             conserved_quantities)
 from rpsim.simulate import Ensemble
 
 SPEC = ModelSpec(n=3, lam=1.0, total=60, initial=(20, 20, 20))
@@ -408,12 +409,17 @@ class TestBlockWritersAndReaders:
             assert_same_bits(dataclasses.replace(traj, seed=0), read_one(out))
 
 
-def meanfield_path(times, rows) -> MeanFieldPath:
+def meanfield_path(times, rows, indices=None) -> MeanFieldPath:
+    """A path whose step ``indices[k]`` (default: step k) of ``rows`` serves
+    time ``times[k]``, audited as integrate audits its steps."""
     rows = np.asarray(rows, dtype=float)
     return MeanFieldPath(
         grid=np.asarray(times, dtype=float),
-        states=tuple(MeanFieldState(u=u, time=t) for t, u in zip(times, rows)),
-        step=1.0, step_states=rows[:1], invariant_audit=None)
+        indices=np.arange(len(times)) if indices is None else indices,
+        step=1.0, step_states=rows,
+        invariant_audit=ConservationAudit(
+            times=np.arange(len(rows), dtype=float), sums=rows.sum(axis=1),
+            products=rows.prod(axis=1)))
 
 
 MEANFIELD_PATHS = {
@@ -424,7 +430,7 @@ MEANFIELD_PATHS = {
                              t_end=1.0, grid=np.linspace(0.0, 1.0, 11)),
     "over-one-chunk": lambda: meanfield_path(
         np.arange(BLOCK) / 3.0,
-        np.random.default_rng(0).dirichlet(np.ones(3), 7)[np.arange(BLOCK) % 7]),
+        np.random.default_rng(0).dirichlet(np.ones(3), 7), np.arange(BLOCK) % 7),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import subprocess
@@ -46,37 +47,37 @@ class TestGillespieEquivalence:
         spec = ModelSpec(n=3, lam=4.0, total=4, initial=(2, 1, 1))
         rep = gillespie_equivalence_test(spec, 200, base_seed=0)
         # rates (lam/M) x_j x_{j+1} = (2, 1, 2) -> probs (0.4, 0.2, 0.4)
-        assert np.allclose(rep.expected_probs, [0.4, 0.2, 0.4])
-        assert rep.total_rate == pytest.approx(5.0)
-        assert rep.observed_counts.sum() == 200
+        assert np.allclose(rep["expected_probs"], [0.4, 0.2, 0.4])
+        assert rep["total_rate"] == pytest.approx(5.0)
+        assert sum(rep["observed_counts"]) == 200
 
     def test_passes_on_the_exact_engine(self):
         spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
         rep = gillespie_equivalence_test(spec, 4000, base_seed=1)
-        assert rep.passed
-        assert rep.ks_pvalue > 0.01 and rep.chi2_pvalue > 0.01
+        assert rep["pass"]
+        assert rep["ks"]["pvalue"] > 0.01 and rep["chi2"]["pvalue"] > 0.01
 
     def test_deterministic_for_fixed_seed(self):
         spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
         a = gillespie_equivalence_test(spec, 500, base_seed=2)
         b = gillespie_equivalence_test(spec, 500, base_seed=2)
-        assert a.ks_stat == b.ks_stat
-        assert a.observed_counts.tolist() == b.observed_counts.tolist()
+        assert a["ks"]["stat"] == b["ks"]["stat"]
+        assert a["observed_counts"] == b["observed_counts"]
 
     def test_samples_are_first_events_of_the_shipping_engine(self):
         # sample i is the first event of replica i of the ensemble that
         # run_ensemble would run to the check's horizon 40/R
         spec = ModelSpec(n=3, lam=4.0, total=4, initial=(2, 1, 1))
         rep = gillespie_equivalence_test(spec, 300, base_seed=7)
-        ens = run_ensemble(spec, 300, 40.0 / rep.total_rate, (), 7,
+        ens = run_ensemble(spec, 300, 40.0 / rep["total_rate"], (), 7,
                            record_events=True)
         times = [t.event_times[0] for t in ens.trajectories]
         fired = [t.event_reactions[0] for t in ens.trajectories]
-        assert rep.observed_counts.tolist() == \
+        assert rep["observed_counts"] == \
             np.bincount(fired, minlength=3).tolist()
         expected = stats.kstest(times, "expon",
-                                args=(0.0, 1.0 / rep.total_rate))
-        assert rep.ks_stat == expected.statistic
+                                args=(0.0, 1.0 / rep["total_rate"]))
+        assert rep["ks"]["stat"] == expected.statistic
 
     def test_replica_without_an_event_is_an_error(self, monkeypatch):
         # replica 1 fired nothing: its first event must not be read from
@@ -105,17 +106,8 @@ class TestGillespieEquivalence:
     def test_single_active_reaction_skips_chi2(self):
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(2, 1, 0))
         rep = gillespie_equivalence_test(spec, 300, base_seed=3)
-        assert rep.chi2_pvalue == 1.0
-        assert rep.observed_counts.tolist() == [300, 0, 0]
-
-    def test_to_dict_is_json_ready(self):
-        import json
-        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
-        rep = gillespie_equivalence_test(spec, 100, base_seed=0)
-        d = rep.to_dict()
-        json.dumps(d)
-        assert d["check"] == "gillespie_equivalence"
-        assert isinstance(d["pass"], bool)
+        assert rep["chi2"]["pvalue"] == 1.0
+        assert rep["observed_counts"] == [300, 0, 0]
 
 
 # (n, x) points of each branch of the KS survival function, with the helper
@@ -233,11 +225,11 @@ class TestLln:
     def test_small_run_passes(self):
         ensembles, mf = small_lln_setup()
         rep = lln_test(ensembles, mf, 1.0, median_bound=0.2, ratio_band=None)
-        assert rep.passed
-        assert rep.monotone
-        assert len(rep.records) == 2
-        assert rep.records[0].deviations.shape == (40,)
-        assert rep.records[1].median < rep.records[0].median
+        assert rep["pass"]
+        assert rep["monotone"]
+        assert len(rep["records"]) == 2
+        assert np.shape(rep["records"][0]["deviations"]) == (40,)
+        assert rep["records"][1]["median"] < rep["records"][0]["median"]
 
     def test_populations_must_increase(self):
         ensembles, mf = small_lln_setup()
@@ -279,8 +271,8 @@ class TestLln:
         ensembles, mf = small_lln_setup()
         rep = lln_test(ensembles, mf, 1.0, median_bound=0.2,
                        ratio_band=(100.0, 200.0))
-        assert not rep.ratios_in_band
-        assert not rep.passed
+        assert not rep["ratios_in_band"]
+        assert not rep["pass"]
 
 
 def clt_setup(replicas=200, m=2000, t=1.0, seed=7):
@@ -299,12 +291,12 @@ class TestClt:
     def test_small_run_passes(self):
         ens, mf, sigma = clt_setup()
         rep = clt_test(ens, mf, sigma, frobenius_bound=0.35)
-        assert rep.passed
-        assert not rep.degenerate
-        assert rep.frobenius_rel_err < 0.35
-        assert rep.empirical_cov.shape == (3, 3)
+        assert rep["pass"]
+        assert not rep["degenerate"]
+        assert rep["frobenius_rel_err"] < 0.35
+        assert np.shape(rep["empirical_cov"]) == (3, 3)
         # scaled fluctuations have O(1) covariance and ~zero mean
-        assert np.max(np.abs(rep.empirical_mean)) < 0.5
+        assert np.max(np.abs(rep["empirical_mean"])) < 0.5
 
     def test_needs_replicas(self):
         ens, mf, sigma = clt_setup(replicas=99)
@@ -321,8 +313,8 @@ class TestClt:
         ens, mf, _ = clt_setup(replicas=120)
         zero = CovarianceState(sigma=np.zeros((3, 3)), time=0.0)
         rep = clt_test(ens, mf, zero)
-        assert rep.degenerate
-        assert not rep.passed
+        assert rep["degenerate"]
+        assert not rep["pass"]
 
 
 class TestMartingale:
@@ -331,9 +323,9 @@ class TestMartingale:
         ens = run_ensemble(spec, 600, 1.0, np.array([1.0]), base_seed=11,
                            record_events=True)
         rep = martingale_test(ens, 1.0, z_bound=4.0)
-        assert rep.passed
-        assert len(rep.checks) == 9  # 3 means + 3 qvs + 3 cross terms
-        kinds = {c.kind for c in rep.checks}
+        assert rep["pass"]
+        assert len(rep["checks"]) == 9  # 3 means + 3 qvs + 3 cross terms
+        kinds = {c["kind"] for c in rep["checks"]}
         assert kinds == {"mean", "qv", "cross"}
 
     def test_time_zero_is_exact(self):
@@ -341,9 +333,9 @@ class TestMartingale:
         ens = run_ensemble(spec, 20, 1.0, np.array([1.0]), base_seed=0,
                            record_events=True)
         rep = martingale_test(ens, 0.0)
-        assert rep.passed  # all statistics identically zero
-        for c in rep.checks:
-            assert c.estimate == 0.0 and c.z == 0.0
+        assert rep["pass"]  # all statistics identically zero
+        for c in rep["checks"]:
+            assert c["estimate"] == 0.0 and c["z"] == 0.0
 
     def test_requires_event_logs(self):
         spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
@@ -368,7 +360,7 @@ class TestMartingale:
                            record_events=True)
         assert not np.isnan(ens.absorbed).any()
         rep = martingale_test(ens, 100.0)
-        assert rep.mean_jump_counts.sum() == \
+        assert np.sum(rep["mean_jump_counts"]) == \
             ens.event_offsets[-1] / ens.replicas
 
     def test_counting_decomposition_consistency(self):
@@ -377,7 +369,7 @@ class TestMartingale:
         ens = run_ensemble(spec, 300, 1.0, np.array([1.0]), base_seed=13,
                            record_events=True)
         rep = martingale_test(ens, 1.0, z_bound=4.0)
-        assert np.allclose(rep.mean_jump_counts, rep.mean_internal_times,
+        assert np.allclose(rep["mean_jump_counts"], rep["mean_internal_times"],
                            rtol=0.2)
 
 
@@ -493,7 +485,7 @@ def test_run_validation_smoke(tmp_path):
     lines = []
     reports = run_validation(cfg, workers=2, echo=lines.append)
     assert set(reports) == {"gillespie", "lln", "clt", "martingale"}
-    assert all(r.passed for r in reports.values())
+    assert all(r["pass"] for r in reports.values())
     assert len(lines) == 4
     assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
 
@@ -577,3 +569,34 @@ def test_run_validation_builds_no_trajectory_objects(monkeypatch):
         gillespie_samples=500, base_seed=21)
     run_validation(cfg)
     assert built == []
+
+
+def json_leaves(value):
+    """Every leaf of a tree of dicts and lists."""
+    if type(value) is dict:
+        assert all(type(key) is str for key in value)
+        for v in value.values():
+            yield from json_leaves(v)
+    elif type(value) is list:
+        for v in value:
+            yield from json_leaves(v)
+    else:
+        yield value
+
+
+def test_every_report_is_plain_json():
+    # a report is the dict written to <check>.json: json writes numpy
+    # floats as floats, so only the leaf types tell them apart
+    cfg = ValidationConfig(
+        lln_populations=(20, 80), lln_replicas=10, lln_grid_points=5,
+        clt_population=100, clt_replicas=100, martingale_population=20,
+        martingale_replicas=20, gillespie_samples=50)
+    reports = run_validation(cfg)
+    assert {name: r["check"] for name, r in reports.items()} == {
+        "gillespie": "gillespie_equivalence", "lln": "lln", "clt": "clt",
+        "martingale": "martingale"}
+    for name, report in reports.items():
+        assert type(report["pass"]) is bool
+        types = {type(leaf) for leaf in json_leaves(report)}
+        assert types <= {int, float, bool, str, type(None)}, (name, types)
+        assert json.loads(json.dumps(report)) == report
