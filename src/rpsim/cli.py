@@ -57,7 +57,9 @@ def _grid_from_args(args, t_end: float) -> np.ndarray:
     if not math.isfinite(t_end):
         raise DomainError(f"--t-end must be finite for the default grid, "
                           f"got {t_end}; give --grid")
-    return np.linspace(0.0, t_end, args.grid_points)
+    # a zero horizon has one sample time, as --grid 0 gives
+    points = args.grid_points if t_end > 0 else min(args.grid_points, 1)
+    return np.linspace(0.0, t_end, points)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:

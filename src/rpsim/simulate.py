@@ -19,9 +19,12 @@ Two engines run this loop with the same arithmetic in the same order:
   32 replicas (``_LOCKSTEP_MIN``) run it once per replica, all appending
   their events to one shared log.
 * ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together
-  on ``(replicas, n)`` arrays, one event per replica per step.
-  :func:`run_ensemble` takes it from 32 replicas up, in chunks; below that
-  it measured slower than one replica at a time.
+  on ``(replicas, n)`` arrays, one event per replica per step.  Its draws
+  sit in a buffer indexed by replica, up to 256 columns
+  (``_LOCKSTEP_DRAWS``) of each replica's stream, 4 MiB per chunk; a
+  refill calls only the live replicas' generators.  :func:`run_ensemble`
+  takes it from 32 replicas up, in chunks; below that it measured slower
+  than one replica at a time.
 
 Draw order, the contract both engines keep: replica ``i`` of an ensemble
 reads ``rng_stream(base_seed, i)``, ``n`` initial thresholds in clock order,
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import array
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +79,9 @@ _EXP_BLOCK = 4096
 _LOCKSTEP_MIN = 32
 # replicas stepped together at most; larger ensembles run in chunks
 _LOCKSTEP_MAX = 2048
-# columns of each replica's draw block in the lockstep engine
-_LOCKSTEP_DRAWS = 64
+# columns of each replica's draw block in the lockstep engine, at most: 4 MiB
+# of draws for a chunk of _LOCKSTEP_MAX replicas
+_LOCKSTEP_DRAWS = 256
 # replicas per block of an event-log replay; bounds its temporaries
 _REPLAY_BLOCK = 512
 
@@ -428,11 +431,16 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
     The loop of :func:`run_until`, with the same operations in the same
     order, on (live replicas, n) arrays.  Every live replica fires its
     event ``k`` at step ``k`` and so takes draw ``n + k`` of its stream:
-    one column pointer into per-replica blocks of ``_LOCKSTEP_DRAWS`` draws
-    replays the draws of :func:`run_until` exactly.  The streams come from
-    one :func:`~rpsim.core.rng_streams` call.  A replica that absorbs or
-    passes the horizon is compacted away; event ``k`` of each replica goes
-    to column ``k`` of the ``(replicas, K)`` event log.
+    one column pointer into a ``(replicas, width)`` buffer of draws replays
+    the draws of :func:`run_until` exactly.  ``width`` is
+    ``_LOCKSTEP_DRAWS`` (256 columns, 4 MiB for a chunk of
+    ``_LOCKSTEP_MAX``), or fewer when the run is expected to be short.  The
+    streams come from one :func:`~rpsim.core.rng_streams` call.  A replica
+    that absorbs or passes the horizon is compacted out of the state
+    arrays, but the buffer is indexed by replica and never compacted: row
+    ``i`` stays replica ``first + i``'s, and a refill calls only the live
+    replicas' generators.  Event ``k`` of each replica goes to column ``k``
+    of the ``(replicas, K)`` event log.
 
     Returns the fields of :class:`Ensemble` for these replicas: samples,
     final counts, absorption times, the flat event times and reactions
@@ -443,8 +451,12 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
     total = spec.total
     nxt = np.array([(j + 1) % n for j in range(n)])
     ones = np.ones(n)
-    width = max(_LOCKSTEP_DRAWS, n)
-    # each live replica's refill, bound once
+    # a replica that expects fewer events (twice its initial rate times the
+    # horizon) takes a narrower block: filling draws it never reads costs
+    # more than refilling the few replicas that overrun
+    width = max(n, int(min(_LOCKSTEP_DRAWS,
+                           n + 2 * _expected_events(spec, t_end))))
+    # each replica's refill, bound once; row i of draws is replica first + i's
     fills = [gen.standard_exponential
              for gen in rng_streams(base_seed, first, replicas)]
     draws = np.empty((replicas, width))
@@ -473,12 +485,17 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
     stop = t_end if t_end < math.inf else np.finfo(float).max
     k = 0                           # events fired so far by every live replica
     base = np.arange(0, replicas * n, n)    # flat index of each row's clock 0
+    # flat index of each clock's species j + 1; counts.take(nbr) is laid out
+    # row by row, where counts[:, nxt] comes out column by column and makes
+    # the rate product several times slower
+    nbr = base[:, None] + nxt
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(ids):
-            rate = lam_over_m * counts * counts[:, nxt]
+            rate = lam_over_m * counts * counts.take(nbr)
             gap = (threshold - internal) / rate
-            gap[rate == 0.0] = math.inf
+            if not rate.all():
+                gap[rate == 0.0] = math.inf
             best = gap.argmin(axis=1)
             flat = base + best
             dt = gap.take(flat)
@@ -495,35 +512,45 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
                     for i, row, start in zip(out, counts[done], gi[done]):
                         samples[i, start:] = row
                 keep = ~done
-                (ids, counts, internal, threshold, t, gi, g_next, draws,
-                 rate, best, dt, new_time) = (
+                (ids, counts, internal, threshold, t, gi, g_next, rate, best,
+                 dt, new_time) = (
                     a[keep] for a in (ids, counts, internal, threshold, t, gi,
-                                      g_next, draws, rate, best, dt, new_time))
-                fills = list(itertools.compress(fills, keep))
+                                      g_next, rate, best, dt, new_time))
                 if not len(ids):
                     break
-                base = base[:len(ids)]
+                base, nbr = base[:len(ids)], nbr[:len(ids)]
                 flat = base + best
 
             cross = g_next < new_time
             if cross.any():
-                # grid times before the event record the pre-event state
+                # grid times before the event record the pre-event state:
+                # the first one of each row, then any further ones
                 rows = np.flatnonzero(cross)
                 lo = gi[rows]
-                hi = np.searchsorted(grid, new_time[rows], side="left")
-                span = hi - lo
-                rep = np.repeat(rows, span)
-                start = np.cumsum(span) - span   # each row's first slot in rep
-                cols = np.arange(len(rep)) + np.repeat(lo - start, span)
-                samples[ids[rep], cols] = counts[rep]
-                gi[rows] = hi
-                g_next[rows] = grid_next[hi]
+                samples[ids[rows], lo] = counts[rows]
+                lo += 1
+                g = grid_next[lo]
+                gi[rows] = lo
+                g_next[rows] = g
+                far = g < new_time[rows]
+                if far.any():
+                    rows, lo = rows[far], lo[far]
+                    hi = np.searchsorted(grid, new_time[rows], side="left")
+                    span = hi - lo
+                    rep = np.repeat(rows, span)
+                    start = np.cumsum(span) - span   # each row's first slot
+                    cols = np.arange(len(rep)) + np.repeat(lo - start, span)
+                    samples[ids[rep], cols] = counts[rep]
+                    gi[rows] = hi
+                    g_next[rows] = grid_next[hi]
 
             if col == width:
-                for fill, row in zip(fills, draws):
-                    fill(out=row)
+                for i in ids.tolist():
+                    fills[i](out=draws[i])
                 col = 0
-            advanced = internal + rate * dt[:, None]
+            # the same IEEE sum as internal + rate * dt, without a temporary
+            advanced = rate * dt[:, None]
+            advanced += internal
             fired = threshold.take(flat)
             advanced.put(flat, fired)
             if (advanced > threshold).any():
@@ -539,11 +566,13 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
                     raise AssertionError("lockstep and serial engines disagree")
                 np.minimum(advanced, threshold, out=advanced)
             internal = advanced
-            threshold.put(flat, fired + draws[:, col])
+            # until a replica leaves, every row of draws is live
+            threshold.put(flat, fired + (draws[:, col] if len(ids) == replicas
+                                         else draws[ids, col]))
             col += 1
             flat_counts = counts.reshape(-1)
             flat_counts[flat] += 1.0
-            flat_counts[base + nxt[best]] -= 1.0
+            flat_counts[nbr.take(flat)] -= 1.0
             t = new_time
             k += 1
             if k > max_events:
@@ -553,7 +582,7 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
                                      f"t={t[0]:.6g} (horizon {t_end})")
                 raise ReplicaError(first + int(ids[0]), exc) from exc
             # exact: the row sums are integers far below 2**53
-            if np.any(counts @ ones != total):
+            if (counts @ ones != total).any():
                 raise AssertionError("population conservation violated")  # unreachable
             if record_events:
                 if k > ev_times.shape[1]:

@@ -358,6 +358,27 @@ def test_blow_up_is_a_step_error(tmp_path, capsys, command, out_name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, table, time_column, rows", [
+    (["simulate", "--replicas", "2"], "samples.csv", 1, 2),
+    (["meanfield"], "", 0, 1),
+    (["fluctuation"], "covariance.csv", 0, 1),
+])
+def test_zero_horizon_samples_time_zero_once(tmp_path, capsys, argv, table,
+                                             time_column, rows):
+    # at --t-end 0 the default grid is the one time 0, as --grid 0 gives
+    outputs = []
+    for grid in ([], ["--grid", "0"]):
+        out = tmp_path / str(len(outputs))
+        assert main(argv + ["--t-end", "0", "--out", str(out)] + grid) == 0
+        outputs.append({f.relative_to(out): f.read_bytes()
+                        for f in (out.iterdir() if out.is_dir() else [out])})
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    lines = (tmp_path / "0" / table).read_bytes().splitlines()
+    assert [line.split(b",")[time_column] for line in lines[1:]] == \
+        [b"0"] * rows
+
+
 class TestFluctuationCommand:
     def test_writes_covariance_and_paths(self, tmp_path):
         out = tmp_path / "fl"

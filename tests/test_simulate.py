@@ -519,7 +519,10 @@ class TestLockstep:
 
     @pytest.mark.parametrize("record_events", [True, False])
     def test_run_past_several_draw_blocks(self, record_events):
-        spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
+        # from m of each species the events come at about m per unit time,
+        # so each replica takes about 6 blocks of draws by t = 3
+        m = 2 * _LOCKSTEP_DRAWS
+        spec = ModelSpec(n=3, lam=1.0, total=3 * m, initial=(m, m, m))
         grid = grid01(31, 3.0)
         ens = run_ensemble(spec, 32, 3.0, grid, 8, record_events=True)
         assert min(t.n_events for t in ens.trajectories) > 3 * _LOCKSTEP_DRAWS
@@ -534,6 +537,28 @@ class TestLockstep:
         assert all(t.absorbed is not None for t in ens.trajectories)
         assert len({t.n_events for t in ens.trajectories}) > 5
         assert_matches_run_until(ens, math.inf, [], True)
+
+    @pytest.mark.parametrize("spec, t_end, grid", [
+        # replicas absorb at staggered steps; the survivors refill afterwards
+        (ModelSpec(n=3, lam=1.0, total=12, initial=(4, 4, 4)), math.inf, []),
+        # replicas pass the horizon at staggered steps, sampled densely
+        (ModelSpec(n=4, lam=2.0, total=40, initial=(10, 10, 10, 10)), 2.0,
+         grid01(201, 2.0)),
+    ])
+    def test_draw_block_width_changes_no_value(self, monkeypatch, spec, t_end,
+                                               grid):
+        # the width of the draw buffer (at least n columns) sets only when
+        # it is refilled, never a value; the budget stops a replica that a
+        # wrong draw keeps from absorbing
+        runs = []
+        for width in (1, 2, 7, 256):
+            monkeypatch.setattr(rpsim.simulate, "_LOCKSTEP_DRAWS", width)
+            runs.append(run_ensemble(spec, 48, t_end, grid, 2,
+                                     record_events=True, max_events=10**4))
+        assert len(set(np.diff(runs[0].event_offsets).tolist())) > 5
+        for ens in runs[1:]:
+            assert_same_arrays(ens, runs[0])
+        assert_matches_run_until(runs[0], t_end, grid, True)
 
     def test_31_and_32_replicas_agree(self, monkeypatch):
         # 31 replicas run one by one through run_until, 32 in lockstep
