@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NotPSD, NumericError, check_rate, rng_streams
+from .core import (DomainError, NotPSD, NumericError, check_rate, check_seed,
+                   rng_streams)
 from .meanfield import MeanFieldPath, rk4_step, snap_grid, vector_field
 
 __all__ = [
@@ -216,9 +217,11 @@ def propagate_covariance(model: FluctuationModel,
     The moment ODE dS/dt = bS + Sb' + c is marched by RK4 at the path's own
     step, with b and c taken at the mean field's RK4 stage states, not
     interpolated.  Those stages do not depend on S, so they are re-marched
-    from the stored path for every step at once.  S is re-symmetrized after
-    every step; a drop of its smallest eigenvalue below -1e-6 aborts with
-    :class:`NotPSD` at the first such step.  Output is aligned with the
+    from the stored path for every step at once.  S is symmetrized on entry
+    and after every step, so every stage's S is exactly symmetric and its
+    field takes one product: bS, plus its transpose, plus c.  A drop of its
+    smallest eigenvalue below -1e-6 aborts with :class:`NotPSD` at the first
+    such step.  Output is aligned with the
     path's sample grid, each label served by the step that serves it in the
     path.
     """
@@ -229,6 +232,8 @@ def propagate_covariance(model: FluctuationModel,
     if s.shape != (n, n):
         raise DomainError(f"initial covariance must be {n}x{n}, got {s.shape}")
     s = CovarianceState(sigma=s, time=0.0).sigma  # symmetric and PSD
+    # exactly symmetric, as every step leaves it, for moment_field
+    s = 0.5 * (s + s.T)
     stages = _rk4_stages(path.step_states[:-1].T, lam, step)[1]
 
     # rk4_step calls the field once per stage, in stage order; each call
@@ -236,8 +241,10 @@ def propagate_covariance(model: FluctuationModel,
     coefficients = iter(())
 
     def moment_field(sig):
+        # sig is exactly symmetric, so sig b' is the transpose of b sig
         b, c = next(coefficients)
-        return b @ sig + sig @ b.T + c
+        x = b @ sig
+        return x + x.T + c
 
     out = [CovarianceState(sigma=s.copy(), time=t)
            for t in grid[indices == 0].tolist()]
@@ -269,18 +276,30 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     """Euler-Maruyama simulation of ``paths`` paths of the limiting SDE.
 
     One step: V <- V + b V step + psd_sqrt(c) sqrt(step) xi, with xi a
-    standard normal vector.  ``v0`` is a vector, or None for the default
-    point mass at zero.  Grid times are served by the nearest step, like
-    every other grid in the package.  Step k takes b and c at the path's
-    step nearest to ``k * step``; a grid that needs the mean field past the
-    path's end raises :class:`DomainError`.
+    standard normal vector.  ``v0`` is a finite vector, or None for the
+    default point mass at zero.  Grid times are served by the nearest step,
+    like every other grid in the package.  Step k takes b and c at the
+    path's step nearest to ``k * step``; a grid that needs the mean field
+    past the path's end raises :class:`DomainError`, and so does a
+    ``paths`` that is not a positive integer.
 
     Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: one
     standard normal per species per step, step-major.  Every path is marched
     at once; each path's normals are drawn ``_SDE_CHUNK`` steps at a time,
-    which takes them from its stream in the same order as one draw, so the
-    chunk size never changes a value.
+    into its own contiguous row of the noise buffer, which takes them from
+    its stream in the same order as one draw, so the chunk size never
+    changes a value.
+
+    The state is held species-major, one column per path, so each step's
+    two products are ``b @ V`` and ``root @ xi`` on (n, paths) operands.
+    BLAS runs them as the same column-major products as the path-major
+    ``V @ b.T`` and ``xi @ root.T``, whose transposes they are, so each
+    entry is the same bit for bit (tier-1 pins the values by sha256); the
+    sum is taken in the same order, ``(V + (b V) step) + (root xi)
+    sqrt(step)``.  The noise product reads each step's draws in place, at
+    the buffer's row stride.
     """
+    paths = check_seed(paths, "path count")
     if paths < 1:
         raise DomainError(f"need at least one path, got {paths}")
     grid, indices, n_steps = snap_grid(grid, step)
@@ -290,6 +309,8 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     if v0.shape != (n,):
         raise DomainError(f"initial value must have shape ({n},), got {v0.shape}")
+    if not np.all(np.isfinite(v0)):
+        raise DomainError("initial value has a non-finite entry")
     nearest = np.rint(np.arange(n_steps) * step / path.step).astype(int)
     if n_steps and nearest[-1] >= len(path.step_states):
         raise DomainError(
@@ -303,12 +324,13 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     fills = [gen.standard_normal for gen in rng_streams(base_seed, 0, paths)]
     # one noise buffer, refilled for each chunk of steps
     normals = np.empty((paths, min(_SDE_CHUNK, n_steps), n))
-    v = np.tile(v0, (paths, 1))
+    v = np.repeat(v0[:, None], paths, axis=1)     # (n, paths)
+    drift, noise = np.empty((n, paths)), np.empty((n, paths))
     values = np.empty((paths, len(indices), n))
     g = 0  # values[:, g] is V after indices[g] steps
     for k in range(n_steps + 1):
         while g < len(indices) and indices[g] == k:
-            values[:, g, :] = v
+            values[:, g, :] = v.T
             g += 1
         if k == n_steps:
             break
@@ -317,6 +339,10 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
             rows = normals[:, :min(_SDE_CHUNK, n_steps - k)]
             for fill, row in zip(fills, rows):
                 fill(out=row)
-        v = (v + (v @ drifts[k].T) * step
-             + (rows[:, j, :] @ roots[k].T) * sqrt_step)
+        np.matmul(drifts[k], v, out=drift)
+        np.matmul(roots[k], rows[:, j, :].T, out=noise)
+        drift *= step
+        noise *= sqrt_step
+        v += drift
+        v += noise
     return [GaussianPath(grid=grid.copy(), values=x) for x in values]

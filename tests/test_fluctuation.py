@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -455,6 +456,28 @@ class TestPropagateCovariance:
         assert out[1].sigma.tobytes() == \
             propagate_covariance(short, np.zeros((3, 3)))[1].sigma.tobytes()
 
+    def test_conserved_quantity_variance_matches_closed_form(self):
+        # H(u) = sum_j ln u_j is conserved by the mean field, so grad H . Y
+        # has no drift under the linear-noise SDE: from S(0) = 0 its variance
+        # grad H S grad H' is V(t), the integral of grad H c grad H' =
+        # lam sum_j (u_{j+1} - u_j)^2 / (u_j u_{j+1}) along the path.  Off
+        # the fixed point this sees b: transposed or negated in drift_matrix,
+        # the propagator misses V(5) by far more than the trapezoid's error
+        grid = np.linspace(0.0, 5.0, 11)
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=5.0,
+                         step=1e-3, grid=grid)
+        states = propagate_covariance(FluctuationModel.from_path(path, 1.0),
+                                      np.zeros((3, 3)))
+        u = path.step_states
+        nxt = np.roll(u, -1, axis=1)
+        rate = np.sum((nxt - u) ** 2 / (u * nxt), axis=1)
+        v = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1])) * path.step])
+        for state, k in zip(states, path.indices):
+            grad = 1.0 / u[k]
+            assert abs(grad @ state.sigma @ grad - v[k]) <= 1e-6 * max(1.0, v[k])
+        assert abs(v[-1] - 6.746427) < 1e-6
+
     def test_sigma0_validation(self):
         model = fixed_point_model()
         with pytest.raises(DomainError):
@@ -534,6 +557,33 @@ class TestLimitSde:
             one_path(model, None, 1e-2, np.array([-0.5, 0.0]), 0)
 
 
+# run_sde_ensemble's values, bit for bit: the sha256 of every path's values
+# bytes in path order, pinned when they were last known good.  Each case is
+# (u0, v0, paths, base seed), marched at step 1e-2 to t = 6 on SDE_PIN_GRID,
+# which samples on both sides of each chunk boundary of the draws
+SDE_PIN_GRID = [0.0, 0.01, 2.55, 2.56, 2.57, 5.12, 5.13, 6.0]
+SDE_PIN_CASES = {
+    "n3-1-path": ((0.5, 0.3, 0.2), None, 1, 0),
+    "n3-2-paths-v0": ((0.5, 0.3, 0.2), (0.3, -0.1, -0.2), 2, 7),
+    "n3-64-paths-v0": ((0.5, 0.3, 0.2), (0.3, -0.1, -0.2), 64, 11),
+    "n5-2-paths-v0": ((0.3, 0.25, 0.2, 0.15, 0.1),
+                      (0.2, -0.1, 0.0, 0.1, -0.2), 2, 3),
+    "n5-64-paths": ((0.3, 0.25, 0.2, 0.15, 0.1), None, 64, 5),
+}
+SDE_SHA256 = {
+    "n3-1-path":
+        "aed6ff799c8683151d933965bb45b7f69dd32807f562f0b83adb4cc7834e49d2",
+    "n3-2-paths-v0":
+        "281c0327dba25389e134ef6c09343c9d1dd96fa0f70b516c156847ee9248146e",
+    "n3-64-paths-v0":
+        "c5e7b92045d8a426938edb81743c87b6f5c9f1654e9b3a150afeafb65fb03a73",
+    "n5-2-paths-v0":
+        "69449222593648857c5685454b905b7377c7a14fdcea71e6ec1b5a1236b28578",
+    "n5-64-paths":
+        "4c45dab9273b3cd613535bc4d0b23609995315f0c711c899a2f4d869c52f34f8",
+}
+
+
 class TestSdeEnsemble:
     def test_matches_single_path_runner(self):
         # every path follows a per-step reference march on its own stream;
@@ -609,6 +659,31 @@ class TestSdeEnsemble:
             run_sde_ensemble(model, None, 1e-2, np.array([0.0, 5.0]), 2, 0)
         # the last step starts inside the path, so this grid still runs
         run_sde_ensemble(model, None, 1e-2, np.array([0.0, 1.0]), 2, 0)
+
+    @pytest.mark.parametrize("case", sorted(SDE_SHA256))
+    def test_values_are_pinned(self, case):
+        # 600 steps: two full chunks of draws and a partial one
+        u0, v0, paths, seed = SDE_PIN_CASES[case]
+        path = integrate(np.array(u0), 1.0, t_end=6.0, step=1e-2,
+                         grid=np.array([0.0, 6.0]))
+        out = run_sde_ensemble(FluctuationModel.from_path(path, 1.0), v0,
+                               1e-2, SDE_PIN_GRID, paths, seed)
+        assert len(out) == paths
+        assert hashlib.sha256(b"".join(p.values.tobytes() for p in out)) \
+            .hexdigest() == SDE_SHA256[case]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_is_a_domain_error(self, value):
+        with pytest.raises(DomainError, match="initial value has a non-finite"):
+            run_sde_ensemble(fixed_point_model(), [value, 0.0, 0.0], 1e-2,
+                             [0.0, 0.1], 3, 0)
+
+    @pytest.mark.parametrize("paths", ["3", 2.0, True, -1])
+    def test_bad_path_count_is_a_domain_error(self, paths):
+        with pytest.raises(DomainError, match="path count must be a "
+                           "non-negative integer"):
+            run_sde_ensemble(fixed_point_model(), None, 1e-2, [0.0, 0.1],
+                             paths, 0)
 
     def test_rejects_zero_paths(self):
         with pytest.raises(DomainError):
