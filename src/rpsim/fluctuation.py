@@ -219,11 +219,12 @@ def propagate_covariance(model: FluctuationModel,
     interpolated.  Those stages do not depend on S, so they are re-marched
     from the stored path for every step at once.  S is symmetrized on entry
     and after every step, so every stage's S is exactly symmetric and its
-    field takes one product: bS, plus its transpose, plus c.  A drop of its
-    smallest eigenvalue below -1e-6 aborts with :class:`NotPSD` at the first
-    such step.  Output is aligned with the
-    path's sample grid, each label served by the step that serves it in the
-    path.
+    field takes one product: bS, plus its transpose, plus c.  Output is
+    aligned with the path's sample grid, each label served by the step that
+    serves it in the path.  Two tolerances raise :class:`NotPSD`: a smallest
+    eigenvalue below -1e-6 at any step aborts the march at the first such
+    step, and every reported state, a :class:`CovarianceState`, must keep
+    it at or above -1e-9.
     """
     path, n, lam, step = model.path, model.n, model.lam, model.path.step
     grid, indices = path.grid, path.indices

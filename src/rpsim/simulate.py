@@ -16,15 +16,16 @@ Two engines run this loop with the same arithmetic in the same order:
 * :func:`run_until` runs one replica, one event at a time, in a loop
   generated and compiled once per species count, unrolled so that every
   count, clock and threshold is a local variable.  Ensembles of fewer than
-  32 replicas (``_LOCKSTEP_MIN``) run it once per replica, all appending
-  their events to one shared log.
+  32 replicas (``_LOCKSTEP_MIN``) run it once per replica.
 * ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together
-  on ``(replicas, n)`` arrays, one event per replica per step.  Its draws
-  sit in a buffer indexed by replica, up to 256 columns
-  (``_LOCKSTEP_DRAWS``) of each replica's stream, 4 MiB per chunk; a
-  refill calls only the live replicas' generators.  :func:`run_ensemble`
-  takes it from 32 replicas up, in chunks; below that it measured slower
-  than one replica at a time.
+  on ``(replicas, n)`` arrays, one event per replica per step, and takes
+  larger ensembles in chunks; below 32 replicas it measured slower than one
+  at a time.  Its draws sit in a buffer indexed by replica, up to 256
+  columns (``_LOCKSTEP_DRAWS``) of each replica's stream, 4 MiB per chunk;
+  a refill calls only the live replicas' generators.
+
+Both write their replicas' rows of the ensemble's arrays in place and append
+their events, in replica order, to the ensemble's one flat event log.
 
 Draw order, the contract both engines keep: replica ``i`` of an ensemble
 reads ``rng_stream(base_seed, i)``, ``n`` initial thresholds in clock order,
@@ -328,11 +329,10 @@ def _event_loop(n: int):
 
 
 def _expected_events(spec: ModelSpec, t_end: float) -> float:
-    """Crude horizon-scale event-count estimate used by the retention default."""
+    """Crude horizon-scale event-count estimate used by the retention default
+    (0 from an absorbing start, also at an infinite horizon)."""
     rate = spec.initial_total_rate()
-    if rate == 0.0:
-        return 0.0
-    return rate * t_end
+    return rate * t_end if rate else 0.0
 
 
 def _check_run(spec: ModelSpec, t_end: float, grid) -> np.ndarray:
@@ -373,7 +373,7 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     _log : pair of ``array.array``, private
         With ``record_events`` false, the events are appended to these
         buffers of doubles and shorts instead: :func:`run_ensemble` passes
-        every replica the same pair, so its flat log is built in one copy.
+        every replica its one flat log, which it views without a copy.
 
     Grid samples are right-continuous: a grid time equal to an event time
     records the post-event state.  After absorption all remaining grid times
@@ -400,16 +400,12 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     samples += [counts] * (len(grid) - gi)
 
     return Trajectory(
-        spec=spec,
-        seed=seed,
-        grid=grid,
+        spec=spec, seed=seed, grid=grid,
         samples=np.asarray(samples, dtype=np.int64).reshape(len(grid), spec.n),
         event_times=np.asarray(log[0]) if record_events else None,
         event_reactions=np.asarray(log[1]) if record_events else None,
-        absorbed=absorbed,
-        final_counts=counts,
-        final_time=absorbed if absorbed is not None else t_end,
-    )
+        absorbed=absorbed, final_counts=counts,
+        final_time=absorbed if absorbed is not None else t_end)
 
 
 def _replica(spec: ModelSpec, t_end: float, grid: np.ndarray, base_seed: int,
@@ -423,9 +419,10 @@ def _replica(spec: ModelSpec, t_end: float, grid: np.ndarray, base_seed: int,
         raise ReplicaError(i, exc) from exc
 
 
-def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
-                  grid: np.ndarray, base_seed: int, record_events: bool,
-                  max_events: int) -> tuple[np.ndarray, ...]:
+def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
+                  base_seed: int, max_events: int, samples: np.ndarray,
+                  final: np.ndarray, absorbed_at: np.ndarray, ends: np.ndarray,
+                  log) -> None:
     """Replicas ``first, first + 1, ...`` all at once, one event each per step.
 
     The loop of :func:`run_until`, with the same operations in the same
@@ -439,14 +436,15 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
     that absorbs or passes the horizon is compacted out of the state
     arrays, but the buffer is indexed by replica and never compacted: row
     ``i`` stays replica ``first + i``'s, and a refill calls only the live
-    replicas' generators.  Event ``k`` of each replica goes to column ``k``
-    of the ``(replicas, K)`` event log.
-
-    Returns the fields of :class:`Ensemble` for these replicas: samples,
-    final counts, absorption times, the flat event times and reactions
-    (empty without ``record_events``) and each replica's event count.
+    replicas' generators.  Row ``i`` of ``samples``, ``final`` and
+    ``absorbed_at`` (NaN on entry) is replica ``first + i``'s.  With
+    ``log``, each step appends its live replicas' event times and reactions
+    to a flat step log; at the end they are put in replica order and
+    appended to ``log``, and ``ends[i]`` is set to the log's length after
+    replica ``first + i``.
     """
     n = spec.n
+    replicas = len(final)
     lam_over_m = spec.lam / spec.total
     total = spec.total
     nxt = np.array([(j + 1) % n for j in range(n)])
@@ -465,12 +463,9 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
 
     glen = len(grid)
     grid_next = np.append(grid, math.inf)   # next grid time after index gi
-    samples = np.empty((replicas, glen, n), dtype=np.int64)
-    final = np.empty((replicas, n), dtype=np.int64)
-    absorbed_at = np.full(replicas, math.nan)
     n_events = np.empty(replicas, dtype=np.intp)
-    ev_times = np.empty((replicas, 8 if record_events else 0))
-    ev_reactions = np.empty(ev_times.shape, dtype=np.int16)
+    # each step's event times and reactions, raw, so an append makes no object
+    steps = [array.array("d"), array.array("h")]
 
     # state of the live replicas, one row each; counts are exact in float64
     ids = np.arange(replicas)       # replica index - first
@@ -584,17 +579,25 @@ def _run_lockstep(spec: ModelSpec, first: int, replicas: int, t_end: float,
             # exact: the row sums are integers far below 2**53
             if (counts @ ones != total).any():
                 raise AssertionError("population conservation violated")  # unreachable
-            if record_events:
-                if k > ev_times.shape[1]:
-                    ev_times, ev_reactions = (
-                        np.concatenate((a, np.empty_like(a)), axis=1)
-                        for a in (ev_times, ev_reactions))
-                ev_times[ids, k - 1] = t
-                ev_reactions[ids, k - 1] = best
+            if log is not None:
+                steps[0].frombytes(t.view(np.uint8))
+                steps[1].frombytes(best.astype(np.int16).view(np.uint8))
 
-    logged = np.arange(ev_times.shape[1]) < n_events[:, None]
-    return (samples, final, absorbed_at, ev_times[logged], ev_reactions[logged],
-            n_events)
+    if log is not None:
+        # replica first + i's event k is entry start[i] + k of the chunk's
+        # events; each step log is freed before the log grows
+        np.cumsum(n_events, out=ends)
+        start = ends - n_events
+        ends += len(log[0])
+        for out in log:
+            step = np.frombuffer(steps.pop(0), dtype=out.typecode)
+            chunk, live, lo = np.empty_like(step), np.arange(replicas), 0
+            for k in range(n_events.max()):
+                live = live[n_events[live] > k]     # the live rows at step k
+                chunk[start[live] + k] = step[lo:lo + len(live)]
+                lo += len(live)
+            del step
+            out.frombytes(chunk.view(np.uint8))
 
 
 def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
@@ -612,6 +615,7 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     :class:`ReplicaError` carrying the index of the lowest-indexed failing
     replica, as a serial run would report it.
     """
+    replicas = check_seed(replicas, "replica count")
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
     # checked once here so a bad input is not reported as a replica failure
@@ -619,38 +623,32 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     check_seed(base_seed)
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
+    # the ensemble's arrays, each engine writing its replicas' rows, and one
+    # log of raw doubles and shorts, which np.asarray views without a copy
+    samples = np.empty((replicas, len(grid), spec.n), dtype=np.int64)
+    final = np.empty((replicas, spec.n), dtype=np.int64)
+    absorbed = np.full(replicas, math.nan)
+    offsets = np.zeros(replicas + 1, dtype=np.int64)
+    ends = offsets[1:]              # the log's length after each replica
+    log = (array.array("d"), array.array("h")) if record_events else None
     if replicas < _LOCKSTEP_MIN:
-        # every replica appends to one shared log, which the ensemble views
-        log = (array.array("d"), array.array("h")) if record_events else None
-        trajs, ends = [], [0]
         for i in range(replicas):
-            trajs.append(_replica(spec, t_end, grid, base_seed, i, max_events,
-                                  log))
-            ends.append(len(log[0]) if log else 0)
-        samples = np.stack([t.samples for t in trajs])
-        final = np.array([t.final_counts for t in trajs], dtype=np.int64)
-        absorbed = np.array([math.nan if t.absorbed is None else t.absorbed
-                             for t in trajs])
-        times, reactions = map(np.asarray, log) if log else (None, None)
-        offsets = np.array(ends)
+            traj = _replica(spec, t_end, grid, base_seed, i, max_events, log)
+            samples[i], final[i] = traj.samples, traj.final_counts
+            absorbed[i] = math.nan if traj.absorbed is None else traj.absorbed
+            ends[i] = len(log[0]) if log else 0
     else:
         # in near-equal chunks of at most _LOCKSTEP_MAX, to bound memory
         size = -(-replicas // -(-replicas // _LOCKSTEP_MAX))
-        samples, final, absorbed, times, reactions, n_events = (
-            np.concatenate(parts) for parts in zip(*(
-                _run_lockstep(spec, first, min(size, replicas - first), t_end,
-                              grid, base_seed, record_events, max_events)
-                for first in range(0, replicas, size))))
-        offsets = np.concatenate(([0], np.cumsum(n_events)))
+        for first in range(0, replicas, size):
+            rows = slice(first, first + size)
+            _run_lockstep(spec, first, t_end, grid, base_seed, max_events,
+                          samples[rows], final[rows], absorbed[rows],
+                          ends[rows], log)
+    times, reactions = map(np.asarray, log) if log else (None, None)
     return Ensemble(
-        spec=spec,
-        grid=grid,
-        base_seed=base_seed,
-        samples=samples,
-        final_counts=final,
-        absorbed=absorbed,
+        spec=spec, grid=grid, base_seed=base_seed, samples=samples,
+        final_counts=final, absorbed=absorbed,
         final_time=np.where(np.isnan(absorbed), t_end, absorbed),
-        event_times=times if record_events else None,
-        event_reactions=reactions if record_events else None,
-        event_offsets=offsets if record_events else None,
-    )
+        event_times=times, event_reactions=reactions,
+        event_offsets=offsets if log else None)

@@ -428,6 +428,27 @@ class TestPropagateCovariance:
         assert str(err.value) == str(reference.value)
         assert float(str(err.value).rsplit("=", 1)[1]) > 64e-3
 
+    def test_reported_states_are_held_to_the_strict_tolerance(self,
+                                                              monkeypatch):
+        # the march aborts only below -1e-6, but every reported state is a
+        # CovarianceState, held to -1e-9: a noise rate negated and scaled by
+        # 1e-8 leaves the smallest eigenvalue at -t/3 * 1e-8, within -1e-9
+        # at t = 0.25, not at t = 0.5
+        import rpsim.fluctuation as fl
+        diffusion = fl.diffusion_matrix
+        monkeypatch.setattr(fl, "diffusion_matrix",
+                            lambda u, lam: -1e-8 * diffusion(u, lam))
+        out = propagate_covariance(
+            fixed_point_model(grid=np.array([0.0, 0.1, 0.25])),
+            np.zeros((3, 3)))
+        low = np.linalg.eigvalsh(out[-1].sigma)[0]
+        assert -1e-9 < low < -8e-10
+        with pytest.raises(NotPSD, match=r"^covariance eigenvalue -1\.667e-09 "
+                           r"below -1e-09$"):
+            propagate_covariance(
+                fixed_point_model(grid=np.array([0.0, 0.1, 0.5, 1.0])),
+                np.zeros((3, 3)))
+
     def test_blocks_do_not_change_results(self, monkeypatch):
         import rpsim.fluctuation as fl
         path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=0.3,

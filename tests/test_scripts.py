@@ -17,7 +17,7 @@ SCRIPT_ARGS = {
     "lln_scaling.py": ["--populations", "50,200", "--replicas", "20",
                        "--grid-points", "11"],
     "clt_covariance.py": ["--population", "500", "--replicas", "120"],
-    "absorption_times.py": ["--populations", "10,20", "--replicas", "5"],
+    "absorption_times.py": ["--populations", "10,20", "--replicas", "40"],
 }
 
 

@@ -380,25 +380,35 @@ class TestRunEnsemble:
         assert isinstance(err.value.__cause__, BudgetExceeded)
 
     def test_event_log_is_kept_in_one_copy(self, monkeypatch):
-        # every replica appends to one shared log, which the ensemble views
-        # without a copy; concatenating per-replica logs would peak at
-        # twice the log.  A small draw block keeps the engine's own buffers
-        # small next to the log (block size never changes a draw).
+        # both engines append to one shared log, which the ensemble views
+        # without a copy.  One replica at a time, concatenating per-replica
+        # logs would peak at twice the log; in lockstep, with replicas that
+        # absorb at very different steps, a (replicas, longest log) block of
+        # events peaked at 12 times the log.  Small draw blocks keep the
+        # engines' own buffers small next to the log (block size never
+        # changes a draw).
         import tracemalloc
         monkeypatch.setattr(rpsim.simulate, "_EXP_BLOCK", 64)
-        spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
-        run_ensemble(spec, 4, 1.0, [0.0, 1.0], 1, record_events=True)
-        tracemalloc.start()
-        try:
-            ens = run_ensemble(spec, 4, 30.0, [0.0, 30.0], 1,
-                               record_events=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        log = ens.event_times.nbytes + ens.event_reactions.nbytes
-        assert log > 10**5
-        assert peak < 1.25 * log
-        assert_matches_run_until(ens, 30.0, [0.0, 30.0], True)
+        monkeypatch.setattr(rpsim.simulate, "_LOCKSTEP_DRAWS", 16)
+        for spec, replicas, t_end, grid, bound in [
+            (ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100)), 4,
+             30.0, [0.0, 30.0], 1.25),
+            (ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10)), 400,
+             math.inf, [], 4.0),
+        ]:
+            run_ensemble(spec, replicas, 1.0, [0.0, 1.0], 1,
+                         record_events=True)
+            tracemalloc.start()
+            try:
+                ens = run_ensemble(spec, replicas, t_end, grid, 1,
+                                   record_events=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            log = ens.event_times.nbytes + ens.event_reactions.nbytes
+            assert log > 10**5
+            assert peak < bound * log, (replicas, peak / log)
+            assert_matches_run_until(ens, t_end, grid, True)
 
     def test_bad_grid_is_reported_before_any_replica(self):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
@@ -436,6 +446,13 @@ class TestRunEnsemble:
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
         with pytest.raises(DomainError):
             run_ensemble(spec, 0, 1.0, grid01(3), base_seed=0)
+
+    @pytest.mark.parametrize("replicas", [2.0, "3", True, -1])
+    def test_bad_replica_count_is_a_domain_error(self, replicas):
+        spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
+        with pytest.raises(DomainError, match="replica count must be a "
+                           "non-negative integer"):
+            run_ensemble(spec, replicas, 1.0, grid01(3), base_seed=0)
 
 
 def assert_matches_run_until(ens, t_end, grid, record_events):
@@ -578,7 +595,7 @@ class TestLockstep:
             assert trajectories_identical(a, b)
         assert_matches_run_until(lockstep, 1.0, grid, True)
 
-    def test_chunked_ensemble(self):
+    def test_chunked_ensemble(self, monkeypatch):
         # more than _LOCKSTEP_MAX replicas run in several lockstep batches
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
         ens = run_ensemble(spec, _LOCKSTEP_MAX + 1, 40.0, [], 13,
@@ -586,6 +603,15 @@ class TestLockstep:
         assert [t.seed for t in ens.trajectories] == \
             list(range(_LOCKSTEP_MAX + 1))
         assert_matches_run_until(ens, 40.0, [], True)
+        # three batches of 34, 34 and 32 replicas run to absorption, each
+        # appending its events to the one log after the batch before it
+        monkeypatch.setattr(rpsim.simulate, "_LOCKSTEP_MAX", 40)
+        spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+        ens = run_ensemble(spec, 100, math.inf, [], 21, record_events=True)
+        lengths = np.diff(ens.event_offsets)
+        assert lengths.max() > 10 * lengths.min()
+        assert np.isfinite(ens.absorbed).all()
+        assert_matches_run_until(ens, math.inf, [], True)
 
     def test_budget_names_the_same_replica_as_a_serial_run(self):
         # replicas 0-4 absorb within the budget, replica 5 is the first to
