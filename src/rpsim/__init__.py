@@ -24,7 +24,6 @@ from .core import (
     rng_streams,
     symmetric_counts,
     trajectories_identical,
-    validate_spec,
 )
 from .fluctuation import (
     CovarianceState,
@@ -72,7 +71,7 @@ __all__ = [
     # core types and helpers
     "ModelSpec", "Trajectory",
     "counts_from_fractions", "symmetric_counts", "rng_stream",
-    "rng_streams", "trajectories_identical", "validate_spec",
+    "rng_streams", "trajectories_identical",
     # event-driven simulation
     "Ensemble", "run_until", "run_ensemble",
     # deterministic limit

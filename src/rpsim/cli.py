@@ -18,7 +18,7 @@ from . import io
 from .core import (DomainError, ModelSpec, RpsimError, check_seed,
                    counts_from_fractions, symmetric_counts)
 from .fluctuation import FluctuationModel, propagate_covariance, run_sde_ensemble
-from .meanfield import DEFAULT_STEP, integrate
+from .meanfield import DEFAULT_STEP, MeanFieldPath, integrate
 from .simulate import DEFAULT_MAX_EVENTS, run_ensemble
 from .validate import ValidationConfig, run_validation
 
@@ -38,28 +38,44 @@ def _numbers(text: str, cast, flag: str) -> tuple:
 
 
 def _spec_from_args(args) -> ModelSpec:
+    # rounded counts sum to --total, whatever it is
     if args.initial is not None:
         counts = _numbers(args.initial, int, "--initial")
-        return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
-                         initial=counts)
-    if args.fractions is not None:
-        fracs = _numbers(args.fractions, float, "--fractions")
-        counts = counts_from_fractions(fracs, args.total)
-        return ModelSpec(n=len(counts), lam=args.rate, total=args.total,
-                         initial=counts)
-    counts = symmetric_counts(args.n, args.total)
-    return ModelSpec(n=args.n, lam=args.rate, total=args.total, initial=counts)
+    elif args.fractions is not None:
+        counts = counts_from_fractions(
+            _numbers(args.fractions, float, "--fractions"), args.total)
+    else:
+        counts = symmetric_counts(args.n, args.total)
+    return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
+                     initial=counts)
 
 
-def _grid_from_args(args, t_end: float) -> np.ndarray:
-    if getattr(args, "grid", None) is not None:
+def _grid_from_args(args) -> np.ndarray:
+    if args.grid is not None:
         return np.array(_numbers(args.grid, float, "--grid"))
-    if not math.isfinite(t_end):
+    if not math.isfinite(args.t_end):
         raise DomainError(f"--t-end must be finite for the default grid, "
-                          f"got {t_end}; give --grid")
+                          f"got {args.t_end}; give --grid")
     # a zero horizon has one sample time, as --grid 0 gives
-    points = args.grid_points if t_end > 0 else min(args.grid_points, 1)
-    return np.linspace(0.0, t_end, points)
+    points = args.grid_points if args.t_end > 0 else min(args.grid_points, 1)
+    return np.linspace(0.0, args.t_end, points)
+
+
+def _add_path_args(p: argparse.ArgumentParser, t_end, grid_points) -> None:
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--u0", help="comma-separated initial fractions")
+    p.add_argument("--rate", type=float, default=1.0)
+    p.add_argument("--t-end", type=float, default=t_end)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--grid-points", type=int, default=grid_points)
+    p.add_argument("--grid", help="explicit comma-separated report times")
+
+
+def _path_from_args(args) -> MeanFieldPath:
+    u0 = _numbers(args.u0, float, "--u0") if args.u0 is not None else \
+        np.full(args.n, 1.0 / args.n)
+    return integrate(u0, args.rate, t_end=args.t_end, step=args.step,
+                     grid=_grid_from_args(args))
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -76,7 +92,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    grid = _grid_from_args(args, args.t_end)
+    grid = _grid_from_args(args)
     ens = run_ensemble(spec, args.replicas, args.t_end, grid, args.base_seed,
                        workers=args.workers, record_events=args.events,
                        max_events=args.max_events)
@@ -88,11 +104,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
-    u0 = _numbers(args.u0, float, "--u0") if args.u0 is not None else \
-        np.full(args.n, 1.0 / args.n)
-    grid = _grid_from_args(args, args.t_end)
-    path = integrate(u0, args.rate, t_end=args.t_end, step=args.step,
-                     grid=grid)
+    path = _path_from_args(args)
     out = io.write_meanfield(path, args.out)
     audit = path.invariant_audit
     print(f"wrote {len(path.grid)} states to {out} "
@@ -103,14 +115,10 @@ def _cmd_meanfield(args) -> int:
 
 
 def _cmd_fluctuation(args) -> int:
-    u0 = _numbers(args.u0, float, "--u0") if args.u0 is not None else \
-        np.full(args.n, 1.0 / args.n)
-    n = len(u0)
-    grid = _grid_from_args(args, args.t_end)
-    if not len(grid):
+    path = _path_from_args(args)
+    n = path.n
+    if not len(path.grid):
         raise DomainError("no covariance states to write")
-    path = integrate(u0, args.rate, t_end=args.t_end, step=args.step,
-                     grid=grid)
     model = FluctuationModel.from_path(path, args.rate)
     if args.sigma0 is None:
         sigma0 = np.zeros((n, n))
@@ -123,7 +131,7 @@ def _cmd_fluctuation(args) -> int:
     # everything is computed before the first file is opened, so a failure
     # leaves no partial output behind
     states = propagate_covariance(model, sigma0)
-    sde = run_sde_ensemble(model, None, args.step, grid, args.paths,
+    sde = run_sde_ensemble(model, None, args.step, path.grid, args.paths,
                            args.base_seed) if args.paths > 0 else None
     out = Path(args.out)
     io.write_meanfield(path, out / "meanfield.csv")
@@ -176,26 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("meanfield", help="integrate the deterministic limit")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--u0", help="comma-separated initial fractions")
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--grid-points", type=int, default=101)
-    p.add_argument("--grid", help="explicit comma-separated report times")
+    _add_path_args(p, t_end=10.0, grid_points=101)
     p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(func=_cmd_meanfield)
 
     p = sub.add_parser("fluctuation",
                        help="propagate fluctuation covariance (and sample "
                             "linear-noise paths)")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--u0", help="comma-separated initial fractions")
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--grid-points", type=int, default=11)
-    p.add_argument("--grid", help="explicit comma-separated report times")
+    _add_path_args(p, t_end=1.0, grid_points=11)
     p.add_argument("--sigma0", help="initial covariance, row-major "
                    "comma-separated (default zeros)")
     p.add_argument("--paths", type=int, default=0,

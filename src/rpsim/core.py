@@ -29,7 +29,6 @@ __all__ = [
     "MissingEventLog",
     "ModelSpec",
     "Trajectory",
-    "validate_spec",
     "check_rate",
     "check_fractions",
     "check_grid",
@@ -96,18 +95,21 @@ MAX_SPECIES = 2**15 - 1
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Immutable problem definition.
+    """Immutable problem definition, valid once it exists: the constructor
+    raises :class:`DomainError` for a field that breaks a rule below
+    (:class:`NormalizationError` for the sum).  ``n``, ``total`` and the
+    counts are Python or numpy integers, not bools, stored as Python ints.
 
     Attributes
     ----------
     n : int
-        Number of species on the cycle (at least 3).
+        Number of species on the cycle, 3 to ``MAX_SPECIES``.
     lam : float
-        Collision rate per unit time (positive).
+        Collision rate per unit time (see :func:`check_rate`).
     total : int
-        Conserved population size.
+        Conserved population size, at least 1.
     initial : tuple[int, ...]
-        Initial counts per species, summing to ``total``.
+        ``n`` non-negative counts per species, summing to ``total``.
     """
 
     n: int
@@ -116,7 +118,34 @@ class ModelSpec:
     initial: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", tuple(int(c) for c in self.initial))
+        n, total = self.n, self.total
+        for value, what in ((n, "species count"), (total, "population total")):
+            if not _is_integer(value):
+                raise DomainError(f"{what} must be an integer, got {value!r}")
+        if n < 3:
+            raise DomainError(f"need at least 3 species, got n={n}")
+        if n > MAX_SPECIES:
+            raise DomainError(f"at most {MAX_SPECIES} species fit the int16 "
+                              f"reaction log, got n={n}")
+        lam = check_rate(self.lam)
+        if total < 1:
+            raise DomainError(f"population total must be at least 1, got {total}")
+        counts = tuple(self.initial) if np.iterable(self.initial) else (None,)
+        if not all(map(_is_integer, counts)):
+            raise DomainError(
+                f"initial counts must be integers, got {self.initial!r}")
+        initial = tuple(map(int, counts))
+        if len(initial) != n:
+            raise DomainError(
+                f"initial counts have length {len(initial)}, expected n={n}")
+        if any(c < 0 for c in initial):
+            raise DomainError(f"negative initial count in {initial}")
+        if sum(initial) != total:
+            raise NormalizationError(
+                f"initial counts sum to {sum(initial)}, expected total={total}")
+        for name, value in zip(("n", "lam", "total", "initial"),
+                               (int(n), lam, int(total), initial)):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """The JSON form that manifests and reports record."""
@@ -125,9 +154,12 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> ModelSpec:
-        """Inverse of :meth:`to_dict`; a missing key raises ``KeyError``."""
+        """Inverse of :meth:`to_dict`; a missing key raises ``KeyError``, a
+        ``d`` that is not a dict :class:`DomainError`."""
+        if not isinstance(d, dict):
+            raise DomainError(f"expected an object, got {d!r}")
         return cls(n=d["n"], lam=d["lambda"], total=d["total"],
-                   initial=tuple(d["initial"]))
+                   initial=d["initial"])
 
     @property
     def fractions(self) -> np.ndarray:
@@ -142,44 +174,23 @@ class ModelSpec:
         )
 
 
-def validate_spec(spec: ModelSpec) -> ModelSpec:
-    """Check every ModelSpec invariant; return the spec unchanged if valid.
-
-    Raises
-    ------
-    DomainError
-        For a species count below 3 or above ``MAX_SPECIES``, a
-        non-positive or non-finite rate, a non-positive total, a length
-        mismatch, or negative counts.
-    NormalizationError
-        When the initial counts do not sum to the total.
-    """
-    if spec.n < 3:
-        raise DomainError(f"need at least 3 species, got n={spec.n}")
-    if spec.n > MAX_SPECIES:
-        raise DomainError(f"at most {MAX_SPECIES} species fit the int16 "
-                          f"reaction log, got n={spec.n}")
-    check_rate(spec.lam)
-    if spec.total < 1:
-        raise DomainError(f"population total must be at least 1, got {spec.total}")
-    if len(spec.initial) != spec.n:
-        raise DomainError(
-            f"initial counts have length {len(spec.initial)}, expected n={spec.n}"
-        )
-    if any(c < 0 for c in spec.initial):
-        raise DomainError(f"negative initial count in {spec.initial}")
-    if sum(spec.initial) != spec.total:
-        raise NormalizationError(
-            f"initial counts sum to {sum(spec.initial)}, expected total={spec.total}"
-        )
-    return spec
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (not a bool)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_rate(lam) -> float:
-    """Return the collision rate as a float; it must be positive and finite."""
-    if lam is None or not (math.isfinite(lam) and lam > 0):
+    """Return the collision rate as a Python float; it must be a Python or
+    numpy integer or float (not a bool), positive and finite."""
+    if not (_is_integer(lam) or isinstance(lam, (float, np.floating))):
+        raise DomainError(f"collision rate must be a real number, got {lam!r}")
+    try:
+        rate = float(lam)
+    except OverflowError:       # an integer past the largest double
+        rate = math.inf
+    if not (math.isfinite(rate) and rate > 0):
         raise DomainError(f"collision rate must be positive and finite, got {lam}")
-    return float(lam)
+    return rate
 
 
 def check_fractions(fractions) -> np.ndarray:
@@ -233,10 +244,9 @@ def symmetric_counts(n: int, total: int) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 def check_seed(value, name: str = "base seed") -> int:
-    """Return a seed or stream index as an int; it must be a non-negative
-    Python or numpy integer (not a bool)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
-            and value >= 0:
+    """Return a seed, stream index or count as a Python int; it must be a
+    non-negative Python or numpy integer (not a bool)."""
+    if _is_integer(value) and value >= 0:
         return int(value)
     raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, ModelSpec, RpsimError, check_grid, validate_spec
+from .core import DomainError, ModelSpec, RpsimError, check_grid, check_seed
 from .meanfield import MeanFieldPath
 from .simulate import Ensemble
 
@@ -289,11 +289,12 @@ def _write_csv(path: Path, header: list[str], parts: list,
 
 
 def write_json(obj, path) -> None:
+    """``obj`` as indented JSON with sorted keys; it is encoded before the
+    file is opened, so a value that json cannot encode leaves no file."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _count_header(n: int, prefix: str = "x") -> list[str]:
@@ -531,18 +532,27 @@ def _check_log(path: Path, i: int, spec: ModelSpec, final_counts: list,
 def read_ensemble(out_dir) -> Ensemble:
     """The ensemble that :func:`write_ensemble` wrote, bit for bit.
 
-    Raises :class:`DomainError` for a manifest of another kind, one that
-    lacks a key, whose model fails :func:`~rpsim.core.validate_spec`, or
-    whose replicas are not seeds ``0..R-1`` or mix logged and unlogged
-    runs; for replicas that do not share one ascending grid, or a sample
-    that breaks conservation; and for an event log that is out of order or
-    does not replay to its manifest entry, or whose manifest event counts
-    are not non-negative integers or add up to more rows than
-    ``events.csv`` can hold (checked before anything is sized from them).
+    Raises :class:`DomainError` for a manifest that is not a JSON object of
+    kind ``ensemble``, that lacks a key, whose model
+    :class:`~rpsim.core.ModelSpec` refuses, whose base seed is not a
+    non-negative integer, whose trajectories are not a list of objects,
+    whose absorption or final times are not finite non-negative numbers
+    (an absorption time may be null), or whose replicas are not seeds
+    ``0..R-1`` or mix logged and unlogged runs; for replicas that do not
+    share one ascending grid, or a sample that breaks conservation; and for
+    an event log that is out of order or does not replay to its manifest
+    entry, or whose manifest event counts are not non-negative integers or
+    add up to more rows than ``events.csv`` can hold (checked before
+    anything is sized from them).
     """
     out = Path(out_dir)
     path = out / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DomainError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DomainError(f"{path}: not a JSON object")
     if manifest.get("kind") != "ensemble":
         raise DomainError(f"{path}: kind is {manifest.get('kind')!r}, "
                           "expected 'ensemble'")
@@ -556,10 +566,16 @@ def read_ensemble(out_dir) -> Ensemble:
                         "absorbed", "final_time"))
     except KeyError as exc:
         raise DomainError(f"{path}: missing key {exc}") from None
-    try:
-        validate_spec(spec)
     except RpsimError as exc:
         raise DomainError(f"{path}: model: {exc}") from exc
+    except TypeError:   # from indexing a trajectory that is not an object
+        raise DomainError(f"{path}: trajectories must be a list of "
+                          "objects") from None
+    base_seed = check_seed(base_seed, f"{path}: base seed")
+    if not all(type(t) in (int, float) and 0 <= t < math.inf
+               for t in final_time + [a for a in absorbed if a is not None]):
+        raise DomainError(f"{path}: absorption and final times must be "
+                          "finite non-negative numbers")
     replicas = len(metas)
     if not replicas or seeds != list(range(replicas)):
         raise DomainError(f"{path}: replica seeds are not 0..R-1, R >= 1")

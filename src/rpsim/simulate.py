@@ -59,7 +59,6 @@ from .core import (
     per_species,
     rng_stream,
     rng_streams,
-    validate_spec,
 )
 
 __all__ = [
@@ -335,10 +334,9 @@ def _expected_events(spec: ModelSpec, t_end: float) -> float:
     return rate * t_end if rate else 0.0
 
 
-def _check_run(spec: ModelSpec, t_end: float, grid) -> np.ndarray:
-    """Validate a run's spec, horizon and sample grid; return a fresh copy
-    of the grid."""
-    validate_spec(spec)
+def _check_run(t_end: float, grid) -> np.ndarray:
+    """Check a run's horizon and sample grid; return a fresh copy of the
+    grid."""
     if not (t_end >= 0.0):
         raise DomainError(f"t_end must be non-negative, got {t_end}")
     grid = check_grid(grid)
@@ -355,7 +353,7 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     Parameters
     ----------
     spec : ModelSpec
-        Validated model definition.
+        Model definition, checked when it was made.
     t_end : float
         Time horizon; ``math.inf`` is allowed (absorption studies) and is
         then guarded only by ``max_events``.
@@ -385,7 +383,7 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     at n = 3, 0.2 s and 43 MB at n = 1 000, 0.7 s and 170 MB at n = 4 000,
     so, extrapolated, about 6 s and 1.4 GB at ``MAX_SPECIES`` = 32 767.
     """
-    grid = _check_run(spec, t_end, grid)
+    grid = _check_run(t_end, grid)
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
 
@@ -619,8 +617,8 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
     # checked once here so a bad input is not reported as a replica failure
-    grid = _check_run(spec, t_end, grid)
-    check_seed(base_seed)
+    grid = _check_run(t_end, grid)
+    base_seed = check_seed(base_seed)
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
     # the ensemble's arrays, each engine writing its replicas' rows, and one

@@ -39,7 +39,6 @@ from .core import (
     RpsimError,
     check_seed,
     counts_from_fractions,
-    validate_spec,
 )
 from .fluctuation import CovarianceState, FluctuationModel, propagate_covariance
 from .meanfield import DEFAULT_STEP, MeanFieldPath, integrate
@@ -485,7 +484,6 @@ def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
     to the rates (competing exponentials).  Kolmogorov-Smirnov and
     chi-square at the configured p threshold.
     """
-    validate_spec(spec)
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
     n = spec.n
@@ -651,7 +649,7 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
     points, a time or step that is not positive and finite, or a p
     threshold outside (0, 1); :class:`InsufficientReplicas` for fewer
     CLT replicas than :func:`clt_test` needs; and whatever
-    :func:`~rpsim.core.validate_spec` raises for a model.
+    :class:`~rpsim.core.ModelSpec` raises for a model as it is built.
     """
     check_seed(config.base_seed)
     for name in ("lln_replicas", "clt_replicas", "martingale_replicas",
@@ -688,7 +686,7 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
     for m in (*pops, config.clt_population, config.martingale_population):
         specs.append(ModelSpec(n=config.n, lam=config.lam, total=m,
                                initial=counts_from_fractions(fractions, m)))
-    return [validate_spec(spec) for spec in specs]
+    return specs
 
 
 def run_validation(config: ValidationConfig, *, workers: int | None = None,

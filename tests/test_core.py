@@ -13,6 +13,7 @@ from rpsim import (
     ModelSpec,
     NormalizationError,
     NumericError,
+    RpsimError,
     Trajectory,
     counts_from_fractions,
     rng_stream,
@@ -20,8 +21,26 @@ from rpsim import (
     run_until,
     symmetric_counts,
     trajectories_identical,
-    validate_spec,
 )
+
+
+# what a JSON model's fields may hold: None, bools, ints, floats, strings
+# and lists of these
+JSON_ATOMS = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=4))
+JSON_VALUES = JSON_ATOMS | st.lists(JSON_ATOMS, max_size=5)
+
+
+@st.composite
+def json_models(draw):
+    """A model's JSON form, valid or nearly so, with any of its fields
+    replaced by any JSON value."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=3, max_size=5))
+    d = {"n": len(counts), "lambda": draw(st.floats(0.1, 5.0) | st.floats()),
+         "total": sum(counts), "initial": counts}
+    for key in draw(st.lists(st.sampled_from(sorted(d)), max_size=2)):
+        d[key] = draw(JSON_VALUES)
+    return d
 
 
 def spec3(**kw) -> ModelSpec:
@@ -31,34 +50,81 @@ def spec3(**kw) -> ModelSpec:
 
 
 class TestValidateSpec:
+    """Every rule of a model is checked when its ModelSpec is made."""
+
     def test_accepts_valid(self):
         spec = spec3()
-        assert validate_spec(spec) is spec
+        assert (spec.n, spec.lam, spec.total, spec.initial) == \
+            (3, 1.0, 3, (1, 1, 1))
 
     def test_rejects_two_species(self):
-        with pytest.raises(DomainError):
-            validate_spec(ModelSpec(n=2, lam=1.0, total=2, initial=(1, 1)))
+        with pytest.raises(DomainError,
+                           match="need at least 3 species, got n=2"):
+            ModelSpec(n=2, lam=1.0, total=2, initial=(1, 1))
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf,
+                                     True, "1", None, [1.0], 1j])
     def test_rejects_bad_rate(self, lam):
-        with pytest.raises(DomainError):
-            validate_spec(spec3(lam=lam))
+        message = f"positive and finite, got {lam}" \
+            if isinstance(lam, float) else f"a real number, got {lam!r}"
+        with pytest.raises(DomainError, match=re.escape(
+                f"collision rate must be {message}")):
+            spec3(lam=lam)
 
     def test_rejects_empty_population(self):
-        with pytest.raises(DomainError):
-            validate_spec(spec3(total=0, initial=(0, 0, 0)))
+        with pytest.raises(DomainError,
+                           match="population total must be at least 1, got 0"):
+            spec3(total=0, initial=(0, 0, 0))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(DomainError):
-            validate_spec(spec3(initial=(1, 1, 1, 0), n=3))
+        with pytest.raises(DomainError, match="initial counts have length 4, "
+                           "expected n=3"):
+            spec3(initial=(1, 1, 1, 0), n=3)
 
     def test_rejects_negative_count(self):
-        with pytest.raises(DomainError):
-            validate_spec(spec3(initial=(2, 2, -1)))
+        with pytest.raises(DomainError, match=re.escape(
+                "negative initial count in (2, 2, -1)")):
+            spec3(initial=(2, 2, -1))
 
     def test_rejects_wrong_sum(self):
-        with pytest.raises(NormalizationError):
-            validate_spec(spec3(initial=(1, 1, 2)))
+        with pytest.raises(NormalizationError, match="initial counts sum to 4, "
+                           "expected total=3"):
+            spec3(initial=(1, 1, 2))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 3.0, "species count must be an integer, got 3.0"),
+        ("n", True, "species count must be an integer, got True"),
+        ("n", "3", "species count must be an integer, got '3'"),
+        ("total", 3.0, "population total must be an integer, got 3.0"),
+        ("total", None, "population total must be an integer, got None"),
+        ("initial", (1.5, 1.5, 1),
+         "initial counts must be integers, got (1.5, 1.5, 1)"),
+        ("initial", (1, True, 1),
+         "initial counts must be integers, got (1, True, 1)"),
+        ("initial", (1, None, 2),
+         "initial counts must be integers, got (1, None, 2)"),
+        ("initial", "abc", "initial counts must be integers, got 'abc'"),
+        ("initial", 3, "initial counts must be integers, got 3"),
+    ])
+    def test_rejects_a_field_that_is_not_an_integer(self, field, value,
+                                                      message):
+        # a count of 1.5 used to be truncated to 1
+        with pytest.raises(DomainError, match=re.escape(message)):
+            spec3(**{field: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=json_models() | JSON_VALUES)
+    def test_from_dict_makes_a_valid_spec_or_raises_an_rpsim_error(self, d):
+        try:
+            spec = ModelSpec.from_dict(d)
+        except RpsimError:
+            return
+        assert type(spec.n) is int and type(spec.total) is int
+        assert type(spec.lam) is float and 0 < spec.lam < math.inf
+        assert all(type(c) is int and c >= 0 for c in spec.initial)
+        assert 3 <= spec.n == len(spec.initial)
+        assert sum(spec.initial) == spec.total >= 1
+        assert ModelSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestModelSpec:
@@ -66,6 +132,14 @@ class TestModelSpec:
         spec = ModelSpec(n=3, lam=1.0, total=6,
                          initial=tuple(np.array([2, 2, 2], dtype=np.int64)))
         assert all(type(c) is int for c in spec.initial)
+
+    def test_numpy_fields_are_stored_as_python_numbers(self):
+        spec = ModelSpec(n=np.int64(3), lam=np.float32(0.5),
+                         total=np.uint16(6), initial=np.array([1, 2, 3]))
+        assert spec == ModelSpec(n=3, lam=0.5, total=6, initial=(1, 2, 3))
+        assert [type(v) for v in (spec.n, spec.lam, spec.total,
+                                  *spec.initial)] == [int, float] + [int] * 4
+        assert ModelSpec(n=3, lam=2, total=3, initial=[1, 1, 1]).lam == 2.0
 
     def test_fractions(self):
         spec = ModelSpec(n=3, lam=1.0, total=10, initial=(5, 3, 2))

@@ -521,6 +521,14 @@ class TestFluctuationModel:
         ref = reference_em(model, None, 3e-3, grid, rng_stream(4, 0))
         assert np.allclose(sde.values, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, math.nan, True, "1"])
+    def test_rejects_invalid_rate(self, lam):
+        path = integrate(THIRD, 1.0, t_end=0.1, step=1e-2)
+        message = f"positive and finite, got {lam}" \
+            if isinstance(lam, float) else f"a real number, got {lam!r}"
+        with pytest.raises(DomainError, match=message):
+            FluctuationModel.from_path(path, lam)
+
     def test_rejects_off_simplex_path(self):
         path = integrate(THIRD, 1.0, t_end=0.1, step=1e-2)
         path.step_states[3] = [0.5, 0.5, 0.5]  # corrupt the stored march

@@ -188,6 +188,27 @@ def test_write_validation_reports(tmp_path):
     assert detail["samples"] == 500
 
 
+@pytest.mark.parametrize("replicas", [3, 40])
+def test_numpy_integers_write_the_same_bytes(tmp_path, replicas):
+    # a numpy seed or spec field used to leave a manifest cut off mid-key
+    spec = ModelSpec(n=np.int64(3), lam=np.float64(1.0), total=np.int32(60),
+                     initial=np.array([20, 20, 20]))
+    for d, args in (("py", (SPEC, replicas, 1.0, GRID, 5)),
+                    ("np", (spec, np.int64(replicas), 1.0, GRID,
+                            np.int64(5)))):
+        write_ensemble(run_ensemble(*args, record_events=True), tmp_path / d)
+    for name in ("samples.csv", "events.csv", "manifest.json"):
+        assert (tmp_path / "py" / name).read_bytes() == \
+            (tmp_path / "np" / name).read_bytes()
+
+
+def test_unencodable_report_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_validation_reports({"lln": {"pass": True, "M": np.int64(5)}},
+                                 tmp_path / "r")
+    assert not (tmp_path / "r" / "lln.json").exists()
+
+
 def test_write_json_sorts_keys(tmp_path):
     write_json({"b": 1, "a": 2}, tmp_path / "x.json")
     text = (tmp_path / "x.json").read_text()
@@ -604,12 +625,48 @@ class TestMalformedInput:
         (lambda m: m["model"].pop("total"), "missing key 'total'"),
         (lambda m: m["trajectories"][1].pop("final_time"),
          "missing key 'final_time'"),
+        # fields of the wrong type, which were truncated, read as they were
+        # or raised a bare TypeError or ValueError
+        (lambda m: m["model"].update(total=60.0, initial=[20.5, 19.5, 20]),
+         "model: population total must be an integer, got 60.0"),
+        (lambda m: m["model"].update(initial=[20.5, 19.5, 20]),
+         "model: initial counts must be integers, got [20.5, 19.5, 20]"),
+        (lambda m: m["model"].update(initial=[20, None, 40]),
+         "model: initial counts must be integers, got [20, None, 40]"),
+        (lambda m: m["model"].update(initial="abc"),
+         "model: initial counts must be integers, got 'abc'"),
+        (lambda m: m["model"].update({"lambda": True}),
+         "model: collision rate must be a real number, got True"),
+        (lambda m: m["model"].update({"lambda": "1.0"}),
+         "model: collision rate must be a real number, got '1.0'"),
+        (lambda m: m["model"].update(total="60"),
+         "model: population total must be an integer, got '60'"),
+        (lambda m: m.update(model=5), "model: expected an object, got 5"),
+        (lambda m: m.update(base_seed=-1),
+         "base seed must be a non-negative integer, got -1"),
+        (lambda m: m.update(base_seed="x"),
+         "base seed must be a non-negative integer, got 'x'"),
+        (lambda m: m.update(trajectories=5),
+         "trajectories must be a list of objects"),
+        (lambda m: m["trajectories"][1].update(absorbed="x"),
+         "absorption and final times must be finite non-negative numbers"),
+        (lambda m: m["trajectories"][1].update(final_time=None),
+         "absorption and final times must be finite non-negative numbers"),
+        (lambda m: m["trajectories"][1].update(final_time=-5.0),
+         "absorption and final times must be finite non-negative numbers"),
+        # the file's whole text
+        ("[1, 2]", "not a JSON object"),
+        ('{"kind": ',
+         "not valid JSON: Expecting value: line 1 column 10 (char 9)"),
     ])
     def test_bad_manifest_is_a_domain_error(self, ens_dir, edit, message):
         path = ens_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        edit(manifest)
-        path.write_text(json.dumps(manifest))
+        if isinstance(edit, str):
+            path.write_text(edit)
+        else:
+            manifest = json.loads(path.read_text())
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
         with pytest.raises(DomainError) as err:
             read_ensemble(ens_dir)
         assert str(err.value) == f"{path}: {message}"

@@ -146,10 +146,13 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(simplex(0.5, 0.3, 0.2), None)  # no rate at all
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"),
+                                     True, "1"])
     def test_rejects_invalid_rate(self, lam):
-        # same rule as validate_spec: positive and finite
-        with pytest.raises(DomainError, match="positive and finite"):
+        # the rule of a ModelSpec's rate: a real number, positive and finite
+        message = "positive and finite" if isinstance(lam, float) else \
+            f"a real number, got {lam!r}"
+        with pytest.raises(DomainError, match=message):
             integrate(simplex(0.5, 0.3, 0.2), lam)
 
     def test_normalization_message_is_a_plain_number(self):
