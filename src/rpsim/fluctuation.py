@@ -8,15 +8,15 @@ process from its deterministic limit converges to a linear Gaussian diffusion
 where b(t) is the Jacobian of the cyclic vector field along u(t) and c(t)
 collects the reaction intensities in a cyclic band (reaction j, at intensity
 lam*u_j*u_{j+1}, contributes that intensity times the outer product of its
-stoichiometric vector e_j - e_{j+1}).  This module builds b and c, propagates
-the covariance of V through the moment ODE dS/dt = bS + Sb' + c, and
-simulates the limiting SDE directly.  Both consumers take b and c from one
-stored mean-field march, which :class:`FluctuationModel` checks once, when
-it is made.
+stoichiometric vector e_j - e_{j+1}).  This module builds b and c, and both
+the covariance and the SDE sampler step by the exact transition of that
+linear SDE between grid times, V(t_{g+1}) = Phi_g V(t_g) + Q_g^{1/2} xi_g
+(dPhi/dt = b Phi from I, dQ/dt = bQ + Qb' + c from 0), taking b and c from
+one stored mean-field march, which :class:`FluctuationModel` checks once,
+when it is made.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +36,10 @@ __all__ = [
     "run_sde_ensemble",
 ]
 
-# PSD tolerances: construction-time (strict) and propagation monitor (loose)
 _PSD_EIG_TOL = 1e-9
-_PSD_MONITOR_TOL = 1e-6
 _SYMMETRY_TOL = 1e-12
-# steps per block of the covariance march: bounds the memory of its stage
-# coefficient tables and of its batched PSD monitor
-_COV_BLOCK = 1024
-# SDE steps whose normals are drawn at a time: bounds the noise buffer
-_SDE_CHUNK = 256
+# most steps in one block of the transition march, and so in its loop
+_BLOCK = 64
 
 
 def drift_matrix(u, lam: float) -> np.ndarray:
@@ -101,9 +96,9 @@ def psd_sqrt(c: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via spectral decomposition.
 
     A non-finite or asymmetric (beyond 1e-12) input raises
-    :class:`DomainError`.  Eigenvalues in ``[-1e-9, 0)`` are treated as
-    rounding noise and clamped to zero; anything lower raises
-    :class:`NotPSD`.  The result R is
+    :class:`DomainError`.  Eigenvalues from -1e-9 up to n * eps times the
+    largest are rounding noise and set to zero, so R keeps the null vectors
+    of c; anything lower raises :class:`NotPSD`.  The result R is
     symmetric and satisfies ``max|R@R - c| < 1e-10 * (1 + max|c|)``.  A
     stack of shape (..., n, n) is rooted matrix by matrix in one batched
     call; each root is bit-identical to its own call, and an error names the
@@ -121,7 +116,8 @@ def psd_sqrt(c: np.ndarray) -> np.ndarray:
     bad = low < -_PSD_EIG_TOL
     if np.any(bad):
         raise NotPSD(f"eigenvalue {low[bad][0]:.3e} below -{_PSD_EIG_TOL}")
-    w = np.clip(w, 0.0, None)
+    noise = w.shape[-1] * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
+    w = np.where(w > noise, w, 0.0)
     root = (v * np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2)
     root = 0.5 * (root + root.swapaxes(-1, -2))
     err = np.ravel(np.max(np.abs(root @ root - c), axis=(-2, -1)))
@@ -210,140 +206,133 @@ def _rk4_stages(u: np.ndarray, lam: float, h: float):
     return rk4_step(field, u, h), stages
 
 
+def _transitions(model: FluctuationModel, ends):
+    """The transitions ``(Phi, Q)`` over each interval between consecutive
+    path-step indices ``ends``, as two stacks; an empty interval's is (I, 0).
+
+    Phi and Q are marched by RK4 at the path's step, with b and c at the
+    mean field's RK4 stage states, in blocks of at most ``_BLOCK`` steps
+    that never cross an end.  Step s of every block is taken at once; a
+    block that has run out takes zero coefficients, which leave it as it is.
+    Each interval folds its blocks in order, ``(Phi, Q) <- (Phi_b Phi,
+    Phi_b Q Phi_b' + Q_b)``.  A Q with an eigenvalue below -1e-9, after
+    symmetrizing, raises :class:`NotPSD` naming the end of its interval.
+    """
+    n, lam, h = model.n, model.lam, model.path.step
+    firsts = [np.arange(a, b, _BLOCK) for a, b in zip(ends[:-1], ends[1:])]
+    counts = np.array([len(f) for f in firsts], dtype=int)
+    starts = np.concatenate([np.zeros(0, dtype=int)] + firsts)
+    lengths = np.minimum(np.repeat(ends[1:], counts) - starts, _BLOCK)
+    stages = _rk4_stages(model.path.step_states[:ends[-1]].T, lam, h)[1]
+    x = np.zeros((len(starts), 2, n, n))   # x[:, 0] is Phi, x[:, 1] is Q
+    x[:, 0] = np.eye(n)
+
+    def field(x):
+        # rk4_step calls this once per stage, in stage order: each call
+        # takes that stage's b and c, for every block
+        b, c = next(coefficients)
+        y = b[:, None] @ x
+        # Q stays exactly symmetric, so Q b' is the transpose of b Q
+        y[:, 1] = y[:, 1] + y[:, 1].swapaxes(-1, -2) + c
+        return y
+
+    for s in range(int(lengths.max(initial=0))):
+        live = lengths > s
+        u = np.stack([st[:, np.where(live, starts + s, starts)].T
+                      for st in stages])
+        on = live[:, None, None]
+        coefficients = zip(drift_matrix(u, lam) * on,
+                           diffusion_matrix(u, lam) * on)
+        x = rk4_step(field, x, h)
+
+    phi = np.repeat(np.eye(n)[None], len(counts), axis=0)
+    q = np.zeros_like(phi)
+    block = np.cumsum(counts) - counts    # each interval's first block
+    for j in range(int(counts.max(initial=0))):
+        g = np.flatnonzero(counts > j)
+        pb, qb = x[block[g] + j, 0], x[block[g] + j, 1]
+        phi[g] = pb @ phi[g]
+        q[g] = pb @ q[g] @ pb.swapaxes(-1, -2) + qb
+    q = 0.5 * (q + q.swapaxes(-1, -2))
+    low = np.linalg.eigvalsh(q)[:, 0]
+    bad = np.flatnonzero(low < -_PSD_EIG_TOL)
+    if len(bad):
+        raise NotPSD(f"transition covariance eigenvalue {low[bad[0]]:.3e} "
+                     f"below -{_PSD_EIG_TOL} over the steps to "
+                     f"t={ends[bad[0] + 1] * h:.6g}")
+    return phi, q
+
+
 def propagate_covariance(model: FluctuationModel,
                          sigma0) -> list[CovarianceState]:
     """Propagate the fluctuation covariance along the model's path.
 
-    The moment ODE dS/dt = bS + Sb' + c is marched by RK4 at the path's own
-    step, with b and c taken at the mean field's RK4 stage states, not
-    interpolated.  Those stages do not depend on S, so they are re-marched
-    from the stored path for every step at once.  S is symmetrized on entry
-    and after every step, so every stage's S is exactly symmetric and its
-    field takes one product: bS, plus its transpose, plus c.  Output is
-    aligned with the path's sample grid, each label served by the step that
-    serves it in the path.  Two tolerances raise :class:`NotPSD`: a smallest
-    eigenvalue below -1e-6 at any step aborts the march at the first such
-    step, and every reported state, a :class:`CovarianceState`, must keep
-    it at or above -1e-9.
+    The moment ODE dS/dt = bS + Sb' + c is solved from grid time to grid
+    time by the interval's transition, S <- Phi S Phi' + Q, symmetrized.
+    Output is aligned with the path's sample grid, each label served by the
+    step that serves it in the path.  Every Q and every reported state (a
+    :class:`CovarianceState`) must keep its smallest eigenvalue at or above
+    -1e-9, or :class:`NotPSD` is raised; S stays PSD whenever S and Q are.
     """
-    path, n, lam, step = model.path, model.n, model.lam, model.path.step
-    grid, indices = path.grid, path.indices
-    n_steps = int(indices[-1]) if len(indices) else 0
+    path, n = model.path, model.n
     s = np.asarray(sigma0, dtype=float).copy()
     if s.shape != (n, n):
         raise DomainError(f"initial covariance must be {n}x{n}, got {s.shape}")
     s = CovarianceState(sigma=s, time=0.0).sigma  # symmetric and PSD
-    # exactly symmetric, as every step leaves it, for moment_field
-    s = 0.5 * (s + s.T)
-    stages = _rk4_stages(path.step_states[:-1].T, lam, step)[1]
-
-    # rk4_step calls the field once per stage, in stage order; each call
-    # takes that stage's b and c
-    coefficients = iter(())
-
-    def moment_field(sig):
-        # sig is exactly symmetric, so sig b' is the transpose of b sig
-        b, c = next(coefficients)
-        x = b @ sig
-        return x + x.T + c
-
-    out = [CovarianceState(sigma=s.copy(), time=t)
-           for t in grid[indices == 0].tolist()]
-    for lo in range(0, n_steps, _COV_BLOCK):
-        # b and c at the four stage states of each step, (steps, 4, n, n)
-        x = np.stack([st[:, lo:min(lo + _COV_BLOCK, n_steps)].T
-                      for st in stages], axis=1)
-        bs, cs = drift_matrix(x, lam), diffusion_matrix(x, lam)
-        sigmas = np.empty((len(x), n, n))  # sigmas[i] is S after step lo + i
-        for i in range(len(x)):
-            coefficients = zip(bs[i], cs[i])
-            s = rk4_step(moment_field, s, step)
-            sigmas[i] = s = 0.5 * (s + s.T)
-        low = np.linalg.eigvalsh(sigmas)[:, 0]
-        bad = np.flatnonzero(low < -_PSD_MONITOR_TOL)
-        stop = lo + 1 + (bad[0] if len(bad) else len(x))
-        while len(out) < len(grid) and indices[len(out)] < stop:
-            k = indices[len(out)] - lo - 1
-            out.append(CovarianceState(sigma=sigmas[k].copy(),
-                                       time=float(grid[len(out)])))
-        if len(bad):
-            raise NotPSD(f"covariance lost positive semi-definiteness at "
-                         f"t={stop * step:.6g}")
+    out = []
+    phis, qs = _transitions(model, np.concatenate(([0], path.indices)))
+    for phi, q, t in zip(phis, qs, path.grid.tolist()):
+        s = phi @ s @ phi.T + q
+        s = 0.5 * (s + s.T)
+        out.append(CovarianceState(sigma=s, time=t))
     return out
 
 
 def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
                      paths: int, base_seed: int) -> list[GaussianPath]:
-    """Euler-Maruyama simulation of ``paths`` paths of the limiting SDE.
+    """Sample ``paths`` paths of the limiting SDE, exact in law on ``grid``
+    up to the RK4 march of the transitions.
 
-    One step: V <- V + b V step + psd_sqrt(c) sqrt(step) xi, with xi a
-    standard normal vector.  ``v0`` is a finite vector, or None for the
-    default point mass at zero.  Grid times are served by the nearest step,
-    like every other grid in the package.  Step k takes b and c at the
-    path's step nearest to ``k * step``; a grid that needs the mean field
-    past the path's end raises :class:`DomainError`, and so does a
-    ``paths`` that is not a positive integer.
+    From grid time to grid time, V <- Phi V + psd_sqrt(Q) xi, with xi
+    standard normal and (Phi, Q) the interval's transition, the one
+    :func:`propagate_covariance` steps by; the first interval starts at
+    time 0.  ``step`` must be the path's step (:class:`DomainError`
+    naming both otherwise), and each grid time is served by the nearest
+    path step.  ``v0`` is a finite vector, or None for zero.  A negative
+    grid time, a grid past the path's end, or a ``paths`` that is not a
+    positive integer raises :class:`DomainError`; a Q with an eigenvalue
+    below -1e-9 raises :class:`NotPSD`.
 
-    Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: one
-    standard normal per species per step, step-major.  Every path is marched
-    at once; each path's normals are drawn ``_SDE_CHUNK`` steps at a time,
-    into its own contiguous row of the noise buffer, which takes them from
-    its stream in the same order as one draw, so the chunk size never
-    changes a value.
-
-    The state is held species-major, one column per path, so each step's
-    two products are ``b @ V`` and ``root @ xi`` on (n, paths) operands.
-    BLAS runs them as the same column-major products as the path-major
-    ``V @ b.T`` and ``xi @ root.T``, whose transposes they are, so each
-    entry is the same bit for bit (tier-1 pins the values by sha256); the
-    sum is taken in the same order, ``(V + (b V) step) + (root xi)
-    sqrt(step)``.  The noise product reads each step's draws in place, at
-    the buffer's row stride.
+    Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: n
+    standard normals per grid time, grid-major, in one fill.
     """
     paths = check_seed(paths, "path count")
     if paths < 1:
         raise DomainError(f"need at least one path, got {paths}")
+    n, path = model.n, model.path
+    if step != path.step:
+        raise DomainError(f"SDE step {step} differs from the step {path.step} "
+                          "of the model's mean-field path")
     grid, indices, n_steps = snap_grid(grid, step)
     if len(grid) and grid[0] < 0:
         raise DomainError("grid must be non-negative")
-    n, path = model.n, model.path
     v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     if v0.shape != (n,):
         raise DomainError(f"initial value must have shape ({n},), got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise DomainError("initial value has a non-finite entry")
-    nearest = np.rint(np.arange(n_steps) * step / path.step).astype(int)
-    if n_steps and nearest[-1] >= len(path.step_states):
-        raise DomainError(
-            f"the SDE grid runs to t={n_steps * step:.6g}, past the end "
-            f"t={(len(path.step_states) - 1) * path.step:.6g} of the "
-            "model's mean-field path")
-    u = path.step_states[nearest]
-    drifts = drift_matrix(u, model.lam)
-    roots = psd_sqrt(diffusion_matrix(u, model.lam))
-    sqrt_step = math.sqrt(step)
-    fills = [gen.standard_normal for gen in rng_streams(base_seed, 0, paths)]
-    # one noise buffer, refilled for each chunk of steps
-    normals = np.empty((paths, min(_SDE_CHUNK, n_steps), n))
+    if n_steps >= len(path.step_states):
+        raise DomainError(f"the SDE grid runs to t={n_steps * step:.6g}, past "
+                          f"the end t={(len(path.step_states) - 1) * step:.6g}"
+                          " of the model's mean-field path")
+    phis, qs = _transitions(model, np.concatenate(([0], indices)))
+    roots = psd_sqrt(qs)
+    normals = np.empty((paths, len(indices), n))
+    for gen, row in zip(rng_streams(base_seed, 0, paths), normals):
+        gen.standard_normal(out=row)
     v = np.repeat(v0[:, None], paths, axis=1)     # (n, paths)
-    drift, noise = np.empty((n, paths)), np.empty((n, paths))
     values = np.empty((paths, len(indices), n))
-    g = 0  # values[:, g] is V after indices[g] steps
-    for k in range(n_steps + 1):
-        while g < len(indices) and indices[g] == k:
-            values[:, g, :] = v.T
-            g += 1
-        if k == n_steps:
-            break
-        j = k % _SDE_CHUNK
-        if j == 0:
-            rows = normals[:, :min(_SDE_CHUNK, n_steps - k)]
-            for fill, row in zip(fills, rows):
-                fill(out=row)
-        np.matmul(drifts[k], v, out=drift)
-        np.matmul(roots[k], rows[:, j, :].T, out=noise)
-        drift *= step
-        noise *= sqrt_step
-        v += drift
-        v += noise
+    for g, (phi, root) in enumerate(zip(phis, roots)):
+        v = phi @ v + root @ normals[:, g].T
+        values[:, g] = v.T
     return [GaussianPath(grid=grid.copy(), values=x) for x in values]

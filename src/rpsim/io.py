@@ -537,8 +537,10 @@ def read_ensemble(out_dir) -> Ensemble:
     :class:`~rpsim.core.ModelSpec` refuses, whose base seed is not a
     non-negative integer, whose trajectories are not a list of objects,
     whose absorption or final times are not finite non-negative numbers
-    (an absorption time may be null), or whose replicas are not seeds
-    ``0..R-1`` or mix logged and unlogged runs; for replicas that do not
+    (an absorption time may be null), whose ``has_event_log`` values are
+    not bools, whose replicas are not seeds ``0..R-1`` or mix logged and
+    unlogged runs, or, without event logs, whose final counts are not n
+    non-negative integers summing to the total; for replicas that do not
     share one ascending grid, or a sample that breaks conservation; and for
     an event log that is out of order or does not replay to its manifest
     entry, or whose manifest event counts are not non-negative integers or
@@ -579,8 +581,16 @@ def read_ensemble(out_dir) -> Ensemble:
     replicas = len(metas)
     if not replicas or seeds != list(range(replicas)):
         raise DomainError(f"{path}: replica seeds are not 0..R-1, R >= 1")
+    if not all(type(k) is bool for k in logged):
+        raise DomainError(f"{path}: has_event_log must be true or false")
     if len(set(logged)) > 1:
         raise DomainError(f"{path}: replicas mix kept and dropped event logs")
+    # a logged replica's final counts are checked by replaying its log
+    if not (logged[0] or all(isinstance(c, list) and len(c) == spec.n
+                             and all(type(k) is int and k >= 0 for k in c)
+                             and sum(c) == spec.total for c in final_counts)):
+        raise DomainError(f"{path}: final counts must be {spec.n} non-negative "
+                          f"integers summing to {spec.total}")
 
     grid, samples = _load_samples(out / "samples.csv", spec, replicas)
     event_times = event_reactions = offsets = None

@@ -111,9 +111,9 @@ def rk4_step(field, u: np.ndarray, h: float) -> np.ndarray:
     The package's RK4 formula, and the reference that :func:`integrate`'s
     compiled march is pinned to bit for bit.  Its combination is
     elementwise, so a stack of states, one per column, marches each column
-    exactly as its own call would; the covariance propagator takes the mean
-    field's stage states that way, then marches S through it with
-    coefficients fixed per stage.
+    exactly as its own call would; the fluctuation layer takes the mean
+    field's stage states that way, then marches the transitions (Phi, Q)
+    through it with coefficients fixed per stage.
     """
     k1 = field(u)
     k2 = field(u + (0.5 * h) * k1)

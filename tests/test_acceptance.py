@@ -228,7 +228,7 @@ def test_criterion_7_coefficient_matrix_structure():
 
 
 def test_criterion_8_linear_noise_sampler_matches_moments():
-    # 5000 Euler-Maruyama paths from the fixed point: their time-1 sample
+    # 5000 linear-noise SDE paths from the fixed point: their time-1 sample
     # covariance must match the moment ODE within 10% (zero-sum subspace)
     uf = np.full(3, 1 / 3)
     grid = np.array([0.0, 1.0])

@@ -183,17 +183,17 @@ FLUCTUATION_SHA256 = {
     "meanfield.csv":
         "1eb1dba8a54b2ded80c65133676095aa30be91118a814aa88cf0f63c1076d563",
     "covariance.csv":
-        "ef67aff0ee1e7e1619b73f1d67bbdbf25a457b1d2d9d977c680eff8ef367209e",
+        "b107a4b14e7de60b9e8f63074c72ac9e2e5f0b9c765d4628fe008049f47beb5f",
     "paths.csv":
-        "fb802d8c5f2516d36e69c7fd8956b25ccf4395c7df3e54c48de8166cce1810b1",
+        "f03f86c2acdabe1682b7f0ac23fc3ade114c54c69b0ddd77d6cd928a83cfef4c",
 }
 
-# the covariance march at the benchmark's scale: 10 000 RK4 steps, over
-# several blocks of the batched coefficient tables and PSD monitor
+# the covariance at the benchmark's scale: 10 000 RK4 steps, in 100
+# intervals of two blocks each
 COVARIANCE_ARGS = ["fluctuation", "--u0", "0.5,0.3,0.2", "--t-end", "10",
                    "--step", "1e-3", "--grid-points", "101", "--paths", "0"]
 COVARIANCE_SHA256 = \
-    "c58ce3f01ae9f9ca2a03425d26ef4b048a335740970cd2b01b5c07945f01aaf4"
+    "f377db95b3dd72c3f56451b7ee9806a8495901d71c7cf81b018908d4d7a59946"
 
 # validate at small scales; 3000 Gillespie samples take the lockstep engine
 # in two chunks
@@ -219,7 +219,7 @@ VALIDATE_SHA256 = {
     "lln.json":
         "14caf5132cc9437e8cee1703deb2c71f2fb8f6459cfb84b17c34ea5e5bbf370e",
     "clt.json":
-        "53858e801fba95dcc32939a0709277110f33f9e4dbd5fee4702a56eaf8ff0557",
+        "933c777db7e8a480305328a2fea9d39c0a7226ac23b2e9440346af4e8738a7c4",
     "martingale.json":
         "ac3b8b4ac5c57de51042a85b529272680ae004f78141a88a92ecaa46cc676e69",
     "summary.json":

@@ -18,9 +18,11 @@ from rpsim import (
     integrate,
     propagate_covariance,
     psd_sqrt,
+    rk4_step,
     rng_stream,
     run_sde_ensemble,
     vector_field,
+    zero_sum_projector,
 )
 
 THIRD = np.full(3, 1 / 3)
@@ -30,7 +32,7 @@ def propagate_moments(b_of, c_of, sigma0, times, step):
     """Reference moment march: dS/dt = b(t)S + Sb(t)' + c(t) by RK4 with the
     coefficients injected as functions of time.
 
-    Independent of the package's joint (u, S) march, which evaluates b and c
+    Independent of the package's transition march, which evaluates b and c
     at the RK4 stage states.  Returns S at each requested time (snapped to
     the nearest step); symmetry is re-enforced after every step, and a
     smallest eigenvalue below -1e-6 raises :class:`NotPSD`.
@@ -60,22 +62,77 @@ def propagate_moments(b_of, c_of, sigma0, times, step):
     return out
 
 
-def reference_em(model, v0, step, grid, rng):
-    """Reference Euler-Maruyama march, one path and one step at a time:
-    step k takes b and c at the path step nearest to ``k * step``, and the
-    noise is one standard normal per species per step, step-major."""
-    path, n = model.path, model.n
-    n_steps = int(round(grid[-1] / step))
-    xi = rng.standard_normal((n_steps, n))
-    v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
-    after = [v]                             # after[k] is V after k steps
-    for k in range(n_steps):
-        u = path.step_states[round(k * step / path.step)]
-        b = drift_matrix(u, model.lam)
-        root = psd_sqrt(diffusion_matrix(u, model.lam))
-        v = v + (b @ v) * step + (root @ xi[k]) * math.sqrt(step)
-        after.append(v)
-    return np.array([after[round(t / step)] for t in grid])
+def stage_coefficients(model):
+    """b and c at the four RK4 stage states of every step of the model's
+    path, each of shape (steps, 4, n, n)."""
+    stages = []
+
+    def field(x):
+        stages.append(x)
+        return vector_field(x, model.lam)
+
+    rk4_step(field, model.path.step_states[:-1].T, model.path.step)
+    x = np.stack([st.T for st in stages], axis=1)
+    return drift_matrix(x, model.lam), diffusion_matrix(x, model.lam)
+
+
+def stepwise_covariance(model, sigma0):
+    """Reference: RK4 of dS/dt = bS + Sb' + c one step at a time at the
+    path's step, b and c fixed per stage at the mean field's stage states, S
+    symmetrized after every step; S at each grid time.  A step of it is not
+    a congruence Phi S Phi' + Q, so at coarse steps it and the transitions
+    differ at truncation level (2e-11 relative at step 1e-2)."""
+    bs, cs = stage_coefficients(model)
+    s = np.array(sigma0, dtype=float)
+    after = [s]                             # after[k] is S after k steps
+    for k in range(int(model.path.indices[-1])):
+        coefficients = zip(bs[k], cs[k])
+
+        def moment(sig):
+            b, c = next(coefficients)
+            return b @ sig + sig @ b.T + c
+
+        s = rk4_step(moment, s, model.path.step)
+        s = 0.5 * (s + s.T)
+        after.append(s)
+    return [after[k] for k in model.path.indices]
+
+
+def stepwise_transition(model, coefficients_of_steps, first, last):
+    """Reference (Phi, Q) over path steps ``first`` to ``last``: RK4 of
+    dPhi/dt = b Phi and dQ/dt = bQ + Qb' + c, one step at a time, with b and
+    c fixed per stage as in :func:`stepwise_covariance`."""
+    bs, cs = coefficients_of_steps
+    n = model.n
+    x = np.stack([np.eye(n), np.zeros((n, n))])
+    for k in range(first, last):
+        coefficients = zip(bs[k], cs[k])
+
+        def field(y):
+            b, c = next(coefficients)
+            return np.stack([b @ y[0], b @ y[1] + y[1] @ b.T + c])
+
+        x = rk4_step(field, x, model.path.step)
+    return x[0], 0.5 * (x[1] + x[1].T)
+
+
+def reference_paths(model, v0, grid, paths, seed):
+    """Each path one interval at a time, V <- Phi V + psd_sqrt(Q) xi, with
+    n normals per grid time, grid-major, from rng_stream(seed, i)."""
+    coefficients = stage_coefficients(model)
+    ends = [0] + [round(t / model.path.step) for t in grid]
+    steps = [stepwise_transition(model, coefficients, a, b)
+             for a, b in zip(ends[:-1], ends[1:])]
+    out = []
+    for i in range(paths):
+        xi = rng_stream(seed, i).standard_normal((len(grid), model.n))
+        v = np.zeros(model.n) if v0 is None else np.array(v0, dtype=float)
+        values = []
+        for (phi, q), x in zip(steps, xi):
+            v = phi @ v + psd_sqrt(q) @ x
+            values.append(v)
+        out.append(np.array(values))
+    return out
 
 
 def one_path(model, v0, step, grid, seed):
@@ -178,6 +235,15 @@ class TestPsdSqrt:
         c = np.diag([1.0, -1e-12])
         root = psd_sqrt(c)
         assert root[1, 1] == 0.0
+
+    def test_keeps_the_null_vector_of_a_zero_sum_matrix(self):
+        # the root of c's rounding-level null eigenvalue would put a term of
+        # order sqrt(eps) along (1, ..., 1); that eigenvalue is set to zero
+        rng = np.random.default_rng(6)
+        for n in (3, 5, 8):
+            for _ in range(50):
+                root = psd_sqrt(diffusion_matrix(random_simplex(rng, n), 1.0))
+                assert np.max(np.abs(root @ np.ones(n))) < 1e-14
 
     def test_genuinely_indefinite_raises(self):
         with pytest.raises(NotPSD):
@@ -355,7 +421,7 @@ class TestPropagateCovariance:
             assert np.max(np.abs(a.sigma - b.sigma)) < 1e-8
 
     def test_matches_coefficient_injection_along_path(self):
-        # the joint march evaluates coefficients at true RK4 stage states
+        # the transition march evaluates coefficients at true RK4 stage states
         # while propagate_moments snaps stage times to whole path steps, so
         # the two discretizations agree only to ~1e-5 and no tighter
         u0 = np.array([0.5, 0.3, 0.2])
@@ -410,30 +476,33 @@ class TestPropagateCovariance:
         for a, b in zip(fine[1:], odd[1:]):
             assert np.max(np.abs(a.sigma - b.sigma)) < 1e-3
 
-    def test_monitor_reports_the_first_failing_step(self, monkeypatch):
-        # a negated noise rate drives S indefinite; at the fixed point the
-        # coefficients are constant, so the reference march fails at the same
-        # step, which lies past the first of several small blocks
+    def test_transition_check_names_the_first_failing_interval(self,
+                                                               monkeypatch):
+        # a negated noise rate makes each Q indefinite; at the fixed point b
+        # and c commute and b is antisymmetric, so Q over an interval of
+        # length tau is -1e-5 tau c, with smallest eigenvalue -1e-5 tau / 3.
+        # The first two intervals (tau = 2e-4) stay within -1e-9, and the
+        # third (tau = 6e-4, three blocks of two steps) does not
         import rpsim.fluctuation as fl
         diffusion = fl.diffusion_matrix
         monkeypatch.setattr(fl, "diffusion_matrix",
                             lambda u, lam: -1e-5 * diffusion(u, lam))
-        monkeypatch.setattr(fl, "_COV_BLOCK", 64)
-        b, c = drift_matrix(THIRD, 1.0), -1e-5 * diffusion(THIRD, 1.0)
-        with pytest.raises(NotPSD) as reference:
-            propagate_moments(lambda t: b, lambda t: c, np.zeros((3, 3)),
-                              np.array([1.0]), step=1e-3)
-        with pytest.raises(NotPSD) as err:
-            propagate_covariance(fixed_point_model(), np.zeros((3, 3)))
-        assert str(err.value) == str(reference.value)
-        assert float(str(err.value).rsplit("=", 1)[1]) > 64e-3
+        monkeypatch.setattr(fl, "_BLOCK", 2)
+        model = fixed_point_model(t_end=0.01, step=1e-4,
+                                  grid=np.array([0.0, 2e-4, 4e-4, 1e-3, 0.01]))
+        with pytest.raises(NotPSD, match=r"^transition covariance eigenvalue "
+                           r"-2\.000e-09 below -1e-09 over the steps to "
+                           r"t=0\.001$"):
+            propagate_covariance(model, np.zeros((3, 3)))
+        with pytest.raises(NotPSD, match=r"t=0\.001$"):
+            run_sde_ensemble(model, None, 1e-4, model.path.grid, 2, 0)
 
     def test_reported_states_are_held_to_the_strict_tolerance(self,
                                                               monkeypatch):
-        # the march aborts only below -1e-6, but every reported state is a
-        # CovarianceState, held to -1e-9: a noise rate negated and scaled by
-        # 1e-8 leaves the smallest eigenvalue at -t/3 * 1e-8, within -1e-9
-        # at t = 0.25, not at t = 0.5
+        # every reported state is a CovarianceState, held to -1e-9: a noise
+        # rate negated and scaled by 1e-8 leaves the smallest eigenvalue of
+        # S at -t/3 * 1e-8, within -1e-9 at t = 0.25, not at t = 0.4, while
+        # each interval's Q, at most -0.15/3 * 1e-8, stays within it
         import rpsim.fluctuation as fl
         diffusion = fl.diffusion_matrix
         monkeypatch.setattr(fl, "diffusion_matrix",
@@ -443,23 +512,50 @@ class TestPropagateCovariance:
             np.zeros((3, 3)))
         low = np.linalg.eigvalsh(out[-1].sigma)[0]
         assert -1e-9 < low < -8e-10
-        with pytest.raises(NotPSD, match=r"^covariance eigenvalue -1\.667e-09 "
+        with pytest.raises(NotPSD, match=r"^covariance eigenvalue -1\.333e-09 "
                            r"below -1e-09$"):
             propagate_covariance(
-                fixed_point_model(grid=np.array([0.0, 0.1, 0.5, 1.0])),
+                fixed_point_model(grid=np.array([0.0, 0.1, 0.25, 0.4, 0.5])),
                 np.zeros((3, 3)))
 
-    def test_blocks_do_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("u0, t_end, step, grid, sigma0", [
+        # the benchmark's scale: 10 000 steps, 100 intervals of two blocks
+        ((0.5, 0.3, 0.2), 10.0, 1e-3, np.linspace(0.0, 10.0, 101), None),
+        # one interval of many blocks, as validate's CLT check takes it
+        ((0.5, 0.3, 0.2), 1.0, 1e-3, [0.0, 1.0], "eye"),
+        # labels off the step, served by their nearest steps
+        ((0.5, 0.3, 0.2), 1.0, 3.3e-3, [0.0, 0.5, 1.0], "eye"),
+        # a label past the path's end, served by its last step
+        ((0.5, 0.3, 0.2), 0.5, 0.5, [0.0, 0.75], None),
+        ((0.3, 0.25, 0.2, 0.15, 0.1), 2.0, 1e-3, np.linspace(0.3, 2.0, 5),
+         "eye"),
+    ])
+    def test_matches_the_stepwise_march(self, u0, t_end, step, grid, sigma0):
+        path = integrate(np.array(u0), 1.0, t_end=t_end, step=step,
+                         grid=np.asarray(grid))
+        model = FluctuationModel.from_path(path, 1.0)
+        n = len(u0)
+        sigma0 = np.zeros((n, n)) if sigma0 is None else np.eye(n) / n
+        out = propagate_covariance(model, sigma0)
+        ref = stepwise_covariance(model, sigma0)
+        assert [st.time for st in out] == path.grid.tolist()
+        for state, s in zip(out, ref):
+            assert np.max(np.abs(state.sigma - s)) \
+                <= 1e-12 * np.max(np.abs(s))
+
+    def test_block_length_does_not_change_results(self, monkeypatch):
         import rpsim.fluctuation as fl
         path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=0.3,
                          step=1e-3, grid=np.linspace(0.0, 0.3, 7))
         model = FluctuationModel.from_path(path, 1.0)
-        whole = propagate_covariance(model, np.eye(3) / 3)
-        monkeypatch.setattr(fl, "_COV_BLOCK", 7)
-        blocked = propagate_covariance(model, np.eye(3) / 3)
-        assert [a.sigma.tobytes() for a in whole] == \
-            [b.sigma.tobytes() for b in blocked]
-        assert [a.time for a in whole] == [b.time for b in blocked]
+        default = propagate_covariance(model, np.eye(3) / 3)
+        for block in (1, 7):
+            monkeypatch.setattr(fl, "_BLOCK", block)
+            blocked = propagate_covariance(model, np.eye(3) / 3)
+            assert [a.time for a in blocked] == [b.time for b in default]
+            for a, b in zip(blocked, default):
+                assert np.max(np.abs(a.sigma - b.sigma)) \
+                    <= 1e-13 * np.max(np.abs(b.sigma))
 
     def test_label_past_the_path_end_takes_its_last_step(self):
         # the label 0.75 is half a step past t_end = 0.5 and rounds to step
@@ -510,16 +606,16 @@ class TestPropagateCovariance:
 
 
 class TestFluctuationModel:
-    def test_from_path_snaps_coefficients(self):
-        # an SDE step that does not divide the path's step takes b and c at
-        # the nearest path step, never interpolated
-        u0 = np.array([0.5, 0.3, 0.2])
-        path = integrate(u0, 1.0, t_end=1.0, step=1e-2)
+    def test_sde_grid_times_snap_to_the_nearest_path_step(self):
+        # grid times off the path's steps are served by their nearest steps,
+        # never interpolated, and are reported verbatim
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0, step=1e-2)
         model = FluctuationModel.from_path(path, 1.0)
-        grid = np.array([0.0, 0.333, 0.999])
-        sde = one_path(model, None, 3e-3, grid, 4)
-        ref = reference_em(model, None, 3e-3, grid, rng_stream(4, 0))
-        assert np.allclose(sde.values, ref, rtol=0, atol=1e-12)
+        odd = run_sde_ensemble(model, None, 1e-2, [0.0, 0.333, 0.999], 3, 4)
+        even = run_sde_ensemble(model, None, 1e-2, [0.0, 0.33, 1.0], 3, 4)
+        for a, b in zip(odd, even):
+            assert a.grid.tolist() == [0.0, 0.333, 0.999]
+            assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("lam", [0.0, math.nan, True, "1"])
     def test_rejects_invalid_rate(self, lam):
@@ -552,13 +648,13 @@ class TestLimitSde:
     def test_reproducible(self):
         model = fixed_point_model()
         grid = np.array([0.0, 0.5, 1.0])
-        a = one_path(model, None, 1e-2, grid, 1)
-        b = one_path(model, None, 1e-2, grid, 1)
+        a = one_path(model, None, 1e-3, grid, 1)
+        b = one_path(model, None, 1e-3, grid, 1)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_zero_start_records_zero_at_time_zero(self):
         model = fixed_point_model()
-        path = one_path(model, None, 1e-2, np.array([0.0, 1.0]), 1)
+        path = one_path(model, None, 1e-3, np.array([0.0, 1.0]), 1)
         assert np.array_equal(path.values[0], np.zeros(3))
         assert not np.allclose(path.values[1], 0.0)
 
@@ -571,25 +667,26 @@ class TestLimitSde:
     def test_vector_start(self):
         model = fixed_point_model()
         v0 = np.array([0.3, -0.1, -0.2])
-        path = one_path(model, v0, 1e-2, np.array([0.0, 0.5]), 3)
+        path = one_path(model, v0, 1e-3, np.array([0.0, 0.5]), 3)
         assert np.array_equal(path.values[0], v0)
-        ref = reference_em(model, v0, 1e-2, path.grid, rng_stream(3, 0))
+        ref = reference_paths(model, v0, path.grid, 1, 3)[0]
         assert np.allclose(path.values, ref, rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
         model = fixed_point_model()
         with pytest.raises(DomainError):
-            one_path(model, np.zeros(4), 1e-2, np.array([0.0]), 0)
+            one_path(model, np.zeros(4), 1e-3, np.array([0.0]), 0)
         with pytest.raises(DomainError):
-            one_path(model, None, 0.0, np.array([0.0]), 0)
+            one_path(model, None, 0.0, np.array([0.0]), 0)  # a bad step
         with pytest.raises(DomainError):
-            one_path(model, None, 1e-2, np.array([-0.5, 0.0]), 0)
+            one_path(model, None, 1e-3, np.array([-0.5, 0.0]), 0)
 
 
 # run_sde_ensemble's values, bit for bit: the sha256 of every path's values
 # bytes in path order, pinned when they were last known good.  Each case is
-# (u0, v0, paths, base seed), marched at step 1e-2 to t = 6 on SDE_PIN_GRID,
-# which samples on both sides of each chunk boundary of the draws
+# (u0, v0, paths, base seed), on a path at step 1e-2 to t = 6, sampled on
+# SDE_PIN_GRID: intervals of one step, and of 254, 255 and 87 steps, which
+# fold four, four and two blocks
 SDE_PIN_GRID = [0.0, 0.01, 2.55, 2.56, 2.57, 5.12, 5.13, 6.0]
 SDE_PIN_CASES = {
     "n3-1-path": ((0.5, 0.3, 0.2), None, 1, 0),
@@ -601,83 +698,97 @@ SDE_PIN_CASES = {
 }
 SDE_SHA256 = {
     "n3-1-path":
-        "aed6ff799c8683151d933965bb45b7f69dd32807f562f0b83adb4cc7834e49d2",
+        "73e1cd9dc1d2fa8cf0a690327ad30723a1c79812b44cc2a59aaa74b00aa9132d",
     "n3-2-paths-v0":
-        "281c0327dba25389e134ef6c09343c9d1dd96fa0f70b516c156847ee9248146e",
+        "2959d3e7fb61ef76cc7bfc3b23cfa1edcff23d2d4ed8ec06e771ec3ec12dfe41",
     "n3-64-paths-v0":
-        "c5e7b92045d8a426938edb81743c87b6f5c9f1654e9b3a150afeafb65fb03a73",
+        "2e14d60f4aff9d451966f964ef14c38f18d6c083f8d5d2f1f90b136d73cc4272",
     "n5-2-paths-v0":
-        "69449222593648857c5685454b905b7377c7a14fdcea71e6ec1b5a1236b28578",
+        "3fca4a3d73a8493a0c9c8848e98b463c5cf31cac7005a679263e924706716658",
     "n5-64-paths":
-        "4c45dab9273b3cd613535bc4d0b23609995315f0c711c899a2f4d869c52f34f8",
+        "7e89d57ab55fdfcafe26d97feb076d17cea6c2b50f44fa9229eee7a567e08093",
 }
 
 
 class TestSdeEnsemble:
-    def test_matches_single_path_runner(self):
-        # every path follows a per-step reference march on its own stream;
-        # a one-path ensemble rounds its matrix products differently
-        model = fixed_point_model()
-        grid = np.array([0.0, 0.5, 1.0])
-        paths = run_sde_ensemble(model, None, 1e-2, grid, 5, 13)
-        for i, p in enumerate(paths):
-            ref = reference_em(model, None, 1e-2, grid, rng_stream(13, i))
-            assert np.allclose(p.values, ref, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("grid, v0", [
+        ([0.2, 0.5, 1.0], None),    # the first interval starts at time 0
+        ([0.0, 0.37, 1.0], (0.3, -0.1, -0.2)),
+        ([0.0], (0.3, -0.1, -0.2)),  # no step at all
+    ])
+    def test_each_path_steps_by_the_interval_transitions(self, grid, v0):
+        # path i is Phi_g V + psd_sqrt(Q_g) xi_g, with n normals per grid
+        # time, grid-major, from rng_stream(seed, i), and (Phi_g, Q_g)
+        # marched one step at a time; a one-path ensemble is its path 0
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0, step=1e-2)
+        model = FluctuationModel.from_path(path, 1.0)
+        paths = run_sde_ensemble(model, v0, 1e-2, grid, 5, 13)
+        ref = reference_paths(model, v0, grid, 5, 13)
+        for p, values in zip(paths, ref):
+            assert np.allclose(p.values, values, rtol=0, atol=1e-12)
         assert np.allclose(paths[0].values,
-                           one_path(model, None, 1e-2, grid, 13).values,
+                           one_path(model, v0, 1e-2, grid, 13).values,
                            rtol=0, atol=1e-12)
+
+    def test_step_other_than_the_paths_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^SDE step 0\.01 differs from "
+                           r"the step 0\.001 of the model's mean-field path$"):
+            run_sde_ensemble(fixed_point_model(), None, 1e-2, [0.0, 0.1], 3, 0)
+
+    def test_mean_follows_the_drift(self):
+        # from v0 off zero, the mean path is m(t) = Phi(t) v0, where
+        # dm/dt = b m.  The reference marches (u, m) jointly by RK4, with
+        # b m written out as the derivative of the field along m, not taken
+        # from drift_matrix; with b transposed the mean misses it by far
+        u0, v0 = np.array([0.5, 0.3, 0.2]), np.array([0.3, -0.1, -0.2])
+        grid = np.linspace(0.0, 2.0, 11)
+        path = integrate(u0, 1.0, t_end=2.0, step=1e-3, grid=grid)
+        model = FluctuationModel.from_path(path, 1.0)
+
+        def field(x):
+            # the field is u * u+ - u- * u (lam = 1); b m is its derivative
+            u, m = x
+            up, down = np.roll(x, -1, axis=1), np.roll(x, 1, axis=1)
+            return np.stack([vector_field(u, 1.0),
+                             m * up[0] + u * up[1] - down[1] * u
+                             - down[0] * m])
+
+        x, means = np.stack([u0, v0]), [v0]
+        for _ in range(path.indices[-1]):
+            x = rk4_step(field, x, path.step)
+            means.append(x[1])
+        means = np.array(means)[path.indices]
+        paths = run_sde_ensemble(model, v0, 1e-3, grid, 4000, 21)
+        values = np.stack([p.values for p in paths])
+        sigma = np.stack([st.sigma for st in propagate_covariance(
+            model, np.zeros((3, 3)))])
+        err = np.sqrt(np.diagonal(sigma, axis1=1, axis2=2) / len(paths))
+        assert np.all(np.abs(values.mean(axis=0) - means) <= 5 * err + 1e-12)
+
+    def test_benchmark_covariance_gate_holds_at_every_seed(self):
+        # the benchmark's "SDE covariance within 10%" check at the
+        # fluctuation-paths scale, for each of its 16 SDE seeds: the zero-sum
+        # Frobenius error of the 2 000 paths' final covariance
+        grid = np.linspace(0.0, 10.0, 101)
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=10.0,
+                         step=1e-3, grid=grid)
+        model = FluctuationModel.from_path(path, 1.0)
+        sigma = propagate_covariance(model, np.zeros((3, 3)))[-1].sigma
+        p = zero_sum_projector(3)
+        errors = {}
+        for seed in range(16):
+            sde = run_sde_ensemble(model, None, 1e-3, grid, 2000, seed)
+            emp = np.cov(np.stack([x.values[-1] for x in sde]), rowvar=False)
+            errors[seed] = float(np.linalg.norm(p @ (emp - sigma) @ p)
+                                 / np.linalg.norm(p @ sigma @ p))
+        assert max(errors.values()) < 0.10, errors
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_bad_base_seed_is_a_domain_error(self, seed):
         with pytest.raises(DomainError, match="base seed must be a "
                            "non-negative integer"):
-            run_sde_ensemble(fixed_point_model(), None, 1e-2, [0.0, 0.1], 3,
+            run_sde_ensemble(fixed_point_model(), None, 1e-3, [0.0, 0.1], 3,
                              seed)
-
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        # chunks of steps only split each path's draws, which come from its
-        # stream in the same order, so every value is the same, bit for bit
-        import rpsim.fluctuation as fl
-        model = fixed_point_model(t_end=3.0)
-        v0 = np.array([0.3, -0.1, -0.2])
-        grids = [
-            [0.0, 0.37, 1.0],   # 100 steps: one short default chunk
-            [0.0, 3.0],         # 300 steps: a full default chunk, a short one
-            [0.0],              # no step at all
-        ]
-        for grid in grids:
-            monkeypatch.undo()
-            default = run_sde_ensemble(model, v0, 1e-2, grid, 7, 5)
-            assert all(np.array_equal(p.values[0], v0) for p in default)
-            for chunk in (1, 3):
-                monkeypatch.setattr(fl, "_SDE_CHUNK", chunk)
-                chunked = run_sde_ensemble(model, v0, 1e-2, grid, 7, 5)
-                assert len(chunked) == 7
-                for a, b in zip(chunked, default):
-                    assert a.values.tobytes() == b.values.tobytes()
-
-    def test_peak_memory_does_not_grow_with_steps(self, monkeypatch):
-        # the noise buffer holds one chunk of steps for every path; ten
-        # times the steps add only the per-step b and sqrt(c) tables, less
-        # than one chunk of noise, where a buffer of every step would add
-        # nine times the short run's noise
-        import tracemalloc
-
-        import rpsim.fluctuation as fl
-        monkeypatch.setattr(fl, "_SDE_CHUNK", 64)
-        model = fixed_point_model(t_end=1.3)
-        paths = 500
-        run_sde_ensemble(model, None, 1e-3, [0.0, 0.01], 2, 0)
-        peaks = []
-        for t in (0.128, 1.28):
-            tracemalloc.start()
-            try:
-                run_sde_ensemble(model, None, 1e-3, [0.0, t], paths, 0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        chunk_bytes = paths * 64 * model.n * 8
-        assert peaks[1] - peaks[0] < chunk_bytes
 
     def test_grid_past_the_path_end_raises(self):
         # b and c exist only along the stored path: a grid that needs them
@@ -685,13 +796,11 @@ class TestSdeEnsemble:
         model = fixed_point_model(t_end=1.0)
         with pytest.raises(DomainError,
                            match=r"runs to t=5, past the end t=1 "):
-            run_sde_ensemble(model, None, 1e-2, np.array([0.0, 5.0]), 2, 0)
-        # the last step starts inside the path, so this grid still runs
-        run_sde_ensemble(model, None, 1e-2, np.array([0.0, 1.0]), 2, 0)
+            run_sde_ensemble(model, None, 1e-3, np.array([0.0, 5.0]), 2, 0)
+        run_sde_ensemble(model, None, 1e-3, np.array([0.0, 1.0]), 2, 0)
 
     @pytest.mark.parametrize("case", sorted(SDE_SHA256))
     def test_values_are_pinned(self, case):
-        # 600 steps: two full chunks of draws and a partial one
         u0, v0, paths, seed = SDE_PIN_CASES[case]
         path = integrate(np.array(u0), 1.0, t_end=6.0, step=1e-2,
                          grid=np.array([0.0, 6.0]))
@@ -704,19 +813,19 @@ class TestSdeEnsemble:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_is_a_domain_error(self, value):
         with pytest.raises(DomainError, match="initial value has a non-finite"):
-            run_sde_ensemble(fixed_point_model(), [value, 0.0, 0.0], 1e-2,
+            run_sde_ensemble(fixed_point_model(), [value, 0.0, 0.0], 1e-3,
                              [0.0, 0.1], 3, 0)
 
     @pytest.mark.parametrize("paths", ["3", 2.0, True, -1])
     def test_bad_path_count_is_a_domain_error(self, paths):
         with pytest.raises(DomainError, match="path count must be a "
                            "non-negative integer"):
-            run_sde_ensemble(fixed_point_model(), None, 1e-2, [0.0, 0.1],
+            run_sde_ensemble(fixed_point_model(), None, 1e-3, [0.0, 0.1],
                              paths, 0)
 
     def test_rejects_zero_paths(self):
         with pytest.raises(DomainError):
-            run_sde_ensemble(fixed_point_model(), None, 1e-2,
+            run_sde_ensemble(fixed_point_model(), None, 1e-3,
                              np.array([0.0]), 0, base_seed=0)
 
 

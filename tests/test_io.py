@@ -167,7 +167,7 @@ def test_write_gaussian_paths(tmp_path):
     path = integrate(np.full(3, 1 / 3), 1.0, t_end=0.5,
                      grid=np.array([0.0, 0.5]))
     model = FluctuationModel.from_path(path, 1.0)
-    paths = run_sde_ensemble(model, None, 1e-2, np.array([0.0, 0.5]), 3,
+    paths = run_sde_ensemble(model, None, 1e-3, np.array([0.0, 0.5]), 3,
                              base_seed=2)
     out = write_gaussian_paths(paths, tmp_path / "p.csv")
     lines = out.read_text().splitlines()
@@ -654,6 +654,15 @@ class TestMalformedInput:
          "absorption and final times must be finite non-negative numbers"),
         (lambda m: m["trajectories"][1].update(final_time=-5.0),
          "absorption and final times must be finite non-negative numbers"),
+        (lambda m: m["trajectories"][1].update(has_event_log=[]),
+         "has_event_log must be true or false"),
+        (lambda m: [t.update(has_event_log="yes") for t in m["trajectories"]],
+         "has_event_log must be true or false"),
+        # without event logs, nothing replays the final counts
+        *((lambda m, c=c: [t.update(has_event_log=False, final_counts=c)
+                           for t in m["trajectories"]],
+           "final counts must be 3 non-negative integers summing to 60")
+          for c in ([1, 2], "x", [99, 0, 0], [70, -10, 0], [20.0, 20, 20])),
         # the file's whole text
         ("[1, 2]", "not a JSON object"),
         ('{"kind": ',
