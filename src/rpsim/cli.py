@@ -131,7 +131,7 @@ def _cmd_fluctuation(args) -> int:
     # everything is computed before the first file is opened, so a failure
     # leaves no partial output behind
     states = propagate_covariance(model, sigma0)
-    sde = run_sde_ensemble(model, None, args.step, path.grid, args.paths,
+    sde = run_sde_ensemble(model, None, path.step, path.grid, args.paths,
                            args.base_seed) if args.paths > 0 else None
     out = Path(args.out)
     io.write_meanfield(path, out / "meanfield.csv")

@@ -193,10 +193,19 @@ def check_rate(lam) -> float:
     return rate
 
 
+def float_array(value, what: str) -> np.ndarray:
+    """A fresh float array of ``value``; one that is not numeric raises
+    :class:`DomainError` naming ``what``, not numpy's bare ``ValueError``."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be numeric: {exc}") from None
+
+
 def check_fractions(fractions) -> np.ndarray:
     """Return at least 3 finite, non-negative fractions summing to 1 (within
     1e-9) as a fresh float array."""
-    f = np.array(fractions, dtype=float)
+    f = float_array(fractions, "fractions")
     if f.ndim != 1 or len(f) < 3:
         raise DomainError("need at least 3 fractions")
     if np.any(f < 0) or not np.all(np.isfinite(f)):
@@ -209,7 +218,7 @@ def check_fractions(fractions) -> np.ndarray:
 def check_grid(grid) -> np.ndarray:
     """Return sample times as a fresh 1-D float array; they must be finite
     and non-decreasing.  Each layer adds its own rules on top."""
-    g = np.array(grid, dtype=float)
+    g = float_array(grid, "grid")
     if g.ndim != 1:
         raise DomainError("grid must be one-dimensional")
     if not np.all(np.isfinite(g)):

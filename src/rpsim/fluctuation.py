@@ -8,22 +8,22 @@ process from its deterministic limit converges to a linear Gaussian diffusion
 where b(t) is the Jacobian of the cyclic vector field along u(t) and c(t)
 collects the reaction intensities in a cyclic band (reaction j, at intensity
 lam*u_j*u_{j+1}, contributes that intensity times the outer product of its
-stoichiometric vector e_j - e_{j+1}).  This module builds b and c, and both
-the covariance and the SDE sampler step by the exact transition of that
-linear SDE between grid times, V(t_{g+1}) = Phi_g V(t_g) + Q_g^{1/2} xi_g
-(dPhi/dt = b Phi from I, dQ/dt = bQ + Qb' + c from 0), taking b and c from
-one stored mean-field march, which :class:`FluctuationModel` checks once,
-when it is made.
+stoichiometric vector e_j - e_{j+1}).  Between grid times the SDE has an
+exact transition, V(t_{g+1}) = Phi_g V(t_g) + Q_g^{1/2} xi_g (dPhi/dt =
+b Phi from I, dQ/dt = bQ + Qb' + c from 0).  A :class:`FluctuationModel` is
+a mean-field path at its own rate plus those transitions on the path's
+grid, marched once; the covariance and the SDE sampler both step by them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, NotPSD, NumericError, check_rate, check_seed,
-                   rng_streams)
-from .meanfield import MeanFieldPath, rk4_step, snap_grid, vector_field
+from .core import (DomainError, NotPSD, NumericError, check_grid, check_rate,
+                   check_seed, float_array, rng_streams)
+from .meanfield import MeanFieldPath, rk4_step, vector_field
 
 __all__ = [
     "FluctuationModel",
@@ -160,30 +160,28 @@ class GaussianPath:
 
 @dataclass(frozen=True, eq=False)
 class FluctuationModel:
-    """Coefficients b(t), c(t) evaluated along a stored mean-field path.
+    """A mean-field path, the rate it was integrated at, and the path's
+    transitions, marched once, on first use, for both of their consumers.
 
-    Times are served by snapping to the path's integrator steps, exactly as
-    the path itself samples; nothing is interpolated.  The path must lie on
-    the simplex, with no nan state (:class:`DomainError`), and be an RK4
-    march at ``lam``, each stored step within 1e-12 of one RK4 step from the
-    one before (:class:`NumericError`).
+    ``lam`` must be a valid rate and equal the path's ``lam``
+    (:class:`DomainError` naming both otherwise), and the path's states
+    must lie on the simplex, with no nan (:class:`DomainError`).
     """
 
     path: MeanFieldPath
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", check_rate(self.lam))
+        lam = check_rate(self.lam)
+        if lam != self.path.lam:
+            raise DomainError(f"model rate {lam} differs from the rate "
+                              f"{self.path.lam} of its mean-field path")
+        object.__setattr__(self, "lam", lam)
         stored = self.path.step_states
-        sums = stored.sum(axis=1)
-        # written so that a nan fails each check: every comparison with it
-        # is False
-        if not (np.max(np.abs(sums - 1.0)) <= 1e-6 and stored.min() >= -1e-6):
+        # a nan fails each check: every comparison with it is False
+        if not (np.max(np.abs(stored.sum(axis=1) - 1.0)) <= 1e-6
+                and stored.min() >= -1e-6):
             raise DomainError("path states must lie on the simplex")
-        marched = _rk4_stages(stored[:-1].T, self.lam, self.path.step)[0]
-        if not (np.max(np.abs(marched - stored[1:].T), initial=0.0) <= 1e-12):
-            raise NumericError("the stored mean-field path is not an RK4 march "
-                               f"at the model's rate {self.lam:g}")
 
     @classmethod
     def from_path(cls, path: MeanFieldPath, lam: float):
@@ -193,74 +191,72 @@ class FluctuationModel:
     def n(self) -> int:
         return self.path.n
 
+    @functools.cached_property
+    def transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The transitions ``(Phi, Q)`` from time 0 to the path's first grid
+        time and then from grid time to grid time, as two stacks; an empty
+        interval's is (I, 0).
 
-def _rk4_stages(u: np.ndarray, lam: float, h: float):
-    """One mean-field RK4 step from every column of ``u`` (n, steps) at
-    once: the next states and the list of the four stage states."""
-    stages = []
+        Phi and Q are marched by RK4 at the path's step, with b and c at the
+        mean field's RK4 stage states, in blocks of at most ``_BLOCK`` steps
+        that never cross a grid time.  Step s of every block is taken at
+        once; a block that has run out takes zero coefficients, which leave
+        it as it is.  Each interval folds its blocks in order, ``(Phi, Q) <-
+        (Phi_b Phi, Phi_b Q Phi_b' + Q_b)``.  A Q with an eigenvalue below
+        -1e-9, after symmetrizing, raises :class:`NotPSD` naming the end of
+        its interval, and leaves nothing cached.
+        """
+        path, n, lam, h = self.path, self.n, self.lam, self.path.step
+        ends = np.concatenate(([0], path.indices))
+        firsts = [np.arange(a, b, _BLOCK) for a, b in zip(ends[:-1], ends[1:])]
+        counts = np.array([len(f) for f in firsts], dtype=int)
+        starts = np.concatenate([np.zeros(0, dtype=int)] + firsts)
+        lengths = np.minimum(np.repeat(ends[1:], counts) - starts, _BLOCK)
+        stages = []
 
-    def field(x):
-        stages.append(x)
-        return vector_field(x, lam)
+        def mean_field(u):
+            stages.append(u)
+            return vector_field(u, lam)
 
-    return rk4_step(field, u, h), stages
+        # one RK4 step from every stored step at once records its stages
+        rk4_step(mean_field, path.step_states[:ends[-1]].T, h)
+        x = np.zeros((len(starts), 2, n, n))   # x[:, 0] is Phi, x[:, 1] is Q
+        x[:, 0] = np.eye(n)
 
+        def field(x):
+            # rk4_step calls this once per stage, in stage order: each call
+            # takes that stage's b and c, for every block
+            b, c = next(coefficients)
+            y = b[:, None] @ x
+            # Q stays exactly symmetric, so Q b' is the transpose of b Q
+            y[:, 1] = y[:, 1] + y[:, 1].swapaxes(-1, -2) + c
+            return y
 
-def _transitions(model: FluctuationModel, ends):
-    """The transitions ``(Phi, Q)`` over each interval between consecutive
-    path-step indices ``ends``, as two stacks; an empty interval's is (I, 0).
+        for s in range(int(lengths.max(initial=0))):
+            live = lengths > s
+            u = np.stack([st[:, np.where(live, starts + s, starts)].T
+                          for st in stages])
+            on = live[:, None, None]
+            coefficients = zip(drift_matrix(u, lam) * on,
+                               diffusion_matrix(u, lam) * on)
+            x = rk4_step(field, x, h)
 
-    Phi and Q are marched by RK4 at the path's step, with b and c at the
-    mean field's RK4 stage states, in blocks of at most ``_BLOCK`` steps
-    that never cross an end.  Step s of every block is taken at once; a
-    block that has run out takes zero coefficients, which leave it as it is.
-    Each interval folds its blocks in order, ``(Phi, Q) <- (Phi_b Phi,
-    Phi_b Q Phi_b' + Q_b)``.  A Q with an eigenvalue below -1e-9, after
-    symmetrizing, raises :class:`NotPSD` naming the end of its interval.
-    """
-    n, lam, h = model.n, model.lam, model.path.step
-    firsts = [np.arange(a, b, _BLOCK) for a, b in zip(ends[:-1], ends[1:])]
-    counts = np.array([len(f) for f in firsts], dtype=int)
-    starts = np.concatenate([np.zeros(0, dtype=int)] + firsts)
-    lengths = np.minimum(np.repeat(ends[1:], counts) - starts, _BLOCK)
-    stages = _rk4_stages(model.path.step_states[:ends[-1]].T, lam, h)[1]
-    x = np.zeros((len(starts), 2, n, n))   # x[:, 0] is Phi, x[:, 1] is Q
-    x[:, 0] = np.eye(n)
-
-    def field(x):
-        # rk4_step calls this once per stage, in stage order: each call
-        # takes that stage's b and c, for every block
-        b, c = next(coefficients)
-        y = b[:, None] @ x
-        # Q stays exactly symmetric, so Q b' is the transpose of b Q
-        y[:, 1] = y[:, 1] + y[:, 1].swapaxes(-1, -2) + c
-        return y
-
-    for s in range(int(lengths.max(initial=0))):
-        live = lengths > s
-        u = np.stack([st[:, np.where(live, starts + s, starts)].T
-                      for st in stages])
-        on = live[:, None, None]
-        coefficients = zip(drift_matrix(u, lam) * on,
-                           diffusion_matrix(u, lam) * on)
-        x = rk4_step(field, x, h)
-
-    phi = np.repeat(np.eye(n)[None], len(counts), axis=0)
-    q = np.zeros_like(phi)
-    block = np.cumsum(counts) - counts    # each interval's first block
-    for j in range(int(counts.max(initial=0))):
-        g = np.flatnonzero(counts > j)
-        pb, qb = x[block[g] + j, 0], x[block[g] + j, 1]
-        phi[g] = pb @ phi[g]
-        q[g] = pb @ q[g] @ pb.swapaxes(-1, -2) + qb
-    q = 0.5 * (q + q.swapaxes(-1, -2))
-    low = np.linalg.eigvalsh(q)[:, 0]
-    bad = np.flatnonzero(low < -_PSD_EIG_TOL)
-    if len(bad):
-        raise NotPSD(f"transition covariance eigenvalue {low[bad[0]]:.3e} "
-                     f"below -{_PSD_EIG_TOL} over the steps to "
-                     f"t={ends[bad[0] + 1] * h:.6g}")
-    return phi, q
+        phi = np.repeat(np.eye(n)[None], len(counts), axis=0)
+        q = np.zeros_like(phi)
+        block = np.cumsum(counts) - counts    # each interval's first block
+        for j in range(int(counts.max(initial=0))):
+            g = np.flatnonzero(counts > j)
+            pb, qb = x[block[g] + j, 0], x[block[g] + j, 1]
+            phi[g] = pb @ phi[g]
+            q[g] = pb @ q[g] @ pb.swapaxes(-1, -2) + qb
+        q = 0.5 * (q + q.swapaxes(-1, -2))
+        low = np.linalg.eigvalsh(q)[:, 0]
+        bad = np.flatnonzero(low < -_PSD_EIG_TOL)
+        if len(bad):
+            raise NotPSD(f"transition covariance eigenvalue {low[bad[0]]:.3e} "
+                         f"below -{_PSD_EIG_TOL} over the steps to "
+                         f"t={ends[bad[0] + 1] * h:.6g}")
+        return phi, q
 
 
 def propagate_covariance(model: FluctuationModel,
@@ -269,19 +265,19 @@ def propagate_covariance(model: FluctuationModel,
 
     The moment ODE dS/dt = bS + Sb' + c is solved from grid time to grid
     time by the interval's transition, S <- Phi S Phi' + Q, symmetrized.
-    Output is aligned with the path's sample grid, each label served by the
-    step that serves it in the path.  Every Q and every reported state (a
-    :class:`CovarianceState`) must keep its smallest eigenvalue at or above
-    -1e-9, or :class:`NotPSD` is raised; S stays PSD whenever S and Q are.
+    Output is aligned with the path's sample grid.  ``sigma0`` must be a
+    numeric n x n matrix, symmetric within 1e-12 (:class:`DomainError`).
+    Every Q and every reported state (a :class:`CovarianceState`) must keep
+    its smallest eigenvalue at or above -1e-9, or :class:`NotPSD` is
+    raised; S stays PSD whenever S and Q are.
     """
-    path, n = model.path, model.n
-    s = np.asarray(sigma0, dtype=float).copy()
+    n = model.n
+    s = float_array(sigma0, "initial covariance")
     if s.shape != (n, n):
         raise DomainError(f"initial covariance must be {n}x{n}, got {s.shape}")
     s = CovarianceState(sigma=s, time=0.0).sigma  # symmetric and PSD
     out = []
-    phis, qs = _transitions(model, np.concatenate(([0], path.indices)))
-    for phi, q, t in zip(phis, qs, path.grid.tolist()):
+    for phi, q, t in zip(*model.transitions, model.path.grid.tolist()):
         s = phi @ s @ phi.T + q
         s = 0.5 * (s + s.T)
         out.append(CovarianceState(sigma=s, time=t))
@@ -290,18 +286,17 @@ def propagate_covariance(model: FluctuationModel,
 
 def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
                      paths: int, base_seed: int) -> list[GaussianPath]:
-    """Sample ``paths`` paths of the limiting SDE, exact in law on ``grid``
-    up to the RK4 march of the transitions.
+    """Sample ``paths`` paths of the limiting SDE on the model's path's
+    grid, exact in law up to the RK4 march of the transitions.
 
     From grid time to grid time, V <- Phi V + psd_sqrt(Q) xi, with xi
     standard normal and (Phi, Q) the interval's transition, the one
     :func:`propagate_covariance` steps by; the first interval starts at
-    time 0.  ``step`` must be the path's step (:class:`DomainError`
-    naming both otherwise), and each grid time is served by the nearest
-    path step.  ``v0`` is a finite vector, or None for zero.  A negative
-    grid time, a grid past the path's end, or a ``paths`` that is not a
-    positive integer raises :class:`DomainError`; a Q with an eigenvalue
-    below -1e-9 raises :class:`NotPSD`.
+    time 0.  ``step`` and ``grid`` must be the path's own (:class:`DomainError`
+    naming them otherwise).  ``v0`` is a finite numeric vector, or None for
+    zero.  A ``paths`` that is not a positive integer raises
+    :class:`DomainError`; a Q with an eigenvalue below -1e-9 raises
+    :class:`NotPSD`.
 
     Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: n
     standard normals per grid time, grid-major, in one fill.
@@ -310,29 +305,23 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     if paths < 1:
         raise DomainError(f"need at least one path, got {paths}")
     n, path = model.n, model.path
-    if step != path.step:
-        raise DomainError(f"SDE step {step} differs from the step {path.step} "
-                          "of the model's mean-field path")
-    grid, indices, n_steps = snap_grid(grid, step)
-    if len(grid) and grid[0] < 0:
-        raise DomainError("grid must be non-negative")
-    v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
+    if step != path.step or not np.array_equal(check_grid(grid), path.grid):
+        shown = np.array2string(path.grid, threshold=6, edgeitems=3)
+        raise DomainError(f"the SDE samples at the step {path.step:g} and on "
+                          f"the grid {shown} of the model's mean-field path")
+    v0 = np.zeros(n) if v0 is None else float_array(v0, "initial value")
     if v0.shape != (n,):
         raise DomainError(f"initial value must have shape ({n},), got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise DomainError("initial value has a non-finite entry")
-    if n_steps >= len(path.step_states):
-        raise DomainError(f"the SDE grid runs to t={n_steps * step:.6g}, past "
-                          f"the end t={(len(path.step_states) - 1) * step:.6g}"
-                          " of the model's mean-field path")
-    phis, qs = _transitions(model, np.concatenate(([0], indices)))
+    phis, qs = model.transitions
     roots = psd_sqrt(qs)
-    normals = np.empty((paths, len(indices), n))
+    normals = np.empty((paths, len(path.grid), n))
     for gen, row in zip(rng_streams(base_seed, 0, paths), normals):
         gen.standard_normal(out=row)
     v = np.repeat(v0[:, None], paths, axis=1)     # (n, paths)
-    values = np.empty((paths, len(indices), n))
+    values = np.empty((paths, len(path.grid), n))
     for g, (phi, root) in enumerate(zip(phis, roots)):
         v = phi @ v + root @ normals[:, g].T
         values[:, g] = v.T
-    return [GaussianPath(grid=grid.copy(), values=x) for x in values]
+    return [GaussianPath(grid=path.grid.copy(), values=x) for x in values]

@@ -533,12 +533,15 @@ def read_ensemble(out_dir) -> Ensemble:
     """The ensemble that :func:`write_ensemble` wrote, bit for bit.
 
     Raises :class:`DomainError` for a manifest that is not a JSON object of
-    kind ``ensemble``, that lacks a key, whose model
+    kind ``ensemble``, that lacks a key, whose ``format_version`` is not the
+    integer ``FORMAT_VERSION``, whose model
     :class:`~rpsim.core.ModelSpec` refuses, whose base seed is not a
     non-negative integer, whose trajectories are not a list of objects,
     whose absorption or final times are not finite non-negative numbers
-    (an absorption time may be null), whose ``has_event_log`` values are
-    not bools, whose replicas are not seeds ``0..R-1`` or mix logged and
+    (an absorption time may be null), whose ``absorbed_fraction`` is not the
+    share of replicas with an absorption time, whose ``has_event_log``
+    values are not bools, whose ``replicas`` is not the number of its
+    trajectories, whose replicas are not seeds ``0..R-1`` or mix logged and
     unlogged runs, or, without event logs, whose final counts are not n
     non-negative integers summing to the total; for replicas that do not
     share one ascending grid, or a sample that breaks conservation; and for
@@ -560,8 +563,10 @@ def read_ensemble(out_dir) -> Ensemble:
                           "expected 'ensemble'")
     try:
         spec = ModelSpec.from_dict(manifest["model"])
-        base_seed = manifest["base_seed"]
-        metas = manifest["trajectories"]
+        version, base_seed, declared, fraction, metas = (
+            manifest[key] for key in ("format_version", "base_seed",
+                                      "replicas", "absorbed_fraction",
+                                      "trajectories"))
         seeds, logged, n_events, final_counts, absorbed, final_time = (
             [meta[key] for meta in metas]
             for key in ("seed", "has_event_log", "n_events", "final_counts",
@@ -573,6 +578,9 @@ def read_ensemble(out_dir) -> Ensemble:
     except TypeError:   # from indexing a trajectory that is not an object
         raise DomainError(f"{path}: trajectories must be a list of "
                           "objects") from None
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DomainError(f"{path}: format_version is {version!r}, expected "
+                          f"{FORMAT_VERSION}")
     base_seed = check_seed(base_seed, f"{path}: base seed")
     if not all(type(t) in (int, float) and 0 <= t < math.inf
                for t in final_time + [a for a in absorbed if a is not None]):
@@ -581,6 +589,13 @@ def read_ensemble(out_dir) -> Ensemble:
     replicas = len(metas)
     if not replicas or seeds != list(range(replicas)):
         raise DomainError(f"{path}: replica seeds are not 0..R-1, R >= 1")
+    if type(declared) is not int or declared != replicas:
+        raise DomainError(f"{path}: replicas is {declared!r}, but "
+                          f"{replicas} trajectories are listed")
+    share = sum(a is not None for a in absorbed) / replicas
+    if type(fraction) not in (int, float) or fraction != share:
+        raise DomainError(f"{path}: absorbed_fraction is {fraction!r}, but "
+                          f"the trajectories give {share!r}")
     if not all(type(k) is bool for k in logged):
         raise DomainError(f"{path}: has_event_log must be true or false")
     if len(set(logged)) > 1:

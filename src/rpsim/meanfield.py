@@ -33,7 +33,6 @@ __all__ = [
     "ConservationAudit",
     "vector_field",
     "rk4_step",
-    "snap_grid",
     "integrate",
     "conserved_quantities",
     "INTEGRATOR_TOL",
@@ -69,12 +68,14 @@ class MeanFieldPath:
     ``grid`` holds the caller's requested sample times verbatim, and
     ``indices`` the integrator step that serves each one, the nearest
     (snapping, never interpolation).  ``step_states`` keeps the full
-    per-step solution, which the fluctuation layer samples the same way.
+    per-step solution, marched at ``step`` and the collision rate ``lam``,
+    which the fluctuation layer takes from the path.
     """
 
     grid: np.ndarray
     indices: np.ndarray              # (len(grid),) step of each sample time
     step: float
+    lam: float
     step_states: np.ndarray          # (n_steps + 1, n)
     invariant_audit: ConservationAudit
 
@@ -120,26 +121,6 @@ def rk4_step(field, u: np.ndarray, h: float) -> np.ndarray:
     k3 = field(u + (0.5 * h) * k2)
     k4 = field(u + h * k3)
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def snap_grid(grid, step: float, t_end: float | None = None):
-    """Serve each sample time from the nearest whole integrator step.
-
-    Returns ``(grid, indices, n_steps)``: a float copy of the grid (every
-    step when ``grid`` is None), which must be finite and ascending, the
-    step index serving each time, and the number of steps to ``t_end``
-    (default: the last grid time).  Indices are clipped to ``[0, n_steps]``.
-    """
-    if not (step > 0 and math.isfinite(step)):
-        raise DomainError(f"step must be positive and finite, got {step}")
-    if grid is None:
-        grid = np.arange(int(round(t_end / step)) + 1) * step
-    grid = check_grid(grid)
-    if t_end is None:
-        t_end = grid[-1] if len(grid) else 0.0
-    n_steps = int(round(t_end / step))
-    indices = np.clip(np.rint(grid / step).astype(int), 0, n_steps)
-    return grid, indices, n_steps
 
 
 def _left_simplex(u, k: int, h: float) -> StepError:
@@ -209,13 +190,13 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     """Fixed-step 4th-order integration of the cyclic system.
 
     ``u0`` holds initial fractions on the simplex and ``lam`` is the
-    positive, finite collision rate.  The end time ``t_end`` is snapped to a
-    whole number of steps, and each time in ``grid`` (default: every step)
-    is served by the nearest step.  Raises :class:`StepError` if any
-    component falls below ``-10 * INTEGRATOR_TOL`` or is not a number
-    (blow-up), and :class:`DomainError` if the steps' states do not fit in
-    memory.  The path keeps every step's state and the step serving each
-    grid time; it builds its per-time ``states`` only when they are read.
+    positive, finite collision rate, which the path records.  The end time
+    ``t_end`` is snapped to a whole number of steps, and each time in
+    ``grid`` (default: every step) is served by the nearest step.  Raises
+    :class:`StepError` if any component falls below ``-10 * INTEGRATOR_TOL``
+    or is not a number (blow-up), and :class:`DomainError` if the steps'
+    states do not fit in memory.  The path keeps every step's state and the
+    step serving each grid time, and builds its ``states`` when first read.
 
     The steps are marched by a loop compiled on first use per species
     count (the last 16 counts stay cached), at a cost of about 0.2 ms per
@@ -228,11 +209,15 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     lam = check_rate(lam)
     if not (t_end >= 0 and np.isfinite(t_end)):
         raise DomainError(f"t_end must be non-negative and finite, got {t_end}")
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"step must be positive and finite, got {step}")
+    n_steps = int(round(t_end / step))
     try:
-        grid_arr, indices, n_steps = snap_grid(grid, step, t_end)
+        grid_arr = check_grid(np.arange(n_steps + 1) * step if grid is None
+                              else grid)
         states = np.empty((n_steps + 1, len(u)))
     except MemoryError:
-        raise DomainError(f"t_end={t_end:g} takes {round(t_end / step)} "
+        raise DomainError(f"t_end={t_end:g} takes {n_steps} "
                           f"steps of {step:g}, too many states to hold in "
                           "memory") from None
     if grid is not None and len(grid_arr):
@@ -240,6 +225,7 @@ def integrate(u0, lam: float, t_end: float = 1.0,
             raise DomainError("grid must be strictly increasing")
         if grid_arr[0] < -step / 2 or grid_arr[-1] > n_steps * step + step / 2:
             raise DomainError("grid must lie within [0, t_end]")
+    indices = np.clip(np.rint(grid_arr / step).astype(int), 0, n_steps)
 
     states[0] = u
     _march(len(u))(u.tolist(), lam, float(step), n_steps,
@@ -250,4 +236,4 @@ def integrate(u0, lam: float, t_end: float = 1.0,
                               sums=states.sum(axis=1),
                               products=states.prod(axis=1))
     return MeanFieldPath(grid=grid_arr, indices=indices, step=float(step),
-                         step_states=states, invariant_audit=audit)
+                         lam=lam, step_states=states, invariant_audit=audit)

@@ -438,26 +438,27 @@ class TestPropagateCovariance:
             assert np.max(np.abs(a.sigma - b)) < 3e-5
 
     def test_divergence_guard(self):
-        # a model whose rate disagrees with its stored path is refused when
-        # it is made, so neither consumer can run it
+        # a model whose rate disagrees with the rate its path records is
+        # refused when it is made, so neither consumer can run it
         path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
                          step=1e-3, grid=np.array([0.0, 1.0]))
-        with pytest.raises(NumericError, match="not an RK4 march"):
+        assert path.lam == 1.0
+        with pytest.raises(DomainError, match=r"^model rate 2\.0 differs from "
+                           r"the rate 1\.0 of its mean-field path$"):
             FluctuationModel.from_path(path, 2.0)
         # a copy at another rate is made, and checked, the same way
         good = FluctuationModel.from_path(path, 1.0)
-        with pytest.raises(NumericError):
-            run_sde_ensemble(dataclasses.replace(good, lam=2.0), None, 1e-3,
-                             path.grid, 2, 0)
+        with pytest.raises(DomainError, match="differs from the rate 1.0"):
+            dataclasses.replace(good, lam=2.0)
 
     @pytest.mark.parametrize("step", [None, 1e-3, 1e-2])
     def test_divergence_guard_catches_a_small_rate_mismatch(self, step):
-        # each stored step must be one RK4 step at the model's rate, whatever
-        # step the path was integrated at (None: the default step)
+        # the model's rate must be the path's, whatever step the path was
+        # integrated at (None: the default step)
         kwargs = {} if step is None else {"step": step}
         path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
                          grid=np.array([0.0, 0.5, 1.0]), **kwargs)
-        with pytest.raises(NumericError):
+        with pytest.raises(DomainError, match=r"^model rate 1\.001 differs"):
             FluctuationModel.from_path(path, 1.001)
         propagate_covariance(FluctuationModel.from_path(path, 1.0),
                              np.zeros((3, 3)))
@@ -494,6 +495,7 @@ class TestPropagateCovariance:
                            r"-2\.000e-09 below -1e-09 over the steps to "
                            r"t=0\.001$"):
             propagate_covariance(model, np.zeros((3, 3)))
+        # the failed march cached nothing, so the SDE marches and fails too
         with pytest.raises(NotPSD, match=r"t=0\.001$"):
             run_sde_ensemble(model, None, 1e-4, model.path.grid, 2, 0)
 
@@ -603,19 +605,52 @@ class TestPropagateCovariance:
         bad[0, 1] = 0.1
         with pytest.raises(DomainError):
             propagate_covariance(model, bad)
+        # not numbers, which raised numpy's bare ValueError
+        for sigma0, token in (("abc", "'abc'"),
+                              ([[0, 0, 0], [0, "x", 0], [0, 0, 0]], "'x'")):
+            with pytest.raises(DomainError, match="^initial covariance must "
+                               "be numeric: could not convert string to "
+                               f"float: {token}$"):
+                propagate_covariance(model, sigma0)
 
 
 class TestFluctuationModel:
     def test_sde_grid_times_snap_to_the_nearest_path_step(self):
         # grid times off the path's steps are served by their nearest steps,
-        # never interpolated, and are reported verbatim
-        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0, step=1e-2)
-        model = FluctuationModel.from_path(path, 1.0)
-        odd = run_sde_ensemble(model, None, 1e-2, [0.0, 0.333, 0.999], 3, 4)
-        even = run_sde_ensemble(model, None, 1e-2, [0.0, 0.33, 1.0], 3, 4)
+        # never interpolated, and are reported verbatim: two paths whose
+        # grids snap to the same steps give the same SDE values
+        def sde(grid):
+            path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
+                             step=1e-2, grid=grid)
+            return run_sde_ensemble(FluctuationModel.from_path(path, 1.0),
+                                    None, 1e-2, grid, 3, 4)
+
+        odd, even = sde([0.0, 0.333, 0.999]), sde([0.0, 0.33, 1.0])
         for a, b in zip(odd, even):
             assert a.grid.tolist() == [0.0, 0.333, 0.999]
             assert a.values.tobytes() == b.values.tobytes()
+
+    def test_transitions_are_marched_once_per_model(self, monkeypatch):
+        # the covariance and the SDE step by one march of the model's
+        # transitions; a second model from the same path marches its own
+        marched = []
+        march = FluctuationModel.transitions.func
+
+        def counted(model):
+            marched.append(model)
+            return march(model)
+
+        monkeypatch.setattr(FluctuationModel.transitions, "func", counted)
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0,
+                         grid=np.linspace(0.0, 1.0, 5))
+        model = FluctuationModel.from_path(path, 1.0)
+        propagate_covariance(model, np.zeros((3, 3)))
+        run_sde_ensemble(model, None, path.step, path.grid, 3, 0)
+        assert marched == [model]
+        other = FluctuationModel.from_path(path, 1.0)
+        run_sde_ensemble(other, None, path.step, path.grid, 3, 0)
+        propagate_covariance(other, np.zeros((3, 3)))
+        assert marched == [model, other]
 
     @pytest.mark.parametrize("lam", [0.0, math.nan, True, "1"])
     def test_rejects_invalid_rate(self, lam):
@@ -646,8 +681,8 @@ class TestLimitSde:
     # one-path ensembles: the ensemble runner is the only SDE runner
 
     def test_reproducible(self):
-        model = fixed_point_model()
         grid = np.array([0.0, 0.5, 1.0])
+        model = fixed_point_model(grid=grid)
         a = one_path(model, None, 1e-3, grid, 1)
         b = one_path(model, None, 1e-3, grid, 1)
         assert a.values.tobytes() == b.values.tobytes()
@@ -660,12 +695,12 @@ class TestLimitSde:
 
     def test_component_sum_stays_zero(self):
         # noise and drift both live in the zero-sum subspace
-        model = fixed_point_model()
-        path = one_path(model, None, 1e-3, np.linspace(0, 1, 7), 2)
+        model = fixed_point_model(grid=np.linspace(0, 1, 7))
+        path = one_path(model, None, 1e-3, model.path.grid, 2)
         assert np.max(np.abs(path.values.sum(axis=1))) < 1e-12
 
     def test_vector_start(self):
-        model = fixed_point_model()
+        model = fixed_point_model(grid=np.array([0.0, 0.5]))
         v0 = np.array([0.3, -0.1, -0.2])
         path = one_path(model, v0, 1e-3, np.array([0.0, 0.5]), 3)
         assert np.array_equal(path.values[0], v0)
@@ -673,13 +708,13 @@ class TestLimitSde:
         assert np.allclose(path.values, ref, rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
-        model = fixed_point_model()
-        with pytest.raises(DomainError):
+        model = fixed_point_model(grid=np.array([0.0]))
+        with pytest.raises(DomainError, match="initial value must have shape"):
             one_path(model, np.zeros(4), 1e-3, np.array([0.0]), 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="the SDE samples at the step"):
             one_path(model, None, 0.0, np.array([0.0]), 0)  # a bad step
-        with pytest.raises(DomainError):
-            one_path(model, None, 1e-3, np.array([-0.5, 0.0]), 0)
+        with pytest.raises(DomainError, match="the SDE samples at the step"):
+            one_path(model, None, 1e-3, np.array([-0.5, 0.0]), 0)  # a grid
 
 
 # run_sde_ensemble's values, bit for bit: the sha256 of every path's values
@@ -720,7 +755,8 @@ class TestSdeEnsemble:
         # path i is Phi_g V + psd_sqrt(Q_g) xi_g, with n normals per grid
         # time, grid-major, from rng_stream(seed, i), and (Phi_g, Q_g)
         # marched one step at a time; a one-path ensemble is its path 0
-        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0, step=1e-2)
+        path = integrate(np.array([0.5, 0.3, 0.2]), 1.0, t_end=1.0, step=1e-2,
+                         grid=grid)
         model = FluctuationModel.from_path(path, 1.0)
         paths = run_sde_ensemble(model, v0, 1e-2, grid, 5, 13)
         ref = reference_paths(model, v0, grid, 5, 13)
@@ -731,9 +767,26 @@ class TestSdeEnsemble:
                            rtol=0, atol=1e-12)
 
     def test_step_other_than_the_paths_is_a_domain_error(self):
-        with pytest.raises(DomainError, match=r"^SDE step 0\.01 differs from "
-                           r"the step 0\.001 of the model's mean-field path$"):
-            run_sde_ensemble(fixed_point_model(), None, 1e-2, [0.0, 0.1], 3, 0)
+        with pytest.raises(DomainError, match=r"^the SDE samples at the step "
+                           r"0\.001 and on the grid \[0\. 1\.\] of the "
+                           r"model's mean-field path$"):
+            run_sde_ensemble(fixed_point_model(), None, 1e-2, [0.0, 1.0], 3, 0)
+
+    @pytest.mark.parametrize("grid", [
+        [0.0, 0.1],
+        [0.0, 0.5, 1.0],
+        [0.0, 0.9999],              # even one that snaps to the path's steps
+    ])
+    def test_grid_other_than_the_paths_is_a_domain_error(self, grid):
+        with pytest.raises(DomainError, match=r"^the SDE samples at the step "
+                           r"0\.001 and on the grid \[0\. 1\.\] of the "
+                           r"model's mean-field path$"):
+            run_sde_ensemble(fixed_point_model(), None, 1e-3, grid, 3, 0)
+        # a long grid is named by its ends
+        model = fixed_point_model(grid=np.linspace(0.0, 1.0, 11))
+        with pytest.raises(DomainError, match=r"on the grid \[0\.  0\.1 0\.2 "
+                           r"\.\.\. 0\.8 0\.9 1\. \] of"):
+            run_sde_ensemble(model, None, 1e-3, grid, 3, 0)
 
     def test_mean_follows_the_drift(self):
         # from v0 off zero, the mean path is m(t) = Phi(t) v0, where
@@ -787,34 +840,32 @@ class TestSdeEnsemble:
     def test_bad_base_seed_is_a_domain_error(self, seed):
         with pytest.raises(DomainError, match="base seed must be a "
                            "non-negative integer"):
-            run_sde_ensemble(fixed_point_model(), None, 1e-3, [0.0, 0.1], 3,
+            run_sde_ensemble(fixed_point_model(), None, 1e-3, [0.0, 1.0], 3,
                              seed)
-
-    def test_grid_past_the_path_end_raises(self):
-        # b and c exist only along the stored path: a grid that needs them
-        # past its end is refused, naming both ends
-        model = fixed_point_model(t_end=1.0)
-        with pytest.raises(DomainError,
-                           match=r"runs to t=5, past the end t=1 "):
-            run_sde_ensemble(model, None, 1e-3, np.array([0.0, 5.0]), 2, 0)
-        run_sde_ensemble(model, None, 1e-3, np.array([0.0, 1.0]), 2, 0)
 
     @pytest.mark.parametrize("case", sorted(SDE_SHA256))
     def test_values_are_pinned(self, case):
         u0, v0, paths, seed = SDE_PIN_CASES[case]
         path = integrate(np.array(u0), 1.0, t_end=6.0, step=1e-2,
-                         grid=np.array([0.0, 6.0]))
+                         grid=SDE_PIN_GRID)
         out = run_sde_ensemble(FluctuationModel.from_path(path, 1.0), v0,
                                1e-2, SDE_PIN_GRID, paths, seed)
         assert len(out) == paths
         assert hashlib.sha256(b"".join(p.values.tobytes() for p in out)) \
             .hexdigest() == SDE_SHA256[case]
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_start_is_a_domain_error(self, value):
-        with pytest.raises(DomainError, match="initial value has a non-finite"):
-            run_sde_ensemble(fixed_point_model(), [value, 0.0, 0.0], 1e-3,
-                             [0.0, 0.1], 3, 0)
+    @pytest.mark.parametrize("v0, message", [
+        *(([value, 0.0, 0.0], "initial value has a non-finite entry")
+          for value in (np.nan, np.inf, -np.inf)),
+        # not numbers, which raised numpy's bare ValueError
+        ("abc", "initial value must be numeric: could not convert string to "
+         "float: 'abc'"),
+        ([1, 2, "x"], "initial value must be numeric: could not convert "
+         "string to float: 'x'"),
+    ], ids=["nan", "inf", "-inf", "abc", "x"])
+    def test_non_finite_start_is_a_domain_error(self, v0, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            run_sde_ensemble(fixed_point_model(), v0, 1e-3, [0.0, 1.0], 3, 0)
 
     @pytest.mark.parametrize("paths", ["3", 2.0, True, -1])
     def test_bad_path_count_is_a_domain_error(self, paths):

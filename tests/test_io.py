@@ -437,7 +437,7 @@ def meanfield_path(times, rows, indices=None) -> MeanFieldPath:
     return MeanFieldPath(
         grid=np.asarray(times, dtype=float),
         indices=np.arange(len(times)) if indices is None else indices,
-        step=1.0, step_states=rows,
+        step=1.0, lam=1.0, step_states=rows,
         invariant_audit=ConservationAudit(
             times=np.arange(len(rows), dtype=float), sums=rows.sum(axis=1),
             products=rows.prod(axis=1)))
@@ -663,6 +663,27 @@ class TestMalformedInput:
                            for t in m["trajectories"]],
            "final counts must be 3 non-negative integers summing to 60")
           for c in ([1, 2], "x", [99, 0, 0], [70, -10, 0], [20.0, 20, 20])),
+        # keys the writer writes and the reader read unchecked
+        (lambda m: m.update(format_version=2),
+         "format_version is 2, expected 1"),
+        (lambda m: m.update(format_version="x"),
+         "format_version is 'x', expected 1"),
+        (lambda m: m.update(format_version=True),
+         "format_version is True, expected 1"),
+        (lambda m: m.pop("format_version"), "missing key 'format_version'"),
+        (lambda m: m.update(replicas=5),
+         "replicas is 5, but 3 trajectories are listed"),
+        (lambda m: m.update(replicas=-1),
+         "replicas is -1, but 3 trajectories are listed"),
+        (lambda m: m.update(replicas=3.0),
+         "replicas is 3.0, but 3 trajectories are listed"),
+        (lambda m: m.pop("replicas"), "missing key 'replicas'"),
+        (lambda m: m.update(absorbed_fraction=0.7),
+         "absorbed_fraction is 0.7, but the trajectories give 0.0"),
+        (lambda m: m.update(absorbed_fraction="0.0"),
+         "absorbed_fraction is '0.0', but the trajectories give 0.0"),
+        (lambda m: m.pop("absorbed_fraction"),
+         "missing key 'absorbed_fraction'"),
         # the file's whole text
         ("[1, 2]", "not a JSON object"),
         ('{"kind": ',

@@ -131,6 +131,10 @@ class TestIntegrate:
             integrate(u0, 1.0, t_end=1.0, grid=np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             integrate(u0, 1.0, t_end=1.0, grid=np.array([0.0, 1.5]))
+        # not numbers, which raised numpy's bare ValueError
+        with pytest.raises(DomainError, match="^grid must be numeric: could "
+                           "not convert string to float: 'x'$"):
+            integrate(u0, 1.0, t_end=1.0, grid=[0.0, "x"])
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -139,6 +143,9 @@ class TestIntegrate:
             integrate(simplex(0.7, 0.5, -0.2), 1.0)
         with pytest.raises(NormalizationError):
             integrate(simplex(0.5, 0.3, 0.1), 1.0)
+        with pytest.raises(DomainError, match="^fractions must be numeric: "
+                           "could not convert string to float: 'a'$"):
+            integrate(["a", "b", "c"], 1.0)
         with pytest.raises(DomainError):
             integrate(simplex(0.5, 0.3, 0.2), 1.0, step=0.0)
         with pytest.raises(DomainError):

@@ -1,9 +1,11 @@
-"""Each script under scripts/ runs to completion on a small input.
+"""Each script under scripts/, and README's Python example, runs to
+completion on a small input.
 
-The scripts use the public API, so a renamed or deleted name breaks them;
-running them here turns that into a test failure.
+They use the public API, so a renamed or deleted name, or a changed
+signature, breaks them; running them here turns that into a test failure.
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,15 @@ def test_script_runs(script, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # README's ```python blocks, run together as one program
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "\n".join(blocks)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

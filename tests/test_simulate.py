@@ -304,6 +304,7 @@ class TestRunUntil:
         np.array([0.5, 0.2]),           # not ascending
         np.array([-0.1, 0.5]),          # negative
         np.array([0.0, 2.0]),           # beyond t_end
+        [0.0, "x"],                     # not numbers
     ])
     def test_grid_validation(self, bad):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
