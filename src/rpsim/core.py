@@ -30,6 +30,7 @@ __all__ = [
     "ModelSpec",
     "Trajectory",
     "check_rate",
+    "check_real",
     "check_fractions",
     "check_grid",
     "check_seed",
@@ -179,15 +180,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_rate(lam) -> float:
-    """Return the collision rate as a Python float; it must be a Python or
-    numpy integer or float (not a bool), positive and finite."""
-    if not (_is_integer(lam) or isinstance(lam, (float, np.floating))):
-        raise DomainError(f"collision rate must be a real number, got {lam!r}")
+def check_real(value, what: str) -> float:
+    """Return ``value`` as a Python float; it must be a Python or numpy
+    integer or float (not a bool), or :class:`DomainError` names ``what``."""
+    if not (_is_integer(value) or isinstance(value, (float, np.floating))):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
     try:
-        rate = float(lam)
+        return float(value)
     except OverflowError:       # an integer past the largest double
-        rate = math.inf
+        return math.inf
+
+
+def check_rate(lam) -> float:
+    """Return the collision rate as a Python float; it must be a real
+    number (see :func:`check_real`), positive and finite."""
+    rate = check_real(lam, "collision rate")
     if not (math.isfinite(rate) and rate > 0):
         raise DomainError(f"collision rate must be positive and finite, got {lam}")
     return rate

@@ -299,7 +299,8 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     :class:`NotPSD`.
 
     Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: n
-    standard normals per grid time, grid-major, in one fill.
+    standard normals per grid time, grid-major, in one fill.  The paths
+    share one read-only copy of the grid.
     """
     paths = check_seed(paths, "path count")
     if paths < 1:
@@ -324,4 +325,6 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     for g, (phi, root) in enumerate(zip(phis, roots)):
         v = phi @ v + root @ normals[:, g].T
         values[:, g] = v.T
-    return [GaussianPath(grid=path.grid.copy(), values=x) for x in values]
+    grid = path.grid.copy()
+    grid.flags.writeable = False
+    return [GaussianPath(grid=grid, values=x) for x in values]

@@ -13,12 +13,16 @@ exact (Dekker) product, rounded half-even as CPython's ``%.17g`` rounds
 them, and a table of 4-digit groups turns digits and integers into text.
 The block's text is one ``uint8`` array, written in one call.  Only the
 doubles that ``%.17g`` prints with an exponent, and non-finite ones, go
-through ``%`` itself, one at a time.  One :func:`numpy.loadtxt` call parses
-up to ``_CHUNK`` rows, or fewer if the file cannot hold them (loadtxt
-allocates them all up front).  An event log is read into arrays sized from
-the manifest, and the samples into one sized from replica 0's rows, which
-come first, so reading holds each once plus one block.  Malformed CSV input
-raises :class:`DomainError` naming the file and, where it can, the row.
+through ``%`` itself, one at a time; each cell's printed width places their
+text in the block.  A grid that every replica or path shares is formatted
+once per file, and each block gathers its rows' times from that text.
+
+One :func:`numpy.loadtxt` call parses up to ``_CHUNK`` rows, or fewer if
+the file cannot hold them (loadtxt allocates them all up front).  An event
+log is read into arrays sized from the manifest, and the samples into one
+sized from replica 0's rows, which come first, so reading holds each once
+plus one block.  Malformed CSV input raises :class:`DomainError` naming the
+file and, where it can, the row.
 """
 from __future__ import annotations
 
@@ -104,6 +108,7 @@ def _float_layout() -> np.ndarray:
 
 
 _FLOAT_LAYOUT = _float_layout()
+_FLOAT_WIDTH = _FLOAT_LAYOUT.sum(axis=1).astype(np.uint8)
 _FLOAT_LEAD = np.frombuffer(b"-0.000", dtype=np.uint8)
 
 
@@ -131,11 +136,12 @@ def _mantissa(a, e):
 
 
 def _float_cells(x: np.ndarray):
-    """The ``%.17g`` text of each double of ``x``: ``(text, valid, late)``,
-    ``text`` and ``valid`` being two lists of arrays of ``len(x)`` rows
-    whose column-wise concatenations' valid bytes, row by row, are the
+    """The ``%.17g`` text of each double of ``x``: ``(text, valid, width,
+    late)``, ``text`` and ``valid`` being two lists of arrays of ``len(x)``
+    rows whose column-wise concatenations' valid bytes, row by row, are the
     text, but for the cells in ``late``: their indices, and their text,
-    which goes where their (invalid) bytes are.
+    which goes where their (invalid) bytes are.  ``width`` is each cell's
+    count of valid bytes, 0 for a late one.
 
     A finite ``1e-4 <= |x| < 1e16`` prints in fixed notation: its 17
     significant digits are ``N = round(|x| * 10^(16 - e))`` for its decimal
@@ -194,20 +200,23 @@ def _float_cells(x: np.ndarray):
     text.append(digits[:, first:end])
     valid = [np.take(_FLOAT_LAYOUT[:, slots], key, axis=0)]
     where = np.flatnonzero(slow)
-    return text, valid, (where, [("%.17g" % v).encode()
-                                 for v in x[where].tolist()])
+    return text, valid, np.take(_FLOAT_WIDTH, key), (
+        where, [("%.17g" % v).encode() for v in x[where].tolist()])
+
+
+_NO_LATE = (np.empty(0, dtype=np.int64), [])
 
 
 def _int_cells(x: np.ndarray):
-    """The ``%d`` text of each integer of ``x``, as ``(text, valid)`` of
-    :func:`_float_cells`."""
+    """The ``%d`` text of each integer of ``x``, as the cells of
+    :func:`_float_cells`, none of them late."""
     rows = len(x)
     x = x.astype(np.int64, copy=False)
     m = x.astype(np.uint64)
     neg = x < 0
     np.negative(m, out=m, where=neg)     # exact for the int64 minimum too
     width = len(str(int(m.max())))
-    count = np.ones(rows, dtype=np.int64)
+    count = np.ones(rows, dtype=np.uint8)
     for k in range(1, width):
         count += m >= np.uint64(10**k)
     groups = -(-width // 4)
@@ -221,57 +230,80 @@ def _int_cells(x: np.ndarray):
     if neg.any():
         text.insert(0, _const(ord("-"), rows))
         valid.insert(0, neg[:, None])
-    return text, valid
+    return text, valid, count + neg, _NO_LATE
 
 
 def _csv_block(columns: list) -> np.ndarray:
     """The CSV text of rows given as ``columns`` of equal length, each a
-    1-D array (one CSV column) or a 2-D one (a CSV column per column of
-    it), as one ``uint8`` array: floats as ``%.17g``, integers as ``%d``.
+    1-D array (one CSV column), a 2-D one (a CSV column per column of it)
+    or the cells of one CSV column formatted already (a tuple, as
+    :func:`_float_cells` gives them), as one ``uint8`` array: floats as
+    ``%.17g``, integers as ``%d``.  A late cell's text goes at its row's
+    start plus the widths of the cells before it and their separators.
     """
-    rows = len(columns[0])
-    comma, every = _const(ord(","), rows), np.broadcast_to(True, (rows, 1))
-    text, valid, late = [], [], []
+    cells = []
     for column in columns:
-        for cells in (column.T if column.ndim == 2 else (column,)):
-            if cells.dtype.kind == "f":
-                t, v, (where, texts) = _float_cells(cells)
-                if len(where):
-                    late.append((sum(p.shape[1] for p in text), where, texts))
-            else:
-                t, v = _int_cells(cells)
-            text += t
-            valid += v
-            text.append(comma)
-            valid.append(every)
+        if isinstance(column, tuple):
+            cells.append(column)
+        else:
+            cells += [(_float_cells if x.dtype.kind == "f" else _int_cells)(x)
+                      for x in (column.T if column.ndim == 2 else (column,))]
+    rows = len(cells[0][2])
+    comma, every = _const(ord(","), rows), np.broadcast_to(True, (rows, 1))
+    text, valid = [], []
+    for t, v, _, _ in cells:
+        text += [*t, comma]
+        valid += [*v, every]
     text[-1] = _const(ord("\n"), rows)
-    valid = np.concatenate(valid, axis=1)
-    out = np.concatenate(text, axis=1)[valid]
+    out = np.concatenate(text, axis=1)[np.concatenate(valid, axis=1)]
+    late = [(c, where, texts)
+            for c, (_, _, _, (where, texts)) in enumerate(cells) if len(where)]
     if late:
-        # a late cell's text goes where its slots start: the bytes before
-        # its row's end, less those of its row from there on
-        ends = np.cumsum(valid.sum(axis=1))
-        at = [np.repeat(ends[where] - valid[where, start:].sum(axis=1),
-                        [len(t) for t in texts])
-              for start, where, texts in late]
-        out = np.insert(out, np.concatenate(at), np.frombuffer(
-            b"".join(t for _, _, texts in late for t in texts), np.uint8))
+        row = np.sum([width for _, _, width, _ in cells], axis=0,
+                     dtype=np.int64) + len(cells)
+        starts = np.cumsum(row) - row   # widths are uint8: sum in int64
+        at = np.concatenate([sum((cells[k][2][where] for k in range(c)),
+                                 starts[where] + c)
+                             for c, where, _ in late]).tolist()
+        pieces, end = [], 0
+        for a, t in sorted(zip(at, (t for _, _, texts in late for t in texts))):
+            pieces += [out[end:a], t]
+            end = a
+        out = np.frombuffer(b"".join([*pieces, out[end:]]), dtype=np.uint8)
     return out
 
 
-def _write_csv(path: Path, header: list[str], parts: list,
-               indexed: bool) -> None:
+def _formatted(x: np.ndarray):
+    """The cells of column ``x``, as :func:`_float_cells` gives them but
+    none of them late: every cell's text is left-aligned in one padded
+    array.  They are formatted a block of ``_WRITE_CELLS`` at a time."""
+    out = np.concatenate([_csv_block([x[lo:lo + _WRITE_CELLS]])
+                          for lo in range(0, len(x), _WRITE_CELLS)]
+                         or [np.empty(0, dtype=np.uint8)])
+    ends = np.flatnonzero(out == ord("\n"))
+    width = (np.diff(ends, prepend=-1) - 1).astype(np.uint8)
+    valid = np.arange(width.max(initial=0)) < width[:, None]
+    text = np.zeros(valid.shape, dtype=np.uint8)
+    text[valid] = np.delete(out, ends)
+    return text, valid, width
+
+
+def _write_csv(path: Path, header: list[str], parts: list, indexed: bool,
+               grid: np.ndarray | None = None) -> None:
     """Write CSV ``path``: ``header``, then the rows of each part in turn,
     a part being a tuple of equal-length column arrays (see
-    :func:`_csv_block`), each row led by its part's index if ``indexed``.
+    :func:`_csv_block`), each row led by its part's index if ``indexed``,
+    and then, given a ``grid`` that every part's rows share, by its time.
 
     The rows of all parts are formatted a block of ``_WRITE_CELLS`` cells
     (or one row) at a time, whatever part they come from, and each block's
-    text is written in one call.
+    text is written in one call.  The grid is formatted once per file, and
+    each block gathers its rows' times from that text.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     offsets = np.cumsum([0] + [len(part[0]) for part in parts])
     block = max(1, _WRITE_CELLS // len(header))
+    times = None if grid is None else _formatted(grid)
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         for lo in range(0, int(offsets[-1]), block):
@@ -282,6 +314,11 @@ def _write_csv(path: Path, header: list[str], parts: list,
                                     np.searchsorted(offsets, hi, "left"))]
             columns = [np.concatenate([parts[i][c][a:b] for i, a, b in spans])
                        for c in range(len(parts[0]))]
+            if times is not None:       # every part has a row per time
+                text, valid, width = times
+                at = np.arange(lo, hi) % len(grid)
+                columns.insert(0, ([text[at]], [valid[at]], width[at],
+                                   _NO_LATE))
             if indexed:
                 columns.insert(0, np.repeat([i for i, _, _ in spans],
                                             [b - a for _, a, b in spans]))
@@ -308,7 +345,8 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
     out = Path(out_dir)
     n, off = ens.spec.n, ens.event_offsets
     _write_csv(out / "samples.csv", ["replica", "time"] + _count_header(n),
-               [(ens.grid, counts) for counts in ens.samples], indexed=True)
+               [(counts,) for counts in ens.samples], indexed=True,
+               grid=ens.grid)
     if off is not None:
         _write_csv(out / "events.csv", ["replica", "time", "reaction"],
                    [(ens.event_times[lo:hi], ens.event_reactions[lo:hi])
@@ -651,13 +689,20 @@ def write_covariances(states, out_path) -> Path:
 
 
 def write_gaussian_paths(paths, out_path) -> Path:
-    """replica,time,v1..vn for a collection of fluctuation paths."""
+    """replica,time,v1..vn for a collection of fluctuation paths, which
+    must share one grid (bit for bit), as :func:`run_sde_ensemble`'s do."""
     out, paths = Path(out_path), list(paths)
     if not paths:
         raise DomainError("no paths to write")
+    grid = np.asarray(paths[0].grid, dtype=float)
+    for i, p in enumerate(paths):
+        if p.grid is not paths[0].grid and (
+                np.asarray(p.grid, dtype=float).tobytes() != grid.tobytes()):
+            raise DomainError(f"paths must share one grid: path {i}'s "
+                              "differs from path 0's")
     n = paths[0].values.shape[1]
     _write_csv(out, ["replica", "time"] + _count_header(n, "v"),
-               [(p.grid, p.values) for p in paths], indexed=True)
+               [(p.values,) for p in paths], indexed=True, grid=grid)
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DomainError, StepError, check_fractions, check_grid,
-                   check_rate, compile_loop, per_species)
+                   check_rate, check_real, compile_loop, per_species)
 
 __all__ = [
     "MeanFieldState",
@@ -190,8 +190,9 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     """Fixed-step 4th-order integration of the cyclic system.
 
     ``u0`` holds initial fractions on the simplex and ``lam`` is the
-    positive, finite collision rate, which the path records.  The end time
-    ``t_end`` is snapped to a whole number of steps, and each time in
+    positive, finite collision rate, which the path records.  ``t_end`` and
+    ``step`` are real numbers (:class:`DomainError` naming them otherwise),
+    and the end time is snapped to a whole number of steps, and each time in
     ``grid`` (default: every step) is served by the nearest step.  Raises
     :class:`StepError` if any component falls below ``-10 * INTEGRATOR_TOL``
     or is not a number (blow-up), and :class:`DomainError` if the steps'
@@ -207,6 +208,7 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     """
     u = check_fractions(u0)
     lam = check_rate(lam)
+    t_end, step = check_real(t_end, "t_end"), check_real(step, "step")
     if not (t_end >= 0 and np.isfinite(t_end)):
         raise DomainError(f"t_end must be non-negative and finite, got {t_end}")
     if not (step > 0 and math.isfinite(step)):

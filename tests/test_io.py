@@ -169,6 +169,10 @@ def test_write_gaussian_paths(tmp_path):
     model = FluctuationModel.from_path(path, 1.0)
     paths = run_sde_ensemble(model, None, 1e-3, np.array([0.0, 0.5]), 3,
                              base_seed=2)
+    # one read-only copy of the mean-field path's grid, shared by every path
+    assert all(p.grid is paths[0].grid for p in paths)
+    assert paths[0].grid is not path.grid
+    assert not paths[0].grid.flags.writeable
     out = write_gaussian_paths(paths, tmp_path / "p.csv")
     lines = out.read_text().splitlines()
     assert lines[0] == "replica,time,v1,v2,v3"
@@ -266,6 +270,42 @@ class TestBlockFormatter:
         # each alone too: the layout of a block depends on all its cells
         for v in values:
             assert block_cells(np.array([v])) == ["%.17g" % v]
+
+    @staticmethod
+    def reference_rows(columns) -> list[str]:
+        """Row by row: ``%d`` per integer and ``%.17g`` per double."""
+        cells = [[("%.17g" if x.dtype.kind == "f" else "%d") % v
+                  for v in x.tolist()]
+                 for column in columns
+                 for x in (column.T if column.ndim == 2 else (column,))]
+        return [",".join(row) for row in zip(*cells)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_late_cells_land_in_any_column(self, data):
+        # late cells (exponent form, non-finite, subnormal) drawn into any
+        # float column, at a row's start or end and several to a row
+        rows = data.draw(st.integers(1, 12))
+        cell = st.one_of(st.sampled_from(self.edge_values()),
+                         st.floats(-1e3, 1e3))
+        floats = [data.draw(st.lists(cell, min_size=rows * k,
+                                     max_size=rows * k)) for k in (1, 1, 3)]
+        columns = [np.array(data.draw(st.lists(
+                       st.integers(-2**63, 2**63 - 1), min_size=rows,
+                       max_size=rows)), dtype=np.int64),
+                   np.array(floats[0]), np.array(floats[1]),
+                   np.array(floats[2]).reshape(rows, 3)]
+        columns = data.draw(st.permutations(columns))
+        text = rpsim.io._csv_block(columns).tobytes().decode()
+        assert text.split("\n")[:-1] == self.reference_rows(columns)
+
+    def test_every_row_has_a_late_cell(self):
+        rows, late = 50, [1e-5, -math.inf, math.nan, 5e-324, -1e300, 1e16]
+        values = np.random.default_rng(0).standard_normal((rows, 4))
+        values[np.arange(rows), np.arange(rows) % 4] = np.resize(late, rows)
+        columns = [np.arange(rows), values, np.resize(late[::-1], rows)]
+        text = rpsim.io._csv_block(columns).tobytes().decode()
+        assert text.split("\n")[:-1] == self.reference_rows(columns)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     def test_integers_match_str(self, dtype):
@@ -391,6 +431,11 @@ ENSEMBLES = {
     "over-one-chunk": lambda: synthetic_ensemble(
         SPEC, np.linspace(0.0, 1.0, BLOCK),
         [[], np.sort(np.random.default_rng(0).random(BLOCK))]),
+    "exponent-grid": lambda: synthetic_ensemble(
+        SPEC, [0.0, 1e-5, 2e-5], [[1e-6, 1.5e-5], []]),
+    # the writer's blocks end inside replicas of the shared grid
+    "grid-over-one-block": lambda: synthetic_ensemble(
+        SPEC, np.linspace(0.0, 1.0, rpsim.io._WRITE_CELLS // 7), [None] * 5),
 }
 
 
@@ -493,6 +538,13 @@ def test_write_covariances_matches_reference(tmp_path, case):
         reference_covariances(states).encode()
 
 
+def shared_grid_paths(paths, points, n) -> list:
+    """``paths`` paths of ``n`` standard normals on one shared grid."""
+    grid = np.linspace(0.0, 1.0, points)
+    values = np.random.default_rng(0).standard_normal((paths, points, n))
+    return [GaussianPath(grid=grid, values=v) for v in values]
+
+
 GAUSSIAN_PATHS = {
     "special-values": lambda: [
         GaussianPath(grid=np.array(SPECIAL),
@@ -507,6 +559,12 @@ GAUSSIAN_PATHS = {
     "over-one-chunk": lambda: [GaussianPath(
         grid=np.linspace(0.0, 1.0, BLOCK),
         values=np.random.default_rng(0).standard_normal((BLOCK, 3)))],
+    "exponent-grid": lambda: [GaussianPath(
+        grid=np.array([0.0, 1e-5, 2e-5]),
+        values=np.random.default_rng(i).standard_normal((3, 3)) * 1e-5)
+        for i in range(3)],
+    "grid-over-one-block": lambda: shared_grid_paths(
+        5, rpsim.io._WRITE_CELLS // 7, 3),
 }
 
 
@@ -522,6 +580,42 @@ def test_no_covariance_states_is_a_domain_error(tmp_path):
     # an empty grid leaves no states, and so no n for the header
     with pytest.raises(DomainError, match="no covariance states"):
         write_covariances([], tmp_path / "cov.csv")
+
+
+@pytest.mark.parametrize("grid", [[0.0, 2.0], [0.0, 1.0, 2.0], [-0.0, 1.0]])
+def test_paths_on_different_grids_are_a_domain_error(tmp_path, grid):
+    # -0.0 equals 0.0 but prints as -0: only a grid equal bit for bit is
+    # shared
+    paths = [GaussianPath(grid=np.array(g), values=np.zeros((len(g), 3)))
+             for g in ([0.0, 1.0], [0.0, 1.0], grid)]
+    with pytest.raises(DomainError, match="^paths must share one grid: "
+                       "path 2's differs from path 0's$"):
+        write_gaussian_paths(paths, tmp_path / "p.csv")
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_the_grid_is_formatted_once_per_file(tmp_path, monkeypatch):
+    # P paths of n species on G grid times: P*G*n values and G times, not
+    # P*G*(n + 1); the rows span several blocks
+    monkeypatch.setattr(rpsim.io, "_WRITE_CELLS", 3 * 1024)
+    counts, float_cells = [], rpsim.io._float_cells
+
+    def counting(x):        # the doubles the block formatter formats
+        counts.append(len(x))
+        return float_cells(x)
+
+    monkeypatch.setattr(rpsim.io, "_float_cells", counting)
+    paths = shared_grid_paths(40, 101, 3)
+    write_gaussian_paths(paths, tmp_path / "p.csv")
+    assert sum(counts) == 40 * 101 * 3 + 101
+    assert (tmp_path / "p.csv").read_bytes() == \
+        reference_gaussian_paths(paths).encode()
+    # samples.csv formats its grid once and its counts as integers
+    counts.clear()
+    ens = synthetic_ensemble(SPEC, np.linspace(0.0, 1.0, 101), [None] * 40)
+    write_ensemble(ens, tmp_path / "e")
+    assert sum(counts) == 101
+    assert_files(tmp_path / "e", reference_ensemble_csvs(ens.trajectories))
 
 
 def test_no_gaussian_paths_is_a_domain_error(tmp_path):
@@ -865,18 +959,40 @@ def test_reading_a_small_ensemble_peaks_near_its_size(tmp_path):
     assert peak < 64 * size
 
 
-def test_write_peak_does_not_grow_with_rows(tmp_path, monkeypatch):
+def samples_only(replicas, points) -> Ensemble:
+    """An ensemble of ``replicas`` on ``points`` grid times, without logs."""
+    samples = np.random.default_rng(replicas).multinomial(
+        SPEC.total, np.full(SPEC.n, 1 / SPEC.n), size=(replicas, points))
+    return Ensemble(spec=SPEC, grid=np.linspace(0.0, 1.0, points),
+                    base_seed=0, samples=samples, final_counts=samples[:, -1],
+                    absorbed=np.full(replicas, math.nan),
+                    final_time=np.ones(replicas))
+
+
+def event_log(rows) -> Ensemble:
+    """Two replicas that log ``rows`` events between them."""
+    times = np.sort(np.random.default_rng(rows).random(rows))
+    return synthetic_ensemble(SPEC, GRID, [times[:rows // 3],
+                                           times[rows // 3:]])
+
+
+@pytest.mark.parametrize("ensemble", [
+    event_log,
+    # samples.csv rows (replica, time and 3 counts): a one-block replica
+    # of 512 grid times, then 8 and 32 of them; long replicas, because the
+    # manifest also written grows by about 1 kB a replica
+    lambda rows: samples_only(rows // 1024, 512),
+], ids=["event-rows", "replicas"])
+def test_write_peak_does_not_grow_with_rows(tmp_path, monkeypatch, ensemble):
     # the writer formats one block of rows at a time, so four times the
-    # event rows add less than one block's buffers (the whole peak of
-    # writing a one-block log), where formatting every row at once would
-    # add three times the shorter log's text and more
+    # rows add less than one block's buffers (the whole peak of writing a
+    # one-block file), where formatting every row at once would add three
+    # times the shorter file's text and more
     monkeypatch.setattr(rpsim.io, "_WRITE_CELLS", 3 * 1024)
     block = 1024        # rows of events.csv: replica, time and reaction
     peaks = []
     for size in (block, 8 * block, 32 * block):
-        times = np.sort(np.random.default_rng(size).random(size))
-        ens = synthetic_ensemble(SPEC, GRID, [times[:size // 3],
-                                              times[size // 3:]])
+        ens = ensemble(size)
         write_ensemble(ens, tmp_path / "warm")
         tracemalloc.start()
         try:

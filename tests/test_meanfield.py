@@ -152,6 +152,13 @@ class TestIntegrate:
             integrate(simplex(0.5, 0.3, 0.2), 1.0, t_end=-1.0)
         with pytest.raises(DomainError):
             integrate(simplex(0.5, 0.3, 0.2), None)  # no rate at all
+        # a non-numeric step or end time, checked before it is compared
+        for kwargs, message in (({"step": "abc"}, "step .* got 'abc'"),
+                                ({"step": None}, "step .* got None"),
+                                ({"t_end": "1"}, "t_end .* got '1'"),
+                                ({"t_end": True}, "t_end .* got True")):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                integrate(simplex(0.5, 0.3, 0.2), 1.0, **kwargs)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"),
                                      True, "1"])
