@@ -4,6 +4,8 @@ Four subcommands mirror the library layers: ``simulate`` (event-driven
 ensembles), ``meanfield`` (deterministic limit), ``fluctuation`` (second
 moments and sample paths of the Gaussian correction), ``validate`` (the
 statistical harness).  All output is deterministic for fixed arguments.
+Bad input, or an ``--out`` that the filesystem refuses, prints ``error: …``
+and exits 1.
 """
 from __future__ import annotations
 
@@ -220,7 +222,7 @@ def main(argv=None) -> int:
         if hasattr(args, "base_seed"):  # also where no stream is drawn
             check_seed(args.base_seed)
         return args.func(args)
-    except RpsimError as exc:
+    except (RpsimError, OSError) as exc:   # OSError: say, an --out clash
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

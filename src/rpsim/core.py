@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -436,7 +436,10 @@ class Trajectory:
     state after all events with time <= t.  When the run was made in
     samples-only mode the event arrays are ``None`` and ``n_events`` raises
     :class:`MissingEventLog`.  Replays of the event log are ensemble
-    methods (:meth:`rpsim.simulate.Ensemble.jump_counts`).
+    methods (:meth:`rpsim.simulate.Ensemble.jump_counts`).  Only
+    :func:`rpsim.simulate.run_until` and
+    :attr:`rpsim.simulate.Ensemble.trajectories` build one, from arrays
+    that are already checked, so it checks nothing again.
     """
 
     spec: ModelSpec
@@ -446,19 +449,8 @@ class Trajectory:
     event_times: np.ndarray | None        # float64, ascending
     event_reactions: np.ndarray | None    # int16 reaction indices
     absorbed: float | None                # absorption time, if any
-    final_counts: tuple[int, ...] = field(default=())
-    final_time: float = 0.0
-
-    def __post_init__(self):
-        if self.samples.shape != (len(self.grid), self.spec.n):
-            raise DomainError("samples shape does not match grid/species count")
-        if len(self.grid) and np.any(np.diff(self.grid) < 0):
-            raise DomainError("grid must be ascending")
-        if len(self.samples) and np.any(self.samples.sum(axis=1) != self.spec.total):
-            raise NumericError("a grid sample violates population conservation")
-        if self.event_times is not None and len(self.event_times) > 1:
-            if np.any(np.diff(self.event_times) < 0):
-                raise NumericError("event times must be non-decreasing")
+    final_counts: tuple[int, ...]         # counts at the end of the run
+    final_time: float                     # absorption time, else t_end
 
     # -- event-log accessors ------------------------------------------------
 

@@ -160,23 +160,15 @@ class GaussianPath:
 
 @dataclass(frozen=True, eq=False)
 class FluctuationModel:
-    """A mean-field path, the rate it was integrated at, and the path's
-    transitions, marched once, on first use, for both of their consumers.
-
-    ``lam`` must be a valid rate and equal the path's ``lam``
-    (:class:`DomainError` naming both otherwise), and the path's states
-    must lie on the simplex, with no nan (:class:`DomainError`).
+    """A mean-field path, which carries the rate it was integrated at, and
+    the path's transitions, marched once, on first use, for both of their
+    consumers.  The path's states must lie on the simplex, with no nan
+    (:class:`DomainError`).
     """
 
     path: MeanFieldPath
-    lam: float
 
     def __post_init__(self):
-        lam = check_rate(self.lam)
-        if lam != self.path.lam:
-            raise DomainError(f"model rate {lam} differs from the rate "
-                              f"{self.path.lam} of its mean-field path")
-        object.__setattr__(self, "lam", lam)
         stored = self.path.step_states
         # a nan fails each check: every comparison with it is False
         if not (np.max(np.abs(stored.sum(axis=1) - 1.0)) <= 1e-6
@@ -185,7 +177,13 @@ class FluctuationModel:
 
     @classmethod
     def from_path(cls, path: MeanFieldPath, lam: float):
-        return cls(path=path, lam=lam)
+        """The model of ``path``; ``lam`` must be a valid rate and equal
+        the path's ``lam`` (:class:`DomainError` naming both otherwise)."""
+        lam = check_rate(lam)
+        if lam != path.lam:
+            raise DomainError(f"model rate {lam} differs from the rate "
+                              f"{path.lam} of its mean-field path")
+        return cls(path=path)
 
     @property
     def n(self) -> int:
@@ -206,7 +204,7 @@ class FluctuationModel:
         -1e-9, after symmetrizing, raises :class:`NotPSD` naming the end of
         its interval, and leaves nothing cached.
         """
-        path, n, lam, h = self.path, self.n, self.lam, self.path.step
+        path, n, lam, h = self.path, self.n, self.path.lam, self.path.step
         ends = np.concatenate(([0], path.indices))
         firsts = [np.arange(a, b, _BLOCK) for a, b in zip(ends[:-1], ends[1:])]
         counts = np.array([len(f) for f in firsts], dtype=int)

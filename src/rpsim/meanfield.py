@@ -54,9 +54,9 @@ class MeanFieldState:
 
 @dataclass(frozen=True)
 class ConservationAudit:
-    """Per-integrator-step record of the two conserved quantities."""
+    """Per-integrator-step record of the two conserved quantities; row
+    ``k`` is step ``k`` of the path's ``step_states``."""
 
-    times: np.ndarray
     sums: np.ndarray
     products: np.ndarray
 
@@ -234,8 +234,7 @@ def integrate(u0, lam: float, t_end: float = 1.0,
                    memoryview(states.reshape(-1)), -10.0 * INTEGRATOR_TOL)
 
     # row by row, the audit equals conserved_quantities of each state
-    audit = ConservationAudit(times=np.arange(n_steps + 1) * step,
-                              sums=states.sum(axis=1),
+    audit = ConservationAudit(sums=states.sum(axis=1),
                               products=states.prod(axis=1))
     return MeanFieldPath(grid=grid_arr, indices=indices, step=float(step),
                          lam=lam, step_states=states, invariant_audit=audit)

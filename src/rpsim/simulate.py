@@ -124,33 +124,6 @@ class Ensemble:
     def replicas(self) -> int:
         return len(self.samples)
 
-    @classmethod
-    def from_trajectories(cls, trajs, base_seed: int) -> Ensemble:
-        """Stack the trajectories of replicas ``0..R-1``, which must share
-        one spec and one grid, and all keep their event log or none."""
-        trajs = list(trajs)
-        if not trajs or [t.seed for t in trajs] != list(range(len(trajs))):
-            raise DomainError("need one or more replicas with seeds 0..R-1")
-        first = trajs[0]
-        if any(t.spec != first.spec or t.has_event_log != first.has_event_log
-               or not np.array_equal(t.grid, first.grid) for t in trajs):
-            raise DomainError("replicas must share one spec, one grid and "
-                              "whether they keep their event log")
-        logged = first.has_event_log
-        return cls(
-            spec=first.spec, grid=first.grid.copy(), base_seed=base_seed,
-            samples=np.stack([t.samples for t in trajs]),
-            final_counts=np.array([t.final_counts for t in trajs],
-                                  dtype=np.int64),
-            absorbed=np.array([t.absorbed for t in trajs], dtype=float),
-            final_time=np.array([t.final_time for t in trajs], dtype=float),
-            event_times=(np.concatenate([t.event_times for t in trajs])
-                         if logged else None),
-            event_reactions=(np.concatenate([t.event_reactions for t in trajs])
-                             if logged else None),
-            event_offsets=(np.cumsum([0] + [t.n_events for t in trajs])
-                           if logged else None))
-
     @functools.cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
         """One :class:`Trajectory` per replica, built on first use; its

@@ -545,7 +545,6 @@ class ValidationConfig:
     # [model]
     n: int = 3
     lam: float = 1.0
-    total: int = 1000
     fractions: tuple[float, ...] = ()     # default: symmetric
 
     # [run]
@@ -583,8 +582,10 @@ class ValidationConfig:
     def from_ini(cls, path) -> "ValidationConfig":
         """Read a config file: ``[model]``, ``[run]`` and ``[validate]``
         sections whose options are the field names (``lambda`` for ``lam``).
-        ``[model] initial`` counts set both ``total`` and ``fractions``.  An
-        unknown section or option is a :class:`DomainError`."""
+        ``[model] initial`` counts give the ``fractions``, each count over
+        their sum; they must be at least 3 non-negative integers with a
+        positive sum.  An unknown section or option, or bad counts, is a
+        :class:`DomainError`."""
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -622,14 +623,18 @@ class ValidationConfig:
                 kw[f.name] = value(section, option, f.type)
         if parser.has_option("model", "initial"):
             counts = value("model", "initial", "tuple[int, ...]")
-            kw["total"] = sum(counts)
-            kw["fractions"] = tuple(c / kw["total"] for c in counts)
+            if len(counts) < 3 or min(counts) < 0 or sum(counts) == 0:
+                text = parser.get("model", "initial")
+                raise DomainError("[model] initial: need at least 3 "
+                                  "non-negative counts with a positive sum, "
+                                  f"got {text!r}")
+            kw["fractions"] = tuple(c / sum(counts) for c in counts)
         return cls(**kw)
 
 
 # config-file section of each ValidationConfig field outside [validate]
-_INI_SECTIONS = {"n": "model", "lam": "model", "total": "model",
-                 "fractions": "model", "base_seed": "run", "workers": "run"}
+_INI_SECTIONS = {"n": "model", "lam": "model", "fractions": "model",
+                 "base_seed": "run", "workers": "run"}
 
 
 # deterministic sub-seed offsets so the four checks use unrelated streams

@@ -134,7 +134,7 @@ def test_criterion_4_deterministic_invariants():
     report(4, "mean-field invariants", ok,
            f"max |sum - 1| = {sum_drift:.2e} (< 1e-10), "
            f"max product drift = {prod_drift:.2e} (< 1e-7) "
-           f"over {len(audit.times)} steps")
+           f"over {len(audit.sums)} steps")
 
 
 def test_criterion_5_fluctuation_covariance():

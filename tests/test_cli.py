@@ -303,6 +303,34 @@ def test_validate_negative_base_seed_is_a_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv, clash", [
+    ("simulate", ["--replicas", "2"], "[Errno 17] File exists"),
+    ("simulate", ["--replicas", "40"], "[Errno 17] File exists"),
+    ("fluctuation", ["--t-end", "0.1", "--paths", "2"],
+     "[Errno 17] File exists"),
+    ("validate", [], "[Errno 17] File exists"),
+    ("meanfield", ["--t-end", "0.1"], "[Errno 21] Is a directory"),
+], ids=["simulate", "simulate-lockstep", "fluctuation", "validate",
+        "meanfield"])
+def test_out_that_clashes_with_the_filesystem_is_an_error(tmp_path, capsys,
+                                                          command, argv,
+                                                          clash):
+    # a directory where a file goes, or a file where a directory goes
+    out = tmp_path / "out"
+    if command == "meanfield":
+        out.mkdir()
+    else:
+        out.write_text("kept\n")
+    if command == "validate":
+        ini = tmp_path / "v.ini"
+        ini.write_text(VALIDATE_INI)
+        argv = ["--config", str(ini)]
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {clash}: '{out}'\n"
+    assert (out.read_text() == "kept\n" if out.is_file()
+            else not any(out.iterdir()))
+
+
 class TestMeanfieldCommand:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "mf.csv"

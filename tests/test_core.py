@@ -12,7 +12,6 @@ from rpsim import (
     MissingEventLog,
     ModelSpec,
     NormalizationError,
-    NumericError,
     RpsimError,
     Trajectory,
     counts_from_fractions,
@@ -70,6 +69,12 @@ class TestValidateSpec:
         with pytest.raises(DomainError, match=re.escape(
                 f"collision rate must be {message}")):
             spec3(lam=lam)
+
+    def test_rejects_an_integer_rate_past_the_largest_double(self):
+        # float(10**400) overflows: the rate reads as inf and is refused
+        with pytest.raises(DomainError, match="^collision rate must be "
+                           "positive and finite, got 10{400}$"):
+            spec3(lam=10**400)
 
     def test_rejects_empty_population(self):
         with pytest.raises(DomainError,
@@ -288,31 +293,20 @@ def tiny_trajectory(**overrides) -> Trajectory:
     return Trajectory(**kw)
 
 
-class TestTrajectoryValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            tiny_trajectory(samples=np.zeros((2, 3), dtype=np.int64))
-
-    def test_grid_must_ascend(self):
-        with pytest.raises(DomainError):
-            tiny_trajectory(grid=np.array([0.0, 1.0, 0.3]))
-
-    def test_conservation_enforced(self):
-        bad = np.array([[1, 1, 1], [2, 0, 1], [2, 0, 2]], dtype=np.int64)
-        with pytest.raises(NumericError):
-            tiny_trajectory(samples=bad)
-
-    def test_event_times_must_not_decrease(self):
-        with pytest.raises(NumericError):
-            tiny_trajectory(event_times=np.array([0.5, 0.2]))
-
-
 class TestTrajectoryReplay:
     # the replays are ensemble methods; here on a one-replica ensemble
 
     @staticmethod
-    def replay(**overrides) -> Ensemble:
-        return Ensemble.from_trajectories([tiny_trajectory(**overrides)], 0)
+    def replay(logged: bool = True) -> Ensemble:
+        traj = tiny_trajectory()
+        log = dict(event_times=traj.event_times,
+                   event_reactions=traj.event_reactions,
+                   event_offsets=np.array([0, 2])) if logged else {}
+        return Ensemble(spec=traj.spec, grid=traj.grid, base_seed=0,
+                        samples=traj.samples[None],
+                        final_counts=np.array([traj.final_counts]),
+                        absorbed=np.array([math.nan]),
+                        final_time=np.array([traj.final_time]), **log)
 
     def test_jump_counts(self):
         ens = self.replay()
@@ -337,7 +331,7 @@ class TestTrajectoryReplay:
     def test_samples_only_mode_raises(self):
         traj = tiny_trajectory(event_times=None, event_reactions=None)
         assert not traj.has_event_log
-        ens = self.replay(event_times=None, event_reactions=None)
+        ens = self.replay(logged=False)
         for call in (lambda: traj.n_events,
                      lambda: ens.jump_counts(0.5),
                      lambda: ens.internal_times(0.5)):
@@ -347,9 +341,22 @@ class TestTrajectoryReplay:
 
 def test_trajectories_identical():
     assert trajectories_identical(tiny_trajectory(), tiny_trajectory())
-    assert not trajectories_identical(tiny_trajectory(),
-                                      tiny_trajectory(seed=1))
-    assert not trajectories_identical(
-        tiny_trajectory(),
-        tiny_trajectory(event_times=None, event_reactions=None),
-    )
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(seed=1),
+    dict(absorbed=1.0),
+    dict(final_counts=(1, 1, 1)),
+    dict(final_time=0.5),
+    dict(grid=np.array([0.0, 0.3, 0.9])),
+    dict(samples=np.array([[1, 1, 1], [2, 0, 1], [2, 0, 1]])),
+    dict(event_times=None, event_reactions=None),
+    dict(event_times=np.array([0.2, 0.6])),
+    dict(event_reactions=np.array([0, 1], dtype=np.int16)),
+], ids=lambda d: "-".join(d))
+def test_trajectories_that_differ_in_a_field_are_not_identical(overrides):
+    # a read-back check compares trajectories with this, so each field
+    # must count
+    other = tiny_trajectory(**overrides)
+    assert not trajectories_identical(tiny_trajectory(), other)
+    assert not trajectories_identical(other, tiny_trajectory())

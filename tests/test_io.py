@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -58,11 +57,20 @@ class TestFmt:
         assert float(fmt(x)) == x
 
 
-def write_one(traj: Trajectory, out_dir):
-    """Write ``traj`` as a one-replica ensemble; return its directory."""
-    return write_ensemble(
-        Ensemble.from_trajectories([dataclasses.replace(traj, seed=0)], 0),
-        out_dir)
+def replica(ens: Ensemble, i: int) -> Ensemble:
+    """Replica ``i`` of ``ens`` alone, as a one-replica ensemble whose
+    arrays are views into those of ``ens``."""
+    off = ens.event_offsets
+    log = {} if off is None else dict(
+        event_times=ens.event_times[off[i]:off[i + 1]],
+        event_reactions=ens.event_reactions[off[i]:off[i + 1]],
+        event_offsets=off[i:i + 2] - off[i])
+    rows = slice(i, i + 1)
+    return Ensemble(spec=ens.spec, grid=ens.grid, base_seed=0,
+                    samples=ens.samples[rows],
+                    final_counts=ens.final_counts[rows],
+                    absorbed=ens.absorbed[rows],
+                    final_time=ens.final_time[rows], **log)
 
 
 def read_one(out_dir) -> Trajectory:
@@ -72,28 +80,33 @@ def read_one(out_dir) -> Trajectory:
 
 
 class TestTrajectoryRoundTrip:
-    # a single trajectory is stored as a one-replica ensemble
+    # a single trajectory is stored as a one-replica ensemble, and reads
+    # back as the trajectory run_until gives on its stream
 
     def test_with_event_log(self, tmp_path):
         traj = run_until(SPEC, 1.0, GRID, rng_stream(7, 0), seed=0,
                          record_events=True)
-        back = read_one(write_one(traj, tmp_path / "t"))
+        ens = run_ensemble(SPEC, 1, 1.0, GRID, 7, record_events=True)
+        back = read_one(write_ensemble(ens, tmp_path / "t"))
         assert trajectories_identical(traj, back)
 
     def test_samples_only(self, tmp_path):
         traj = run_until(SPEC, 1.0, GRID, rng_stream(7, 0), seed=0,
                          record_events=False)
-        back = read_one(write_one(traj, tmp_path / "t"))
+        ens = run_ensemble(SPEC, 1, 1.0, GRID, 7, record_events=False)
+        back = read_one(write_ensemble(ens, tmp_path / "t"))
         assert trajectories_identical(traj, back)
         assert not (tmp_path / "t" / "events.csv").exists()
 
     def test_absorbed_trajectory(self, tmp_path):
         spec = ModelSpec(n=3, lam=50.0, total=3, initial=(1, 1, 1))
-        traj = run_until(spec, 100.0, np.linspace(0, 100, 6),
-                         rng_stream(0, 0), seed=0, record_events=True)
+        grid = np.linspace(0, 100, 6)
+        traj = run_until(spec, 100.0, grid, rng_stream(0, 0), seed=0,
+                         record_events=True)
         assert traj.absorbed is not None
+        ens = run_ensemble(spec, 1, 100.0, grid, 0, record_events=True)
         assert trajectories_identical(
-            traj, read_one(write_one(traj, tmp_path / "t")))
+            traj, read_one(write_ensemble(ens, tmp_path / "t")))
 
 
 class TestEnsembleRoundTrip:
@@ -389,29 +402,28 @@ def replayed_final_counts(spec, reactions) -> tuple:
     return tuple(counts)
 
 
-def synthetic(spec, grid, event_times, seed=0) -> Trajectory:
-    """A trajectory with the given grid and event times; the counts and
-    reactions are random but valid, and the final counts replay the log."""
-    rng = np.random.default_rng(seed)
-    logged = event_times is not None
-    samples = rng.multinomial(spec.total, np.full(spec.n, 1 / spec.n),
-                              size=len(grid))
-    reactions = (rng.integers(0, spec.n, len(event_times)).astype(np.int16)
-                 if logged else None)
-    return Trajectory(
-        spec=spec, seed=seed, grid=np.asarray(grid, dtype=float),
-        samples=samples,
-        event_times=np.asarray(event_times, dtype=float) if logged else None,
-        event_reactions=reactions, absorbed=None,
-        final_counts=(replayed_final_counts(spec, reactions) if logged
-                      else spec.initial),
-        final_time=1.0)
-
-
 def synthetic_ensemble(spec, grid, event_logs) -> Ensemble:
-    return Ensemble.from_trajectories(
-        [synthetic(spec, grid, ev, seed=i) for i, ev in enumerate(event_logs)],
-        0)
+    """One replica per entry of ``event_logs``, its event times (all of
+    them None: no log), on ``grid``.  The counts and reactions are random
+    but valid, and the final counts replay the log."""
+    grid = np.asarray(grid, dtype=float)
+    rngs = [np.random.default_rng(i) for i in range(len(event_logs))]
+    even = np.full(spec.n, 1 / spec.n)
+    samples = np.stack([rng.multinomial(spec.total, even, size=len(grid))
+                        for rng in rngs])
+    log, final = {}, [spec.initial] * len(rngs)
+    if event_logs[0] is not None:
+        reactions = [rng.integers(0, spec.n, len(ev)).astype(np.int16)
+                     for rng, ev in zip(rngs, event_logs)]
+        final = [replayed_final_counts(spec, r) for r in reactions]
+        log = dict(event_times=np.concatenate(
+                       [np.asarray(ev, dtype=float) for ev in event_logs]),
+                   event_reactions=np.concatenate(reactions),
+                   event_offsets=np.cumsum([0] + list(map(len, event_logs))))
+    return Ensemble(spec=spec, grid=grid, base_seed=0, samples=samples,
+                    final_counts=np.array(final, dtype=np.int64),
+                    absorbed=np.full(len(rngs), math.nan),
+                    final_time=np.ones(len(rngs)), **log)
 
 
 SPEC4 = ModelSpec(n=4, lam=1.0, total=40, initial=(10, 10, 10, 10))
@@ -469,10 +481,12 @@ class TestBlockWritersAndReaders:
 
     def test_trajectory_bytes_and_round_trip(self, tmp_path, case):
         # each replica alone, as a one-replica ensemble
-        for i, traj in enumerate(ENSEMBLES[case]().trajectories):
-            out = write_one(traj, tmp_path / f"t{i}")
-            assert_files(out, reference_ensemble_csvs([traj]))
-            assert_same_bits(dataclasses.replace(traj, seed=0), read_one(out))
+        ens = ENSEMBLES[case]()
+        for i in range(ens.replicas):
+            one = replica(ens, i)
+            out = write_ensemble(one, tmp_path / f"t{i}")
+            assert_files(out, reference_ensemble_csvs(one.trajectories))
+            assert_same_bits(one.trajectories[0], read_one(out))
 
 
 def meanfield_path(times, rows, indices=None) -> MeanFieldPath:
@@ -483,9 +497,8 @@ def meanfield_path(times, rows, indices=None) -> MeanFieldPath:
         grid=np.asarray(times, dtype=float),
         indices=np.arange(len(times)) if indices is None else indices,
         step=1.0, lam=1.0, step_states=rows,
-        invariant_audit=ConservationAudit(
-            times=np.arange(len(rows), dtype=float), sums=rows.sum(axis=1),
-            products=rows.prod(axis=1)))
+        invariant_audit=ConservationAudit(sums=rows.sum(axis=1),
+                                          products=rows.prod(axis=1)))
 
 
 MEANFIELD_PATHS = {
@@ -690,9 +703,8 @@ class TestMalformedInput:
         assert str(err.value).startswith(f"{events}: {message}")
 
     def test_truncated_trajectory_log_is_a_domain_error(self, tmp_path):
-        traj = run_until(SPEC, 1.0, GRID, rng_stream(7, 0), seed=0,
-                         record_events=True)
-        out = write_one(traj, tmp_path / "t")
+        ens = run_ensemble(SPEC, 1, 1.0, GRID, 7, record_events=True)
+        out = write_ensemble(ens, tmp_path / "t")
         events = out / "events.csv"
         events.write_text("".join(
             events.read_text().splitlines(keepends=True)[:-1]))

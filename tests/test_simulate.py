@@ -45,12 +45,25 @@ class FixedDraws:
         return out
 
 
+def one_replica(traj) -> Ensemble:
+    """``traj``, a trajectory with its event log, as a one-replica
+    ensemble on its arrays."""
+    absorbed = math.nan if traj.absorbed is None else traj.absorbed
+    return Ensemble(spec=traj.spec, grid=traj.grid, base_seed=0,
+                    samples=traj.samples[None],
+                    final_counts=np.array([traj.final_counts]),
+                    absorbed=np.array([absorbed]),
+                    final_time=np.array([traj.final_time]),
+                    event_times=traj.event_times,
+                    event_reactions=traj.event_reactions,
+                    event_offsets=np.array([0, traj.n_events]))
+
+
 def counts_at(traj, t):
     """The state of ``traj`` after its events at times <= ``t``, from the
     jump counts of a one-replica ensemble (reaction j moves one unit from
     species j+1 to species j)."""
-    ens = Ensemble.from_trajectories([dataclasses.replace(traj, seed=0)], 0)
-    jumps = ens.jump_counts(t)[0]
+    jumps = one_replica(traj).jump_counts(t)[0]
     return np.asarray(traj.spec.initial) + jumps - np.roll(jumps, 1)
 
 
@@ -72,8 +85,7 @@ class TestNextEvent:
         assert traj.event_times.tolist() == [0.25]
         assert traj.event_reactions.tolist() == [0]
         assert traj.final_counts == (3, 0, 0)
-        assert Ensemble.from_trajectories([traj], 0).jump_counts(1.0) \
-            .tolist() == [[1, 0, 0]]
+        assert one_replica(traj).jump_counts(1.0).tolist() == [[1, 0, 0]]
 
     def test_absorbing_state_returns_absorbed(self):
         # (3,0,0) has no active pair: absorbed at once, and after the single
@@ -305,6 +317,7 @@ class TestRunUntil:
         np.array([-0.1, 0.5]),          # negative
         np.array([0.0, 2.0]),           # beyond t_end
         [0.0, "x"],                     # not numbers
+        np.array([[0.0, 0.5]]),         # two-dimensional
     ])
     def test_grid_validation(self, bad):
         spec = ModelSpec(n=3, lam=1.0, total=9, initial=(3, 3, 3))
@@ -717,24 +730,39 @@ def assert_same_arrays(a: Ensemble, b: Ensemble) -> None:
             assert x == y, f.name
 
 
-class TestFromTrajectories:
+class TestTrajectories:
     @pytest.mark.parametrize("replicas", [3, 40])
     @pytest.mark.parametrize("record_events", [True, False])
-    def test_round_trip_is_bit_for_bit(self, replicas, record_events):
+    def test_each_views_its_replica_bit_for_bit(self, replicas,
+                                                record_events):
         # tiny populations, so that some replicas absorb
         spec = ModelSpec(n=3, lam=2.0, total=4, initial=(2, 1, 1))
         ens = run_ensemble(spec, replicas, 3.0, grid01(4, 3.0), 5,
                            record_events=record_events)
-        assert np.isnan(ens.absorbed).any() and not np.isnan(ens.absorbed).all()
-        back = Ensemble.from_trajectories(ens.trajectories, 5)
-        assert_same_arrays(ens, back)
-        for a, b in zip(ens.trajectories, back.trajectories):
-            for name in ("grid", "samples", "event_times", "event_reactions"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert (x is None) == (y is None)
-                if x is not None:
-                    assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
-            assert trajectories_identical(a, b)
+        running = np.isnan(ens.absorbed)
+        assert running.any() and not running.all()
+        off = ens.event_offsets
+        for i, traj in enumerate(ens.trajectories):
+            assert (traj.spec, traj.seed) == (spec, i)
+            views = {"grid": (traj.grid, ens.grid),
+                     "samples": (traj.samples, ens.samples[i])}
+            if record_events:
+                views["event_times"] = (traj.event_times,
+                                        ens.event_times[off[i]:off[i + 1]])
+                views["event_reactions"] = (
+                    traj.event_reactions,
+                    ens.event_reactions[off[i]:off[i + 1]])
+            else:
+                assert traj.event_times is traj.event_reactions is None
+            for name, (x, y) in views.items():
+                assert np.shares_memory(x, y), name
+                assert (x.dtype, x.shape, x.tobytes()) == \
+                    (y.dtype, y.shape, y.tobytes()), name
+            assert traj.final_counts == tuple(ens.final_counts[i].tolist())
+            assert traj.final_time == ens.final_time[i]
+            assert (traj.absorbed is None) == np.isnan(ens.absorbed[i])
+            if traj.absorbed is not None:
+                assert traj.absorbed == ens.absorbed[i] == traj.final_time
 
     def test_trajectories_are_cached_views(self):
         spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
@@ -745,20 +773,14 @@ class TestFromTrajectories:
         assert not ens.event_reactions[lo:hi].any()
         assert ens.event_reactions[:lo].any()
 
-    @pytest.mark.parametrize("change, message", [
-        (lambda t, i: dataclasses.replace(t, seed=i + 1), "seeds 0..R-1"),
-        (lambda t, i: dataclasses.replace(t, grid=t.grid + i), "one grid"),
-        (lambda t, i: dataclasses.replace(
-            t, event_times=None, event_reactions=None) if i else t,
-         "keep their event log"),
-    ])
-    def test_rejects_replicas_that_do_not_stack(self, change, message):
+    def test_an_ensemble_needs_a_replica(self):
         spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
-        trajs = run_ensemble(spec, 3, 1.0, grid01(3), 0,
-                             record_events=True).trajectories
-        with pytest.raises(DomainError, match=message):
-            Ensemble.from_trajectories(
-                [change(t, i) for i, t in enumerate(trajs)], 0)
+        with pytest.raises(DomainError,
+                           match="^an ensemble needs at least one replica$"):
+            Ensemble(spec=spec, grid=np.zeros(1), base_seed=0,
+                     samples=np.zeros((0, 1, 3), dtype=np.int64),
+                     final_counts=np.zeros((0, 3), dtype=np.int64),
+                     absorbed=np.zeros(0), final_time=np.zeros(0))
 
 
 def test_event_times_strictly_positive_and_increasing():

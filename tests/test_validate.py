@@ -98,6 +98,12 @@ class TestGillespieEquivalence:
         with pytest.raises(RpsimError, match="replica 1 fired no event"):
             gillespie_equivalence_test(spec, 3, base_seed=0)
 
+    def test_needs_a_sample(self):
+        spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
+        with pytest.raises(DomainError,
+                           match="^need at least one sample, got 0$"):
+            gillespie_equivalence_test(spec, 0, base_seed=0)
+
     def test_absorbing_initial_state_rejected(self):
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(3, 0, 0))
         with pytest.raises(DomainError):
@@ -235,6 +241,24 @@ class TestLln:
         ensembles, mf = small_lln_setup()
         with pytest.raises(DomainError):
             lln_test(list(reversed(ensembles)), mf, 1.0)
+
+    @pytest.mark.parametrize("model, message", [
+        (None, "need at least one ensemble"),
+        (dict(n=4, lam=1.0, initial=(100, 100, 100, 100)),
+         "ensembles must share species count and rate"),
+        (dict(n=3, lam=2.0, initial=(200, 120, 80)),
+         "ensembles must share species count and rate"),
+    ], ids=["no-ensemble", "other-n", "other-rate"])
+    def test_ensembles_must_share_the_model(self, model, message):
+        ensembles, mf = small_lln_setup()
+        if model is None:
+            ensembles = []
+        else:
+            other = run_ensemble(ModelSpec(total=400, **model), 5, 1.0,
+                                 ensembles[0].grid, 9, record_events=False)
+            ensembles = [ensembles[0], other]
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            lln_test(ensembles, mf, 1.0)
 
     def test_grids_must_match(self):
         ensembles, mf = small_lln_setup()
@@ -384,14 +408,14 @@ class TestValidationConfig:
     def test_from_ini(self, tmp_path):
         ini = tmp_path / "v.ini"
         ini.write_text(
-            "[model]\nn = 4\nlambda = 2.5\ntotal = 500\n"
+            "[model]\nn = 4\nlambda = 2.5\n"
             "fractions = 0.4, 0.3, 0.2, 0.1\n"
             "[run]\nbase_seed = 99\nworkers = 3\n"
             "[validate]\nlln_populations = 50 200\nclt_replicas = 150\n"
             "martingale_z_bound = 3.5\ngillespie_samples = 123\n"
         )
         cfg = ValidationConfig.from_ini(ini)
-        assert cfg.n == 4 and cfg.lam == 2.5 and cfg.total == 500
+        assert cfg.n == 4 and cfg.lam == 2.5
         assert cfg.fractions == (0.4, 0.3, 0.2, 0.1)
         assert cfg.base_seed == 99 and cfg.workers == 3
         assert cfg.lln_populations == (50, 200)
@@ -404,16 +428,14 @@ class TestValidationConfig:
     def test_initial_counts_override_fractions(self, tmp_path):
         ini = tmp_path / "v.ini"
         ini.write_text("[model]\ninitial = 5, 3, 2\n")
-        cfg = ValidationConfig.from_ini(ini)
-        assert cfg.total == 10
-        assert cfg.fractions == (0.5, 0.3, 0.2)
+        assert ValidationConfig.from_ini(ini).fractions == (0.5, 0.3, 0.2)
 
     def test_missing_file(self):
         with pytest.raises(DomainError):
             ValidationConfig.from_ini("/nonexistent/nope.ini")
 
     def test_every_field_reads_from_its_section(self, tmp_path):
-        changed = dict(n=5, lam=0.5, total=77, fractions=(0.5, 0.5, 0.0),
+        changed = dict(n=5, lam=0.5, fractions=(0.5, 0.5, 0.0),
                        base_seed=1, workers=2, meanfield_step=2e-3,
                        lln_populations=(10, 40), lln_replicas=3, lln_time=0.25,
                        lln_grid_points=5, lln_median_bound=0.5,
@@ -425,7 +447,7 @@ class TestValidationConfig:
                        gillespie_lambda=1.5, gillespie_samples=44,
                        gillespie_p_threshold=0.05)
         assert set(changed) == {f.name for f in fields(ValidationConfig)}
-        sections = {"model": ("n", "lam", "total", "fractions"),
+        sections = {"model": ("n", "lam", "fractions"),
                     "run": ("base_seed", "workers")}
         lines = {"model": [], "run": [], "validate": []}
         for name, value in changed.items():
@@ -534,6 +556,12 @@ def test_run_validation_smoke(tmp_path):
      "fractions sum to"),
     ("[run]\nbase_seed = -3", DomainError,
      "base seed must be a non-negative integer, got -3"),
+    # no check reads a population total: each sets its own
+    ("[model]\ntotal = 5000", DomainError, r"\[model\] total: unknown option"),
+    ("[model]\ninitial = 0 0 0", DomainError,
+     r"\[model\] initial: need at least 3 non-negative counts with a "
+     "positive sum, got '0 0 0'"),
+    ("[model]\ninitial =", DomainError, r"\[model\] initial: .* got ''"),
 ])
 def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
                                                    line, error, message):
@@ -559,9 +587,13 @@ def test_run_validation_builds_no_trajectory_objects(monkeypatch):
     # every ensemble here takes the lockstep engine, and every check reads
     # the ensemble's arrays, so no per-replica object is ever made
     built = []
-    post_init = rpsim.core.Trajectory.__post_init__
-    monkeypatch.setattr(rpsim.core.Trajectory, "__post_init__",
-                        lambda self: built.append(post_init(self)))
+    init = rpsim.core.Trajectory.__init__
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(rpsim.core.Trajectory, "__init__", counted)
     cfg = ValidationConfig(
         lln_populations=(50, 200), lln_replicas=32, lln_time=0.5,
         lln_grid_points=11, clt_population=500, clt_replicas=120,
