@@ -39,6 +39,13 @@ def _numbers(text: str, cast, flag: str) -> tuple:
     return tuple(values)
 
 
+def _species(args) -> int:
+    """``--n``, checked here so that the message names the flag."""
+    if args.n < 3:
+        raise DomainError(f"--n must be at least 3, got {args.n}")
+    return args.n
+
+
 def _spec_from_args(args) -> ModelSpec:
     # rounded counts sum to --total, whatever it is
     if args.initial is not None:
@@ -47,7 +54,7 @@ def _spec_from_args(args) -> ModelSpec:
         counts = counts_from_fractions(
             _numbers(args.fractions, float, "--fractions"), args.total)
     else:
-        counts = symmetric_counts(args.n, args.total)
+        counts = symmetric_counts(_species(args), args.total)
     return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
                      initial=counts)
 
@@ -75,7 +82,7 @@ def _add_path_args(p: argparse.ArgumentParser, t_end, grid_points) -> None:
 
 def _path_from_args(args) -> MeanFieldPath:
     u0 = _numbers(args.u0, float, "--u0") if args.u0 is not None else \
-        np.full(args.n, 1.0 / args.n)
+        np.full(_species(args), 1.0 / args.n)
     return integrate(u0, args.rate, t_end=args.t_end, step=args.step,
                      grid=_grid_from_args(args))
 

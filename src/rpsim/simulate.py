@@ -83,7 +83,7 @@ _LOCKSTEP_MAX = 2048
 # of draws for a chunk of _LOCKSTEP_MAX replicas
 _LOCKSTEP_DRAWS = 256
 # replicas per block of an event-log replay; bounds its temporaries
-_REPLAY_BLOCK = 512
+_REPLAY_BLOCK = 128
 
 
 class ReplicaError(RpsimError):

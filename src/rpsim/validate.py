@@ -65,6 +65,8 @@ GRID_SUP_NOTE = (
 )
 
 _TIME_MATCH_TOL = 1e-9
+# replicas per block of an LLN record's temporaries
+_LLN_BLOCK = 64
 
 
 def zero_sum_projector(n: int) -> np.ndarray:
@@ -114,16 +116,27 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
     M and the largest-M median is below ``median_bound``; when
     ``ratio_band`` is given, successive-median ratios must lie inside it
     (the square-root-of-M heuristic for a 4x population step is about 2).
+
+    ``ensembles`` may be any iterable, a generator say, in increasing M.
+    It is consumed one ensemble at a time: each is checked against the
+    first (same species count, rate, initial fractions and sample grid),
+    its record is made, and it is dropped before the next is asked for, so
+    at most one ensemble's samples are held at once.
     """
-    ensembles = list(ensembles)
-    if not ensembles:
-        raise DomainError("need at least one ensemble")
-    sizes = [e.spec.total for e in ensembles]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise DomainError(f"populations must be strictly increasing, got {sizes}")
-    first = ensembles[0].spec
-    grid = ensembles[0].grid
+    records = []
+    first = grid = None
     for e in ensembles:
+        if first is None:
+            first, grid = e.spec, e.grid
+            if len(grid) == 0 or grid[-1] < t - _TIME_MATCH_TOL:
+                raise GridMismatch(f"grid does not cover [0, {t}]")
+            mask = grid <= t + _TIME_MATCH_TOL
+            mf_idx = _match_times(meanfield.grid, grid[mask])
+            u = meanfield.step_states[meanfield.indices[mf_idx]]
+        elif e.spec.total <= records[-1]["M"]:
+            sizes = [r["M"] for r in records] + [e.spec.total]
+            raise DomainError(
+                f"populations must be strictly increasing, got {sizes}")
         if e.spec.n != first.n or e.spec.lam != first.lam:
             raise DomainError("ensembles must share species count and rate")
         drift = np.max(np.abs(e.spec.fractions - first.fractions))
@@ -131,22 +144,10 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
             raise DomainError("ensembles must share initial fractions")
         if not np.array_equal(e.grid, grid):
             raise GridMismatch("all ensembles must share one sample grid")
-    if len(grid) == 0 or grid[-1] < t - _TIME_MATCH_TOL:
-        raise GridMismatch(f"grid does not cover [0, {t}]")
-
-    mask = grid <= t + _TIME_MATCH_TOL
-    used = grid[mask]
-    mf_idx = _match_times(meanfield.grid, used)
-    u = meanfield.step_states[meanfield.indices[mf_idx]]
-
-    records = []
-    for e in ensembles:
-        x = e.samples[:, mask, :].astype(float) / e.spec.total
-        devs = np.abs(x - u[None, :, :]).sum(axis=2).max(axis=1)
-        records.append({"M": e.spec.total, "replicas": e.replicas,
-                        "median": float(np.median(devs)),
-                        "q95": float(np.quantile(devs, 0.95)),
-                        "deviations": devs.tolist()})
+        records.append(_lln_record(e, mask, u))
+        del e           # free its samples while the next one is produced
+    if first is None:
+        raise DomainError("need at least one ensemble")
     medians = [r["median"] for r in records]
     ratios = [
         medians[i] / medians[i + 1] if medians[i + 1] > 0 else math.inf
@@ -165,6 +166,22 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
         "ratios_in_band": in_band, "records": records,
         "notes": [CALIBRATION_NOTE, GRID_SUP_NOTE],
     }
+
+
+def _lln_record(e: Ensemble, mask: np.ndarray, u: np.ndarray) -> dict:
+    """One population's record: the sup deviation of each replica over the
+    grid times in ``mask``, against the limit states ``u`` there.  It is
+    made a block of replicas at a time, so its temporaries stay small next
+    to the samples."""
+    devs = np.concatenate([
+        np.abs(block[:, mask].astype(float) / e.spec.total - u)
+        .sum(axis=2).max(axis=1)
+        for block in np.split(e.samples,
+                              range(_LLN_BLOCK, e.replicas, _LLN_BLOCK))])
+    return {"M": e.spec.total, "replicas": e.replicas,
+            "median": float(np.median(devs)),
+            "q95": float(np.quantile(devs, 0.95)),
+            "deviations": devs.tolist()}
 
 
 # --------------------------------------------------------------------------
@@ -583,9 +600,9 @@ class ValidationConfig:
         """Read a config file: ``[model]``, ``[run]`` and ``[validate]``
         sections whose options are the field names (``lambda`` for ``lam``).
         ``[model] initial`` counts give the ``fractions``, each count over
-        their sum; they must be at least 3 non-negative integers with a
-        positive sum.  An unknown section or option, or bad counts, is a
-        :class:`DomainError`."""
+        their sum; they must be ``[model] n`` non-negative integers, at
+        least 3, with a positive sum.  An unknown section or option, or bad
+        counts, is a :class:`DomainError`."""
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -628,6 +645,10 @@ class ValidationConfig:
                 raise DomainError("[model] initial: need at least 3 "
                                   "non-negative counts with a positive sum, "
                                   f"got {text!r}")
+            n = kw.get("n", cls.n)
+            if len(counts) != n:
+                raise DomainError(f"[model] initial has {len(counts)} counts "
+                                  f"but [model] n is {n}")
             kw["fractions"] = tuple(c / sum(counts) for c in counts)
         return cls(**kw)
 
@@ -651,8 +672,9 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
     Raises :class:`DomainError` for a base seed that is not a non-negative
     integer, a non-positive count, replica count or sample count, LLN
     populations that do not strictly increase, fewer than two LLN grid
-    points, a time or step that is not positive and finite, or a p
-    threshold outside (0, 1); :class:`InsufficientReplicas` for fewer
+    points, a time or step that is not positive and finite, a p threshold
+    outside (0, 1), or fractions or Gillespie counts not ``n`` long (the
+    message names both settings); :class:`InsufficientReplicas` for fewer
     CLT replicas than :func:`clt_test` needs; and whatever
     :class:`~rpsim.core.ModelSpec` raises for a model as it is built.
     """
@@ -683,6 +705,12 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
             f"clt_replicas must be at least {_CLT_MIN_REPLICAS}, "
             f"got {config.clt_replicas}")
 
+    for section, name in (("model", "fractions"),
+                          ("validate", "gillespie_counts")):
+        values = getattr(config, name)
+        if values and len(values) != config.n:
+            raise DomainError(f"[{section}] {name} has {len(values)} values "
+                              f"but [model] n is {config.n}")
     g_counts = config.gillespie_counts or (1,) * config.n
     g_lam = config.gillespie_lambda
     specs = [ModelSpec(n=config.n, lam=config.lam if g_lam is None else g_lam,
@@ -723,12 +751,13 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
     mf = integrate(config.model_fractions(), config.lam, t_end=config.lln_time,
                    step=config.meanfield_step, grid=grid)
-    ensembles = [
+    # a generator: each population runs when lln_test asks for it
+    ensembles = (
         run_ensemble(spec, config.lln_replicas, config.lln_time, grid,
                      config.base_seed + _SEED_LLN + k, workers=workers,
                      record_events=False)
         for k, spec in enumerate(lln_specs)
-    ]
+    )
     rep = reports["lln"] = lln_test(
         ensembles, mf, config.lln_time, median_bound=config.lln_median_bound,
         ratio_band=(config.lln_ratio_low, config.lln_ratio_high))
@@ -747,6 +776,7 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
                             workers=workers, record_events=False)
     rep = reports["clt"] = clt_test(
         ensemble, mf_clt, sigma_t, frobenius_bound=config.clt_frobenius_bound)
+    del ensemble        # free its samples before the martingale run
     say(f"clt: {'PASS' if rep['pass'] else 'FAIL'} "
         f"(frobenius={rep['frobenius_rel_err']:.4f})")
 

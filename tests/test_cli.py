@@ -129,6 +129,17 @@ class TestBadNumbers:
             f"error: {flag} must be non-negative, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "meanfield",
+                                         "fluctuation"])
+    @pytest.mark.parametrize("n", [2, 0, -1])
+    def test_too_few_species_names_the_flag(self, tmp_path, capsys, command,
+                                            n):
+        out = tmp_path / "x"
+        assert main([command, "--n", str(n), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --n must be at least 3, got {n}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_sigma0_is_a_domain_error(self, tmp_path, capsys,
                                                  value):

@@ -3,6 +3,8 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -298,6 +300,26 @@ class TestLln:
         assert not rep["ratios_in_band"]
         assert not rep["pass"]
 
+    def test_frees_each_ensemble_before_the_next_is_produced(self):
+        ensembles, mf = small_lln_setup(populations=(100, 400, 1600))
+        specs = [e.spec for e in ensembles]
+        grid = ensembles[0].grid
+        produced = []
+
+        def lazily():
+            for k, spec in enumerate(specs):
+                assert [ref() for ref in produced] == [None] * k
+                e = run_ensemble(spec, 40, 1.0, grid, 5 + k,
+                                 record_events=False)
+                produced.append(weakref.ref(e))
+                yield e
+                del e
+
+        streamed = lln_test(lazily(), mf, 1.0, median_bound=0.2)
+        assert len(produced) == 3
+        assert [ref() for ref in produced] == [None] * 3
+        assert streamed == lln_test(ensembles, mf, 1.0, median_bound=0.2)
+
 
 def clt_setup(replicas=200, m=2000, t=1.0, seed=7):
     spec = ModelSpec(n=3, lam=1.0, total=m,
@@ -549,7 +571,13 @@ def test_run_validation_smoke(tmp_path):
      "gillespie_p_threshold must lie in"),
     ("[validate]\ngillespie_lambda = -2", DomainError, "collision rate"),
     ("[validate]\ngillespie_counts = 1 1", DomainError,
-     "initial counts have length 2"),
+     r"^\[validate\] gillespie_counts has 2 values but \[model\] n is 3$"),
+    ("[model]\nfractions = 0.5 0.5", DomainError,
+     r"^\[model\] fractions has 2 values but \[model\] n is 3$"),
+    ("[model]\ninitial = 1 1 1 1", DomainError,
+     r"^\[model\] initial has 4 counts but \[model\] n is 3$"),
+    ("[model]\nn = 4\ninitial = 1 1 1", DomainError,
+     r"^\[model\] initial has 3 counts but \[model\] n is 4$"),
     ("[model]\nlambda = nan\n[validate]\ngillespie_lambda = 1", DomainError,
      "collision rate"),
     ("[model]\nfractions = 0.5 0.6 0.1", rpsim.core.NormalizationError,
@@ -581,6 +609,33 @@ def test_bad_base_seed_fails_before_any_ensemble_runs(monkeypatch, seed):
     with pytest.raises(DomainError, match=re.escape(
             f"base seed must be a non-negative integer, got {seed!r}")):
         run_validation(ValidationConfig(base_seed=seed))
+
+
+def test_peak_memory_holds_one_lln_population_at_a_time():
+    # every LLN population's samples are one (replicas, grid, n) array of
+    # the same size; quadrupling the replicas must grow the peak by about
+    # one such array (and the engine's draw block), not by all four and
+    # the record's temporaries, as it did when the populations were run
+    # into a list before the check and each record was made in one piece
+    def peak(replicas):
+        cfg = ValidationConfig(
+            lln_populations=(25, 100, 400, 1600), lln_replicas=replicas,
+            lln_time=0.5, lln_grid_points=201, clt_population=200,
+            clt_replicas=100, clt_time=0.2, martingale_population=20,
+            martingale_replicas=50, martingale_time=0.2,
+            gillespie_samples=200, base_seed=3)
+        tracemalloc.start()
+        try:
+            run_validation(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = 50
+    peak(base)      # the first run also allocates what is built once
+    samples = 3 * base * 201 * 3 * 8    # one population's growth, bytes
+    growth = peak(4 * base) - peak(base)
+    assert growth < 2 * samples, growth / samples
 
 
 def test_run_validation_builds_no_trajectory_objects(monkeypatch):
