@@ -40,19 +40,31 @@ def _numbers(text: str, cast, flag: str) -> tuple:
 
 
 def _species(args) -> int:
-    """``--n``, checked here so that the message names the flag."""
-    if args.n < 3:
-        raise DomainError(f"--n must be at least 3, got {args.n}")
-    return args.n
+    """``--n``, 3 when left out, checked here so that the message names
+    the flag."""
+    n = 3 if args.n is None else args.n
+    if n < 3:
+        raise DomainError(f"--n must be at least 3, got {n}")
+    return n
+
+
+def _per_species(text: str, cast, flag: str, n: int | None) -> tuple:
+    """The list given to ``flag``, one value per species; ``n``, an
+    explicit ``--n``, must agree with its length."""
+    values = _numbers(text, cast, flag)
+    if n is not None and n != len(values):
+        raise DomainError(f"{flag} has {len(values)} values but --n is {n}")
+    return values
 
 
 def _spec_from_args(args) -> ModelSpec:
     # rounded counts sum to --total, whatever it is
     if args.initial is not None:
-        counts = _numbers(args.initial, int, "--initial")
+        counts = _per_species(args.initial, int, "--initial", args.n)
     elif args.fractions is not None:
-        counts = counts_from_fractions(
-            _numbers(args.fractions, float, "--fractions"), args.total)
+        fractions = _per_species(args.fractions, float, "--fractions",
+                                 args.n)
+        counts = counts_from_fractions(fractions, args.total)
     else:
         counts = symmetric_counts(_species(args), args.total)
     return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
@@ -70,8 +82,12 @@ def _grid_from_args(args) -> np.ndarray:
     return np.linspace(0.0, args.t_end, points)
 
 
+_N_HELP = "number of species (default 3); when given with {}, it must " \
+    "match their number"
+
+
 def _add_path_args(p: argparse.ArgumentParser, t_end, grid_points) -> None:
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, help=_N_HELP.format("--u0"))
     p.add_argument("--u0", help="comma-separated initial fractions")
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--t-end", type=float, default=t_end)
@@ -81,20 +97,25 @@ def _add_path_args(p: argparse.ArgumentParser, t_end, grid_points) -> None:
 
 
 def _path_from_args(args) -> MeanFieldPath:
-    u0 = _numbers(args.u0, float, "--u0") if args.u0 is not None else \
-        np.full(_species(args), 1.0 / args.n)
+    if args.u0 is not None:
+        u0 = _per_species(args.u0, float, "--u0", args.n)
+    else:
+        n = _species(args)
+        u0 = np.full(n, 1.0 / n)
     return integrate(u0, args.rate, t_end=args.t_end, step=args.step,
                      grid=_grid_from_args(args))
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=3, help="number of species")
+    p.add_argument("--n", type=int,
+                   help=_N_HELP.format("--initial or --fractions"))
     p.add_argument("--rate", type=float, default=1.0,
                    help="pairwise collision rate")
     p.add_argument("--total", type=int, default=1000,
                    help="population size M")
     p.add_argument("--initial", help="comma-separated species counts "
-                   "(overrides --n/--total/--fractions)")
+                   "(overrides --total/--fractions; an explicit --n must "
+                   "match their number)")
     p.add_argument("--fractions", help="comma-separated initial fractions, "
                    "converted to counts by largest remainder")
 

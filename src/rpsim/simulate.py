@@ -17,12 +17,15 @@ Two engines run this loop with the same arithmetic in the same order:
   generated and compiled once per species count, unrolled so that every
   count, clock and threshold is a local variable.  Ensembles of fewer than
   32 replicas (``_LOCKSTEP_MIN``) run it once per replica.
-* ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together
-  on ``(replicas, n)`` arrays, one event per replica per step, and takes
-  larger ensembles in chunks; below 32 replicas it measured slower than one
-  at a time.  Its draws sit in a buffer indexed by replica, up to 256
-  columns (``_LOCKSTEP_DRAWS``) of each replica's stream, 4 MiB per chunk;
-  a refill calls only the live replicas' generators.
+* ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together,
+  one event per replica per step, and takes larger ensembles in chunks;
+  below 32 replicas it measured slower than one at a time.  Its state is
+  species-major, ``(n, replicas)`` arrays with one column per replica, so
+  a step finds every replica's ``dt`` as a column minimum, and where a
+  column ties, the first (lowest-indexed) minimum fires.  Its draws sit in
+  a buffer indexed by replica, up to 256 columns (``_LOCKSTEP_DRAWS``) of
+  each replica's stream, 4 MiB per chunk; a refill calls only the live
+  replicas' generators.
 
 Both write their replicas' rows of the ensemble's arrays in place and append
 their events, in replica order, to the ensemble's one flat event log.
@@ -397,29 +400,32 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
     """Replicas ``first, first + 1, ...`` all at once, one event each per step.
 
     The loop of :func:`run_until`, with the same operations in the same
-    order, on (live replicas, n) arrays.  Every live replica fires its
-    event ``k`` at step ``k`` and so takes draw ``n + k`` of its stream:
-    one column pointer into a ``(replicas, width)`` buffer of draws replays
-    the draws of :func:`run_until` exactly.  ``width`` is
-    ``_LOCKSTEP_DRAWS`` (256 columns, 4 MiB for a chunk of
-    ``_LOCKSTEP_MAX``), or fewer when the run is expected to be short.  The
-    streams come from one :func:`~rpsim.core.rng_streams` call.  A replica
-    that absorbs or passes the horizon is compacted out of the state
-    arrays, but the buffer is indexed by replica and never compacted: row
-    ``i`` stays replica ``first + i``'s, and a refill calls only the live
-    replicas' generators.  Row ``i`` of ``samples``, ``final`` and
-    ``absorbed_at`` (NaN on entry) is replica ``first + i``'s.  With
-    ``log``, each step appends its live replicas' event times and reactions
-    to a flat step log; at the end they are put in replica order and
-    appended to ``log``, and ``ends[i]`` is set to the log's length after
-    replica ``first + i``.
+    order, on species-major ``(n, live replicas)`` arrays: row ``j`` is
+    clock (and species) ``j``, one column per replica.  A step's ``dt`` is
+    each column's minimum gap, and the clock that fires is the first in its
+    column to attain it, as :func:`run_until`'s strict ``<`` picks it.
+    Every live replica fires its event ``k`` at step ``k`` and so takes
+    draw ``n + k`` of its stream, from column ``(n + k) % width`` of a
+    ``(replicas, width)`` buffer that each replica's generator refills by
+    rows (a contiguous row each, so a step reads its column strided).
+    ``width`` is ``_LOCKSTEP_DRAWS`` (256, 4 MiB for a chunk of
+    ``_LOCKSTEP_MAX``), or fewer when the run is expected to be short.  A
+    replica that absorbs or passes the horizon is compacted out of the
+    state, not out of the buffer: row ``i`` stays replica ``first + i``'s,
+    as in ``samples``, ``final`` and ``absorbed_at`` (NaN on entry), and a
+    refill calls only the live replicas' generators.  With ``log``, each
+    step appends its live replicas' event times and reactions to a flat
+    step log; at the end they are put in replica order and appended to
+    ``log``, and ``ends[i]`` is set to the log's length after replica
+    ``first + i``.
     """
     n = spec.n
     replicas = len(final)
     lam_over_m = spec.lam / spec.total
     total = spec.total
     nxt = np.array([(j + 1) % n for j in range(n)])
-    ones = np.ones(n)
+    prv = np.array([(j - 1) % n for j in range(n)])
+    reaction = np.arange(n, dtype=np.int16)
     # a replica that expects fewer events (twice its initial rate times the
     # horizon) takes a narrower block: filling draws it never reads costs
     # more than refilling the few replicas that overrun
@@ -438,11 +444,11 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
     # each step's event times and reactions, raw, so an append makes no object
     steps = [array.array("d"), array.array("h")]
 
-    # state of the live replicas, one row each; counts are exact in float64
+    # state of the live replicas, one column each; counts are exact in float64
     ids = np.arange(replicas)       # replica index - first
-    counts = np.tile(np.asarray(spec.initial, dtype=float), (replicas, 1))
-    internal = np.zeros((replicas, n))
-    threshold = draws[:, :n].copy()
+    counts = np.outer(spec.initial, np.ones(replicas))
+    internal = np.zeros((n, replicas))
+    threshold = draws[:, :n].T.copy()
     col = n
     t = np.zeros(replicas)
     gi = np.zeros(replicas, dtype=np.intp)
@@ -450,63 +456,58 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
     # new_time > stop ends a replica; with an infinite horizon only absorption
     stop = t_end if t_end < math.inf else np.finfo(float).max
     k = 0                           # events fired so far by every live replica
-    base = np.arange(0, replicas * n, n)    # flat index of each row's clock 0
-    # flat index of each clock's species j + 1; counts.take(nbr) is laid out
-    # row by row, where counts[:, nxt] comes out column by column and makes
-    # the rate product several times slower
-    nbr = base[:, None] + nxt
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(ids):
-            rate = lam_over_m * counts * counts.take(nbr)
+            rate = lam_over_m * counts * counts.take(nxt, axis=0)
             gap = (threshold - internal) / rate
             if not rate.all():
                 gap[rate == 0.0] = math.inf
-            best = gap.argmin(axis=1)
-            flat = base + best
-            dt = gap.take(flat)
+            dt = gap.min(axis=0)
             new_time = t + dt
 
             done = new_time > stop
-            if done.any():
+            if np.count_nonzero(done):
                 out = ids[done]
-                final[out] = counts[done]
+                final[out] = ended = counts.compress(done, axis=1).T
                 n_events[out] = k
                 hit = dt[done] == math.inf
                 absorbed_at[out[hit]] = t[done][hit]
                 if glen:  # the state no longer changes
-                    for i, row, start in zip(out, counts[done], gi[done]):
+                    for i, row, start in zip(out, ended, gi[done]):
                         samples[i, start:] = row
-                keep = ~done
-                (ids, counts, internal, threshold, t, gi, g_next, rate, best,
-                 dt, new_time) = (
-                    a[keep] for a in (ids, counts, internal, threshold, t, gi,
-                                      g_next, rate, best, dt, new_time))
+                keep = np.flatnonzero(~done)
+                (ids, counts, internal, threshold, t, gi, g_next, rate, gap,
+                 dt, new_time) = (a.take(keep, axis=-1) for a in (
+                    ids, counts, internal, threshold, t, gi, g_next, rate, gap,
+                    dt, new_time))
                 if not len(ids):
                     break
-                base, nbr = base[:len(ids)], nbr[:len(ids)]
-                flat = base + best
+            fire = gap == dt        # the first minimum of each column fires
+            if np.count_nonzero(fire) != len(ids):
+                fire &= fire.cumsum(axis=0) == 1
+            fired = fire.astype(float)
 
             cross = g_next < new_time
-            if cross.any():
+            if np.count_nonzero(cross):
                 # grid times before the event record the pre-event state:
-                # the first one of each row, then any further ones
+                # the first one of each replica, then any further ones
                 rows = np.flatnonzero(cross)
                 lo = gi[rows]
-                samples[ids[rows], lo] = counts[rows]
+                samples[ids[rows], lo] = counts.take(rows, axis=1).T
                 lo += 1
                 g = grid_next[lo]
                 gi[rows] = lo
                 g_next[rows] = g
                 far = g < new_time[rows]
-                if far.any():
+                if np.count_nonzero(far):
                     rows, lo = rows[far], lo[far]
                     hi = np.searchsorted(grid, new_time[rows], side="left")
                     span = hi - lo
                     rep = np.repeat(rows, span)
                     start = np.cumsum(span) - span   # each row's first slot
                     cols = np.arange(len(rep)) + np.repeat(lo - start, span)
-                    samples[ids[rep], cols] = counts[rep]
+                    samples[ids[rep], cols] = counts.take(rep, axis=1).T
                     gi[rows] = hi
                     g_next[rows] = grid_next[hi]
 
@@ -515,30 +516,29 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
                     fills[i](out=draws[i])
                 col = 0
             # the same IEEE sum as internal + rate * dt, without a temporary
-            advanced = rate * dt[:, None]
+            advanced = rate * dt
             advanced += internal
-            fired = threshold.take(flat)
-            advanced.put(flat, fired)
-            if (advanced > threshold).any():
+            advanced = np.where(fire, threshold, advanced)
+            if np.count_nonzero(advanced > threshold):
                 # rounding may carry a clock a hair past its threshold
                 over = advanced - threshold
                 bad = over > _OVERSHOOT_RTOL * np.maximum(1.0, threshold)
                 if bad.any():
                     # internal-time drift: rerun serially up to the first
                     # failing replica, so the error is the serial path's
-                    last = first + int(ids[bad.any(axis=1)][0])
+                    last = first + int(ids[bad.any(axis=0)][0])
                     for i in range(first, last + 1):
                         _replica(spec, t_end, grid, base_seed, i, max_events)
                     raise AssertionError("lockstep and serial engines disagree")
                 np.minimum(advanced, threshold, out=advanced)
             internal = advanced
-            # until a replica leaves, every row of draws is live
-            threshold.put(flat, fired + (draws[:, col] if len(ids) == replicas
-                                         else draws[ids, col]))
+            # + 0.0 leaves an unfired clock's threshold as it was; the draw
+            # column is read strided once, not once per row of the product
+            threshold += fired * (draws[:, col].copy() if len(ids) == replicas
+                                  else draws[ids, col])
             col += 1
-            flat_counts = counts.reshape(-1)
-            flat_counts[flat] += 1.0
-            flat_counts[nbr.take(flat)] -= 1.0
+            counts += fired
+            counts -= fired.take(prv, axis=0)
             t = new_time
             k += 1
             if k > max_events:
@@ -547,12 +547,14 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
                 exc = BudgetExceeded(f"exceeded {max_events} events at "
                                      f"t={t[0]:.6g} (horizon {t_end})")
                 raise ReplicaError(first + int(ids[0]), exc) from exc
-            # exact: the row sums are integers far below 2**53
-            if (counts @ ones != total).any():
+            # exact: the column sums are integers far below 2**53
+            if np.count_nonzero(counts.sum(axis=0) != total):
                 raise AssertionError("population conservation violated")  # unreachable
             if log is not None:
                 steps[0].frombytes(t.view(np.uint8))
-                steps[1].frombytes(best.astype(np.int16).view(np.uint8))
+                # the fired clock's index: one mark in each column
+                steps[1].frombytes(np.einsum("j,jr->r", reaction, fire)
+                                   .view(np.uint8))
 
     if log is not None:
         # replica first + i's event k is entry start[i] + k of the chunk's

@@ -36,6 +36,10 @@ class TestSimulateCommand:
         main(["simulate", "--n", "3", "--total", "10",
               "--replicas", "1", "--out", str(tmp_path / "b")])
         assert read_ensemble(tmp_path / "b").spec.initial == (4, 3, 3)
+        # an explicit --n that agrees with the list is accepted
+        main(["simulate", "--n", "3", "--fractions", "0.5,0.3,0.2",
+              "--total", "10", "--replicas", "1", "--out", str(tmp_path / "c")])
+        assert read_ensemble(tmp_path / "c").spec.initial == (5, 3, 2)
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         outs = []
@@ -138,6 +142,23 @@ class TestBadNumbers:
         assert main([command, "--n", str(n), "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             f"error: --n must be at least 3, got {n}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag, given", [
+        (["simulate", "--n", "5", "--fractions", "0.5,0.3,0.2"],
+         "--fractions", 3),
+        (["simulate", "--n", "4", "--initial", "9,3,5,7,1"], "--initial", 5),
+        (["meanfield", "--n", "5", "--u0", "0.5,0.3,0.2"], "--u0", 3),
+        (["fluctuation", "--n", "3", "--u0", "0.3,0.1,0.2,0.15,0.25"],
+         "--u0", 5),
+    ])
+    def test_n_that_disagrees_with_the_list_names_both_flags(
+            self, tmp_path, capsys, argv, flag, given):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        n = argv[argv.index("--n") + 1]
+        assert capsys.readouterr().err == \
+            f"error: {flag} has {given} values but --n is {n}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

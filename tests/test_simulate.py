@@ -158,6 +158,27 @@ class TestOvershootClamp:
             run_ensemble(self.SPEC, 32, 10.0, [0.0, 10.0], 0)
         assert isinstance(err.value.__cause__, NumericError)
 
+    def test_guard_names_a_later_replica(self, monkeypatch):
+        # replicas 0-6 draw thresholds that do not tie and run clean; replica
+        # 7 draws the tying ones, so the guard must point at its column
+        monkeypatch.setattr(rpsim.simulate, "_OVERSHOOT_RTOL", 0.0)
+
+        def draws(i):
+            return FixedDraws(*[self.H] * 3) if i == 7 else \
+                FixedDraws(0.9, 0.3, 0.6)
+
+        monkeypatch.setattr(rpsim.simulate, "rng_streams",
+                            lambda base_seed, first, count:
+                            [draws(first + i) for i in range(count)])
+        monkeypatch.setattr(rpsim.simulate, "rng_stream",
+                            lambda base_seed, i: draws(i))
+        with pytest.raises(ReplicaError,
+                           match=r"^replica 7: clock 1 overshot its threshold "
+                                 r"by 2\.776e-17") as err:
+            run_ensemble(self.SPEC, 32, 10.0, [0.0, 10.0], 0)
+        assert err.value.index == 7
+        assert isinstance(err.value.__cause__, NumericError)
+
 
 def reference_events(spec, t_end, rng):
     """One event at a time, scalar draws straight from ``rng``: the modified
