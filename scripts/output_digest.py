@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Run a fixed set of CLI commands and print the sha256 of every output.
+
+The set covers each engine path and writer: `simulate` below and above the
+32 replicas at which ensembles step together, with five species, to
+absorption, in two lockstep chunks and without event logs; `meanfield` at
+n = 3 and n = 5; three `fluctuation` runs (the benchmark's 2 000 paths, five
+species with off-step report times, and a given initial covariance); and
+`validate` at base seeds 42-57.  Each command runs in a fresh directory
+with relative paths, so its console output is hashed too.
+
+One line per file, `<sha256>  <case>/<file>`, then a combined digest of
+those lines.  Run it once against each tree to compare two commits:
+
+    PYTHONPATH=ab/parent/src python3 scripts/output_digest.py > parent.txt
+    PYTHONPATH=ab/change/src python3 scripts/output_digest.py > change.txt
+    diff parent.txt change.txt
+
+`--quick` runs the small cases only, in about a second.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from rpsim.cli import main as rpsim_main
+
+U5 = "0.3,0.1,0.2,0.15,0.25"
+SIMULATE_64 = ["simulate", "--replicas", "64", "--total", "60", "--t-end", "2",
+               "--grid-points", "5", "--base-seed", "5"]
+# (case, arguments, in the quick subset)
+CASES = [
+    ("simulate-8", ["simulate", "--replicas", "8", "--total", "300",
+                    "--t-end", "1", "--grid", "0,1e-5,0.5,1",
+                    "--base-seed", "9", "--events"], True),
+    ("simulate-64", SIMULATE_64 + ["--events"], True),
+    ("simulate-64-no-events", SIMULATE_64 + ["--no-events"], True),
+    ("simulate-n5", ["simulate", "--n", "5", "--initial", "9,3,5,7,1",
+                     "--replicas", "40", "--t-end", "1", "--base-seed", "3",
+                     "--events"], True),
+    ("simulate-absorbing", ["simulate", "--replicas", "40", "--total", "30",
+                            "--t-end", "inf", "--grid", "0",
+                            "--base-seed", "2", "--events"], True),
+    ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
+                             "30", "--t-end", "1", "--grid-points", "3",
+                             "--base-seed", "4", "--events"], False),
+    ("meanfield-n3", ["meanfield", "--t-end", "10"], True),
+    ("meanfield-n5", ["meanfield", "--u0", U5, "--t-end", "2"], True),
+    ("fluctuation-paths", ["fluctuation", "--paths", "2000", "--t-end", "10",
+                           "--grid-points", "101", "--base-seed", "1"], False),
+    ("fluctuation-n5", ["fluctuation", "--u0", U5, "--t-end", "2",
+                        "--paths", "300", "--grid", "0,1e-5,0.3333,1,2",
+                        "--base-seed", "7"], True),
+    ("fluctuation-sigma0", ["fluctuation", "--u0", "0.5,0.3,0.2",
+                            "--t-end", "1", "--sigma0",
+                            "0.02,-0.01,-0.01,-0.01,0.02,-0.01,-0.01,-0.01,"
+                            "0.02"], True),
+] + [(f"validate-{seed}", ["validate", "--config", f"validate-{seed}.ini"],
+      False) for seed in range(42, 58)]
+
+
+def run_case(name: str, argv: list, work: Path) -> list[tuple[str, str]]:
+    """``(sha256, case/file)`` of each output of one command, run in
+    ``work`` with ``--out`` the case's name, and of its console output."""
+    if argv[0] == "validate":
+        seed = name.split("-")[1]
+        (work / argv[2]).write_text(f"[run]\nbase_seed = {seed}\n",
+                                    encoding="utf-8")
+    out = name + (".csv" if argv[0] == "meanfield" else "")
+    console = io.StringIO()
+    with contextlib.redirect_stdout(console):
+        code = rpsim_main(argv + ["--out", out])
+    console.write(f"exit {code}\n")
+    digests = [(hashlib.sha256(console.getvalue().encode()).hexdigest(),
+                f"{name}/stdout")]
+    paths = [work / out] if argv[0] == "meanfield" else \
+        sorted((work / out).iterdir())
+    for path in paths:
+        digests.append((hashlib.sha256(path.read_bytes()).hexdigest(),
+                        f"{name}/{path.name}"))
+    return digests
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="run only the small cases")
+    args = ap.parse_args()
+
+    lines = []
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, argv, quick in CASES:
+                if quick or not args.quick:
+                    lines += [f"{digest}  {label}" for digest, label
+                              in run_case(name, argv, Path(tmp))]
+        finally:
+            os.chdir(home)
+    combined = hashlib.sha256("".join(f"{line}\n" for line in lines)
+                              .encode()).hexdigest()
+    print("\n".join(lines))
+    print(f"{combined}  combined")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,16 +58,17 @@ def _per_species(text: str, cast, flag: str, n: int | None) -> tuple:
 
 
 def _spec_from_args(args) -> ModelSpec:
-    # rounded counts sum to --total, whatever it is
+    total = args.total
     if args.initial is not None:
         counts = _per_species(args.initial, int, "--initial", args.n)
+        total = sum(counts)     # the counts override --total
     elif args.fractions is not None:
         fractions = _per_species(args.fractions, float, "--fractions",
                                  args.n)
         counts = counts_from_fractions(fractions, args.total)
     else:
         counts = symmetric_counts(_species(args), args.total)
-    return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
+    return ModelSpec(n=len(counts), lam=args.rate, total=total,
                      initial=counts)
 
 

@@ -92,6 +92,8 @@ class MissingEventLog(RpsimError):
 
 # event logs store reaction indices as int16
 MAX_SPECIES = 2**15 - 1
+# the lockstep engine holds counts in float64, exact up to here
+MAX_TOTAL = 2**53
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class ModelSpec:
     lam : float
         Collision rate per unit time (see :func:`check_rate`).
     total : int
-        Conserved population size, at least 1.
+        Conserved population size, 1 to ``MAX_TOTAL`` (2**53).
     initial : tuple[int, ...]
         ``n`` non-negative counts per species, summing to ``total``.
     """
@@ -131,6 +133,10 @@ class ModelSpec:
         lam = check_rate(self.lam)
         if total < 1:
             raise DomainError(f"population total must be at least 1, got {total}")
+        if total > MAX_TOTAL:
+            raise DomainError(f"population total must be at most 2**53 = "
+                              f"{MAX_TOTAL}, where float64 counts stop being "
+                              f"exact, got {total}")
         counts = tuple(self.initial) if np.iterable(self.initial) else (None,)
         if not all(map(_is_integer, counts)):
             raise DomainError(
@@ -238,16 +244,28 @@ def check_grid(grid) -> np.ndarray:
 
 def counts_from_fractions(fractions, total: int) -> tuple[int, ...]:
     """Round non-negative fractions summing to 1 into integer counts summing
-    to ``total`` (largest-remainder method; ties go to the lowest index)."""
+    to ``total`` (largest-remainder method; ties go to the lowest index).
+
+    The floors of the float products may fall short of ``total`` by more
+    than ``n`` units, or overshoot it (products rounded up, or fractions
+    summing a little above 1).  Leftover units then go round the
+    largest-remainder order, and a surplus comes back from the largest
+    count (the lowest-indexed one), which holds at least ``1/n`` of the
+    floors and so more than any surplus.
+    """
     f = check_fractions(fractions)
     scaled = f * total
-    counts = np.floor(scaled).astype(int)
-    short = total - int(counts.sum())
+    counts = [math.floor(s) for s in scaled.tolist()]
+    short = total - sum(counts)
+    if short < 0:
+        counts[counts.index(max(counts))] += short
+        return tuple(counts)
     # hand leftover units to the largest fractional parts, lowest index first
     order = sorted(range(len(f)), key=lambda i: (-(scaled[i] - counts[i]), i))
-    for i in order[:short]:
-        counts[i] += 1
-    return tuple(int(c) for c in counts)
+    every, rest = divmod(short, len(f))
+    for rank, i in enumerate(order):
+        counts[i] += every + (rank < rest)
+    return tuple(counts)
 
 
 def symmetric_counts(n: int, total: int) -> tuple[int, ...]:

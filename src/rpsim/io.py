@@ -17,12 +17,13 @@ through ``%`` itself, one at a time; each cell's printed width places their
 text in the block.  A grid that every replica or path shares is formatted
 once per file, and each block gathers its rows' times from that text.
 
-One :func:`numpy.loadtxt` call parses up to ``_CHUNK`` rows, or fewer if
-the file cannot hold them (loadtxt allocates them all up front).  An event
-log is read into arrays sized from the manifest, and the samples into one
-sized from replica 0's rows, which come first, so reading holds each once
-plus one block.  Malformed CSV input raises :class:`DomainError` naming the
-file and, where it can, the row.
+A reader parses a block of up to ``_CHUNK`` lines with one
+:func:`numpy.loadtxt` call, which takes them from the file one at a time
+and skips empty ones; a block starts at a line that is not empty, so none
+is without rows.  An event log is read into arrays sized from the
+manifest, and the samples into one sized from replica 0's rows, which come
+first, so reading holds each once plus one block.  Malformed CSV input
+raises :class:`DomainError` naming the file and, where it can, the row.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ import json
 import math
 import os
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,30 +391,19 @@ def _rows_fit(f, fields: list) -> int:
 
 
 def _blocks(f, path: Path, fields: list):
-    """The rows of CSV file ``f`` (``path``) after its header, up to
-    ``_CHUNK`` (or as many as the file can hold) at a time: ``(lo, rows)``
-    per block, ``rows`` being the file's rows ``lo..`` parsed as a leading
-    replica column and then one field per column."""
+    """The rows of CSV file ``f`` (``path``) after its header, parsed
+    ``_CHUNK`` lines at a time: ``(lo, rows)`` per block, ``rows`` being
+    the file's rows ``lo..`` parsed as a leading replica column and then
+    one field per column.  Empty lines are skipped, as in a whole file."""
     dtype = [("replica", np.int64)] + fields
-    # loadtxt allocates max_rows rows up front
-    max_rows = max(1, min(_CHUNK, _rows_fit(f, fields)))
     lo = 0
-    while True:
-        # loadtxt warns on a block with no rows, and skips empty lines
-        line = f.readline()
-        while line == "\n":
-            line = f.readline()
-        if not line:
-            return
+    for line in f:
+        if line == "\n":
+            continue    # a block starts at a row: loadtxt warns on none
         try:
-            with warnings.catch_warnings():
-                # an empty line inside a block is skipped, as in a whole
-                # file, though with max_rows numpy warns about it
-                warnings.filterwarnings("ignore", "Input line .* no data",
-                                        UserWarning)
-                rows = np.loadtxt(itertools.chain((line,), f), dtype=dtype,
-                                  delimiter=",", comments=None, ndmin=1,
-                                  max_rows=max_rows)
+            rows = np.loadtxt(
+                itertools.chain((line,), itertools.islice(f, _CHUNK - 1)),
+                dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             # its message ends by naming the row it can, counted within the
             # block; name the row of the file instead

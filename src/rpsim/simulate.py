@@ -28,7 +28,10 @@ Two engines run this loop with the same arithmetic in the same order:
   replicas' generators.
 
 Both write their replicas' rows of the ensemble's arrays in place and append
-their events, in replica order, to the ensemble's one flat event log.
+their events, in replica order, to the ensemble's one flat event log.  The
+lockstep engine logs a chunk's events step by step and, at the chunk's end,
+places them in replica order by one stable sort on each event's index
+within its replica.
 
 Draw order, the contract both engines keep: replica ``i`` of an ensemble
 reads ``rng_stream(base_seed, i)``, ``n`` initial thresholds in clock order,
@@ -415,9 +418,10 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
     as in ``samples``, ``final`` and ``absorbed_at`` (NaN on entry), and a
     refill calls only the live replicas' generators.  With ``log``, each
     step appends its live replicas' event times and reactions to a flat
-    step log; at the end they are put in replica order and appended to
-    ``log``, and ``ends[i]`` is set to the log's length after replica
-    ``first + i``.
+    step log, in replica order.  At the end, a stable sort of the step
+    log's entries by event index (step) places each at its replica-major
+    position, both logs are written there once and appended to ``log``,
+    and ``ends[i]`` is set to the log's length after replica ``first + i``.
     """
     n = spec.n
     replicas = len(final)
@@ -444,7 +448,8 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
     # each step's event times and reactions, raw, so an append makes no object
     steps = [array.array("d"), array.array("h")]
 
-    # state of the live replicas, one column each; counts are exact in float64
+    # state of the live replicas, one column each; counts are exact in
+    # float64, since ModelSpec caps the total at 2**53
     ids = np.arange(replicas)       # replica index - first
     counts = np.outer(spec.initial, np.ones(replicas))
     internal = np.zeros((n, replicas))
@@ -547,7 +552,7 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
                 exc = BudgetExceeded(f"exceeded {max_events} events at "
                                      f"t={t[0]:.6g} (horizon {t_end})")
                 raise ReplicaError(first + int(ids[0]), exc) from exc
-            # exact: the column sums are integers far below 2**53
+            # exact: the column sums are integers of at most 2**53
             if np.count_nonzero(counts.sum(axis=0) != total):
                 raise AssertionError("population conservation violated")  # unreachable
             if log is not None:
@@ -557,20 +562,22 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
                                    .view(np.uint8))
 
     if log is not None:
+        del draws   # not held while the log is placed
         # replica first + i's event k is entry start[i] + k of the chunk's
-        # events; each step log is freed before the log grows
+        # events; the step log holds them by k, each step in replica order,
+        # so a stable sort by k gives each step-log entry its place
         np.cumsum(n_events, out=ends)
         start = ends - n_events
+        at = np.argsort(np.arange(ends[-1]) - np.repeat(start, n_events),
+                        kind="stable")
         ends += len(log[0])
         for out in log:
             step = np.frombuffer(steps.pop(0), dtype=out.typecode)
-            chunk, live, lo = np.empty_like(step), np.arange(replicas), 0
-            for k in range(n_events.max()):
-                live = live[n_events[live] > k]     # the live rows at step k
-                chunk[start[live] + k] = step[lo:lo + len(live)]
-                lo += len(live)
-            del step
+            chunk = np.empty_like(step)
+            chunk[at] = step
+            del step    # freed before the log grows
             out.frombytes(chunk.view(np.uint8))
+            del chunk   # nor held while the next one is made
 
 
 def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,

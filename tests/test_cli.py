@@ -41,6 +41,16 @@ class TestSimulateCommand:
               "--total", "10", "--replicas", "1", "--out", str(tmp_path / "c")])
         assert read_ensemble(tmp_path / "c").spec.initial == (5, 3, 2)
 
+    def test_the_ensemble_has_the_given_total(self, tmp_path):
+        # the float split of this total once overshot it by 5, and the
+        # ensemble ran a population the user had not asked for
+        total = 8_410_993_739_469_404
+        assert main(["simulate", "--n", "5", "--total", str(total),
+                     "--t-end", "0", "--out", str(tmp_path / "t")]) == 0
+        manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+        assert manifest["model"]["total"] == total
+        assert sum(manifest["model"]["initial"]) == total
+
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         outs = []
         for name, workers in (("r1", "1"), ("r2", "1"), ("r3", "4")):
@@ -131,6 +141,14 @@ class TestBadNumbers:
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             f"error: {flag} must be non-negative, got {value}\n"
+        assert not out.exists()
+
+    def test_total_past_2_to_the_53_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--total", str(2**53 + 1),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: population total must be at most 2**53")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "meanfield",

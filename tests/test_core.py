@@ -159,6 +159,14 @@ class TestModelSpec:
         spec = ModelSpec(n=3, lam=1.0, total=5, initial=(5, 0, 0))
         assert spec.initial_total_rate() == 0.0
 
+    def test_total_is_at_most_2_to_the_53(self):
+        # the lockstep engine's float64 counts are exact up to 2**53
+        assert ModelSpec(n=3, lam=1.0, total=2**53,
+                         initial=(2**53 - 2, 1, 1)).total == 2**53
+        with pytest.raises(DomainError, match="at most 2\\*\\*53"):
+            ModelSpec(n=3, lam=1.0, total=2**53 + 1,
+                      initial=(2**53 - 1, 1, 1))
+
 
 class TestCountsFromFractions:
     def test_exact_split(self):
@@ -197,6 +205,57 @@ def test_symmetric_counts():
     assert symmetric_counts(3, 10) == (4, 3, 3)
     assert symmetric_counts(5, 12) == (3, 3, 2, 2, 2)
     assert sum(symmetric_counts(8, 1001)) == 1001
+
+
+def largest_remainder_floats(fractions, total):
+    """counts_from_fractions as it was before splits were made to sum to
+    their total: right wherever its floors fall 0 to n units short."""
+    scaled = np.asarray(fractions) * total
+    counts = np.floor(scaled).astype(int)
+    short = total - int(counts.sum())
+    order = sorted(range(len(scaled)),
+                   key=lambda i: (-(scaled[i] - counts[i]), i))
+    for i in order[:short]:
+        counts[i] += 1
+    return tuple(int(c) for c in counts)
+
+
+@pytest.mark.parametrize("fractions", [
+    np.full(3, 1 / 3), (0.5, 0.3, 0.2), np.full(5, 0.2), np.full(7, 1 / 7),
+    (0.25, 0.25, 0.0, 0.5), (0.1, 0.2, 0.3, 0.4),
+])
+def test_every_split_sums_to_its_total(fractions):
+    # above 2**52 the floors of the float products can fall more than n
+    # units short of the total, or overshoot it; every split must sum to
+    # its total, and one that did before stays as it was
+    rng = np.random.default_rng(7)
+    totals = [*range(1, 1001), *rng.integers(2**52, 2**53 + 1, 1500).tolist(),
+              *rng.integers(1, 2**53 + 1, 500).tolist()]
+    for total in totals:
+        counts = counts_from_fractions(fractions, total)
+        assert sum(counts) == total and min(counts) >= 0, total
+        before = largest_remainder_floats(fractions, total)
+        if sum(before) == total:
+            assert counts == before, total
+
+
+def test_splits_that_missed_their_total():
+    # the floats' floors fall 4 units short of 10**17 over 3 species, and
+    # overshoot this total by 1 over 5, which the old split turned into 5
+    assert sum(largest_remainder_floats(np.full(3, 1 / 3), 10**17)) == \
+        10**17 - 1
+    assert sum(symmetric_counts(3, 10**17)) == 10**17
+    total = 8_410_993_739_469_404
+    assert sum(largest_remainder_floats(np.full(5, 0.2), total)) == total + 5
+    assert symmetric_counts(5, total) == (1682198747893880,) + \
+        (1682198747893881,) * 4
+    # fractions may sum to 1 + 1e-9: their floors then overshoot the total
+    assert sum(largest_remainder_floats((0.5, 0.5 + 9e-10, 0.0), 10**10)) \
+        == 10**10 + 9
+    assert counts_from_fractions((0.5, 0.5 + 9e-10, 0.0), 10**10) == \
+        (5 * 10**9, 5 * 10**9, 0)
+    assert counts_from_fractions((0.3, 0.4 + 9e-10, 0.3), 10**10) == \
+        (3 * 10**9, 4 * 10**9, 3 * 10**9)
 
 
 class TestRngStream:

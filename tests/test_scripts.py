@@ -20,6 +20,7 @@ SCRIPT_ARGS = {
                        "--grid-points", "11"],
     "clt_covariance.py": ["--population", "500", "--replicas", "120"],
     "absorption_times.py": ["--populations", "10,20", "--replicas", "40"],
+    "output_digest.py": ["--quick"],
 }
 
 

@@ -6,7 +6,7 @@ import unittest.mock
 import numpy as np
 import pytest
 import rpsim.simulate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpsim import (
@@ -644,6 +644,41 @@ class TestLockstep:
         assert lengths.max() > 10 * lengths.min()
         assert np.isfinite(ens.absorbed).all()
         assert_matches_run_until(ens, math.inf, [], True)
+
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=6),
+                        min_size=3, max_size=5)
+        .filter(lambda c: 1 <= sum(c) <= 20),
+        replicas=st.integers(min_value=32, max_value=80),
+        chunks=st.integers(min_value=2, max_value=3),
+        t_end=st.sampled_from([0.05, 1.0, math.inf]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(counts=[5, 0, 0], replicas=40, chunks=2, t_end=math.inf, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_event_log_is_placed_in_replica_order(self, counts, replicas,
+                                                  chunks, t_end, seed):
+        # each chunk logs its events step by step, then places them by a
+        # stable sort; every replica's slice of the flat log must be its
+        # own run, whatever the chunks and however many events each fired
+        spec = ModelSpec(n=len(counts), lam=1.0, total=sum(counts),
+                         initial=tuple(counts))
+        grid = [0.0] if t_end == math.inf else [0.0, t_end]
+        with unittest.mock.patch.object(rpsim.simulate, "_LOCKSTEP_MAX",
+                                        -(-replicas // chunks)):
+            ens = run_ensemble(spec, replicas, t_end, grid, seed,
+                               record_events=True)
+        assert_matches_run_until(ens, t_end, grid, True)
+
+    def test_largest_total_matches_run_until(self):
+        # at 2**53 the float64 counts of the lockstep engine are still exact
+        total = 2**53
+        spec = ModelSpec(n=3, lam=1.0, total=total,
+                         initial=symmetric_counts(3, total))
+        ens = run_ensemble(spec, 32, 1e-14, [0.0, 1e-14], 0,
+                           record_events=True)
+        assert ens.event_offsets[-1] > 32 * 10
+        assert_matches_run_until(ens, 1e-14, [0.0, 1e-14], True)
 
     def test_budget_names_the_same_replica_as_a_serial_run(self):
         # replicas 0-4 absorb within the budget, replica 5 is the first to
