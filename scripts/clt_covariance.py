@@ -28,8 +28,6 @@ def main() -> int:
     ap.add_argument("--replicas", type=int, default=2000)
     ap.add_argument("--t", type=float, default=1.0)
     ap.add_argument("--base-seed", type=int, default=2)
-    ap.add_argument("--workers", type=int, default=4,
-                    help="accepted; changes neither results nor speed")
     args = ap.parse_args()
 
     fractions = np.array([float(v) for v in args.fractions.split(",")])
@@ -45,7 +43,7 @@ def main() -> int:
 
     print(f"simulating {args.replicas} replicas at M={m} ...")
     ens = run_ensemble(spec, args.replicas, args.t, grid, args.base_seed,
-                       workers=args.workers, record_events=False)
+                       record_events=False)
     report = clt_test(ens, mf, sigma)
 
     np.set_printoptions(precision=5, suppress=True)

@@ -26,8 +26,6 @@ def main() -> int:
     ap.add_argument("--t-end", type=float, default=2.0)
     ap.add_argument("--grid-points", type=int, default=201)
     ap.add_argument("--base-seed", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=4,
-                    help="accepted; changes neither results nor speed")
     args = ap.parse_args()
 
     fractions = np.array([float(v) for v in args.fractions.split(",")])
@@ -41,8 +39,7 @@ def main() -> int:
                          initial=counts_from_fractions(fractions, m))
         ensembles.append(
             run_ensemble(spec, args.replicas, args.t_end, grid,
-                         args.base_seed + k, workers=args.workers,
-                         record_events=False)
+                         args.base_seed + k, record_events=False)
         )
         print(f"simulated M={m}")
 

@@ -80,7 +80,11 @@ def _grid_from_args(args) -> np.ndarray:
                           f"got {args.t_end}; give --grid")
     # a zero horizon has one sample time, as --grid 0 gives
     points = args.grid_points if args.t_end > 0 else min(args.grid_points, 1)
-    return np.linspace(0.0, args.t_end, points)
+    try:
+        return np.linspace(0.0, args.t_end, points)
+    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
+        raise DomainError(f"--grid-points {points}, too many sample times to "
+                          "hold in memory") from None
 
 
 _N_HELP = "number of species (default 3); when given with {}, it must " \

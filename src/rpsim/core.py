@@ -134,9 +134,7 @@ class ModelSpec:
         if total < 1:
             raise DomainError(f"population total must be at least 1, got {total}")
         if total > MAX_TOTAL:
-            raise DomainError(f"population total must be at most 2**53 = "
-                              f"{MAX_TOTAL}, where float64 counts stop being "
-                              f"exact, got {total}")
+            raise _above_max_total(total)
         counts = tuple(self.initial) if np.iterable(self.initial) else (None,)
         if not all(map(_is_integer, counts)):
             raise DomainError(
@@ -179,6 +177,12 @@ class ModelSpec:
         return self.lam / self.total * sum(
             x[j] * x[(j + 1) % self.n] for j in range(self.n)
         )
+
+
+def _above_max_total(total) -> DomainError:
+    return DomainError(f"population total must be at most 2**53 = "
+                       f"{MAX_TOTAL}, where float64 counts stop being exact, "
+                       f"got {total}")
 
 
 def _is_integer(value) -> bool:
@@ -251,11 +255,16 @@ def counts_from_fractions(fractions, total: int) -> tuple[int, ...]:
     summing a little above 1).  Leftover units then go round the
     largest-remainder order, and a surplus comes back from the largest
     count (the lowest-indexed one), which holds at least ``1/n`` of the
-    floors and so more than any surplus.
+    floors and so more than any surplus.  A ``total`` past the double
+    range, which the products overflow, raises the :class:`DomainError`
+    that :class:`ModelSpec` raises for it.
     """
     f = check_fractions(fractions)
-    scaled = f * total
-    counts = [math.floor(s) for s in scaled.tolist()]
+    try:
+        scaled = f * total
+        counts = [math.floor(s) for s in scaled.tolist()]
+    except OverflowError:
+        raise _above_max_total(total) from None
     short = total - sum(counts)
     if short < 0:
         counts[counts.index(max(counts))] += short

@@ -292,9 +292,9 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     :func:`propagate_covariance` steps by; the first interval starts at
     time 0.  ``step`` and ``grid`` must be the path's own (:class:`DomainError`
     naming them otherwise).  ``v0`` is a finite numeric vector, or None for
-    zero.  A ``paths`` that is not a positive integer raises
-    :class:`DomainError`; a Q with an eigenvalue below -1e-9 raises
-    :class:`NotPSD`.
+    zero.  A ``paths`` that is not a positive integer, or more paths than
+    fit in memory, raise :class:`DomainError`; a Q with an eigenvalue below
+    -1e-9 raises :class:`NotPSD`.
 
     Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: n
     standard normals per grid time, grid-major, in one fill.  The paths
@@ -315,7 +315,11 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
         raise DomainError("initial value has a non-finite entry")
     phis, qs = model.transitions
     roots = psd_sqrt(qs)
-    normals = np.empty((paths, len(path.grid), n))
+    try:
+        normals = np.empty((paths, len(path.grid), n))
+    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
+        raise DomainError(f"{paths} paths of {len(path.grid)} grid times, "
+                          "too many values to hold in memory") from None
     for gen, row in zip(rng_streams(base_seed, 0, paths), normals):
         gen.standard_normal(out=row)
     v = np.repeat(v0[:, None], paths, axis=1)     # (n, paths)

@@ -20,17 +20,17 @@ once per file, and each block gathers its rows' times from that text.
 A reader parses a block of up to ``_CHUNK`` lines with one
 :func:`numpy.loadtxt` call, which takes them from the file one at a time
 and skips empty ones; a block starts at a line that is not empty, so none
-is without rows.  An event log is read into arrays sized from the
-manifest, and the samples into one sized from replica 0's rows, which come
-first, so reading holds each once plus one block.  Malformed CSV input
-raises :class:`DomainError` naming the file and, where it can, the row.
+is without rows.  The event log and the samples are read into arrays
+sized from the file's own line count, not from the manifest or from
+replica 0's rows, and trimmed to the rows parsed, so reading holds each
+once plus one block.  Malformed CSV input raises :class:`DomainError`
+naming the file and, where it can, the row.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import os
 import re
 from pathlib import Path
 
@@ -372,53 +372,58 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
     return out
 
 
-def _open_r(path: Path):
-    """Open CSV ``path`` for reading, past its header row."""
-    f = open(path, encoding="utf-8")
-    if not f.readline():
-        f.close()
-        raise DomainError(f"{path}: empty file, expected a header row")
-    return f
+def _line_count(path: Path) -> int:
+    """The lines of file ``path``, at least its rows: its ``\\n`` and
+    ``\\r`` bytes, either of which ends a line in the text mode the
+    readers read in (a ``\\r\\n`` counts twice), counted a 16 KiB read at
+    a time, plus one for a last line that neither ends."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as f:
+        while block := f.read(16384):
+            lines += block.count(b"\n") + block.count(b"\r")
+            last = block[-1:]
+    return lines + (last not in b"\r\n")
 
 
-def _rows_fit(f, fields: list) -> int:
-    """The most rows CSV file ``f`` can hold, a replica column and then
-    ``fields``: its size over the shortest row, one digit and a separator
-    per column."""
-    columns = 1 + sum(math.prod(field[2]) if len(field) > 2 else 1
-                      for field in fields)
-    return os.fstat(f.fileno()).st_size // (2 * columns)
+def _blocks(path: Path, fields: list, replicas: int, counts: np.ndarray):
+    """The rows of CSV ``path`` after its header row, parsed ``_CHUNK``
+    lines at a time: ``(lo, rows)`` per block, ``rows`` being the file's
+    rows ``lo..`` parsed as a leading replica column and then one field
+    per column.  Empty lines are skipped, as in a whole file.
 
-
-def _blocks(f, path: Path, fields: list):
-    """The rows of CSV file ``f`` (``path``) after its header, parsed
-    ``_CHUNK`` lines at a time: ``(lo, rows)`` per block, ``rows`` being
-    the file's rows ``lo..`` parsed as a leading replica column and then
-    one field per column.  Empty lines are skipped, as in a whole file."""
+    Each block's rows are added to ``counts``, the rows per replica, as it
+    arrives; rows that are not grouped by replica ``0..replicas-1`` raise
+    :class:`DomainError` at once, as a file without a header row does.
+    """
     dtype = [("replica", np.int64)] + fields
-    lo = 0
-    for line in f:
-        if line == "\n":
-            continue    # a block starts at a row: loadtxt warns on none
-        try:
-            rows = np.loadtxt(
-                itertools.chain((line,), itertools.islice(f, _CHUNK - 1)),
-                dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            # its message ends by naming the row it can, counted within the
-            # block; name the row of the file instead
-            message = re.sub(r"(.*at row )(\d+)",
-                             lambda m: f"{m[1]}{int(m[2]) + lo}", str(exc),
-                             count=1, flags=re.DOTALL)
-            raise DomainError(f"{path}: {message}") from exc
-        yield lo, rows
-        lo += len(rows)
-        del rows    # not held while the next block is parsed
-
-
-def _ungrouped(path: Path, replicas: int) -> DomainError:
-    return DomainError(
-        f"{path}: rows are not grouped by replica 0..{replicas - 1}")
+    lo = last = 0
+    with open(path, encoding="utf-8") as f:
+        if not f.readline():
+            raise DomainError(f"{path}: empty file, expected a header row")
+        for line in f:
+            if line == "\n":
+                continue    # a block starts at a row: loadtxt warns on none
+            try:
+                rows = np.loadtxt(
+                    itertools.chain((line,), itertools.islice(f, _CHUNK - 1)),
+                    dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                # its message ends by naming the row it can, counted within
+                # the block; name the row of the file instead
+                message = re.sub(r"(.*at row )(\d+)",
+                                 lambda m: f"{m[1]}{int(m[2]) + lo}",
+                                 str(exc), count=1, flags=re.DOTALL)
+                raise DomainError(f"{path}: {message}") from exc
+            rep = rows["replica"]
+            if (rep[0] < last or rep[-1] >= replicas
+                    or np.any(rep[1:] < rep[:-1])):
+                raise DomainError(f"{path}: rows are not grouped by replica "
+                                  f"0..{replicas - 1}")
+            last = rep[-1]
+            counts += np.bincount(rep, minlength=replicas)
+            yield lo, rows
+            lo += len(rows)
+            del rows, rep   # not held while the next block is parsed
 
 
 def _load_samples(path: Path, spec: ModelSpec, replicas: int):
@@ -426,58 +431,38 @@ def _load_samples(path: Path, spec: ModelSpec, replicas: int):
     ``path``, which must give every replica the same ascending grid and
     conserve the population in every sample.
 
-    The rows are parsed a block at a time.  Replica 0's rows come first and
-    give the grid, and with it the size of the samples array; each later
-    row is copied to its place there as its block arrives.  Rows that are
-    not grouped by replica fail at once; the other checks, in the order
-    above, after the last row.
+    The samples array is sized from the file's lines and trimmed to its
+    rows; each block's counts are copied to their place there as it
+    arrives.  Replica 0's rows come first, and its times, buffered until
+    its last row, give the grid that every later row is checked against.
+    Rows that are not grouped by replica fail at once; the other checks,
+    in the order above, after the last row.
     """
     n = spec.n
     fields = [("time", np.float64), ("counts", np.int64, (n,))]
+    flat = np.empty((_line_count(path), n), dtype=np.int64)
     sizes = np.zeros(replicas, dtype=np.int64)
-    # replica 0's times and counts, until its last row
-    head = [(np.empty(0), np.empty((0, n), dtype=np.int64))]
-    grid = flat = None
-    tiled = np.empty(0)
-    last, off_grid, broken = 0, False, False
-
-    def allocate():
-        grid = np.concatenate([times for times, _ in head])
-        flat = np.empty((replicas * len(grid), n), dtype=np.int64)
-        flat[:len(grid)] = np.concatenate([counts for _, counts in head])
-        return grid, flat
-
-    with _open_r(path) as f:
-        for lo, rows in _blocks(f, path, fields):
-            rep = rows["replica"]
-            if (rep[0] < last or rep[-1] >= replicas
-                    or np.any(rep[1:] < rep[:-1])):
-                raise _ungrouped(path, replicas)
-            last = rep[-1]
-            sizes += np.bincount(rep, minlength=replicas)
-            times, counts = rows["time"], rows["counts"]
-            broken = broken or bool(np.any(counts.sum(axis=1) != spec.total))
-            if grid is None:
-                zero = int(np.searchsorted(rep, 1))
-                head.append((times[:zero].copy(), counts[:zero].copy()))
-                if zero == len(rows):
-                    continue
-                grid, flat = allocate()
-                head = None
-                lo, times, counts = lo + zero, times[zero:], counts[zero:]
-            # grouped rows of equal-sized replicas: row k is sample
-            # k % G of replica k // G; the checks below catch any other
-            hi = min(lo + len(times), len(flat))
-            if hi > lo:
-                flat[lo:hi] = counts[:hi - lo]
-                at = lo % len(grid)
-                if len(tiled) < at + hi - lo:
-                    tiled = np.resize(grid, at + hi - lo)   # grid, repeated
-                off_grid = off_grid or bool(
-                    np.any(times[:hi - lo] != tiled[at:at + hi - lo]))
-            del rows, rep, times, counts    # one block at a time
-    if grid is None:
-        grid, flat = allocate()
+    head, grid = [np.empty(0)], None
+    off_grid = broken = False
+    for lo, rows in _blocks(path, fields, replicas, sizes):
+        times, counts = rows["time"], rows["counts"]
+        flat[lo:lo + len(rows)] = counts
+        broken = broken or bool(np.any(counts.sum(axis=1) != spec.total))
+        if grid is None:
+            zero = int(np.searchsorted(rows["replica"], 1))
+            head.append(times[:zero].copy())
+            if zero == len(rows):
+                continue
+            grid, head = np.concatenate(head), None
+            lo, times = lo + zero, times[zero:]
+        if len(grid):   # else replica 0 has no rows, and the sizes differ
+            # grouped rows of equal-sized replicas: row k is sample k % G
+            # of replica k // G; the checks below catch any other
+            at = lo % len(grid)
+            tiled = np.resize(grid, at + len(times))[at:]   # grid, repeated
+            off_grid = off_grid or bool(np.any(times != tiled))
+        del rows, times, counts     # one block at a time
+    grid = np.concatenate(head) if grid is None else grid
     if np.any(sizes != sizes[0]):
         raise DomainError(f"{path}: replicas do not share one grid")
     try:
@@ -488,7 +473,7 @@ def _load_samples(path: Path, spec: ModelSpec, replicas: int):
         raise DomainError(f"{path}: replicas do not share one grid")
     if broken:
         raise DomainError(f"{path}: a sample breaks population conservation")
-    return grid, flat.reshape(replicas, len(grid), n)
+    return grid, flat[:replicas * len(grid)].reshape(replicas, len(grid), n)
 
 
 def _load_events(path: Path, spec: ModelSpec, n_events: list,
@@ -497,33 +482,24 @@ def _load_events(path: Path, spec: ModelSpec, n_events: list,
     checked against the manifest's ``n_events`` and ``final_counts``.
 
     The log is parsed a block of rows at a time into arrays sized from the
-    manifest; rows past its total are counted, not kept.
+    file's lines and trimmed to its rows; the manifest's counts are only
+    compared with the rows read.
     """
     if not all(type(k) is int and k >= 0 for k in n_events):
         raise DomainError(f"{path}: the manifest's n_events must be "
                           "non-negative integers")
-    replicas, total = len(n_events), sum(n_events)
+    replicas = len(n_events)
     fields = [("time", np.float64), ("reaction", np.int16)]
-    with _open_r(path) as f:
-        if total > _rows_fit(f, fields):
-            raise DomainError(f"{path}: the manifest counts {total} events, "
-                              "more than the file can hold")
-        times = np.empty(total)
-        reactions = np.empty(total, dtype=np.int16)
-        counts = np.zeros(replicas, dtype=np.int64)
-        last = 0
-        for lo, rows in _blocks(f, path, fields):
-            rep = rows["replica"]
-            if (rep[0] < last or rep[-1] >= replicas
-                    or np.any(rep[1:] < rep[:-1])):
-                raise _ungrouped(path, replicas)
-            last = rep[-1]
-            counts += np.bincount(rep, minlength=replicas)
-            kept = rows[:max(0, total - lo)]
-            times[lo:lo + len(kept)] = kept["time"]
-            reactions[lo:lo + len(kept)] = kept["reaction"]
-            del rows, rep, kept     # nor here: one block at a time
+    size = _line_count(path)
+    times = np.empty(size)
+    reactions = np.empty(size, dtype=np.int16)
+    counts = np.zeros(replicas, dtype=np.int64)
+    for lo, rows in _blocks(path, fields, replicas, counts):
+        times[lo:lo + len(rows)] = rows["time"]
+        reactions[lo:lo + len(rows)] = rows["reaction"]
+        del rows    # nor here: one block at a time
     offsets = np.concatenate(([0], np.cumsum(counts)))
+    times, reactions = times[:offsets[-1]], reactions[:offsets[-1]]
     for i in range(replicas):
         # every replica before the first miscounted one is where the
         # manifest puts it
@@ -574,8 +550,9 @@ def read_ensemble(out_dir) -> Ensemble:
     share one ascending grid, or a sample that breaks conservation; and for
     an event log that is out of order or does not replay to its manifest
     entry, or whose manifest event counts are not non-negative integers or
-    add up to more rows than ``events.csv`` can hold (checked before
-    anything is sized from them).
+    not its rows per replica; and for a CSV with more lines than memory
+    holds a row for, since every array is sized from its CSV's lines, empty
+    ones too, not from the manifest or from replica 0's rows.
     """
     out = Path(out_dir)
     path = out / "manifest.json"
@@ -634,11 +611,14 @@ def read_ensemble(out_dir) -> Ensemble:
         raise DomainError(f"{path}: final counts must be {spec.n} non-negative "
                           f"integers summing to {spec.total}")
 
-    grid, samples = _load_samples(out / "samples.csv", spec, replicas)
-    event_times = event_reactions = offsets = None
-    if logged[0]:
-        event_times, event_reactions, offsets = _load_events(
-            out / "events.csv", spec, n_events, final_counts)
+    try:
+        grid, samples = _load_samples(out / "samples.csv", spec, replicas)
+        event_times = event_reactions = offsets = None
+        if logged[0]:
+            event_times, event_reactions, offsets = _load_events(
+                out / "events.csv", spec, n_events, final_counts)
+    except MemoryError:
+        raise DomainError(f"{out}: a CSV has too many lines to hold") from None
     return Ensemble(
         spec=spec,
         grid=grid,

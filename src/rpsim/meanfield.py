@@ -218,7 +218,7 @@ def integrate(u0, lam: float, t_end: float = 1.0,
         grid_arr = check_grid(np.arange(n_steps + 1) * step if grid is None
                               else grid)
         states = np.empty((n_steps + 1, len(u)))
-    except MemoryError:
+    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
         raise DomainError(f"t_end={t_end:g} takes {n_steps} "
                           f"steps of {step:g}, too many states to hold in "
                           "memory") from None

@@ -593,7 +593,8 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     for compatibility and changes neither the results nor the speed: all
     replicas run in the calling thread.  Failures are re-raised as
     :class:`ReplicaError` carrying the index of the lowest-indexed failing
-    replica, as a serial run would report it.
+    replica, as a serial run would report it.  Replicas whose samples do
+    not fit in memory raise :class:`DomainError`.
     """
     replicas = check_seed(replicas, "replica count")
     if replicas < 1:
@@ -605,10 +606,14 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
     # the ensemble's arrays, each engine writing its replicas' rows, and one
     # log of raw doubles and shorts, which np.asarray views without a copy
-    samples = np.empty((replicas, len(grid), spec.n), dtype=np.int64)
-    final = np.empty((replicas, spec.n), dtype=np.int64)
-    absorbed = np.full(replicas, math.nan)
-    offsets = np.zeros(replicas + 1, dtype=np.int64)
+    try:
+        samples = np.empty((replicas, len(grid), spec.n), dtype=np.int64)
+        final = np.empty((replicas, spec.n), dtype=np.int64)
+        absorbed = np.full(replicas, math.nan)
+        offsets = np.zeros(replicas + 1, dtype=np.int64)
+    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
+        raise DomainError(f"{replicas} replicas of {len(grid)} sample times, "
+                          "too many to hold in memory") from None
     ends = offsets[1:]              # the log's length after each replica
     log = (array.array("d"), array.array("h")) if record_events else None
     if replicas < _LOCKSTEP_MIN:

@@ -151,6 +151,34 @@ class TestBadNumbers:
             "error: population total must be at most 2**53")
         assert not out.exists()
 
+    def test_total_past_the_double_range_is_refused(self, tmp_path, capsys):
+        # the fractions' float products overflow before ModelSpec is built
+        out = tmp_path / "x"
+        assert main(["simulate", "--total", str(10**400),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: population total must be at most 2**53")
+        assert not out.exists()
+
+    # sizes far past any machine's memory, so that nothing is allocated
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--replicas", "10000000000000"],
+         "10000000000000 replicas of 11 sample times, too many"),
+        (["fluctuation", "--paths", "1000000000000"],
+         "1000000000000 paths of 11 grid times, too many values"),
+        (["simulate", "--grid-points", "1000000000000"],
+         "--grid-points 1000000000000, too many sample times"),
+        (["meanfield", "--grid-points", "1000000000000"],
+         "--grid-points 1000000000000, too many sample times"),
+    ])
+    def test_count_past_memory_is_a_domain_error(self, tmp_path, capsys, argv,
+                                                 message):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {message} to hold in memory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "meanfield",
                                          "fluctuation"])
     @pytest.mark.parametrize("n", [2, 0, -1])
@@ -525,6 +553,24 @@ class TestValidateCommand:
         assert summary["all"] is True
         for name in ("gillespie", "lln", "clt", "martingale"):
             assert (tmp_path / "rep" / f"{name}.json").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        (f"clt_population = {10**400}",
+         "population total must be at most 2**53"),
+        # past any machine's memory; refused as the LLN check's ensemble is
+        # sized, after the Gillespie check has run
+        ("lln_replicas = 10000000000000\ngillespie_samples = 1000",
+         "10000000000000 replicas of 201 sample times, too many to hold in "
+         "memory"),
+    ])
+    def test_too_large_a_setting_is_reported(self, tmp_path, capsys, setting,
+                                             message):
+        ini = tmp_path / "big.ini"
+        ini.write_text(f"[validate]\n{setting}\n")
+        rc = main(["validate", "--config", str(ini),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_misspelt_config_option_is_reported(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"

@@ -187,6 +187,11 @@ class TestCountsFromFractions:
         with pytest.raises(DomainError):
             counts_from_fractions((0.5, 0.5), 10)
 
+    def test_total_past_the_double_range_is_a_domain_error(self):
+        # fractions * total overflows a float; ModelSpec refuses the total
+        with pytest.raises(DomainError, match="at most 2\\*\\*53"):
+            counts_from_fractions((0.5, 0.3, 0.2), 10**400)
+
     @given(
         weights=st.lists(st.integers(min_value=0, max_value=50),
                          min_size=3, max_size=8).filter(lambda w: sum(w) > 0),

@@ -702,6 +702,40 @@ class TestMalformedInput:
             read_ensemble(ens_dir)
         assert str(err.value).startswith(f"{events}: {message}")
 
+    def test_extra_event_row_is_a_domain_error(self, ens_dir):
+        # the arrays are sized from the file, so a row past the manifest's
+        # count is read, and the count disagrees
+        events = ens_dir / "events.csv"
+        lines = events.read_text().splitlines(keepends=True)
+        assert lines[-1].startswith("2,")
+        events.write_text("".join(lines + lines[-1:]))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        n_events = json.loads((ens_dir / "manifest.json").read_text())[
+            "trajectories"][2]["n_events"]
+        assert str(err.value) == (f"{events}: replica 2 has {n_events + 1} "
+                                  f"events, the manifest says {n_events}")
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:-1],
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
+    ], ids=["no-final-newline", "crlf", "cr"])
+    def test_line_ends_read_back_bit_for_bit(self, ens_dir, edit):
+        # a text-mode read ends lines at \r too, so the line count that
+        # sizes the arrays must count it
+        expected = read_ensemble(ens_dir)
+        for name in ("samples.csv", "events.csv"):
+            path = ens_dir / name
+            path.write_bytes(edit(path.read_text()).encode())
+        back = read_ensemble(ens_dir)
+        for name in ("grid", "samples", "final_counts", "absorbed",
+                     "final_time", "event_times", "event_reactions",
+                     "event_offsets"):
+            x, y = getattr(expected, name), getattr(back, name)
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), name
+
     def test_truncated_trajectory_log_is_a_domain_error(self, tmp_path):
         ens = run_ensemble(SPEC, 1, 1.0, GRID, 7, record_events=True)
         out = write_ensemble(ens, tmp_path / "t")
@@ -836,6 +870,16 @@ class TestMalformedInput:
             read_ensemble(ens_dir)
         assert str(err.value) == f"{path}: replicas do not share one grid"
 
+    def test_replica_0_without_rows_is_a_domain_error(self, ens_dir):
+        # replica 0's grid is empty, and the replicas' row counts differ
+        path = ens_dir / "samples.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[6].startswith("1,0,")
+        path.write_text("".join(lines[:1] + lines[6:]))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == f"{path}: replicas do not share one grid"
+
     def test_loadtxt_row_is_named(self, ens_dir):
         self.corrupt(ens_dir / "samples.csv", 4, "0,0.75,20,x,20")
         with pytest.raises(DomainError, match=r"at row 3, column 4"):
@@ -864,22 +908,26 @@ class TestMalformedInput:
         # one row a block: each empty line comes where a block would start
         monkeypatch.setattr(rpsim.io, "_CHUNK", 1)
         expected = read_ensemble(ens_dir)
-        events = ens_dir / "events.csv"
-        lines = events.read_text().splitlines(keepends=True)
-        events.write_text("".join(lines[:5] + ["\n", "\n"] + lines[5:]
-                                  + ["\n"]))
+        for name in ("samples.csv", "events.csv"):
+            path = ens_dir / name
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[:5] + ["\n", "\n"] + lines[5:]
+                                    + ["\n"]))
         back = read_ensemble(ens_dir)
+        assert np.array_equal(back.grid, expected.grid)
+        assert np.array_equal(back.samples, expected.samples)
         assert np.array_equal(back.event_times, expected.event_times)
         assert np.array_equal(back.event_offsets, expected.event_offsets)
 
     @pytest.mark.parametrize("n_events, message", [
-        (10**12, "the manifest counts 1000000000"),
+        (10**12, "replica 1 has 20 events, the manifest says 1000000000000"),
         (-1, "n_events must be non-negative integers"),
         (2.5, "n_events must be non-negative integers"),
     ])
     def test_manifest_event_count_is_checked_before_allocating(
             self, ens_dir, n_events, message):
-        # 10**12 events would be 10 TB of arrays; the file cannot hold them
+        # 10**12 events would be 10 TB of arrays: nothing is sized from the
+        # manifest, whose counts are only compared with the rows read
         path = ens_dir / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["trajectories"][1]["n_events"] = n_events
@@ -888,6 +936,15 @@ class TestMalformedInput:
             read_ensemble(ens_dir)
         assert str(err.value).startswith(f"{ens_dir / 'events.csv'}: ")
         assert message in str(err.value)
+
+    def test_lines_past_memory_are_a_domain_error(self, ens_dir,
+                                                  monkeypatch):
+        # arrays have a row per line, empty ones too: 10**16 lines of
+        # samples would take 213 PiB, past any address space
+        monkeypatch.setattr(rpsim.io, "_line_count", lambda path: 10**16)
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == f"{ens_dir}: a CSV has too many lines to hold"
 
     def test_empty_file_is_a_domain_error(self, ens_dir):
         (ens_dir / "events.csv").write_text("")
