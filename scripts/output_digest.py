@@ -6,8 +6,10 @@ The set covers each engine path and writer: `simulate` below and above the
 absorption, in two lockstep chunks and without event logs; `meanfield` at
 n = 3 and n = 5; three `fluctuation` runs (the benchmark's 2 000 paths, five
 species with off-step report times, and a given initial covariance); and
-`validate` at base seeds 42-57.  Each command runs in a fresh directory
-with relative paths, so its console output is hashed too.
+`validate` at base seeds 42-57 and, small, with four species from an
+off-centre start until some martingale replicas absorb.  Each command runs
+in a fresh directory with relative paths, so its console output is hashed
+too.
 
 One line per file, `<sha256>  <case>/<file>`, then a combined digest of
 those lines.  Run it once against each tree to compare two commits:
@@ -32,44 +34,75 @@ from rpsim.cli import main as rpsim_main
 U5 = "0.3,0.1,0.2,0.15,0.25"
 SIMULATE_64 = ["simulate", "--replicas", "64", "--total", "60", "--t-end", "2",
                "--grid-points", "5", "--base-seed", "5"]
-# (case, arguments, in the quick subset)
+# four species from an off-centre start, every check small; by t = 8, 80 of
+# the 200 martingale replicas have absorbed, so the replay meets logs that
+# end before t
+VALIDATE_N4 = """\
+[model]
+n = 4
+initial = 5, 3, 2, 2
+[run]
+base_seed = 7
+[validate]
+lln_populations = 20, 40
+lln_replicas = 10
+lln_time = 0.5
+lln_grid_points = 6
+clt_population = 40
+clt_replicas = 100
+clt_time = 0.5
+martingale_population = 12
+martingale_replicas = 200
+martingale_time = 8
+gillespie_samples = 200
+"""
+
+
+def validate_case(name: str, config: str, quick: bool) -> tuple:
+    return name, ["validate", "--config", f"{name}.ini"], quick, config
+
+
+# (case, arguments, in the quick subset, config file text for validate)
 CASES = [
     ("simulate-8", ["simulate", "--replicas", "8", "--total", "300",
                     "--t-end", "1", "--grid", "0,1e-5,0.5,1",
-                    "--base-seed", "9", "--events"], True),
-    ("simulate-64", SIMULATE_64 + ["--events"], True),
-    ("simulate-64-no-events", SIMULATE_64 + ["--no-events"], True),
+                    "--base-seed", "9", "--events"], True, None),
+    ("simulate-64", SIMULATE_64 + ["--events"], True, None),
+    ("simulate-64-no-events", SIMULATE_64 + ["--no-events"], True, None),
     ("simulate-n5", ["simulate", "--n", "5", "--initial", "9,3,5,7,1",
                      "--replicas", "40", "--t-end", "1", "--base-seed", "3",
-                     "--events"], True),
+                     "--events"], True, None),
     ("simulate-absorbing", ["simulate", "--replicas", "40", "--total", "30",
                             "--t-end", "inf", "--grid", "0",
-                            "--base-seed", "2", "--events"], True),
+                            "--base-seed", "2", "--events"], True, None),
     ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
                              "30", "--t-end", "1", "--grid-points", "3",
-                             "--base-seed", "4", "--events"], False),
-    ("meanfield-n3", ["meanfield", "--t-end", "10"], True),
-    ("meanfield-n5", ["meanfield", "--u0", U5, "--t-end", "2"], True),
+                             "--base-seed", "4", "--events"], False, None),
+    ("meanfield-n3", ["meanfield", "--t-end", "10"], True, None),
+    ("meanfield-n5", ["meanfield", "--u0", U5, "--t-end", "2"], True, None),
     ("fluctuation-paths", ["fluctuation", "--paths", "2000", "--t-end", "10",
-                           "--grid-points", "101", "--base-seed", "1"], False),
+                           "--grid-points", "101", "--base-seed", "1"], False,
+     None),
     ("fluctuation-n5", ["fluctuation", "--u0", U5, "--t-end", "2",
                         "--paths", "300", "--grid", "0,1e-5,0.3333,1,2",
-                        "--base-seed", "7"], True),
+                        "--base-seed", "7"], True, None),
     ("fluctuation-sigma0", ["fluctuation", "--u0", "0.5,0.3,0.2",
                             "--t-end", "1", "--sigma0",
                             "0.02,-0.01,-0.01,-0.01,0.02,-0.01,-0.01,-0.01,"
-                            "0.02"], True),
-] + [(f"validate-{seed}", ["validate", "--config", f"validate-{seed}.ini"],
-      False) for seed in range(42, 58)]
+                            "0.02"], True, None),
+] + [validate_case(f"validate-{seed}", f"[run]\nbase_seed = {seed}\n", False)
+     for seed in range(42, 58)] + [
+    validate_case("validate-n4-absorbing", VALIDATE_N4, True),
+]
 
 
-def run_case(name: str, argv: list, work: Path) -> list[tuple[str, str]]:
+def run_case(name: str, argv: list, work: Path,
+             config: str | None) -> list[tuple[str, str]]:
     """``(sha256, case/file)`` of each output of one command, run in
-    ``work`` with ``--out`` the case's name, and of its console output."""
-    if argv[0] == "validate":
-        seed = name.split("-")[1]
-        (work / argv[2]).write_text(f"[run]\nbase_seed = {seed}\n",
-                                    encoding="utf-8")
+    ``work`` with ``--out`` the case's name, and of its console output;
+    a ``validate`` case first writes its ``config`` file."""
+    if config is not None:
+        (work / argv[2]).write_text(config, encoding="utf-8")
     out = name + (".csv" if argv[0] == "meanfield" else "")
     console = io.StringIO()
     with contextlib.redirect_stdout(console):
@@ -96,10 +129,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, argv, quick in CASES:
+            for name, argv, quick, config in CASES:
                 if quick or not args.quick:
                     lines += [f"{digest}  {label}" for digest, label
-                              in run_case(name, argv, Path(tmp))]
+                              in run_case(name, argv, Path(tmp), config)]
         finally:
             os.chdir(home)
     combined = hashlib.sha256("".join(f"{line}\n" for line in lines)

@@ -463,7 +463,7 @@ class Trajectory:
     state after all events with time <= t.  When the run was made in
     samples-only mode the event arrays are ``None`` and ``n_events`` raises
     :class:`MissingEventLog`.  Replays of the event log are ensemble
-    methods (:meth:`rpsim.simulate.Ensemble.jump_counts`).  Only
+    methods (:meth:`rpsim.simulate.Ensemble.replay`).  Only
     :func:`rpsim.simulate.run_until` and
     :attr:`rpsim.simulate.Ensemble.trajectories` build one, from arrays
     that are already checked, so it checks nothing again.

@@ -376,11 +376,14 @@ def _line_count(path: Path) -> int:
     """The lines of file ``path``, at least its rows: its ``\\n`` and
     ``\\r`` bytes, either of which ends a line in the text mode the
     readers read in (a ``\\r\\n`` counts twice), counted a 16 KiB read at
-    a time, plus one for a last line that neither ends."""
+    a time, plus one for a last line that neither ends.  A block is
+    scanned for ``\\r`` again only if it holds one."""
     lines, last = 0, b"\n"
     with open(path, "rb") as f:
         while block := f.read(16384):
-            lines += block.count(b"\n") + block.count(b"\r")
+            lines += block.count(b"\n")
+            if b"\r" in block:
+                lines += block.count(b"\r")
             last = block[-1:]
     return lines + (last not in b"\r\n")
 

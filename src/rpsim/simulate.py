@@ -88,8 +88,8 @@ _LOCKSTEP_MAX = 2048
 # columns of each replica's draw block in the lockstep engine, at most: 4 MiB
 # of draws for a chunk of _LOCKSTEP_MAX replicas
 _LOCKSTEP_DRAWS = 256
-# replicas per block of an event-log replay; bounds its temporaries
-_REPLAY_BLOCK = 128
+# events per block of an event-log replay; bounds its temporaries
+_REPLAY_EVENTS = 4096
 
 
 class ReplicaError(RpsimError):
@@ -149,70 +149,54 @@ class Ensemble:
                              self.final_counts.tolist(),
                              self.final_time.tolist())))
 
-    def _logged_blocks(self, t: float):
-        """Per block of up to ``_REPLAY_BLOCK`` replicas ``lo..hi - 1``:
-        ``(lo, hi, rep, reactions, times)`` of its events at times <= ``t``
-        in log order (a prefix of each replica's ascending log), ``rep``
-        being each event's replica less ``lo``.
-
-        A replica that was not absorbed has no log past its final time, so
-        a ``t`` beyond it raises :class:`DomainError`.
-        """
+    def replay(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(N, T)`` at ``t``, each (replicas, n): reaction ``j``'s firings
+        up to and including ``t``, and the integral of its intensity
+        ``lam/total * X_j * X_{j+1}`` over ``[0, t]``.  One pass over the
+        log, ``_REPLAY_EVENTS`` events at a time: each replica carries its
+        firings and last event time across blocks, and ``np.add.at`` adds
+        its intervals in time order, so ``T`` is bit-identical to a loop
+        over them.  A ``t`` past an unabsorbed replica's final time, where
+        its log ends, raises :class:`DomainError`."""
         off = self.event_offsets
         if off is None:
             raise MissingEventLog("the ensemble was run in samples-only mode")
         running = self.final_time[np.isnan(self.absorbed)]
-        if len(running) and t > running.min():
+        if t > (horizon := running.min(initial=math.inf)):
             raise DomainError(f"replay time t={t:g} lies past the simulated "
-                              f"time t={running.min():g} of an unabsorbed "
-                              "replica")
-        for lo in range(0, self.replicas, _REPLAY_BLOCK):
-            hi = min(lo + _REPLAY_BLOCK, self.replicas)
-            times = self.event_times[off[lo]:off[hi]]
-            keep = times <= t
-            rep = np.repeat(np.arange(hi - lo), np.diff(off[lo:hi + 1]))[keep]
-            yield (lo, hi, rep, self.event_reactions[off[lo]:off[hi]][keep],
-                   times[keep])
+                              f"time t={horizon:g} of an unabsorbed replica")
+        n, t, x0 = self.spec.n, float(t), np.array(self.spec.initial)[:, None]
+        cols = np.arange(n)[:, None]    # species-major: a row per species
 
-    def jump_counts(self, t: float) -> np.ndarray:
-        """(replicas, n) firings of each reaction up to and including ``t``."""
-        n = self.spec.n
-        out = np.empty((self.replicas, n), dtype=np.int64)
-        for lo, hi, rep, reactions, _ in self._logged_blocks(t):
-            out[lo:hi] = np.bincount(rep * n + reactions,
-                                     minlength=(hi - lo) * n).reshape(-1, n)
-        return out
+        def products(firings):      # X_j * X_{j+1} after these firings
+            x = (x0 + firings - np.roll(firings, 1, axis=0)).astype(float)
+            return x * np.roll(x, -1, axis=0)
 
-    def internal_times(self, t: float) -> np.ndarray:
-        """(replicas, n) accumulated intensity of each reaction at ``t``,
-        within the simulated horizon.
-
-        The integrand is ``lam/total * counts[j] * counts[j+1]`` with the
-        counts in force on each interval between events.  ``np.add.at``
-        adds a replica's intervals one by one in time order, so the sums
-        are bit-identical to a loop over each replica's intervals.
-        """
-        n = self.spec.n
-        nxt = np.roll(np.arange(n), -1)         # species j + 1
-        out = np.empty((self.replicas, n))
-        for lo, hi, rep, reactions, times in self._logged_blocks(t):
-            jump = np.zeros((len(rep), n), dtype=np.int64)
-            jump[np.arange(len(rep)), reactions] = 1
-            jump[np.arange(len(rep)), nxt[reactions]] -= 1
-            # a row at time 0, with no jump, opens each replica's intervals
-            opens = np.searchsorted(rep, np.arange(hi - lo))
-            rep = np.insert(rep, opens, np.arange(hi - lo))
-            times = np.insert(times, opens, 0.0)
-            jumps = np.cumsum(np.insert(jump, opens, 0, axis=0), axis=0)
-            opens += np.arange(hi - lo)
-            x = (self.spec.initial + jumps - jumps[opens][rep]).astype(float)
-            end = np.full(len(rep), float(t))   # the replica's next event, or t
-            same = rep[1:] == rep[:-1]
-            end[:-1][same] = times[1:][same]
-            acc = np.zeros((hi - lo, n))
-            np.add.at(acc, rep, (end - times)[:, None] * (x * x[:, nxt]))
-            out[lo:hi] = (self.spec.lam / self.spec.total) * acc
-        return out
+        fired = np.zeros((n, self.replicas), dtype=np.int64)
+        last = np.zeros(self.replicas)          # each replica's last event
+        acc = np.zeros((n, self.replicas))
+        for lo in range(0, off[-1], _REPLAY_EVENTS):
+            times = self.event_times[lo:lo + _REPLAY_EVENTS]
+            at = lo + np.flatnonzero(times <= t)    # each replica's prefix
+            times = self.event_times[at]
+            rep = np.searchsorted(off, at, side="right") - 1
+            hot = (self.event_reactions[at] == cols).astype(np.int64)
+            # the block's replicas, and each one's first and last event
+            opens = np.flatnonzero(np.diff(rep, prepend=-1))
+            ends = np.flatnonzero(np.diff(rep, append=self.replicas))
+            reps = rep[opens]
+            # the firings before each event: carried, plus earlier in block
+            before = np.cumsum(hot, axis=1) - hot
+            before += np.repeat(fired[:, reps] - before[:, opens],
+                                ends - opens + 1, axis=1)
+            prev = np.r_[0.0, times[:-1]]       # the replica's previous event
+            prev[opens] = last[reps]
+            np.add.at(acc.reshape(-1), (cols * self.replicas + rep).ravel(),
+                      ((times - prev) * products(before)).ravel())
+            fired[:, reps] = before[:, ends] + hot[:, ends]     # carried on
+            last[reps] = times[ends]
+        acc += (t - last) * products(fired)     # last event to t
+        return fired.T.copy(), (self.spec.lam / self.spec.total) * acc.T.copy()
 
 
 # run_until's loop, unrolled: species j's count, clock (accumulated intensity),

@@ -274,8 +274,8 @@ def martingale_test(ensemble: Ensemble, t: float, *,
     """
     n = ensemble.spec.n
     replicas = ensemble.replicas
-    counts = ensemble.jump_counts(t).astype(float)
-    times = ensemble.internal_times(t)
+    counts, times = ensemble.replay(t)
+    counts = counts.astype(float)
     d = counts - times
 
     checks = []
@@ -665,18 +665,21 @@ _SEED_CLT = 101
 _SEED_MARTINGALE = 102
 
 
-def _check_config(config: ValidationConfig) -> list[ModelSpec]:
+def _check_config(config: ValidationConfig
+                  ) -> tuple[list[ModelSpec], np.ndarray]:
     """Check every setting before any ensemble runs, and return the model of
-    each check in run order: Gillespie, each LLN population, CLT, martingale.
+    each check in run order (Gillespie, each LLN population, CLT,
+    martingale) and the LLN check's sample grid.
 
     Raises :class:`DomainError` for a base seed that is not a non-negative
     integer, a non-positive count, replica count or sample count, LLN
     populations that do not strictly increase, fewer than two LLN grid
-    points, a time or step that is not positive and finite, a p threshold
-    outside (0, 1), or fractions or Gillespie counts not ``n`` long (the
-    message names both settings); :class:`InsufficientReplicas` for fewer
-    CLT replicas than :func:`clt_test` needs; and whatever
-    :class:`~rpsim.core.ModelSpec` raises for a model as it is built.
+    points or more than memory holds, a time or step that is not positive
+    and finite, a p threshold outside (0, 1), or fractions or Gillespie
+    counts not ``n`` long (the message names both settings);
+    :class:`InsufficientReplicas` for fewer CLT replicas than
+    :func:`clt_test` needs; and whatever :class:`~rpsim.core.ModelSpec`
+    raises for a model as it is built.
     """
     check_seed(config.base_seed)
     for name in ("lln_replicas", "clt_replicas", "martingale_replicas",
@@ -697,6 +700,11 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be positive and finite, "
                               f"got {value}")
+    try:
+        grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
+    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
+        raise DomainError(f"lln_grid_points {config.lln_grid_points}, too "
+                          "many sample times to hold in memory") from None
     if not 0.0 < config.gillespie_p_threshold < 1.0:
         raise DomainError("gillespie_p_threshold must lie in (0, 1), "
                           f"got {config.gillespie_p_threshold}")
@@ -719,7 +727,7 @@ def _check_config(config: ValidationConfig) -> list[ModelSpec]:
     for m in (*pops, config.clt_population, config.martingale_population):
         specs.append(ModelSpec(n=config.n, lam=config.lam, total=m,
                                initial=counts_from_fractions(fractions, m)))
-    return specs
+    return specs, grid
 
 
 def run_validation(config: ValidationConfig, *, workers: int | None = None,
@@ -731,7 +739,7 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     line per check.  Every setting is checked before any ensemble runs (see
     :func:`_check_config`).
     """
-    g_spec, *lln_specs, clt_spec, mart_spec = _check_config(config)
+    (g_spec, *lln_specs, clt_spec, mart_spec), grid = _check_config(config)
     if workers is None:
         workers = config.workers
     say = echo or (lambda *_: None)
@@ -748,7 +756,6 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
         f"chi2 p={rep['chi2']['pvalue']:.4f})")
 
     # -- law of large numbers -----------------------------------------------
-    grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
     mf = integrate(config.model_fractions(), config.lam, t_end=config.lln_time,
                    step=config.meanfield_step, grid=grid)
     # a generator: each population runs when lln_test asks for it

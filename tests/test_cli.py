@@ -562,6 +562,10 @@ class TestValidateCommand:
         ("lln_replicas = 10000000000000\ngillespie_samples = 1000",
          "10000000000000 replicas of 201 sample times, too many to hold in "
          "memory"),
+        # refused with the other settings, before any ensemble runs
+        ("lln_grid_points = 10000000000000",
+         "lln_grid_points 10000000000000, too many sample times to hold in "
+         "memory"),
     ])
     def test_too_large_a_setting_is_reported(self, tmp_path, capsys, setting,
                                              message):

@@ -358,10 +358,10 @@ def tiny_trajectory(**overrides) -> Trajectory:
 
 
 class TestTrajectoryReplay:
-    # the replays are ensemble methods; here on a one-replica ensemble
+    # the replay is an ensemble method; here on a one-replica ensemble
 
     @staticmethod
-    def replay(logged: bool = True) -> Ensemble:
+    def ensemble(logged: bool = True) -> Ensemble:
         traj = tiny_trajectory()
         log = dict(event_times=traj.event_times,
                    event_reactions=traj.event_reactions,
@@ -373,32 +373,30 @@ class TestTrajectoryReplay:
                         final_time=np.array([traj.final_time]), **log)
 
     def test_jump_counts(self):
-        ens = self.replay()
-        assert ens.jump_counts(0.1).tolist() == [[0, 0, 0]]
-        assert ens.jump_counts(0.3).tolist() == [[1, 0, 0]]
-        assert ens.jump_counts(1.0).tolist() == [[1, 0, 1]]
+        ens = self.ensemble()
+        assert ens.replay(0.1)[0].tolist() == [[0, 0, 0]]
+        assert ens.replay(0.3)[0].tolist() == [[1, 0, 0]]
+        assert ens.replay(1.0)[0].tolist() == [[1, 0, 1]]
 
     def test_counts_at_is_right_continuous(self):
         # an event at time t counts at t: (1,1,1) -> (2,0,1) at t=0.2
-        ens = self.replay()
-        assert ens.jump_counts(0.19).tolist() == [[0, 0, 0]]
-        assert ens.jump_counts(0.2).tolist() == [[1, 0, 0]]   # at the jump
-        assert ens.jump_counts(0.5).tolist() == [[1, 0, 1]]
+        ens = self.ensemble()
+        assert ens.replay(0.19)[0].tolist() == [[0, 0, 0]]
+        assert ens.replay(0.2)[0].tolist() == [[1, 0, 0]]   # at the jump
+        assert ens.replay(0.5)[0].tolist() == [[1, 0, 1]]
 
     def test_internal_times(self):
         # products (x_j * x_{j+1}) are (1,1,1) on [0,0.2) and (0,0,2) after
-        ens = self.replay()
-        assert np.allclose(ens.internal_times(0.3), [[0.2, 0.2, 0.4]])
-        assert np.allclose(ens.internal_times(1.0), [[0.2, 0.2, 1.8]])
-        assert np.allclose(ens.internal_times(0.0), [[0.0, 0.0, 0.0]])
+        ens = self.ensemble()
+        assert np.allclose(ens.replay(0.3)[1], [[0.2, 0.2, 0.4]])
+        assert np.allclose(ens.replay(1.0)[1], [[0.2, 0.2, 1.8]])
+        assert np.allclose(ens.replay(0.0)[1], [[0.0, 0.0, 0.0]])
 
     def test_samples_only_mode_raises(self):
         traj = tiny_trajectory(event_times=None, event_reactions=None)
         assert not traj.has_event_log
-        ens = self.replay(logged=False)
-        for call in (lambda: traj.n_events,
-                     lambda: ens.jump_counts(0.5),
-                     lambda: ens.internal_times(0.5)):
+        ens = self.ensemble(logged=False)
+        for call in (lambda: traj.n_events, lambda: ens.replay(0.5)):
             with pytest.raises(MissingEventLog):
                 call()
 

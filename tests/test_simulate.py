@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import unittest.mock
 
 import numpy as np
@@ -63,7 +64,7 @@ def counts_at(traj, t):
     """The state of ``traj`` after its events at times <= ``t``, from the
     jump counts of a one-replica ensemble (reaction j moves one unit from
     species j+1 to species j)."""
-    jumps = one_replica(traj).jump_counts(t)[0]
+    jumps = one_replica(traj).replay(t)[0][0]
     return np.asarray(traj.spec.initial) + jumps - np.roll(jumps, 1)
 
 
@@ -85,7 +86,7 @@ class TestNextEvent:
         assert traj.event_times.tolist() == [0.25]
         assert traj.event_reactions.tolist() == [0]
         assert traj.final_counts == (3, 0, 0)
-        assert one_replica(traj).jump_counts(1.0).tolist() == [[1, 0, 0]]
+        assert one_replica(traj).replay(1.0)[0].tolist() == [[1, 0, 0]]
 
     def test_absorbing_state_returns_absorbed(self):
         # (3,0,0) has no active pair: absorbed at once, and after the single
@@ -738,7 +739,7 @@ def event_logs(draw):
     return spec, times, reactions
 
 
-@given(log=event_logs(), block=st.integers(1, 4), data=st.data())
+@given(log=event_logs(), block=st.integers(1, 7), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_replay_matches_per_replica_reference(log, block, data):
     spec, times, reactions = log
@@ -759,14 +760,14 @@ def test_replay_matches_per_replica_reference(log, block, data):
     at = data.draw(st.sampled_from(logged)) if logged else 1.0
     for t in (0.0, at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf),
               2.0, 3.0):
-        with unittest.mock.patch.object(rpsim.simulate, "_REPLAY_BLOCK",
+        # blocks of a few events split the replicas' logs
+        with unittest.mock.patch.object(rpsim.simulate, "_REPLAY_EVENTS",
                                         block):
             if t > 2.0:
-                for replay in (ens.jump_counts, ens.internal_times):
-                    with pytest.raises(DomainError, match="past the simulated"):
-                        replay(t)
+                with pytest.raises(DomainError, match="past the simulated"):
+                    ens.replay(t)
                 continue
-            jumps, internal = ens.jump_counts(t), ens.internal_times(t)
+            jumps, internal = ens.replay(t)
         assert jumps.shape == internal.shape == (replicas, spec.n)
         for i in range(replicas):
             ref_jumps, ref_internal = reference_replay(
@@ -774,6 +775,25 @@ def test_replay_matches_per_replica_reference(log, block, data):
                 np.array(reactions[i], dtype=np.int16), t)
             assert jumps[i].tobytes() == ref_jumps.tobytes()
             assert internal[i].tobytes() == ref_internal.tobytes()
+
+
+def test_replay_peaks_below_the_log_it_reads():
+    # the replay walks the log a block of events at a time, so two long
+    # replicas of about 100 000 events each do not size its temporaries,
+    # where blocks of whole replicas peaked at 16 times the log
+    spec = ModelSpec(n=3, lam=1.0, total=3000, initial=(1000, 1000, 1000))
+    ens = run_ensemble(spec, 2, 100.0, np.array([100.0]), 7,
+                       record_events=True)
+    size = ens.event_times.nbytes + ens.event_reactions.nbytes
+    assert len(ens.event_times) > 40 * rpsim.simulate._REPLAY_EVENTS
+    tracemalloc.start()
+    try:
+        jumps, _ = ens.replay(100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jumps.sum() == len(ens.event_times)
+    assert peak < size
 
 
 def assert_same_arrays(a: Ensemble, b: Ensemble) -> None:
