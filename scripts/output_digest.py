@@ -3,11 +3,13 @@
 
 The set covers each engine path and writer: `simulate` below and above the
 32 replicas at which ensembles step together, with five species, to
-absorption, in two lockstep chunks and without event logs; `meanfield` at
+absorption, in lockstep until every replica absorbs with grid times still
+to sample, in two lockstep chunks and without event logs; `meanfield` at
 n = 3 and n = 5; three `fluctuation` runs (the benchmark's 2 000 paths, five
 species with off-step report times, and a given initial covariance); and
 `validate` at base seeds 42-57 and, small, with four species from an
-off-centre start until some martingale replicas absorb.  Each command runs
+off-centre start until some martingale replicas absorb, and with every
+setting away from its default.  Each command runs
 in a fresh directory with relative paths, so its console output is hashed
 too.
 
@@ -56,6 +58,34 @@ martingale_replicas = 200
 martingale_time = 8
 gillespie_samples = 200
 """
+# every setting validate reads, each away from its default, at small sizes
+VALIDATE_EVERY_SETTING = """\
+[model]
+n = 4
+lambda = 1.5
+fractions = 0.4, 0.3, 0.2, 0.1
+[run]
+base_seed = 11
+workers = 2
+[validate]
+lln_populations = 40, 160
+lln_replicas = 20
+lln_time = 0.75
+lln_grid_points = 7
+lln_median_bound = 0.4
+lln_ratio_low = 1.2
+lln_ratio_high = 3.5
+clt_population = 60
+clt_replicas = 120
+clt_time = 0.4
+clt_frobenius_bound = 0.6
+martingale_population = 30
+martingale_replicas = 150
+martingale_time = 0.6
+martingale_z_bound = 3.5
+gillespie_samples = 300
+gillespie_p_threshold = 0.005
+"""
 
 
 def validate_case(name: str, config: str, quick: bool) -> tuple:
@@ -75,6 +105,11 @@ CASES = [
     ("simulate-absorbing", ["simulate", "--replicas", "40", "--total", "30",
                             "--t-end", "inf", "--grid", "0",
                             "--base-seed", "2", "--events"], True, None),
+    # all 40 replicas absorb by t = 23.5 in lockstep, with grid times left
+    ("simulate-absorbing-grid", ["simulate", "--replicas", "40", "--total",
+                                 "12", "--t-end", "50", "--grid-points",
+                                 "11", "--base-seed", "6", "--events"], True,
+     None),
     ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
                              "30", "--t-end", "1", "--grid-points", "3",
                              "--base-seed", "4", "--events"], False, None),
@@ -93,6 +128,7 @@ CASES = [
 ] + [validate_case(f"validate-{seed}", f"[run]\nbase_seed = {seed}\n", False)
      for seed in range(42, 58)] + [
     validate_case("validate-n4-absorbing", VALIDATE_N4, True),
+    validate_case("validate-every-setting", VALIDATE_EVERY_SETTING, True),
 ]
 
 

@@ -544,7 +544,9 @@ def read_ensemble(out_dir) -> Ensemble:
     :class:`~rpsim.core.ModelSpec` refuses, whose base seed is not a
     non-negative integer, whose trajectories are not a list of objects,
     whose absorption or final times are not finite non-negative numbers
-    (an absorption time may be null), whose ``absorbed_fraction`` is not the
+    (an absorption time may be null), with an absorbed replica whose final
+    time is not its absorption time or unabsorbed replicas that do not
+    share one final time, whose ``absorbed_fraction`` is not the
     share of replicas with an absorption time, whose ``has_event_log``
     values are not bools, whose ``replicas`` is not the number of its
     trajectories, whose replicas are not seeds ``0..R-1`` or mix logged and
@@ -593,6 +595,14 @@ def read_ensemble(out_dir) -> Ensemble:
                for t in final_time + [a for a in absorbed if a is not None]):
         raise DomainError(f"{path}: absorption and final times must be "
                           "finite non-negative numbers")
+    # a replica ends where it absorbs, or else at the run's one t_end
+    for i, (a, end) in enumerate(zip(absorbed, final_time)):
+        if a is not None and end != a:
+            raise DomainError(f"{path}: replica {i} absorbed at {a!r}, but "
+                              f"its final time is {end!r}")
+    if len({end for a, end in zip(absorbed, final_time) if a is None}) > 1:
+        raise DomainError(f"{path}: unabsorbed replicas do not share one "
+                          "final time")
     replicas = len(metas)
     if not replicas or seeds != list(range(replicas)):
         raise DomainError(f"{path}: replica seeds are not 0..R-1, R >= 1")

@@ -156,11 +156,15 @@ class Ensemble:
         log, ``_REPLAY_EVENTS`` events at a time: each replica carries its
         firings and last event time across blocks, and ``np.add.at`` adds
         its intervals in time order, so ``T`` is bit-identical to a loop
-        over them.  A ``t`` past an unabsorbed replica's final time, where
-        its log ends, raises :class:`DomainError`."""
+        over them.  A negative or NaN ``t``, or one past an unabsorbed
+        replica's final time, where its log ends, raises
+        :class:`DomainError`; an absorbed replica's intensities end at its
+        final time, so it replays at any ``t``, ``inf`` included."""
         off = self.event_offsets
         if off is None:
             raise MissingEventLog("the ensemble was run in samples-only mode")
+        if not t >= 0:
+            raise DomainError(f"replay time t={t:g} must be non-negative")
         running = self.final_time[np.isnan(self.absorbed)]
         if t > (horizon := running.min(initial=math.inf)):
             raise DomainError(f"replay time t={t:g} lies past the simulated "
@@ -195,7 +199,8 @@ class Ensemble:
                       ((times - prev) * products(before)).ravel())
             fired[:, reps] = before[:, ends] + hot[:, ends]     # carried on
             last[reps] = times[ends]
-        acc += (t - last) * products(fired)     # last event to t
+        # last event to t, or to the absorption, past which all are 0
+        acc += (np.minimum(t, self.final_time) - last) * products(fired)
         return fired.T.copy(), (self.spec.lam / self.spec.total) * acc.T.copy()
 
 

@@ -37,11 +37,12 @@ from .core import (
     InsufficientReplicas,
     ModelSpec,
     RpsimError,
+    check_rate,
     check_seed,
     counts_from_fractions,
 )
 from .fluctuation import CovarianceState, FluctuationModel, propagate_covariance
-from .meanfield import DEFAULT_STEP, MeanFieldPath, integrate
+from .meanfield import MeanFieldPath, integrate
 from .simulate import Ensemble, run_ensemble
 
 __all__ = [
@@ -121,8 +122,11 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
     It is consumed one ensemble at a time: each is checked against the
     first (same species count, rate, initial fractions and sample grid),
     its record is made, and it is dropped before the next is asked for, so
-    at most one ensemble's samples are held at once.
+    at most one ensemble's samples are held at once.  A negative or NaN
+    ``t`` raises :class:`DomainError` before the first is asked for.
     """
+    if not t >= 0:
+        raise DomainError(f"lln time t={t} must be non-negative")
     records = []
     first = grid = None
     for e in ensembles:
@@ -569,7 +573,6 @@ class ValidationConfig:
     workers: int = 1          # accepted; changes neither results nor speed
 
     # [validate]
-    meanfield_step: float = DEFAULT_STEP
     lln_populations: tuple[int, ...] = (100, 400, 1600, 6400)
     lln_replicas: int = 200
     lln_time: float = 2.0
@@ -585,8 +588,6 @@ class ValidationConfig:
     martingale_replicas: int = 5000
     martingale_time: float = 1.0
     martingale_z_bound: float = 3.0
-    gillespie_counts: tuple[int, ...] = ()  # default: one of each species
-    gillespie_lambda: float | None = None   # default: the model rate
     gillespie_samples: int = 10_000
     gillespie_p_threshold: float = 0.01
 
@@ -672,16 +673,22 @@ def _check_config(config: ValidationConfig
     martingale) and the LLN check's sample grid.
 
     Raises :class:`DomainError` for a base seed that is not a non-negative
-    integer, a non-positive count, replica count or sample count, LLN
-    populations that do not strictly increase, fewer than two LLN grid
-    points or more than memory holds, a time or step that is not positive
-    and finite, a p threshold outside (0, 1), or fractions or Gillespie
-    counts not ``n`` long (the message names both settings);
+    integer, a ``[model] lambda`` that is not a positive finite collision
+    rate (the message names the key), a non-positive count, replica count
+    or sample count, LLN populations that do not strictly increase, fewer
+    than two LLN grid points or more than memory holds, a time or pass
+    bound that is not positive and finite, an LLN ratio band whose low end
+    is not below its high end, a p threshold outside (0, 1), or fractions
+    not ``n`` long (the message names both settings);
     :class:`InsufficientReplicas` for fewer CLT replicas than
     :func:`clt_test` needs; and whatever :class:`~rpsim.core.ModelSpec`
     raises for a model as it is built.
     """
     check_seed(config.base_seed)
+    try:
+        check_rate(config.lam)
+    except DomainError as exc:
+        raise DomainError(f"[model] lambda: {exc}") from None
     for name in ("lln_replicas", "clt_replicas", "martingale_replicas",
                  "gillespie_samples", "clt_population",
                  "martingale_population"):
@@ -695,11 +702,16 @@ def _check_config(config: ValidationConfig
     if config.lln_grid_points < 2:
         raise DomainError("lln_grid_points must be at least 2, "
                           f"got {config.lln_grid_points}")
-    for name in ("meanfield_step", "lln_time", "clt_time", "martingale_time"):
+    for name in ("lln_time", "clt_time", "martingale_time",
+                 "lln_median_bound", "lln_ratio_low", "lln_ratio_high",
+                 "clt_frobenius_bound", "martingale_z_bound"):
         value = getattr(config, name)
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be positive and finite, "
                               f"got {value}")
+    if not config.lln_ratio_low < config.lln_ratio_high:
+        raise DomainError("lln_ratio_low must be below lln_ratio_high, got "
+                          f"{config.lln_ratio_low} and {config.lln_ratio_high}")
     try:
         grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
     except (MemoryError, ValueError):   # ValueError: past numpy's size limit
@@ -713,16 +725,11 @@ def _check_config(config: ValidationConfig
             f"clt_replicas must be at least {_CLT_MIN_REPLICAS}, "
             f"got {config.clt_replicas}")
 
-    for section, name in (("model", "fractions"),
-                          ("validate", "gillespie_counts")):
-        values = getattr(config, name)
-        if values and len(values) != config.n:
-            raise DomainError(f"[{section}] {name} has {len(values)} values "
-                              f"but [model] n is {config.n}")
-    g_counts = config.gillespie_counts or (1,) * config.n
-    g_lam = config.gillespie_lambda
-    specs = [ModelSpec(n=config.n, lam=config.lam if g_lam is None else g_lam,
-                       total=sum(g_counts), initial=g_counts)]
+    if config.fractions and len(config.fractions) != config.n:
+        raise DomainError(f"[model] fractions has {len(config.fractions)} "
+                          f"values but [model] n is {config.n}")
+    specs = [ModelSpec(n=config.n, lam=config.lam, total=config.n,
+                       initial=(1,) * config.n)]
     fractions = config.model_fractions()
     for m in (*pops, config.clt_population, config.martingale_population):
         specs.append(ModelSpec(n=config.n, lam=config.lam, total=m,
@@ -757,7 +764,7 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
 
     # -- law of large numbers -----------------------------------------------
     mf = integrate(config.model_fractions(), config.lam, t_end=config.lln_time,
-                   step=config.meanfield_step, grid=grid)
+                   grid=grid)
     # a generator: each population runs when lln_test asks for it
     ensembles = (
         run_ensemble(spec, config.lln_replicas, config.lln_time, grid,
@@ -774,8 +781,7 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     # -- fluctuation covariance ----------------------------------------------
     u0 = clt_spec.fractions      # exact finite-M fractions, so Y(0) = 0
     t = config.clt_time
-    mf_clt = integrate(u0, config.lam, t_end=t, step=config.meanfield_step,
-                       grid=np.array([0.0, t]))
+    mf_clt = integrate(u0, config.lam, t_end=t, grid=np.array([0.0, t]))
     model = FluctuationModel.from_path(mf_clt, config.lam)
     sigma_t = propagate_covariance(model, np.zeros((config.n, config.n)))[-1]
     ensemble = run_ensemble(clt_spec, config.clt_replicas, t,

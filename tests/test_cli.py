@@ -585,6 +585,32 @@ class TestValidateCommand:
         assert capsys.readouterr().err == \
             "error: [validate] lln_replica: unknown option\n"
 
+    @pytest.mark.parametrize("setting, message", [
+        # ran all four checks, then failed the martingale check
+        ("[validate]\nmartingale_z_bound = -1",
+         "martingale_z_bound must be positive and finite, got -1.0"),
+        ("[validate]\nlln_ratio_low = 3\nlln_ratio_high = 1",
+         "lln_ratio_low must be below lln_ratio_high, got 3.0 and 1.0"),
+        ("[model]\nlambda = -1",
+         "[model] lambda: collision rate must be positive and finite, "
+         "got -1.0"),
+        # settings that no longer exist
+        ("[validate]\ngillespie_counts = 1 1 1",
+         "[validate] gillespie_counts: unknown option"),
+        ("[validate]\ngillespie_lambda = 3.0",
+         "[validate] gillespie_lambda: unknown option"),
+        ("[validate]\nmeanfield_step = 1e-3",
+         "[validate] meanfield_step: unknown option"),
+    ])
+    def test_bad_setting_fails_before_any_check(self, tmp_path, capsys,
+                                                setting, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(setting + "\n")
+        rc = main(["validate", "--config", str(ini),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_malformed_config_is_reported(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text("[model]\nn = abc\n")

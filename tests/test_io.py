@@ -794,6 +794,14 @@ class TestMalformedInput:
          "absorption and final times must be finite non-negative numbers"),
         (lambda m: m["trajectories"][1].update(final_time=-5.0),
          "absorption and final times must be finite non-negative numbers"),
+        # final times that contradict absorption: a replica ends where it
+        # absorbs, or else at the one t_end of the run
+        (lambda m: m["trajectories"][1].update(absorbed=0.5),
+         "replica 1 absorbed at 0.5, but its final time is 1.0"),
+        (lambda m: m["trajectories"][2].update(absorbed=0.5, final_time=0.75),
+         "replica 2 absorbed at 0.5, but its final time is 0.75"),
+        (lambda m: m["trajectories"][1].update(final_time=0.5),
+         "unabsorbed replicas do not share one final time"),
         (lambda m: m["trajectories"][1].update(has_event_log=[]),
          "has_event_log must be true or false"),
         (lambda m: [t.update(has_event_log="yes") for t in m["trajectories"]],
@@ -840,6 +848,27 @@ class TestMalformedInput:
         with pytest.raises(DomainError) as err:
             read_ensemble(ens_dir)
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("final_time", [0.5, 7.0])
+    def test_absorbed_replica_ends_at_its_absorption(self, tmp_path,
+                                                     final_time):
+        # each replica logs its last event where it absorbs, which the
+        # manifest's final time must repeat
+        spec = ModelSpec(n=3, lam=1.0, total=6, initial=(2, 2, 2))
+        ens = run_ensemble(spec, 5, math.inf, np.array([0.0]), 4,
+                           record_events=True)
+        out = write_ensemble(ens, tmp_path / "e")
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert all(m["absorbed"] == m["final_time"]
+                   for m in manifest["trajectories"])
+        manifest["trajectories"][1]["final_time"] = final_time
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(out)
+        assert str(err.value) == (
+            f"{path}: replica 1 absorbed at {ens.absorbed[1].item()!r}, "
+            f"but its final time is {final_time!r}")
 
     @pytest.mark.parametrize("name, line, cells, message", [
         # replica 1's first sample time moves off the shared grid

@@ -755,7 +755,8 @@ def test_replay_matches_per_replica_reference(log, block, data):
                                  dtype=np.int16),
         event_offsets=np.cumsum([0] + [len(tt) for tt in times]))
     # before, at and after logged times, and at the ends of the horizon;
-    # past the final time 2.0 there is nothing to replay
+    # past the final time 2.0 there is nothing to replay, and before 0 no
+    # time to replay to (the time just before a logged 0)
     logged = sorted({x for tt in times for x in tt})
     at = data.draw(st.sampled_from(logged)) if logged else 1.0
     for t in (0.0, at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf),
@@ -767,6 +768,10 @@ def test_replay_matches_per_replica_reference(log, block, data):
                 with pytest.raises(DomainError, match="past the simulated"):
                     ens.replay(t)
                 continue
+            if t < 0.0:
+                with pytest.raises(DomainError, match="must be non-negative"):
+                    ens.replay(t)
+                continue
             jumps, internal = ens.replay(t)
         assert jumps.shape == internal.shape == (replicas, spec.n)
         for i in range(replicas):
@@ -775,6 +780,33 @@ def test_replay_matches_per_replica_reference(log, block, data):
                 np.array(reactions[i], dtype=np.int16), t)
             assert jumps[i].tobytes() == ref_jumps.tobytes()
             assert internal[i].tobytes() == ref_internal.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(n=3, lam=1.0, total=6, initial=(2, 2, 2)),
+    ModelSpec(n=4, lam=1.0, total=8, initial=(2, 2, 2, 2)),
+], ids=["n3", "n4"])
+def test_absorbed_ensemble_replays_at_infinity(spec):
+    # an absorbed replica's intensities are 0 from its final time on; the
+    # tail from its last event to t = inf was inf * 0 = NaN, with a warning
+    ens = run_ensemble(spec, 30, math.inf, np.array([0.0]), 11,
+                       record_events=True)
+    assert not np.isnan(ens.absorbed).any()
+    jumps, internal = ens.replay(math.inf)
+    at_end = ens.replay(ens.final_time.max())
+    assert jumps.tobytes() == at_end[0].tobytes()
+    assert internal.tobytes() == at_end[1].tobytes()
+    assert np.isfinite(internal).all()
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_replay_time_must_be_non_negative(t):
+    # these returned T = -3.33 per reaction and NaN
+    spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+    ens = run_ensemble(spec, 4, 1.0, np.array([1.0]), 3, record_events=True)
+    with pytest.raises(DomainError,
+                       match=f"^replay time t={t:g} must be non-negative$"):
+        ens.replay(t)
 
 
 def test_replay_peaks_below_the_log_it_reads():

@@ -275,6 +275,14 @@ class TestLln:
         with pytest.raises(GridMismatch):
             lln_test(ensembles, mf, 2.0)
 
+    @pytest.mark.parametrize("t", [math.nan, -1.0])
+    def test_time_must_be_non_negative(self, t):
+        # these reached numpy's bare "zero-size array to reduction" error
+        ensembles, mf = small_lln_setup()
+        with pytest.raises(DomainError,
+                           match=f"^lln time t={t} must be non-negative$"):
+            lln_test(ensembles, mf, t)
+
     def test_fractions_must_match(self):
         ensembles, _ = small_lln_setup()
         other_fracs = np.array([1 / 3] * 3)
@@ -458,15 +466,14 @@ class TestValidationConfig:
 
     def test_every_field_reads_from_its_section(self, tmp_path):
         changed = dict(n=5, lam=0.5, fractions=(0.5, 0.5, 0.0),
-                       base_seed=1, workers=2, meanfield_step=2e-3,
+                       base_seed=1, workers=2,
                        lln_populations=(10, 40), lln_replicas=3, lln_time=0.25,
                        lln_grid_points=5, lln_median_bound=0.5,
                        lln_ratio_low=1.1, lln_ratio_high=3.0,
                        clt_population=9, clt_replicas=8, clt_time=0.75,
                        clt_frobenius_bound=0.25, martingale_population=7,
                        martingale_replicas=6, martingale_time=0.5,
-                       martingale_z_bound=2.5, gillespie_counts=(1, 2, 3),
-                       gillespie_lambda=1.5, gillespie_samples=44,
+                       martingale_z_bound=2.5, gillespie_samples=44,
                        gillespie_p_threshold=0.05)
         assert set(changed) == {f.name for f in fields(ValidationConfig)}
         sections = {"model": ("n", "lam", "fractions"),
@@ -545,8 +552,6 @@ def test_run_validation_smoke(tmp_path):
      "clt_time must be positive and finite, got nan"),
     ("[validate]\nmartingale_time = 0", DomainError,
      "martingale_time must be positive and finite, got 0.0"),
-    ("[validate]\nmeanfield_step = -0.001", DomainError,
-     "meanfield_step must be positive and finite, got -0.001"),
     ("[validate]\nclt_replicas = 0", DomainError,
      "clt_replicas must be positive, got 0"),
     ("[validate]\nclt_replicas = 99", InsufficientReplicas,
@@ -569,17 +574,34 @@ def test_run_validation_smoke(tmp_path):
      "gillespie_p_threshold must lie in"),
     ("[validate]\ngillespie_p_threshold = 1", DomainError,
      "gillespie_p_threshold must lie in"),
-    ("[validate]\ngillespie_lambda = -2", DomainError, "collision rate"),
-    ("[validate]\ngillespie_counts = 1 1", DomainError,
-     r"^\[validate\] gillespie_counts has 2 values but \[model\] n is 3$"),
     ("[model]\nfractions = 0.5 0.5", DomainError,
      r"^\[model\] fractions has 2 values but \[model\] n is 3$"),
     ("[model]\ninitial = 1 1 1 1", DomainError,
      r"^\[model\] initial has 4 counts but \[model\] n is 3$"),
     ("[model]\nn = 4\ninitial = 1 1 1", DomainError,
      r"^\[model\] initial has 3 counts but \[model\] n is 4$"),
-    ("[model]\nlambda = nan\n[validate]\ngillespie_lambda = 1", DomainError,
-     "collision rate"),
+    ("[model]\nlambda = nan", DomainError, "collision rate"),
+    ("[model]\nlambda = -1", DomainError, r"^\[model\] lambda: collision "
+     r"rate must be positive and finite, got -1\.0$"),
+    ("[model]\nlambda = inf", DomainError,
+     r"^\[model\] lambda: collision rate"),
+    # pass bounds, which every check compares against
+    *((f"[validate]\n{name} = {value}", DomainError,
+       f"^{name} must be positive and finite, got {value}$")
+      for name in ("lln_median_bound", "lln_ratio_low", "lln_ratio_high",
+                   "clt_frobenius_bound", "martingale_z_bound")
+      for value in ("-1.0", "0.0", "nan", "inf")),
+    ("[validate]\nlln_ratio_low = 3\nlln_ratio_high = 1", DomainError,
+     "^lln_ratio_low must be below lln_ratio_high, got 3.0 and 1.0$"),
+    ("[validate]\nlln_ratio_low = 2\nlln_ratio_high = 2", DomainError,
+     "^lln_ratio_low must be below lln_ratio_high, got 2.0 and 2.0$"),
+    # settings that are gone: the first-event check starts from one of
+    # each species at [model] lambda, the mean fields march at their
+    # default step
+    *((f"[validate]\n{line}", DomainError,
+       rf"^\[validate\] {line.split()[0]}: unknown option$")
+      for line in ("gillespie_counts = 1 1 1", "gillespie_lambda = 3.0",
+                   "meanfield_step = 1e-3")),
     ("[model]\nfractions = 0.5 0.6 0.1", rpsim.core.NormalizationError,
      "fractions sum to"),
     ("[run]\nbase_seed = -3", DomainError,
