@@ -3,15 +3,15 @@
 
 The set covers each engine path and writer: `simulate` below and above the
 32 replicas at which ensembles step together, with five species, to
-absorption, in lockstep until every replica absorbs with grid times still
-to sample, in two lockstep chunks and without event logs; `meanfield` at
-n = 3 and n = 5; three `fluctuation` runs (the benchmark's 2 000 paths, five
-species with off-step report times, and a given initial covariance); and
-`validate` at base seeds 42-57 and, small, with four species from an
-off-centre start until some martingale replicas absorb, and with every
-setting away from its default.  Each command runs
-in a fresh directory with relative paths, so its console output is hashed
-too.
+absorption both one replica at a time and in lockstep, in lockstep until
+every replica absorbs with grid times still to sample, one replica at a
+time at the largest total, in two lockstep chunks and without event logs;
+`meanfield` at n = 3 and n = 5; three `fluctuation` runs (the benchmark's
+2 000 paths, five species with off-step report times, and a given initial
+covariance); and `validate` at base seeds 42-57 and, small, with four
+species from an off-centre start until some martingale replicas absorb, and
+with every setting away from its default.  Each command runs in a fresh
+directory with relative paths, so its console output is hashed too.
 
 One line per file, `<sha256>  <case>/<file>`, then a combined digest of
 those lines.  Run it once against each tree to compare two commits:
@@ -110,6 +110,16 @@ CASES = [
                                  "12", "--t-end", "50", "--grid-points",
                                  "11", "--base-seed", "6", "--events"], True,
      None),
+    # one replica at a time (below 32 replicas): to absorption, and at the
+    # largest total ModelSpec allows, where the counts are exact in float64
+    ("simulate-scalar-absorbing", ["simulate", "--replicas", "12", "--total",
+                                   "30", "--t-end", "inf", "--grid", "0",
+                                   "--base-seed", "8", "--events"], True,
+     None),
+    ("simulate-largest-total", ["simulate", "--replicas", "3", "--total",
+                                "9007199254740992", "--t-end", "1e-13",
+                                "--grid-points", "4", "--base-seed", "10",
+                                "--events"], True, None),
     ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
                              "30", "--t-end", "1", "--grid-points", "3",
                              "--base-seed", "4", "--events"], False, None),

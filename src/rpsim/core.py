@@ -92,7 +92,7 @@ class MissingEventLog(RpsimError):
 
 # event logs store reaction indices as int16
 MAX_SPECIES = 2**15 - 1
-# the lockstep engine holds counts in float64, exact up to here
+# both engines hold counts in float64, exact up to here
 MAX_TOTAL = 2**53
 
 

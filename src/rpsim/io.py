@@ -480,9 +480,10 @@ def _load_samples(path: Path, spec: ModelSpec, replicas: int):
 
 
 def _load_events(path: Path, spec: ModelSpec, n_events: list,
-                 final_counts: list):
+                 final_counts: list, final_time: list):
     """The flat event times, reactions and replica offsets of CSV ``path``,
-    checked against the manifest's ``n_events`` and ``final_counts``.
+    checked against the manifest's ``n_events``, ``final_counts`` and
+    ``final_time``.
 
     The log is parsed a block of rows at a time into arrays sized from the
     file's lines and trimmed to its rows; the manifest's counts are only
@@ -510,19 +511,23 @@ def _load_events(path: Path, spec: ModelSpec, n_events: list,
             raise DomainError(f"{path}: replica {i} has {counts[i]} events, "
                               f"the manifest says {n_events[i]}")
         lo, hi = offsets[i], offsets[i + 1]
-        _check_log(path, i, spec, final_counts[i], times[lo:hi],
-                   reactions[lo:hi])
+        _check_log(path, i, spec, final_counts[i], final_time[i],
+                   times[lo:hi], reactions[lo:hi])
     return times, reactions, offsets
 
 
 def _check_log(path: Path, i: int, spec: ModelSpec, final_counts: list,
-               times: np.ndarray, reactions: np.ndarray) -> None:
-    """Raise DomainError unless replica ``i``'s event log is in time order
-    and replaying it gives ``final_counts`` (reaction j moves one unit from
-    species j+1 to species j)."""
+               final_time: float, times: np.ndarray,
+               reactions: np.ndarray) -> None:
+    """Raise DomainError unless replica ``i``'s event log is in time order,
+    ends by ``final_time`` and replays to ``final_counts`` (reaction j moves
+    one unit from species j+1 to species j)."""
     n = spec.n
     if not np.all(np.diff(times) >= 0):
         raise DomainError(f"{path}: replica {i} has event times out of order")
+    if len(times) and times[-1] > final_time:
+        raise DomainError(f"{path}: replica {i} logs an event at "
+                          f"{times[-1]}, after its final time {final_time}")
     # one pass per reaction over the int16 log, with no full-size int copy
     fired = [int(np.count_nonzero(reactions == j)) for j in range(n)]
     if sum(fired) != len(reactions):
@@ -553,11 +558,12 @@ def read_ensemble(out_dir) -> Ensemble:
     unlogged runs, or, without event logs, whose final counts are not n
     non-negative integers summing to the total; for replicas that do not
     share one ascending grid, or a sample that breaks conservation; and for
-    an event log that is out of order or does not replay to its manifest
-    entry, or whose manifest event counts are not non-negative integers or
-    not its rows per replica; and for a CSV with more lines than memory
-    holds a row for, since every array is sized from its CSV's lines, empty
-    ones too, not from the manifest or from replica 0's rows.
+    an event log that is out of order, logs an event after its replica's
+    final time or does not replay to its manifest entry, or whose manifest
+    event counts are not non-negative integers or not its rows per replica;
+    and for a CSV with more lines than memory holds a row for, since every
+    array is sized from its CSV's lines, empty ones too, not from the
+    manifest or from replica 0's rows.
     """
     out = Path(out_dir)
     path = out / "manifest.json"
@@ -629,7 +635,7 @@ def read_ensemble(out_dir) -> Ensemble:
         event_times = event_reactions = offsets = None
         if logged[0]:
             event_times, event_reactions, offsets = _load_events(
-                out / "events.csv", spec, n_events, final_counts)
+                out / "events.csv", spec, n_events, final_counts, final_time)
     except MemoryError:
         raise DomainError(f"{out}: a CSV has too many lines to hold") from None
     return Ensemble(

@@ -15,8 +15,11 @@ Two engines run this loop with the same arithmetic in the same order:
 
 * :func:`run_until` runs one replica, one event at a time, in a loop
   generated and compiled once per species count, unrolled so that every
-  count, clock and threshold is a local variable.  Ensembles of fewer than
-  32 replicas (``_LOCKSTEP_MIN``) run it once per replica.
+  count, clock and threshold is a local variable.  Its counts are floats,
+  as the lockstep engine's are, exact since ``ModelSpec`` caps the total at
+  2**53, and one pass per event fires the chosen clock and advances the
+  others.  Ensembles of fewer than 32 replicas (``_LOCKSTEP_MIN``) run it
+  once per replica.
 * ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together,
   one event per replica per step, and takes larger ensembles in chunks;
   below 32 replicas it measured slower than one at a time.  Its state is
@@ -30,8 +33,7 @@ Two engines run this loop with the same arithmetic in the same order:
 Both write their replicas' rows of the ensemble's arrays in place and append
 their events, in replica order, to the ensemble's one flat event log.  The
 lockstep engine logs a chunk's events step by step and, at the chunk's end,
-places them in replica order by one stable sort on each event's index
-within its replica.
+places them in replica order, a fixed-size block of steps at a time.
 
 Draw order, the contract both engines keep: replica ``i`` of an ensemble
 reads ``rng_stream(base_seed, i)``, ``n`` initial thresholds in clock order,
@@ -90,6 +92,9 @@ _LOCKSTEP_MAX = 2048
 _LOCKSTEP_DRAWS = 256
 # events per block of an event-log replay; bounds its temporaries
 _REPLAY_EVENTS = 4096
+# (step, replica) pairs per block of the lockstep's log placement; bounds its
+# temporaries
+_PLACE_CELLS = 1 << 14
 
 
 class ReplicaError(RpsimError):
@@ -205,20 +210,22 @@ class Ensemble:
 
 
 # run_until's loop, unrolled: species j's count, clock (accumulated intensity),
-# threshold and rate are c{j}, i{j}, h{j} and r{j}; the draws are buf[k], in
-# blocks of blk >= n
+# threshold and rate are c{j}, i{j}, h{j} and r{j}; the draws come from buf, an
+# iterator over a block of blk >= n.  The counts are floats, exact since
+# ModelSpec caps the total at 2**53, so the rates, the updates and the
+# conservation sum take CPython's float-only operations; the loop returns them
+# as ints.
 _LOOP = """\
 def loop(counts, draw, blk, rtol, t_end, grid_next, samples, log,
          max_events, lom, total):
-    {c}, = counts
+    {c}, = map(float, counts)
     {i}, = (0.0,) * {n}
-    buf = draw(blk).tolist()
-    {h}, = buf[:{n}]
-    k = {n}
+    buf = iter(draw(blk).tolist())
+    {h}, = [next(buf) for _ in range({n})]
     inf = float("inf")
     if log is not None:
         log_time, log_reaction = log[0].append, log[1].append
-    t, gi, n_events, absorbed = 0.0, 0, 0, None
+    t, gi, g_next, n_events, absorbed = 0.0, 0, grid_next[0], 0, None
     while True:
         best, dt = -1, inf
 {select}
@@ -228,15 +235,16 @@ def loop(counts, draw, blk, rtol, t_end, grid_next, samples, log,
         new_time = t + dt
         if new_time > t_end:
             break
-        while grid_next[gi] < new_time:
+        while g_next < new_time:
             samples.append(({c},))
             gi += 1
+            g_next = grid_next[gi]
+        try:
+            e = next(buf)
+        except StopIteration:
+            buf = iter(draw(blk).tolist())
+            e = next(buf)
 {advance}
-        if k == blk:
-            buf, k = draw(blk).tolist(), 0
-        e = buf[k]
-        k += 1
-{fire}
         t = new_time
         n_events += 1
         if n_events > max_events:
@@ -247,7 +255,7 @@ def loop(counts, draw, blk, rtol, t_end, grid_next, samples, log,
         if log is not None:
             log_time(t)
             log_reaction(best)
-    return ({c},), absorbed, gi
+    return tuple(map(int, ({c},))), absorbed, gi
 """
 _SELECT = """\
         r{j} = lom * c{j} * c{k}
@@ -256,18 +264,18 @@ _SELECT = """\
             if d < dt:
                 dt = d
                 best = {j}"""
-# every live clock but the fired one advances by rate * dt
+# one pass: the fired clock takes its threshold and a fresh gap, and every
+# other live clock advances by rate * dt
 _ADVANCE = """\
-        if r{j} > 0.0 and best != {j}:
-            i{j} += r{j} * dt
-            if i{j} > h{j}:
-                i{j} = _clamp({j}, i{j}, h{j}, rtol)"""
-_FIRE = """\
         if best == {j}:
             i{j} = h{j}
             h{j} += e
-            c{j} += 1
-            c{k} -= 1"""
+            c{j} += 1.0
+            c{k} -= 1.0
+        elif r{j} > 0.0:
+            i{j} += r{j} * dt
+            if i{j} > h{j}:
+                i{j} = _clamp({j}, i{j}, h{j}, rtol)"""
 
 
 def _clamp(j: int, advanced: float, threshold: float, rtol: float) -> float:
@@ -289,8 +297,7 @@ def _event_loop(n: int):
         # summed in groups: one long sum nests too deep for the compiler
         c_sum=" + ".join(f"({' + '.join(c[lo:lo + 64])})"
                          for lo in range(0, n, 64)),
-        select=per_species(_SELECT, n), advance=per_species(_ADVANCE, n),
-        fire=per_species(_FIRE, n))
+        select=per_species(_SELECT, n), advance=per_species(_ADVANCE, n))
     return compile_loop(source, f"<run_until loop, n={n}>",
                         BudgetExceeded=BudgetExceeded, _clamp=_clamp)
 
@@ -345,23 +352,31 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     records the post-event state.  After absorption all remaining grid times
     repeat the absorbing state.
 
-    The first call for each species count compiles its event loop (the
-    last 16 counts stay cached), at a cost in time and transient memory
-    that grows linearly with ``n``, about 0.2 ms and 43 kB per species: 1 ms
-    at n = 3, 0.2 s and 43 MB at n = 1 000, 0.7 s and 170 MB at n = 4 000,
-    so, extrapolated, about 6 s and 1.4 GB at ``MAX_SPECIES`` = 32 767.
+    The loop holds the counts as floats, exact up to the total's cap of
+    2**53, so each rate, update and conservation sum is the IEEE result
+    of the integer arithmetic; ``final_counts`` come back as Python ints
+    and ``samples`` as int64.  Each event takes its draw, then one pass
+    over the species fires the chosen clock and advances the other live
+    ones.
+
+    The first call for each species count compiles its event loop
+    (the last 16 counts stay cached), at a cost in time and transient
+    memory that grows linearly with ``n``, about 0.2 ms and 41 kB per
+    species: 1 ms at n = 3, 0.2 s and 41 MB at n = 1 000, 0.7 s and 165 MB
+    at n = 4 000, so, extrapolated, about 6 s and 1.3 GB at
+    ``MAX_SPECIES`` = 32 767.
     """
     grid = _check_run(t_end, grid)
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
 
-    samples: list[tuple[int, ...]] = []
+    samples: list[tuple] = []      # float counts; the tail, int ones
     # raw doubles and shorts, which np.asarray views without a copy
     log = (array.array("d"), array.array("h")) if record_events else _log
     counts, absorbed, gi = _event_loop(spec.n)(
         spec.initial, rng.standard_exponential, max(_EXP_BLOCK, spec.n),
         _OVERSHOOT_RTOL, t_end, grid.tolist() + [math.inf], samples, log,
-        max_events, spec.lam / spec.total, spec.total)
+        max_events, spec.lam / spec.total, float(spec.total))
     # horizon reached or absorbed: the state no longer changes
     samples += [counts] * (len(grid) - gi)
 
@@ -407,10 +422,10 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
     as in ``samples``, ``final`` and ``absorbed_at`` (NaN on entry), and a
     refill calls only the live replicas' generators.  With ``log``, each
     step appends its live replicas' event times and reactions to a flat
-    step log, in replica order.  At the end, a stable sort of the step
-    log's entries by event index (step) places each at its replica-major
-    position, both logs are written there once and appended to ``log``,
-    and ``ends[i]`` is set to the log's length after replica ``first + i``.
+    step log, in replica order.  At the end, each log is placed in replica
+    order, a block of steps at a time with block-sized temporaries, and
+    appended to ``log``, and ``ends[i]`` is set to the log's length after
+    replica ``first + i``.
     """
     n = spec.n
     replicas = len(final)
@@ -552,18 +567,24 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
 
     if log is not None:
         del draws   # not held while the log is placed
-        # replica first + i's event k is entry start[i] + k of the chunk's
-        # events; the step log holds them by k, each step in replica order,
-        # so a stable sort by k gives each step-log entry its place
         np.cumsum(n_events, out=ends)
         start = ends - n_events
-        at = np.argsort(np.arange(ends[-1]) - np.repeat(start, n_events),
-                        kind="stable")
         ends += len(log[0])
         for out in log:
             step = np.frombuffer(steps.pop(0), dtype=out.typecode)
             chunk = np.empty_like(step)
-            chunk[at] = step
+            # replica first + i's event k goes to start[i] + k; step k
+            # logged its live replicas in replica order, so a block of
+            # about _PLACE_CELLS (step, live replica) pairs, as a mask read
+            # row by row, lists the next entries of the step log
+            lo = k = 0
+            while lo < len(step):
+                live = np.flatnonzero(n_events > k)
+                ks = np.arange(k, k + max(1, _PLACE_CELLS // len(live)))
+                ks = ks[:, None]    # a row per step, a column per replica
+                at = (start[live] + ks)[n_events[live] > ks]
+                chunk[at] = step[lo:lo + len(at)]
+                lo, k = lo + len(at), k + len(ks)
             del step    # freed before the log grows
             out.frombytes(chunk.view(np.uint8))
             del chunk   # nor held while the next one is made

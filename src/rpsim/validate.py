@@ -103,6 +103,23 @@ def _match_times(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_bounds(bounds: dict, *, p_threshold: str | None = None,
+                  band: tuple[str, str] | None = None) -> None:
+    """Raise :class:`DomainError`, naming the key, unless each value of
+    ``bounds`` is positive and finite (the one named ``p_threshold`` in
+    (0, 1)) and the (low, high) keys ``band`` name a non-empty band."""
+    for name, value in bounds.items():
+        if name == p_threshold:
+            if not 0.0 < value < 1.0:
+                raise DomainError(f"{name} must lie in (0, 1), got {value}")
+        elif not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, "
+                              f"got {value}")
+    if band and not bounds[band[0]] < bounds[band[1]]:
+        raise DomainError(f"{band[0]} must be below {band[1]}, got "
+                          f"{bounds[band[0]]} and {bounds[band[1]]}")
+
+
 # --------------------------------------------------------------------------
 # law of large numbers
 # --------------------------------------------------------------------------
@@ -123,10 +140,16 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
     first (same species count, rate, initial fractions and sample grid),
     its record is made, and it is dropped before the next is asked for, so
     at most one ensemble's samples are held at once.  A negative or NaN
-    ``t`` raises :class:`DomainError` before the first is asked for.
+    ``t``, a bound that is not positive and finite or an empty band raises
+    :class:`DomainError` before the first is asked for.
     """
     if not t >= 0:
         raise DomainError(f"lln time t={t} must be non-negative")
+    bounds, band = {"median_bound": median_bound}, None
+    if ratio_band is not None:
+        band = ("ratio_band[0]", "ratio_band[1]")
+        bounds.update(zip(band, ratio_band))
+    _check_bounds(bounds, band=band)
     records = []
     first = grid = None
     for e in ensembles:
@@ -205,7 +228,9 @@ def clt_test(ensemble: Ensemble, meanfield: MeanFieldPath,
     z-scores use the asymptotic standard error of a covariance entry, and
     the aggregate verdict is the Frobenius relative error restricted to the
     zero-sum subspace (the full matrices are singular along (1,...,1)).
+    The bound must be positive and finite (:class:`DomainError`).
     """
+    _check_bounds({"frobenius_bound": frobenius_bound})
     replicas = ensemble.replicas
     if replicas < _CLT_MIN_REPLICAS:
         raise InsufficientReplicas(
@@ -274,8 +299,10 @@ def martingale_test(ensemble: Ensemble, t: float, *,
     accumulated intensity, the differences D_j = N_j - T_j must average to
     zero, D_j^2 - T_j must average to zero, and D_j * D_k must average to
     zero for j != k.  Each identity is exact in expectation; the test
-    z-scores each sample mean against its Monte Carlo standard error.
+    z-scores each sample mean against its Monte Carlo standard error.  The
+    bound must be positive and finite (:class:`DomainError`).
     """
+    _check_bounds({"z_bound": z_bound})
     n = ensemble.spec.n
     replicas = ensemble.replicas
     counts, times = ensemble.replay(t)
@@ -503,8 +530,9 @@ def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
     first-event time must be exponential with the summed reaction rate, and
     the fired reaction must be categorical with probabilities proportional
     to the rates (competing exponentials).  Kolmogorov-Smirnov and
-    chi-square at the configured p threshold.
+    chi-square at the configured p threshold, which must lie in (0, 1).
     """
+    _check_bounds({"p_threshold": p_threshold}, p_threshold="p_threshold")
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
     n = spec.n
@@ -702,24 +730,18 @@ def _check_config(config: ValidationConfig
     if config.lln_grid_points < 2:
         raise DomainError("lln_grid_points must be at least 2, "
                           f"got {config.lln_grid_points}")
-    for name in ("lln_time", "clt_time", "martingale_time",
-                 "lln_median_bound", "lln_ratio_low", "lln_ratio_high",
-                 "clt_frobenius_bound", "martingale_z_bound"):
-        value = getattr(config, name)
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, "
-                              f"got {value}")
-    if not config.lln_ratio_low < config.lln_ratio_high:
-        raise DomainError("lln_ratio_low must be below lln_ratio_high, got "
-                          f"{config.lln_ratio_low} and {config.lln_ratio_high}")
+    # the times take the same rule as the bounds
+    _check_bounds({name: getattr(config, name) for name in (
+        "lln_time", "clt_time", "martingale_time", "lln_median_bound",
+        "lln_ratio_low", "lln_ratio_high", "clt_frobenius_bound",
+        "martingale_z_bound", "gillespie_p_threshold")},
+        p_threshold="gillespie_p_threshold",
+        band=("lln_ratio_low", "lln_ratio_high"))
     try:
         grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
     except (MemoryError, ValueError):   # ValueError: past numpy's size limit
         raise DomainError(f"lln_grid_points {config.lln_grid_points}, too "
                           "many sample times to hold in memory") from None
-    if not 0.0 < config.gillespie_p_threshold < 1.0:
-        raise DomainError("gillespie_p_threshold must lie in (0, 1), "
-                          f"got {config.gillespie_p_threshold}")
     if config.clt_replicas < _CLT_MIN_REPLICAS:
         raise InsufficientReplicas(
             f"clt_replicas must be at least {_CLT_MIN_REPLICAS}, "

@@ -136,6 +136,12 @@ class TestEnsembleRoundTrip:
         assert manifest["replicas"] == 4
         assert manifest["model"]["initial"] == [20, 20, 20]
         assert len(manifest["trajectories"]) == 4
+        # run_until, which runs these replicas, holds its counts as floats;
+        # the manifest holds JSON integers
+        counts = [c for traj in manifest["trajectories"]
+                  for c in traj["final_counts"]]
+        assert len(counts) == 12 and all(type(c) is int for c in counts)
+        assert sum(counts) == 4 * SPEC.total
 
 
 def test_writers_are_byte_deterministic(tmp_path):
@@ -402,10 +408,11 @@ def replayed_final_counts(spec, reactions) -> tuple:
     return tuple(counts)
 
 
-def synthetic_ensemble(spec, grid, event_logs) -> Ensemble:
+def synthetic_ensemble(spec, grid, event_logs, t_end=1.0) -> Ensemble:
     """One replica per entry of ``event_logs``, its event times (all of
-    them None: no log), on ``grid``.  The counts and reactions are random
-    but valid, and the final counts replay the log."""
+    them None: no log), on ``grid``, each ending at ``t_end``.  The counts
+    and reactions are random but valid, and the final counts replay the
+    log."""
     grid = np.asarray(grid, dtype=float)
     rngs = [np.random.default_rng(i) for i in range(len(event_logs))]
     even = np.full(spec.n, 1 / spec.n)
@@ -423,14 +430,15 @@ def synthetic_ensemble(spec, grid, event_logs) -> Ensemble:
     return Ensemble(spec=spec, grid=grid, base_seed=0, samples=samples,
                     final_counts=np.array(final, dtype=np.int64),
                     absorbed=np.full(len(rngs), math.nan),
-                    final_time=np.ones(len(rngs)), **log)
+                    final_time=np.full(len(rngs), t_end), **log)
 
 
 SPEC4 = ModelSpec(n=4, lam=1.0, total=40, initial=(10, 10, 10, 10))
 SPEC5 = ModelSpec(n=5, lam=2.0, total=25, initial=(9, 3, 5, 7, 1))
 ENSEMBLES = {
+    # the run ends at its last event, which the reader requires
     "special-values": lambda: synthetic_ensemble(
-        SPEC, SPECIAL, [SPECIAL, SPECIAL[1:]]),
+        SPEC, SPECIAL, [SPECIAL, SPECIAL[1:]], t_end=SPECIAL[-1]),
     "empty-grid": lambda: synthetic_ensemble(SPEC, [], [[0.5, 0.7], []]),
     "zero-event-replicas": lambda: synthetic_ensemble(
         SPEC, GRID, [[], [0.1, 0.2], []]),
@@ -687,6 +695,19 @@ class TestMalformedInput:
             "trajectories"][2]["n_events"]
         assert str(err.value) == (f"{events}: replica 2 has {n_events - 5} "
                                   f"events, the manifest says {n_events}")
+
+    def test_event_after_the_final_time_is_a_domain_error(self, ens_dir):
+        # replica 0's last event moves past the run's end, still in order;
+        # replaying to the final time would miss it
+        events = ens_dir / "events.csv"
+        lines = events.read_text().splitlines()
+        last = max(k for k, line in enumerate(lines) if line.startswith("0,"))
+        _, _, r = lines[last].split(",")
+        self.corrupt(events, last, f"0,5.0,{r}")
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == (f"{events}: replica 0 logs an event at "
+                                  "5.0, after its final time 1.0")
 
     @pytest.mark.parametrize("cells, message", [
         ("0,{t},{r}", "replica 0 replays to final counts"),

@@ -625,6 +625,48 @@ def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
         run_validation(ValidationConfig.from_ini(ini))
 
 
+def no_ensembles():
+    raise AssertionError("an ensemble was asked for")
+    yield
+
+
+# each check refuses a bad pass bound before it reads its inputs, by the rule
+# that _check_config applies to the INI's bounds
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("check, key", [
+    (lambda b: lln_test(no_ensembles(), None, 1.0, median_bound=b),
+     "median_bound"),
+    (lambda b: lln_test(no_ensembles(), None, 1.0, ratio_band=(b, 2.5)),
+     "ratio_band[0]"),
+    (lambda b: lln_test(no_ensembles(), None, 1.0, ratio_band=(1.6, b)),
+     "ratio_band[1]"),
+    (lambda b: clt_test(None, None, None, frobenius_bound=b),
+     "frobenius_bound"),
+    (lambda b: martingale_test(None, 1.0, z_bound=b), "z_bound"),
+])
+def test_bad_pass_bound_is_refused_from_python(check, key, bad):
+    with pytest.raises(DomainError, match=re.escape(
+            f"{key} must be positive and finite, got {bad}")):
+        check(bad)
+
+
+@pytest.mark.parametrize("band", [(3.0, 1.0), (2.0, 2.0)])
+def test_empty_ratio_band_is_refused_from_python(band):
+    with pytest.raises(DomainError, match=re.escape(
+            "ratio_band[0] must be below ratio_band[1], got "
+            f"{band[0]} and {band[1]}")):
+        lln_test(no_ensembles(), None, 1.0, ratio_band=band)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0, math.nan, math.inf])
+def test_bad_p_threshold_is_refused_from_python(monkeypatch, bad):
+    monkeypatch.setattr(rpsim.validate, "run_ensemble", None)
+    spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
+    with pytest.raises(DomainError, match=re.escape(
+            f"p_threshold must lie in (0, 1), got {bad}")):
+        gillespie_equivalence_test(spec, 10, 0, p_threshold=bad)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
 def test_bad_base_seed_fails_before_any_ensemble_runs(monkeypatch, seed):
     monkeypatch.setattr(rpsim.validate, "run_ensemble", None)
