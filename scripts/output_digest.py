@@ -66,7 +66,6 @@ lambda = 1.5
 fractions = 0.4, 0.3, 0.2, 0.1
 [run]
 base_seed = 11
-workers = 2
 [validate]
 lln_populations = 40, 160
 lln_replicas = 20

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import (DomainError, ModelSpec, RpsimError, check_seed,
-                   counts_from_fractions, symmetric_counts)
+from .core import (MAX_SPECIES, DomainError, ModelSpec, RpsimError,
+                   check_seed, counts_from_fractions, symmetric_counts)
 from .fluctuation import FluctuationModel, propagate_covariance, run_sde_ensemble
 from .meanfield import DEFAULT_STEP, MeanFieldPath, integrate
 from .simulate import DEFAULT_MAX_EVENTS, run_ensemble
@@ -40,11 +40,13 @@ def _numbers(text: str, cast, flag: str) -> tuple:
 
 
 def _species(args) -> int:
-    """``--n``, 3 when left out, checked here so that the message names
-    the flag."""
+    """``--n``, 3 when left out, checked here, before anything of size n is
+    built, so that the message names the flag."""
     n = 3 if args.n is None else args.n
     if n < 3:
         raise DomainError(f"--n must be at least 3, got {n}")
+    if n > MAX_SPECIES:
+        raise DomainError(f"--n must be at most {MAX_SPECIES}, got {n}")
     return n
 
 
@@ -129,8 +131,7 @@ def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     grid = _grid_from_args(args)
     ens = run_ensemble(spec, args.replicas, args.t_end, grid, args.base_seed,
-                       workers=args.workers, record_events=args.events,
-                       max_events=args.max_events)
+                       record_events=args.events, max_events=args.max_events)
     out = io.write_ensemble(ens, args.out)
     absorbed = np.count_nonzero(~np.isnan(ens.absorbed))
     print(f"wrote {ens.replicas} trajectories to {out} "
@@ -182,7 +183,7 @@ def _cmd_fluctuation(args) -> int:
 def _cmd_validate(args) -> int:
     config = ValidationConfig.from_ini(args.config) if args.config \
         else ValidationConfig()
-    reports = run_validation(config, workers=args.workers, echo=print)
+    reports = run_validation(config, echo=print)
     io.write_validation_reports(reports, args.out)
     ok = all(r["pass"] for r in reports.values())
     print(f"summary: {'ALL PASS' if ok else 'FAILURES'} (reports in {args.out})")
@@ -238,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the statistical harness")
     p.add_argument("--config", help="INI file; defaults are used when omitted")
     p.add_argument("--out", required=True, help="report directory")
-    p.add_argument("--workers", type=int, default=None,
-                   help=_WORKERS_HELP + " (default: [run] workers)")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -34,6 +34,7 @@ __all__ = [
     "check_fractions",
     "check_grid",
     "check_seed",
+    "check_species",
     "rng_stream",
     "rng_streams",
     "counts_from_fractions",
@@ -121,15 +122,10 @@ class ModelSpec:
     initial: tuple[int, ...]
 
     def __post_init__(self):
-        n, total = self.n, self.total
-        for value, what in ((n, "species count"), (total, "population total")):
-            if not _is_integer(value):
-                raise DomainError(f"{what} must be an integer, got {value!r}")
-        if n < 3:
-            raise DomainError(f"need at least 3 species, got n={n}")
-        if n > MAX_SPECIES:
-            raise DomainError(f"at most {MAX_SPECIES} species fit the int16 "
-                              f"reaction log, got n={n}")
+        n, total = check_species(self.n), self.total
+        if not _is_integer(total):
+            raise DomainError(
+                f"population total must be an integer, got {total!r}")
         lam = check_rate(self.lam)
         if total < 1:
             raise DomainError(f"population total must be at least 1, got {total}")
@@ -149,7 +145,7 @@ class ModelSpec:
             raise NormalizationError(
                 f"initial counts sum to {sum(initial)}, expected total={total}")
         for name, value in zip(("n", "lam", "total", "initial"),
-                               (int(n), lam, int(total), initial)):
+                               (n, lam, int(total), initial)):
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
@@ -188,6 +184,20 @@ def _above_max_total(total) -> DomainError:
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer (not a bool)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_species(n) -> int:
+    """Return the species count as a Python int; it must be a Python or
+    numpy integer (not a bool) from 3 to ``MAX_SPECIES``.  Callers check
+    it before they build anything of size ``n``."""
+    if not _is_integer(n):
+        raise DomainError(f"species count must be an integer, got {n!r}")
+    if n < 3:
+        raise DomainError(f"need at least 3 species, got n={n}")
+    if n > MAX_SPECIES:
+        raise DomainError(f"at most {MAX_SPECIES} species fit the int16 "
+                          f"reaction log, got n={n}")
+    return int(n)
 
 
 def check_real(value, what: str) -> float:

@@ -36,9 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, ModelSpec, RpsimError, check_grid, check_seed
+from .core import DomainError, ModelSpec, RpsimError, check_seed
 from .meanfield import MeanFieldPath
-from .simulate import Ensemble
+from .simulate import Ensemble, _check_run
 
 __all__ = [
     "fmt",
@@ -429,10 +429,12 @@ def _blocks(path: Path, fields: list, replicas: int, counts: np.ndarray):
             del rows, rep   # not held while the next block is parsed
 
 
-def _load_samples(path: Path, spec: ModelSpec, replicas: int):
+def _load_samples(path: Path, spec: ModelSpec, replicas: int,
+                  t_end: float):
     """The shared grid and the ``(replicas, G, n)`` samples of CSV
-    ``path``, which must give every replica the same ascending grid and
-    conserve the population in every sample.
+    ``path``, which must give every replica the same grid, one that
+    ``run_ensemble`` takes for horizon ``t_end``, and hold non-negative
+    counts that conserve the population in every sample.
 
     The samples array is sized from the file's lines and trimmed to its
     rows; each block's counts are copied to their place there as it
@@ -446,11 +448,12 @@ def _load_samples(path: Path, spec: ModelSpec, replicas: int):
     flat = np.empty((_line_count(path), n), dtype=np.int64)
     sizes = np.zeros(replicas, dtype=np.int64)
     head, grid = [np.empty(0)], None
-    off_grid = broken = False
+    off_grid = broken = negative = False
     for lo, rows in _blocks(path, fields, replicas, sizes):
         times, counts = rows["time"], rows["counts"]
         flat[lo:lo + len(rows)] = counts
         broken = broken or bool(np.any(counts.sum(axis=1) != spec.total))
+        negative = negative or bool(np.any(counts < 0))
         if grid is None:
             zero = int(np.searchsorted(rows["replica"], 1))
             head.append(times[:zero].copy())
@@ -469,11 +472,13 @@ def _load_samples(path: Path, spec: ModelSpec, replicas: int):
     if np.any(sizes != sizes[0]):
         raise DomainError(f"{path}: replicas do not share one grid")
     try:
-        check_grid(grid)
+        _check_run(t_end, grid)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
     if off_grid:
         raise DomainError(f"{path}: replicas do not share one grid")
+    if negative:
+        raise DomainError(f"{path}: a sample has a negative count")
     if broken:
         raise DomainError(f"{path}: a sample breaks population conservation")
     return grid, flat[:replicas * len(grid)].reshape(replicas, len(grid), n)
@@ -520,11 +525,15 @@ def _check_log(path: Path, i: int, spec: ModelSpec, final_counts: list,
                final_time: float, times: np.ndarray,
                reactions: np.ndarray) -> None:
     """Raise DomainError unless replica ``i``'s event log is in time order,
-    ends by ``final_time`` and replays to ``final_counts`` (reaction j moves
-    one unit from species j+1 to species j)."""
+    starts at 0 or later, ends by ``final_time`` and replays to
+    ``final_counts`` (reaction j moves one unit from species j+1 to species
+    j)."""
     n = spec.n
     if not np.all(np.diff(times) >= 0):
         raise DomainError(f"{path}: replica {i} has event times out of order")
+    if len(times) and times[0] < 0:
+        raise DomainError(f"{path}: replica {i} logs an event at "
+                          f"{times[0]}, before time 0")
     if len(times) and times[-1] > final_time:
         raise DomainError(f"{path}: replica {i} logs an event at "
                           f"{times[-1]}, after its final time {final_time}")
@@ -557,9 +566,12 @@ def read_ensemble(out_dir) -> Ensemble:
     trajectories, whose replicas are not seeds ``0..R-1`` or mix logged and
     unlogged runs, or, without event logs, whose final counts are not n
     non-negative integers summing to the total; for replicas that do not
-    share one ascending grid, or a sample that breaks conservation; and for
-    an event log that is out of order, logs an event after its replica's
-    final time or does not replay to its manifest entry, or whose manifest
+    share one grid, a grid that ``run_ensemble`` would refuse for a horizon
+    at the unabsorbed replicas' final time (at ``inf`` if every replica
+    absorbed), a negative count, or a sample that breaks conservation; and
+    for an event log that is out of order, logs an event before time 0 or
+    after its replica's final time or does not replay to its manifest
+    entry, or whose manifest
     event counts are not non-negative integers or not its rows per replica;
     and for a CSV with more lines than memory holds a row for, since every
     array is sized from its CSV's lines, empty ones too, not from the
@@ -606,9 +618,12 @@ def read_ensemble(out_dir) -> Ensemble:
         if a is not None and end != a:
             raise DomainError(f"{path}: replica {i} absorbed at {a!r}, but "
                               f"its final time is {end!r}")
-    if len({end for a, end in zip(absorbed, final_time) if a is None}) > 1:
+    ends = {end for a, end in zip(absorbed, final_time) if a is None}
+    if len(ends) > 1:
         raise DomainError(f"{path}: unabsorbed replicas do not share one "
                           "final time")
+    # the run's t_end, which bounds the grid; any, if every replica absorbed
+    t_end = ends.pop() if ends else math.inf
     replicas = len(metas)
     if not replicas or seeds != list(range(replicas)):
         raise DomainError(f"{path}: replica seeds are not 0..R-1, R >= 1")
@@ -631,7 +646,8 @@ def read_ensemble(out_dir) -> Ensemble:
                           f"integers summing to {spec.total}")
 
     try:
-        grid, samples = _load_samples(out / "samples.csv", spec, replicas)
+        grid, samples = _load_samples(out / "samples.csv", spec, replicas,
+                                      t_end)
         event_times = event_reactions = offsets = None
         if logged[0]:
             event_times, event_reactions, offsets = _load_events(

@@ -316,7 +316,7 @@ def _check_run(t_end: float, grid) -> np.ndarray:
         raise DomainError(f"t_end must be non-negative, got {t_end}")
     grid = check_grid(grid)
     if len(grid) and (grid[0] < 0 or grid[-1] > t_end):
-        raise DomainError("grid must lie within [0, t_end]")
+        raise DomainError(f"grid must lie within [0, t_end] = [0, {t_end}]")
     return grid
 
 

@@ -37,8 +37,10 @@ from .core import (
     InsufficientReplicas,
     ModelSpec,
     RpsimError,
+    check_fractions,
     check_rate,
     check_seed,
+    check_species,
     counts_from_fractions,
 )
 from .fluctuation import CovarianceState, FluctuationModel, propagate_covariance
@@ -598,7 +600,6 @@ class ValidationConfig:
 
     # [run]
     base_seed: int = 42
-    workers: int = 1          # accepted; changes neither results nor speed
 
     # [validate]
     lln_populations: tuple[int, ...] = (100, 400, 1600, 6400)
@@ -684,7 +685,7 @@ class ValidationConfig:
 
 # config-file section of each ValidationConfig field outside [validate]
 _INI_SECTIONS = {"n": "model", "lam": "model", "fractions": "model",
-                 "base_seed": "run", "workers": "run"}
+                 "base_seed": "run"}
 
 
 # deterministic sub-seed offsets so the four checks use unrelated streams
@@ -694,6 +695,15 @@ _SEED_CLT = 101
 _SEED_MARTINGALE = 102
 
 
+def _named(key: str, check, value):
+    """``check(value)``, whose error, if it raises one, names the INI key
+    ``key`` first and keeps its type."""
+    try:
+        return check(value)
+    except RpsimError as exc:
+        raise type(exc)(f"{key}: {exc}") from None
+
+
 def _check_config(config: ValidationConfig
                   ) -> tuple[list[ModelSpec], np.ndarray]:
     """Check every setting before any ensemble runs, and return the model of
@@ -701,22 +711,23 @@ def _check_config(config: ValidationConfig
     martingale) and the LLN check's sample grid.
 
     Raises :class:`DomainError` for a base seed that is not a non-negative
-    integer, a ``[model] lambda`` that is not a positive finite collision
-    rate (the message names the key), a non-positive count, replica count
-    or sample count, LLN populations that do not strictly increase, fewer
-    than two LLN grid points or more than memory holds, a time or pass
-    bound that is not positive and finite, an LLN ratio band whose low end
-    is not below its high end, a p threshold outside (0, 1), or fractions
-    not ``n`` long (the message names both settings);
+    integer; a ``[model] lambda`` that is not a positive finite collision
+    rate, a ``[model] n`` outside 3..``MAX_SPECIES`` (checked before
+    anything of size n is built), or ``[model] fractions`` that are not
+    ``n`` long or not finite and non-negative (each message names the key);
+    a non-positive count, replica count or sample count, LLN populations
+    that do not strictly increase, fewer than two LLN grid points or more
+    than memory holds, a time or pass bound that is not positive and
+    finite, an LLN ratio band whose low end is not below its high end, or a
+    p threshold outside (0, 1); :class:`~rpsim.core.NormalizationError`,
+    naming the key, for ``[model] fractions`` that do not sum to 1;
     :class:`InsufficientReplicas` for fewer CLT replicas than
     :func:`clt_test` needs; and whatever :class:`~rpsim.core.ModelSpec`
     raises for a model as it is built.
     """
     check_seed(config.base_seed)
-    try:
-        check_rate(config.lam)
-    except DomainError as exc:
-        raise DomainError(f"[model] lambda: {exc}") from None
+    _named("[model] lambda", check_rate, config.lam)
+    _named("[model] n", check_species, config.n)
     for name in ("lln_replicas", "clt_replicas", "martingale_replicas",
                  "gillespie_samples", "clt_population",
                  "martingale_population"):
@@ -750,17 +761,17 @@ def _check_config(config: ValidationConfig
     if config.fractions and len(config.fractions) != config.n:
         raise DomainError(f"[model] fractions has {len(config.fractions)} "
                           f"values but [model] n is {config.n}")
+    fractions = _named("[model] fractions", check_fractions,
+                       config.model_fractions())
     specs = [ModelSpec(n=config.n, lam=config.lam, total=config.n,
                        initial=(1,) * config.n)]
-    fractions = config.model_fractions()
     for m in (*pops, config.clt_population, config.martingale_population):
         specs.append(ModelSpec(n=config.n, lam=config.lam, total=m,
                                initial=counts_from_fractions(fractions, m)))
     return specs, grid
 
 
-def run_validation(config: ValidationConfig, *, workers: int | None = None,
-                   echo=None) -> dict[str, dict]:
+def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:
     """Run all four checks from one configuration.
 
     Returns their reports, ``{"gillespie": ..., "lln": ..., "clt": ...,
@@ -769,8 +780,6 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     :func:`_check_config`).
     """
     (g_spec, *lln_specs, clt_spec, mart_spec), grid = _check_config(config)
-    if workers is None:
-        workers = config.workers
     say = echo or (lambda *_: None)
     reports = {}
 
@@ -790,8 +799,7 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     # a generator: each population runs when lln_test asks for it
     ensembles = (
         run_ensemble(spec, config.lln_replicas, config.lln_time, grid,
-                     config.base_seed + _SEED_LLN + k, workers=workers,
-                     record_events=False)
+                     config.base_seed + _SEED_LLN + k, record_events=False)
         for k, spec in enumerate(lln_specs)
     )
     rep = reports["lln"] = lln_test(
@@ -808,7 +816,7 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     sigma_t = propagate_covariance(model, np.zeros((config.n, config.n)))[-1]
     ensemble = run_ensemble(clt_spec, config.clt_replicas, t,
                             np.array([0.0, t]), config.base_seed + _SEED_CLT,
-                            workers=workers, record_events=False)
+                            record_events=False)
     rep = reports["clt"] = clt_test(
         ensemble, mf_clt, sigma_t, frobenius_bound=config.clt_frobenius_bound)
     del ensemble        # free its samples before the martingale run
@@ -819,7 +827,7 @@ def run_validation(config: ValidationConfig, *, workers: int | None = None,
     t = config.martingale_time
     ensemble = run_ensemble(mart_spec, config.martingale_replicas, t,
                             np.array([t]), config.base_seed + _SEED_MARTINGALE,
-                            workers=workers, record_events=True)
+                            record_events=True)
     rep = reports["martingale"] = martingale_test(
         ensemble, t, z_bound=config.martingale_z_bound)
     worst = max(abs(c["z"]) for c in rep["checks"])

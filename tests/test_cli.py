@@ -190,6 +190,18 @@ class TestBadNumbers:
             f"error: --n must be at least 3, got {n}\n"
         assert not out.exists()
 
+    # 10**12 species fail at once if anything of that size is built
+    @pytest.mark.parametrize("command", ["simulate", "meanfield",
+                                         "fluctuation"])
+    @pytest.mark.parametrize("n", [32768, 10**12])
+    def test_too_many_species_names_the_flag(self, tmp_path, capsys, command,
+                                             n):
+        out = tmp_path / "x"
+        assert main([command, "--n", str(n), "--out", str(out)]) == 1
+        assert capsys.readouterr() == \
+            ("", f"error: --n must be at most 32767, got {n}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag, given", [
         (["simulate", "--n", "5", "--fractions", "0.5,0.3,0.2"],
          "--fractions", 3),
@@ -601,6 +613,11 @@ class TestValidateCommand:
          "[validate] gillespie_lambda: unknown option"),
         ("[validate]\nmeanfield_step = 1e-3",
          "[validate] meanfield_step: unknown option"),
+        ("[run]\nworkers = 2", "[run] workers: unknown option"),
+        # a species count is checked before anything of its size is built
+        ("[model]\nn = 1000000000000",
+         "[model] n: at most 32767 species fit the int16 reaction log, "
+         "got n=1000000000000"),
     ])
     def test_bad_setting_fails_before_any_check(self, tmp_path, capsys,
                                                 setting, message):

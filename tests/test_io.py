@@ -899,6 +899,8 @@ class TestMalformedInput:
          "grid times must be finite, got nan"),
         ("samples.csv", 2, "0,0.75,{2},{3},{4}", "grid must be ascending"),
         ("samples.csv", 2, "0,{1},{2},{3},7", "breaks population conservation"),
+        # the sum holds, but no run writes a negative count
+        ("samples.csv", 2, "0,{1},61,-1,0", "a sample has a negative count"),
         ("events.csv", 1, "0,1.5,{2}", "replica 0 has event times out of order"),
     ])
     def test_bad_samples_or_events_are_a_domain_error(self, ens_dir, name,
@@ -910,6 +912,31 @@ class TestMalformedInput:
             read_ensemble(ens_dir)
         assert str(err.value).startswith(f"{path}: ")
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("sample, time", [(0, "-1"), (4, "7")])
+    def test_grid_outside_the_run_is_a_domain_error(self, ens_dir, sample,
+                                                    time):
+        # every replica's sample moves, so the replicas still share one
+        # ascending grid, but run_ensemble refuses it for t_end = 1
+        path = ens_dir / "samples.csv"
+        for line in range(1 + sample, 16, 5):
+            cells = path.read_text().splitlines()[line].split(",")
+            self.corrupt(path, line, ",".join([cells[0], time, *cells[2:]]))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == \
+            f"{path}: grid must lie within [0, t_end] = [0, 1.0]"
+
+    def test_event_before_time_0_is_a_domain_error(self, ens_dir):
+        # replaying would integrate the intensities from t = -5; an event at
+        # -0.0, as in the special-values ensemble, reads back
+        events = ens_dir / "events.csv"
+        _, _, r = events.read_text().splitlines()[1].split(",")
+        self.corrupt(events, 1, f"0,-5,{r}")
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == (f"{events}: replica 0 logs an event at "
+                                  "-5.0, before time 0")
 
     def test_replica_with_a_missing_sample_is_a_domain_error(self, ens_dir):
         path = ens_dir / "samples.csv"

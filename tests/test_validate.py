@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -440,14 +440,14 @@ class TestValidationConfig:
         ini.write_text(
             "[model]\nn = 4\nlambda = 2.5\n"
             "fractions = 0.4, 0.3, 0.2, 0.1\n"
-            "[run]\nbase_seed = 99\nworkers = 3\n"
+            "[run]\nbase_seed = 99\n"
             "[validate]\nlln_populations = 50 200\nclt_replicas = 150\n"
             "martingale_z_bound = 3.5\ngillespie_samples = 123\n"
         )
         cfg = ValidationConfig.from_ini(ini)
         assert cfg.n == 4 and cfg.lam == 2.5
         assert cfg.fractions == (0.4, 0.3, 0.2, 0.1)
-        assert cfg.base_seed == 99 and cfg.workers == 3
+        assert cfg.base_seed == 99
         assert cfg.lln_populations == (50, 200)
         assert cfg.clt_replicas == 150
         assert cfg.martingale_z_bound == 3.5
@@ -466,7 +466,7 @@ class TestValidationConfig:
 
     def test_every_field_reads_from_its_section(self, tmp_path):
         changed = dict(n=5, lam=0.5, fractions=(0.5, 0.5, 0.0),
-                       base_seed=1, workers=2,
+                       base_seed=1,
                        lln_populations=(10, 40), lln_replicas=3, lln_time=0.25,
                        lln_grid_points=5, lln_median_bound=0.5,
                        lln_ratio_low=1.1, lln_ratio_high=3.0,
@@ -477,7 +477,7 @@ class TestValidationConfig:
                        gillespie_p_threshold=0.05)
         assert set(changed) == {f.name for f in fields(ValidationConfig)}
         sections = {"model": ("n", "lam", "fractions"),
-                    "run": ("base_seed", "workers")}
+                    "run": ("base_seed",)}
         lines = {"model": [], "run": [], "validate": []}
         for name, value in changed.items():
             section = next((s for s, names in sections.items()
@@ -534,11 +534,41 @@ def test_run_validation_smoke(tmp_path):
         base_seed=21,
     )
     lines = []
-    reports = run_validation(cfg, workers=2, echo=lines.append)
+    reports = run_validation(cfg, echo=lines.append)
     assert set(reports) == {"gillespie", "lln", "clt", "martingale"}
     assert all(r["pass"] for r in reports.values())
     assert len(lines) == 4
     assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
+
+
+# a small run of all four checks, and one move of each setting away from it
+SMALL = ValidationConfig(lln_populations=(20, 80), lln_replicas=20,
+                         lln_grid_points=11, clt_population=100,
+                         clt_replicas=100, martingale_replicas=30,
+                         gillespie_samples=50)
+MOVES = dict(n=4, lam=1.5, fractions=(0.5, 0.3, 0.2), base_seed=43,
+             lln_populations=(20, 60), lln_replicas=21, lln_time=1.5,
+             lln_grid_points=12, lln_median_bound=0.06, lln_ratio_low=1.5,
+             lln_ratio_high=2.6, clt_population=120, clt_replicas=101,
+             clt_time=0.75, clt_frobenius_bound=0.2, martingale_population=40,
+             martingale_replicas=31, martingale_time=0.75,
+             martingale_z_bound=3.5, gillespie_samples=51,
+             gillespie_p_threshold=0.02)
+
+
+def test_every_setting_changes_a_report():
+    # a setting that no report depends on reaches no check: this fails for
+    # it, and a new setting needs a move here
+    names = [f.name for f in fields(ValidationConfig)]
+    assert sorted(MOVES) == sorted(names)
+
+    def reports(config):
+        return json.dumps(run_validation(config), sort_keys=True)
+
+    base = reports(SMALL)
+    same = [name for name in names
+            if reports(replace(SMALL, **{name: MOVES[name]})) == base]
+    assert same == []
 
 
 @pytest.mark.parametrize("line, error, message", [
@@ -604,6 +634,20 @@ def test_run_validation_smoke(tmp_path):
                    "meanfield_step = 1e-3")),
     ("[model]\nfractions = 0.5 0.6 0.1", rpsim.core.NormalizationError,
      "fractions sum to"),
+    # the model's errors name their key; a species count is checked before
+    # anything of its size is built, so 10**12 fails at once
+    ("[run]\nworkers = 2", DomainError, r"^\[run\] workers: unknown option$"),
+    ("[model]\nn = 2", DomainError,
+     r"^\[model\] n: need at least 3 species, got n=2$"),
+    ("[model]\nn = 40000", DomainError,
+     r"^\[model\] n: at most 32767 species fit the int16 reaction log, "
+     r"got n=40000$"),
+    ("[model]\nn = 1000000000000", DomainError,
+     r"^\[model\] n: at most 32767 species .* got n=1000000000000$"),
+    ("[model]\nfractions = 0.5, 0.6, 0.2", rpsim.core.NormalizationError,
+     r"^\[model\] fractions: fractions sum to 1\.3, expected 1$"),
+    ("[model]\nfractions = 0.5, -0.1, 0.6", DomainError,
+     r"^\[model\] fractions: fractions must be finite and non-negative"),
     ("[run]\nbase_seed = -3", DomainError,
      "base seed must be a non-negative integer, got -3"),
     # no check reads a population total: each sets its own
