@@ -6,11 +6,12 @@ The set covers each engine path and writer: `simulate` below and above the
 absorption both one replica at a time and in lockstep, in lockstep until
 every replica absorbs with grid times still to sample, one replica at a
 time at the largest total, in two lockstep chunks and without event logs;
-`meanfield` at n = 3 and n = 5; three `fluctuation` runs (the benchmark's
-2 000 paths, five species with off-step report times, and a given initial
-covariance); and `validate` at base seeds 42-57 and, small, with four
-species from an off-centre start until some martingale replicas absorb, and
-with every setting away from its default.  Each command runs in a fresh
+`meanfield` at n = 3 and n = 5; four `fluctuation` runs (the benchmark's
+2 000 paths, one path past a block of 2 048 random streams, five species
+with off-step report times, and a given initial covariance); and
+`validate` at base seeds 42-57 and, small, with four species from an
+off-centre start until some martingale replicas absorb, and with every
+setting away from its default.  Each command runs in a fresh
 directory with relative paths, so its console output is hashed too.
 
 One line per file, `<sha256>  <case>/<file>`, then a combined digest of
@@ -42,7 +43,7 @@ SIMULATE_64 = ["simulate", "--replicas", "64", "--total", "60", "--t-end", "2",
 VALIDATE_N4 = """\
 [model]
 n = 4
-initial = 5, 3, 2, 2
+fractions = 0.4166666666666667, 0.25, 0.16666666666666666, 0.16666666666666666
 [run]
 base_seed = 7
 [validate]
@@ -127,6 +128,10 @@ CASES = [
     ("fluctuation-paths", ["fluctuation", "--paths", "2000", "--t-end", "10",
                            "--grid-points", "101", "--base-seed", "1"], False,
      None),
+    # one path past a block of SDE streams
+    ("fluctuation-stream-blocks", ["fluctuation", "--paths", "2049",
+                                   "--grid-points", "3", "--base-seed", "3"],
+     True, None),
     ("fluctuation-n5", ["fluctuation", "--u0", U5, "--t-end", "2",
                         "--paths", "300", "--grid", "0,1e-5,0.3333,1,2",
                         "--base-seed", "7"], True, None),

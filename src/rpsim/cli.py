@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .core import (MAX_SPECIES, DomainError, ModelSpec, RpsimError,
-                   check_seed, counts_from_fractions, symmetric_counts)
+from .core import (DomainError, ModelSpec, RpsimError, _named, check_seed,
+                   check_species, counts_from_fractions, symmetric_counts)
 from .fluctuation import FluctuationModel, propagate_covariance, run_sde_ensemble
 from .meanfield import DEFAULT_STEP, MeanFieldPath, integrate
 from .simulate import DEFAULT_MAX_EVENTS, run_ensemble
@@ -42,12 +42,7 @@ def _numbers(text: str, cast, flag: str) -> tuple:
 def _species(args) -> int:
     """``--n``, 3 when left out, checked here, before anything of size n is
     built, so that the message names the flag."""
-    n = 3 if args.n is None else args.n
-    if n < 3:
-        raise DomainError(f"--n must be at least 3, got {n}")
-    if n > MAX_SPECIES:
-        raise DomainError(f"--n must be at most {MAX_SPECIES}, got {n}")
-    return n
+    return _named("--n", check_species, 3 if args.n is None else args.n)
 
 
 def _per_species(text: str, cast, flag: str, n: int | None) -> tuple:
@@ -60,17 +55,16 @@ def _per_species(text: str, cast, flag: str, n: int | None) -> tuple:
 
 
 def _spec_from_args(args) -> ModelSpec:
-    total = args.total
+    # every split sums to --total, and the counts override it
     if args.initial is not None:
         counts = _per_species(args.initial, int, "--initial", args.n)
-        total = sum(counts)     # the counts override --total
     elif args.fractions is not None:
         fractions = _per_species(args.fractions, float, "--fractions",
                                  args.n)
         counts = counts_from_fractions(fractions, args.total)
     else:
         counts = symmetric_counts(_species(args), args.total)
-    return ModelSpec(n=len(counts), lam=args.rate, total=total,
+    return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
                      initial=counts)
 
 

@@ -95,6 +95,8 @@ class MissingEventLog(RpsimError):
 MAX_SPECIES = 2**15 - 1
 # both engines hold counts in float64, exact up to here
 MAX_TOTAL = 2**53
+# random streams held at once at most: a lockstep chunk, a block of SDE paths
+STREAM_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,8 @@ class ModelSpec:
     initial: tuple[int, ...]
 
     def __post_init__(self):
-        n, total = check_species(self.n), self.total
-        if not _is_integer(total):
-            raise DomainError(
-                f"population total must be an integer, got {total!r}")
+        n, total = check_species(self.n), _check_total(self.total)
         lam = check_rate(self.lam)
-        if total < 1:
-            raise DomainError(f"population total must be at least 1, got {total}")
         if total > MAX_TOTAL:
             raise _above_max_total(total)
         counts = tuple(self.initial) if np.iterable(self.initial) else (None,)
@@ -145,7 +142,7 @@ class ModelSpec:
             raise NormalizationError(
                 f"initial counts sum to {sum(initial)}, expected total={total}")
         for name, value in zip(("n", "lam", "total", "initial"),
-                               (n, lam, int(total), initial)):
+                               (n, lam, total, initial)):
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
@@ -184,6 +181,26 @@ def _above_max_total(total) -> DomainError:
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer (not a bool)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_total(total) -> int:
+    """Return a population total, an integer (not a bool) of at least 1, as
+    a Python int; only :class:`ModelSpec` caps it at ``MAX_TOTAL``."""
+    if not _is_integer(total):
+        raise DomainError(
+            f"population total must be an integer, got {total!r}")
+    if total < 1:
+        raise DomainError(f"population total must be at least 1, got {total}")
+    return int(total)
+
+
+def _named(key: str, check, value):
+    """``check(value)``, whose error, if it raises one, names the setting
+    ``key`` (an INI key or a command-line flag) first and keeps its type."""
+    try:
+        return check(value)
+    except RpsimError as exc:
+        raise type(exc)(f"{key}: {exc}") from None
 
 
 def check_species(n) -> int:
@@ -267,9 +284,11 @@ def counts_from_fractions(fractions, total: int) -> tuple[int, ...]:
     count (the lowest-indexed one), which holds at least ``1/n`` of the
     floors and so more than any surplus.  A ``total`` past the double
     range, which the products overflow, raises the :class:`DomainError`
-    that :class:`ModelSpec` raises for it.
+    that :class:`ModelSpec` raises for it, as does one below 1 or not an
+    integer, once the fractions pass.
     """
     f = check_fractions(fractions)
+    total = _check_total(total)
     try:
         scaled = f * total
         counts = [math.floor(s) for s in scaled.tolist()]

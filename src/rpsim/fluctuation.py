@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, NotPSD, NumericError, check_grid, check_rate,
-                   check_seed, float_array, rng_streams)
+from .core import (STREAM_BLOCK, DomainError, NotPSD, NumericError, StepError,
+                   check_grid, check_rate, check_seed, float_array,
+                   rng_streams)
 from .meanfield import MeanFieldPath, rk4_step, vector_field
 
 __all__ = [
@@ -95,7 +96,7 @@ def diffusion_matrix(u, lam: float) -> np.ndarray:
 def psd_sqrt(c: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via spectral decomposition.
 
-    A non-finite or asymmetric (beyond 1e-12) input raises
+    An empty, non-finite or asymmetric (beyond 1e-12) input raises
     :class:`DomainError`.  Eigenvalues from -1e-9 up to n * eps times the
     largest are rounding noise and set to zero, so R keeps the null vectors
     of c; anything lower raises :class:`NotPSD`.  The result R is
@@ -105,8 +106,8 @@ def psd_sqrt(c: np.ndarray) -> np.ndarray:
     first failing matrix exactly as its own call would.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
-        raise DomainError(f"expected a square matrix, got shape {c.shape}")
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2] or c.shape[-1] == 0:
+        raise DomainError(f"expected a non-empty square matrix, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise DomainError("matrix has a non-finite entry")
     if np.max(np.abs(c - c.swapaxes(-1, -2)), initial=0.0) > _SYMMETRY_TOL:
@@ -190,6 +191,7 @@ class FluctuationModel:
         return self.path.n
 
     @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def transitions(self) -> tuple[np.ndarray, np.ndarray]:
         """The transitions ``(Phi, Q)`` from time 0 to the path's first grid
         time and then from grid time to grid time, as two stacks; an empty
@@ -200,9 +202,10 @@ class FluctuationModel:
         that never cross a grid time.  Step s of every block is taken at
         once; a block that has run out takes zero coefficients, which leave
         it as it is.  Each interval folds its blocks in order, ``(Phi, Q) <-
-        (Phi_b Phi, Phi_b Q Phi_b' + Q_b)``.  A Q with an eigenvalue below
-        -1e-9, after symmetrizing, raises :class:`NotPSD` naming the end of
-        its interval, and leaves nothing cached.
+        (Phi_b Phi, Phi_b Q Phi_b' + Q_b)``.  A Phi or Q that is not
+        finite raises :class:`StepError`, and a Q with an eigenvalue below
+        -1e-9, after symmetrizing, :class:`NotPSD`; each names the end of
+        its interval and leaves nothing cached.
         """
         path, n, lam, h = self.path, self.n, self.path.lam, self.path.step
         ends = np.concatenate(([0], path.indices))
@@ -248,6 +251,10 @@ class FluctuationModel:
             phi[g] = pb @ phi[g]
             q[g] = pb @ q[g] @ pb.swapaxes(-1, -2) + qb
         q = 0.5 * (q + q.swapaxes(-1, -2))
+        bad = np.flatnonzero(~np.isfinite(phi + q).all(axis=(1, 2)))
+        if len(bad):
+            raise StepError("transition (Phi, Q) is not finite over the "
+                            f"steps to t={ends[bad[0] + 1] * h:.6g}")
         low = np.linalg.eigvalsh(q)[:, 0]
         bad = np.flatnonzero(low < -_PSD_EIG_TOL)
         if len(bad):
@@ -297,8 +304,9 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     -1e-9 raises :class:`NotPSD`.
 
     Path ``i`` consumes exactly the stream ``rng_stream(base_seed, i)``: n
-    standard normals per grid time, grid-major, in one fill.  The paths
-    share one read-only copy of the grid.
+    standard normals per grid time, grid-major, in one fill, built and
+    filled ``STREAM_BLOCK`` streams at a time.  The paths share one
+    read-only copy of the grid.
     """
     paths = check_seed(paths, "path count")
     if paths < 1:
@@ -320,8 +328,10 @@ def run_sde_ensemble(model: FluctuationModel, v0, step: float, grid,
     except (MemoryError, ValueError):   # ValueError: past numpy's size limit
         raise DomainError(f"{paths} paths of {len(path.grid)} grid times, "
                           "too many values to hold in memory") from None
-    for gen, row in zip(rng_streams(base_seed, 0, paths), normals):
-        gen.standard_normal(out=row)
+    for first in range(0, paths, STREAM_BLOCK):
+        block = normals[first:first + STREAM_BLOCK]
+        for gen, row in zip(rng_streams(base_seed, first, len(block)), block):
+            gen.standard_normal(out=row)
     v = np.repeat(v0[:, None], paths, axis=1)     # (n, paths)
     values = np.empty((paths, len(path.grid), n))
     for g, (phi, root) in enumerate(zip(phis, roots)):

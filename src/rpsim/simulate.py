@@ -20,7 +20,7 @@ Two engines run this loop with the same arithmetic in the same order:
   2**53, and one pass per event fires the chosen clock and advances the
   others.  Ensembles of fewer than 32 replicas (``_LOCKSTEP_MIN``) run it
   once per replica.
-* ``_run_lockstep`` steps up to 2048 replicas (``_LOCKSTEP_MAX``) together,
+* ``_run_lockstep`` steps up to 2048 replicas (``STREAM_BLOCK``) together,
   one event per replica per step, and takes larger ensembles in chunks;
   below 32 replicas it measured slower than one at a time.  Its state is
   species-major, ``(n, replicas)`` arrays with one column per replica, so
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    STREAM_BLOCK,
     BudgetExceeded,
     DomainError,
     MissingEventLog,
@@ -85,10 +86,8 @@ _OVERSHOOT_RTOL = 1e-9
 _EXP_BLOCK = 4096
 # ensembles of at least this many replicas take the lockstep engine
 _LOCKSTEP_MIN = 32
-# replicas stepped together at most; larger ensembles run in chunks
-_LOCKSTEP_MAX = 2048
 # columns of each replica's draw block in the lockstep engine, at most: 4 MiB
-# of draws for a chunk of _LOCKSTEP_MAX replicas
+# of draws for a chunk of STREAM_BLOCK replicas
 _LOCKSTEP_DRAWS = 256
 # events per block of an event-log replay; bounds its temporaries
 _REPLAY_EVENTS = 4096
@@ -416,7 +415,7 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
     ``(replicas, width)`` buffer that each replica's generator refills by
     rows (a contiguous row each, so a step reads its column strided).
     ``width`` is ``_LOCKSTEP_DRAWS`` (256, 4 MiB for a chunk of
-    ``_LOCKSTEP_MAX``), or fewer when the run is expected to be short.  A
+    ``STREAM_BLOCK``), or fewer when the run is expected to be short.  A
     replica that absorbs or passes the horizon is compacted out of the
     state, not out of the buffer: row ``i`` stays replica ``first + i``'s,
     as in ``samples``, ``final`` and ``absorbed_at`` (NaN on entry), and a
@@ -633,8 +632,8 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
             absorbed[i] = math.nan if traj.absorbed is None else traj.absorbed
             ends[i] = len(log[0]) if log else 0
     else:
-        # in near-equal chunks of at most _LOCKSTEP_MAX, to bound memory
-        size = -(-replicas // -(-replicas // _LOCKSTEP_MAX))
+        # in near-equal chunks of at most STREAM_BLOCK, to bound memory
+        size = -(-replicas // -(-replicas // STREAM_BLOCK))
         for first in range(0, replicas, size):
             rows = slice(first, first + size)
             _run_lockstep(spec, first, t_end, grid, base_seed, max_events,

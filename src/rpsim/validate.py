@@ -37,6 +37,7 @@ from .core import (
     InsufficientReplicas,
     ModelSpec,
     RpsimError,
+    _named,
     check_fractions,
     check_rate,
     check_seed,
@@ -629,10 +630,8 @@ class ValidationConfig:
     def from_ini(cls, path) -> "ValidationConfig":
         """Read a config file: ``[model]``, ``[run]`` and ``[validate]``
         sections whose options are the field names (``lambda`` for ``lam``).
-        ``[model] initial`` counts give the ``fractions``, each count over
-        their sum; they must be ``[model] n`` non-negative integers, at
-        least 3, with a positive sum.  An unknown section or option, or bad
-        counts, is a :class:`DomainError`."""
+        An unknown section or option, or a value that does not parse, is a
+        :class:`DomainError`."""
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -660,26 +659,13 @@ class ValidationConfig:
             if section not in ("model", "run", "validate"):
                 raise DomainError(f"[{section}]: unknown section")
             for option in parser.options(section):
-                if (section, option) not in known and \
-                        (section, option) != ("model", "initial"):
+                if (section, option) not in known:
                     raise DomainError(f"[{section}] {option}: unknown option")
 
         kw = {}
         for (section, option), f in known.items():
             if parser.has_option(section, option):
                 kw[f.name] = value(section, option, f.type)
-        if parser.has_option("model", "initial"):
-            counts = value("model", "initial", "tuple[int, ...]")
-            if len(counts) < 3 or min(counts) < 0 or sum(counts) == 0:
-                text = parser.get("model", "initial")
-                raise DomainError("[model] initial: need at least 3 "
-                                  "non-negative counts with a positive sum, "
-                                  f"got {text!r}")
-            n = kw.get("n", cls.n)
-            if len(counts) != n:
-                raise DomainError(f"[model] initial has {len(counts)} counts "
-                                  f"but [model] n is {n}")
-            kw["fractions"] = tuple(c / sum(counts) for c in counts)
         return cls(**kw)
 
 
@@ -693,15 +679,6 @@ _SEED_GILLESPIE = 0
 _SEED_LLN = 1          # + index of the population in lln_populations
 _SEED_CLT = 101
 _SEED_MARTINGALE = 102
-
-
-def _named(key: str, check, value):
-    """``check(value)``, whose error, if it raises one, names the INI key
-    ``key`` first and keeps its type."""
-    try:
-        return check(value)
-    except RpsimError as exc:
-        raise type(exc)(f"{key}: {exc}") from None
 
 
 def _check_config(config: ValidationConfig

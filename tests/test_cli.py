@@ -143,6 +143,18 @@ class TestBadNumbers:
             f"error: {flag} must be non-negative, got {value}\n"
         assert not out.exists()
 
+    def test_rate_the_transitions_overflow_at_is_refused(self, tmp_path,
+                                                        capsys):
+        # the mean field stays at its fixed point; Phi and Q overflow, and
+        # eigvalsh's LinAlgError escaped as a traceback before
+        out = tmp_path / "x"
+        assert main(["fluctuation", "--rate", "1e300", "--paths", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == \
+            ("", "error: transition (Phi, Q) is not finite over the steps to "
+             "t=0.1\n")
+        assert not out.exists()
+
     def test_total_past_2_to_the_53_is_refused(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["simulate", "--total", str(2**53 + 1),
@@ -187,7 +199,7 @@ class TestBadNumbers:
         out = tmp_path / "x"
         assert main([command, "--n", str(n), "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
-            f"error: --n must be at least 3, got {n}\n"
+            f"error: --n: need at least 3 species, got n={n}\n"
         assert not out.exists()
 
     # 10**12 species fail at once if anything of that size is built
@@ -199,7 +211,8 @@ class TestBadNumbers:
         out = tmp_path / "x"
         assert main([command, "--n", str(n), "--out", str(out)]) == 1
         assert capsys.readouterr() == \
-            ("", f"error: --n must be at most 32767, got {n}\n")
+            ("", "error: --n: at most 32767 species fit the int16 reaction "
+             f"log, got n={n}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag, given", [
@@ -587,6 +600,17 @@ class TestValidateCommand:
                    "--out", str(tmp_path / "rep")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_initial_counts_are_an_unknown_option(self, tmp_path, capsys):
+        # the start state has one key, [model] fractions
+        ini = tmp_path / "initial.ini"
+        ini.write_text("[model]\ninitial = 5, 3, 2\n")
+        rc = main(["validate", "--config", str(ini),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr() == \
+            ("", "error: [model] initial: unknown option\n")
+        assert not (tmp_path / "rep").exists()
 
     def test_misspelt_config_option_is_reported(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"

@@ -187,6 +187,27 @@ class TestCountsFromFractions:
         with pytest.raises(DomainError):
             counts_from_fractions((0.5, 0.5), 10)
 
+    @pytest.mark.parametrize("total, message", [
+        (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+        (0, "must be at least 1, got 0"),
+        (-5, "must be at least 1, got -5"),
+    ])
+    def test_rejects_the_totals_model_spec_refuses(self, total, message):
+        # 2.5 gave (1.0, 1.0, 1.0), -5 gave (-2, -2, -1) and True (1, 0, 0)
+        message = f"^population total {re.escape(message)}$"
+        with pytest.raises(DomainError, match=message):
+            counts_from_fractions((0.5, 0.3, 0.2), total)
+        with pytest.raises(DomainError, match=message):
+            spec3(total=total)
+        # the fractions are checked first
+        with pytest.raises(DomainError, match="^need at least 3 fractions$"):
+            counts_from_fractions((0.5, 0.5), total)
+
+    def test_a_numpy_integer_total_gives_python_ints(self):
+        counts = counts_from_fractions((0.5, 0.3, 0.2), np.int64(11))
+        assert counts == (6, 3, 2) and all(type(c) is int for c in counts)
+
     def test_total_past_the_double_range_is_a_domain_error(self):
         # fractions * total overflows a float; ModelSpec refuses the total
         with pytest.raises(DomainError, match="at most 2\\*\\*53"):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rpsim import (
     GaussianPath,
     NotPSD,
     NumericError,
+    StepError,
     diffusion_matrix,
     drift_matrix,
     integrate,
@@ -21,6 +23,7 @@ from rpsim import (
     psd_sqrt,
     rk4_step,
     rng_stream,
+    rng_streams,
     run_sde_ensemble,
     vector_field,
     zero_sum_projector,
@@ -282,6 +285,13 @@ class TestPsdSqrt:
     def test_empty_stack(self):
         assert psd_sqrt(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+    def test_empty_matrix_is_a_domain_error(self, shape):
+        # an IndexError escaped before
+        with pytest.raises(DomainError, match=re.escape(
+                f"expected a non-empty square matrix, got {shape}")):
+            psd_sqrt(np.zeros(shape))
+
 
 @given(seed=st.integers(min_value=0, max_value=2**31),
        n=st.sampled_from([3, 5, 8]), k=st.integers(min_value=1, max_value=6),
@@ -496,6 +506,20 @@ class TestPropagateCovariance:
         # the failed march cached nothing, so the SDE marches and fails too
         with pytest.raises(NotPSD, match=r"t=0\.001$"):
             run_sde_ensemble(model, None, 1e-4, model.path.grid, 2, 0)
+
+    @pytest.mark.parametrize("lam", [1e160, 1e300])
+    def test_a_march_that_overflows_is_a_step_error(self, lam):
+        # from the symmetric start the mean field stays at its fixed point,
+        # so its blow-up guard never trips, while Phi and Q overflow within
+        # the first interval; eigvalsh failed to converge on them before
+        path = integrate(THIRD, lam, t_end=1.0, step=1e-3,
+                         grid=np.array([0.25, 0.5, 1.0]))
+        model = FluctuationModel.from_path(path, lam)
+        with pytest.raises(StepError, match=r"^transition \(Phi, Q\) is not "
+                           r"finite over the steps to t=0\.25$"):
+            propagate_covariance(model, np.zeros((3, 3)))
+        with pytest.raises(StepError, match=r"t=0\.25$"):
+            run_sde_ensemble(model, None, 1e-3, path.grid, 2, 0)
 
     def test_reported_states_are_held_to_the_strict_tolerance(self,
                                                               monkeypatch):
@@ -838,6 +862,25 @@ class TestSdeEnsemble:
             errors[seed] = float(np.linalg.norm(p @ (emp - sigma) @ p)
                                  / np.linalg.norm(p @ sigma @ p))
         assert max(errors.values()) < 0.10, errors
+
+    def test_streams_are_built_a_block_at_a_time(self, monkeypatch):
+        # the generators of at most STREAM_BLOCK paths are held at once, and
+        # the values are those of one fill from a single call
+        import rpsim.fluctuation as fl
+        model = fixed_point_model(t_end=0.01, step=1e-3)
+        whole = run_sde_ensemble(model, None, 1e-3, model.path.grid, 12, 9)
+        counts = []
+
+        def counted(base_seed, first, count):
+            counts.append(count)
+            return rng_streams(base_seed, first, count)
+
+        monkeypatch.setattr(fl, "STREAM_BLOCK", 5)
+        monkeypatch.setattr(fl, "rng_streams", counted)
+        blocked = run_sde_ensemble(model, None, 1e-3, model.path.grid, 12, 9)
+        assert counts == [5, 5, 2]
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(whole, blocked))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_bad_base_seed_is_a_domain_error(self, seed):

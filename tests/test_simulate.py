@@ -24,8 +24,8 @@ from rpsim import (
     symmetric_counts,
     trajectories_identical,
 )
-from rpsim.core import MAX_SPECIES
-from rpsim.simulate import _LOCKSTEP_DRAWS, _LOCKSTEP_MAX
+from rpsim.core import MAX_SPECIES, STREAM_BLOCK
+from rpsim.simulate import _LOCKSTEP_DRAWS
 
 
 class FixedDraws:
@@ -654,16 +654,16 @@ class TestLockstep:
         assert_matches_run_until(lockstep, 1.0, grid, True)
 
     def test_chunked_ensemble(self, monkeypatch):
-        # more than _LOCKSTEP_MAX replicas run in several lockstep batches
+        # more than STREAM_BLOCK replicas run in several lockstep batches
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
-        ens = run_ensemble(spec, _LOCKSTEP_MAX + 1, 40.0, [], 13,
+        ens = run_ensemble(spec, STREAM_BLOCK + 1, 40.0, [], 13,
                            record_events=True)
         assert [t.seed for t in ens.trajectories] == \
-            list(range(_LOCKSTEP_MAX + 1))
+            list(range(STREAM_BLOCK + 1))
         assert_matches_run_until(ens, 40.0, [], True)
         # three batches of 34, 34 and 32 replicas run to absorption, each
         # appending its events to the one log after the batch before it
-        monkeypatch.setattr(rpsim.simulate, "_LOCKSTEP_MAX", 40)
+        monkeypatch.setattr(rpsim.simulate, "STREAM_BLOCK", 40)
         spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
         ens = run_ensemble(spec, 100, math.inf, [], 21, record_events=True)
         lengths = np.diff(ens.event_offsets)
@@ -690,7 +690,7 @@ class TestLockstep:
         spec = ModelSpec(n=len(counts), lam=1.0, total=sum(counts),
                          initial=tuple(counts))
         grid = [0.0] if t_end == math.inf else [0.0, t_end]
-        with unittest.mock.patch.object(rpsim.simulate, "_LOCKSTEP_MAX",
+        with unittest.mock.patch.object(rpsim.simulate, "STREAM_BLOCK",
                                         -(-replicas // chunks)):
             ens = run_ensemble(spec, replicas, t_end, grid, seed,
                                record_events=True)

@@ -455,11 +455,6 @@ class TestValidationConfig:
         # untouched keys keep their defaults
         assert cfg.clt_time == 1.0
 
-    def test_initial_counts_override_fractions(self, tmp_path):
-        ini = tmp_path / "v.ini"
-        ini.write_text("[model]\ninitial = 5, 3, 2\n")
-        assert ValidationConfig.from_ini(ini).fractions == (0.5, 0.3, 0.2)
-
     def test_missing_file(self):
         with pytest.raises(DomainError):
             ValidationConfig.from_ini("/nonexistent/nope.ini")
@@ -606,10 +601,6 @@ def test_every_setting_changes_a_report():
      "gillespie_p_threshold must lie in"),
     ("[model]\nfractions = 0.5 0.5", DomainError,
      r"^\[model\] fractions has 2 values but \[model\] n is 3$"),
-    ("[model]\ninitial = 1 1 1 1", DomainError,
-     r"^\[model\] initial has 4 counts but \[model\] n is 3$"),
-    ("[model]\nn = 4\ninitial = 1 1 1", DomainError,
-     r"^\[model\] initial has 3 counts but \[model\] n is 4$"),
     ("[model]\nlambda = nan", DomainError, "collision rate"),
     ("[model]\nlambda = -1", DomainError, r"^\[model\] lambda: collision "
      r"rate must be positive and finite, got -1\.0$"),
@@ -652,10 +643,9 @@ def test_every_setting_changes_a_report():
      "base seed must be a non-negative integer, got -3"),
     # no check reads a population total: each sets its own
     ("[model]\ntotal = 5000", DomainError, r"\[model\] total: unknown option"),
-    ("[model]\ninitial = 0 0 0", DomainError,
-     r"\[model\] initial: need at least 3 non-negative counts with a "
-     "positive sum, got '0 0 0'"),
-    ("[model]\ninitial =", DomainError, r"\[model\] initial: .* got ''"),
+    # the start state has one key, [model] fractions
+    ("[model]\ninitial = 5, 3, 2", DomainError,
+     r"^\[model\] initial: unknown option$"),
 ])
 def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
                                                    line, error, message):
