@@ -55,15 +55,20 @@ def _per_species(text: str, cast, flag: str, n: int | None) -> tuple:
 
 
 def _spec_from_args(args) -> ModelSpec:
-    # every split sums to --total, and the counts override it
+    # every split sums to --total; the counts of --initial set it themselves
     if args.initial is not None:
+        if args.total is not None:
+            raise DomainError("--total cannot be given with --initial, "
+                              "whose counts set the total")
         counts = _per_species(args.initial, int, "--initial", args.n)
-    elif args.fractions is not None:
-        fractions = _per_species(args.fractions, float, "--fractions",
-                                 args.n)
-        counts = counts_from_fractions(fractions, args.total)
     else:
-        counts = symmetric_counts(_species(args), args.total)
+        total = 1000 if args.total is None else args.total
+        if args.fractions is not None:
+            fractions = _per_species(args.fractions, float, "--fractions",
+                                     args.n)
+            counts = counts_from_fractions(fractions, total)
+        else:
+            counts = symmetric_counts(_species(args), total)
     return ModelSpec(n=len(counts), lam=args.rate, total=sum(counts),
                      initial=counts)
 
@@ -112,13 +117,14 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help=_N_HELP.format("--initial or --fractions"))
     p.add_argument("--rate", type=float, default=1.0,
                    help="pairwise collision rate")
-    p.add_argument("--total", type=int, default=1000,
-                   help="population size M")
-    p.add_argument("--initial", help="comma-separated species counts "
-                   "(overrides --total/--fractions; an explicit --n must "
-                   "match their number)")
-    p.add_argument("--fractions", help="comma-separated initial fractions, "
-                   "converted to counts by largest remainder")
+    p.add_argument("--total", type=int,
+                   help="population size M (default 1000); not with "
+                   "--initial, whose counts set it")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--initial", help="comma-separated species counts "
+                       "(an explicit --n must match their number)")
+    start.add_argument("--fractions", help="comma-separated initial "
+                       "fractions, converted to counts by largest remainder")
 
 
 def _cmd_simulate(args) -> int:

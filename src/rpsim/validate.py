@@ -610,7 +610,7 @@ class ValidationConfig:
     lln_median_bound: float = 0.05
     lln_ratio_low: float = 1.6
     lln_ratio_high: float = 2.5
-    clt_population: int = 10_000
+    clt_population: int = 1000
     clt_replicas: int = 2000
     clt_time: float = 1.0
     clt_frobenius_bound: float = 0.15

@@ -41,6 +41,37 @@ class TestSimulateCommand:
               "--total", "10", "--replicas", "1", "--out", str(tmp_path / "c")])
         assert read_ensemble(tmp_path / "c").spec.initial == (5, 3, 2)
 
+    @pytest.mark.parametrize("start", [[], ["--fractions", "0.5,0.3,0.2"]])
+    def test_total_defaults_to_1000(self, tmp_path, start):
+        assert main(["simulate", *start, "--t-end", "0",
+                     "--out", str(tmp_path / "t")]) == 0
+        assert read_ensemble(tmp_path / "t").spec.total == 1000
+
+    @pytest.mark.parametrize("total", [[], ["--total", "500"]])
+    def test_initial_and_fractions_are_refused_together(self, tmp_path,
+                                                        capsys, total):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--initial", "1,1,1", "--fractions",
+                  "0.5,0.3,0.2", *total, "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --fractions: not allowed with argument "
+            "--initial\n")
+        assert not out.exists()
+
+    # even a --total that equals the counts' sum is a second spelling
+    @pytest.mark.parametrize("total", ["500", "3", "0"])
+    def test_total_and_initial_are_refused_together(self, tmp_path, capsys,
+                                                    total):
+        out = tmp_path / "x"
+        assert main(["simulate", "--initial", "1,1,1", "--total", total,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: --total cannot be given "
+                                       "with --initial, whose counts set "
+                                       "the total\n")
+        assert not out.exists()
+
     def test_the_ensemble_has_the_given_total(self, tmp_path):
         # the float split of this total once overshot it by 5, and the
         # ensemble ran a population the user had not asked for

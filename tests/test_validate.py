@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import rpsim.core
+import rpsim.fluctuation
 import rpsim.validate
 from scipy import stats
 
@@ -329,9 +330,9 @@ class TestLln:
         assert streamed == lln_test(ensembles, mf, 1.0, median_bound=0.2)
 
 
-def clt_setup(replicas=200, m=2000, t=1.0, seed=7):
+def clt_setup(replicas=200, m=2000, t=1.0, seed=7, fractions=(1 / 3,) * 3):
     spec = ModelSpec(n=3, lam=1.0, total=m,
-                     initial=counts_from_fractions(np.array([1 / 3] * 3), m))
+                     initial=counts_from_fractions(np.array(fractions), m))
     u0 = spec.fractions
     grid = np.array([0.0, t])
     mf = integrate(u0, 1.0, t_end=t, grid=grid)
@@ -369,6 +370,25 @@ class TestClt:
         rep = clt_test(ens, mf, zero)
         assert rep["degenerate"]
         assert not rep["pass"]
+
+    @pytest.mark.parametrize("seed", [42, 49, 57])
+    def test_default_size_sees_a_wrong_drift(self, monkeypatch, seed):
+        # From an off-centre start Σ tells b from bᵀ and −b; at the
+        # symmetric one it is isotropic and cannot.  validate's CLT
+        # ensemble at its default size and seed offset, from (0.5, 0.3,
+        # 0.2), must keep the power to see either fault.
+        cfg = ValidationConfig()
+        ens, mf, sigma = clt_setup(
+            cfg.clt_replicas, cfg.clt_population, cfg.clt_time,
+            seed + rpsim.validate._SEED_CLT, fractions=(0.5, 0.3, 0.2))
+        assert clt_test(ens, mf, sigma)["pass"]
+        drift = rpsim.fluctuation.drift_matrix
+        for fault in (lambda b: b.swapaxes(-1, -2), np.negative):
+            monkeypatch.setattr(rpsim.fluctuation, "drift_matrix",
+                                lambda u, lam: fault(drift(u, lam)))
+            model = FluctuationModel.from_path(mf, 1.0)
+            wrong = propagate_covariance(model, np.zeros((3, 3)))[-1]
+            assert not clt_test(ens, mf, wrong)["pass"]
 
 
 class TestMartingale:
@@ -433,6 +453,7 @@ class TestValidationConfig:
         assert cfg.n == 3
         assert cfg.lln_populations == (100, 400, 1600, 6400)
         assert cfg.clt_replicas == 2000
+        assert cfg.clt_population == 1000
         assert np.allclose(cfg.model_fractions(), 1 / 3)
 
     def test_from_ini(self, tmp_path):
