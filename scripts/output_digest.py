@@ -13,6 +13,9 @@ with off-step report times, and a given initial covariance); and
 off-centre start until some martingale replicas absorb, and with every
 setting away from its default.  Each command runs in a fresh
 directory with relative paths, so its console output is hashed too.
+Each `simulate` case's ensemble is also read back with `read_ensemble` and
+written again: if any file's bytes differ, the script exits 1, naming the
+case and file on stderr.
 
 One line per file, `<sha256>  <case>/<file>`, then a combined digest of
 those lines.  Run it once against each tree to compare two commits:
@@ -33,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 from rpsim.cli import main as rpsim_main
+from rpsim.io import read_ensemble, write_ensemble
 
 U5 = "0.3,0.1,0.2,0.15,0.25"
 SIMULATE_64 = ["simulate", "--replicas", "64", "--total", "60", "--t-end", "2",
@@ -168,13 +172,22 @@ def run_case(name: str, argv: list, work: Path,
     return digests
 
 
+def round_trip_differs(name: str, work: Path) -> list[str]:
+    """``case/file`` for each file of ensemble ``name`` whose bytes change
+    when it is read back and written again."""
+    again = work / "round-trip" / name
+    write_ensemble(read_ensemble(work / name), again)
+    return [f"{name}/{path.name}" for path in sorted(again.iterdir())
+            if path.read_bytes() != (work / name / path.name).read_bytes()]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--quick", action="store_true",
                     help="run only the small cases")
     args = ap.parse_args()
 
-    lines = []
+    lines, differs = [], []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -183,13 +196,18 @@ def main() -> int:
                 if quick or not args.quick:
                     lines += [f"{digest}  {label}" for digest, label
                               in run_case(name, argv, Path(tmp), config)]
+                    if argv[0] == "simulate":
+                        differs += round_trip_differs(name, Path(tmp))
         finally:
             os.chdir(home)
     combined = hashlib.sha256("".join(f"{line}\n" for line in lines)
                               .encode()).hexdigest()
     print("\n".join(lines))
     print(f"{combined}  combined")
-    return 0
+    for label in differs:
+        print(f"read back and written again, {label} differs",
+              file=sys.stderr)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

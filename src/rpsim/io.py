@@ -17,26 +17,33 @@ through ``%`` itself, one at a time; each cell's printed width places their
 text in the block.  A grid that every replica or path shares is formatted
 once per file, and each block gathers its rows' times from that text.
 
-A reader parses a block of up to ``_CHUNK`` lines with one
-:func:`numpy.loadtxt` call, which takes them from the file one at a time
-and skips empty ones; a block starts at a line that is not empty, so none
-is without rows.  The event log and the samples are read into arrays
-sized from the file's own line count, not from the manifest or from
-replica 0's rows, and trimmed to the rows parsed, so reading holds each
-once plus one block.  Malformed CSV input raises :class:`DomainError`
-naming the file and, where it can, the row.
+A reader parses a block of up to ``_CHUNK`` lines at a time, starting at a
+line that is not empty.  It reads the block as bytes, ``_CHUNK`` bytes at a
+time, and parses it in numpy with :class:`rpsim.digits.Reader`, which
+proves each double it reads correctly rounded with the writer's exact
+product.  A block with any other line or cell (an empty line, a ``\\r``,
+an exponent, a sign on an integer, a ragged row, a byte that is not a
+digit) is read again as text and parsed by :func:`numpy.loadtxt`, which
+gives every cell the same value and names a bad row.  The event log
+and the samples are read into arrays sized from the file's own line
+count, not from the manifest or from replica 0's rows, and trimmed to the
+rows parsed, so reading holds each once plus one block.  Malformed CSV
+input raises :class:`DomainError` naming the file and, where it can, the row.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 
 from .core import DomainError, ModelSpec, RpsimError, check_seed
+from .digits import Reader, mantissa
 from .meanfield import MeanFieldPath
 from .simulate import Ensemble, _check_run
 
@@ -70,20 +77,6 @@ _WRITE_CELLS = 3 * 16384
 # every 4-digit group '0000'..'9999' as the uint32 whose bytes are its text
 _QUADS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-# 10^k, exact as a double for k <= 22, and its Veltkamp split into halves
-_POW10 = np.array([float(10**k) for k in range(23)])
-_SPLIT = 2.0**27 + 1
-
-
-def _halves(a):
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _halves(_POW10)
-
-
 def _float_layout() -> np.ndarray:
     """Which slots of a ``%.17g`` cell print, one row per sign ``s``,
     decimal exponent ``e = -4..15`` and significant digit count
@@ -122,19 +115,6 @@ def _split(n: np.ndarray, d):
     return q, n - q * d
 
 
-def _mantissa(a, e):
-    """``a * 10^(16 - e)`` rounded half-even to an integer, exactly: the
-    product is Dekker's (1971) unevaluated sum ``hi + lo``, in which ``hi``
-    is an even integer (it is at least 2^53), so rounding ``lo`` alone
-    rounds the sum."""
-    k = 16 - e
-    p, p_hi, p_lo = (np.take(t, k) for t in (_POW10, _POW10_HI, _POW10_LO))
-    hi = a * p
-    a_hi, a_lo = _halves(a)
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-
-
 def _float_cells(x: np.ndarray):
     """The ``%.17g`` text of each double of ``x``: ``(text, valid, width,
     late)``, ``text`` and ``valid`` being two lists of arrays of ``len(x)``
@@ -157,7 +137,7 @@ def _float_cells(x: np.ndarray):
     slow = ~fast & (a != 0)
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
-    n = _mantissa(a, e)
+    n = mantissa(a, e)
     # log10 may put e one off; the digits then fall outside [10^16, 10^17)
     # (no double in range rounds up to 10^17: none lies within half a unit
     # of its 17th digit below a power of 10)
@@ -165,7 +145,7 @@ def _float_cells(x: np.ndarray):
     if off.any():
         off = np.flatnonzero(off)
         e[off] += np.where(n[off] >= 10**17, 1, -1)
-        n[off] = _mantissa(a[off], e[off])
+        n[off] = mantissa(a[off], e[off])
     n[~fast] = 0
     e[~fast] = 0
     # the 17 digits: the leading one, after 3 unused bytes, then four
@@ -388,35 +368,80 @@ def _line_count(path: Path) -> int:
     return lines + (last not in b"\r\n")
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DomainError:
+    return DomainError(f"{path}: not UTF-8 text ({exc.reason}: "
+                       f"{exc.object[exc.start:exc.end]!r})")
+
+
+def _loadtxt_block(path: Path, f, start: int, dtype: np.dtype, lo: int):
+    """The rows of the block at byte ``start`` of CSV ``path``, its file
+    rows ``lo..``: the ``_CHUNK`` lines there, as a text-mode read gives
+    them, parsed by :func:`numpy.loadtxt` one at a time.  ``f`` is left
+    after them."""
+    f.seek(start)
+    text = io.TextIOWrapper(f, encoding="utf-8", newline="")
+    size = 0
+
+    def lines():
+        nonlocal size
+        for line in itertools.islice(text, _CHUNK):
+            size += len(line) if line.isascii() else len(line.encode())
+            # a text-mode read ends each line in '\n'
+            yield line.rstrip("\r\n") + "\n" if line[-1] == "\r" or \
+                line.endswith("\r\n") else line
+
+    try:
+        rows = np.loadtxt(lines(), dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except ValueError as exc:
+        # its message ends by naming the row it can, counted within the
+        # block; name the row of the file instead
+        message = re.sub(r"(.*at row )(\d+)",
+                         lambda m: f"{m[1]}{int(m[2]) + lo}",
+                         str(exc), count=1, flags=re.DOTALL)
+        raise DomainError(f"{path}: {message}") from exc
+    finally:
+        text.detach()
+    f.seek(start + size)
+    return rows
+
+
 def _blocks(path: Path, fields: list, replicas: int, counts: np.ndarray):
     """The rows of CSV ``path`` after its header row, parsed ``_CHUNK``
     lines at a time: ``(lo, rows)`` per block, ``rows`` being the file's
     rows ``lo..`` parsed as a leading replica column and then one field
-    per column.  Empty lines are skipped, as in a whole file.
+    per column.  A block starts at a line that is not empty.
+
+    A block is read as bytes, a piece of ``_CHUNK`` bytes at a time, and
+    parsed in numpy (:meth:`rpsim.digits.Reader.rows`) if each of its
+    lines is a row of plain cells.  Any other block, say one with an empty
+    line, a ``\\r`` or an exponent, is read again as text and parsed by
+    :func:`numpy.loadtxt`, which skips empty lines and names a bad row;
+    either parse gives a cell the same value.
 
     Each block's rows are added to ``counts``, the rows per replica, as it
     arrives; rows that are not grouped by replica ``0..replicas-1`` raise
-    :class:`DomainError` at once, as a file without a header row does.
+    :class:`DomainError` at once, as a file without a header row or with a
+    byte that is not UTF-8 text does.
     """
-    dtype = [("replica", np.int64)] + fields
+    dtype = np.dtype([("replica", np.int64)] + fields)
     lo = last = 0
-    with open(path, encoding="utf-8") as f:
-        if not f.readline():
+    with open(path, "rb") as f:
+        reader = Reader(f, os.fstat(f.fileno()).st_size, _CHUNK)
+        header = reader.header()
+        if header is None:
             raise DomainError(f"{path}: empty file, expected a header row")
-        for line in f:
-            if line == "\n":
-                continue    # a block starts at a row: loadtxt warns on none
-            try:
-                rows = np.loadtxt(
-                    itertools.chain((line,), itertools.islice(f, _CHUNK - 1)),
-                    dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError as exc:
-                # its message ends by naming the row it can, counted within
-                # the block; name the row of the file instead
-                message = re.sub(r"(.*at row )(\d+)",
-                                 lambda m: f"{m[1]}{int(m[2]) + lo}",
-                                 str(exc), count=1, flags=re.DOTALL)
-                raise DomainError(f"{path}: {message}") from exc
+        try:
+            header.decode()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+        while (start := reader.block_start()) is not None:
+            rows = reader.rows(dtype, _CHUNK)
+            if rows is None:
+                rows = _loadtxt_block(path, f, start, dtype, lo)
+                reader.restart(f.tell())
             rep = rows["replica"]
             if (rep[0] < last or rep[-1] >= replicas
                     or np.any(rep[1:] < rep[:-1])):

@@ -1,9 +1,12 @@
+import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import rpsim.digits
 import rpsim.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -996,6 +999,50 @@ class TestMalformedInput:
         assert np.array_equal(back.event_times, expected.event_times)
         assert np.array_equal(back.event_offsets, expected.event_offsets)
 
+    @pytest.mark.parametrize("name", ["samples.csv", "events.csv"])
+    def test_a_byte_that_is_not_utf8_is_a_domain_error(self, ens_dir, name):
+        # it escaped as a bare UnicodeDecodeError from the line iteration
+        path = ens_dir / name
+        header, first, rest = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([header, first, b"\xff" + rest]))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value) == \
+            f"{path}: not UTF-8 text (invalid start byte: b'\\xff')"
+
+    @pytest.mark.parametrize("edit", [
+        lambda name, text: text.replace("\n", "\r\n"),
+        lambda name, text: "\ufeff" + text,
+        # blocks of 4 rows: an empty line in the first block, and two
+        # between the first and the second
+        lambda name, text: text.replace("\n", "\n\n", 3).replace(
+            "\n\n", "\n", 2),
+        lambda name, text: "".join(
+            (line + "\n\n" if k == 4 else line + "\n")
+            for k, line in enumerate(text.splitlines())),
+        # an event time in exponent form, the same double
+        lambda name, text: text if name == "samples.csv" else re.sub(
+            r"\n(\d+),([^,]+),", lambda m: "\n%s,%.16e," % (
+                m[1], float(m[2])), text, count=1),
+    ], ids=["crlf", "bom", "blank-in-a-block", "blank-between-blocks",
+            "exponent-time"])
+    def test_layouts_read_back_as_the_clean_file(self, ens_dir, monkeypatch,
+                                                 edit):
+        # each goes to loadtxt, as it did before the numpy parse
+        monkeypatch.setattr(rpsim.io, "_CHUNK", 4)
+        expected = read_ensemble(ens_dir)
+        for name in ("samples.csv", "events.csv"):
+            path = ens_dir / name
+            text = path.read_text()
+            path.write_bytes(edit(name, text).encode())
+            assert path.read_bytes() != text.encode() or name == "samples.csv"
+        back = read_ensemble(ens_dir)
+        for name in ("grid", "samples", "event_times", "event_reactions",
+                     "event_offsets"):
+            x, y = getattr(expected, name), getattr(back, name)
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), name
+
     @pytest.mark.parametrize("n_events, message", [
         (10**12, "replica 1 has 20 events, the manifest says 1000000000000"),
         (-1, "n_events must be non-negative integers"),
@@ -1037,6 +1084,145 @@ class TestMalformedInput:
             assert traj.event_times.dtype == np.float64
             assert traj.event_reactions.dtype == np.int16
             assert traj.n_events == 0
+
+
+TIME_ROWS = np.dtype([("replica", np.int64), ("time", np.float64)])
+
+
+def numpy_parse(texts: list[str]):
+    """The doubles of float cells ``texts`` as the reader's numpy parse
+    reads them, one block of ``0,<text>`` rows, or None where it leaves the
+    block to loadtxt."""
+    data = "".join(f"0,{t}\n" for t in texts).encode()
+    reader = rpsim.digits.Reader(io.BytesIO(data), len(data), len(data))
+    assert reader.block_start() == 0
+    rows = reader.rows(TIME_ROWS, len(texts))
+    return None if rows is None else rows["time"]
+
+
+def assert_loadtxt_bits(texts: list[str], got: np.ndarray) -> None:
+    expected = np.loadtxt(texts, dtype=np.float64, ndmin=1)
+    assert got.tobytes() == expected.tobytes(), texts
+
+
+def plain(text: str) -> bool:
+    """Whether ``%.17g`` wrote ``text`` without an exponent and finite."""
+    return set(text) <= set("-.0123456789")
+
+
+class TestNumpyParse:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1),
+        # sign, a binade from 2^-16 to 2^54 (the fixed notation's range and
+        # its ends) and any significand
+        st.tuples(st.integers(0, 1), st.integers(1007, 1077),
+                  st.integers(0, 2**52 - 1)).map(
+            lambda t: t[0] << 63 | t[1] << 52 | t[2])),
+        min_size=1, max_size=64))
+    def test_written_doubles_read_back_exactly(self, patterns):
+        texts = [fmt(as_double(bits)) for bits in patterns]
+        fixed = [t for t in texts if plain(t)]
+        if fixed:
+            got = numpy_parse(fixed)
+            assert got is not None, fixed   # every written one is proven
+            assert_loadtxt_bits(fixed, got)
+            assert got.tobytes() == np.array(
+                [as_double(b) for b, t in zip(patterns, texts)
+                 if plain(t)]).tobytes()
+        for t in texts:
+            if not plain(t):        # an exponent, inf or nan
+                assert numpy_parse([t]) is None, t
+
+    def test_edge_values_read_back_exactly(self):
+        texts = [fmt(v) for v in TestBlockFormatter.edge_values()]
+        fixed = [t for t in texts if plain(t)]
+        assert_loadtxt_bits(fixed, numpy_parse(fixed))
+        for t in fixed:
+            assert_loadtxt_bits([t], numpy_parse([t]))
+
+    @staticmethod
+    def decimal_strings() -> list[str]:
+        rng = np.random.default_rng(37)
+        texts = ["0", "-0", "0.0", "-0.0", "0.", ".5", "-.5", "00012.50",
+                 "18014398509481986", "18014398509481984", "0.0001",
+                 "10000000000000000",
+                 "123456789012345678", "0.123456789012345678",
+                 "1234567890.1234567890", "-99999999999999999999",
+                 # 2^64 more than the digits of 0.00012345678901234567, as
+                 # 20 decimal places: wrapped to 64 bits, it would read as
+                 # that double
+                 "0.18459089752610786183"]
+        # the bounds of %.17g's fixed notation and their neighbours
+        for p in (1e-4, 1e16):
+            texts += [fmt(np.nextafter(p, 0)), fmt(np.nextafter(p, 1e300)),
+                      f"{np.nextafter(p, 0):.20f}".rstrip("0"),
+                      f"{np.nextafter(p, 1e300):.20f}".rstrip("0")]
+        for _ in range(3000):   # 1 to 20 digits, a dot anywhere, signs
+            digits = "".join(rng.choice(list("0123456789"),
+                                        rng.integers(1, 21)))
+            dot = rng.integers(0, len(digits) + 1)
+            text = digits[:dot] + "." * (rng.random() < 0.8) + digits[dot:]
+            texts.append("-" * (rng.random() < 0.5) + text)
+        return texts
+
+    def test_decimal_strings_match_loadtxt(self):
+        # a cell the proof settles reads as loadtxt reads it, whatever its
+        # digits (18-digit texts were read wrong by a parse that capped
+        # the dot's shift at 17); one it cannot settle leaves its block to
+        # loadtxt
+        settled = []
+        for t in self.decimal_strings():
+            got = numpy_parse([t])
+            if got is not None:
+                assert_loadtxt_bits([t], got)
+                settled.append(t)
+        # texts that %.17g would write, padded or not
+        assert {"0", "-0", "0.", ".5", "-.5", "00012.50", "0.0001",
+                "18014398509481984"} <= set(settled)
+        # a tie between two doubles, which loadtxt rounds to even
+        assert "18014398509481986" not in settled
+
+    @staticmethod
+    def count_loadtxt(monkeypatch) -> list:
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(rpsim.io.np, "loadtxt", lambda *args, **kw: (
+            calls.append(1), loadtxt(*args, **kw))[1])
+        return calls
+
+    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
+    def test_a_written_ensemble_needs_no_loadtxt(self, tmp_path, monkeypatch,
+                                                chunk):
+        ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3,
+                           record_events=True)
+        out = write_ensemble(ens, tmp_path / "e")
+        for name in ("samples.csv", "events.csv"):
+            assert "e" not in (out / name).read_text().split("\n", 1)[1]
+        monkeypatch.setattr(rpsim.io, "_CHUNK", chunk)
+        calls = self.count_loadtxt(monkeypatch)
+        back = read_ensemble(out)
+        assert calls == []
+        for a, b in zip(ens.trajectories, back.trajectories):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
+    def test_a_bad_cell_has_the_loadtxt_message(self, tmp_path, monkeypatch,
+                                                chunk):
+        ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3,
+                           record_events=True)
+        events = write_ensemble(ens, tmp_path / "e") / "events.csv"
+        lines = events.read_text().splitlines(keepends=True)
+        replica, _, reaction = lines[10].split(",")
+        lines[10] = f"{replica},x,{reaction}"
+        events.write_text("".join(lines))
+        monkeypatch.setattr(rpsim.io, "_CHUNK", chunk)
+        calls = self.count_loadtxt(monkeypatch)
+        with pytest.raises(DomainError) as err:
+            read_ensemble(tmp_path / "e")
+        assert str(err.value) == (f"{events}: could not convert string 'x' "
+                                  "to float64 at row 9, column 2.")
+        assert calls == [1]
 
 
 def test_read_holds_the_event_log_once_plus_one_block(tmp_path, monkeypatch):
