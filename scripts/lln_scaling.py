@@ -13,7 +13,7 @@ from rpsim import (
     counts_from_fractions,
     integrate,
     lln_test,
-    run_ensemble,
+    run_ensembles,
 )
 
 
@@ -33,14 +33,14 @@ def main() -> int:
     grid = np.linspace(0.0, args.t_end, args.grid_points)
     mf = integrate(fractions, args.rate, t_end=args.t_end, grid=grid)
 
-    ensembles = []
-    for k, m in enumerate(populations):
-        spec = ModelSpec(n=len(fractions), lam=args.rate, total=m,
-                         initial=counts_from_fractions(fractions, m))
-        ensembles.append(
-            run_ensemble(spec, args.replicas, args.t_end, grid,
-                         args.base_seed + k, record_events=False)
-        )
+    specs = [ModelSpec(n=len(fractions), lam=args.rate, total=m,
+                       initial=counts_from_fractions(fractions, m))
+             for m in populations]
+    # every population in one lockstep, population k on base seed + k
+    ensembles = run_ensembles(
+        specs, args.replicas, args.t_end, grid,
+        [args.base_seed + k for k in range(len(populations))])
+    for m in populations:
         print(f"simulated M={m}")
 
     report = lln_test(ensembles, mf, args.t_end, ratio_band=None)

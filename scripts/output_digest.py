@@ -10,8 +10,9 @@ time at the largest total, in two lockstep chunks and without event logs;
 2 000 paths, one path past a block of 2 048 random streams, five species
 with off-step report times, and a given initial covariance); and
 `validate` at base seeds 42-57 and, small, with four species from an
-off-centre start until some martingale replicas absorb, and with every
-setting away from its default.  Each command runs in a fresh
+off-centre start until some martingale replicas absorb, with every
+setting away from its default, and with LLN populations whose merged
+lockstep chunk loses replicas to absorption.  Each command runs in a fresh
 directory with relative paths, so its console output is hashed too.
 Each `simulate` case's ensemble is also read back with `read_ensemble` and
 written again: if any file's bytes differ, the script exits 1, naming the
@@ -62,6 +63,27 @@ martingale_population = 12
 martingale_replicas = 200
 martingale_time = 8
 gillespie_samples = 200
+"""
+# LLN populations of 6 and 24, 20 replicas each, at twice the default rate:
+# their 40 columns take one lockstep chunk, and 6 of the smaller
+# population's replicas absorb before lln_time and leave it early
+VALIDATE_LLN_ABSORBING = """\
+[model]
+lambda = 2
+fractions = 0.5, 0.3, 0.2
+[run]
+base_seed = 13
+[validate]
+lln_populations = 6, 24
+lln_replicas = 20
+lln_grid_points = 9
+clt_population = 40
+clt_replicas = 100
+clt_time = 0.5
+martingale_population = 24
+martingale_replicas = 40
+martingale_time = 0.5
+gillespie_samples = 100
 """
 # every setting validate reads, each away from its default, at small sizes
 VALIDATE_EVERY_SETTING = """\
@@ -147,6 +169,7 @@ CASES = [
      for seed in range(42, 58)] + [
     validate_case("validate-n4-absorbing", VALIDATE_N4, True),
     validate_case("validate-every-setting", VALIDATE_EVERY_SETTING, True),
+    validate_case("validate-lln-absorbing", VALIDATE_LLN_ABSORBING, True),
 ]
 
 

@@ -28,7 +28,10 @@ Two engines run this loop with the same arithmetic in the same order:
   column ties, the first (lowest-indexed) minimum fires.  Its draws sit in
   a buffer indexed by replica, up to 256 columns (``_LOCKSTEP_DRAWS``) of
   each replica's stream, 4 MiB per chunk; a refill calls only the live
-  replicas' generators.
+  replicas' generators.  :func:`run_ensembles` runs several specs'
+  ensembles as one set of columns, so a chunk may hold replicas of more
+  than one spec, each column with its own spec's rate, total and initial
+  counts.
 
 Both write their replicas' rows of the ensemble's arrays in place and append
 their events, in replica order, to the ensemble's one flat event log.  The
@@ -75,6 +78,7 @@ __all__ = [
     "ReplicaError",
     "run_until",
     "run_ensemble",
+    "run_ensembles",
     "DEFAULT_MAX_EVENTS",
 ]
 
@@ -97,11 +101,14 @@ _PLACE_CELLS = 1 << 14
 
 
 class ReplicaError(RpsimError):
-    """Wraps a failure inside one ensemble replica with its index."""
+    """Wraps a failure inside one ensemble replica with its index, and, from
+    :func:`run_ensembles`, the index of its spec (else ``spec`` is None)."""
 
-    def __init__(self, index: int, cause: BaseException):
-        super().__init__(f"replica {index}: {cause}")
-        self.index = index
+    def __init__(self, index: int, cause: BaseException,
+                 spec: int | None = None):
+        where = "" if spec is None else f"spec {spec}, "
+        super().__init__(f"{where}replica {index}: {cause}")
+        self.index, self.spec = index, spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,6 +349,7 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
         count (initial total rate times horizon) is below ``10**7``.
     max_events : int
         Hard event budget; exceeding it raises :class:`BudgetExceeded`.
+        Anything but a non-negative integer raises :class:`DomainError`.
     _log : pair of ``array.array``, private
         With ``record_events`` false, the events are appended to these
         buffers of doubles and shorts instead: :func:`run_ensemble` passes
@@ -366,6 +374,7 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     ``MAX_SPECIES`` = 32 767.
     """
     grid = _check_run(t_end, grid)
+    max_events = check_seed(max_events, "max_events")
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
 
@@ -388,88 +397,107 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
         final_time=absorbed if absorbed is not None else t_end)
 
 
-def _replica(spec: ModelSpec, t_end: float, grid: np.ndarray, base_seed: int,
-             i: int, max_events: int, log=None) -> Trajectory:
-    """Replica ``i`` through :func:`run_until`, its events appended to
-    ``log`` if given, a failure tagged with ``i``."""
+def _replica(run: tuple, i: int, t_end: float, grid: np.ndarray,
+             max_events: int, log=None) -> Trajectory:
+    """Replica ``i`` of ``run``, a ``(spec, base seed, label)`` triple,
+    through :func:`run_until`, its events appended to ``log`` if given, a
+    failure tagged with ``i`` and the label."""
+    spec, base_seed, label = run
     try:
         return run_until(spec, t_end, grid, rng_stream(base_seed, i), seed=i,
                          record_events=False, max_events=max_events, _log=log)
     except RpsimError as exc:
-        raise ReplicaError(i, exc) from exc
+        raise ReplicaError(i, exc, spec=label) from exc
 
 
-def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
-                  base_seed: int, max_events: int, samples: np.ndarray,
+def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
+                  grid: np.ndarray, max_events: int, samples: np.ndarray,
                   final: np.ndarray, absorbed_at: np.ndarray, ends: np.ndarray,
                   log) -> None:
-    """Replicas ``first, first + 1, ...`` all at once, one event each per step.
+    """Columns ``first, first + 1, ...`` all at once, one event each per step.
 
+    Column ``c`` is replica ``c % replicas`` of ``runs[c // replicas]``, a
+    ``(spec, base seed, label)`` triple, so a chunk may span runs; every
+    column carries its own spec's ``lam/M``, total and initial counts.
     The loop of :func:`run_until`, with the same operations in the same
-    order, on species-major ``(n, live replicas)`` arrays: row ``j`` is
-    clock (and species) ``j``, one column per replica.  A step's ``dt`` is
-    each column's minimum gap, and the clock that fires is the first in its
-    column to attain it, as :func:`run_until`'s strict ``<`` picks it.
-    Every live replica fires its event ``k`` at step ``k`` and so takes
-    draw ``n + k`` of its stream, from column ``(n + k) % width`` of a
-    ``(replicas, width)`` buffer that each replica's generator refills by
-    rows (a contiguous row each, so a step reads its column strided).
-    ``width`` is ``_LOCKSTEP_DRAWS`` (256, 4 MiB for a chunk of
-    ``STREAM_BLOCK``), or fewer when the run is expected to be short.  A
-    replica that absorbs or passes the horizon is compacted out of the
-    state, not out of the buffer: row ``i`` stays replica ``first + i``'s,
-    as in ``samples``, ``final`` and ``absorbed_at`` (NaN on entry), and a
-    refill calls only the live replicas' generators.  With ``log``, each
-    step appends its live replicas' event times and reactions to a flat
-    step log, in replica order.  At the end, each log is placed in replica
-    order, a block of steps at a time with block-sized temporaries, and
-    appended to ``log``, and ``ends[i]`` is set to the log's length after
-    replica ``first + i``.
+    order, on species-major ``(n, live columns)`` arrays: row ``j`` is
+    clock (and species) ``j``.  A step's ``dt`` is each column's minimum
+    gap, and the clock that fires is the first in its column to attain
+    it, as :func:`run_until`'s strict ``<`` picks it.  Every live column
+    fires its event ``k`` at step ``k`` and so takes draw ``n + k`` of its
+    stream, from column ``(n + k) % width`` of a ``(columns, width)``
+    buffer that each column's generator refills by rows (a contiguous row
+    each, so a step reads its column strided).  ``width`` is
+    ``_LOCKSTEP_DRAWS`` (256, 4 MiB for a chunk of ``STREAM_BLOCK``), or
+    fewer when every run of the chunk is expected to be short; it moves
+    only the refills.  A column that absorbs or passes the horizon is
+    compacted out of the state, not out of the buffer: row ``i`` stays
+    column ``first + i``'s, as in ``samples``, ``final`` and
+    ``absorbed_at`` (NaN on entry), and a refill calls only the live
+    columns' generators.  With ``log``, each step appends its live
+    columns' event times and reactions to a flat step log, in column
+    order.  At the end, each log is placed in column order, a block of
+    steps at a time with block-sized temporaries, and appended to ``log``,
+    and ``ends[i]`` is set to the log's length after column ``first + i``.
     """
-    n = spec.n
-    replicas = len(final)
-    lam_over_m = spec.lam / spec.total
-    total = spec.total
+    n = runs[0][0].n
+    columns = len(final)
+    run_of, index_of = np.divmod(np.arange(first, first + columns), replicas)
+    mine = range(run_of[0], run_of[-1] + 1)     # the chunk's runs
+    lams = np.array([spec.lam / spec.total for spec, *_ in runs])
+    totals = np.array([float(spec.total) for spec, *_ in runs])
+
+    def per_column(values):
+        # each live column's run's value, the same IEEE lam / M as one
+        # spec's; a scalar while they share one run, which steps faster
+        live = run_of[ids]
+        return values[live[0]] if live[0] == live[-1] else values[live]
+
     nxt = np.array([(j + 1) % n for j in range(n)])
     prv = np.array([(j - 1) % n for j in range(n)])
     reaction = np.arange(n, dtype=np.int16)
-    # a replica that expects fewer events (twice its initial rate times the
-    # horizon) takes a narrower block: filling draws it never reads costs
-    # more than refilling the few replicas that overrun
-    width = max(n, int(min(_LOCKSTEP_DRAWS,
-                           n + 2 * _expected_events(spec, t_end))))
-    # each replica's refill, bound once; row i of draws is replica first + i's
-    fills = [gen.standard_exponential
-             for gen in rng_streams(base_seed, first, replicas)]
-    draws = np.empty((replicas, width))
+    # a chunk whose runs expect fewer events (twice the initial rate times
+    # the horizon) takes a narrower block: filling draws it never reads
+    # costs more than refilling the few columns that overrun
+    width = max(n, int(min(_LOCKSTEP_DRAWS, n + 2 * max(
+        _expected_events(runs[k][0], t_end) for k in mine))))
+    # each column's refill, bound once; row i of draws is column first + i's
+    fills = []
+    for k in mine:
+        at = index_of[run_of == k]
+        fills += [gen.standard_exponential
+                  for gen in rng_streams(runs[k][1], int(at[0]), len(at))]
+    draws = np.empty((columns, width))
     for fill, row in zip(fills, draws):
         fill(out=row)
 
     glen = len(grid)
     grid_next = np.append(grid, math.inf)   # next grid time after index gi
-    n_events = np.empty(replicas, dtype=np.intp)
+    n_events = np.empty(columns, dtype=np.intp)
     # each step's event times and reactions, raw, so an append makes no object
     steps = [array.array("d"), array.array("h")]
 
-    # state of the live replicas, one column each; counts are exact in
-    # float64, since ModelSpec caps the total at 2**53
-    ids = np.arange(replicas)       # replica index - first
-    counts = np.outer(spec.initial, np.ones(replicas))
-    internal = np.zeros((n, replicas))
+    # state of the live columns; counts are exact in float64, since
+    # ModelSpec caps the total at 2**53
+    ids = np.arange(columns)        # column index - first
+    lam_over_m, total = per_column(lams), per_column(totals)
+    counts = np.array([spec.initial for spec, *_ in runs], dtype=float)
+    counts = np.ascontiguousarray(counts[run_of].T)
+    internal = np.zeros((n, columns))
     threshold = draws[:, :n].T.copy()
     col = n
-    t = np.zeros(replicas)
-    gi = np.zeros(replicas, dtype=np.intp)
-    g_next = np.full(replicas, grid_next[0])
-    # new_time > stop ends a replica; with an infinite horizon only absorption
+    t = np.zeros(columns)
+    gi = np.zeros(columns, dtype=np.intp)
+    g_next = np.full(columns, grid_next[0])
+    # new_time > stop ends a column; with an infinite horizon only absorption
     stop = t_end if t_end < math.inf else np.finfo(float).max
-    k = 0                           # events fired so far by every live replica
+    k = 0                           # events fired so far by every live column
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(ids):
             rate = lam_over_m * counts * counts.take(nxt, axis=0)
             gap = (threshold - internal) / rate
-            if not rate.all():
+            if np.count_nonzero(rate) != rate.size:
                 gap[rate == 0.0] = math.inf
             dt = gap.min(axis=0)
             new_time = t + dt
@@ -491,6 +519,7 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
                     dt, new_time))
                 if not len(ids):
                     break
+                lam_over_m, total = per_column(lams), per_column(totals)
             fire = gap == dt        # the first minimum of each column fires
             if np.count_nonzero(fire) != len(ids):
                 fire &= fire.cumsum(axis=0) == 1
@@ -499,8 +528,8 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
             cross = g_next < new_time
             if np.count_nonzero(cross):
                 # grid times before the event record the pre-event state:
-                # the first one of each replica, then any further ones
-                rows = np.flatnonzero(cross)
+                # the first one of each column, then any further ones
+                rows = cross.nonzero()[0]
                 lo = gi[rows]
                 samples[ids[rows], lo] = counts.take(rows, axis=1).T
                 lo += 1
@@ -533,16 +562,17 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
                 bad = over > _OVERSHOOT_RTOL * np.maximum(1.0, threshold)
                 if bad.any():
                     # internal-time drift: rerun serially up to the first
-                    # failing replica, so the error is the serial path's
-                    last = first + int(ids[bad.any(axis=0)][0])
-                    for i in range(first, last + 1):
-                        _replica(spec, t_end, grid, base_seed, i, max_events)
+                    # failing column, so the error is the serial path's
+                    last = int(ids[bad.any(axis=0)][0])
+                    for c in range(last + 1):
+                        _replica(runs[run_of[c]], int(index_of[c]), t_end,
+                                 grid, max_events)
                     raise AssertionError("lockstep and serial engines disagree")
                 np.minimum(advanced, threshold, out=advanced)
             internal = advanced
             # + 0.0 leaves an unfired clock's threshold as it was; the draw
             # column is read strided once, not once per row of the product
-            threshold += fired * (draws[:, col].copy() if len(ids) == replicas
+            threshold += fired * (draws[:, col].copy() if len(ids) == columns
                                   else draws[ids, col])
             col += 1
             counts += fired
@@ -550,11 +580,13 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
             t = new_time
             k += 1
             if k > max_events:
-                # every live replica exceeds it now; the lowest-indexed one
+                # every live column exceeds it now; the lowest-indexed one
                 # is the first a serial run would meet
+                c = int(ids[0])
                 exc = BudgetExceeded(f"exceeded {max_events} events at "
                                      f"t={t[0]:.6g} (horizon {t_end})")
-                raise ReplicaError(first + int(ids[0]), exc) from exc
+                raise ReplicaError(int(index_of[c]), exc,
+                                   spec=runs[run_of[c]][2]) from exc
             # exact: the column sums are integers of at most 2**53
             if np.count_nonzero(counts.sum(axis=0) != total):
                 raise AssertionError("population conservation violated")  # unreachable
@@ -572,21 +604,79 @@ def _run_lockstep(spec: ModelSpec, first: int, t_end: float, grid: np.ndarray,
         for out in log:
             step = np.frombuffer(steps.pop(0), dtype=out.typecode)
             chunk = np.empty_like(step)
-            # replica first + i's event k goes to start[i] + k; step k
-            # logged its live replicas in replica order, so a block of
-            # about _PLACE_CELLS (step, live replica) pairs, as a mask read
+            # column first + i's event k goes to start[i] + k; step k
+            # logged its live columns in column order, so a block of
+            # about _PLACE_CELLS (step, live column) pairs, as a mask read
             # row by row, lists the next entries of the step log
             lo = k = 0
             while lo < len(step):
                 live = np.flatnonzero(n_events > k)
                 ks = np.arange(k, k + max(1, _PLACE_CELLS // len(live)))
-                ks = ks[:, None]    # a row per step, a column per replica
+                ks = ks[:, None]    # a row per step, across the live columns
                 at = (start[live] + ks)[n_events[live] > ks]
                 chunk[at] = step[lo:lo + len(at)]
                 lo, k = lo + len(at), k + len(ks)
             del step    # freed before the log grows
             out.frombytes(chunk.view(np.uint8))
             del chunk   # nor held while the next one is made
+
+
+def _run(specs: list, replicas: int, t_end: float, grid, base_seeds: list,
+         record_events: bool, max_events: int, labels) -> list[Ensemble]:
+    """The engine behind :func:`run_ensemble` and :func:`run_ensembles`:
+    ``replicas`` replicas of each spec, as spec-major columns; a failure
+    names the replica and the spec's label (``None`` names none)."""
+    replicas = check_seed(replicas, "replica count")
+    if replicas < 1:
+        raise DomainError(f"need at least one replica, got {replicas}")
+    # checked once here so a bad input is not reported as a replica failure
+    grid = _check_run(t_end, grid)
+    base_seeds = [check_seed(seed) for seed in base_seeds]
+    max_events = check_seed(max_events, "max_events")
+    runs = list(zip(specs, base_seeds, labels))
+    columns = len(runs) * replicas
+    # the columns' arrays, each engine writing its columns' rows, and one
+    # log of raw doubles and shorts, which np.asarray views without a copy
+    try:
+        samples = np.empty((columns, len(grid), specs[0].n), dtype=np.int64)
+        final = np.empty((columns, specs[0].n), dtype=np.int64)
+        absorbed = np.full(columns, math.nan)
+        offsets = np.zeros(columns + 1, dtype=np.int64)
+    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
+        raise DomainError(f"{replicas} replicas of {len(grid)} sample times, "
+                          "too many to hold in memory") from None
+    ends = offsets[1:]              # the log's length after each column
+    log = (array.array("d"), array.array("h")) if record_events else None
+    if columns < _LOCKSTEP_MIN:
+        for c in range(columns):
+            traj = _replica(runs[c // replicas], c % replicas, t_end, grid,
+                            max_events, log)
+            samples[c], final[c] = traj.samples, traj.final_counts
+            absorbed[c] = math.nan if traj.absorbed is None else traj.absorbed
+            ends[c] = len(log[0]) if log else 0
+    else:
+        # in near-equal chunks of at most STREAM_BLOCK, to bound memory
+        size = -(-columns // -(-columns // STREAM_BLOCK))
+        for first in range(0, columns, size):
+            rows = slice(first, first + size)
+            _run_lockstep(runs, replicas, first, t_end, grid, max_events,
+                          samples[rows], final[rows], absorbed[rows],
+                          ends[rows], log)
+    times, reactions = map(np.asarray, log) if log else (None, None)
+    ensembles = []
+    for k, (spec, base_seed, _) in enumerate(runs):
+        rows = slice(k * replicas, (k + 1) * replicas)
+        off = offsets[k * replicas:(k + 1) * replicas + 1]
+        events = slice(off[0], off[-1])
+        ensembles.append(Ensemble(
+            spec=spec, grid=grid, base_seed=base_seed, samples=samples[rows],
+            final_counts=final[rows], absorbed=absorbed[rows],
+            final_time=np.where(np.isnan(absorbed[rows]), t_end,
+                                absorbed[rows]),
+            event_times=times[events] if log else None,
+            event_reactions=reactions[events] if log else None,
+            event_offsets=off - off[0] if log else None))
+    return ensembles
 
 
 def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
@@ -603,46 +693,43 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     replicas run in the calling thread.  Failures are re-raised as
     :class:`ReplicaError` carrying the index of the lowest-indexed failing
     replica, as a serial run would report it.  Replicas whose samples do
-    not fit in memory raise :class:`DomainError`.
+    not fit in memory, and a ``max_events`` that is not a non-negative
+    integer, raise :class:`DomainError`.  The one-spec case of
+    :func:`run_ensembles`.
     """
-    replicas = check_seed(replicas, "replica count")
-    if replicas < 1:
-        raise DomainError(f"need at least one replica, got {replicas}")
-    # checked once here so a bad input is not reported as a replica failure
-    grid = _check_run(t_end, grid)
-    base_seed = check_seed(base_seed)
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
-    # the ensemble's arrays, each engine writing its replicas' rows, and one
-    # log of raw doubles and shorts, which np.asarray views without a copy
-    try:
-        samples = np.empty((replicas, len(grid), spec.n), dtype=np.int64)
-        final = np.empty((replicas, spec.n), dtype=np.int64)
-        absorbed = np.full(replicas, math.nan)
-        offsets = np.zeros(replicas + 1, dtype=np.int64)
-    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
-        raise DomainError(f"{replicas} replicas of {len(grid)} sample times, "
-                          "too many to hold in memory") from None
-    ends = offsets[1:]              # the log's length after each replica
-    log = (array.array("d"), array.array("h")) if record_events else None
-    if replicas < _LOCKSTEP_MIN:
-        for i in range(replicas):
-            traj = _replica(spec, t_end, grid, base_seed, i, max_events, log)
-            samples[i], final[i] = traj.samples, traj.final_counts
-            absorbed[i] = math.nan if traj.absorbed is None else traj.absorbed
-            ends[i] = len(log[0]) if log else 0
-    else:
-        # in near-equal chunks of at most STREAM_BLOCK, to bound memory
-        size = -(-replicas // -(-replicas // STREAM_BLOCK))
-        for first in range(0, replicas, size):
-            rows = slice(first, first + size)
-            _run_lockstep(spec, first, t_end, grid, base_seed, max_events,
-                          samples[rows], final[rows], absorbed[rows],
-                          ends[rows], log)
-    times, reactions = map(np.asarray, log) if log else (None, None)
-    return Ensemble(
-        spec=spec, grid=grid, base_seed=base_seed, samples=samples,
-        final_counts=final, absorbed=absorbed,
-        final_time=np.where(np.isnan(absorbed), t_end, absorbed),
-        event_times=times, event_reactions=reactions,
-        event_offsets=offsets if log else None)
+    return _run([spec], replicas, t_end, grid, [base_seed], record_events,
+                max_events, [None])[0]
+
+
+def run_ensembles(specs, replicas: int, t_end: float, grid, base_seeds, *,
+                  record_events: bool = False,
+                  max_events: int = DEFAULT_MAX_EVENTS) -> list[Ensemble]:
+    """One ensemble per spec, all stepped together.
+
+    Ensemble ``k`` equals ``run_ensemble(specs[k], replicas, t_end, grid,
+    base_seeds[k], ...)`` bit for bit in every field, its event offsets
+    counted from its own first event; its arrays are views into arrays
+    shared by all the ensembles.  The specs' replicas run as spec-major
+    columns, in near-equal lockstep chunks of at most ``STREAM_BLOCK``
+    columns that may span specs, or one replica at a time below
+    ``_LOCKSTEP_MIN`` columns in all, so a batch of small ensembles takes
+    fewer, wider steps than one call each.  A failure raises the
+    :class:`ReplicaError` that running the specs one after another would
+    raise first, naming the spec's index and the replica.  Specs that do
+    not share ``n``, no specs, a ``base_seeds`` whose length is not the
+    specs', and the inputs :func:`run_ensemble` refuses raise
+    :class:`DomainError` before any replica runs.
+    """
+    specs, base_seeds = list(specs), list(base_seeds)
+    if not specs:
+        raise DomainError("need at least one spec")
+    if any(spec.n != specs[0].n for spec in specs):
+        raise DomainError("the specs must share the species count n, got "
+                          f"{[spec.n for spec in specs]}")
+    if len(base_seeds) != len(specs):
+        raise DomainError(f"{len(base_seeds)} base seeds for {len(specs)} "
+                          "specs")
+    return _run(specs, replicas, t_end, grid, base_seeds, record_events,
+                max_events, range(len(specs)))

@@ -46,7 +46,7 @@ from .core import (
 )
 from .fluctuation import CovarianceState, FluctuationModel, propagate_covariance
 from .meanfield import MeanFieldPath, integrate
-from .simulate import Ensemble, run_ensemble
+from .simulate import Ensemble, run_ensemble, run_ensembles
 
 __all__ = [
     "ValidationConfig",
@@ -142,7 +142,7 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
     It is consumed one ensemble at a time: each is checked against the
     first (same species count, rate, initial fractions and sample grid),
     its record is made, and it is dropped before the next is asked for, so
-    at most one ensemble's samples are held at once.  A negative or NaN
+    a generator's ensembles are held one at a time.  A negative or NaN
     ``t``, a bound that is not positive and finite or an empty band raises
     :class:`DomainError` before the first is asked for.
     """
@@ -208,10 +208,34 @@ def _lln_record(e: Ensemble, mask: np.ndarray, u: np.ndarray) -> dict:
         .sum(axis=2).max(axis=1)
         for block in np.split(e.samples,
                               range(_LLN_BLOCK, e.replicas, _LLN_BLOCK))])
+    ordered = np.sort(devs)
     return {"M": e.spec.total, "replicas": e.replicas,
-            "median": float(np.median(devs)),
-            "q95": float(np.quantile(devs, 0.95)),
+            "median": _median(ordered), "q95": _quantile(ordered, 0.95),
             "deviations": devs.tolist()}
+
+
+# np.median and np.quantile import numpy.ma on first use; these take numpy's
+# own formulas on a sorted array, and give its values bit for bit
+
+def _median(ordered: np.ndarray) -> float:
+    """``np.median`` of the sorted, non-empty ``ordered``: its middle value,
+    or the mean of its two middle ones."""
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(..., q)`` (the linear method) of the sorted, non-empty
+    ``ordered``: numpy's interpolation between the two values around
+    ``(len - 1) * q``, taken from the upper one when ``g >= 0.5``."""
+    v = (len(ordered) - 1) * q
+    lo = math.floor(v)
+    g = v - lo
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    diff = b - a
+    return float(b - diff * (1 - g) if g >= 0.5 else a + diff * g)
 
 
 # --------------------------------------------------------------------------
@@ -773,15 +797,15 @@ def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:
     # -- law of large numbers -----------------------------------------------
     mf = integrate(config.model_fractions(), config.lam, t_end=config.lln_time,
                    grid=grid)
-    # a generator: each population runs when lln_test asks for it
-    ensembles = (
-        run_ensemble(spec, config.lln_replicas, config.lln_time, grid,
-                     config.base_seed + _SEED_LLN + k, record_events=False)
-        for k, spec in enumerate(lln_specs)
-    )
+    # every population in one lockstep; their samples, R·P·G·n int64
+    # values, are held together until lln_test returns
+    ensembles = run_ensembles(
+        lln_specs, config.lln_replicas, config.lln_time, grid,
+        [config.base_seed + _SEED_LLN + k for k in range(len(lln_specs))])
     rep = reports["lln"] = lln_test(
         ensembles, mf, config.lln_time, median_bound=config.lln_median_bound,
         ratio_band=(config.lln_ratio_low, config.lln_ratio_high))
+    del ensembles       # free their samples before the CLT run
     say(f"lln: {'PASS' if rep['pass'] else 'FAIL'} "
         f"(medians={[round(r['median'], 4) for r in rep['records']]})")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 import unittest.mock
 
@@ -18,8 +19,11 @@ from rpsim import (
     ModelSpec,
     NumericError,
     ReplicaError,
+    ValidationConfig,
+    counts_from_fractions,
     rng_stream,
     run_ensemble,
+    run_ensembles,
     run_until,
     symmetric_counts,
     trajectories_identical,
@@ -723,6 +727,150 @@ class TestLockstep:
             run_ensemble(spec, 40, math.inf, [], 2, max_events=40)
         assert (err.value.index, str(err.value)) == serial
         assert isinstance(err.value.__cause__, BudgetExceeded)
+
+
+def one_call_each(specs, replicas, t_end, grid, base_seeds, **kw):
+    """What run_ensembles must equal: one run_ensemble call per spec."""
+    return [run_ensemble(spec, replicas, t_end, grid, seed, **kw)
+            for spec, seed in zip(specs, base_seeds)]
+
+
+def assert_each_is_its_own_run(specs, replicas, t_end, grid, base_seeds,
+                               record_events=False):
+    ensembles = run_ensembles(specs, replicas, t_end, grid, base_seeds,
+                              record_events=record_events)
+    alone = one_call_each(specs, replicas, t_end, grid, base_seeds,
+                          record_events=record_events)
+    assert len(ensembles) == len(alone)
+    for merged, single in zip(ensembles, alone):
+        assert_same_arrays(merged, single)
+    return ensembles
+
+
+class TestRunEnsembles:
+    # the specs' replicas run as one set of spec-major columns; each
+    # ensemble must equal its own run_ensemble call, byte for byte
+
+    @pytest.mark.parametrize("replicas", [8, 32])
+    def test_validate_lln_populations(self, replicas):
+        config = ValidationConfig()
+        specs = [ModelSpec(n=config.n, lam=config.lam, total=m,
+                           initial=counts_from_fractions(
+                               config.model_fractions(), m))
+                 for m in config.lln_populations]
+        grid = np.linspace(0.0, config.lln_time, config.lln_grid_points)
+        assert_each_is_its_own_run(specs, replicas, config.lln_time, grid,
+                                   [43, 44, 45, 46])
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_replicas_that_absorb_leave_a_merged_chunk(self, record_events):
+        # 40 columns step together; the small population's replicas absorb
+        # and leave while the larger one's run on
+        specs = [ModelSpec(n=3, lam=1.0, total=m,
+                           initial=counts_from_fractions(
+                               np.array([0.5, 0.3, 0.2]), m))
+                 for m in (6, 24)]
+        small, large = assert_each_is_its_own_run(
+            specs, 20, 2.0, grid01(11, 2.0), [3, 4], record_events)
+        assert 0 < np.isfinite(small.absorbed).sum() < 20
+        assert np.isnan(large.absorbed).any()
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_a_chunk_spans_two_specs(self, monkeypatch, record_events):
+        # 120 columns in chunks of at most 70: two of 60, each holding
+        # replicas of two specs, against one chunk of 40 for each spec
+        # alone; each logged ensemble's offsets count from its own first
+        # event
+        monkeypatch.setattr(rpsim.simulate, "STREAM_BLOCK", 70)
+        chunks = []
+        lockstep = rpsim.simulate._run_lockstep
+
+        def recorded(runs, replicas, first, t_end, grid, max_events,
+                     samples, *rest):
+            chunks.append((first, len(samples)))
+            lockstep(runs, replicas, first, t_end, grid, max_events, samples,
+                     *rest)
+
+        monkeypatch.setattr(rpsim.simulate, "_run_lockstep", recorded)
+        specs = [ModelSpec(n=3, lam=1.0, total=3 * c, initial=(c, c, c))
+                 for c in (4, 10, 20)]
+        ensembles = assert_each_is_its_own_run(
+            specs, 40, 3.0, [0.0, 1.5, 3.0], [7, 8, 9], record_events)
+        assert chunks == [(0, 60), (60, 60)] + [(0, 40)] * 3
+        if record_events:
+            assert [e.event_offsets[0] for e in ensembles] == [0, 0, 0]
+            assert all(e.event_offsets[-1] == len(e.event_times)
+                       for e in ensembles)
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_below_the_lockstep_minimum(self, monkeypatch, record_events):
+        # 3 specs of 10 replicas: 30 columns, each through run_until
+        def no_lockstep(*args):
+            raise AssertionError("the lockstep ran")
+
+        monkeypatch.setattr(rpsim.simulate, "_run_lockstep", no_lockstep)
+        specs = [ModelSpec(n=3, lam=1.0, total=3 * c, initial=(c, c, c))
+                 for c in (2, 10, 20)]
+        assert_each_is_its_own_run(specs, 10, 1.0, grid01(4), [1, 2, 3],
+                                   record_events)
+
+    @pytest.mark.parametrize("replicas", [6, 20])
+    def test_budget_failure_names_the_spec_and_replica(self, replicas):
+        # spec 0 fits the budget; spec 1's replica 0 does, and a later one
+        # does not.  Below and above _LOCKSTEP_MIN columns in all.
+        specs = [ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10)),
+                 ModelSpec(n=3, lam=1.0, total=45, initial=(15, 15, 15))]
+        grid, seeds = [0.0, 1.0], [5, 6]
+        fired = [np.diff(e.event_offsets) for e in one_call_each(
+            specs, replicas, 1.0, grid, seeds, record_events=True)]
+        budget = int(max(fired[0].max(), fired[1][0]))
+        first_over = int(np.flatnonzero(fired[1] > budget)[0])
+        assert first_over > 0
+        run_ensemble(specs[0], replicas, 1.0, grid, seeds[0],
+                     max_events=budget)
+        with pytest.raises(ReplicaError) as alone:
+            run_ensemble(specs[1], replicas, 1.0, grid, seeds[1],
+                         max_events=budget)
+        assert alone.value.index == first_over
+        with pytest.raises(ReplicaError) as err:
+            run_ensembles(specs, replicas, 1.0, grid, seeds,
+                          max_events=budget)
+        assert (err.value.spec, err.value.index) == (1, first_over)
+        assert str(err.value) == f"spec 1, {alone.value}"
+        assert isinstance(err.value.__cause__, BudgetExceeded)
+
+    @pytest.mark.parametrize("specs, seeds, message", [
+        ([ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1)),
+          ModelSpec(n=4, lam=1.0, total=4, initial=(1, 1, 1, 1))], [0, 1],
+         r"^the specs must share the species count n, got \[3, 4\]$"),
+        ([ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))] * 2, [0],
+         r"^1 base seeds for 2 specs$"),
+        ([], [], r"^need at least one spec$"),
+    ], ids=["other-n", "seed-count", "no-spec"])
+    def test_bad_specs_are_refused(self, specs, seeds, message):
+        with pytest.raises(DomainError, match=message):
+            run_ensembles(specs, 20, 1.0, [0.0], seeds)
+
+
+@pytest.mark.parametrize("budget", [None, "5", math.nan, -1, 2.5, True])
+@pytest.mark.parametrize("run", ["run_until", "run_ensemble", "run_ensembles"])
+def test_max_events_must_be_a_non_negative_integer(run, budget):
+    # these ended in a bare TypeError, turned the budget off (NaN), or
+    # blamed replica 0
+    spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+    calls = {
+        "run_until": lambda: run_until(spec, 1.0, [0.0], rng_stream(0, 0),
+                                       max_events=budget),
+        "run_ensemble": lambda: run_ensemble(spec, 40, 1.0, [0.0], 0,
+                                             max_events=budget),
+        "run_ensembles": lambda: run_ensembles([spec] * 2, 20, 1.0, [0.0],
+                                               [0, 1], max_events=budget),
+    }
+    with pytest.raises(DomainError, match=re.escape(
+            f"max_events must be a non-negative integer, got {budget!r}")) \
+            as err:
+        calls[run]()
+    assert not isinstance(err.value, ReplicaError)
 
 
 def reference_replay(spec, times, reactions, t):

@@ -13,6 +13,8 @@ import pytest
 import rpsim.core
 import rpsim.fluctuation
 import rpsim.validate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rpsim import (
@@ -35,7 +37,13 @@ from rpsim import (
     zero_sum_projector,
 )
 from rpsim.fluctuation import CovarianceState, FluctuationModel, propagate_covariance
-from rpsim.validate import _chi2_sf, _ks_statistic, _kstwo_sf
+from rpsim.validate import (
+    _chi2_sf,
+    _ks_statistic,
+    _kstwo_sf,
+    _median,
+    _quantile,
+)
 
 
 def test_zero_sum_projector():
@@ -340,6 +348,38 @@ def clt_setup(replicas=200, m=2000, t=1.0, seed=7, fractions=(1 / 3,) * 3):
     sigma = propagate_covariance(model, np.zeros((3, 3)))[-1]
     ens = run_ensemble(spec, replicas, t, grid, seed, record_events=False)
     return ens, mf, sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(min_value=0.0, max_value=1e6,
+                                 allow_subnormal=False),
+                       min_size=1, max_size=60),
+       q=st.sampled_from([0.5, 0.9, 0.95, 0.05, 0.3]))
+@example(values=[0.1, 0.7], q=0.95)
+@example(values=[1.0, 2.0, 3.0, 1e6], q=0.5)
+def test_median_and_quantile_are_numpys_bit_for_bit(values, q):
+    a = np.array(values)
+    ordered = np.sort(a)
+    assert _median(ordered) == np.median(a)
+    assert _quantile(ordered, q) == np.quantile(a, q)
+
+
+def test_validation_does_not_import_numpy_ma():
+    # np.median and np.quantile import numpy.ma on first use, which costs
+    # validate's one run 10-28 ms; the LLN record takes their formulas
+    code = (
+        "import sys\n"
+        "from rpsim import ValidationConfig, run_validation\n"
+        "run_validation(ValidationConfig(\n"
+        "    lln_populations=(20, 80), lln_replicas=10, lln_grid_points=5,\n"
+        "    clt_population=100, clt_replicas=100, martingale_population=20,\n"
+        "    martingale_replicas=20, gillespie_samples=50))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(rpsim.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["False"]
 
 
 class TestClt:
@@ -674,6 +714,7 @@ def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
         raise AssertionError("an ensemble ran")
 
     monkeypatch.setattr(rpsim.validate, "run_ensemble", no_ensemble)
+    monkeypatch.setattr(rpsim.validate, "run_ensembles", no_ensemble)
     ini = tmp_path / "v.ini"
     ini.write_text(line + "\n")
     with pytest.raises(error, match=message):
@@ -730,16 +771,20 @@ def test_bad_base_seed_fails_before_any_ensemble_runs(monkeypatch, seed):
         run_validation(ValidationConfig(base_seed=seed))
 
 
-def test_peak_memory_holds_one_lln_population_at_a_time():
-    # every LLN population's samples are one (replicas, grid, n) array of
-    # the same size; quadrupling the replicas must grow the peak by about
-    # one such array (and the engine's draw block), not by all four and
-    # the record's temporaries, as it did when the populations were run
-    # into a list before the check and each record was made in one piece
+def test_peak_memory_holds_the_lln_samples_once():
+    # the LLN populations run in one lockstep, so their samples, one
+    # (replicas, grid, n) array each, are held together; quadrupling the
+    # replicas must grow the peak by those arrays and the engine's
+    # per-replica buffers (a draw row and a generator each, about half a
+    # population's samples here), not by a second copy of the samples or
+    # the record's temporaries made in one piece, each of which measured
+    # a population or more on top
+    pops = (25, 100, 400, 1600)
+
     def peak(replicas):
         cfg = ValidationConfig(
-            lln_populations=(25, 100, 400, 1600), lln_replicas=replicas,
-            lln_time=0.5, lln_grid_points=201, clt_population=200,
+            lln_populations=pops, lln_replicas=replicas,
+            lln_time=0.5, lln_grid_points=801, clt_population=200,
             clt_replicas=100, clt_time=0.2, martingale_population=20,
             martingale_replicas=50, martingale_time=0.2,
             gillespie_samples=200, base_seed=3)
@@ -752,9 +797,34 @@ def test_peak_memory_holds_one_lln_population_at_a_time():
 
     base = 50
     peak(base)      # the first run also allocates what is built once
-    samples = 3 * base * 201 * 3 * 8    # one population's growth, bytes
+    samples = 3 * base * 801 * 3 * 8    # one population's growth, bytes
     growth = peak(4 * base) - peak(base)
-    assert growth < 2 * samples, growth / samples
+    assert growth < (len(pops) + 1.5) * samples, growth / samples
+
+
+def test_lln_ensembles_are_released_before_the_clt_run(monkeypatch):
+    lln, at_clt = [], []
+    run_ensembles, run_ensemble = (rpsim.validate.run_ensembles,
+                                   rpsim.validate.run_ensemble)
+
+    def lln_ensembles(*args, **kw):
+        ensembles = run_ensembles(*args, **kw)
+        lln.extend(weakref.ref(e.samples.base) for e in ensembles)
+        return ensembles
+
+    def ensemble(spec, *args, **kw):
+        if lln:     # the CLT run comes first after the LLN check
+            at_clt.append([ref() for ref in lln])
+            lln.clear()
+        return run_ensemble(spec, *args, **kw)
+
+    monkeypatch.setattr(rpsim.validate, "run_ensembles", lln_ensembles)
+    monkeypatch.setattr(rpsim.validate, "run_ensemble", ensemble)
+    run_validation(ValidationConfig(
+        lln_populations=(20, 80), lln_replicas=10, lln_grid_points=5,
+        clt_population=100, clt_replicas=100, martingale_population=20,
+        martingale_replicas=20, gillespie_samples=50))
+    assert at_clt == [[None, None]]
 
 
 def test_run_validation_builds_no_trajectory_objects(monkeypatch):
