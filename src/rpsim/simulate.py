@@ -625,7 +625,8 @@ def _run(specs: list, replicas: int, t_end: float, grid, base_seeds: list,
          record_events: bool, max_events: int, labels) -> list[Ensemble]:
     """The engine behind :func:`run_ensemble` and :func:`run_ensembles`:
     ``replicas`` replicas of each spec, as spec-major columns; a failure
-    names the replica and the spec's label (``None`` names none)."""
+    names the replica and the spec's label (``None`` names none).  Events
+    are logged only for one spec, as :func:`run_ensemble` asks."""
     replicas = check_seed(replicas, "replica count")
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
@@ -643,8 +644,10 @@ def _run(specs: list, replicas: int, t_end: float, grid, base_seeds: list,
         absorbed = np.full(columns, math.nan)
         offsets = np.zeros(columns + 1, dtype=np.int64)
     except (MemoryError, ValueError):   # ValueError: past numpy's size limit
-        raise DomainError(f"{replicas} replicas of {len(grid)} sample times, "
-                          "too many to hold in memory") from None
+        asked = (f"{replicas} replicas" if len(runs) == 1 else
+                 f"{columns} replicas ({len(runs)} specs × {replicas})")
+        raise DomainError(f"{asked} of {len(grid)} sample times, too many "
+                          "to hold in memory") from None
     ends = offsets[1:]              # the log's length after each column
     log = (array.array("d"), array.array("h")) if record_events else None
     if columns < _LOCKSTEP_MIN:
@@ -666,16 +669,13 @@ def _run(specs: list, replicas: int, t_end: float, grid, base_seeds: list,
     ensembles = []
     for k, (spec, base_seed, _) in enumerate(runs):
         rows = slice(k * replicas, (k + 1) * replicas)
-        off = offsets[k * replicas:(k + 1) * replicas + 1]
-        events = slice(off[0], off[-1])
         ensembles.append(Ensemble(
             spec=spec, grid=grid, base_seed=base_seed, samples=samples[rows],
             final_counts=final[rows], absorbed=absorbed[rows],
             final_time=np.where(np.isnan(absorbed[rows]), t_end,
                                 absorbed[rows]),
-            event_times=times[events] if log else None,
-            event_reactions=reactions[events] if log else None,
-            event_offsets=off - off[0] if log else None))
+            event_times=times, event_reactions=reactions,
+            event_offsets=offsets if log else None))
     return ensembles
 
 
@@ -703,19 +703,18 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
                 max_events, [None])[0]
 
 
-def run_ensembles(specs, replicas: int, t_end: float, grid, base_seeds, *,
-                  record_events: bool = False,
-                  max_events: int = DEFAULT_MAX_EVENTS) -> list[Ensemble]:
+def run_ensembles(specs, replicas: int, t_end: float, grid,
+                  base_seeds) -> list[Ensemble]:
     """One ensemble per spec, all stepped together.
 
     Ensemble ``k`` equals ``run_ensemble(specs[k], replicas, t_end, grid,
-    base_seeds[k], ...)`` bit for bit in every field, its event offsets
-    counted from its own first event; its arrays are views into arrays
-    shared by all the ensembles.  The specs' replicas run as spec-major
-    columns, in near-equal lockstep chunks of at most ``STREAM_BLOCK``
-    columns that may span specs, or one replica at a time below
-    ``_LOCKSTEP_MIN`` columns in all, so a batch of small ensembles takes
-    fewer, wider steps than one call each.  A failure raises the
+    base_seeds[k], record_events=False)`` bit for bit in every field; its
+    arrays are views into arrays shared by all the ensembles.  The specs'
+    replicas run as spec-major columns, in near-equal lockstep chunks of at
+    most ``STREAM_BLOCK`` columns that may span specs, or one replica at a
+    time below ``_LOCKSTEP_MIN`` columns in all, so a batch of small
+    ensembles takes fewer, wider steps than one call each.  A failure,
+    under the default ``max_events``, raises the
     :class:`ReplicaError` that running the specs one after another would
     raise first, naming the spec's index and the replica.  Specs that do
     not share ``n``, no specs, a ``base_seeds`` whose length is not the
@@ -731,5 +730,5 @@ def run_ensembles(specs, replicas: int, t_end: float, grid, base_seeds, *,
     if len(base_seeds) != len(specs):
         raise DomainError(f"{len(base_seeds)} base seeds for {len(specs)} "
                           "specs")
-    return _run(specs, replicas, t_end, grid, base_seeds, record_events,
-                max_events, range(len(specs)))
+    return _run(specs, replicas, t_end, grid, base_seeds, False,
+                DEFAULT_MAX_EVENTS, range(len(specs)))

@@ -71,6 +71,10 @@ GRID_SUP_NOTE = (
 _TIME_MATCH_TOL = 1e-9
 # replicas per block of an LLN record's temporaries
 _LLN_BLOCK = 64
+# the most samples, in bytes, of the LLN populations that run in one lockstep
+# (3.9 MB at the defaults): more populations run in fewer, wider steps, and
+# each group's samples are held until its last ensemble is checked
+_LLN_GROUP_BYTES = 8 * 2**20
 
 
 def zero_sum_projector(n: int) -> np.ndarray:
@@ -142,9 +146,10 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
     It is consumed one ensemble at a time: each is checked against the
     first (same species count, rate, initial fractions and sample grid),
     its record is made, and it is dropped before the next is asked for, so
-    a generator's ensembles are held one at a time.  A negative or NaN
-    ``t``, a bound that is not positive and finite or an empty band raises
-    :class:`DomainError` before the first is asked for.
+    a generator that runs ensembles on demand holds only those it has made
+    and not yet handed over.  A negative or NaN ``t``, a bound that is not
+    positive and finite or an empty band raises :class:`DomainError` before
+    the first is asked for.
     """
     if not t >= 0:
         raise DomainError(f"lln time t={t} must be non-negative")
@@ -175,7 +180,7 @@ def lln_test(ensembles, meanfield: MeanFieldPath, t: float, *,
         if not np.array_equal(e.grid, grid):
             raise GridMismatch("all ensembles must share one sample grid")
         records.append(_lln_record(e, mask, u))
-        del e           # free its samples while the next one is produced
+        del e           # not held while the next one is produced
     if first is None:
         raise DomainError("need at least one ensemble")
     medians = [r["median"] for r in records]
@@ -772,6 +777,22 @@ def _check_config(config: ValidationConfig
     return specs, grid
 
 
+def _lln_ensembles(config: ValidationConfig, specs: list, grid: np.ndarray):
+    """The LLN populations' ensembles, run in groups as they are asked for:
+    each group in one lockstep, as many populations as keep its samples
+    (R·G·n int64 values a population) within ``_LLN_GROUP_BYTES``, and at
+    least one."""
+    per = max(1, _LLN_GROUP_BYTES
+              // (config.lln_replicas * len(grid) * config.n * 8))
+    for k in range(0, len(specs), per):
+        group = specs[k:k + per]
+        # yield from binds no name, so a finished group is not held
+        yield from run_ensembles(
+            group, config.lln_replicas, config.lln_time, grid,
+            [config.base_seed + _SEED_LLN + j
+             for j in range(k, k + len(group))])
+
+
 def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:
     """Run all four checks from one configuration.
 
@@ -797,15 +818,9 @@ def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:
     # -- law of large numbers -----------------------------------------------
     mf = integrate(config.model_fractions(), config.lam, t_end=config.lln_time,
                    grid=grid)
-    # every population in one lockstep; their samples, R·P·G·n int64
-    # values, are held together until lln_test returns
-    ensembles = run_ensembles(
-        lln_specs, config.lln_replicas, config.lln_time, grid,
-        [config.base_seed + _SEED_LLN + k for k in range(len(lln_specs))])
     rep = reports["lln"] = lln_test(
-        ensembles, mf, config.lln_time, median_bound=config.lln_median_bound,
+        _lln_ensembles(config, lln_specs, grid), mf, config.lln_time, median_bound=config.lln_median_bound,
         ratio_band=(config.lln_ratio_low, config.lln_ratio_high))
-    del ensembles       # free their samples before the CLT run
     say(f"lln: {'PASS' if rep['pass'] else 'FAIL'} "
         f"(medians={[round(r['median'], 4) for r in rep['records']]})")
 

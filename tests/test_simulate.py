@@ -731,16 +731,14 @@ class TestLockstep:
 
 def one_call_each(specs, replicas, t_end, grid, base_seeds, **kw):
     """What run_ensembles must equal: one run_ensemble call per spec."""
+    kw.setdefault("record_events", False)
     return [run_ensemble(spec, replicas, t_end, grid, seed, **kw)
             for spec, seed in zip(specs, base_seeds)]
 
 
-def assert_each_is_its_own_run(specs, replicas, t_end, grid, base_seeds,
-                               record_events=False):
-    ensembles = run_ensembles(specs, replicas, t_end, grid, base_seeds,
-                              record_events=record_events)
-    alone = one_call_each(specs, replicas, t_end, grid, base_seeds,
-                          record_events=record_events)
+def assert_each_is_its_own_run(specs, replicas, t_end, grid, base_seeds):
+    ensembles = run_ensembles(specs, replicas, t_end, grid, base_seeds)
+    alone = one_call_each(specs, replicas, t_end, grid, base_seeds)
     assert len(ensembles) == len(alone)
     for merged, single in zip(ensembles, alone):
         assert_same_arrays(merged, single)
@@ -762,8 +760,7 @@ class TestRunEnsembles:
         assert_each_is_its_own_run(specs, replicas, config.lln_time, grid,
                                    [43, 44, 45, 46])
 
-    @pytest.mark.parametrize("record_events", [False, True])
-    def test_replicas_that_absorb_leave_a_merged_chunk(self, record_events):
+    def test_replicas_that_absorb_leave_a_merged_chunk(self):
         # 40 columns step together; the small population's replicas absorb
         # and leave while the larger one's run on
         specs = [ModelSpec(n=3, lam=1.0, total=m,
@@ -771,16 +768,13 @@ class TestRunEnsembles:
                                np.array([0.5, 0.3, 0.2]), m))
                  for m in (6, 24)]
         small, large = assert_each_is_its_own_run(
-            specs, 20, 2.0, grid01(11, 2.0), [3, 4], record_events)
+            specs, 20, 2.0, grid01(11, 2.0), [3, 4])
         assert 0 < np.isfinite(small.absorbed).sum() < 20
         assert np.isnan(large.absorbed).any()
 
-    @pytest.mark.parametrize("record_events", [False, True])
-    def test_a_chunk_spans_two_specs(self, monkeypatch, record_events):
+    def test_a_chunk_spans_two_specs(self, monkeypatch):
         # 120 columns in chunks of at most 70: two of 60, each holding
-        # replicas of two specs, against one chunk of 40 for each spec
-        # alone; each logged ensemble's offsets count from its own first
-        # event
+        # replicas of two specs, against one chunk of 40 for each spec alone
         monkeypatch.setattr(rpsim.simulate, "STREAM_BLOCK", 70)
         chunks = []
         lockstep = rpsim.simulate._run_lockstep
@@ -794,16 +788,11 @@ class TestRunEnsembles:
         monkeypatch.setattr(rpsim.simulate, "_run_lockstep", recorded)
         specs = [ModelSpec(n=3, lam=1.0, total=3 * c, initial=(c, c, c))
                  for c in (4, 10, 20)]
-        ensembles = assert_each_is_its_own_run(
-            specs, 40, 3.0, [0.0, 1.5, 3.0], [7, 8, 9], record_events)
+        assert_each_is_its_own_run(specs, 40, 3.0, [0.0, 1.5, 3.0],
+                                   [7, 8, 9])
         assert chunks == [(0, 60), (60, 60)] + [(0, 40)] * 3
-        if record_events:
-            assert [e.event_offsets[0] for e in ensembles] == [0, 0, 0]
-            assert all(e.event_offsets[-1] == len(e.event_times)
-                       for e in ensembles)
 
-    @pytest.mark.parametrize("record_events", [False, True])
-    def test_below_the_lockstep_minimum(self, monkeypatch, record_events):
+    def test_below_the_lockstep_minimum(self, monkeypatch):
         # 3 specs of 10 replicas: 30 columns, each through run_until
         def no_lockstep(*args):
             raise AssertionError("the lockstep ran")
@@ -811,13 +800,14 @@ class TestRunEnsembles:
         monkeypatch.setattr(rpsim.simulate, "_run_lockstep", no_lockstep)
         specs = [ModelSpec(n=3, lam=1.0, total=3 * c, initial=(c, c, c))
                  for c in (2, 10, 20)]
-        assert_each_is_its_own_run(specs, 10, 1.0, grid01(4), [1, 2, 3],
-                                   record_events)
+        assert_each_is_its_own_run(specs, 10, 1.0, grid01(4), [1, 2, 3])
 
     @pytest.mark.parametrize("replicas", [6, 20])
-    def test_budget_failure_names_the_spec_and_replica(self, replicas):
+    def test_budget_failure_names_the_spec_and_replica(self, monkeypatch,
+                                                       replicas):
         # spec 0 fits the budget; spec 1's replica 0 does, and a later one
         # does not.  Below and above _LOCKSTEP_MIN columns in all.
+        # run_ensembles takes the default budget, lowered here.
         specs = [ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10)),
                  ModelSpec(n=3, lam=1.0, total=45, initial=(15, 15, 15))]
         grid, seeds = [0.0, 1.0], [5, 6]
@@ -832,9 +822,9 @@ class TestRunEnsembles:
             run_ensemble(specs[1], replicas, 1.0, grid, seeds[1],
                          max_events=budget)
         assert alone.value.index == first_over
+        monkeypatch.setattr(rpsim.simulate, "DEFAULT_MAX_EVENTS", budget)
         with pytest.raises(ReplicaError) as err:
-            run_ensembles(specs, replicas, 1.0, grid, seeds,
-                          max_events=budget)
+            run_ensembles(specs, replicas, 1.0, grid, seeds)
         assert (err.value.spec, err.value.index) == (1, first_over)
         assert str(err.value) == f"spec 1, {alone.value}"
         assert isinstance(err.value.__cause__, BudgetExceeded)
@@ -853,7 +843,7 @@ class TestRunEnsembles:
 
 
 @pytest.mark.parametrize("budget", [None, "5", math.nan, -1, 2.5, True])
-@pytest.mark.parametrize("run", ["run_until", "run_ensemble", "run_ensembles"])
+@pytest.mark.parametrize("run", ["run_until", "run_ensemble"])
 def test_max_events_must_be_a_non_negative_integer(run, budget):
     # these ended in a bare TypeError, turned the budget off (NaN), or
     # blamed replica 0
@@ -863,8 +853,6 @@ def test_max_events_must_be_a_non_negative_integer(run, budget):
                                        max_events=budget),
         "run_ensemble": lambda: run_ensemble(spec, 40, 1.0, [0.0], 0,
                                              max_events=budget),
-        "run_ensembles": lambda: run_ensembles([spec] * 2, 20, 1.0, [0.0],
-                                               [0, 1], max_events=budget),
     }
     with pytest.raises(DomainError, match=re.escape(
             f"max_events must be a non-negative integer, got {budget!r}")) \

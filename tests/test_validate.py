@@ -771,14 +771,45 @@ def test_bad_base_seed_fails_before_any_ensemble_runs(monkeypatch, seed):
         run_validation(ValidationConfig(base_seed=seed))
 
 
-def test_peak_memory_holds_the_lln_samples_once():
-    # the LLN populations run in one lockstep, so their samples, one
-    # (replicas, grid, n) array each, are held together; quadrupling the
-    # replicas must grow the peak by those arrays and the engine's
+def test_peak_memory_holds_one_lln_population_at_a_time(monkeypatch):
+    # every LLN population's samples are one (replicas, grid, n) array of
+    # the same size; with a group budget below one population they run one
+    # at a time, and quadrupling the replicas must grow the peak by about
+    # one such array (and the engine's draw block), not by all four and
+    # the record's temporaries, as it did when the populations were run
+    # into a list before the check and each record was made in one piece
+    monkeypatch.setattr(rpsim.validate, "_LLN_GROUP_BYTES", 0)
+
+    def peak(replicas):
+        cfg = ValidationConfig(
+            lln_populations=(25, 100, 400, 1600), lln_replicas=replicas,
+            lln_time=0.5, lln_grid_points=201, clt_population=200,
+            clt_replicas=100, clt_time=0.2, martingale_population=20,
+            martingale_replicas=50, martingale_time=0.2,
+            gillespie_samples=200, base_seed=3)
+        tracemalloc.start()
+        try:
+            run_validation(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = 50
+    peak(base)      # the first run also allocates what is built once
+    samples = 3 * base * 201 * 3 * 8    # one population's growth, bytes
+    growth = peak(4 * base) - peak(base)
+    assert growth < 2 * samples, growth / samples
+
+
+def test_peak_memory_holds_the_lln_samples_once(monkeypatch):
+    # with a group budget above all four populations they run in one
+    # lockstep, so their samples, one (replicas, grid, n) array each, are
+    # held together; quadrupling the replicas must grow the peak by those arrays and the engine's
     # per-replica buffers (a draw row and a generator each, about half a
     # population's samples here), not by a second copy of the samples or
     # the record's temporaries made in one piece, each of which measured
     # a population or more on top
+    monkeypatch.setattr(rpsim.validate, "_LLN_GROUP_BYTES", 2**62)
     pops = (25, 100, 400, 1600)
 
     def peak(replicas):
@@ -800,6 +831,31 @@ def test_peak_memory_holds_the_lln_samples_once():
     samples = 3 * base * 801 * 3 * 8    # one population's growth, bytes
     growth = peak(4 * base) - peak(base)
     assert growth < (len(pops) + 1.5) * samples, growth / samples
+
+
+def test_lln_groups_keep_within_the_budget(monkeypatch):
+    # a budget of three populations' samples and a byte: groups of 3 and 1,
+    # with each population's own seed, and the report of one group
+    cfg = ValidationConfig(
+        lln_populations=(20, 80, 320, 1280), lln_replicas=10,
+        lln_grid_points=5, clt_population=100, clt_replicas=100,
+        martingale_population=20, martingale_replicas=20,
+        gillespie_samples=50)
+    whole = run_validation(cfg)["lln"]
+    groups = []
+    run_ensembles = rpsim.validate.run_ensembles
+
+    def recorded(specs, replicas, t_end, grid, base_seeds):
+        groups.append(([s.total for s in specs], base_seeds))
+        return run_ensembles(specs, replicas, t_end, grid, base_seeds)
+
+    monkeypatch.setattr(rpsim.validate, "run_ensembles", recorded)
+    monkeypatch.setattr(rpsim.validate, "_LLN_GROUP_BYTES",
+                        3 * 10 * 5 * 3 * 8 + 1)
+    assert run_validation(cfg)["lln"] == whole
+    seed = cfg.base_seed + 1
+    assert groups == [([20, 80, 320], [seed, seed + 1, seed + 2]),
+                      ([1280], [seed + 3])]
 
 
 def test_lln_ensembles_are_released_before_the_clt_run(monkeypatch):
