@@ -5,7 +5,8 @@ The set covers each engine path and writer: `simulate` below and above the
 32 replicas at which ensembles step together, with five species, to
 absorption both one replica at a time and in lockstep, in lockstep until
 every replica absorbs with grid times still to sample, one replica at a
-time at the largest total, in two lockstep chunks and without event logs;
+time at the largest total, in two lockstep chunks, without event logs,
+and in lockstep with event times that print with an exponent;
 `meanfield` at n = 3 and n = 5; four `fluctuation` runs (the benchmark's
 2 000 paths, one path past a block of 2 048 random streams, five species
 with off-step report times, and a given initial covariance); and
@@ -146,6 +147,12 @@ CASES = [
                                 "9007199254740992", "--t-end", "1e-13",
                                 "--grid-points", "4", "--base-seed", "10",
                                 "--events"], True, None),
+    # 40 replicas in lockstep at a total of 10 000, where the first events
+    # come before t = 1e-4 and print with an exponent
+    ("simulate-early-events", ["simulate", "--replicas", "40", "--total",
+                               "10000", "--t-end", "0.002", "--grid-points",
+                               "5", "--base-seed", "4", "--events"], True,
+     None),
     ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
                              "30", "--t-end", "1", "--grid-points", "3",
                              "--base-seed", "4", "--events"], False, None),

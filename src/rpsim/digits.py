@@ -6,7 +6,9 @@ of rows back with :class:`Reader`: it reads the file as bytes into one
 buffer, takes each cell's span from the separators, converts eight digits
 per word operation with SWAR arithmetic, and proves each candidate double
 correctly rounded with :func:`mantissa` (see :func:`_nearest_doubles`).
-A block that is not all plain cells it leaves to the caller.
+A cell with a negative exponent, as ``%.17g`` writes a double below 1e-4,
+reads as a decimal whose point the exponent shifts.  A block with any
+other cell, or with a value below 10^-6, it leaves to the caller.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ def mantissa(a, e):
 # bytes before a piece of CSV in the reader's buffer, so that the 24 bytes
 # that end any cell lie in it
 _PAD = 24
-_ZEROS = 0x3030303030303030             # '00000000' as a little-endian word
 # the top bytes of word j of a run of l = 0..24 characters, j = 0 its last
 # 8 bytes: the characters of the run in it
 _KEEP = np.array([[(2**64 - 1) << 8 * (8 - min(max(k - 8 * j, 0), 8))
@@ -57,8 +58,9 @@ def _digit_run(buf: np.ndarray, words: np.ndarray, end: np.ndarray,
     (exclusive) at buffer position ``end``, and whether it is under 10^17.
 
     ``words[p]`` is the little-endian word of ``buf[p:p + 8]``.  A word's
-    bytes before the run become ``'0'``, and each word's eight digits are
-    converted at once, with the SWAR steps of Lemire's fast_float.
+    bytes before the run become zero bytes, which read as leading zeros,
+    and each word's eight digits are converted at once, with the SWAR
+    steps of Lemire's fast_float.
     """
     low, top = int(length.min()), int(length.max())
     if low == top == 1:     # a digit each: no words
@@ -67,8 +69,7 @@ def _digit_run(buf: np.ndarray, words: np.ndarray, end: np.ndarray,
     for j in range(-(-top // 8)):   # word j: digits 8j..8j+7 from the end
         w = words[end - 8 * (j + 1)]
         if low < 8 * (j + 1):       # not all digits of the run
-            keep = np.take(_KEEP[j], length)
-            w = (w & keep) | (_ZEROS & ~keep)
+            w = w & np.take(_KEEP[j], length)
         w = (w & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
         w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
         w = (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
@@ -101,9 +102,9 @@ def _nearest_doubles(n: np.ndarray, k: np.ndarray):
     them.  A decimal halfway between two such roundings is never proven,
     nor is one outside ``1e-6 <= x < 1e17``.
     """
-    digits = np.searchsorted(_TEN, n, side="right")
-    target = (n * np.take(_TEN, 17 - digits)).view(np.int64)
-    e = digits - 1 - k          # the decimal exponent of n / 10^k
+    e = np.searchsorted(_TEN, n, side="right")      # the digits of n
+    target = (n * np.take(_TEN, 17 - e)).view(np.int64)
+    e -= k + 1          # the decimal exponent of n / 10^k
     if not ((e >= -6) & (e <= 16)).all():      # 10^(16 - e) is in _POW10
         return None
     x = n.astype(np.float64) / np.take(_POW10, k)
@@ -117,17 +118,26 @@ def _nearest_doubles(n: np.ndarray, k: np.ndarray):
     return x
 
 
-def _decimals(buf: np.ndarray, words: np.ndarray, start: np.ndarray,
-              end: np.ndarray, dots: np.ndarray, minus: int):
-    """The doubles of the cells ``[start, end)``, as a correctly rounded
-    parser reads them, or None unless each is a plain decimal of at most 17
-    significant digits (digits after an optional ``-``, and at most one
-    ``.``) whose double :func:`_nearest_doubles` proves, and the cells hold
-    all of the piece's ``minus`` signs and its ``dots``."""
-    neg = buf[start] == ord("-")
-    if np.count_nonzero(neg) != minus:
-        return None
-    start = start + neg
+def _decimal(buf: np.ndarray, words: np.ndarray, start: np.ndarray,
+             end: np.ndarray, dots: np.ndarray, exps: np.ndarray):
+    """``(n, k)``, each unsigned cell ``[start, end)`` being the decimal
+    ``n / 10^k``, or None unless each is digits with at most one ``.``,
+    perhaps followed by a negative exponent (``e-`` and one or two digits,
+    which only shift the point), at most 17 significant digits in all, and
+    the cells hold all of the piece's ``dots`` and its ``e`` bytes
+    ``exps``.  Only ``n`` and ``k`` outlive the call."""
+    if len(exps):       # the cells with an exponent, each ending one
+        cell = np.searchsorted(end, exps, side="right")
+        if cell[-1] >= len(end) or (np.diff(cell) < 1).any():
+            return None
+        tail = end[cell]
+        length = tail - exps - 2
+        if not ((start[cell] <= exps) & (buf[exps + 1] == ord("-"))
+                & (length >= 1) & (length <= 2)).all():
+            return None
+        shift, _ = _digit_run(buf, words, tail, length)
+        end = end.copy()
+        end[cell] = exps    # the digits before the exponent
     if len(dots) == len(start) and ((dots >= start) & (dots < end)).all():
         dot = dots      # one in each cell
     else:
@@ -149,8 +159,26 @@ def _decimals(buf: np.ndarray, words: np.ndarray, start: np.ndarray,
             ok & ok_high
             & (high < np.take(_TEN, np.maximum(17 - frac, 0)))).all():
         return None
-    x = _nearest_doubles(high * np.take(_TEN, np.minimum(frac, 17)) + low,
-                         frac)
+    high *= np.take(_TEN, np.minimum(frac, 17))
+    high += low
+    if len(exps):
+        frac[cell] += shift.astype(frac.dtype)
+    return high, frac
+
+
+def _decimals(buf: np.ndarray, words: np.ndarray, start: np.ndarray,
+              end: np.ndarray, dots: np.ndarray, exps: np.ndarray,
+              minus: int):
+    """The doubles of the cells ``[start, end)``, as a correctly rounded
+    parser reads them, or None unless each is an optional ``-`` and a
+    :func:`_decimal` whose double :func:`_nearest_doubles` proves, and the
+    cells hold all of the piece's ``minus`` signs: one before a cell and
+    one in each exponent."""
+    neg = buf[start] == ord("-")
+    if np.count_nonzero(neg) + len(exps) != minus:
+        return None
+    decimal = _decimal(buf, words, start + neg, end, dots, exps)
+    x = None if decimal is None else _nearest_doubles(*decimal)
     if x is not None:
         np.negative(x, out=x, where=neg)
     return x
@@ -261,12 +289,22 @@ class Reader:
         if not ((ends[:, :-1] == ord(",")).all()    # the last, '\n' after it
                 and (ends[:, -1] == ord("\n")).all()):
             return None
-        # only digits, '-' and '.' between the separators
+        # only digits, '-', '.' and 'e' between the separators
         text = data[:sep[-1] + 1]
-        if text.max() > ord("9") or (text == ord("/")).any():
+        exps = np.empty(0, dtype=np.intp)
+        if text.max() > ord("9"):
+            exps = np.flatnonzero(text > ord("9"))
+            if (text[exps] != ord("e")).any():
+                return None
+            exps += self.head
+        if (text == ord("/")).any():
             return None
         minus = np.count_nonzero(text == ord("-"))
         dots = np.flatnonzero(text == ord(".")) + self.head
+        # a float column checks that its cells hold every '-', '.' and 'e'
+        if (minus or len(dots) or len(exps)) and all(
+                column.dtype.kind != "f" for column in columns):
+            return None
         sep += self.head
         end = sep.reshape(lines, c)
         for k, column in enumerate(columns):
@@ -274,12 +312,13 @@ class Reader:
                 ([self.head], end[:-1, -1] + 1))
             if column.dtype.kind == "f":
                 x = _decimals(self.buf, self.words, start, end[:, k], dots,
-                              minus)
+                              exps, minus)
             else:
                 x = _integers(self.buf, self.words, start, end[:, k],
                               np.iinfo(column.dtype).max)
             if x is None:
                 return None
             column[at:at + lines] = x
+            del x       # not held while the next column is parsed
         self.skip(len(text))
         return lines

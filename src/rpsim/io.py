@@ -18,17 +18,19 @@ text in the block.  A grid that every replica or path shares is formatted
 once per file, and each block gathers its rows' times from that text.
 
 A reader parses a block of up to ``_CHUNK`` lines at a time, starting at a
-line that is not empty.  It reads the block as bytes, ``_CHUNK`` bytes at a
-time, and parses it in numpy with :class:`rpsim.digits.Reader`, which
-proves each double it reads correctly rounded with the writer's exact
-product.  A block with any other line or cell (an empty line, a ``\\r``,
-an exponent, a sign on an integer, a ragged row, a byte that is not a
-digit) is read again as text and parsed by :func:`numpy.loadtxt`, which
-gives every cell the same value and names a bad row.  The event log
-and the samples are read into arrays sized from the file's own line
-count, not from the manifest or from replica 0's rows, and trimmed to the
-rows parsed, so reading holds each once plus one block.  Malformed CSV
-input raises :class:`DomainError` naming the file and, where it can, the row.
+line that is not empty.  It reads the block as bytes, ``3 * _CHUNK``
+bytes at a time, and parses it in numpy with :class:`rpsim.digits.Reader`,
+which proves each double it reads correctly rounded with the writer's
+exact product, those that ``%.17g`` writes with a negative exponent too.
+A block with any other line or cell (an empty line, a ``\\r``, a positive
+exponent, a value below 10^-6, a sign on an integer, a ragged row, a byte
+that is not a digit) is read again as text and parsed by
+:func:`numpy.loadtxt`, which gives every cell the same value and names a
+bad row.  The event log and the samples are read into arrays sized from
+the file's own line count, not from the manifest or from replica 0's rows,
+and trimmed to the rows parsed, so reading holds each once plus one block.
+Malformed CSV input raises :class:`DomainError` naming the file and, where
+it can, the row.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ def fmt(x: float) -> str:
 
 # rows parsed by one loadtxt call, and cells formatted as one block of text,
 # at most; they bound the readers' and the writers' memory (a writer's block
-# holds about 100 bytes a cell)
+# holds about 100 bytes a cell).  The readers read 3 * _CHUNK bytes at a time.
 _CHUNK = 65536
 _WRITE_CELLS = 3 * 16384
 
@@ -355,16 +357,19 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
 def _line_count(path: Path) -> int:
     """The lines of file ``path``, at least its rows: its ``\\n`` and
     ``\\r`` bytes, either of which ends a line in the text mode the
-    readers read in (a ``\\r\\n`` counts twice), counted a 16 KiB read at
-    a time, plus one for a last line that neither ends.  A block is
-    scanned for ``\\r`` again only if it holds one."""
-    lines, last = 0, b"\n"
-    with open(path, "rb") as f:
-        while block := f.read(16384):
-            lines += block.count(b"\n")
-            if b"\r" in block:
-                lines += block.count(b"\r")
-            last = block[-1:]
+    readers read in (a ``\\r\\n`` counts twice), counted in numpy a read
+    of up to ``3 * _CHUNK`` bytes at a time, plus one for a last line that
+    neither ends.  A read is scanned for ``\\r`` again only if it holds
+    one."""
+    lines, last = 0, ord("\n")
+    with open(path, "rb", buffering=0) as f:
+        buf = bytearray(min(3 * _CHUNK, os.fstat(f.fileno()).st_size + 1))
+        while got := f.readinto(buf):
+            block = np.frombuffer(buf, dtype=np.uint8, count=got)
+            lines += np.count_nonzero(block == ord("\n"))
+            if buf.find(b"\r", 0, got) >= 0:
+                lines += np.count_nonzero(block == ord("\r"))
+            last = buf[got - 1]
     return lines + (last not in b"\r\n")
 
 
@@ -414,10 +419,14 @@ def _blocks(path: Path, fields: list, replicas: int, counts: np.ndarray):
     rows ``lo..`` parsed as a leading replica column and then one field
     per column.  A block starts at a line that is not empty.
 
-    A block is read as bytes, a piece of ``_CHUNK`` bytes at a time, and
+    A block is read as bytes, a piece of ``3 * _CHUNK`` bytes at a time
+    (a piece costs about 60 numpy calls whatever its size, and three is
+    the most that keeps a read within its tested memory bounds), and
     parsed in numpy (:meth:`rpsim.digits.Reader.rows`) if each of its
-    lines is a row of plain cells.  Any other block, say one with an empty
-    line, a ``\\r`` or an exponent, is read again as text and parsed by
+    lines is a row of decimal cells, each at most 17 significant digits
+    and perhaps a negative exponent, from 10^-6 up.  Any other block, say
+    one with an empty line, a ``\\r``, a positive exponent or a value
+    below 10^-6, is read again as text and parsed by
     :func:`numpy.loadtxt`, which skips empty lines and names a bad row;
     either parse gives a cell the same value.
 
@@ -429,7 +438,7 @@ def _blocks(path: Path, fields: list, replicas: int, counts: np.ndarray):
     dtype = np.dtype([("replica", np.int64)] + fields)
     lo = last = 0
     with open(path, "rb") as f:
-        reader = Reader(f, os.fstat(f.fileno()).st_size, _CHUNK)
+        reader = Reader(f, os.fstat(f.fileno()).st_size, 3 * _CHUNK)
         header = reader.header()
         if header is None:
             raise DomainError(f"{path}: empty file, expected a header row")

@@ -20,6 +20,7 @@ from rpsim import (
     run_ensemble,
     run_until,
     rng_stream,
+    symmetric_counts,
     trajectories_identical,
 )
 from rpsim.fluctuation import (
@@ -1110,36 +1111,77 @@ def plain(text: str) -> bool:
     return set(text) <= set("-.0123456789")
 
 
+def parsed(text: str) -> bool:
+    """Whether the numpy parse reads ``%.17g``'s ``text``: a finite double
+    without an exponent or with exponent -5 or -6 (a magnitude of 10^-6 or
+    more, which the double nearest 1e-6 is not)."""
+    return plain(text) or text.endswith(("e-05", "e-06"))
+
+
 class TestNumpyParse:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
         st.integers(0, 2**64 - 1),
-        # sign, a binade from 2^-16 to 2^54 (the fixed notation's range and
-        # its ends) and any significand
-        st.tuples(st.integers(0, 1), st.integers(1007, 1077),
+        # sign, a binade from 2^-21 to 2^54 (the range the parse reads,
+        # 1e-6 to 1e16, and its ends) and any significand
+        st.tuples(st.integers(0, 1), st.integers(1002, 1077),
                   st.integers(0, 2**52 - 1)).map(
             lambda t: t[0] << 63 | t[1] << 52 | t[2])),
         min_size=1, max_size=64))
     def test_written_doubles_read_back_exactly(self, patterns):
         texts = [fmt(as_double(bits)) for bits in patterns]
-        fixed = [t for t in texts if plain(t)]
-        if fixed:
-            got = numpy_parse(fixed)
-            assert got is not None, fixed   # every written one is proven
-            assert_loadtxt_bits(fixed, got)
+        read = [t for t in texts if parsed(t)]
+        if read:
+            got = numpy_parse(read)
+            assert got is not None, read    # every written one is proven
+            assert_loadtxt_bits(read, got)
             assert got.tobytes() == np.array(
                 [as_double(b) for b, t in zip(patterns, texts)
-                 if plain(t)]).tobytes()
+                 if parsed(t)]).tobytes()
         for t in texts:
-            if not plain(t):        # an exponent, inf or nan
+            if not parsed(t):       # e+, below 1e-6, inf or nan
                 assert numpy_parse([t]) is None, t
 
     def test_edge_values_read_back_exactly(self):
         texts = [fmt(v) for v in TestBlockFormatter.edge_values()]
-        fixed = [t for t in texts if plain(t)]
-        assert_loadtxt_bits(fixed, numpy_parse(fixed))
-        for t in fixed:
+        read = [t for t in texts if parsed(t)]
+        assert any("e-" in t for t in read)
+        assert_loadtxt_bits(read, numpy_parse(read))
+        for t in read:
             assert_loadtxt_bits([t], numpy_parse([t]))
+
+    def test_exponent_texts_match_loadtxt(self):
+        # %.17g's texts from 1e-6 up, and %.16e's, which pad the same 17
+        # digits, are proven; any other text reads as loadtxt reads it or
+        # leaves its block to loadtxt
+        values = [np.nextafter(1e-6, 1), np.nextafter(1e-4, 0),
+                  1.2805728256983181e-05, 3e-5, 2.0**-17]
+        proven = [f % v for f in ("%.17g", "%.16e") for v in values]
+        proven += ["%.16e" % v for v in (0.5, 1234.5e-7)]
+        proven += ["-" + t for t in proven]
+        others = [fmt(np.nextafter(1e-6, 0)), fmt(1e-6), "1e-06", "1E-05",
+                  "1.2805728256983181E-05", "1.5e-5", "1e-5", "1e-05",
+                  "1.5e-005", "1e+00", "1e-00", "1e-0", "1e5", "0e-05",
+                  "%.16e" % 1234.5, "1.5e-", "1.5e--5", "1.5e-5-", "1-e5",
+                  "e-05", "-e-05", "1.5ee-5", "1.5e-5e", "1e-0.5", ".5e-5"]
+        for t in proven + others:
+            got = numpy_parse([t])
+            assert got is not None or t not in proven, t
+            if got is not None:
+                assert_loadtxt_bits([t], got)
+        for v in (1e-6, np.nextafter(1e-6, 0)):    # below 10^-6
+            assert numpy_parse([fmt(v)]) is None
+        assert_loadtxt_bits(proven, numpy_parse(proven))
+
+    @pytest.mark.parametrize("row", ["1e-05,0.5,1", "0,0.5,1e-05",
+                                     "0,1e-05e-05,1", "0,0.5e-05,1e-05"])
+    def test_an_exponent_outside_the_float_cells_is_not_parsed(self, row):
+        data = f"0,1.5e-05,0\n{row}\n".encode()
+        reader = rpsim.digits.Reader(io.BytesIO(data), len(data), len(data))
+        reader.block_start()
+        dtype = np.dtype([("replica", np.int64), ("time", np.float64),
+                          ("reaction", np.int16)])
+        assert reader.rows(dtype, 2) is None
 
     @staticmethod
     def decimal_strings() -> list[str]:
@@ -1183,6 +1225,17 @@ class TestNumpyParse:
         # a tie between two doubles, which loadtxt rounds to even
         assert "18014398509481986" not in settled
 
+    @pytest.mark.parametrize("cell", ["1.5", "-3", "4e-5", "7"])
+    def test_integer_rows_take_only_digits(self, cell):
+        data = f"1,2\n{cell},4\n".encode()
+        reader = rpsim.digits.Reader(io.BytesIO(data), len(data), len(data))
+        reader.block_start()
+        rows = reader.rows(np.dtype([("a", np.int64), ("b", np.int64)]), 2)
+        if cell == "7":
+            assert rows.tolist() == [(1, 2), (7, 4)]
+        else:
+            assert rows is None
+
     @staticmethod
     def count_loadtxt(monkeypatch) -> list:
         calls = []
@@ -1207,21 +1260,72 @@ class TestNumpyParse:
             assert_same_bits(a, b)
 
     @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
-    def test_a_bad_cell_has_the_loadtxt_message(self, tmp_path, monkeypatch,
-                                                chunk):
+    def test_exponent_event_times_need_no_loadtxt(self, tmp_path,
+                                                  monkeypatch, chunk):
+        # at M = 10 000 the first events come within 10^-4, so %.17g
+        # writes them with an exponent
+        spec = ModelSpec(n=3, lam=1.0, total=10000,
+                         initial=symmetric_counts(3, 10000))
+        ens = run_ensemble(spec, 40, 0.002, np.linspace(0.0, 0.002, 5),
+                           base_seed=4, record_events=True)
+        out = write_ensemble(ens, tmp_path / "e")
+        events = out / "events.csv"
+        lines = events.read_text().splitlines(keepends=True)
+        assert sum("e-" in line for line in lines) >= 10
+        monkeypatch.setattr(rpsim.io, "_CHUNK", chunk)
+        calls = self.count_loadtxt(monkeypatch)
+        back = read_ensemble(out)
+        assert calls == []
+        for a, b in zip(ens.trajectories, back.trajectories):
+            assert_same_bits(a, b)
+        # a time below 10^-6 still leaves its block to loadtxt, which reads
+        # the value written
+        replica, time, reaction = lines[1].split(",")
+        assert replica == "0" and float(time) > 5e-7
+        lines[1] = f"0,{fmt(5e-7)},{reaction}"
+        events.write_text("".join(lines))
+        back = read_ensemble(out)
+        assert calls == [1]
+        assert back.event_times[0] == 5e-7
+        assert back.event_times[1:].tobytes() == ens.event_times[1:].tobytes()
+
+    def read_with_bad_cell(self, tmp_path, monkeypatch, chunk: int,
+                           column: int, text: str) -> tuple:
+        """Read a written ensemble whose event row 9 has ``text`` in
+        ``column``: the events file, the DomainError's message and the
+        loadtxt calls."""
         ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3,
                            record_events=True)
         events = write_ensemble(ens, tmp_path / "e") / "events.csv"
         lines = events.read_text().splitlines(keepends=True)
-        replica, _, reaction = lines[10].split(",")
-        lines[10] = f"{replica},x,{reaction}"
+        cells = lines[10].rstrip("\n").split(",")
+        cells[column] = text
+        lines[10] = ",".join(cells) + "\n"
         events.write_text("".join(lines))
         monkeypatch.setattr(rpsim.io, "_CHUNK", chunk)
         calls = self.count_loadtxt(monkeypatch)
         with pytest.raises(DomainError) as err:
             read_ensemble(tmp_path / "e")
-        assert str(err.value) == (f"{events}: could not convert string 'x' "
-                                  "to float64 at row 9, column 2.")
+        return events, str(err.value), calls
+
+    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
+    def test_a_bad_cell_has_the_loadtxt_message(self, tmp_path, monkeypatch,
+                                                chunk):
+        events, message, calls = self.read_with_bad_cell(
+            tmp_path, monkeypatch, chunk, 1, "x")
+        assert message == (f"{events}: could not convert string 'x' "
+                           "to float64 at row 9, column 2.")
+        assert calls == [1]
+
+    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
+    @pytest.mark.parametrize("column, text, dtype", [
+        (0, "0e-05", "int64"), (2, "1e-05", "int16")])
+    def test_an_exponent_in_an_integer_column_has_the_loadtxt_message(
+            self, tmp_path, monkeypatch, chunk, column, text, dtype):
+        events, message, calls = self.read_with_bad_cell(
+            tmp_path, monkeypatch, chunk, column, text)
+        assert message == (f"{events}: could not convert string '{text}' "
+                           f"to {dtype} at row 9, column {column + 1}.")
         assert calls == [1]
 
 
