@@ -6,10 +6,12 @@ The set covers each engine path and writer: `simulate` below and above the
 absorption both one replica at a time and in lockstep, in lockstep until
 every replica absorbs with grid times still to sample, one replica at a
 time at the largest total, in two lockstep chunks, without event logs,
-and in lockstep with event times that print with an exponent;
-`meanfield` at n = 3 and n = 5; four `fluctuation` runs (the benchmark's
-2 000 paths, one path past a block of 2 048 random streams, five species
-with off-step report times, and a given initial covariance); and
+in lockstep with event times that print with an exponent, and both in
+lockstep and one replica at a time from a base seed of five 32-bit words;
+`meanfield` at n = 3 and n = 5; five `fluctuation` runs (the benchmark's
+2 000 paths, one path past a block of 2 048 random streams, three paths
+from the five-word base seed, five species with off-step report times,
+and a given initial covariance); and
 `validate` at base seeds 42-57 and, small, with four species from an
 off-centre start until some martingale replicas absorb, with every
 setting away from its default, and with LLN populations whose merged
@@ -41,6 +43,11 @@ from rpsim.cli import main as rpsim_main
 from rpsim.io import read_ensemble, write_ensemble
 
 U5 = "0.3,0.1,0.2,0.15,0.25"
+# a base seed of five 32-bit words, one more than SeedSequence's pool
+SEED_5_WORDS = str(2**130 + 3)
+SIMULATE_SEED_5_WORDS = ["simulate", "--total", "60", "--t-end", "1",
+                         "--grid-points", "3", "--base-seed", SEED_5_WORDS,
+                         "--events"]
 SIMULATE_64 = ["simulate", "--replicas", "64", "--total", "60", "--t-end", "2",
                "--grid-points", "5", "--base-seed", "5"]
 # four species from an off-centre start, every check small; by t = 8, 80 of
@@ -153,6 +160,12 @@ CASES = [
                                "10000", "--t-end", "0.002", "--grid-points",
                                "5", "--base-seed", "4", "--events"], True,
      None),
+    # a five-word base seed: streams made in bulk (40 replicas in lockstep)
+    # and one per replica (4 replicas)
+    ("simulate-seed-5-words", SIMULATE_SEED_5_WORDS + ["--replicas", "40"],
+     True, None),
+    ("simulate-seed-5-words-scalar",
+     SIMULATE_SEED_5_WORDS + ["--replicas", "4"], True, None),
     ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
                              "30", "--t-end", "1", "--grid-points", "3",
                              "--base-seed", "4", "--events"], False, None),
@@ -165,6 +178,9 @@ CASES = [
     ("fluctuation-stream-blocks", ["fluctuation", "--paths", "2049",
                                    "--grid-points", "3", "--base-seed", "3"],
      True, None),
+    ("fluctuation-seed-5-words", ["fluctuation", "--paths", "3",
+                                  "--grid-points", "3", "--base-seed",
+                                  SEED_5_WORDS], True, None),
     ("fluctuation-n5", ["fluctuation", "--u0", U5, "--t-end", "2",
                         "--paths", "300", "--grid", "0,1e-5,0.3333,1,2",
                         "--base-seed", "7"], True, None),

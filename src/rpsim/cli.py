@@ -190,10 +190,6 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-_WORKERS_HELP = ("accepted for compatibility; changes neither results nor "
-                 "speed, since every replica runs in the calling thread")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpsim",
@@ -209,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=11)
     p.add_argument("--grid", help="explicit comma-separated sample times")
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
     events = p.add_mutually_exclusive_group()
     events.add_argument("--events", dest="events", action="store_true",
@@ -239,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the statistical harness")
     p.add_argument("--config", help="INI file; defaults are used when omitted")
     p.add_argument("--out", required=True, help="report directory")
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; changes neither results "
+                        "nor speed, since every replica runs in the calling "
+                        "thread")
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -353,13 +353,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 
 
-def _words(x):
-    """The 32-bit words, low first, that SeedSequence splits the
-    non-negative integer ``x`` into (one for 0)."""
-    return [x >> 32 * m & _M32
-            for m in range(max(1, -(-x.bit_length() // 32)))]
-
-
 # The helpers below take a word as a Python int or as an integer array of
 # words, one per stream; the masks keep both at 32 bits.
 def _hasher(const: int, mult: int):
@@ -381,43 +374,22 @@ def _mix(x, y):
 
 @functools.lru_cache(maxsize=16)
 def _base_pool(base_seed: int) -> tuple:
-    """SeedSequence's pool once ``mix_entropy`` has mixed in the words of
-    ``base_seed``, zero-padded to the pool size, and ``hashmix``'s running
-    constant by then: the part of every stream's hashing that the base
-    seed alone decides."""
-    entropy = _words(base_seed)
-    entropy += [0] * (_POOL - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # hashmix has run 4 times per entropy word
-    return tuple(pool), _INIT_A * pow(_MULT_A, 4 * len(entropy), 1 << 32) & _M32
-
-
-def _state_words(base_seed: int, words: list) -> list:
-    """SeedSequence's ``mix_entropy`` then ``generate_state(8, uint32)``
-    for an entropy of ``base_seed``'s words, zero-padded to the pool size,
-    then ``words``."""
-    pool, const = _base_pool(base_seed)
-    pool = list(pool)
-    hashmix = _hasher(const, _MULT_A)
-    for word in words:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    return [hashmix(pool[k % _POOL]) for k in range(8)]
+    """``SeedSequence(base_seed)``'s pool, as Python ints, and ``hashmix``'s
+    running constant once it has mixed in the base seed: the part of every
+    stream's hashing that the base seed alone decides.  With a spawn key
+    the base seed's words are zero-padded to the pool size, which mixes
+    them as the unspawned sequence does, and ``hashmix`` has run 4 times
+    per padded word."""
+    words = max(_POOL, -(-base_seed.bit_length() // 32))
+    pool = tuple(np.random.SeedSequence(base_seed).pool.tolist())
+    return pool, _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _M32
 
 
 class _StateWords:
-    """The four words a PCG64 is seeded with, computed in advance: a
-    ``numpy.random.bit_generator.ISeedSequence``, registered as one on first
-    use so that importing rpsim does not import ``numpy.random``."""
+    """The four words a PCG64 is seeded with, computed in advance by
+    :func:`rng_streams`: a ``numpy.random.bit_generator.ISeedSequence``,
+    registered as one on first use so that importing rpsim does not import
+    ``numpy.random``.  It holds only what PCG64 asks of it."""
 
     __slots__ = ("words",)
 
@@ -433,34 +405,40 @@ class _StateWords:
 
 def rng_streams(base_seed: int, first: int,
                 count: int) -> list[np.random.Generator]:
-    """Streams ``first`` to ``first + count - 1`` of ``base_seed``.
+    """Streams ``first`` to ``first + count - 1`` of ``base_seed``: each
+    equals :func:`rng_stream` for its index, state for state.
 
-    Stream ``i`` equals, state for state,
-    ``default_rng(SeedSequence(base_seed, spawn_key=(i,)))``: this runs
-    SeedSequence's steps for every stream at once, on arrays of words.  The
-    assembled entropy is the base seed's words, zero-padded to the pool
-    size, then those of ``i``, so the hashing up to the first word of ``i``
-    runs on Python ints, once per base seed: the last few base seeds' pools
-    are cached.  Each generator's
-    ``bit_generator.seed_seq`` is a minimal seed sequence holding the four
-    words its PCG64 was seeded with.  A seed, index or count that is not a
-    non-negative integer raises :class:`DomainError`.
+    numpy's SeedSequence defines every stream; this only batches its
+    per-index hashing.  The base seed's pool comes from SeedSequence itself,
+    once per base seed (the last few are cached), and the index words are
+    mixed in and the state generated for every stream at once, on arrays,
+    one pass per range of indices with the same number of 32-bit words.
+    Each generator's ``bit_generator.seed_seq`` is a minimal seed sequence
+    holding the four words its PCG64 was seeded with.  A seed, index or
+    count that is not a non-negative integer raises :class:`DomainError`.
     """
     base_seed = check_seed(base_seed)
     # a no-op after the first call
     np.random.bit_generator.ISeedSequence.register(_StateWords)
     first = check_seed(first, "stream index")
     end = first + check_seed(count, "stream count")
+    base_pool, base_const = _base_pool(base_seed)
     words = np.empty((end - first, 4), dtype=np.uint64)
     lo = first
     while lo < end:     # the indices with as many words as lo
-        k = len(_words(lo))
+        k = max(1, -(-lo.bit_length() // 32))
         hi = min(end, 1 << 32 * k)
-        # a single stream hashes faster on Python ints
-        index = lo if hi - lo == 1 else np.arange(
-            lo, hi, dtype=np.uint64 if hi <= 2**64 else object)
-        state = _state_words(base_seed,
-                             [index >> 32 * m & _M32 for m in range(k)])
+        index = np.arange(lo, hi, dtype=np.uint64 if hi <= 2**64 else object)
+        # SeedSequence's mix_entropy from the base seed's pool on, then
+        # its generate_state(8, uint32)
+        pool = list(base_pool)
+        hashmix = _hasher(base_const, _MULT_A)
+        for m in range(k):
+            word = index >> 32 * m & _M32
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        state = [hashmix(pool[m % _POOL]) for m in range(8)]
         rows = words[lo - first:hi - first]
         for m in range(4):  # little-endian pairs, as SeedSequence reads them
             rows[:, m] = state[2 * m] | state[2 * m + 1] << 32
@@ -470,14 +448,19 @@ def rng_streams(base_seed: int, first: int,
 
 
 def rng_stream(base_seed: int, replica_index: int) -> np.random.Generator:
-    """Deterministic, replica-indexed random stream: stream
-    ``replica_index`` of :func:`rng_streams`.
+    """Deterministic, replica-indexed random stream:
+    ``default_rng(SeedSequence(base_seed, spawn_key=(replica_index,)))``.
 
     The same ``(base_seed, replica_index)`` pair always yields an identical
     stream, and distinct indices yield streams with no shared state, so
     ensembles are reproducible regardless of execution order or parallelism.
+    A seed or index that is not a non-negative integer raises
+    :class:`DomainError`.
     """
-    return rng_streams(base_seed, replica_index, 1)[0]
+    base_seed = check_seed(base_seed)
+    index = check_seed(replica_index, "stream index")
+    return np.random.default_rng(
+        np.random.SeedSequence(base_seed, spawn_key=(index,)))
 
 
 # --------------------------------------------------------------------------

@@ -480,7 +480,6 @@ def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
     # state of the live columns; counts are exact in float64, since
     # ModelSpec caps the total at 2**53
     ids = np.arange(columns)        # column index - first
-    run = slice(0, columns)         # the live ids, while they are contiguous
     lam_over_m, total = per_column(lams), per_column(totals)
     counts = np.array([spec.initial for spec, *_ in runs], dtype=float)
     counts = np.ascontiguousarray(counts[run_of].T)
@@ -521,9 +520,6 @@ def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
                 if not len(ids):
                     break
                 lam_over_m, total = per_column(lams), per_column(totals)
-                low_id, high_id = int(ids[0]), int(ids[-1])    # ids ascend
-                run = slice(low_id, high_id + 1) \
-                    if high_id - low_id + 1 == len(ids) else None
             fire = gap == dt        # the first minimum of each column fires
             if np.count_nonzero(fire) != len(ids):
                 fire &= fire.cumsum(axis=0) == 1
@@ -575,10 +571,8 @@ def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
                 np.minimum(advanced, threshold, out=advanced)
             internal = advanced
             # + 0.0 leaves an unfired clock's threshold as it was; the draw
-            # column is read strided once, not once per row of the product,
-            # and as a slice while the live ids are one run
-            threshold += fired * (draws[run, col].copy() if run is not None
-                                  else draws[ids, col])
+            # column is gathered once, not once per row of the product
+            threshold += fired * draws[ids, col]
             col += 1
             counts += fired
             counts -= fired.take(prv, axis=0)

@@ -722,7 +722,8 @@ def _check_config(config: ValidationConfig
     anything of size n is built), or ``[model] fractions`` that are not
     ``n`` long or not finite and non-negative (each message names the key);
     a non-positive count, replica count or sample count, LLN populations
-    that do not strictly increase, fewer than two LLN grid points or more
+    that do not strictly increase or are more than 100 (so that no two
+    checks share a base seed), fewer than two LLN grid points or more
     than memory holds, a time or pass bound that is not positive and
     finite, an LLN ratio band whose low end is not below its high end, or a
     p threshold outside (0, 1); :class:`~rpsim.core.NormalizationError`,
@@ -744,6 +745,12 @@ def _check_config(config: ValidationConfig
     if not pops or pops[0] < 1 or any(b <= a for a, b in zip(pops, pops[1:])):
         raise DomainError("lln_populations must be positive and strictly "
                           f"increasing, got {pops}")
+    if len(pops) > _SEED_CLT - _SEED_LLN:
+        raise DomainError(
+            f"lln_populations holds at most {_SEED_CLT - _SEED_LLN} sizes, "
+            f"got {len(pops)}: population k runs on base seed + "
+            f"{_SEED_LLN} + k, and base seed + {_SEED_CLT} is the CLT "
+            "check's")
     if config.lln_grid_points < 2:
         raise DomainError("lln_grid_points must be at least 2, "
                           f"got {config.lln_grid_points}")

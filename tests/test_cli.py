@@ -82,17 +82,27 @@ class TestSimulateCommand:
         assert manifest["model"]["total"] == total
         assert sum(manifest["model"]["initial"]) == total
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         outs = []
-        for name, workers in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+        for name in ("r1", "r2", "r3"):
             main(["simulate", "--initial", "20,20,20", "--replicas", "4",
-                  "--workers", workers, "--base-seed", "8", "--events",
+                  "--base-seed", "8", "--events",
                   "--out", str(tmp_path / name)])
             outs.append(tmp_path / name)
         for name in ("samples.csv", "events.csv", "manifest.json"):
             ref = (outs[0] / name).read_bytes()
             assert (outs[1] / name).read_bytes() == ref
             assert (outs[2] / name).read_bytes() == ref
+
+    def test_workers_is_not_an_option(self, tmp_path, capsys):
+        # every replica runs in the calling thread; validate still accepts it
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--workers", "2", "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --workers 2\n")
+        assert not out.exists()
 
     def test_explicit_grid(self, tmp_path):
         main(["simulate", "--initial", "20,20,20", "--replicas", "1",
@@ -366,11 +376,9 @@ def sha256(path) -> str:
 
 
 class TestPinnedOutput:
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_simulate(self, tmp_path, workers):
+    def test_simulate(self, tmp_path):
         out = tmp_path / "sim"
-        assert main(SIMULATE_ARGS + ["--workers", workers,
-                                     "--out", str(out)]) == 0
+        assert main(SIMULATE_ARGS + ["--out", str(out)]) == 0
         assert {name: sha256(out / name) for name in SIMULATE_SHA256} \
             == SIMULATE_SHA256
 

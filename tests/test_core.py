@@ -1,11 +1,15 @@
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpsim
 from rpsim import (
     DomainError,
     Ensemble,
@@ -326,6 +330,25 @@ class TestRngStreams:
                 assert np.array_equal(gen.standard_exponential(6),
                                       ref.standard_exponential(6))
 
+    # base seeds of 1, 2, 4, 5 and 6 words, on both sides of the pool's
+    # four; indices on both sides of 2**32 and 2**64, where they take
+    # another word
+    @pytest.mark.parametrize("base", [0, 2**32 - 1, 2**32, 2**128 - 1,
+                                      2**128, 2**160 + 7])
+    @pytest.mark.parametrize("index", [0, 2**32 - 1, 2**32, 2**64 - 1,
+                                       2**64])
+    def test_word_boundaries_equal_numpy(self, base, index):
+        def state(i):
+            return np.random.default_rng(np.random.SeedSequence(
+                base, spawn_key=(i,))).bit_generator.state
+
+        assert rng_stream(base, index).bit_generator.state == state(index)
+        assert rng_streams(base, index, 1)[0].bit_generator.state == \
+            state(index)
+        first = max(0, index - 1)
+        for i, gen in enumerate(rng_streams(base, first, 3), first):
+            assert gen.bit_generator.state == state(i)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, np.int64(-2), None])
     def test_bad_base_seed_is_a_domain_error(self, seed):
         message = "^" + re.escape(
@@ -342,6 +365,15 @@ class TestRngStreams:
         with pytest.raises(DomainError, match="stream count must be a "
                            "non-negative integer, got 2.0"):
             rng_streams(0, 0, 2.0)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the streams load it on first use
+    code = "import sys, rpsim; print('numpy.random' in sys.modules)"
+    src = str(Path(rpsim.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 def test_sim_state_initial_draws_thresholds_in_clock_order():

@@ -656,6 +656,11 @@ def test_every_setting_changes_a_report():
      "lln_populations must be positive and strictly increasing"),
     ("[validate]\nlln_populations = 400 100", DomainError,
      "lln_populations must be positive and strictly increasing"),
+    # population k runs on base seed + 1 + k, the CLT check on + 101
+    ("[validate]\nlln_populations = " + " ".join(map(str, range(1, 102))),
+     DomainError, r"^lln_populations holds at most 100 sizes, got 101: "
+     r"population k runs on base seed \+ 1 \+ k, and base seed \+ 101 is "
+     r"the CLT check's$"),
     ("[validate]\ngillespie_p_threshold = 0", DomainError,
      "gillespie_p_threshold must lie in"),
     ("[validate]\ngillespie_p_threshold = 1", DomainError,
@@ -719,6 +724,13 @@ def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
     ini.write_text(line + "\n")
     with pytest.raises(error, match=message):
         run_validation(ValidationConfig.from_ini(ini))
+
+
+def test_a_hundred_lln_populations_pass_the_config_check():
+    # the most whose base seeds stay below the CLT check's
+    specs, _ = rpsim.validate._check_config(
+        ValidationConfig(lln_populations=tuple(range(1, 101))))
+    assert len(specs) == 1 + 100 + 2
 
 
 def no_ensembles():
