@@ -17,9 +17,10 @@ off-centre start until some martingale replicas absorb, with every
 setting away from its default, and with LLN populations whose merged
 lockstep chunk loses replicas to absorption.  Each command runs in a fresh
 directory with relative paths, so its console output is hashed too.
-Each `simulate` case's ensemble is also read back with `read_ensemble` and
-written again: if any file's bytes differ, the script exits 1, naming the
-case and file on stderr.
+A `simulate` case's outputs include its `.npy` store next to the CSVs.
+Each `simulate` case's ensemble is also read back from that store with
+`read_ensemble` and written again, CSVs, store and manifest: if any file's
+bytes differ, the script exits 1, naming the case and file on stderr.
 
 One line per file, `<sha256>  <case>/<file>`, then a combined digest of
 those lines.  Run it once against each tree to compare two commits:
@@ -220,7 +221,7 @@ def run_case(name: str, argv: list, work: Path,
 
 def round_trip_differs(name: str, work: Path) -> list[str]:
     """``case/file`` for each file of ensemble ``name`` whose bytes change
-    when it is read back and written again."""
+    when it is read back from its store and written again."""
     again = work / "round-trip" / name
     write_ensemble(read_ensemble(work / name), again)
     return [f"{name}/{path.name}" for path in sorted(again.iterdir())

@@ -1,13 +1,12 @@
-"""Deterministic CSV/JSON serialization.
+"""Deterministic CSV/JSON serialization, and the ``.npy`` store that
+ensembles are read back from.
 
 Every writer produces byte-identical output for equal inputs: floats are
 rendered with ``%.17g`` (lossless for IEEE doubles), JSON keys are sorted,
-newlines are always ``\\n``.  Readers invert the writers exactly, so a
-write/read round trip reproduces an ensemble bit for bit, and they check
-each event log against the manifest's event count and final counts.
+newlines are always ``\\n``.
 
-CSVs are written and read a block of rows at a time.  A writer formats up
-to ``_WRITE_CELLS`` cells at once, in rows of all replicas or paths alike,
+CSVs are written a block of rows at a time.  A writer formats up to
+``_WRITE_CELLS`` cells at once, in rows of all replicas or paths alike,
 column by column in numpy: each double's 17 significant digits come from an
 exact (Dekker) product, rounded half-even as CPython's ``%.17g`` rounds
 them, and a table of 4-digit groups turns digits and integers into text.
@@ -17,35 +16,24 @@ through ``%`` itself, one at a time; each cell's printed width places their
 text in the block.  A grid that every replica or path shares is formatted
 once per file, and each block gathers its rows' times from that text.
 
-A reader parses a block of up to ``_CHUNK`` lines at a time, starting at a
-line that is not empty.  It reads the block as bytes, ``3 * _CHUNK``
-bytes at a time, and parses it in numpy with :class:`rpsim.digits.Reader`,
-which proves each double it reads correctly rounded with the writer's
-exact product, those that ``%.17g`` writes with a negative exponent too.
-A block with any other line or cell (an empty line, a ``\\r``, a positive
-exponent, a value below 10^-6, a sign on an integer, a ragged row, a byte
-that is not a digit) is read again as text and parsed by
-:func:`numpy.loadtxt`, which gives every cell the same value and names a
-bad row.  The event log and the samples are read into arrays sized from
-the file's own line count, not from the manifest or from replica 0's rows,
-and trimmed to the rows parsed, so reading holds each once plus one block.
-Malformed CSV input raises :class:`DomainError` naming the file and, where
-it can, the row.
+An ensemble's CSVs are output for people and for sha256 pins; nothing reads
+them back.  Next to them :func:`write_ensemble` saves each array of the
+ensemble as a ``.npy`` file (NumPy NEP 1: a header giving dtype and shape,
+then the array's bytes), and :func:`read_ensemble` loads those, so a
+write/read round trip reproduces an ensemble bit for bit with no parser.
+The reader checks each array's dtype and shape, and its values as a run
+would leave them, including each event log against the manifest's event
+count and final counts.
 """
 from __future__ import annotations
 
-import io
-import itertools
 import json
 import math
-import os
-import re
 from pathlib import Path
 
 import numpy as np
 
 from .core import DomainError, ModelSpec, RpsimError, check_seed
-from .digits import Reader, mantissa
 from .meanfield import MeanFieldPath
 from .simulate import Ensemble, _check_run
 
@@ -62,6 +50,11 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# the arrays of an ensemble's store, each saved as <name>.npy, and their
+# dtypes; the event log's two are saved only if the ensemble keeps it
+_STORE = {"grid": np.float64, "samples": np.int64,
+          "event_times": np.float64, "event_reactions": np.int16}
+
 
 def fmt(x: float) -> str:
     """Lossless rendering of a double: always 17 significant digits
@@ -70,11 +63,36 @@ def fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-# rows parsed by one loadtxt call, and cells formatted as one block of text,
-# at most; they bound the readers' and the writers' memory (a writer's block
-# holds about 100 bytes a cell).  The readers read 3 * _CHUNK bytes at a time.
-_CHUNK = 65536
+# cells formatted as one block of text, at most; it bounds the writers'
+# memory (a block holds about 100 bytes a cell)
 _WRITE_CELLS = 3 * 16384
+
+# 10^k, exact as a double for k <= 22, and its Veltkamp split into halves
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLIT = 2.0**27 + 1
+
+
+def _halves(a):
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def mantissa(a, e):
+    """``a * 10^(16 - e)`` rounded half-even to an integer, exactly: the
+    product is Dekker's (1971) unevaluated sum ``hi + lo``, in which ``hi``
+    is an even integer (it is at least 2^53), so rounding ``lo`` alone
+    rounds the sum."""
+    k = 16 - e
+    p, p_hi, p_lo = (np.take(t, k) for t in (_POW10, _POW10_HI, _POW10_LO))
+    hi = a * p
+    a_hi, a_lo = _halves(a)
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
 
 # every 4-digit group '0000'..'9999' as the uint32 whose bytes are its text
 _QUADS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
@@ -322,7 +340,9 @@ def _count_header(n: int, prefix: str = "x") -> list[str]:
 
 def write_ensemble(ens: Ensemble, out_dir) -> Path:
     """samples.csv and, when the ensemble keeps its event log, events.csv,
-    both replica-major with each row led by its replica index; then
+    both replica-major with each row led by its replica index; then the
+    store that :func:`read_ensemble` reads, grid.npy and samples.npy and,
+    with the log, event_times.npy and event_reactions.npy; then
     manifest.json."""
     out = Path(out_dir)
     n, off = ens.spec.n, ens.event_offsets
@@ -333,6 +353,10 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
         _write_csv(out / "events.csv", ["replica", "time", "reaction"],
                    [(ens.event_times[lo:hi], ens.event_reactions[lo:hi])
                     for lo, hi in zip(off[:-1], off[1:])], indexed=True)
+    for name, dtype in _STORE.items():
+        if (a := getattr(ens, name)) is not None:
+            np.save(out / f"{name}.npy", np.ascontiguousarray(a, dtype=dtype),
+                    allow_pickle=False)
     absorbed = [None if math.isnan(a) else a for a in ens.absorbed.tolist()]
     n_events = [None] * ens.replicas if off is None else np.diff(off).tolist()
     write_json({
@@ -354,216 +378,40 @@ def write_ensemble(ens: Ensemble, out_dir) -> Path:
     return out
 
 
-def _line_count(path: Path) -> int:
-    """The lines of file ``path``, at least its rows: its ``\\n`` and
-    ``\\r`` bytes, either of which ends a line in the text mode the
-    readers read in (a ``\\r\\n`` counts twice), counted in numpy a read
-    of up to ``3 * _CHUNK`` bytes at a time, plus one for a last line that
-    neither ends.  A read is scanned for ``\\r`` again only if it holds
-    one."""
-    lines, last = 0, ord("\n")
-    with open(path, "rb", buffering=0) as f:
-        buf = bytearray(min(3 * _CHUNK, os.fstat(f.fileno()).st_size + 1))
-        while got := f.readinto(buf):
-            block = np.frombuffer(buf, dtype=np.uint8, count=got)
-            lines += np.count_nonzero(block == ord("\n"))
-            if buf.find(b"\r", 0, got) >= 0:
-                lines += np.count_nonzero(block == ord("\r"))
-            last = buf[got - 1]
-    return lines + (last not in b"\r\n")
-
-
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DomainError:
-    return DomainError(f"{path}: not UTF-8 text ({exc.reason}: "
-                       f"{exc.object[exc.start:exc.end]!r})")
-
-
-def _loadtxt_block(path: Path, f, start: int, dtype: np.dtype, lo: int):
-    """The rows of the block at byte ``start`` of CSV ``path``, its file
-    rows ``lo..``: the ``_CHUNK`` lines there, as a text-mode read gives
-    them, parsed by :func:`numpy.loadtxt` one at a time.  ``f`` is left
-    after them."""
-    f.seek(start)
-    text = io.TextIOWrapper(f, encoding="utf-8", newline="")
-    size = 0
-
-    def lines():
-        nonlocal size
-        for line in itertools.islice(text, _CHUNK):
-            size += len(line) if line.isascii() else len(line.encode())
-            # a text-mode read ends each line in '\n'
-            yield line.rstrip("\r\n") + "\n" if line[-1] == "\r" or \
-                line.endswith("\r\n") else line
-
+def _load(path: Path, shape: tuple) -> np.ndarray:
+    """The array of store file ``path``, which must hold the dtype that
+    ``_STORE`` gives its name in ``shape`` (a length of -1 there matches
+    any)."""
     try:
-        rows = np.loadtxt(lines(), dtype=dtype, delimiter=",", comments=None,
-                          ndmin=1)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-    except ValueError as exc:
-        # its message ends by naming the row it can, counted within the
-        # block; name the row of the file instead
-        message = re.sub(r"(.*at row )(\d+)",
-                         lambda m: f"{m[1]}{int(m[2]) + lo}",
-                         str(exc), count=1, flags=re.DOTALL)
-        raise DomainError(f"{path}: {message}") from exc
-    finally:
-        text.detach()
-    f.seek(start + size)
-    return rows
+        a = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise DomainError(f"{path}: missing (an ensemble written without "
+                          "the .npy store has only CSVs, which are not "
+                          "read back)") from None
+    except MemoryError:     # the header's shape, not the file, is the size
+        raise DomainError(f"{path}: its header gives an array too large to "
+                          "hold") from None
+    except (EOFError, ValueError) as exc:   # truncated, pickled, not .npy
+        raise DomainError(f"{path}: not a .npy array file: {exc}") from None
+    dtype = np.dtype(_STORE[path.stem])
+    if a.dtype != dtype:
+        raise DomainError(f"{path}: holds {a.dtype}, expected {dtype}")
+    if a.ndim != len(shape) or any(k not in (-1, m)
+                                   for m, k in zip(a.shape, shape)):
+        raise DomainError(f"{path}: has shape {a.shape}, expected {shape}")
+    return a
 
 
-def _blocks(path: Path, fields: list, replicas: int, counts: np.ndarray):
-    """The rows of CSV ``path`` after its header row, parsed ``_CHUNK``
-    lines at a time: ``(lo, rows)`` per block, ``rows`` being the file's
-    rows ``lo..`` parsed as a leading replica column and then one field
-    per column.  A block starts at a line that is not empty.
-
-    A block is read as bytes, a piece of ``3 * _CHUNK`` bytes at a time
-    (a piece costs about 60 numpy calls whatever its size, and three is
-    the most that keeps a read within its tested memory bounds), and
-    parsed in numpy (:meth:`rpsim.digits.Reader.rows`) if each of its
-    lines is a row of decimal cells, each at most 17 significant digits
-    and perhaps a negative exponent, from 10^-6 up.  Any other block, say
-    one with an empty line, a ``\\r``, a positive exponent or a value
-    below 10^-6, is read again as text and parsed by
-    :func:`numpy.loadtxt`, which skips empty lines and names a bad row;
-    either parse gives a cell the same value.
-
-    Each block's rows are added to ``counts``, the rows per replica, as it
-    arrives; rows that are not grouped by replica ``0..replicas-1`` raise
-    :class:`DomainError` at once, as a file without a header row or with a
-    byte that is not UTF-8 text does.
-    """
-    dtype = np.dtype([("replica", np.int64)] + fields)
-    lo = last = 0
-    with open(path, "rb") as f:
-        reader = Reader(f, os.fstat(f.fileno()).st_size, 3 * _CHUNK)
-        header = reader.header()
-        if header is None:
-            raise DomainError(f"{path}: empty file, expected a header row")
-        try:
-            header.decode()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-        while (start := reader.block_start()) is not None:
-            rows = reader.rows(dtype, _CHUNK)
-            if rows is None:
-                rows = _loadtxt_block(path, f, start, dtype, lo)
-                reader.restart(f.tell())
-            rep = rows["replica"]
-            if (rep[0] < last or rep[-1] >= replicas
-                    or np.any(rep[1:] < rep[:-1])):
-                raise DomainError(f"{path}: rows are not grouped by replica "
-                                  f"0..{replicas - 1}")
-            last = rep[-1]
-            counts += np.bincount(rep, minlength=replicas)
-            yield lo, rows
-            lo += len(rows)
-            del rows, rep   # not held while the next block is parsed
-
-
-def _load_samples(path: Path, spec: ModelSpec, replicas: int,
-                  t_end: float):
-    """The shared grid and the ``(replicas, G, n)`` samples of CSV
-    ``path``, which must give every replica the same grid, one that
-    ``run_ensemble`` takes for horizon ``t_end``, and hold non-negative
-    counts that conserve the population in every sample.
-
-    The samples array is sized from the file's lines and trimmed to its
-    rows; each block's counts are copied to their place there as it
-    arrives.  Replica 0's rows come first, and its times, buffered until
-    its last row, give the grid that every later row is checked against.
-    Rows that are not grouped by replica fail at once; the other checks,
-    in the order above, after the last row.
-    """
-    n = spec.n
-    fields = [("time", np.float64), ("counts", np.int64, (n,))]
-    flat = np.empty((_line_count(path), n), dtype=np.int64)
-    sizes = np.zeros(replicas, dtype=np.int64)
-    head, grid = [np.empty(0)], None
-    off_grid = broken = negative = False
-    for lo, rows in _blocks(path, fields, replicas, sizes):
-        times, counts = rows["time"], rows["counts"]
-        flat[lo:lo + len(rows)] = counts
-        broken = broken or bool(np.any(counts.sum(axis=1) != spec.total))
-        negative = negative or bool(np.any(counts < 0))
-        if grid is None:
-            zero = int(np.searchsorted(rows["replica"], 1))
-            head.append(times[:zero].copy())
-            if zero == len(rows):
-                continue
-            grid, head = np.concatenate(head), None
-            lo, times = lo + zero, times[zero:]
-        if len(grid):   # else replica 0 has no rows, and the sizes differ
-            # grouped rows of equal-sized replicas: row k is sample k % G
-            # of replica k // G; the checks below catch any other
-            at = lo % len(grid)
-            tiled = np.resize(grid, at + len(times))[at:]   # grid, repeated
-            off_grid = off_grid or bool(np.any(times != tiled))
-        del rows, times, counts     # one block at a time
-    grid = np.concatenate(head) if grid is None else grid
-    if np.any(sizes != sizes[0]):
-        raise DomainError(f"{path}: replicas do not share one grid")
-    try:
-        _check_run(t_end, grid)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
-    if off_grid:
-        raise DomainError(f"{path}: replicas do not share one grid")
-    if negative:
-        raise DomainError(f"{path}: a sample has a negative count")
-    if broken:
-        raise DomainError(f"{path}: a sample breaks population conservation")
-    return grid, flat[:replicas * len(grid)].reshape(replicas, len(grid), n)
-
-
-def _load_events(path: Path, spec: ModelSpec, n_events: list,
-                 final_counts: list, final_time: list):
-    """The flat event times, reactions and replica offsets of CSV ``path``,
-    checked against the manifest's ``n_events``, ``final_counts`` and
-    ``final_time``.
-
-    The log is parsed a block of rows at a time into arrays sized from the
-    file's lines and trimmed to its rows; the manifest's counts are only
-    compared with the rows read.
-    """
-    if not all(type(k) is int and k >= 0 for k in n_events):
-        raise DomainError(f"{path}: the manifest's n_events must be "
-                          "non-negative integers")
-    replicas = len(n_events)
-    fields = [("time", np.float64), ("reaction", np.int16)]
-    size = _line_count(path)
-    times = np.empty(size)
-    reactions = np.empty(size, dtype=np.int16)
-    counts = np.zeros(replicas, dtype=np.int64)
-    for lo, rows in _blocks(path, fields, replicas, counts):
-        times[lo:lo + len(rows)] = rows["time"]
-        reactions[lo:lo + len(rows)] = rows["reaction"]
-        del rows    # nor here: one block at a time
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    times, reactions = times[:offsets[-1]], reactions[:offsets[-1]]
-    for i in range(replicas):
-        # every replica before the first miscounted one is where the
-        # manifest puts it
-        if counts[i] != n_events[i]:
-            raise DomainError(f"{path}: replica {i} has {counts[i]} events, "
-                              f"the manifest says {n_events[i]}")
-        lo, hi = offsets[i], offsets[i + 1]
-        _check_log(path, i, spec, final_counts[i], final_time[i],
-                   times[lo:hi], reactions[lo:hi])
-    return times, reactions, offsets
-
-
-def _check_log(path: Path, i: int, spec: ModelSpec, final_counts: list,
+def _check_log(out: Path, i: int, spec: ModelSpec, final_counts: list,
                final_time: float, times: np.ndarray,
                reactions: np.ndarray) -> None:
-    """Raise DomainError unless replica ``i``'s event log is in time order,
-    starts at 0 or later, ends by ``final_time`` and replays to
-    ``final_counts`` (reaction j moves one unit from species j+1 to species
-    j)."""
-    n = spec.n
-    if not np.all(np.diff(times) >= 0):
+    """Raise DomainError, naming the store file at fault, unless replica
+    ``i``'s event log is in time order, starts at 0 or later, ends by
+    ``final_time`` and replays to ``final_counts`` (reaction j moves one
+    unit from species j+1 to species j)."""
+    n, path = spec.n, out / "event_times.npy"
+    # a byte per event, where np.diff would take nine
+    if not np.all(times[1:] >= times[:-1]):
         raise DomainError(f"{path}: replica {i} has event times out of order")
     if len(times) and times[0] < 0:
         raise DomainError(f"{path}: replica {i} logs an event at "
@@ -571,6 +419,7 @@ def _check_log(path: Path, i: int, spec: ModelSpec, final_counts: list,
     if len(times) and times[-1] > final_time:
         raise DomainError(f"{path}: replica {i} logs an event at "
                           f"{times[-1]}, after its final time {final_time}")
+    path = out / "event_reactions.npy"
     # one pass per reaction over the int16 log, with no full-size int copy
     fired = [int(np.count_nonzero(reactions == j)) for j in range(n)]
     if sum(fired) != len(reactions):
@@ -584,32 +433,39 @@ def _check_log(path: Path, i: int, spec: ModelSpec, final_counts: list,
 
 
 def read_ensemble(out_dir) -> Ensemble:
-    """The ensemble that :func:`write_ensemble` wrote, bit for bit.
+    """The ensemble that :func:`write_ensemble` wrote, bit for bit, from its
+    manifest and its ``.npy`` store; the CSVs are not read.
 
-    Raises :class:`DomainError` for a manifest that is not a JSON object of
-    kind ``ensemble``, that lacks a key, whose ``format_version`` is not the
-    integer ``FORMAT_VERSION``, whose model
-    :class:`~rpsim.core.ModelSpec` refuses, whose base seed is not a
-    non-negative integer, whose trajectories are not a list of objects,
-    whose absorption or final times are not finite non-negative numbers
-    (an absorption time may be null), with an absorbed replica whose final
-    time is not its absorption time or unabsorbed replicas that do not
-    share one final time, whose ``absorbed_fraction`` is not the
-    share of replicas with an absorption time, whose ``has_event_log``
-    values are not bools, whose ``replicas`` is not the number of its
-    trajectories, whose replicas are not seeds ``0..R-1`` or mix logged and
-    unlogged runs, or, without event logs, whose final counts are not n
-    non-negative integers summing to the total; for replicas that do not
-    share one grid, a grid that ``run_ensemble`` would refuse for a horizon
-    at the unabsorbed replicas' final time (at ``inf`` if every replica
-    absorbed), a negative count, or a sample that breaks conservation; and
-    for an event log that is out of order, logs an event before time 0 or
-    after its replica's final time or does not replay to its manifest
-    entry, or whose manifest
-    event counts are not non-negative integers or not its rows per replica;
-    and for a CSV with more lines than memory holds a row for, since every
-    array is sized from its CSV's lines, empty ones too, not from the
-    manifest or from replica 0's rows.
+    Raises :class:`DomainError`, naming the file at fault:
+
+    - for a manifest that is not a JSON object of kind ``ensemble``, that
+      lacks a key, whose ``format_version`` is not the integer
+      ``FORMAT_VERSION``, whose model :class:`~rpsim.core.ModelSpec`
+      refuses, whose base seed is not a non-negative integer, whose
+      trajectories are not a list of objects, whose absorption or final
+      times are not finite non-negative numbers (an absorption time may be
+      null), with an absorbed replica whose final time is not its
+      absorption time or unabsorbed replicas that do not share one final
+      time, whose ``absorbed_fraction`` is not the share of replicas with
+      an absorption time, whose ``has_event_log`` values are not bools,
+      whose ``replicas`` is not the number of its trajectories, whose
+      replicas are not seeds ``0..R-1`` or mix logged and unlogged runs,
+      with event logs, whose event counts are not non-negative integers,
+      or, without them, whose final counts are not n non-negative integers
+      summing to the total;
+    - for a store file that is missing (as in a directory an rpsim without
+      the store wrote), truncated, not a ``.npy`` array file, an object
+      array (pickles are not loaded), or whose header gives an array too
+      large to hold;
+    - for a store array of another dtype (``float64`` grid and event
+      times, ``int64`` samples, ``int16`` reactions) or shape (``(G,)``
+      grid, ``(R, G, n)`` samples, ``(sum of n_events,)`` event log);
+    - for a grid that ``run_ensemble`` would refuse for a horizon at the
+      unabsorbed replicas' final time (at ``inf`` if every replica
+      absorbed), a negative count, or a sample that breaks conservation;
+    - for an event log, cut at the manifest's event counts, that is out of
+      order, logs an event before time 0 or after its replica's final
+      time, or does not replay to its manifest entry.
     """
     out = Path(out_dir)
     path = out / "manifest.json"
@@ -678,16 +534,30 @@ def read_ensemble(out_dir) -> Ensemble:
                              and sum(c) == spec.total for c in final_counts)):
         raise DomainError(f"{path}: final counts must be {spec.n} non-negative "
                           f"integers summing to {spec.total}")
+    if logged[0] and not all(type(k) is int and k >= 0 for k in n_events):
+        raise DomainError(f"{path}: n_events must be non-negative integers")
 
+    grid = _load(out / "grid.npy", (-1,))
+    samples = _load(out / "samples.npy", (replicas, len(grid), spec.n))
     try:
-        grid, samples = _load_samples(out / "samples.csv", spec, replicas,
-                                      t_end)
-        event_times = event_reactions = offsets = None
-        if logged[0]:
-            event_times, event_reactions, offsets = _load_events(
-                out / "events.csv", spec, n_events, final_counts, final_time)
-    except MemoryError:
-        raise DomainError(f"{out}: a CSV has too many lines to hold") from None
+        _check_run(t_end, grid)
+    except DomainError as exc:
+        raise DomainError(f"{out / 'grid.npy'}: {exc}") from exc
+    if np.any(samples < 0):
+        raise DomainError(f"{out / 'samples.npy'}: a sample has a negative "
+                          "count")
+    if np.any(samples.sum(axis=2) != spec.total):
+        raise DomainError(f"{out / 'samples.npy'}: a sample breaks "
+                          "population conservation")
+    event_times = event_reactions = offsets = None
+    if logged[0]:
+        size = (sum(n_events),)
+        event_times = _load(out / "event_times.npy", size)
+        event_reactions = _load(out / "event_reactions.npy", size)
+        offsets = np.cumsum([0] + n_events)
+        for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            _check_log(out, i, spec, final_counts[i], final_time[i],
+                       event_times[lo:hi], event_reactions[lo:hi])
     return Ensemble(
         spec=spec,
         grid=grid,

@@ -296,6 +296,14 @@ SIMULATE_SHA256 = {
         "8b512c902b868c57a0f741271208366a26095b2048a070ac38e2831a4356747d",
     "manifest.json":
         "1332e47730406a6e12a80dcefd8074ccbaf42f2158d0f4f2379c6a0e958f3a66",
+    "grid.npy":
+        "9e969e9bbc83848c2a5005d603abf45e9d4a217833cee0fafba2fa0a2a3f79a3",
+    "samples.npy":
+        "c864a0355d05287790822154a6e92d8c17d09fd708e0e00e4f0b75af49852401",
+    "event_times.npy":
+        "e69155237e56e82720a008fedf7eda38d52d27f26cbc1e935439ecf070735fc6",
+    "event_reactions.npy":
+        "17d7e1d0fc7da715a8b2531a41b2a36170322fd13907cc28f06ce9bd154b680b",
 }
 # 40 replicas take the lockstep engine, 4 take run_until once per replica
 SIMULATE_40_SHA256 = {
@@ -305,6 +313,14 @@ SIMULATE_40_SHA256 = {
         "cd0561987b9330b3d0aefd2e6effff6582178736a6bc669bcf84df0dd8a16d32",
     "manifest.json":
         "86a44cf91d3f8cc3efea6fa4ba6399c7f50e0b7bf787807a0b0defab58736ea0",
+    "grid.npy":
+        "9e969e9bbc83848c2a5005d603abf45e9d4a217833cee0fafba2fa0a2a3f79a3",
+    "samples.npy":
+        "8d4c27a6ee5ec8d62fcb549e710d435ec7450172242c66f36d3da74c8c1ee3d0",
+    "event_times.npy":
+        "8ae47bfa7bd9f141a0bb38f4b2ef19b213b9bcb841eadf642c0207219f898181",
+    "event_reactions.npy":
+        "66b2937b847b8fbed3fa5495f3f52747504110468e73a5bf76e04893f20249e4",
 }
 # five species: every pin above is at n = 3
 SIMULATE_N5_ARGS = ["simulate", "--n", "5", "--replicas", "4", "--events"]
@@ -315,6 +331,14 @@ SIMULATE_N5_SHA256 = {
         "35abc294ebb8005c20e1af72fd3903185ce80eedbf5708efd5c5494b5c6af3ec",
     "manifest.json":
         "579aa4fe9cb30dd78adef5c2e2d443eac7dc1eebad9e42d66f72990c10489e0c",
+    "grid.npy":
+        "aa96c42e615756b67be22d32e7420d34fc8d0305e1fa70093d696beadcb48488",
+    "samples.npy":
+        "cfe0d15892a7625ce0ea0bea53ba90afbb9dd3d24256a9b86bc0e8bd08a89839",
+    "event_times.npy":
+        "64b3e0586bc3d0b0ca1a62a19e3e0c5adc984d69a3033425f362c8471c62d061",
+    "event_reactions.npy":
+        "9675487d1095caf8585bfdc5cb65daa2382d9c8ac2fb1ff647fe0ffc2c4e393a",
 }
 MEANFIELD_ARGS = ["meanfield", "--u0", "0.5,0.3,0.2", "--t-end", "3",
                   "--grid-points", "7"]

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import rpsim.digits
 import rpsim.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,7 +152,8 @@ def test_writers_are_byte_deterministic(tmp_path):
         ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=5,
                            record_events=True)
         write_ensemble(ens, tmp_path / d)
-    for name in ("samples.csv", "events.csv", "manifest.json"):
+    for name in ("samples.csv", "events.csv", "manifest.json", "grid.npy",
+                 "samples.npy", "event_times.npy", "event_reactions.npy"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
 
@@ -399,9 +399,9 @@ def reference_gaussian_paths(paths) -> str:
 
 
 SPECIAL = [-0.0, 5e-324, 1 / 3, 1e300]   # ascending, so also a valid grid
-# crosses a reader chunk boundary and a writer block boundary (a block has
-# at most _WRITE_CELLS cells, and so at most as many rows)
-BLOCK = max(rpsim.io._CHUNK, rpsim.io._WRITE_CELLS) + 4
+# crosses a writer block boundary (a block has at most _WRITE_CELLS cells,
+# and so at most as many rows)
+BLOCK = rpsim.io._WRITE_CELLS + 4
 
 
 def replayed_final_counts(spec, reactions) -> tuple:
@@ -658,117 +658,104 @@ class TestMalformedInput:
         return write_ensemble(ens, tmp_path / "e")
 
     @staticmethod
-    def corrupt(path, line: int, cells: str) -> None:
-        lines = path.read_text().splitlines(keepends=True)
-        lines[line] = cells + "\n"
-        path.write_text("".join(lines))
+    def edit(out, name: str, edit):
+        """Save store array ``name`` of ``out`` again as ``edit`` leaves it
+        or, if it returns one, as the array it returns."""
+        path = out / f"{name}.npy"
+        a = np.load(path)
+        new = edit(a)
+        np.save(path, a if new is None else new)
+        return path
 
-    @pytest.mark.parametrize("name, line, cells, message", [
-        ("samples.csv", 2, "0,0.25,20,19.5,21", "'19.5' to int64"),
-        ("samples.csv", 2, "0,0.25,20,20.0,20", "'20.0' to int64"),
-        ("samples.csv", 3, "0,abc,20,20,20", "'abc' to float64"),
-        ("samples.csv", 3, "0,0.5,20,20", "requires 5 columns but 4"),
-        ("samples.csv", 3, "0,0.5,20,20,20,0", "requires 5 columns but 6"),
-        ("events.csv", 1, "0,0.01,1.0", "'1.0' to int16"),
-        ("events.csv", 1, "0,0.01,x", "'x' to int16"),
-        ("events.csv", 1, "0,0.01,40000", "'40000' to int16"),
-        ("events.csv", 2, "0,1e,1", "'1e' to float64"),
-        ("events.csv", 2, "0,0.01", "requires 3 columns but 2"),
-        ("events.csv", 1, "7,0.01,1", "not grouped by replica 0..2"),
-        ("events.csv", 1, "-1,0.01,1", "not grouped by replica 0..2"),
-        ("samples.csv", 1, "2,0,20,20,20", "not grouped by replica 0..2"),
+    @staticmethod
+    def last_of_replica(out, i: int) -> int:
+        """The index, in the flat log, of replica ``i``'s last event."""
+        trajs = json.loads((out / "manifest.json").read_text())["trajectories"]
+        return sum(t["n_events"] for t in trajs[:i + 1]) - 1
+
+    def refused(self, out, path, message: str) -> None:
+        with pytest.raises(DomainError) as err:
+            read_ensemble(out)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name, edit, message", [
+        # the sum holds, but no run writes a negative count
+        ("samples", lambda a: a.__setitem__((0, 1), (61, -1, 0)),
+         "a sample has a negative count"),
+        ("samples", lambda a: a.__setitem__((0, 1, 2), 7),
+         "a sample breaks population conservation"),
+        ("samples", lambda a: a.__setitem__((2, 4, 0), a[2, 4, 0] + 1),
+         "a sample breaks population conservation"),
+        ("grid", lambda a: a.__setitem__(1, math.nan),
+         "grid times must be finite, got nan"),
+        ("grid", lambda a: a.__setitem__(1, 0.75), "grid must be ascending"),
+        # still one ascending grid, but run_ensemble refuses it for t_end = 1
+        ("grid", lambda a: a.__setitem__(0, -1.0),
+         "grid must lie within [0, t_end] = [0, 1.0]"),
+        ("grid", lambda a: a.__setitem__(4, 7.0),
+         "grid must lie within [0, t_end] = [0, 1.0]"),
+        ("event_times", lambda a: a.__setitem__(0, 0.5 * (a[1] + a[2])),
+         "replica 0 has event times out of order"),
+        # replaying would integrate the intensities from t = -5; an event at
+        # -0.0, as in the special-values ensemble, reads back
+        ("event_times", lambda a: a.__setitem__(0, -5.0),
+         "replica 0 logs an event at -5.0, before time 0"),
+        ("event_reactions", lambda a: a.__setitem__(0, 3),
+         "replica 0 has a reaction outside 0..2"),
+        ("event_reactions", lambda a: a.__setitem__(0, -1),
+         "replica 0 has a reaction outside 0..2"),
     ])
-    def test_is_a_domain_error_naming_the_file(self, ens_dir, name, line,
-                                              cells, message):
-        self.corrupt(ens_dir / name, line, cells)
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value).startswith(f"{ens_dir / name}: ")
-        assert message in str(err.value)
-
-    def test_truncated_event_log_is_a_domain_error(self, ens_dir):
-        # the last replica loses 5 events: its count and its replayed final
-        # counts both disagree with the manifest
-        events = ens_dir / "events.csv"
-        lines = events.read_text().splitlines(keepends=True)
-        assert lines[-6].startswith("2,")
-        events.write_text("".join(lines[:-5]))
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        n_events = json.loads((ens_dir / "manifest.json").read_text())[
-            "trajectories"][2]["n_events"]
-        assert str(err.value) == (f"{events}: replica 2 has {n_events - 5} "
-                                  f"events, the manifest says {n_events}")
+    def test_bad_value_is_a_domain_error(self, ens_dir, name, edit, message):
+        self.refused(ens_dir, self.edit(ens_dir, name, edit), message)
 
     def test_event_after_the_final_time_is_a_domain_error(self, ens_dir):
         # replica 0's last event moves past the run's end, still in order;
         # replaying to the final time would miss it
-        events = ens_dir / "events.csv"
-        lines = events.read_text().splitlines()
-        last = max(k for k, line in enumerate(lines) if line.startswith("0,"))
-        _, _, r = lines[last].split(",")
-        self.corrupt(events, last, f"0,5.0,{r}")
+        last = self.last_of_replica(ens_dir, 0)
+        path = self.edit(ens_dir, "event_times",
+                         lambda a: a.__setitem__(last, 5.0))
+        self.refused(ens_dir, path,
+                     "replica 0 logs an event at 5.0, after its final time "
+                     "1.0")
+
+    def test_altered_reaction_is_a_domain_error(self, ens_dir):
+        path = self.edit(ens_dir, "event_reactions",
+                         lambda a: a.__setitem__(0, (a[0] + 1) % 3))
         with pytest.raises(DomainError) as err:
             read_ensemble(ens_dir)
-        assert str(err.value) == (f"{events}: replica 0 logs an event at "
-                                  "5.0, after its final time 1.0")
+        assert str(err.value).startswith(
+            f"{path}: replica 0 replays to final counts ")
 
-    @pytest.mark.parametrize("cells, message", [
-        ("0,{t},{r}", "replica 0 replays to final counts"),
-        ("0,{t},3", "replica 0 has a reaction outside 0..2"),
-        ("0,{t},-1", "replica 0 has a reaction outside 0..2"),
-    ])
-    def test_altered_reaction_is_a_domain_error(self, ens_dir, cells,
-                                                message):
-        events = ens_dir / "events.csv"
-        _, t, r = events.read_text().splitlines()[1].split(",")
-        self.corrupt(events, 1, cells.format(t=t, r=(int(r) + 1) % 3))
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value).startswith(f"{events}: {message}")
+    @pytest.mark.parametrize("name", ["event_times", "event_reactions"])
+    @pytest.mark.parametrize("change", [1, -1, -5])
+    def test_extra_or_missing_event_is_a_domain_error(self, ens_dir, name,
+                                                      change):
+        # the manifest's n_events cut the log: a log with more or fewer
+        # events has another shape
+        total = self.last_of_replica(ens_dir, 2) + 1
+        path = self.edit(ens_dir, name, lambda a: np.resize(a, total + change))
+        self.refused(ens_dir, path, f"has shape ({total + change},), "
+                                    f"expected ({total},)")
 
-    def test_extra_event_row_is_a_domain_error(self, ens_dir):
-        # the arrays are sized from the file, so a row past the manifest's
-        # count is read, and the count disagrees
-        events = ens_dir / "events.csv"
-        lines = events.read_text().splitlines(keepends=True)
-        assert lines[-1].startswith("2,")
-        events.write_text("".join(lines + lines[-1:]))
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        n_events = json.loads((ens_dir / "manifest.json").read_text())[
-            "trajectories"][2]["n_events"]
-        assert str(err.value) == (f"{events}: replica 2 has {n_events + 1} "
-                                  f"events, the manifest says {n_events}")
-
-    @pytest.mark.parametrize("edit", [
-        lambda text: text[:-1],
-        lambda text: text.replace("\n", "\r\n"),
-        lambda text: text.replace("\n", "\r"),
-    ], ids=["no-final-newline", "crlf", "cr"])
-    def test_line_ends_read_back_bit_for_bit(self, ens_dir, edit):
-        # a text-mode read ends lines at \r too, so the line count that
-        # sizes the arrays must count it
-        expected = read_ensemble(ens_dir)
-        for name in ("samples.csv", "events.csv"):
-            path = ens_dir / name
-            path.write_bytes(edit(path.read_text()).encode())
-        back = read_ensemble(ens_dir)
-        for name in ("grid", "samples", "final_counts", "absorbed",
-                     "final_time", "event_times", "event_reactions",
-                     "event_offsets"):
-            x, y = getattr(expected, name), getattr(back, name)
-            assert (x.dtype, x.shape, x.tobytes()) == \
-                (y.dtype, y.shape, y.tobytes()), name
+    def test_event_moved_to_another_replica_is_a_domain_error(self,
+                                                               ens_dir):
+        # the manifest gives replica 0 one event more and replica 1 one
+        # fewer: replica 0's log then ends with replica 1's first event,
+        # which comes before its own last
+        path = ens_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["trajectories"][0]["n_events"] += 1
+        manifest["trajectories"][1]["n_events"] -= 1
+        path.write_text(json.dumps(manifest))
+        self.refused(ens_dir, ens_dir / "event_times.npy",
+                     "replica 0 has event times out of order")
 
     def test_truncated_trajectory_log_is_a_domain_error(self, tmp_path):
         ens = run_ensemble(SPEC, 1, 1.0, GRID, 7, record_events=True)
         out = write_ensemble(ens, tmp_path / "t")
-        events = out / "events.csv"
-        events.write_text("".join(
-            events.read_text().splitlines(keepends=True)[:-1]))
-        with pytest.raises(DomainError, match="replica 0 has"):
-            read_ensemble(out)
+        n = len(ens.event_times)
+        path = self.edit(out, "event_times", lambda a: a[:-1])
+        self.refused(out, path, f"has shape ({n - 1},), expected ({n},)")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(kind="trajectory"),
@@ -895,496 +882,192 @@ class TestMalformedInput:
             f"{path}: replica 1 absorbed at {ens.absorbed[1].item()!r}, "
             f"but its final time is {final_time!r}")
 
-    @pytest.mark.parametrize("name, line, cells, message", [
-        # replica 1's first sample time moves off the shared grid
-        ("samples.csv", 6, "1,0.125,{2},{3},{4}",
-         "replicas do not share one grid"),
-        ("samples.csv", 2, "0,nan,{2},{3},{4}",
-         "grid times must be finite, got nan"),
-        ("samples.csv", 2, "0,0.75,{2},{3},{4}", "grid must be ascending"),
-        ("samples.csv", 2, "0,{1},{2},{3},7", "breaks population conservation"),
-        # the sum holds, but no run writes a negative count
-        ("samples.csv", 2, "0,{1},61,-1,0", "a sample has a negative count"),
-        ("events.csv", 1, "0,1.5,{2}", "replica 0 has event times out of order"),
+    @pytest.mark.parametrize("name, edit, message", [
+        # one replica short of a sample, a species or a replica
+        ("samples", lambda a: a[:, 1:],
+         "has shape (3, 4, 3), expected (3, 5, 3)"),
+        ("samples", lambda a: a[..., :2],
+         "has shape (3, 5, 2), expected (3, 5, 3)"),
+        ("samples", lambda a: a[1:], "has shape (2, 5, 3), expected (3, 5, 3)"),
+        ("samples", lambda a: a[0], "has shape (5, 3), expected (3, 5, 3)"),
+        ("grid", lambda a: a[None], "has shape (1, 5), expected (-1,)"),
+        ("grid", lambda a: np.float64(0.5), "has shape (), expected (-1,)"),
+        ("event_times", lambda a: a[:, None], None),
+        # each array in its own dtype, and native byte order
+        ("samples", lambda a: a.astype(np.int32), "holds int32, expected int64"),
+        ("samples", lambda a: a.astype(np.float64),
+         "holds float64, expected int64"),
+        ("grid", lambda a: a.astype(np.float32),
+         "holds float32, expected float64"),
+        ("event_times", lambda a: a.astype(">f8"), "holds >f8, expected float64"),
+        ("event_reactions", lambda a: a.astype(np.int64),
+         "holds int64, expected int16"),
+        ("event_reactions", lambda a: np.zeros(len(a), dtype=[("r", "<i2")]),
+         "holds [('r', '<i2')], expected int16"),
     ])
-    def test_bad_samples_or_events_are_a_domain_error(self, ens_dir, name,
-                                                      line, cells, message):
-        path = ens_dir / name
-        old = path.read_text().splitlines()[line].split(",")
-        self.corrupt(path, line, cells.format(*old))
+    def test_wrong_shape_or_dtype_is_a_domain_error(self, ens_dir, name,
+                                                    edit, message):
+        path = self.edit(ens_dir, name, edit)
+        if message is None:
+            n = len(np.load(path))
+            message = f"has shape ({n}, 1), expected ({n},)"
+        self.refused(ens_dir, path, message)
+
+    def test_grid_longer_than_the_samples_is_a_domain_error(self, ens_dir):
+        # the grid gives the samples' second length
+        self.edit(ens_dir, "grid", lambda a: np.append(a, 1.0))
+        self.refused(ens_dir, ens_dir / "samples.npy",
+                     "has shape (3, 5, 3), expected (3, 6, 3)")
+
+    @pytest.mark.parametrize("name", ["grid", "samples", "event_times",
+                                      "event_reactions"])
+    def test_missing_store_file_is_a_domain_error(self, ens_dir, name):
+        (ens_dir / f"{name}.npy").unlink()
+        self.refused(ens_dir, ens_dir / f"{name}.npy",
+                     "missing (an ensemble written without the .npy store "
+                     "has only CSVs, which are not read back)")
+
+    def test_csvs_without_a_store_are_a_domain_error(self, ens_dir):
+        # a directory as an rpsim without the store wrote it: the CSVs and
+        # the same manifest
+        for path in ens_dir.glob("*.npy"):
+            path.unlink()
+        with pytest.raises(DomainError, match=re.escape(
+                f"{ens_dir / 'grid.npy'}: missing")):
+            read_ensemble(ens_dir)
+
+    # into the data, to the end of the header, into the header, all of it
+    @pytest.mark.parametrize("cut", [8, 40, 100, 168])
+    def test_truncated_store_file_is_a_domain_error(self, ens_dir, cut):
+        path = ens_dir / "grid.npy"
+        data = path.read_bytes()
+        assert len(data) == 168     # a 128-byte header and 5 doubles
+        path.write_bytes(data[:-cut])
         with pytest.raises(DomainError) as err:
             read_ensemble(ens_dir)
-        assert str(err.value).startswith(f"{path}: ")
-        assert message in str(err.value)
+        assert str(err.value).startswith(f"{path}: not a .npy array file: ")
 
-    @pytest.mark.parametrize("sample, time", [(0, "-1"), (4, "7")])
-    def test_grid_outside_the_run_is_a_domain_error(self, ens_dir, sample,
-                                                    time):
-        # every replica's sample moves, so the replicas still share one
-        # ascending grid, but run_ensemble refuses it for t_end = 1
-        path = ens_dir / "samples.csv"
-        for line in range(1 + sample, 16, 5):
-            cells = path.read_text().splitlines()[line].split(",")
-            self.corrupt(path, line, ",".join([cells[0], time, *cells[2:]]))
+    def test_object_array_is_not_unpickled(self, ens_dir):
+        # loading a pickle can run any code; the store holds no object array
+        path = ens_dir / "event_times.npy"
+        n = len(np.load(path))
+        np.save(path, np.array([0.0] * n, dtype=object), allow_pickle=True)
+        self.refused(ens_dir, path, "not a .npy array file: Object arrays "
+                                    "cannot be loaded when allow_pickle=False")
+
+    def test_file_that_is_not_npy_is_a_domain_error(self, ens_dir):
+        # say, a CSV saved under the store's name; np.load would unpickle
+        # any file without the .npy magic, were pickles allowed
+        path = ens_dir / "samples.npy"
+        path.write_bytes((ens_dir / "samples.csv").read_bytes())
         with pytest.raises(DomainError) as err:
             read_ensemble(ens_dir)
-        assert str(err.value) == \
-            f"{path}: grid must lie within [0, t_end] = [0, 1.0]"
+        assert str(err.value).startswith(
+            f"{path}: not a .npy array file: This file contains pickled "
+            "(object) data.")
 
-    def test_event_before_time_0_is_a_domain_error(self, ens_dir):
-        # replaying would integrate the intensities from t = -5; an event at
-        # -0.0, as in the special-values ensemble, reads back
-        events = ens_dir / "events.csv"
-        _, _, r = events.read_text().splitlines()[1].split(",")
-        self.corrupt(events, 1, f"0,-5,{r}")
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value) == (f"{events}: replica 0 logs an event at "
-                                  "-5.0, before time 0")
+    def test_header_past_memory_is_a_domain_error(self, ens_dir):
+        # a forged header of 10**16 doubles (80 PB, past any address space)
+        # over a short file: the array is allocated from the header
+        path = ens_dir / "grid.npy"
+        data = path.read_bytes()
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": "<f8", "fortran_order": False, "shape": (10**16,)})
+        path.write_bytes(header.getvalue() + data[128:])
+        self.refused(ens_dir, path, "its header gives an array too large to "
+                                    "hold")
 
-    def test_replica_with_a_missing_sample_is_a_domain_error(self, ens_dir):
-        path = ens_dir / "samples.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        assert lines[6].startswith("1,0,")
-        path.write_text("".join(lines[:6] + lines[7:]))
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value) == f"{path}: replicas do not share one grid"
-
-    def test_replica_0_without_rows_is_a_domain_error(self, ens_dir):
-        # replica 0's grid is empty, and the replicas' row counts differ
-        path = ens_dir / "samples.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        assert lines[6].startswith("1,0,")
-        path.write_text("".join(lines[:1] + lines[6:]))
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value) == f"{path}: replicas do not share one grid"
-
-    def test_loadtxt_row_is_named(self, ens_dir):
-        self.corrupt(ens_dir / "samples.csv", 4, "0,0.75,20,x,20")
-        with pytest.raises(DomainError, match=r"at row 3, column 4"):
-            read_ensemble(ens_dir)
-
-    @pytest.mark.parametrize("cells, message", [
-        ("{0},x,{2}", "could not convert string 'x' to float64 at row 9,"),
-        ("{0},{1}", "requires 3 columns but 2 were found at row 10;"),
-    ])
-    def test_row_past_the_first_block_is_named_by_its_file_row(
-            self, ens_dir, monkeypatch, cells, message):
-        # events.csv is read 4 rows at a time; line 10 is in the third block
-        events = ens_dir / "events.csv"
-        old = events.read_text().splitlines()[10].split(",")
-        self.corrupt(events, 10, cells.format(*old))
-        with pytest.raises(DomainError) as whole:
-            read_ensemble(ens_dir)
-        monkeypatch.setattr(rpsim.io, "_CHUNK", 4)
-        with pytest.raises(DomainError) as blocked:
-            read_ensemble(ens_dir)
-        assert str(blocked.value) == str(whole.value)
-        assert message in str(blocked.value)
-
-    def test_blank_lines_between_blocks_are_skipped(self, ens_dir,
-                                                    monkeypatch):
-        # one row a block: each empty line comes where a block would start
-        monkeypatch.setattr(rpsim.io, "_CHUNK", 1)
-        expected = read_ensemble(ens_dir)
-        for name in ("samples.csv", "events.csv"):
-            path = ens_dir / name
-            lines = path.read_text().splitlines(keepends=True)
-            path.write_text("".join(lines[:5] + ["\n", "\n"] + lines[5:]
-                                    + ["\n"]))
-        back = read_ensemble(ens_dir)
-        assert np.array_equal(back.grid, expected.grid)
-        assert np.array_equal(back.samples, expected.samples)
-        assert np.array_equal(back.event_times, expected.event_times)
-        assert np.array_equal(back.event_offsets, expected.event_offsets)
-
-    @pytest.mark.parametrize("name", ["samples.csv", "events.csv"])
-    def test_a_byte_that_is_not_utf8_is_a_domain_error(self, ens_dir, name):
-        # it escaped as a bare UnicodeDecodeError from the line iteration
-        path = ens_dir / name
-        header, first, rest = path.read_bytes().split(b"\n", 2)
-        path.write_bytes(b"\n".join([header, first, b"\xff" + rest]))
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value) == \
-            f"{path}: not UTF-8 text (invalid start byte: b'\\xff')"
-
-    @pytest.mark.parametrize("edit", [
-        lambda name, text: text.replace("\n", "\r\n"),
-        lambda name, text: "\ufeff" + text,
-        # blocks of 4 rows: an empty line in the first block, and two
-        # between the first and the second
-        lambda name, text: text.replace("\n", "\n\n", 3).replace(
-            "\n\n", "\n", 2),
-        lambda name, text: "".join(
-            (line + "\n\n" if k == 4 else line + "\n")
-            for k, line in enumerate(text.splitlines())),
-        # an event time in exponent form, the same double
-        lambda name, text: text if name == "samples.csv" else re.sub(
-            r"\n(\d+),([^,]+),", lambda m: "\n%s,%.16e," % (
-                m[1], float(m[2])), text, count=1),
-    ], ids=["crlf", "bom", "blank-in-a-block", "blank-between-blocks",
-            "exponent-time"])
-    def test_layouts_read_back_as_the_clean_file(self, ens_dir, monkeypatch,
-                                                 edit):
-        # each goes to loadtxt, as it did before the numpy parse
-        monkeypatch.setattr(rpsim.io, "_CHUNK", 4)
-        expected = read_ensemble(ens_dir)
-        for name in ("samples.csv", "events.csv"):
-            path = ens_dir / name
-            text = path.read_text()
-            path.write_bytes(edit(name, text).encode())
-            assert path.read_bytes() != text.encode() or name == "samples.csv"
-        back = read_ensemble(ens_dir)
-        for name in ("grid", "samples", "event_times", "event_reactions",
-                     "event_offsets"):
-            x, y = getattr(expected, name), getattr(back, name)
-            assert (x.dtype, x.shape, x.tobytes()) == \
-                (y.dtype, y.shape, y.tobytes()), name
-
-    @pytest.mark.parametrize("n_events, message", [
-        (10**12, "replica 1 has 20 events, the manifest says 1000000000000"),
-        (-1, "n_events must be non-negative integers"),
-        (2.5, "n_events must be non-negative integers"),
+    @pytest.mark.parametrize("n_events, path, message", [
+        # nothing is sized from the manifest: 10**12 events, which would be
+        # 10 TB, are only compared with the log's length
+        (10**12, "event_times.npy", "has shape ({total},), expected "
+                                    "({total_forged},)"),
+        (-1, "manifest.json", "n_events must be non-negative integers"),
+        (2.5, "manifest.json", "n_events must be non-negative integers"),
     ])
     def test_manifest_event_count_is_checked_before_allocating(
-            self, ens_dir, n_events, message):
-        # 10**12 events would be 10 TB of arrays: nothing is sized from the
-        # manifest, whose counts are only compared with the rows read
-        path = ens_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["trajectories"][1]["n_events"] = n_events
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value).startswith(f"{ens_dir / 'events.csv'}: ")
-        assert message in str(err.value)
-
-    def test_lines_past_memory_are_a_domain_error(self, ens_dir,
-                                                  monkeypatch):
-        # arrays have a row per line, empty ones too: 10**16 lines of
-        # samples would take 213 PiB, past any address space
-        monkeypatch.setattr(rpsim.io, "_line_count", lambda path: 10**16)
-        with pytest.raises(DomainError) as err:
-            read_ensemble(ens_dir)
-        assert str(err.value) == f"{ens_dir}: a CSV has too many lines to hold"
-
-    def test_empty_file_is_a_domain_error(self, ens_dir):
-        (ens_dir / "events.csv").write_text("")
-        with pytest.raises(DomainError, match="empty file"):
-            read_ensemble(ens_dir)
+            self, ens_dir, n_events, path, message):
+        path = ens_dir / path
+        manifest = json.loads((ens_dir / "manifest.json").read_text())
+        trajs = manifest["trajectories"]
+        total = sum(t["n_events"] for t in trajs)
+        total_forged = total - trajs[1]["n_events"] + n_events
+        trajs[1]["n_events"] = n_events
+        (ens_dir / "manifest.json").write_text(json.dumps(manifest))
+        self.refused(ens_dir, path, message.format(
+            total=total, total_forged=total_forged))
 
     def test_header_only_events_read_as_empty_logs(self, ens_dir):
         # a run in which no replica fired leaves events.csv with its header
+        # and an empty log in the store
         ens = synthetic_ensemble(SPEC, GRID, [[], [], []])
         write_ensemble(ens, ens_dir)
         assert (ens_dir / "events.csv").read_text() == "replica,time,reaction\n"
+        assert np.load(ens_dir / "event_times.npy").shape == (0,)
         for traj in read_ensemble(ens_dir).trajectories:
             assert traj.event_times.dtype == np.float64
             assert traj.event_reactions.dtype == np.int16
             assert traj.n_events == 0
 
 
-TIME_ROWS = np.dtype([("replica", np.int64), ("time", np.float64)])
+def assert_same_ensemble(a: Ensemble, b: Ensemble) -> None:
+    """Every field of ``a`` and ``b`` equal, each array in dtype, shape and
+    bytes."""
+    assert (a.spec, a.base_seed) == (b.spec, b.base_seed)
+    for name in ("grid", "samples", "final_counts", "absorbed", "final_time",
+                 "event_times", "event_reactions", "event_offsets"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), name
 
 
-def numpy_parse(texts: list[str]):
-    """The doubles of float cells ``texts`` as the reader's numpy parse
-    reads them, one block of ``0,<text>`` rows, or None where it leaves the
-    block to loadtxt."""
-    data = "".join(f"0,{t}\n" for t in texts).encode()
-    reader = rpsim.digits.Reader(io.BytesIO(data), len(data), len(data))
-    assert reader.block_start() == 0
-    rows = reader.rows(TIME_ROWS, len(texts))
-    return None if rows is None else rows["time"]
+@pytest.mark.parametrize("events", [True, False])
+def test_the_csvs_are_not_read_back(tmp_path, events):
+    # the store alone gives the ensemble back; a CSV, deleted or edited,
+    # changes nothing that is read
+    ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3, record_events=events)
+    out = write_ensemble(ens, tmp_path / "e")
+    for path in out.glob("*.csv"):
+        path.unlink()
+    assert_same_ensemble(read_ensemble(out), ens)
 
 
-def assert_loadtxt_bits(texts: list[str], got: np.ndarray) -> None:
-    expected = np.loadtxt(texts, dtype=np.float64, ndmin=1)
-    assert got.tobytes() == expected.tobytes(), texts
-
-
-def plain(text: str) -> bool:
-    """Whether ``%.17g`` wrote ``text`` without an exponent and finite."""
-    return set(text) <= set("-.0123456789")
-
-
-def parsed(text: str) -> bool:
-    """Whether the numpy parse reads ``%.17g``'s ``text``: a finite double
-    without an exponent or with exponent -5 or -6 (a magnitude of 10^-6 or
-    more, which the double nearest 1e-6 is not)."""
-    return plain(text) or text.endswith(("e-05", "e-06"))
-
-
-class TestNumpyParse:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(
-        st.integers(0, 2**64 - 1),
-        # sign, a binade from 2^-21 to 2^54 (the range the parse reads,
-        # 1e-6 to 1e16, and its ends) and any significand
-        st.tuples(st.integers(0, 1), st.integers(1002, 1077),
-                  st.integers(0, 2**52 - 1)).map(
-            lambda t: t[0] << 63 | t[1] << 52 | t[2])),
-        min_size=1, max_size=64))
-    def test_written_doubles_read_back_exactly(self, patterns):
-        texts = [fmt(as_double(bits)) for bits in patterns]
-        read = [t for t in texts if parsed(t)]
-        if read:
-            got = numpy_parse(read)
-            assert got is not None, read    # every written one is proven
-            assert_loadtxt_bits(read, got)
-            assert got.tobytes() == np.array(
-                [as_double(b) for b, t in zip(patterns, texts)
-                 if parsed(t)]).tobytes()
-        for t in texts:
-            if not parsed(t):       # e+, below 1e-6, inf or nan
-                assert numpy_parse([t]) is None, t
-
-    def test_edge_values_read_back_exactly(self):
-        texts = [fmt(v) for v in TestBlockFormatter.edge_values()]
-        read = [t for t in texts if parsed(t)]
-        assert any("e-" in t for t in read)
-        assert_loadtxt_bits(read, numpy_parse(read))
-        for t in read:
-            assert_loadtxt_bits([t], numpy_parse([t]))
-
-    def test_exponent_texts_match_loadtxt(self):
-        # %.17g's texts from 1e-6 up, and %.16e's, which pad the same 17
-        # digits, are proven; any other text reads as loadtxt reads it or
-        # leaves its block to loadtxt
-        values = [np.nextafter(1e-6, 1), np.nextafter(1e-4, 0),
-                  1.2805728256983181e-05, 3e-5, 2.0**-17]
-        proven = [f % v for f in ("%.17g", "%.16e") for v in values]
-        proven += ["%.16e" % v for v in (0.5, 1234.5e-7)]
-        proven += ["-" + t for t in proven]
-        others = [fmt(np.nextafter(1e-6, 0)), fmt(1e-6), "1e-06", "1E-05",
-                  "1.2805728256983181E-05", "1.5e-5", "1e-5", "1e-05",
-                  "1.5e-005", "1e+00", "1e-00", "1e-0", "1e5", "0e-05",
-                  "%.16e" % 1234.5, "1.5e-", "1.5e--5", "1.5e-5-", "1-e5",
-                  "e-05", "-e-05", "1.5ee-5", "1.5e-5e", "1e-0.5", ".5e-5"]
-        for t in proven + others:
-            got = numpy_parse([t])
-            assert got is not None or t not in proven, t
-            if got is not None:
-                assert_loadtxt_bits([t], got)
-        for v in (1e-6, np.nextafter(1e-6, 0)):    # below 10^-6
-            assert numpy_parse([fmt(v)]) is None
-        assert_loadtxt_bits(proven, numpy_parse(proven))
-
-    @pytest.mark.parametrize("row", ["1e-05,0.5,1", "0,0.5,1e-05",
-                                     "0,1e-05e-05,1", "0,0.5e-05,1e-05"])
-    def test_an_exponent_outside_the_float_cells_is_not_parsed(self, row):
-        data = f"0,1.5e-05,0\n{row}\n".encode()
-        reader = rpsim.digits.Reader(io.BytesIO(data), len(data), len(data))
-        reader.block_start()
-        dtype = np.dtype([("replica", np.int64), ("time", np.float64),
-                          ("reaction", np.int16)])
-        assert reader.rows(dtype, 2) is None
-
-    @staticmethod
-    def decimal_strings() -> list[str]:
-        rng = np.random.default_rng(37)
-        texts = ["0", "-0", "0.0", "-0.0", "0.", ".5", "-.5", "00012.50",
-                 "18014398509481986", "18014398509481984", "0.0001",
-                 "10000000000000000",
-                 "123456789012345678", "0.123456789012345678",
-                 "1234567890.1234567890", "-99999999999999999999",
-                 # 2^64 more than the digits of 0.00012345678901234567, as
-                 # 20 decimal places: wrapped to 64 bits, it would read as
-                 # that double
-                 "0.18459089752610786183"]
-        # the bounds of %.17g's fixed notation and their neighbours
-        for p in (1e-4, 1e16):
-            texts += [fmt(np.nextafter(p, 0)), fmt(np.nextafter(p, 1e300)),
-                      f"{np.nextafter(p, 0):.20f}".rstrip("0"),
-                      f"{np.nextafter(p, 1e300):.20f}".rstrip("0")]
-        for _ in range(3000):   # 1 to 20 digits, a dot anywhere, signs
-            digits = "".join(rng.choice(list("0123456789"),
-                                        rng.integers(1, 21)))
-            dot = rng.integers(0, len(digits) + 1)
-            text = digits[:dot] + "." * (rng.random() < 0.8) + digits[dot:]
-            texts.append("-" * (rng.random() < 0.5) + text)
-        return texts
-
-    def test_decimal_strings_match_loadtxt(self):
-        # a cell the proof settles reads as loadtxt reads it, whatever its
-        # digits (18-digit texts were read wrong by a parse that capped
-        # the dot's shift at 17); one it cannot settle leaves its block to
-        # loadtxt
-        settled = []
-        for t in self.decimal_strings():
-            got = numpy_parse([t])
-            if got is not None:
-                assert_loadtxt_bits([t], got)
-                settled.append(t)
-        # texts that %.17g would write, padded or not
-        assert {"0", "-0", "0.", ".5", "-.5", "00012.50", "0.0001",
-                "18014398509481984"} <= set(settled)
-        # a tie between two doubles, which loadtxt rounds to even
-        assert "18014398509481986" not in settled
-
-    @pytest.mark.parametrize("cell", ["1.5", "-3", "4e-5", "7"])
-    def test_integer_rows_take_only_digits(self, cell):
-        data = f"1,2\n{cell},4\n".encode()
-        reader = rpsim.digits.Reader(io.BytesIO(data), len(data), len(data))
-        reader.block_start()
-        rows = reader.rows(np.dtype([("a", np.int64), ("b", np.int64)]), 2)
-        if cell == "7":
-            assert rows.tolist() == [(1, 2), (7, 4)]
-        else:
-            assert rows is None
-
-    @staticmethod
-    def count_loadtxt(monkeypatch) -> list:
-        calls = []
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(rpsim.io.np, "loadtxt", lambda *args, **kw: (
-            calls.append(1), loadtxt(*args, **kw))[1])
-        return calls
-
-    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
-    def test_a_written_ensemble_needs_no_loadtxt(self, tmp_path, monkeypatch,
-                                                chunk):
-        ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3,
-                           record_events=True)
-        out = write_ensemble(ens, tmp_path / "e")
-        for name in ("samples.csv", "events.csv"):
-            assert "e" not in (out / name).read_text().split("\n", 1)[1]
-        monkeypatch.setattr(rpsim.io, "_CHUNK", chunk)
-        calls = self.count_loadtxt(monkeypatch)
-        back = read_ensemble(out)
-        assert calls == []
-        for a, b in zip(ens.trajectories, back.trajectories):
-            assert_same_bits(a, b)
-
-    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
-    def test_exponent_event_times_need_no_loadtxt(self, tmp_path,
-                                                  monkeypatch, chunk):
-        # at M = 10 000 the first events come within 10^-4, so %.17g
-        # writes them with an exponent
-        spec = ModelSpec(n=3, lam=1.0, total=10000,
-                         initial=symmetric_counts(3, 10000))
-        ens = run_ensemble(spec, 40, 0.002, np.linspace(0.0, 0.002, 5),
-                           base_seed=4, record_events=True)
-        out = write_ensemble(ens, tmp_path / "e")
-        events = out / "events.csv"
-        lines = events.read_text().splitlines(keepends=True)
-        assert sum("e-" in line for line in lines) >= 10
-        monkeypatch.setattr(rpsim.io, "_CHUNK", chunk)
-        calls = self.count_loadtxt(monkeypatch)
-        back = read_ensemble(out)
-        assert calls == []
-        for a, b in zip(ens.trajectories, back.trajectories):
-            assert_same_bits(a, b)
-        # a time below 10^-6 still leaves its block to loadtxt, which reads
-        # the value written
-        replica, time, reaction = lines[1].split(",")
-        assert replica == "0" and float(time) > 5e-7
-        lines[1] = f"0,{fmt(5e-7)},{reaction}"
-        events.write_text("".join(lines))
-        back = read_ensemble(out)
-        assert calls == [1]
-        assert back.event_times[0] == 5e-7
-        assert back.event_times[1:].tobytes() == ens.event_times[1:].tobytes()
-
-    def read_with_bad_cell(self, tmp_path, monkeypatch, chunk: int,
-                           column: int, text: str) -> tuple:
-        """Read a written ensemble whose event row 9 has ``text`` in
-        ``column``: the events file, the DomainError's message and the
-        loadtxt calls."""
-        ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3,
-                           record_events=True)
-        events = write_ensemble(ens, tmp_path / "e") / "events.csv"
-        lines = events.read_text().splitlines(keepends=True)
-        cells = lines[10].rstrip("\n").split(",")
-        cells[column] = text
-        lines[10] = ",".join(cells) + "\n"
-        events.write_text("".join(lines))
-        monkeypatch.setattr(rpsim.io, "_CHUNK", chunk)
-        calls = self.count_loadtxt(monkeypatch)
-        with pytest.raises(DomainError) as err:
-            read_ensemble(tmp_path / "e")
-        return events, str(err.value), calls
-
-    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
-    def test_a_bad_cell_has_the_loadtxt_message(self, tmp_path, monkeypatch,
-                                                chunk):
-        events, message, calls = self.read_with_bad_cell(
-            tmp_path, monkeypatch, chunk, 1, "x")
-        assert message == (f"{events}: could not convert string 'x' "
-                           "to float64 at row 9, column 2.")
-        assert calls == [1]
-
-    @pytest.mark.parametrize("chunk", [4, rpsim.io._CHUNK])
-    @pytest.mark.parametrize("column, text, dtype", [
-        (0, "0e-05", "int64"), (2, "1e-05", "int16")])
-    def test_an_exponent_in_an_integer_column_has_the_loadtxt_message(
-            self, tmp_path, monkeypatch, chunk, column, text, dtype):
-        events, message, calls = self.read_with_bad_cell(
-            tmp_path, monkeypatch, chunk, column, text)
-        assert message == (f"{events}: could not convert string '{text}' "
-                           f"to {dtype} at row 9, column {column + 1}.")
-        assert calls == [1]
-
-
-def test_read_holds_the_event_log_once_plus_one_block(tmp_path, monkeypatch):
-    # events.csv is parsed a block of rows at a time into arrays sized from
-    # the manifest, so the reader's peak above its result is one parsed
-    # block (numpy.loadtxt allocates its max_rows up front), not the file
-    monkeypatch.setattr(rpsim.io, "_CHUNK", 4096)
-    spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
-    ens = run_ensemble(spec, 16, 30.0, np.linspace(0.0, 30.0, 11), 1,
+def test_a_store_read_holds_its_arrays_and_little_more(tmp_path):
+    # np.load allocates each array once, at its size, and the checks'
+    # largest temporary is a bool per event of one replica's log; the rest
+    # (manifest, offsets, the checks' small arrays) fits in 64 KiB
+    spec = ModelSpec(n=3, lam=1.0, total=3000, initial=(1000, 1000, 1000))
+    ens = run_ensemble(spec, 4, 50.0, np.linspace(0.0, 50.0, 11), 1,
                        record_events=True)
-    assert len(ens.event_times) > 10 * rpsim.io._CHUNK
+    assert len(ens.event_times) > 150_000
     write_ensemble(ens, tmp_path / "e")
+    read_ensemble(tmp_path / "e")   # warm up numpy's loader
     tracemalloc.start()
     try:
         back = read_ensemble(tmp_path / "e")
-        result, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trajectories_identical(back.trajectories[3], ens.trajectories[3])
-    # a samples.csv row, the widest: replica, time and n counts
-    block = rpsim.io._CHUNK * 8 * (2 + spec.n)
-    assert peak - result < 1.5 * block
-
-
-def test_read_holds_the_samples_once_plus_one_block(tmp_path, monkeypatch):
-    # samples.csv is parsed a block of rows at a time into the samples
-    # array, sized once replica 0's rows have given the grid; the peak above
-    # the result is one parsed block, loadtxt's own buffers, a few arrays of
-    # one value per row and the manifest, where a reader that kept every
-    # block peaked at 11 blocks above it
-    monkeypatch.setattr(rpsim.io, "_CHUNK", 4096)
-    spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
-    ens = run_ensemble(spec, 50, 1.0, np.linspace(0.0, 1.0, 401), 1,
-                       record_events=False)
-    assert ens.samples.shape[0] * ens.samples.shape[1] > 4 * rpsim.io._CHUNK
-    write_ensemble(ens, tmp_path / "e")
-    tracemalloc.start()
-    try:
-        back = read_ensemble(tmp_path / "e")
-        result, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back.samples, ens.samples)
-    block = rpsim.io._CHUNK * 8 * (2 + spec.n)
-    assert peak - result < 2 * block
+    assert_same_ensemble(back, ens)
+    arrays = sum(getattr(back, name).nbytes for name in rpsim.io._STORE)
+    longest = int(np.diff(back.event_offsets).max())
+    assert arrays < peak <= arrays + longest + 64 * 1024
 
 
 def test_reading_a_small_ensemble_peaks_near_its_size(tmp_path):
-    # loadtxt allocates its max_rows up front; capped by what the file can
-    # hold, an 8-row ensemble is not parsed into a default block of
-    # _CHUNK rows (2.6 MB for a samples.csv row)
+    # nothing is allocated in blocks of a default size: an 8-row ensemble's
+    # read peaks within 64 times the size of its text files
     spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
     ens = run_ensemble(spec, 1, 1.0, np.linspace(0.0, 1.0, 8), 0,
                        record_events=True)
     write_ensemble(ens, tmp_path / "e")
-    size = sum(p.stat().st_size for p in (tmp_path / "e").iterdir())
+    size = sum(p.stat().st_size for p in (tmp_path / "e").iterdir()
+               if p.suffix != ".npy")
     assert size < 1000
-    read_ensemble(tmp_path / "e")   # warm up numpy's parser
+    read_ensemble(tmp_path / "e")   # warm up numpy's loader
     tracemalloc.start()
     try:
         back = read_ensemble(tmp_path / "e")
