@@ -750,6 +750,32 @@ class TestMalformedInput:
         self.refused(ens_dir, ens_dir / "event_times.npy",
                      "replica 0 has event times out of order")
 
+    @pytest.mark.parametrize("replica", [1, 2])
+    @pytest.mark.parametrize("name, edit, message", [
+        ("event_times", lambda a, lo, hi: a.__setitem__(
+            lo, 0.5 * (a[lo + 1] + a[lo + 2])),
+         "replica {i} has event times out of order"),
+        ("event_times", lambda a, lo, hi: a.__setitem__(hi, 5.0),
+         "replica {i} logs an event at 5.0, after its final time 1.0"),
+        ("event_reactions", lambda a, lo, hi: a.__setitem__(lo, 3),
+         "replica {i} has a reaction outside 0..2"),
+        ("event_reactions",
+         lambda a, lo, hi: a.__setitem__(lo, (a[lo] + 1) % 3),
+         "replica {i} replays to final counts "),
+    ], ids=["out-of-order", "after-the-end", "outside", "replay"])
+    def test_bad_log_names_its_replica(self, ens_dir, replica, name, edit,
+                                       message):
+        # the manifest's n_events cut the flat log into replicas: an event
+        # of replica i's slice is refused as replica i's
+        lo = self.last_of_replica(ens_dir, replica - 1) + 1
+        hi = self.last_of_replica(ens_dir, replica)
+        assert hi - lo >= 2
+        path = self.edit(ens_dir, name, lambda a: edit(a, lo, hi))
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value).startswith(
+            f"{path}: {message.format(i=replica)}")
+
     def test_truncated_trajectory_log_is_a_domain_error(self, tmp_path):
         ens = run_ensemble(SPEC, 1, 1.0, GRID, 7, record_events=True)
         out = write_ensemble(ens, tmp_path / "t")
@@ -947,6 +973,17 @@ class TestMalformedInput:
             read_ensemble(ens_dir)
         assert str(err.value).startswith(f"{path}: not a .npy array file: ")
 
+    @pytest.mark.parametrize("name", ["samples", "event_times",
+                                      "event_reactions"])
+    def test_each_truncated_store_file_is_named(self, ens_dir, name):
+        # a file one element short, its header intact
+        path = ens_dir / f"{name}.npy"
+        data = path.read_bytes()
+        path.write_bytes(data[:-np.dtype(rpsim.io._STORE[name]).itemsize])
+        with pytest.raises(DomainError) as err:
+            read_ensemble(ens_dir)
+        assert str(err.value).startswith(f"{path}: not a .npy array file: ")
+
     def test_object_array_is_not_unpickled(self, ens_dir):
         # loading a pickle can run any code; the store holds no object array
         path = ens_dir / "event_times.npy"
@@ -1035,6 +1072,67 @@ def test_the_csvs_are_not_read_back(tmp_path, events):
     assert_same_ensemble(read_ensemble(out), ens)
 
 
+CSV_EDITS = {
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "cr": lambda data: data.replace(b"\n", b"\r"),
+    "no-final-newline": lambda data: data[:-1],
+    "bom": lambda data: "\ufeff".encode() + data,
+    "blank-lines": lambda data: data.replace(b"\n", b"\n\n"),
+    "not-utf8": lambda data: b"\xff" + data,
+    "exponent-times": lambda data: re.sub(
+        rb"\n(\d+),([^,]+),", lambda m: b"\n%s,%.16e," % (
+            m[1], float(m[2])), data),
+    # a count that breaks conservation, a reaction outside 0..2
+    "last-cells": lambda data: re.sub(rb"\d\n", b"9\n", data),
+    "negative-cells": lambda data: data.replace(b",", b",-"),
+    "truncated": lambda data: data[:len(data) // 2],
+    "emptied": lambda data: b"",
+}
+
+
+@pytest.mark.parametrize("edit", CSV_EDITS)
+def test_hand_edited_csvs_change_nothing_read(tmp_path, edit):
+    # each edit, which the CSV reader read through or refused, leaves the
+    # store, and so the ensemble read, as written
+    ens = run_ensemble(SPEC, 3, 1.0, GRID, base_seed=3, record_events=True)
+    out = write_ensemble(ens, tmp_path / "e")
+    for name in ("samples.csv", "events.csv"):
+        path = out / name
+        data = path.read_bytes()
+        edited = CSV_EDITS[edit](data)
+        assert edited != data, name
+        path.write_bytes(edited)
+    assert_same_ensemble(read_ensemble(out), ens)
+
+
+def assert_doubles_read_back(out, times) -> None:
+    """One replica logging ``times`` (ascending from 0), run to its last
+    event and written to ``out``: the store gives every double back bit for
+    bit, and the ``%.17g`` of events.csv parses to the same doubles."""
+    ens = synthetic_ensemble(SPEC, [0.0], [times], t_end=times[-1])
+    write_ensemble(ens, out)
+    assert_same_ensemble(read_ensemble(out), ens)
+    rows = (out / "events.csv").read_text().splitlines()[1:]
+    cells = np.array([float(row.split(",")[1]) for row in rows])
+    assert cells.tobytes() == ens.event_times.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    # any finite double from +0 up: subnormals, every binade, the largest
+    st.integers(0, 0x7FEFFFFFFFFFFFFF).map(as_double), st.just(-0.0)),
+    min_size=1, max_size=64).map(sorted))
+def test_written_doubles_read_back_exactly(tmp_path_factory, times):
+    assert_doubles_read_back(tmp_path_factory.mktemp("doubles"), times)
+
+
+def test_edge_values_read_back_exactly(tmp_path):
+    times = sorted(v for v in TestBlockFormatter.edge_values()
+                   if 0 <= v < math.inf)
+    assert 5e-324 in times and np.finfo(float).max in times
+    assert_doubles_read_back(tmp_path / "e", times)
+
+
 def test_a_store_read_holds_its_arrays_and_little_more(tmp_path):
     # np.load allocates each array once, at its size, and the checks'
     # largest temporary is a bool per event of one replica's log; the rest
@@ -1055,6 +1153,27 @@ def test_a_store_read_holds_its_arrays_and_little_more(tmp_path):
     arrays = sum(getattr(back, name).nbytes for name in rpsim.io._STORE)
     longest = int(np.diff(back.event_offsets).max())
     assert arrays < peak <= arrays + longest + 64 * 1024
+
+
+def test_a_samples_only_store_read_holds_its_arrays_and_little_more(
+        tmp_path):
+    # without logs the checks' largest temporary is the conservation sum, a
+    # count per grid time of each replica; the rest fits in 64 KiB
+    spec = ModelSpec(n=3, lam=1.0, total=300, initial=(100, 100, 100))
+    ens = run_ensemble(spec, 50, 1.0, np.linspace(0.0, 1.0, 401), 1,
+                       record_events=False)
+    write_ensemble(ens, tmp_path / "e")
+    read_ensemble(tmp_path / "e")   # warm up numpy's loader
+    tracemalloc.start()
+    try:
+        back = read_ensemble(tmp_path / "e")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_ensemble(back, ens)
+    arrays = back.grid.nbytes + back.samples.nbytes
+    sums = back.samples.nbytes // spec.n
+    assert arrays < peak <= arrays + sums + 64 * 1024
 
 
 def test_reading_a_small_ensemble_peaks_near_its_size(tmp_path):
