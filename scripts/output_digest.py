@@ -71,7 +71,6 @@ clt_time = 0.5
 martingale_population = 12
 martingale_replicas = 200
 martingale_time = 8
-gillespie_samples = 200
 """
 # LLN populations of 6 and 24, 20 replicas each, at twice the default rate:
 # their 40 columns take one lockstep chunk, and 6 of the smaller
@@ -92,7 +91,6 @@ clt_time = 0.5
 martingale_population = 24
 martingale_replicas = 40
 martingale_time = 0.5
-gillespie_samples = 100
 """
 # every setting validate reads, each away from its default, at small sizes
 VALIDATE_EVERY_SETTING = """\
@@ -118,7 +116,6 @@ martingale_population = 30
 martingale_replicas = 150
 martingale_time = 0.6
 martingale_z_bound = 3.5
-gillespie_samples = 300
 gillespie_p_threshold = 0.005
 """
 

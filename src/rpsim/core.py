@@ -194,11 +194,11 @@ def _check_total(total) -> int:
     return int(total)
 
 
-def _named(key: str, check, value):
-    """``check(value)``, whose error, if it raises one, names the setting
-    ``key`` (an INI key or a command-line flag) first and keeps its type."""
+def _named(key: str, check, *args, **kw):
+    """``check(*args, **kw)``, whose error, if it raises one, names the
+    setting ``key`` (an INI key or a flag) first and keeps its type."""
     try:
-        return check(value)
+        return check(*args, **kw)
     except RpsimError as exc:
         raise type(exc)(f"{key}: {exc}") from None
 

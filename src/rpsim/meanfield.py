@@ -213,13 +213,13 @@ def integrate(u0, lam: float, t_end: float = 1.0,
         raise DomainError(f"t_end must be non-negative and finite, got {t_end}")
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"step must be positive and finite, got {step}")
-    n_steps = int(round(t_end / step))
-    try:
+    try:    # OverflowError: an infinite count; ValueError: numpy's size limit
+        n_steps = int(round(t_end / step))
         grid_arr = check_grid(np.arange(n_steps + 1) * step if grid is None
                               else grid)
         states = np.empty((n_steps + 1, len(u)))
-    except (MemoryError, ValueError):   # ValueError: past numpy's size limit
-        raise DomainError(f"t_end={t_end:g} takes {n_steps} "
+    except (MemoryError, OverflowError, ValueError):
+        raise DomainError(f"t_end={t_end:g} takes {t_end / step:.3g} "
                           f"steps of {step:g}, too many states to hold in "
                           "memory") from None
     if grid is not None and len(grid_arr):

@@ -160,6 +160,17 @@ class Ensemble:
                              self.final_counts.tolist(),
                              self.final_time.tolist())))
 
+    def check_replay(self, t: float) -> None:
+        """Raise what :meth:`replay` raises for a missing log or ``t``."""
+        if self.event_offsets is None:
+            raise MissingEventLog("the ensemble was run in samples-only mode")
+        if not t >= 0:
+            raise DomainError(f"replay time t={t:g} must be non-negative")
+        running = self.final_time[np.isnan(self.absorbed)]
+        if t > (horizon := running.min(initial=math.inf)):
+            raise DomainError(f"replay time t={t:g} lies past the simulated "
+                              f"time t={horizon:g} of an unabsorbed replica")
+
     def replay(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """``(N, T)`` at ``t``, each (replicas, n): reaction ``j``'s firings
         up to and including ``t``, and the integral of its intensity
@@ -171,15 +182,8 @@ class Ensemble:
         replica's final time, where its log ends, raises
         :class:`DomainError`; an absorbed replica's intensities end at its
         final time, so it replays at any ``t``, ``inf`` included."""
+        self.check_replay(t)
         off = self.event_offsets
-        if off is None:
-            raise MissingEventLog("the ensemble was run in samples-only mode")
-        if not t >= 0:
-            raise DomainError(f"replay time t={t:g} must be non-negative")
-        running = self.final_time[np.isnan(self.absorbed)]
-        if t > (horizon := running.min(initial=math.inf)):
-            raise DomainError(f"replay time t={t:g} lies past the simulated "
-                              f"time t={horizon:g} of an unabsorbed replica")
         n, t, x0 = self.spec.n, float(t), np.array(self.spec.initial)[:, None]
         cols = np.arange(n)[:, None]    # species-major: a row per species
 

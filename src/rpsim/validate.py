@@ -10,9 +10,9 @@ Four checks are provided:
 * the compensated-counting martingale identities: zero mean, quadratic
   variation equal to the accumulated intensity, orthogonality across
   reactions (``martingale_test``),
-* exactness of the event engine: the first event of each replica of one
-  ensemble, one replica per sample, against the closed-form
-  competing-exponentials law (``gillespie_equivalence_test``).
+* exactness of the event engine: the first event of each replica of a
+  logged ensemble against the closed-form competing-exponentials law
+  (``gillespie_equivalence_test``).
 
 Each check returns its report as a plain dict of JSON values (lists, not
 arrays; Python floats, ints and bools, not numpy scalars), the dict that
@@ -36,7 +36,6 @@ from .core import (
     GridMismatch,
     InsufficientReplicas,
     ModelSpec,
-    RpsimError,
     _named,
     check_fractions,
     check_rate,
@@ -378,18 +377,23 @@ _STIRLING_SMALL = np.array([0.0] + [
     for m in range(1, 10)])
 
 
-def _ks_statistic(times: np.ndarray, scale: float) -> float:
-    """Two-sided KS distance between ``times`` and Exp(mean ``scale``),
-    bit for bit as ``scipy.stats.kstest(times, "expon", args=(0, scale))``
-    computes it.  The CDF 1 - exp(-t/scale) is rounded as scipy's Cephes
-    expm1 rounds it; ``np.expm1`` and ``np.exp`` round part of their
-    arguments the other way, and that would move the statistic by an ulp."""
-    u = -(np.sort(times) / scale)
-    uu = u * u
-    r = u * np.polyval(_EXPM1_P, uu)
-    cdf = -2.0 * (r / (np.polyval(_EXPM1_Q, uu) - r))
+def _ks_statistic(times: np.ndarray, scale: float,
+                  horizon: float = math.inf) -> float:
+    """Two-sided KS distance between ``times`` and Exp(mean ``scale``)
+    truncated at ``horizon``: the CDF F(s) / F(horizon), F(s) = 1 -
+    exp(-s/scale).  F is rounded as scipy's Cephes expm1 rounds it;
+    ``np.expm1`` and ``np.exp`` round part of their arguments the other
+    way, and that would move the statistic by an ulp.  Where F(horizon)
+    is 1.0 it is ``scipy.stats.kstest(times, "expon", args=(0, scale))``'s
+    statistic bit for bit."""
+    u = -(np.append(np.sort(times), horizon) / scale)
+    v = np.maximum(u, -0.5)     # the rational form; far values reset below
+    vv = v * v
+    r = v * np.polyval(_EXPM1_P, vv)
+    cdf = -2.0 * (r / (np.polyval(_EXPM1_Q, vv) - r))
     far = u < -0.5
-    cdf[far] = [1.0 - math.exp(v) for v in u[far].tolist()]
+    cdf[far] = [1.0 - math.exp(w) for w in u[far].tolist()]
+    cdf = cdf[:-1] / cdf[-1]
     n = len(cdf)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
@@ -552,44 +556,35 @@ def _chi2_sf(x: float, k: int) -> float:
 # exactness of the event engine
 # --------------------------------------------------------------------------
 
-def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
+def gillespie_equivalence_test(ensemble: Ensemble, t: float, *,
                                p_threshold: float = 0.01) -> dict:
     """First-event law of the event engine against closed-form expectations.
 
-    Sample ``i`` is the first event of replica ``i`` of one
-    :func:`~rpsim.simulate.run_ensemble` call, so the check runs the engine
-    that ensembles of that size run.  From the fixed initial state the
-    first-event time must be exponential with the summed reaction rate, and
-    the fired reaction must be categorical with probabilities proportional
-    to the rates (competing exponentials).  Kolmogorov-Smirnov and
-    chi-square at the configured p threshold, which must lie in (0, 1).
+    Each replica of the logged ``ensemble`` gives its first event by ``t``
+    (``t`` takes ``ensemble.check_replay``'s rule), or is censored.  From
+    the fixed initial state the first-event time must be exponential with
+    the summed reaction rate R, truncated at ``t``, and the fired reaction
+    categorical with probabilities proportional to the rates: KS and
+    chi-square at the p threshold, in (0, 1).  An absorbing start raises
+    :class:`DomainError`, and no event by ``t`` :class:`InsufficientReplicas`.
     """
     _check_bounds({"p_threshold": p_threshold}, p_threshold="p_threshold")
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
-    n = spec.n
-    x = spec.initial
-    rates = np.array(
-        [spec.lam / spec.total * x[j] * x[(j + 1) % n] for j in range(n)]
-    )
+    ensemble.check_replay(t)
+    spec = ensemble.spec
+    x = np.array(spec.initial, dtype=float)
+    rates = spec.lam / spec.total * x * np.roll(x, -1)
     total_rate = float(rates.sum())
     if total_rate == 0.0:
         raise DomainError("all reaction rates are zero in the initial state")
-
-    # a replica with no event before this horizon has probability e^-40
-    ensemble = run_ensemble(spec, samples, 40.0 / total_rate, (), base_seed,
-                            record_events=True)
-    first = ensemble.event_offsets[:-1]
-    silent = np.flatnonzero(first == ensemble.event_offsets[1:])
-    if len(silent):
-        raise RpsimError(f"replica {silent[0]} fired no event before the "
-                         "horizon, so it has no first event")
-    times = ensemble.event_times[first]
-    fired = ensemble.event_reactions[first].astype(int)
-
-    ks_stat = _ks_statistic(times, 1.0 / total_rate)
+    off = ensemble.event_offsets
+    first = off[:-1][off[:-1] < off[1:]]        # replicas that fired at all
+    first = first[ensemble.event_times[first] <= t]
+    samples = len(first)
+    if samples == 0:
+        raise InsufficientReplicas(f"no replica fired an event by t={t:g}")
+    ks_stat = _ks_statistic(ensemble.event_times[first], 1.0 / total_rate, t)
     ks_p = _kstwo_sf(samples, ks_stat)
-    observed = np.bincount(fired, minlength=n)
+    observed = np.bincount(ensemble.event_reactions[first], minlength=spec.n)
     active = rates > 0
     n_active = int(active.sum())
     if n_active == 1:
@@ -602,7 +597,8 @@ def gillespie_equivalence_test(spec: ModelSpec, samples: int, base_seed: int, *,
     return {
         "check": "gillespie_equivalence",
         "pass": bool(ks_p > p_threshold and chi2_p > p_threshold),
-        "samples": samples, "model": spec.to_dict(), "total_rate": total_rate,
+        "t": t, "samples": samples, "censored": ensemble.replicas - samples,
+        "model": spec.to_dict(), "total_rate": total_rate,
         "expected_probs": (rates / total_rate).tolist(),
         "observed_counts": observed.tolist(),
         "ks": {"stat": ks_stat, "pvalue": ks_p},
@@ -647,7 +643,6 @@ class ValidationConfig:
     martingale_replicas: int = 5000
     martingale_time: float = 1.0
     martingale_z_bound: float = 3.0
-    gillespie_samples: int = 10_000
     gillespie_p_threshold: float = 0.01
 
     def model_fractions(self) -> np.ndarray:
@@ -703,8 +698,7 @@ _INI_SECTIONS = {"n": "model", "lam": "model", "fractions": "model",
                  "base_seed": "run"}
 
 
-# deterministic sub-seed offsets so the four checks use unrelated streams
-_SEED_GILLESPIE = 0
+# deterministic sub-seed offsets so the checks' ensembles use unrelated streams
 _SEED_LLN = 1          # + index of the population in lln_populations
 _SEED_CLT = 101
 _SEED_MARTINGALE = 102
@@ -713,21 +707,22 @@ _SEED_MARTINGALE = 102
 def _check_config(config: ValidationConfig
                   ) -> tuple[list[ModelSpec], np.ndarray]:
     """Check every setting before any ensemble runs, and return the model of
-    each check in run order (Gillespie, each LLN population, CLT,
-    martingale) and the LLN check's sample grid.
+    each ensemble in run order (each LLN population, CLT, martingale) and
+    the LLN check's sample grid.
 
     Raises :class:`DomainError` for a base seed that is not a non-negative
     integer; a ``[model] lambda`` that is not a positive finite collision
     rate, a ``[model] n`` outside 3..``MAX_SPECIES`` (checked before
     anything of size n is built), or ``[model] fractions`` that are not
     ``n`` long or not finite and non-negative (each message names the key);
-    a non-positive count, replica count or sample count, LLN populations
-    that do not strictly increase or are more than 100 (so that no two
-    checks share a base seed), fewer than two LLN grid points or more
-    than memory holds, a time or pass bound that is not positive and
-    finite, an LLN ratio band whose low end is not below its high end, or a
-    p threshold outside (0, 1); :class:`~rpsim.core.NormalizationError`,
-    naming the key, for ``[model] fractions`` that do not sum to 1;
+    a non-positive count or replica count, LLN populations that do not
+    strictly increase or are more than 100 (so that no two ensembles share
+    a base seed), fewer than two LLN grid points or more than memory holds, a
+    time or pass bound that is not positive and finite, an LLN ratio band
+    whose low end is not below its high end, a p threshold outside (0, 1),
+    or a martingale start from which no reaction can fire;
+    :class:`~rpsim.core.NormalizationError`, naming the key, for ``[model]
+    fractions`` that do not sum to 1;
     :class:`InsufficientReplicas` for fewer CLT replicas than
     :func:`clt_test` needs; and whatever :class:`~rpsim.core.ModelSpec`
     raises for a model as it is built.
@@ -736,8 +731,7 @@ def _check_config(config: ValidationConfig
     _named("[model] lambda", check_rate, config.lam)
     _named("[model] n", check_species, config.n)
     for name in ("lln_replicas", "clt_replicas", "martingale_replicas",
-                 "gillespie_samples", "clt_population",
-                 "martingale_population"):
+                 "clt_population", "martingale_population"):
         if getattr(config, name) < 1:
             raise DomainError(f"{name} must be positive, "
                               f"got {getattr(config, name)}")
@@ -776,11 +770,15 @@ def _check_config(config: ValidationConfig
                           f"values but [model] n is {config.n}")
     fractions = _named("[model] fractions", check_fractions,
                        config.model_fractions())
-    specs = [ModelSpec(n=config.n, lam=config.lam, total=config.n,
-                       initial=(1,) * config.n)]
-    for m in (*pops, config.clt_population, config.martingale_population):
-        specs.append(ModelSpec(n=config.n, lam=config.lam, total=m,
-                               initial=counts_from_fractions(fractions, m)))
+    specs = [ModelSpec(n=config.n, lam=config.lam, total=m,
+                       initial=counts_from_fractions(fractions, m))
+             for m in (*pops, config.clt_population,
+                       config.martingale_population)]
+    if specs[-1].initial_total_rate() == 0.0:
+        raise DomainError(
+            f"martingale_population = {config.martingale_population} and "
+            f"[model] fractions give the counts {specs[-1].initial}, from "
+            "which no reaction can fire")
     return specs, grid
 
 
@@ -803,40 +801,33 @@ def _lln_ensembles(config: ValidationConfig, specs: list, grid: np.ndarray):
 def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:
     """Run all four checks from one configuration.
 
-    Returns their reports, ``{"gillespie": ..., "lln": ..., "clt": ...,
-    "martingale": ...}``.  ``echo`` (e.g. ``print``) receives one status
-    line per check.  Every setting is checked before any ensemble runs (see
-    :func:`_check_config`).
+    Returns their reports, ``{"lln": ..., "clt": ..., "martingale": ...,
+    "gillespie": ...}``.  ``echo`` (e.g. ``print``) receives one status
+    line per check.  Every setting is checked (see :func:`_check_config`),
+    and the reference mean fields and covariance are built, before any
+    ensemble runs.
     """
-    (g_spec, *lln_specs, clt_spec, mart_spec), grid = _check_config(config)
+    (*lln_specs, clt_spec, mart_spec), grid = _check_config(config)
     say = echo or (lambda *_: None)
     reports = {}
-
-    # -- engine exactness ---------------------------------------------------
-    rep = reports["gillespie"] = gillespie_equivalence_test(
-        g_spec, config.gillespie_samples,
-        config.base_seed + _SEED_GILLESPIE,
-        p_threshold=config.gillespie_p_threshold,
-    )
-    say(f"gillespie_equivalence: {'PASS' if rep['pass'] else 'FAIL'} "
-        f"(KS p={rep['ks']['pvalue']:.4f}, "
-        f"chi2 p={rep['chi2']['pvalue']:.4f})")
+    t = config.clt_time
+    mf = _named("lln_time", integrate, config.model_fractions(), config.lam,
+                t_end=config.lln_time, grid=grid)
+    # from the exact finite-M fractions, so Y(0) = 0
+    mf_clt = _named("clt_time", integrate, clt_spec.fractions, config.lam,
+                    t_end=t, grid=np.array([0.0, t]))
+    model = FluctuationModel.from_path(mf_clt, config.lam)
+    sigma_t = propagate_covariance(model, np.zeros((config.n, config.n)))[-1]
 
     # -- law of large numbers -----------------------------------------------
-    mf = integrate(config.model_fractions(), config.lam, t_end=config.lln_time,
-                   grid=grid)
     rep = reports["lln"] = lln_test(
-        _lln_ensembles(config, lln_specs, grid), mf, config.lln_time, median_bound=config.lln_median_bound,
+        _lln_ensembles(config, lln_specs, grid), mf, config.lln_time,
+        median_bound=config.lln_median_bound,
         ratio_band=(config.lln_ratio_low, config.lln_ratio_high))
     say(f"lln: {'PASS' if rep['pass'] else 'FAIL'} "
         f"(medians={[round(r['median'], 4) for r in rep['records']]})")
 
     # -- fluctuation covariance ----------------------------------------------
-    u0 = clt_spec.fractions      # exact finite-M fractions, so Y(0) = 0
-    t = config.clt_time
-    mf_clt = integrate(u0, config.lam, t_end=t, grid=np.array([0.0, t]))
-    model = FluctuationModel.from_path(mf_clt, config.lam)
-    sigma_t = propagate_covariance(model, np.zeros((config.n, config.n)))[-1]
     ensemble = run_ensemble(clt_spec, config.clt_replicas, t,
                             np.array([0.0, t]), config.base_seed + _SEED_CLT,
                             record_events=False)
@@ -846,7 +837,7 @@ def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:
     say(f"clt: {'PASS' if rep['pass'] else 'FAIL'} "
         f"(frobenius={rep['frobenius_rel_err']:.4f})")
 
-    # -- martingale structure -------------------------------------------------
+    # -- martingale structure and engine exactness ----------------------------
     t = config.martingale_time
     ensemble = run_ensemble(mart_spec, config.martingale_replicas, t,
                             np.array([t]), config.base_seed + _SEED_MARTINGALE,
@@ -856,4 +847,9 @@ def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:
     worst = max(abs(c["z"]) for c in rep["checks"])
     say(f"martingale: {'PASS' if rep['pass'] else 'FAIL'} "
         f"(worst |z|={worst:.2f})")
+    rep = reports["gillespie"] = gillespie_equivalence_test(
+        ensemble, t, p_threshold=config.gillespie_p_threshold)
+    say(f"gillespie_equivalence: {'PASS' if rep['pass'] else 'FAIL'} "
+        f"(KS p={rep['ks']['pvalue']:.4f}, "
+        f"chi2 p={rep['chi2']['pvalue']:.4f})")
     return reports

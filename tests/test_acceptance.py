@@ -85,10 +85,11 @@ def test_criterion_1_engine_throughput_and_exact_conservation():
 
 def test_criterion_2_first_event_law_is_exact():
     # from (1,1,1) with lam=3, M=3 the first-event time is Exponential(3)
-    # and the fired reaction uniform over the three pairs
+    # and the fired reaction uniform over the three pairs; by t = 40/3 a
+    # replica is silent with probability e^-40
     spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
-    rep = gillespie_equivalence_test(spec, 10_000, base_seed=2222,
-                                     p_threshold=0.01)
+    ens = run_ensemble(spec, 10_000, 40 / 3, (), 2222, record_events=True)
+    rep = gillespie_equivalence_test(ens, 40 / 3, p_threshold=0.01)
     ok = rep["pass"] and rep["total_rate"] == 3.0
     report(2, "first-event law", ok,
            f"KS p={rep['ks']['pvalue']:.4f}, "

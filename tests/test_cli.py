@@ -363,8 +363,8 @@ COVARIANCE_ARGS = ["fluctuation", "--u0", "0.5,0.3,0.2", "--t-end", "10",
 COVARIANCE_SHA256 = \
     "f377db95b3dd72c3f56451b7ee9806a8495901d71c7cf81b018908d4d7a59946"
 
-# validate at small scales; 3000 Gillespie samples take the lockstep engine
-# in two chunks
+# validate at small scales; the first-event check reads the 150 martingale
+# replicas
 VALIDATE_INI = """\
 [validate]
 lln_populations = 50, 200
@@ -379,11 +379,10 @@ clt_frobenius_bound = 0.5
 martingale_population = 50
 martingale_replicas = 150
 martingale_z_bound = 4.5
-gillespie_samples = 3000
 """
 VALIDATE_SHA256 = {
     "gillespie.json":
-        "9b5485e114209eaccea64929f8b27b286538e76cce8154768a9a7aa827df8770",
+        "3e827d62a730fac2b8447625d865d0dc89678382dcfa8e9d099b56470ebc91b0",
     "lln.json":
         "14caf5132cc9437e8cee1703deb2c71f2fb8f6459cfb84b17c34ea5e5bbf370e",
     "clt.json":
@@ -533,9 +532,24 @@ class TestMeanfieldCommand:
                    "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: t_end=1e+09 takes 1000000000000 steps of 0.001, too "
-            "many states to hold in memory\n")
+            "error: t_end=1e+09 takes 1e+12 steps of 0.001, too many states "
+            "to hold in memory\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out_name", [("meanfield", "mf.csv"),
+                                               ("fluctuation", "fl")])
+def test_step_count_past_a_float_is_a_domain_error(tmp_path, capsys, command,
+                                                   out_name):
+    # t_end / step overflows a float to inf, which has no integer count
+    out = tmp_path / out_name
+    rc = main([command, "--t-end", "1e308", "--step", "1e-10",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: t_end=1e+308 takes inf steps "
+                                   "of 1e-10, too many states to hold in "
+                                   "memory\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, out_name", [("meanfield", "mf.csv"),
@@ -632,7 +646,6 @@ class TestValidateCommand:
             "clt_frobenius_bound = 0.5\n"
             "martingale_population = 50\nmartingale_replicas = 150\n"
             "martingale_z_bound = 4.5\n"
-            "gillespie_samples = 1000\n"
         )
         rc = main(["validate", "--config", str(ini), "--workers", "2",
                    "--out", str(tmp_path / "rep")])
@@ -646,8 +659,8 @@ class TestValidateCommand:
         (f"clt_population = {10**400}",
          "population total must be at most 2**53"),
         # past any machine's memory; refused as the LLN check's ensemble is
-        # sized, after the Gillespie check has run
-        ("lln_replicas = 10000000000000\ngillespie_samples = 1000",
+        # sized
+        ("lln_replicas = 10000000000000",
          "10000000000000 replicas of 201 sample times, too many to hold in "
          "memory"),
         # refused with the other settings, before any ensemble runs
@@ -700,6 +713,15 @@ class TestValidateCommand:
          "[validate] gillespie_lambda: unknown option"),
         ("[validate]\nmeanfield_step = 1e-3",
          "[validate] meanfield_step: unknown option"),
+        ("[validate]\ngillespie_samples = 10000",
+         "[validate] gillespie_samples: unknown option"),
+        # a mean-field horizon of more steps than a float or memory holds
+        ("[validate]\nlln_time = 1e308",
+         "lln_time: t_end=1e+308 takes inf steps of 0.001, too many states "
+         "to hold in memory"),
+        ("[validate]\nclt_time = 1e300",
+         "clt_time: t_end=1e+300 takes 1e+303 steps of 0.001, too many "
+         "states to hold in memory"),
         ("[run]\nworkers = 2", "[run] workers: unknown option"),
         # a species count is checked before anything of its size is built
         ("[model]\nn = 1000000000000",

@@ -206,7 +206,8 @@ def test_write_gaussian_paths(tmp_path):
 
 def test_write_validation_reports(tmp_path):
     spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
-    rep = gillespie_equivalence_test(spec, 500, base_seed=1)
+    ens = run_ensemble(spec, 500, 10.0, (), 1, record_events=True)
+    rep = gillespie_equivalence_test(ens, 10.0)
     out = write_validation_reports({"gillespie": rep}, tmp_path / "r")
     summary = json.loads((out / "summary.json").read_text())
     assert summary == {"gillespie": True, "all": True}

@@ -24,7 +24,6 @@ from rpsim import (
     InsufficientReplicas,
     MissingEventLog,
     ModelSpec,
-    RpsimError,
     ValidationConfig,
     clt_test,
     counts_from_fractions,
@@ -53,76 +52,117 @@ def test_zero_sum_projector():
     assert np.allclose(p @ np.ones(4), 0.0, atol=1e-15)
 
 
+def first_events(spec, replicas, t, seed):
+    """An event-logged ensemble run to ``t``, the first-event check's
+    input."""
+    return run_ensemble(spec, replicas, t, (), seed, record_events=True)
+
+
 class TestGillespieEquivalence:
     def test_expected_probabilities(self):
         spec = ModelSpec(n=3, lam=4.0, total=4, initial=(2, 1, 1))
-        rep = gillespie_equivalence_test(spec, 200, base_seed=0)
+        rep = gillespie_equivalence_test(first_events(spec, 200, 8.0, 0), 8.0)
         # rates (lam/M) x_j x_{j+1} = (2, 1, 2) -> probs (0.4, 0.2, 0.4)
         assert np.allclose(rep["expected_probs"], [0.4, 0.2, 0.4])
         assert rep["total_rate"] == pytest.approx(5.0)
-        assert sum(rep["observed_counts"]) == 200
+        assert sum(rep["observed_counts"]) == rep["samples"] == 200
+        assert rep["censored"] == 0 and rep["t"] == 8.0
 
     def test_passes_on_the_exact_engine(self):
         spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
-        rep = gillespie_equivalence_test(spec, 4000, base_seed=1)
+        rep = gillespie_equivalence_test(first_events(spec, 4000, 10.0, 1),
+                                         10.0)
         assert rep["pass"]
         assert rep["ks"]["pvalue"] > 0.01 and rep["chi2"]["pvalue"] > 0.01
 
     def test_deterministic_for_fixed_seed(self):
         spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
-        a = gillespie_equivalence_test(spec, 500, base_seed=2)
-        b = gillespie_equivalence_test(spec, 500, base_seed=2)
-        assert a["ks"]["stat"] == b["ks"]["stat"]
-        assert a["observed_counts"] == b["observed_counts"]
+        a = gillespie_equivalence_test(first_events(spec, 500, 2.0, 2), 2.0)
+        b = gillespie_equivalence_test(first_events(spec, 500, 2.0, 2), 2.0)
+        assert a == b
 
-    def test_samples_are_first_events_of_the_shipping_engine(self):
-        # sample i is the first event of replica i of the ensemble that
-        # run_ensemble would run to the check's horizon 40/R
+    def test_statistic_is_scipys_at_horizon_40_over_r(self):
+        # sample i is the first event of replica i; at t = 40/R, F(t) rounds
+        # to 1.0, so the truncated law is Exp(R) to the last bit
         spec = ModelSpec(n=3, lam=4.0, total=4, initial=(2, 1, 1))
-        rep = gillespie_equivalence_test(spec, 300, base_seed=7)
-        ens = run_ensemble(spec, 300, 40.0 / rep["total_rate"], (), 7,
-                           record_events=True)
-        times = [t.event_times[0] for t in ens.trajectories]
-        fired = [t.event_reactions[0] for t in ens.trajectories]
+        t = 40.0 / 5.0
+        ens = first_events(spec, 300, t, 7)
+        rep = gillespie_equivalence_test(ens, t)
+        times = [tr.event_times[0] for tr in ens.trajectories]
+        fired = [tr.event_reactions[0] for tr in ens.trajectories]
+        assert rep["censored"] == 0
         assert rep["observed_counts"] == \
             np.bincount(fired, minlength=3).tolist()
         expected = stats.kstest(times, "expon",
                                 args=(0.0, 1.0 / rep["total_rate"]))
         assert rep["ks"]["stat"] == expected.statistic
 
-    def test_replica_without_an_event_is_an_error(self, monkeypatch):
+    def test_replicas_silent_by_t_are_censored(self):
+        # R = 3, so about e^-0.6 = 55 % of the replicas fire nothing by
+        # t = 0.2; the observed times follow Exp(3) truncated at t
+        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
+        t = 0.2
+        ens = first_events(spec, 400, 1.0, 5)
+        rep = gillespie_equivalence_test(ens, t)
+        firsts = [tr.event_times[0] for tr in ens.trajectories
+                  if tr.n_events and tr.event_times[0] <= t]
+        assert rep["samples"] == len(firsts) and rep["censored"] > 100
+        assert rep["samples"] + rep["censored"] == ens.replicas
+        assert sum(rep["observed_counts"]) == rep["samples"]
+        truncated = stats.kstest(firsts, lambda s: stats.expon.cdf(
+            s, scale=1 / 3) / stats.expon.cdf(t, scale=1 / 3))
+        assert abs(rep["ks"]["stat"] - truncated.statistic) <= 1e-15
+        assert rep["pass"]
+
+    def test_silent_replica_is_not_read_from_the_next_log(self):
         # replica 1 fired nothing: its first event must not be read from
         # replica 2's log
         spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
+        ens = Ensemble(
+            spec=spec, grid=np.empty(0), base_seed=0,
+            samples=np.empty((3, 0, 3), dtype=np.int64),
+            final_counts=np.array([[2, 0, 1], [1, 1, 1], [1, 2, 0]]),
+            absorbed=np.full(3, math.nan), final_time=np.full(3, 1.0),
+            event_times=np.array([0.1, 0.2]),
+            event_reactions=np.array([0, 1], dtype=np.int16),
+            event_offsets=np.array([0, 1, 1, 2]))
+        rep = gillespie_equivalence_test(ens, 1.0)
+        assert (rep["samples"], rep["censored"]) == (2, 1)
+        assert rep["observed_counts"] == [1, 1, 0]
 
-        def silent_replica(spec, replicas, t_end, grid, base_seed, **kw):
-            return Ensemble(
-                spec=spec, grid=np.empty(0), base_seed=base_seed,
-                samples=np.empty((3, 0, 3), dtype=np.int64),
-                final_counts=np.array([[2, 0, 1], [1, 1, 1], [1, 2, 0]]),
-                absorbed=np.full(3, math.nan), final_time=np.full(3, t_end),
-                event_times=np.array([0.1, 0.2]),
-                event_reactions=np.array([0, 1], dtype=np.int16),
-                event_offsets=np.array([0, 1, 1, 2]))
+    def test_no_replica_fired_is_insufficient(self):
+        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
+        ens = first_events(spec, 5, 1e-6, 0)
+        with pytest.raises(InsufficientReplicas,
+                           match="^no replica fired an event by t=1e-06$"):
+            gillespie_equivalence_test(ens, 1e-6)
 
-        monkeypatch.setattr(rpsim.validate, "run_ensemble", silent_replica)
-        with pytest.raises(RpsimError, match="replica 1 fired no event"):
-            gillespie_equivalence_test(spec, 3, base_seed=0)
+    @pytest.mark.parametrize("t, message", [
+        (-1.0, "must be non-negative"), (math.nan, "must be non-negative"),
+        (1.5, "lies past the simulated time t=1 of an unabsorbed replica")])
+    def test_time_takes_the_replay_rule(self, t, message):
+        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
+        ens = first_events(spec, 5, 1.0, 0)
+        with pytest.raises(DomainError, match=message):
+            gillespie_equivalence_test(ens, t)
+        with pytest.raises(DomainError, match=message):
+            ens.replay(t)
 
-    def test_needs_a_sample(self):
-        spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
-        with pytest.raises(DomainError,
-                           match="^need at least one sample, got 0$"):
-            gillespie_equivalence_test(spec, 0, base_seed=0)
+    def test_unlogged_ensemble_is_refused(self):
+        spec = ModelSpec(n=3, lam=3.0, total=3, initial=(1, 1, 1))
+        ens = run_ensemble(spec, 5, 1.0, (), 0, record_events=False)
+        with pytest.raises(MissingEventLog):
+            gillespie_equivalence_test(ens, 1.0)
 
     def test_absorbing_initial_state_rejected(self):
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(3, 0, 0))
-        with pytest.raises(DomainError):
-            gillespie_equivalence_test(spec, 100, base_seed=0)
+        with pytest.raises(DomainError, match="all reaction rates are zero"):
+            gillespie_equivalence_test(first_events(spec, 10, 1.0, 0), 1.0)
 
     def test_single_active_reaction_skips_chi2(self):
         spec = ModelSpec(n=3, lam=1.0, total=3, initial=(2, 1, 0))
-        rep = gillespie_equivalence_test(spec, 300, base_seed=3)
+        rep = gillespie_equivalence_test(first_events(spec, 300, 40.0, 3),
+                                         40.0)
         assert rep["chi2"]["pvalue"] == 1.0
         assert rep["observed_counts"] == [300, 0, 0]
 
@@ -373,7 +413,7 @@ def test_validation_does_not_import_numpy_ma():
         "run_validation(ValidationConfig(\n"
         "    lln_populations=(20, 80), lln_replicas=10, lln_grid_points=5,\n"
         "    clt_population=100, clt_replicas=100, martingale_population=20,\n"
-        "    martingale_replicas=20, gillespie_samples=50))\n"
+        "    martingale_replicas=20))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(rpsim.__file__).parents[1])
@@ -503,7 +543,7 @@ class TestValidationConfig:
             "fractions = 0.4, 0.3, 0.2, 0.1\n"
             "[run]\nbase_seed = 99\n"
             "[validate]\nlln_populations = 50 200\nclt_replicas = 150\n"
-            "martingale_z_bound = 3.5\ngillespie_samples = 123\n"
+            "martingale_z_bound = 3.5\ngillespie_p_threshold = 0.05\n"
         )
         cfg = ValidationConfig.from_ini(ini)
         assert cfg.n == 4 and cfg.lam == 2.5
@@ -512,7 +552,7 @@ class TestValidationConfig:
         assert cfg.lln_populations == (50, 200)
         assert cfg.clt_replicas == 150
         assert cfg.martingale_z_bound == 3.5
-        assert cfg.gillespie_samples == 123
+        assert cfg.gillespie_p_threshold == 0.05
         # untouched keys keep their defaults
         assert cfg.clt_time == 1.0
 
@@ -529,8 +569,7 @@ class TestValidationConfig:
                        clt_population=9, clt_replicas=8, clt_time=0.75,
                        clt_frobenius_bound=0.25, martingale_population=7,
                        martingale_replicas=6, martingale_time=0.5,
-                       martingale_z_bound=2.5, gillespie_samples=44,
-                       gillespie_p_threshold=0.05)
+                       martingale_z_bound=2.5, gillespie_p_threshold=0.05)
         assert set(changed) == {f.name for f in fields(ValidationConfig)}
         sections = {"model": ("n", "lam", "fractions"),
                     "run": ("base_seed",)}
@@ -586,30 +625,49 @@ def test_run_validation_smoke(tmp_path):
         clt_frobenius_bound=0.5,
         martingale_population=50, martingale_replicas=200,
         martingale_z_bound=4.0,
-        gillespie_samples=1500,
         base_seed=21,
     )
     lines = []
     reports = run_validation(cfg, echo=lines.append)
     assert set(reports) == {"gillespie", "lln", "clt", "martingale"}
     assert all(r["pass"] for r in reports.values())
-    assert len(lines) == 4
+    # the first-event check reads the martingale ensemble, so it is last
+    assert [ln.split(":")[0] for ln in lines] == \
+        ["lln", "clt", "martingale", "gillespie_equivalence"]
     assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
+
+
+def test_defaults_run_one_logged_ensemble(monkeypatch):
+    # beside the LLN groups, the defaults run the CLT ensemble and the
+    # martingale ensemble, the only one that keeps an event log: the
+    # first-event check reads it rather than running its own
+    calls = []
+    run_ensemble = rpsim.validate.run_ensemble
+
+    def recorded(spec, replicas, *args, record_events, **kw):
+        calls.append((spec.total, replicas, record_events))
+        return run_ensemble(spec, replicas, *args,
+                            record_events=record_events, **kw)
+
+    monkeypatch.setattr(rpsim.validate, "run_ensemble", recorded)
+    cfg = ValidationConfig()
+    run_validation(cfg)
+    assert calls == [
+        (cfg.clt_population, cfg.clt_replicas, False),
+        (cfg.martingale_population, cfg.martingale_replicas, True)]
 
 
 # a small run of all four checks, and one move of each setting away from it
 SMALL = ValidationConfig(lln_populations=(20, 80), lln_replicas=20,
                          lln_grid_points=11, clt_population=100,
-                         clt_replicas=100, martingale_replicas=30,
-                         gillespie_samples=50)
+                         clt_replicas=100, martingale_replicas=30)
 MOVES = dict(n=4, lam=1.5, fractions=(0.5, 0.3, 0.2), base_seed=43,
              lln_populations=(20, 60), lln_replicas=21, lln_time=1.5,
              lln_grid_points=12, lln_median_bound=0.06, lln_ratio_low=1.5,
              lln_ratio_high=2.6, clt_population=120, clt_replicas=101,
              clt_time=0.75, clt_frobenius_bound=0.2, martingale_population=40,
              martingale_replicas=31, martingale_time=0.75,
-             martingale_z_bound=3.5, gillespie_samples=51,
-             gillespie_p_threshold=0.02)
+             martingale_z_bound=3.5, gillespie_p_threshold=0.02)
 
 
 def test_every_setting_changes_a_report():
@@ -646,8 +704,6 @@ def test_every_setting_changes_a_report():
      "lln_replicas must be positive, got -1"),
     ("[validate]\nmartingale_replicas = 0", DomainError,
      "martingale_replicas must be positive, got 0"),
-    ("[validate]\ngillespie_samples = 0", DomainError,
-     "gillespie_samples must be positive, got 0"),
     ("[validate]\nclt_population = 0", DomainError,
      "clt_population must be positive, got 0"),
     ("[validate]\nmartingale_population = -5", DomainError,
@@ -682,13 +738,26 @@ def test_every_setting_changes_a_report():
      "^lln_ratio_low must be below lln_ratio_high, got 3.0 and 1.0$"),
     ("[validate]\nlln_ratio_low = 2\nlln_ratio_high = 2", DomainError,
      "^lln_ratio_low must be below lln_ratio_high, got 2.0 and 2.0$"),
-    # settings that are gone: the first-event check starts from one of
-    # each species at [model] lambda, the mean fields march at their
-    # default step
+    # settings that are gone: the first-event check reads the martingale
+    # ensemble, the mean fields march at their default step
     *((f"[validate]\n{line}", DomainError,
        rf"^\[validate\] {line.split()[0]}: unknown option$")
       for line in ("gillespie_counts = 1 1 1", "gillespie_lambda = 3.0",
-                   "meanfield_step = 1e-3")),
+                   "gillespie_samples = 0", "meanfield_step = 1e-3")),
+    # a mean-field horizon of more steps than a float or memory holds
+    ("[validate]\nlln_time = 1e308", DomainError,
+     r"^lln_time: t_end=1e\+308 takes inf steps of 0\.001, too many states "
+     "to hold in memory$"),
+    ("[validate]\nclt_time = 1e300", DomainError,
+     r"^clt_time: t_end=1e\+300 takes 1e\+303 steps of 0\.001, too many "
+     "states to hold in memory$"),
+    # a martingale start from which no reaction can fire
+    ("[model]\nfractions = 1 0 0", DomainError,
+     r"^martingale_population = 100 and \[model\] fractions give the counts "
+     r"\(100, 0, 0\), from which no reaction can fire$"),
+    ("[validate]\nmartingale_population = 1", DomainError,
+     r"^martingale_population = 1 and \[model\] fractions give the counts "
+     r"\(1, 0, 0\), from which no reaction can fire$"),
     ("[model]\nfractions = 0.5 0.6 0.1", rpsim.core.NormalizationError,
      "fractions sum to"),
     # the model's errors name their key; a species count is checked before
@@ -730,7 +799,7 @@ def test_a_hundred_lln_populations_pass_the_config_check():
     # the most whose base seeds stay below the CLT check's
     specs, _ = rpsim.validate._check_config(
         ValidationConfig(lln_populations=tuple(range(1, 101))))
-    assert len(specs) == 1 + 100 + 2
+    assert len(specs) == 100 + 2
 
 
 def no_ensembles():
@@ -767,12 +836,10 @@ def test_empty_ratio_band_is_refused_from_python(band):
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0, math.nan, math.inf])
-def test_bad_p_threshold_is_refused_from_python(monkeypatch, bad):
-    monkeypatch.setattr(rpsim.validate, "run_ensemble", None)
-    spec = ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))
+def test_bad_p_threshold_is_refused_from_python(bad):
     with pytest.raises(DomainError, match=re.escape(
             f"p_threshold must lie in (0, 1), got {bad}")):
-        gillespie_equivalence_test(spec, 10, 0, p_threshold=bad)
+        gillespie_equivalence_test(None, 1.0, p_threshold=bad)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
@@ -798,7 +865,7 @@ def test_peak_memory_holds_one_lln_population_at_a_time(monkeypatch):
             lln_time=0.5, lln_grid_points=201, clt_population=200,
             clt_replicas=100, clt_time=0.2, martingale_population=20,
             martingale_replicas=50, martingale_time=0.2,
-            gillespie_samples=200, base_seed=3)
+            base_seed=3)
         tracemalloc.start()
         try:
             run_validation(cfg)
@@ -830,7 +897,7 @@ def test_peak_memory_holds_the_lln_samples_once(monkeypatch):
             lln_time=0.5, lln_grid_points=801, clt_population=200,
             clt_replicas=100, clt_time=0.2, martingale_population=20,
             martingale_replicas=50, martingale_time=0.2,
-            gillespie_samples=200, base_seed=3)
+            base_seed=3)
         tracemalloc.start()
         try:
             run_validation(cfg)
@@ -851,8 +918,7 @@ def test_lln_groups_keep_within_the_budget(monkeypatch):
     cfg = ValidationConfig(
         lln_populations=(20, 80, 320, 1280), lln_replicas=10,
         lln_grid_points=5, clt_population=100, clt_replicas=100,
-        martingale_population=20, martingale_replicas=20,
-        gillespie_samples=50)
+        martingale_population=20, martingale_replicas=20)
     whole = run_validation(cfg)["lln"]
     groups = []
     run_ensembles = rpsim.validate.run_ensembles
@@ -891,7 +957,7 @@ def test_lln_ensembles_are_released_before_the_clt_run(monkeypatch):
     run_validation(ValidationConfig(
         lln_populations=(20, 80), lln_replicas=10, lln_grid_points=5,
         clt_population=100, clt_replicas=100, martingale_population=20,
-        martingale_replicas=20, gillespie_samples=50))
+        martingale_replicas=20))
     assert at_clt == [[None, None]]
 
 
@@ -910,7 +976,7 @@ def test_run_validation_builds_no_trajectory_objects(monkeypatch):
         lln_populations=(50, 200), lln_replicas=32, lln_time=0.5,
         lln_grid_points=11, clt_population=500, clt_replicas=120,
         clt_time=0.5, martingale_population=50, martingale_replicas=100,
-        gillespie_samples=500, base_seed=21)
+        base_seed=21)
     run_validation(cfg)
     assert built == []
 
@@ -934,7 +1000,7 @@ def test_every_report_is_plain_json():
     cfg = ValidationConfig(
         lln_populations=(20, 80), lln_replicas=10, lln_grid_points=5,
         clt_population=100, clt_replicas=100, martingale_population=20,
-        martingale_replicas=20, gillespie_samples=50)
+        martingale_replicas=20)
     reports = run_validation(cfg)
     assert {name: r["check"] for name, r in reports.items()} == {
         "gillespie": "gillespie_equivalence", "lln": "lln", "clt": "clt",
