@@ -6,8 +6,11 @@ The set covers each engine path and writer: `simulate` below and above the
 absorption both one replica at a time and in lockstep, in lockstep until
 every replica absorbs with grid times still to sample, one replica at a
 time at the largest total, in two lockstep chunks, without event logs,
-in lockstep with event times that print with an exponent, and both in
-lockstep and one replica at a time from a base seed of five 32-bit words;
+in lockstep with event times that print with an exponent, both in
+lockstep and one replica at a time from a base seed of five 32-bit words,
+and four refused runs: a budget overrun at a draw-block edge, one replica
+at a time and in lockstep, and a collision rate whose reaction rates
+overflow or underflow a double;
 `meanfield` at n = 3 and n = 5; five `fluctuation` runs (the benchmark's
 2 000 paths, one path past a block of 2 048 random streams, three paths
 from the five-word base seed, five species with off-step report times,
@@ -16,11 +19,15 @@ and a given initial covariance); and
 off-centre start until some martingale replicas absorb, with every
 setting away from its default, and with LLN populations whose merged
 lockstep chunk loses replicas to absorption.  Each command runs in a fresh
-directory with relative paths, so its console output is hashed too.
+directory with relative paths, so its console output is hashed too, and
+its error output when there is any.
 A `simulate` case's outputs include its `.npy` store next to the CSVs.
 Each `simulate` case's ensemble is also read back from that store with
 `read_ensemble` and written again, CSVs, store and manifest: if any file's
 bytes differ, the script exits 1, naming the case and file on stderr.
+
+A refused command that writes no output hashes only its console and
+error output, and is not read back.
 
 One line per file, `<sha256>  <case>/<file>`, then a combined digest of
 those lines.  Run it once against each tree to compare two commits:
@@ -164,6 +171,16 @@ CASES = [
      True, None),
     ("simulate-seed-5-words-scalar",
      SIMULATE_SEED_5_WORDS + ["--replicas", "4"], True, None),
+    # refused runs: a budget that ends at the first draw block's edge
+    # (4 096 draws, 3 of them thresholds), one replica at a time and in
+    # lockstep, and collision rates past the double range
+    ("simulate-budget-scalar", ["simulate", "--replicas", "2", "--t-end",
+                                "20", "--max-events", "4093"], True, None),
+    ("simulate-budget-lockstep", ["simulate", "--replicas", "40", "--t-end",
+                                  "20", "--max-events", "4093"], True, None),
+    ("simulate-rate-overflow", ["simulate", "--rate", "1e308", "--total",
+                                "30"], True, None),
+    ("simulate-rate-underflow", ["simulate", "--rate", "5e-324"], True, None),
     ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
                              "30", "--t-end", "1", "--grid-points", "3",
                              "--base-seed", "4", "--events"], False, None),
@@ -197,19 +214,22 @@ CASES = [
 def run_case(name: str, argv: list, work: Path,
              config: str | None) -> list[tuple[str, str]]:
     """``(sha256, case/file)`` of each output of one command, run in
-    ``work`` with ``--out`` the case's name, and of its console output;
-    a ``validate`` case first writes its ``config`` file."""
+    ``work`` with ``--out`` the case's name, of its console output and of
+    its error output, if any; a ``validate`` case first writes its
+    ``config`` file, and a refused command that made no output has none."""
     if config is not None:
         (work / argv[2]).write_text(config, encoding="utf-8")
-    out = name + (".csv" if argv[0] == "meanfield" else "")
-    console = io.StringIO()
-    with contextlib.redirect_stdout(console):
-        code = rpsim_main(argv + ["--out", out])
+    out = work / (name + (".csv" if argv[0] == "meanfield" else ""))
+    console, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(console), \
+            contextlib.redirect_stderr(errors):
+        code = rpsim_main(argv + ["--out", out.name])
     console.write(f"exit {code}\n")
-    digests = [(hashlib.sha256(console.getvalue().encode()).hexdigest(),
-                f"{name}/stdout")]
-    paths = [work / out] if argv[0] == "meanfield" else \
-        sorted((work / out).iterdir())
+    digests = [(hashlib.sha256(text.encode()).hexdigest(), f"{name}/{stream}")
+               for text, stream in ((console.getvalue(), "stdout"),
+                                    (errors.getvalue(), "stderr")) if text]
+    paths = [] if not out.exists() else [out] if out.is_file() else \
+        sorted(out.iterdir())
     for path in paths:
         digests.append((hashlib.sha256(path.read_bytes()).hexdigest(),
                         f"{name}/{path.name}"))
@@ -240,7 +260,7 @@ def main() -> int:
                 if quick or not args.quick:
                     lines += [f"{digest}  {label}" for digest, label
                               in run_case(name, argv, Path(tmp), config)]
-                    if argv[0] == "simulate":
+                    if argv[0] == "simulate" and Path(tmp, name).exists():
                         differs += round_trip_differs(name, Path(tmp))
         finally:
             os.chdir(home)

@@ -111,7 +111,9 @@ class ModelSpec:
     n : int
         Number of species on the cycle, 3 to ``MAX_SPECIES``.
     lam : float
-        Collision rate per unit time (see :func:`check_rate`).
+        Collision rate per unit time (see :func:`check_rate`), with
+        ``lam/total`` above 0 and the largest reachable reaction rate,
+        ``lam/total * floor(total/2) * ceil(total/2)``, finite.
     total : int
         Conserved population size, 1 to ``MAX_TOTAL`` (2**53).
     initial : tuple[int, ...]
@@ -128,6 +130,7 @@ class ModelSpec:
         lam = check_rate(self.lam)
         if total > MAX_TOTAL:
             raise _above_max_total(total)
+        _check_rates(lam, total)
         counts = tuple(self.initial) if np.iterable(self.initial) else (None,)
         if not all(map(_is_integer, counts)):
             raise DomainError(
@@ -176,6 +179,22 @@ def _above_max_total(total) -> DomainError:
     return DomainError(f"population total must be at most 2**53 = "
                        f"{MAX_TOTAL}, where float64 counts stop being exact, "
                        f"got {total}")
+
+
+def _check_rates(lam: float, total: int) -> None:
+    """Refuse a rate whose reaction rates leave the double range: ``lam/M``
+    underflowing to 0, or the largest reachable one, ``lam/M * floor(M/2) *
+    ceil(M/2)``, computed in either order as the engines compute it, not
+    finite."""
+    lom, half = lam / total, total // 2
+    if lom == 0.0:
+        raise DomainError(f"collision rate {lam} over a total of {total} "
+                          "underflows lambda/M to 0")
+    if not math.isfinite(max(lom * half * (total - half),
+                             lom * (total - half) * half)):
+        raise DomainError(f"collision rate {lam} over a total of {total} "
+                          "takes the largest reaction rate, lambda/M * "
+                          "floor(M/2) * ceil(M/2), past the double range")
 
 
 def _is_integer(value) -> bool:

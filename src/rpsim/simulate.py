@@ -9,7 +9,9 @@ its threshold first in wall time, after ``(threshold - internal) / rate``
 (ties go to the lowest index); zero-rate reactions never fire, and when
 every rate is zero the state is absorbing and the replica stops.  All other
 clocks then advance by ``rate * dt``, and the fired one draws a fresh Exp(1)
-gap.
+gap.  A next event time that overflows a double lies past any finite
+horizon: the replica ends at ``t_end``, unabsorbed (at an infinite one,
+:class:`NumericError`).
 
 Two engines run this loop with the same arithmetic in the same order:
 
@@ -17,9 +19,9 @@ Two engines run this loop with the same arithmetic in the same order:
   generated and compiled once per species count, unrolled so that every
   count, clock and threshold is a local variable.  Its counts are floats,
   as the lockstep engine's are, exact since ``ModelSpec`` caps the total at
-  2**53, and one pass per event fires the chosen clock and advances the
-  others.  Ensembles of fewer than 32 replicas (``_LOCKSTEP_MIN``) run it
-  once per replica.
+  2**53.  An event is one pass of a ``for`` over a block of draws; the
+  budget is counted, and the next block drawn, once per block.  Ensembles
+  of fewer than 32 replicas (``_LOCKSTEP_MIN``) run it once per replica.
 * ``_run_lockstep`` steps up to 2048 replicas (``STREAM_BLOCK``) together,
   one event per replica per step, and takes larger ensembles in chunks;
   below 32 replicas it measured slower than one at a time.  Its state is
@@ -43,9 +45,10 @@ reads ``rng_stream(base_seed, i)``, ``n`` initial thresholds in clock order,
 then one draw per event.  The draws are taken in blocks, which a numpy
 Generator fills with the same values as one draw at a time (as Python floats
 they take the same IEEE arithmetic).  So every replica is the same
-trajectory, bit for bit, whichever engine ran it.  The construction is exact
-(no time discretization); the statistical harness checks the first-event law
-of the ensemble engine against competing exponentials.
+trajectory, bit for bit, whichever engine ran it (no output depends on
+where a generator ends).  The construction is exact (no time
+discretization); the statistical harness checks the first-event law of the
+ensemble engine against competing exponentials.
 """
 from __future__ import annotations
 
@@ -220,72 +223,73 @@ class Ensemble:
 
 
 # run_until's loop, unrolled: species j's count, clock (accumulated intensity),
-# threshold and rate are c{j}, i{j}, h{j} and r{j}; the draws come from buf, an
-# iterator over a block of blk >= n.  The counts are floats, exact since
-# ModelSpec caps the total at 2**53, so the rates, the updates and the
-# conservation sum take CPython's float-only operations; the loop returns them
-# as ints.
+# threshold and rate are c{j}, i{j}, h{j} and r{j}; an event is one pass of the
+# for over block, a list of at most blk >= n draws (the first n thresholds
+# first), cut to the draws of events up to max_events + 1, so its else: counts
+# the budget and refills once per block.  The float counts are exact since
+# ModelSpec caps the total at 2**53; the loop returns them as ints.
 _LOOP = """\
-def loop(counts, draw, blk, rtol, t_end, grid_next, samples, log,
+def loop(counts, draw, blk, rtol, t_end, stop, grid_next, samples, log,
          max_events, lom, total):
     {c}, = map(float, counts)
     {i}, = (0.0,) * {n}
-    buf = iter(draw(blk).tolist())
-    {h}, = [next(buf) for _ in range({n})]
+    block = draw(blk).tolist()
+    {h}, = block[:{n}]
+    del block[:{n}]
     inf = float("inf")
     if log is not None:
         log_time, log_reaction = log[0].append, log[1].append
     t, gi, g_next, n_events, absorbed = 0.0, 0, grid_next[0], 0, None
     while True:
-        best, dt = -1, inf
+        del block[max_events - n_events + 1:]
+        for e in block:
+            best, dt = -1, inf
 {select}
-        if best < 0:
-            absorbed = t
-            break
-        new_time = t + dt
-        if new_time > t_end:
-            break
-        while g_next < new_time:
-            samples.append(({c},))
-            gi += 1
-            g_next = grid_next[gi]
-        try:
-            e = next(buf)
-        except StopIteration:
-            buf = iter(draw(blk).tolist())
-            e = next(buf)
+            if best < 0:
+                absorbed = t
+                break
+            new_time = t + dt
+            if new_time > stop:
+                break
+            while g_next < new_time:
+                samples.append(({c},))
+                gi += 1
+                g_next = grid_next[gi]
 {advance}
-        t = new_time
-        n_events += 1
-        if n_events > max_events:
-            raise BudgetExceeded(f"exceeded {{max_events}} events at "
-                                 f"t={{t:.6g}} (horizon {{t_end}})")
-        if {c_sum} != total:
-            raise AssertionError("population conservation violated")
-        if log is not None:
-            log_time(t)
-            log_reaction(best)
-    return tuple(map(int, ({c},))), absorbed, gi
+            t = new_time
+            if {c_sum} != total:
+                raise AssertionError("population conservation violated")
+            if log is not None:
+                log_time(t)
+                log_reaction(best)
+        else:
+            n_events += len(block)
+            if n_events > max_events:
+                raise BudgetExceeded(f"exceeded {{max_events}} events at "
+                                     f"t={{t:.6g}} (horizon {{t_end}})")
+            block = draw(blk).tolist()
+            continue
+        return tuple(map(int, ({c},))), absorbed, gi
 """
 _SELECT = """\
-        r{j} = lom * c{j} * c{k}
-        if r{j} > 0.0:
-            d = (h{j} - i{j}) / r{j}
-            if d < dt:
-                dt = d
-                best = {j}"""
+            r{j} = lom * c{j} * c{k}
+            if r{j} > 0.0:
+                d = (h{j} - i{j}) / r{j}
+                if d < dt:
+                    dt = d
+                    best = {j}"""
 # one pass: the fired clock takes its threshold and a fresh gap, and every
-# other live clock advances by rate * dt
+# other clock advances by rate * dt (a dead one by 0.0, which changes nothing)
 _ADVANCE = """\
-        if best == {j}:
-            i{j} = h{j}
-            h{j} += e
-            c{j} += 1.0
-            c{k} -= 1.0
-        elif r{j} > 0.0:
-            i{j} += r{j} * dt
-            if i{j} > h{j}:
-                i{j} = _clamp({j}, i{j}, h{j}, rtol)"""
+            if best == {j}:
+                i{j} = h{j}
+                h{j} += e
+                c{j} += 1.0
+                c{k} -= 1.0
+            else:
+                i{j} += r{j} * dt
+                if i{j} > h{j}:
+                    i{j} = _clamp({j}, i{j}, h{j}, rtol)"""
 
 
 def _clamp(j: int, advanced: float, threshold: float, rtol: float) -> float:
@@ -310,6 +314,12 @@ def _event_loop(n: int):
         select=per_species(_SELECT, n), advance=per_species(_ADVANCE, n))
     return compile_loop(source, f"<run_until loop, n={n}>",
                         BudgetExceeded=BudgetExceeded, _clamp=_clamp)
+
+
+def _stop(t_end: float) -> float:
+    """The event time past which a run ends: ``t_end``, or the largest
+    double at an infinite horizon, where only absorption ends a run."""
+    return t_end if t_end < math.inf else np.finfo(float).max.item()
 
 
 def _expected_events(spec: ModelSpec, t_end: float) -> float:
@@ -352,8 +362,9 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
         Keep the full event log.  Default: keep it when the expected event
         count (initial total rate times horizon) is below ``10**7``.
     max_events : int
-        Hard event budget; exceeding it raises :class:`BudgetExceeded`.
-        Anything but a non-negative integer raises :class:`DomainError`.
+        Hard event budget; event ``max_events + 1`` raises
+        :class:`BudgetExceeded` with its time.  Anything but a non-negative
+        integer raises :class:`DomainError`.
     _log : pair of ``array.array``, private
         With ``record_events`` false, the events are appended to these
         buffers of doubles and shorts instead: :func:`run_ensemble` passes
@@ -366,16 +377,18 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     The loop holds the counts as floats, exact up to the total's cap of
     2**53, so each rate, update and conservation sum is the IEEE result
     of the integer arithmetic; ``final_counts`` come back as Python ints
-    and ``samples`` as int64.  Each event takes its draw, then one pass
-    over the species fires the chosen clock and advances the other live
-    ones.
+    and ``samples`` as int64.  Each event is one pass of a ``for`` over a
+    block of draws, which fires the chosen clock and advances the others;
+    the budget is counted, and the generator may be drawn, a block ahead.
+    Only a state with every rate 0 is absorbed: an event time that
+    overflows a double ends the run at ``t_end``, or raises
+    :class:`NumericError` at ``t_end = inf``.
 
     The first call for each species count compiles its event loop
     (the last 16 counts stay cached), at a cost in time and transient
-    memory that grows linearly with ``n``, about 0.2 ms and 41 kB per
-    species: 1 ms at n = 3, 0.2 s and 41 MB at n = 1 000, 0.7 s and 165 MB
-    at n = 4 000, so, extrapolated, about 6 s and 1.3 GB at
-    ``MAX_SPECIES`` = 32 767.
+    memory (peak under ``tracemalloc``) that grows linearly with ``n``,
+    about 0.1 ms and 40 kB per species: 1 ms at n = 3, 0.11 s and 40 MB at
+    n = 1 024, so, extrapolated, about 4 s and 1.3 GB at ``MAX_SPECIES``.
     """
     grid = _check_run(t_end, grid)
     max_events = check_seed(max_events, "max_events")
@@ -387,8 +400,13 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     log = (array.array("d"), array.array("h")) if record_events else _log
     counts, absorbed, gi = _event_loop(spec.n)(
         spec.initial, rng.standard_exponential, max(_EXP_BLOCK, spec.n),
-        _OVERSHOOT_RTOL, t_end, grid.tolist() + [math.inf], samples, log,
-        max_events, spec.lam / spec.total, float(spec.total))
+        _OVERSHOOT_RTOL, t_end, _stop(t_end), grid.tolist() + [math.inf],
+        samples, log, max_events, spec.lam / spec.total, float(spec.total))
+    if absorbed is not None and any(map(min, counts, counts[1:] + counts)):
+        absorbed = None     # a rate is positive: its gap overflowed
+    if absorbed is None and t_end == math.inf:
+        raise NumericError("the next event time overflows a double, so the "
+                           "run cannot reach its infinite horizon")
     # horizon reached or absorbed: the state no longer changes
     samples += [counts] * (len(grid) - gi)
 
@@ -493,11 +511,16 @@ def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
     t = np.zeros(columns)
     gi = np.zeros(columns, dtype=np.intp)
     g_next = np.full(columns, grid_next[0])
-    # new_time > stop ends a column; with an infinite horizon only absorption
-    stop = t_end if t_end < math.inf else np.finfo(float).max
+    stop = _stop(t_end)             # new_time > stop ends a column
     k = 0                           # events fired so far by every live column
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    def serial_error(last: int):
+        # rerun serially up to the first failing column: the serial error
+        for c in range(last + 1):
+            _replica(runs[run_of[c]], int(index_of[c]), t_end, grid, max_events)
+        raise AssertionError("lockstep and serial engines disagree")
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(ids):
             rate = lam_over_m * counts * counts.take(nxt, axis=0)
             gap = (threshold - internal) / rate
@@ -512,6 +535,13 @@ def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
                 final[out] = ended = counts.compress(done, axis=1).T
                 n_events[out] = k
                 hit = dt[done] == math.inf
+                if np.count_nonzero(hit):
+                    # absorbed only where every rate is 0, not where a gap
+                    # overflowed
+                    hit &= ~rate.compress(done, axis=1).any(axis=0)
+                # an unabsorbed column's event time overflowed a double
+                if t_end == math.inf and not hit.all():
+                    serial_error(int(out[~hit][0]))
                 absorbed_at[out[hit]] = t[done][hit]
                 if glen:  # the state no longer changes
                     for i, row, start in zip(out, ended, gi[done]):
@@ -564,14 +594,8 @@ def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
                 # rounding may carry a clock a hair past its threshold
                 over = advanced - threshold
                 bad = over > _OVERSHOOT_RTOL * np.maximum(1.0, threshold)
-                if bad.any():
-                    # internal-time drift: rerun serially up to the first
-                    # failing column, so the error is the serial path's
-                    last = int(ids[bad.any(axis=0)][0])
-                    for c in range(last + 1):
-                        _replica(runs[run_of[c]], int(index_of[c]), t_end,
-                                 grid, max_events)
-                    raise AssertionError("lockstep and serial engines disagree")
+                if bad.any():     # internal-time drift
+                    serial_error(int(ids[bad.any(axis=0)][0]))
                 np.minimum(advanced, threshold, out=advanced)
             internal = advanced
             # + 0.0 leaves an unfired clock's threshold as it was; the draw

@@ -196,6 +196,42 @@ class TestBadNumbers:
              "t=0.1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--rate", "1e308", "--total", "30"],
+         "collision rate 1e+308 over a total of 30 takes the largest "
+         "reaction rate, lambda/M * floor(M/2) * ceil(M/2), past the double "
+         "range"),
+        (["--rate", "5e-324"],
+         "collision rate 5e-324 over a total of 1000 underflows lambda/M to "
+         "0"),
+    ])
+    def test_rate_past_the_double_range_is_refused(self, tmp_path, capsys,
+                                                   argv, message):
+        out = tmp_path / "x"
+        assert main(["simulate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replicas", ["1", "40"])
+    def test_rate_whose_gaps_overflow_is_not_absorbed(self, tmp_path, capsys,
+                                                      replicas):
+        # every gap overflows to inf, which read as absorption at t = 0
+        out = tmp_path / "x"
+        assert main(["simulate", "--rate", "1e-320", "--t-end", "1",
+                     "--replicas", replicas, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote {replicas} trajectories to {out} (0 absorbed by t=1)\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["absorbed_fraction"] == 0.0
+        assert {(row["absorbed"], row["final_time"], row["n_events"])
+                for row in manifest["trajectories"]} == {(None, 1.0, 0)}
+        assert main(["simulate", "--rate", "1e-320", "--t-end", "inf",
+                     "--grid", "0", "--replicas", replicas,
+                     "--out", str(tmp_path / "y")]) == 1
+        assert capsys.readouterr().err == \
+            "error: replica 0: the next event time overflows a double, so " \
+            "the run cannot reach its infinite horizon\n"
+
     def test_total_past_2_to_the_53_is_refused(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["simulate", "--total", str(2**53 + 1),

@@ -130,6 +130,9 @@ class TestValidateSpec:
             return
         assert type(spec.n) is int and type(spec.total) is int
         assert type(spec.lam) is float and 0 < spec.lam < math.inf
+        half = spec.total // 2
+        assert 0 < spec.lam / spec.total * half * (spec.total - half) \
+            < math.inf or spec.total == 1
         assert all(type(c) is int and c >= 0 for c in spec.initial)
         assert 3 <= spec.n == len(spec.initial)
         assert sum(spec.initial) == spec.total >= 1
@@ -170,6 +173,31 @@ class TestModelSpec:
         with pytest.raises(DomainError, match="at most 2\\*\\*53"):
             ModelSpec(n=3, lam=1.0, total=2**53 + 1,
                       initial=(2**53 - 1, 1, 1))
+
+    @pytest.mark.parametrize("lam, total, message", [
+        # the rates overflowed to inf, and run_until reported absorption
+        # at 2.9e-308 in (20, 0, 10), which is not absorbing
+        (1e308, 30, "collision rate 1e+308 over a total of 30 takes the "
+         "largest reaction rate, lambda/M * floor(M/2) * ceil(M/2), past "
+         "the double range"),
+        (1e304, 2**53, "collision rate 1e+304 over a total of "
+         "9007199254740992 takes the largest reaction rate"),
+        (1e-320, 10**6, "collision rate 1e-320 over a total of "
+         "1000000 underflows lambda/M to 0"),
+        (5e-324, 2, "collision rate 5e-324 over a total of 2 "
+         "underflows lambda/M to 0"),
+    ])
+    def test_rates_past_the_double_range_are_refused(self, lam, total,
+                                                     message):
+        initial = (total - 2 * (total // 3), total // 3, total // 3)
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            ModelSpec(n=3, lam=lam, total=total, initial=initial)
+
+    @pytest.mark.parametrize("lam, total", [
+        (1e-320, 1000), (5e-324, 1), (1e305, 30), (1e290, 2**53)])
+    def test_rates_within_the_double_range_are_kept(self, lam, total):
+        initial = (total - 2 * (total // 3), total // 3, total // 3)
+        assert ModelSpec(n=3, lam=lam, total=total, initial=initial).lam == lam
 
 
 class TestCountsFromFractions:

@@ -861,6 +861,80 @@ def test_max_events_must_be_a_non_negative_integer(run, budget):
     assert not isinstance(err.value, ReplicaError)
 
 
+@pytest.mark.parametrize("replicas", [2, 40])
+def test_gaps_that_overflow_end_at_the_horizon(replicas):
+    # every rate is positive, but below 1e-317, so each gap (h - i) / r
+    # overflows to inf: no event fires, and no replica is absorbed, one at
+    # a time or in lockstep, and with no warning
+    spec = ModelSpec(n=3, lam=1e-320, total=1000, initial=(334, 333, 333))
+    ens = run_ensemble(spec, replicas, 1.0, [0.0, 1.0], 0,
+                       record_events=True)
+    assert np.isnan(ens.absorbed).all()
+    assert ens.final_time.tolist() == [1.0] * replicas
+    assert ens.final_counts.tolist() == [[334, 333, 333]] * replicas
+    assert ens.samples.tolist() == [[[334, 333, 333]] * 2] * replicas
+    assert ens.event_offsets[-1] == 0
+    with pytest.raises(ReplicaError, match="^replica 0: the next event time "
+                       "overflows a double") as err:
+        run_ensemble(spec, replicas, math.inf, [], 0)
+    assert isinstance(err.value.__cause__, NumericError)
+
+
+@pytest.mark.parametrize("replicas", [20, 40])
+def test_event_times_that_overflow_name_the_serial_replica(replicas):
+    # from (1, 1, 1) every replica absorbs after 3 events, whose gaps are
+    # near 1e308 at this rate: some replicas' event times overflow a double
+    # on the way.  At the largest finite horizon they end there, unabsorbed;
+    # at an infinite one the lowest-indexed such replica fails
+    spec = ModelSpec(n=3, lam=4e-308, total=3, initial=(1, 1, 1))
+    t_end = np.finfo(float).max.item()
+    ens = run_ensemble(spec, replicas, t_end, [0.0], 1, record_events=True)
+    assert_matches_run_until(ens, t_end, [0.0], True)
+    assert np.isnan(ens.absorbed).sum() > 1
+    first = int(np.flatnonzero(np.isnan(ens.absorbed))[0])
+    assert first > 0
+    with pytest.raises(ReplicaError) as err:
+        run_ensemble(spec, replicas, math.inf, [], 1)
+    assert err.value.index == first
+    assert isinstance(err.value.__cause__, NumericError)
+
+
+def edge_budgets(n, blk):
+    """Budgets of 0 and at the edges of the first two draw blocks: the
+    first block gives n thresholds, then blk - n events' draws."""
+    return sorted({k for k in (0, blk - n - 1, blk - n, blk - n + 1,
+                               2 * blk - n - 1, 2 * blk - n + 1) if k >= 0})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("blk", ["n", 8, 4096])
+def test_budget_stops_at_the_event_past_it(monkeypatch, n, blk):
+    # the loop counts its budget once per draw block, cut to the draws of
+    # events up to max_events + 1: whatever the block size, a budget of k
+    # stops at event k + 1, with its time, and a run of exactly k events,
+    # or an absorbing start, runs to its end
+    blk = n if blk == "n" else blk
+    monkeypatch.setattr(rpsim.simulate, "_EXP_BLOCK", blk)
+    spec = ModelSpec(n=n, lam=1.0, total=3000,
+                     initial=symmetric_counts(n, 3000))
+    t_end = 20.0
+    times = run_until(spec, t_end, [], rng_stream(3, 0),
+                      record_events=True).event_times.tolist()
+    assert len(times) > 2 * blk
+    absorbing = ModelSpec(n=n, lam=1.0, total=5, initial=(5,) + (0,) * (n - 1))
+    for k in edge_budgets(n, blk):
+        with pytest.raises(BudgetExceeded) as err:
+            run_until(spec, t_end, [], rng_stream(3, 0), max_events=k)
+        assert str(err.value) == \
+            f"exceeded {k} events at t={times[k]:.6g} (horizon {t_end})"
+        if k:
+            exact = run_until(spec, times[k - 1], [0.0], rng_stream(3, 0),
+                              record_events=True, max_events=k)
+            assert exact.event_times.tolist() == times[:k]
+        assert run_until(absorbing, math.inf, [0.0], rng_stream(3, 0),
+                         max_events=k).absorbed == 0.0
+
+
 def reference_replay(spec, times, reactions, t):
     """Jump counts and internal times of one replica's log at ``t``, as the
     per-replica accessors computed them before the replay moved to arrays:
