@@ -418,7 +418,7 @@ martingale_z_bound = 4.5
 """
 VALIDATE_SHA256 = {
     "gillespie.json":
-        "3e827d62a730fac2b8447625d865d0dc89678382dcfa8e9d099b56470ebc91b0",
+        "648adbe6aaf53f06b200637e53057956a22a25024892c710499ffed79092bc33",
     "lln.json":
         "14caf5132cc9437e8cee1703deb2c71f2fb8f6459cfb84b17c34ea5e5bbf370e",
     "clt.json":

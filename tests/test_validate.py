@@ -167,26 +167,18 @@ class TestGillespieEquivalence:
         assert rep["observed_counts"] == [300, 0, 0]
 
 
-# (n, x) points of each branch of the KS survival function, with the helper
-# the branch calls (None: a closed form)
+# (n, x) points of the KS survival function where scipy takes a closed
+# form or, as _kstwo_sf does, twice the one-sided tail (_smirnov)
 KS_BRANCHES = {
     "t<=1/2": (None, [(1, 0.3), (3, 0.1), (300, 1e-3), (10_000, 4e-5)]),
-    "ruben-gambino-low-n<=140": (None, [(1, 0.75), (1, 0.999), (3, 0.3),
-                                        (100, 0.008), (140, 0.007)]),
-    "ruben-gambino-low-n>140": (None, [(141, 0.007), (300, 0.003)]),
-    "t>=n-1": (None, [(3, 0.7), (100, 0.995), (141, 0.996), (300, 0.999)]),
-    "x>=1/2": ("_smirnov", [(3, 0.5), (3, 0.6), (100, 0.5), (141, 0.7),
-                            (300, 0.55)]),
-    "durbin": ("_durbin_cdf", [(3, 0.4), (100, 0.05), (140, 0.07),
-                               (141, 0.04), (300, 0.02), (10_000, 0.0025)]),
-    "n<=140-middle": ("_durbin_cdf", [(100, 0.1), (100, 0.199),
-                                      (140, 0.12), (140, 0.168)]),
+    "t>=n-1": ("_smirnov", [(3, 0.7), (100, 0.995), (141, 0.996),
+                            (300, 0.999)]),
+    "x>=1/2": ("_smirnov", [(1, 0.75), (1, 0.999), (3, 0.5), (3, 0.6),
+                            (100, 0.5), (141, 0.7), (300, 0.55)]),
     "smirnov": ("_smirnov", [(100, 0.25), (140, 0.3), (141, 0.15),
                              (300, 0.1), (300, 0.4), (10_000, 0.1),
                              (200_000, 0.004), (200_000, 0.04)]),
-    "nx2>=370": (None, [(10_000, 0.2), (200_000, 0.05)]),
-    "pelz-good": ("_pelz_good_cdf", [(10_000, 0.0087), (10_000, 0.01),
-                                     (200_000, 0.001), (200_000, 0.003)]),
+    "nx2>=370": ("_smirnov", [(10_000, 0.2), (200_000, 0.05)]),
 }
 
 
@@ -197,33 +189,58 @@ def assert_close_to_scipy(got: float, want: float, rtol: float) -> None:
         assert got <= 1e-300, (got, want)
 
 
+def scipy_doubles_the_tail(n: int, x: float) -> bool:
+    """Whether ``scipy.stats.kstwo.sf(x, n)`` is twice the one-sided tail,
+    as Simard & L'Ecuyer's branch table (J. Stat. Softw. 39(11), 2011)
+    takes it: where that is exact (x >= 1/2) or close (large n x^2)."""
+    nx2 = n * x * x
+    return x >= 0.5 or (nx2 > 4.0 if n <= 140 else nx2 >= 2.2)
+
+
 class TestPValues:
     @pytest.mark.parametrize("branch", KS_BRANCHES)
     def test_kstwo_sf_branch_matches_scipy(self, branch, monkeypatch):
         helper, points = KS_BRANCHES[branch]
-        called = set()
-        for name in ("_smirnov", "_durbin_cdf", "_pelz_good_cdf"):
-            original = getattr(rpsim.validate, name)
-            monkeypatch.setattr(
-                rpsim.validate, name,
-                lambda *a, _f=original, _n=name: called.add(_n) or _f(*a))
+        called = []
+        smirnov = rpsim.validate._smirnov
+        monkeypatch.setattr(rpsim.validate, "_smirnov",
+                            lambda *a: called.append(a) or smirnov(*a))
         for n, x in points:
             called.clear()
             got = _kstwo_sf(n, x)
-            assert called == ({helper} if helper else set()), (n, x, called)
+            assert called == ([(n, x)] if helper else []), (n, x, called)
             assert_close_to_scipy(got, float(stats.kstwo.sf(x, n)), 1e-10)
 
-    @pytest.mark.parametrize("n", [1, 3, 100, 140, 141, 300, 10_000, 200_000])
-    def test_kstwo_sf_sweep_matches_scipy(self, n):
-        # every branch boundary in n*x and n*x^2 of this n, and a sweep
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 140, 141, 300, 10_000,
+                                   200_000])
+    def test_kstwo_sf_sweep_bounds_scipy(self, n):
+        # every edge of scipy's branch table in n*x and n*x^2 of this n, and
+        # a sweep: twice the one-sided tail bounds the two-sided one above,
+        # and is close to it wherever either is small
         t = [0.5, 0.75, 1.0, 1.5, n - 1.5, n - 1.0, n - 0.5]
-        nx2 = [0.1, 0.754693, 0.76, 1.0, 2.2, 2.21, 3.99, 4.0, 4.01, 18.0,
-               50.0, 369.0, 370.0]
+        nx2 = [0.1, 1.0, 18.0, 50.0] + ([0.754693, 0.76, 3.99, 4.0, 4.01]
+                                        if n <= 140 else
+                                        [2.2, 2.21, 369.0, 370.0])
         xs = [v / n for v in t] + [math.sqrt(v / n) for v in nx2] \
             + [0.4999, 0.5, 0.5001] + np.linspace(1e-3, 0.999, 25).tolist()
         for x in sorted(v for v in xs if 0.0 < v < 1.0):
-            assert_close_to_scipy(_kstwo_sf(n, x),
-                                  float(stats.kstwo.sf(x, n)), 1e-10)
+            got, want = _kstwo_sf(n, x), float(stats.kstwo.sf(x, n))
+            assert got >= want - 1e-6, (x, got, want)
+            if min(got, want) <= 0.05:
+                assert abs(got - want) <= 1e-6, (x, got, want)
+            if scipy_doubles_the_tail(n, x):
+                assert_close_to_scipy(got, want, 1e-10)
+
+    @pytest.mark.parametrize("x", [0.01, 0.2, 0.25, 0.3, 0.366, 0.367, 0.4,
+                                   0.49, 0.5, 0.6, 0.9, 0.999])
+    def test_kstwo_sf_closed_forms_of_one_and_two_samples(self, x):
+        # n = 1: D_1 = max(U, 1 - U).  n = 2: P(D+_2 >= x) is 1 - x - x^2
+        # below x = 1/2 (terms j = 0, 1) and (1 - x)^2 from there (j = 0)
+        assert _kstwo_sf(1, x) == pytest.approx(min(1.0, 2 * (1 - x)),
+                                                rel=1e-13)
+        one_sided = 1 - x - x * x if x < 0.5 else (1 - x) ** 2
+        want = 1.0 if 2 * x <= 0.5 else min(1.0, 2 * one_sided)
+        assert _kstwo_sf(2, x) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, 1.0, 1.5])
     def test_kstwo_sf_outside_the_support(self, x):
@@ -491,6 +508,15 @@ class TestMartingale:
         for c in rep["checks"]:
             assert c["estimate"] == 0.0 and c["z"] == 0.0
 
+    def test_one_replica_is_insufficient(self):
+        # one value has no standard error, so no z-score
+        spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
+        ens = run_ensemble(spec, 1, 1.0, np.array([1.0]), base_seed=0,
+                           record_events=True)
+        with pytest.raises(InsufficientReplicas, match="^need at least 2 "
+                           "replicas for a standard error, got 1$"):
+            martingale_test(ens, 1.0)
+
     def test_requires_event_logs(self):
         spec = ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10))
         ens = run_ensemble(spec, 5, 1.0, np.array([1.0]), base_seed=0,
@@ -704,6 +730,8 @@ def test_every_setting_changes_a_report():
      "lln_replicas must be positive, got -1"),
     ("[validate]\nmartingale_replicas = 0", DomainError,
      "martingale_replicas must be positive, got 0"),
+    ("[validate]\nmartingale_replicas = 1", InsufficientReplicas,
+     "^martingale_replicas must be at least 2, got 1$"),
     ("[validate]\nclt_population = 0", DomainError,
      "clt_population must be positive, got 0"),
     ("[validate]\nmartingale_population = -5", DomainError,
