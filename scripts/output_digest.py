@@ -1,42 +1,24 @@
 #!/usr/bin/env python3
 """Run a fixed set of CLI commands and print the sha256 of every output.
 
-The set covers each engine path and writer: `simulate` below and above the
-32 replicas at which ensembles step together, with five species, to
-absorption both one replica at a time and in lockstep, in lockstep until
-every replica absorbs with grid times still to sample, one replica at a
-time at the largest total, in two lockstep chunks, without event logs,
-in lockstep with event times that print with an exponent, both in
-lockstep and one replica at a time from a base seed of five 32-bit words,
-and four refused runs: a budget overrun at a draw-block edge, one replica
-at a time and in lockstep, and a collision rate whose reaction rates
-overflow or underflow a double;
-`meanfield` at n = 3 and n = 5; five `fluctuation` runs (the benchmark's
-2 000 paths, one path past a block of 2 048 random streams, three paths
-from the five-word base seed, five species with off-step report times,
-and a given initial covariance); and
-`validate` at base seeds 42-57 and, small, with four species from an
-off-centre start until some martingale replicas absorb, with every
-setting away from its default, and with LLN populations whose merged
-lockstep chunk loses replicas to absorption.  Each command runs in a fresh
-directory with relative paths, so its console output is hashed too, and
-its error output when there is any.
+The cases, listed in `CASES` with what each one reaches, cover every engine
+path and writer of `simulate`, `meanfield`, `fluctuation` and `validate`,
+and refused runs.  Every command runs in a scratch directory with
+relative paths, so its console output is hashed too, and its error output
+when there is any; a refused command that writes no output hashes only
+those.
 A `simulate` case's outputs include its `.npy` store next to the CSVs.
-Each `simulate` case's ensemble is also read back from that store with
+
+One line per file, `<sha256>  <case>/<file>`.  `tests/output_digest.txt`
+holds this output, and the test suite runs the script and compares every
+line with it.  A change that is meant to change output bytes regenerates
+the file, and its diff is the record:
+
+    PYTHONPATH=src python3 scripts/output_digest.py > tests/output_digest.txt
+
+Each `simulate` case's ensemble is also read back from its store with
 `read_ensemble` and written again, CSVs, store and manifest: if any file's
 bytes differ, the script exits 1, naming the case and file on stderr.
-
-A refused command that writes no output hashes only its console and
-error output, and is not read back.
-
-One line per file, `<sha256>  <case>/<file>`, then a combined digest of
-those lines.  Run it once against each tree to compare two commits:
-
-    PYTHONPATH=ab/parent/src python3 scripts/output_digest.py > parent.txt
-    PYTHONPATH=ab/change/src python3 scripts/output_digest.py > change.txt
-    diff parent.txt change.txt
-
-`--quick` runs the small cases only, in about a second.
 """
 import argparse
 import contextlib
@@ -56,8 +38,27 @@ SEED_5_WORDS = str(2**130 + 3)
 SIMULATE_SEED_5_WORDS = ["simulate", "--total", "60", "--t-end", "1",
                          "--grid-points", "3", "--base-seed", SEED_5_WORDS,
                          "--events"]
+# the counts given, at 4 and at 40 replicas
+SIMULATE_INITIAL = ["simulate", "--initial", "20,20,20", "--t-end", "2",
+                    "--base-seed", "8", "--events"]
 SIMULATE_64 = ["simulate", "--replicas", "64", "--total", "60", "--t-end", "2",
                "--grid-points", "5", "--base-seed", "5"]
+# validate at small sizes, with the defaults' model and base seed
+VALIDATE_SMALL = """\
+[validate]
+lln_populations = 50, 200
+lln_replicas = 40
+lln_time = 0.5
+lln_grid_points = 11
+lln_median_bound = 0.3
+clt_population = 800
+clt_replicas = 120
+clt_time = 0.5
+clt_frobenius_bound = 0.5
+martingale_population = 50
+martingale_replicas = 150
+martingale_z_bound = 4.5
+"""
 # four species from an off-centre start, every check small; by t = 8, 80 of
 # the 200 martingale replicas have absorbed, so the replay meets logs that
 # end before t
@@ -127,87 +128,108 @@ gillespie_p_threshold = 0.005
 """
 
 
-def validate_case(name: str, config: str, quick: bool) -> tuple:
-    return name, ["validate", "--config", f"{name}.ini"], quick, config
+def validate_case(name: str, config: str) -> tuple:
+    return name, ["validate", "--config", f"{name}.ini"], config
 
 
-# (case, arguments, in the quick subset, config file text for validate)
+# (case, arguments, config file text for validate)
 CASES = [
+    # simulate below and above the 32 replicas at which ensembles step
+    # together, with and without event logs, and with five species
     ("simulate-8", ["simulate", "--replicas", "8", "--total", "300",
                     "--t-end", "1", "--grid", "0,1e-5,0.5,1",
-                    "--base-seed", "9", "--events"], True, None),
-    ("simulate-64", SIMULATE_64 + ["--events"], True, None),
-    ("simulate-64-no-events", SIMULATE_64 + ["--no-events"], True, None),
+                    "--base-seed", "9", "--events"], None),
+    ("simulate-64", SIMULATE_64 + ["--events"], None),
+    ("simulate-64-no-events", SIMULATE_64 + ["--no-events"], None),
+    ("simulate-initial-4", SIMULATE_INITIAL + ["--replicas", "4"], None),
+    ("simulate-initial-40", SIMULATE_INITIAL + ["--replicas", "40"], None),
     ("simulate-n5", ["simulate", "--n", "5", "--initial", "9,3,5,7,1",
                      "--replicas", "40", "--t-end", "1", "--base-seed", "3",
-                     "--events"], True, None),
+                     "--events"], None),
+    ("simulate-n5-scalar", ["simulate", "--n", "5", "--replicas", "4",
+                            "--events"], None),
+    # to absorption in lockstep, and in lockstep until every replica
+    # absorbs (by t = 23.5) with grid times still to sample
     ("simulate-absorbing", ["simulate", "--replicas", "40", "--total", "30",
                             "--t-end", "inf", "--grid", "0",
-                            "--base-seed", "2", "--events"], True, None),
-    # all 40 replicas absorb by t = 23.5 in lockstep, with grid times left
+                            "--base-seed", "2", "--events"], None),
     ("simulate-absorbing-grid", ["simulate", "--replicas", "40", "--total",
                                  "12", "--t-end", "50", "--grid-points",
-                                 "11", "--base-seed", "6", "--events"], True,
+                                 "11", "--base-seed", "6", "--events"],
      None),
     # one replica at a time (below 32 replicas): to absorption, and at the
     # largest total ModelSpec allows, where the counts are exact in float64
     ("simulate-scalar-absorbing", ["simulate", "--replicas", "12", "--total",
                                    "30", "--t-end", "inf", "--grid", "0",
-                                   "--base-seed", "8", "--events"], True,
-     None),
+                                   "--base-seed", "8", "--events"], None),
     ("simulate-largest-total", ["simulate", "--replicas", "3", "--total",
                                 "9007199254740992", "--t-end", "1e-13",
                                 "--grid-points", "4", "--base-seed", "10",
-                                "--events"], True, None),
+                                "--events"], None),
     # 40 replicas in lockstep at a total of 10 000, where the first events
     # come before t = 1e-4 and print with an exponent
     ("simulate-early-events", ["simulate", "--replicas", "40", "--total",
                                "10000", "--t-end", "0.002", "--grid-points",
-                               "5", "--base-seed", "4", "--events"], True,
-     None),
+                               "5", "--base-seed", "4", "--events"], None),
     # a five-word base seed: streams made in bulk (40 replicas in lockstep)
     # and one per replica (4 replicas)
     ("simulate-seed-5-words", SIMULATE_SEED_5_WORDS + ["--replicas", "40"],
-     True, None),
+     None),
     ("simulate-seed-5-words-scalar",
-     SIMULATE_SEED_5_WORDS + ["--replicas", "4"], True, None),
+     SIMULATE_SEED_5_WORDS + ["--replicas", "4"], None),
     # refused runs: a budget that ends at the first draw block's edge
     # (4 096 draws, 3 of them thresholds), one replica at a time and in
     # lockstep, and collision rates past the double range
     ("simulate-budget-scalar", ["simulate", "--replicas", "2", "--t-end",
-                                "20", "--max-events", "4093"], True, None),
+                                "20", "--max-events", "4093"], None),
     ("simulate-budget-lockstep", ["simulate", "--replicas", "40", "--t-end",
-                                  "20", "--max-events", "4093"], True, None),
+                                  "20", "--max-events", "4093"], None),
     ("simulate-rate-overflow", ["simulate", "--rate", "1e308", "--total",
-                                "30"], True, None),
-    ("simulate-rate-underflow", ["simulate", "--rate", "5e-324"], True, None),
+                                "30"], None),
+    ("simulate-rate-underflow", ["simulate", "--rate", "5e-324"], None),
+    # two lockstep chunks
     ("simulate-two-chunks", ["simulate", "--replicas", "3000", "--total",
                              "30", "--t-end", "1", "--grid-points", "3",
-                             "--base-seed", "4", "--events"], False, None),
-    ("meanfield-n3", ["meanfield", "--t-end", "10"], True, None),
-    ("meanfield-n5", ["meanfield", "--u0", U5, "--t-end", "2"], True, None),
+                             "--base-seed", "4", "--events"], None),
+    ("meanfield-n3", ["meanfield", "--t-end", "10"], None),
+    ("meanfield-n5", ["meanfield", "--u0", U5, "--t-end", "2"], None),
+    ("meanfield-off-centre", ["meanfield", "--u0", "0.5,0.3,0.2", "--t-end",
+                              "3", "--grid-points", "7"], None),
+    # the benchmark's 2 000 paths
     ("fluctuation-paths", ["fluctuation", "--paths", "2000", "--t-end", "10",
-                           "--grid-points", "101", "--base-seed", "1"], False,
+                           "--grid-points", "101", "--base-seed", "1"], None),
+    # a few paths at a coarse step, and the covariance alone at the
+    # benchmark's scale: 10 000 RK4 steps, in 100 intervals
+    ("fluctuation-coarse-step", ["fluctuation", "--u0", "0.5,0.3,0.2",
+                                 "--t-end", "2", "--step", "1e-2",
+                                 "--grid-points", "9", "--paths", "5",
+                                 "--base-seed", "3"], None),
+    ("fluctuation-covariance", ["fluctuation", "--u0", "0.5,0.3,0.2",
+                                "--t-end", "10", "--step", "1e-3",
+                                "--grid-points", "101", "--paths", "0"],
      None),
     # one path past a block of SDE streams
     ("fluctuation-stream-blocks", ["fluctuation", "--paths", "2049",
                                    "--grid-points", "3", "--base-seed", "3"],
-     True, None),
+     None),
     ("fluctuation-seed-5-words", ["fluctuation", "--paths", "3",
                                   "--grid-points", "3", "--base-seed",
-                                  SEED_5_WORDS], True, None),
+                                  SEED_5_WORDS], None),
+    # five species with off-step report times, and a given initial
+    # covariance
     ("fluctuation-n5", ["fluctuation", "--u0", U5, "--t-end", "2",
                         "--paths", "300", "--grid", "0,1e-5,0.3333,1,2",
-                        "--base-seed", "7"], True, None),
+                        "--base-seed", "7"], None),
     ("fluctuation-sigma0", ["fluctuation", "--u0", "0.5,0.3,0.2",
                             "--t-end", "1", "--sigma0",
                             "0.02,-0.01,-0.01,-0.01,0.02,-0.01,-0.01,-0.01,"
-                            "0.02"], True, None),
-] + [validate_case(f"validate-{seed}", f"[run]\nbase_seed = {seed}\n", False)
+                            "0.02"], None),
+] + [validate_case(f"validate-{seed}", f"[run]\nbase_seed = {seed}\n")
      for seed in range(42, 58)] + [
-    validate_case("validate-n4-absorbing", VALIDATE_N4, True),
-    validate_case("validate-every-setting", VALIDATE_EVERY_SETTING, True),
-    validate_case("validate-lln-absorbing", VALIDATE_LLN_ABSORBING, True),
+    validate_case("validate-small", VALIDATE_SMALL),
+    validate_case("validate-n4-absorbing", VALIDATE_N4),
+    validate_case("validate-every-setting", VALIDATE_EVERY_SETTING),
+    validate_case("validate-lln-absorbing", VALIDATE_LLN_ABSORBING),
 ]
 
 
@@ -246,28 +268,20 @@ def round_trip_differs(name: str, work: Path) -> list[str]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="run only the small cases")
-    args = ap.parse_args()
-
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     lines, differs = [], []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, argv, quick, config in CASES:
-                if quick or not args.quick:
-                    lines += [f"{digest}  {label}" for digest, label
-                              in run_case(name, argv, Path(tmp), config)]
-                    if argv[0] == "simulate" and Path(tmp, name).exists():
-                        differs += round_trip_differs(name, Path(tmp))
+            for name, argv, config in CASES:
+                lines += [f"{digest}  {label}" for digest, label
+                          in run_case(name, argv, Path(tmp), config)]
+                if argv[0] == "simulate" and Path(tmp, name).exists():
+                    differs += round_trip_differs(name, Path(tmp))
         finally:
             os.chdir(home)
-    combined = hashlib.sha256("".join(f"{line}\n" for line in lines)
-                              .encode()).hexdigest()
     print("\n".join(lines))
-    print(f"{combined}  combined")
     for label in differs:
         print(f"read back and written again, {label} differs",
               file=sys.stderr)

@@ -200,8 +200,9 @@ def integrate(u0, lam: float, t_end: float = 1.0,
     step serving each grid time, and builds its ``states`` when first read.
 
     The steps are marched by a loop compiled on first use per species
-    count (the last 16 counts stay cached), at a cost of about 0.2 ms per
-    species: 0.4-0.7 ms at n = 3, 8-13 ms at n = 64.  It writes each step
+    count (the last 16 counts stay cached), at a cost of about 0.15 ms and
+    40 kB per species: 0.4-0.7 ms at n = 3, 8-13 ms at n = 64, and
+    0.13-0.19 s and 39 MB at ``MAX_SPECIES`` (1 024).  It writes each step
     straight into the returned ``step_states`` array, bit for bit what
     :func:`rk4_step` gives, in about 2 µs a step at n = 3 against 36-49 µs
     through numpy.

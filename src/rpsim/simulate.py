@@ -308,9 +308,7 @@ def _event_loop(n: int):
     source = _LOOP.format(
         n=n, c=", ".join(c), i=per_species("i{j}", n, ", "),
         h=per_species("h{j}", n, ", "),
-        # summed in groups: one long sum nests too deep for the compiler
-        c_sum=" + ".join(f"({' + '.join(c[lo:lo + 64])})"
-                         for lo in range(0, n, 64)),
+        c_sum=" + ".join(c),
         select=per_species(_SELECT, n), advance=per_species(_ADVANCE, n))
     return compile_loop(source, f"<run_until loop, n={n}>",
                         BudgetExceeded=BudgetExceeded, _clamp=_clamp)
@@ -387,8 +385,8 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     The first call for each species count compiles its event loop
     (the last 16 counts stay cached), at a cost in time and transient
     memory (peak under ``tracemalloc``) that grows linearly with ``n``,
-    about 0.1 ms and 40 kB per species: 1 ms at n = 3, 0.11 s and 40 MB at
-    n = 1 024, so, extrapolated, about 4 s and 1.3 GB at ``MAX_SPECIES``.
+    about 0.1 ms and 40 kB per species: 1 ms at n = 3, and 0.12-0.19 s and
+    40 MB at ``MAX_SPECIES`` (1 024).
     """
     grid = _check_run(t_end, grid)
     max_events = check_seed(max_events, "max_events")

@@ -1,5 +1,6 @@
 """Each script under scripts/, and README's Python example, runs to
-completion on a small input.
+completion on a small input; the output digest runs in full and must print
+the checked-in `tests/output_digest.txt`.
 
 They use the public API, so a renamed or deleted name, or a changed
 signature, breaks them; running them here turns that into a test failure.
@@ -14,14 +15,23 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# small arguments for each script, a fraction of a second apiece
+# small arguments for each script, a fraction of a second apiece; the
+# digest runs in full, in test_output_digest_is_the_checked_in_one
 SCRIPT_ARGS = {
     "lln_scaling.py": ["--populations", "50,200", "--replicas", "20",
                        "--grid-points", "11"],
     "clt_covariance.py": ["--population", "500", "--replicas", "120"],
     "absorption_times.py": ["--populations", "10,20", "--replicas", "40"],
-    "output_digest.py": ["--quick"],
+    "output_digest.py": [],
 }
+
+
+def run_script(script, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / script),
+         *SCRIPT_ARGS[script]],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_every_script_has_arguments():
@@ -29,15 +39,33 @@ def test_every_script_has_arguments():
         sorted(SCRIPT_ARGS)
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPT_ARGS))
+@pytest.mark.parametrize("script", sorted(set(SCRIPT_ARGS) -
+                                          {"output_digest.py"}))
 def test_script_runs(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(ROOT / "scripts" / script),
-         *SCRIPT_ARGS[script]],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = run_script(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_output_digest_is_the_checked_in_one(tmp_path):
+    # every CLI output byte of the digest's cases; a change meant to change
+    # output regenerates tests/output_digest.txt, as the script's docstring
+    # says
+    proc = run_script("output_digest.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    expected = (ROOT / "tests" / "output_digest.txt").read_text(
+        encoding="utf-8")
+
+    def by_label(text):
+        return {label: digest for digest, label in
+                (line.split("  ", 1) for line in text.splitlines())}
+
+    got, want = by_label(proc.stdout), by_label(expected)
+    differ = sorted(label for label in got.keys() | want.keys()
+                    if got.get(label) != want.get(label))
+    assert not differ, "outputs differ from tests/output_digest.txt:\n" + \
+        "\n".join(differ)
+    assert proc.stdout == expected
 
 
 def test_readme_python_blocks_run(tmp_path):

@@ -21,6 +21,7 @@ from rpsim import (
     ReplicaError,
     ValidationConfig,
     counts_from_fractions,
+    integrate,
     rng_stream,
     run_ensemble,
     run_ensembles,
@@ -483,11 +484,11 @@ class TestRunEnsemble:
         assert str(err.value).startswith("grid must be ascending")
 
     def test_species_count_must_fit_the_reaction_log(self):
-        # reactions are logged as int16: reaction 39 998 would wrap, so no
-        # such model can be made, and neither engine can be handed one
+        # reactions are logged as int16: reaction 39 998 would wrap, but the
+        # cap refuses such a model, so neither engine can be handed one
         init = [0] * 40_000
         init[-2:] = 1, 1
-        with pytest.raises(DomainError, match="at most 32767 species"):
+        with pytest.raises(DomainError, match="at most 1024 species"):
             ModelSpec(n=40_000, lam=1.0, total=2, initial=tuple(init))
         # at the largest count, the lockstep engine logs reaction n - 2
         n = MAX_SPECIES
@@ -1134,3 +1135,18 @@ def test_event_times_strictly_positive_and_increasing():
     assert traj.event_times[0] > 0
     assert np.all(np.diff(traj.event_times) > 0)
     assert math.isfinite(traj.final_time)
+
+
+def test_compiled_loops_build_at_the_largest_species_count():
+    # run_until's event loop and integrate's march are generated and
+    # compiled per species count, so each must still compile at the cap
+    n = MAX_SPECIES
+    spec = ModelSpec(n=n, lam=1.0, total=2 * n, initial=(2,) * n)
+    traj = run_until(spec, 2.0, [0.0, 2.0], rng_stream(5, 0), seed=0,
+                     record_events=True)
+    assert traj.n_events > 0
+    assert sum(traj.final_counts) == 2 * n
+    # the symmetric point is a fixed point of the mean field
+    path = integrate(np.full(n, 1 / n), 1.0, t_end=3e-3, step=1e-3)
+    assert path.step_states.shape == (4, n)
+    assert np.all(path.step_states == 1 / n)

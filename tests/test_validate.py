@@ -794,10 +794,9 @@ def test_every_setting_changes_a_report():
     ("[model]\nn = 2", DomainError,
      r"^\[model\] n: need at least 3 species, got n=2$"),
     ("[model]\nn = 40000", DomainError,
-     r"^\[model\] n: at most 32767 species fit the int16 reaction log, "
-     r"got n=40000$"),
+     r"^\[model\] n: at most 1024 species, got n=40000$"),
     ("[model]\nn = 1000000000000", DomainError,
-     r"^\[model\] n: at most 32767 species .* got n=1000000000000$"),
+     r"^\[model\] n: at most 1024 species, got n=1000000000000$"),
     ("[model]\nfractions = 0.5, 0.6, 0.2", rpsim.core.NormalizationError,
      r"^\[model\] fractions: fractions sum to 1\.3, expected 1$"),
     ("[model]\nfractions = 0.5, -0.1, 0.6", DomainError,
