@@ -48,9 +48,8 @@ def test_script_runs(script, tmp_path):
 
 
 def test_output_digest_is_the_checked_in_one(tmp_path):
-    # every CLI output byte of the digest's cases; a change meant to change
-    # output regenerates tests/output_digest.txt, as the script's docstring
-    # says
+    # a change meant to alter output bytes regenerates the file, as the
+    # script's docstring says
     proc = run_script("output_digest.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     expected = (ROOT / "tests" / "output_digest.txt").read_text(
