@@ -1,6 +1,7 @@
 """Each script under scripts/, and README's Python example, runs to
-completion on a small input; the output digest runs in full and must print
-the checked-in `tests/output_digest.txt`.
+completion on a small input; the output digest runs once, in full, and must
+print the checked-in `tests/output_digest.txt`, with each of its cases a test
+of its own.
 
 They use the public API, so a renamed or deleted name, or a changed
 signature, breaks them; running them here turns that into a test failure.
@@ -47,24 +48,49 @@ def test_script_runs(script, tmp_path):
     assert proc.stdout
 
 
-def test_output_digest_is_the_checked_in_one(tmp_path):
-    # a change meant to alter output bytes regenerates the file, as the
-    # script's docstring says
-    proc = run_script("output_digest.py", tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    expected = (ROOT / "tests" / "output_digest.txt").read_text(
-        encoding="utf-8")
+def digest_labels(text):
+    return {label: digest for digest, label in
+            (line.split("  ", 1) for line in text.splitlines())}
 
-    def by_label(text):
-        return {label: digest for digest, label in
-                (line.split("  ", 1) for line in text.splitlines())}
 
-    got, want = by_label(proc.stdout), by_label(expected)
+EXPECTED_DIGEST = (ROOT / "tests" / "output_digest.txt").read_text(
+    encoding="utf-8")
+DIGEST_CASES = sorted({label.split("/", 1)[0]
+                       for label in digest_labels(EXPECTED_DIGEST)})
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    # the full script runs once for every test below
+    return run_script("output_digest.py", tmp_path_factory.mktemp("digest"))
+
+
+def differing_labels(got, want):
     differ = sorted(label for label in got.keys() | want.keys()
                     if got.get(label) != want.get(label))
-    assert not differ, "outputs differ from tests/output_digest.txt:\n" + \
-        "\n".join(differ)
-    assert proc.stdout == expected
+    return "outputs differ from tests/output_digest.txt:\n" + \
+        "\n".join(differ) if differ else ""
+
+
+def test_output_digest_is_the_checked_in_one(digest_run):
+    # a change meant to alter output bytes regenerates the file, as the
+    # script's docstring says
+    assert digest_run.returncode == 0, digest_run.stderr
+    message = differing_labels(digest_labels(digest_run.stdout),
+                               digest_labels(EXPECTED_DIGEST))
+    assert not message, message
+    assert digest_run.stdout == EXPECTED_DIGEST
+
+
+@pytest.mark.parametrize("case", DIGEST_CASES)
+def test_output_digest_case(case, digest_run):
+    def of_case(text):
+        return {label: digest for label, digest in digest_labels(text).items()
+                if label.split("/", 1)[0] == case}
+
+    message = differing_labels(of_case(digest_run.stdout),
+                               of_case(EXPECTED_DIGEST))
+    assert not message, message
 
 
 def test_readme_python_blocks_run(tmp_path):
