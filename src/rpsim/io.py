@@ -38,7 +38,6 @@ from .meanfield import MeanFieldPath
 from .simulate import Ensemble, _check_run
 
 __all__ = [
-    "fmt",
     "write_json",
     "write_ensemble",
     "read_ensemble",
@@ -54,13 +53,6 @@ FORMAT_VERSION = 1
 # dtypes; the event log's two are saved only if the ensemble keeps it
 _STORE = {"grid": np.float64, "samples": np.int64,
           "event_times": np.float64, "event_reactions": np.int16}
-
-
-def fmt(x: float) -> str:
-    """Lossless rendering of a double: always 17 significant digits
-    (``%.17g``), which round-trip every double but are not the shortest
-    form that does (0.1 renders as ``0.10000000000000001``)."""
-    return "%.17g" % float(x)
 
 
 # cells formatted as one block of text, at most; it bounds the writers'

@@ -278,7 +278,6 @@ def clt_test(ensemble: Ensemble, meanfield: MeanFieldPath,
     y = (x - m * u[None, :]) / math.sqrt(m)
     mean = y.mean(axis=0)
     cov = np.cov(y, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
     if np.linalg.eigvalsh(0.5 * (cov + cov.T))[0] < -1e-9:
         raise DomainError("sample covariance unexpectedly indefinite")
 
@@ -364,12 +363,6 @@ def martingale_test(ensemble: Ensemble, t: float, *,
 # goodness-of-fit statistics and p-values
 # --------------------------------------------------------------------------
 
-# Cephes expm1, as scipy.special.expm1 computes it: a rational function on
-# [-0.5, 0.5] (coefficients highest power first), libm's exp - 1 outside
-_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
-            9.9999999999999999991025e-1)
-_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
-            2.2726554820815502876593e-1, 2.0000000000000000009103e0)
 # B_2k / (2k (2k-1)) for k = 8..1, the Stirling series of log m!
 _STIRLING = (-2.955065359477124183e-2, 6.4102564102564102564e-3,
              -1.9175269175269175269e-3, 8.4175084175084175084e-4,
@@ -380,22 +373,13 @@ _STIRLING_SMALL = np.array([0.0] + [
     for m in range(1, 10)])
 
 
-def _ks_statistic(times: np.ndarray, scale: float,
-                  horizon: float = math.inf) -> float:
+def _ks_statistic(times: np.ndarray, scale: float, horizon: float) -> float:
     """Two-sided KS distance between ``times`` and Exp(mean ``scale``)
     truncated at ``horizon``: the CDF F(s) / F(horizon), F(s) = 1 -
-    exp(-s/scale).  F is rounded as scipy's Cephes expm1 rounds it;
-    ``np.expm1`` and ``np.exp`` round part of their arguments the other
-    way, and that would move the statistic by an ulp.  Where F(horizon)
-    is 1.0 it is ``scipy.stats.kstest(times, "expon", args=(0, scale))``'s
-    statistic bit for bit."""
-    u = -(np.append(np.sort(times), horizon) / scale)
-    v = np.maximum(u, -0.5)     # the rational form; far values reset below
-    vv = v * v
-    r = v * np.polyval(_EXPM1_P, vv)
-    cdf = -2.0 * (r / (np.polyval(_EXPM1_Q, vv) - r))
-    far = u < -0.5
-    cdf[far] = [1.0 - math.exp(w) for w in u[far].tolist()]
+    exp(-s/scale).  Where F(horizon) is 1.0 it is within one machine
+    epsilon of ``scipy.stats.kstest(times, "expon", args=(0, scale))``'s
+    statistic, whose CDF rounds differently by an ulp."""
+    cdf = -np.expm1(-np.append(np.sort(times), horizon) / scale)
     cdf = cdf[:-1] / cdf[-1]
     n = len(cdf)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
@@ -498,14 +482,9 @@ def gillespie_equivalence_test(ensemble: Ensemble, t: float, *,
     ks_p = _kstwo_sf(samples, ks_stat)
     observed = np.bincount(ensemble.event_reactions[first], minlength=spec.n)
     active = rates > 0
-    n_active = int(active.sum())
-    if n_active == 1:
-        # a single active reaction carries all the mass; nothing to test
-        chi2_stat, chi2_p = 0.0, 1.0
-    else:
-        expected = samples * rates[active] / total_rate
-        chi2_stat = float(np.sum((observed[active] - expected) ** 2 / expected))
-        chi2_p = _chi2_sf(chi2_stat, n_active - 1)
+    expected = samples * rates[active] / total_rate
+    chi2_stat = float(np.sum((observed[active] - expected) ** 2 / expected))
+    chi2_p = _chi2_sf(chi2_stat, int(active.sum()) - 1)
     return {
         "check": "gillespie_equivalence",
         "pass": bool(ks_p > p_threshold and chi2_p > p_threshold),

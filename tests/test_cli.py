@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import rpsim.cli
 
-from rpsim import trajectories_identical
+from rpsim import ValidationConfig, trajectories_identical
 from rpsim.cli import main
 from rpsim.io import read_ensemble
 
@@ -529,6 +530,18 @@ class TestFluctuationCommand:
 
 
 class TestValidateCommand:
+    def test_without_config_runs_the_defaults(self, tmp_path, monkeypatch):
+        # only the config is under test: the stub runs no ensemble
+        seen = []
+
+        def stub(config, *, echo=None):
+            seen.append(config)
+            return {"lln": {"pass": True}}
+
+        monkeypatch.setattr(rpsim.cli, "run_validation", stub)
+        assert main(["validate", "--out", str(tmp_path / "rep")]) == 0
+        assert seen == [ValidationConfig()]
+
     def test_default_scales_are_too_slow_so_use_config(self, tmp_path):
         ini = tmp_path / "v.ini"
         ini.write_text(

@@ -386,6 +386,15 @@ class TestRngStreams:
         with pytest.raises(DomainError, match=message):
             rng_stream(seed, 0)
 
+    # the default dtype is uint32
+    @pytest.mark.parametrize("args", [(4,), (2, np.uint64)])
+    def test_seed_words_hold_only_what_pcg64_asks(self, args):
+        seed_seq = rng_streams(0, 0, 1)[0].bit_generator.seed_seq
+        with pytest.raises(DomainError, match=re.escape(
+                "a precomputed stream seed holds only "
+                "generate_state(4, numpy.uint64)")):
+            seed_seq.generate_state(*args)
+
     def test_bad_index_or_count_is_a_domain_error(self):
         with pytest.raises(DomainError, match="stream index must be a "
                            "non-negative integer, got -1"):

@@ -30,7 +30,6 @@ from rpsim.fluctuation import (
     run_sde_ensemble,
 )
 from rpsim.io import (
-    fmt,
     read_ensemble,
     write_covariances,
     write_ensemble,
@@ -45,19 +44,6 @@ from rpsim.simulate import Ensemble
 
 SPEC = ModelSpec(n=3, lam=1.0, total=60, initial=(20, 20, 20))
 GRID = np.linspace(0.0, 1.0, 5)
-
-
-class TestFmt:
-    def test_known_renderings(self):
-        assert fmt(0.1) == "0.10000000000000001"
-        assert fmt(1.0) == "1"
-        assert fmt(0.25) == "0.25"
-
-    @pytest.mark.parametrize("x", [
-        math.pi, 1e-17, 1 / 3, 2**-52, 1e300, -0.1, 123456789.123456789,
-    ])
-    def test_round_trips_exactly(self, x):
-        assert float(fmt(x)) == x
 
 
 def replica(ens: Ensemble, i: int) -> Ensemble:

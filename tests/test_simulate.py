@@ -842,6 +842,14 @@ class TestRunEnsembles:
         with pytest.raises(DomainError, match=message):
             run_ensembles(specs, 20, 1.0, [0.0], seeds)
 
+    def test_count_past_memory_is_a_domain_error(self):
+        # far past any machine's memory, so that nothing is allocated
+        specs = [ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))] * 2
+        with pytest.raises(DomainError, match=re.escape(
+                "20000000000000 replicas (2 specs × 10000000000000) of 2 "
+                "sample times, too many to hold in memory")):
+            run_ensembles(specs, 10**13, 1.0, [0.0, 1.0], [0, 1])
+
 
 @pytest.mark.parametrize("budget", [None, "5", math.nan, -1, 2.5, True])
 @pytest.mark.parametrize("run", ["run_until", "run_ensemble"])
