@@ -166,6 +166,18 @@ class TestGillespieEquivalence:
         assert rep["chi2"]["pvalue"] == 1.0
         assert rep["observed_counts"] == [300, 0, 0]
 
+    @pytest.mark.parametrize("initial", [(7, 2, 0), (5, 3, 0, 0),
+                                         (0, 0, 4, 6, 0)])
+    def test_one_active_reaction_has_a_zero_chi_square(self, initial):
+        # every first event is the one active reaction, so the general
+        # statistic is exactly 0 and its p-value, at 0 degrees of freedom, 1
+        spec = ModelSpec(n=len(initial), lam=1.0, total=sum(initial),
+                         initial=initial)
+        rep = gillespie_equivalence_test(first_events(spec, 50, 40.0, 1),
+                                         40.0)
+        assert rep["chi2"] == {"stat": 0.0, "pvalue": 1.0}
+        assert sum(rep["observed_counts"]) == rep["samples"] > 0
+
 
 # (n, x) points of the KS survival function where scipy takes a closed
 # form or, as _kstwo_sf does, twice the one-sided tail (_smirnov)
@@ -253,6 +265,10 @@ class TestPValues:
             assert_close_to_scipy(_chi2_sf(float(x), k),
                                   float(stats.chi2.sf(x, k)), 1e-12)
 
+    def test_chi2_sf_of_zero_with_no_degrees_of_freedom_is_one(self):
+        # the first-event check's chi-square with one active reaction
+        assert _chi2_sf(0.0, 0) == 1.0
+
     @pytest.mark.parametrize("seed", range(5))
     def test_ks_statistic_is_kstests_within_an_epsilon(self, seed):
         # scipy's CDF rounds differently by an ulp; near 1 that is eps
@@ -262,6 +278,16 @@ class TestPValues:
         expected = stats.kstest(times, "expon", args=(0.0, 1.0 / rate))
         assert abs(_ks_statistic(times, 1.0 / rate, math.inf)
                    - expected.statistic) <= np.finfo(float).eps
+
+    def test_ks_statistic_past_where_the_cdf_rounds_to_one_is_untruncated(
+            self):
+        # F(40 scale) = 1 - e^-40 rounds to 1.0, so the truncation is exact
+        rng = np.random.default_rng(11)
+        times = rng.exponential(0.5, 1000)
+        assert _ks_statistic(times, 0.5, 20.0) == \
+            _ks_statistic(times, 0.5, math.inf)
+        assert _ks_statistic(times, 0.5, 2.0) != \
+            _ks_statistic(times, 0.5, math.inf)
 
 
 def test_import_and_help_load_no_scipy():
