@@ -166,6 +166,11 @@ CASES = [
                                 "9007199254740992", "--t-end", "1e-13",
                                 "--grid-points", "4", "--base-seed", "10",
                                 "--events"], None),
+    # one replica at a time without an event log, each replica's 12 833 to
+    # 13 527 events reading past three blocks of 4 096 draws
+    ("simulate-scalar-no-events", ["simulate", "--replicas", "3", "--t-end",
+                                   "40", "--grid-points", "9", "--base-seed",
+                                   "12", "--no-events"], None),
     # 40 replicas in lockstep at a total of 10 000, where the first events
     # come before t = 1e-4 and print with an exponent
     ("simulate-early-events", ["simulate", "--replicas", "40", "--total",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -944,6 +945,69 @@ def test_budget_stops_at_the_event_past_it(monkeypatch, n, blk):
                          max_events=k).absorbed == 0.0
 
 
+def long_run(n, end):
+    """A spec, horizon, grid and base seed whose one replica reads past two
+    blocks of 4 096 draws: to t = 15 from the symmetric start at M = 3 000,
+    or to absorption at M = 300."""
+    if end == "horizon":
+        spec = ModelSpec(n=n, lam=1.0, total=3000,
+                         initial=symmetric_counts(n, 3000))
+        return spec, 15.0, grid01(6, 15.0), 0
+    spec = ModelSpec(n=n, lam=1.0, total=300,
+                     initial=symmetric_counts(n, 300))
+    return spec, math.inf, [0.0, 1.0, 10.0, 100.0], {3: 2, 4: 3, 5: 1}[n]
+
+
+@functools.cache
+def lockstep_log(n, end):
+    """The lockstep engine's event log of :func:`long_run`'s replica: one
+    replica takes the lockstep with its minimum at 1, and with run_until
+    gone no other engine can run it."""
+    spec, t_end, grid, seed = long_run(n, end)
+    with unittest.mock.patch.object(rpsim.simulate, "_LOCKSTEP_MIN", 1), \
+            unittest.mock.patch.object(rpsim.simulate, "run_until", None):
+        ens = run_ensemble(spec, 1, t_end, grid, seed, record_events=True)
+    return ens.event_times.tolist(), ens.event_reactions.tolist()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("end", ["horizon", "absorption"])
+@pytest.mark.parametrize("blk", ["n", 8, 4096])
+def test_logged_and_unlogged_loops_agree(monkeypatch, n, end, blk):
+    # run_until compiles its loop with and without the event log, and the
+    # logged one hands its events to the log once per draw block and at
+    # the end: whatever the block size, both make the same run, and the
+    # log holds each event once, replays to the run's counts and is the
+    # lockstep engine's log of the same stream
+    spec, t_end, grid, seed = long_run(n, end)
+    monkeypatch.setattr(rpsim.simulate, "_EXP_BLOCK", n if blk == "n" else blk)
+    logged, unlogged = (run_until(spec, t_end, grid, rng_stream(seed, 0),
+                                  record_events=keep) for keep in (True, False))
+    assert np.array_equal(logged.samples, unlogged.samples)
+    assert (logged.final_counts, logged.absorbed, logged.final_time) == \
+        (unlogged.final_counts, unlogged.absorbed, unlogged.final_time)
+    assert (logged.absorbed is None) == (end == "horizon")
+    assert unlogged.event_times is None
+    # the budget counts the events: the log's length runs to the end, one
+    # less stops at the last event, logged or not
+    events = len(logged.event_times)
+    assert events > 2 * 4096
+    assert len(logged.event_reactions) == events
+    for keep in (True, False):
+        assert run_until(spec, t_end, grid, rng_stream(seed, 0),
+                         record_events=keep, max_events=events).final_counts \
+            == logged.final_counts
+        with pytest.raises(BudgetExceeded):
+            run_until(spec, t_end, grid, rng_stream(seed, 0),
+                      record_events=keep, max_events=events - 1)
+    for t, row in zip(grid, logged.samples):
+        assert counts_at(logged, t).tolist() == row.tolist()
+    assert tuple(counts_at(logged, logged.final_time).tolist()) == \
+        logged.final_counts
+    assert (logged.event_times.tolist(), logged.event_reactions.tolist()) \
+        == lockstep_log(n, end)
+
+
 def reference_replay(spec, times, reactions, t):
     """Jump counts and internal times of one replica's log at ``t``, as the
     per-replica accessors computed them before the replay moved to arrays:
@@ -1146,14 +1210,18 @@ def test_event_times_strictly_positive_and_increasing():
 
 
 def test_compiled_loops_build_at_the_largest_species_count():
-    # run_until's event loop and integrate's march are generated and
-    # compiled per species count, so each must still compile at the cap
+    # run_until's logged and unlogged event loops and integrate's march are
+    # generated and compiled per species count, so each must still compile
+    # at the cap
     n = MAX_SPECIES
     spec = ModelSpec(n=n, lam=1.0, total=2 * n, initial=(2,) * n)
-    traj = run_until(spec, 2.0, [0.0, 2.0], rng_stream(5, 0), seed=0,
-                     record_events=True)
+    traj, unlogged = (run_until(spec, 2.0, [0.0, 2.0], rng_stream(5, 0),
+                                seed=0, record_events=keep)
+                      for keep in (True, False))
     assert traj.n_events > 0
     assert sum(traj.final_counts) == 2 * n
+    assert unlogged.final_counts == traj.final_counts
+    assert np.array_equal(unlogged.samples, traj.samples)
     # the symmetric point is a fixed point of the mean field
     path = integrate(np.full(n, 1 / n), 1.0, t_end=3e-3, step=1e-3)
     assert path.step_states.shape == (4, n)
