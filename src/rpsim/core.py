@@ -447,10 +447,7 @@ def rng_streams(base_seed: int, first: int,
     while lo < end:     # the indices with as many words as lo
         k = max(1, -(-lo.bit_length() // 32))
         hi = min(end, 1 << 32 * k)
-        # a lone index is hashed as a Python int, which skips numpy's
-        # per-call cost on one-element arrays
-        index = lo if hi - lo == 1 else np.arange(
-            lo, hi, dtype=np.uint64 if hi <= 2**64 else object)
+        index = np.arange(lo, hi, dtype=np.uint64 if hi <= 2**64 else object)
         # SeedSequence's mix_entropy from the base seed's pool on, then
         # its generate_state(8, uint32)
         pool = list(base_pool)

@@ -22,9 +22,8 @@ Two engines run this loop with the same arithmetic in the same order:
   2**53.  An event is one pass of a ``for`` over a block of draws; the
   budget is counted, and the next block drawn, once per block.  A logged
   run appends each event to two lists and hands them to the flat log once
-  per block; an unlogged run takes a loop compiled without the log lines.
-  Ensembles of fewer than 32 replicas (``_LOCKSTEP_MIN``) run it once per
-  replica.
+  per block.  Ensembles of fewer than 32 replicas (``_LOCKSTEP_MIN``) run
+  it once per replica.
 * ``_run_lockstep`` steps up to 2048 replicas (``STREAM_BLOCK``) together,
   one event per replica per step, and takes larger ensembles in chunks;
   below 32 replicas it measured slower than one at a time.  Its state is
@@ -230,8 +229,9 @@ class Ensemble:
 # for over block, a list of at most blk >= n draws (the first n thresholds
 # first), cut to the draws of events up to max_events + 1, so its else: counts
 # the budget and refills once per block.  The float counts are exact since
-# ModelSpec caps the total at 2**53; the loop returns them as ints.  The
-# {log_*} lines are _LOG's in a logged loop and empty in an unlogged one.
+# ModelSpec caps the total at 2**53; the loop returns them as ints.  A logged
+# event goes to two lists, whose list.append CPython specialises, and the lists
+# go to log's arrays once per block and at the end, so they hold one block.
 _LOOP = """\
 def loop(counts, draw, blk, rtol, t_end, stop, grid_next, samples, log,
          max_events, lom, total):
@@ -241,7 +241,7 @@ def loop(counts, draw, blk, rtol, t_end, stop, grid_next, samples, log,
     {h}, = block[:{n}]
     del block[:{n}]
     inf = float("inf")
-{log_start}
+    times, reactions = [], []
     t, gi, g_next, n_events, absorbed = 0.0, 0, grid_next[0], 0, None
     while True:
         del block[max_events - n_events + 1:]
@@ -262,35 +262,26 @@ def loop(counts, draw, blk, rtol, t_end, stop, grid_next, samples, log,
             t = new_time
             if {c_sum} != total:
                 raise AssertionError("population conservation violated")
-{log_event}
+            if log is not None:
+                times.append(t)
+                reactions.append(best)
         else:
             n_events += len(block)
             if n_events > max_events:
                 raise BudgetExceeded(f"exceeded {{max_events}} events at "
                                      f"t={{t:.6g}} (horizon {{t_end}})")
-{log_block}
+            if log is not None:
+                log[0].fromlist(times)
+                log[1].fromlist(reactions)
+                times.clear()
+                reactions.clear()
             block = draw(blk).tolist()
             continue
-{log_end}
-        return tuple(map(int, ({c},))), absorbed, gi
-"""
-# a logged loop appends each event to two lists, whose list.append CPython
-# specialises, and hands them to log's arrays once per draw block and at the
-# end, so they hold one block's events at most
-_LOG = {
-    "log_start": "    times, reactions = [], []",
-    "log_event": """\
-            times.append(t)
-            reactions.append(best)""",
-    "log_block": """\
+        if log is not None:
             log[0].fromlist(times)
             log[1].fromlist(reactions)
-            times.clear()
-            reactions.clear()""",
-    "log_end": """\
-        log[0].fromlist(times)
-        log[1].fromlist(reactions)""",
-}
+        return tuple(map(int, ({c},))), absorbed, gi
+"""
 _SELECT = """\
             r{j} = lom * c{j} * c{k}
             if r{j} > 0.0:
@@ -321,20 +312,17 @@ def _clamp(j: int, advanced: float, threshold: float, rtol: float) -> float:
     return threshold
 
 
-@functools.lru_cache(maxsize=32)
-def _event_loop(n: int, logged: bool):
-    """run_until's event loop for ``n`` species, appending each event to
-    ``log`` if ``logged``, compiled on first use."""
+@functools.lru_cache(maxsize=16)
+def _event_loop(n: int):
+    """run_until's event loop for ``n`` species, compiled on first use."""
     c = [f"c{j}" for j in range(n)]
     source = _LOOP.format(
         n=n, c=", ".join(c), i=per_species("i{j}", n, ", "),
         h=per_species("h{j}", n, ", "),
         c_sum=" + ".join(c),
-        select=per_species(_SELECT, n), advance=per_species(_ADVANCE, n),
-        **{key: lines if logged else "" for key, lines in _LOG.items()})
-    label = f"<run_until loop, n={n}{', logged' if logged else ''}>"
-    return compile_loop(source, label, BudgetExceeded=BudgetExceeded,
-                        _clamp=_clamp)
+        select=per_species(_SELECT, n), advance=per_species(_ADVANCE, n))
+    return compile_loop(source, f"<run_until loop, n={n}>",
+                        BudgetExceeded=BudgetExceeded, _clamp=_clamp)
 
 
 def _stop(t_end: float) -> float:
@@ -403,17 +391,16 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     the budget is counted, and the generator may be drawn, a block ahead.
     A logged run appends each event's time and reaction to two lists,
     which the loop hands to the log's arrays once per block and once at
-    the end; an unlogged run takes a loop compiled without those lines.
+    the end.
     Only a state with every rate 0 is absorbed: an event time that
     overflows a double ends the run at ``t_end``, or raises
     :class:`NumericError` at ``t_end = inf``.
 
-    The first call for each species count, logged or not, compiles that
-    event loop (the last 32 loops stay cached, so 16 counts of both kinds),
-    at a cost in time and transient memory (peak under ``tracemalloc``)
-    that grows linearly with ``n``, about 0.15 ms and 40 kB per species:
-    1 ms at n = 3, and 0.13-0.21 s and 39 MB for each kind at
-    ``MAX_SPECIES`` (1 024).
+    The first call for each species count compiles its event loop
+    (the last 16 counts stay cached), at a cost in time and transient
+    memory (peak under ``tracemalloc``) that grows linearly with ``n``,
+    about 0.1 ms and 40 kB per species: 1 ms at n = 3, and 0.12-0.19 s and
+    40 MB at ``MAX_SPECIES`` (1 024).
     """
     grid = _check_run(t_end, grid)
     max_events = check_seed(max_events, "max_events")
@@ -423,7 +410,7 @@ def run_until(spec: ModelSpec, t_end: float, grid, rng: np.random.Generator,
     samples: list[tuple] = []      # float counts; the tail, int ones
     # raw doubles and shorts, which np.asarray views without a copy
     log = (array.array("d"), array.array("h")) if record_events else _log
-    counts, absorbed, gi = _event_loop(spec.n, log is not None)(
+    counts, absorbed, gi = _event_loop(spec.n)(
         spec.initial, rng.standard_exponential, max(_EXP_BLOCK, spec.n),
         _OVERSHOOT_RTOL, t_end, _stop(t_end), grid.tolist() + [math.inf],
         samples, log, max_events, spec.lam / spec.total, float(spec.total))

@@ -973,12 +973,11 @@ def lockstep_log(n, end):
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("end", ["horizon", "absorption"])
 @pytest.mark.parametrize("blk", ["n", 8, 4096])
-def test_logged_and_unlogged_loops_agree(monkeypatch, n, end, blk):
-    # run_until compiles its loop with and without the event log, and the
-    # logged one hands its events to the log once per draw block and at
-    # the end: whatever the block size, both make the same run, and the
-    # log holds each event once, replays to the run's counts and is the
-    # lockstep engine's log of the same stream
+def test_logged_and_unlogged_runs_agree(monkeypatch, n, end, blk):
+    # a logged run hands its events to the log once per draw block and at
+    # the end: whatever the block size, it makes the unlogged run's run,
+    # and the log holds each event once, replays to the run's counts and
+    # is the lockstep engine's log of the same stream
     spec, t_end, grid, seed = long_run(n, end)
     monkeypatch.setattr(rpsim.simulate, "_EXP_BLOCK", n if blk == "n" else blk)
     logged, unlogged = (run_until(spec, t_end, grid, rng_stream(seed, 0),
@@ -1210,18 +1209,14 @@ def test_event_times_strictly_positive_and_increasing():
 
 
 def test_compiled_loops_build_at_the_largest_species_count():
-    # run_until's logged and unlogged event loops and integrate's march are
-    # generated and compiled per species count, so each must still compile
-    # at the cap
+    # run_until's event loop and integrate's march are generated and
+    # compiled per species count, so each must still compile at the cap
     n = MAX_SPECIES
     spec = ModelSpec(n=n, lam=1.0, total=2 * n, initial=(2,) * n)
-    traj, unlogged = (run_until(spec, 2.0, [0.0, 2.0], rng_stream(5, 0),
-                                seed=0, record_events=keep)
-                      for keep in (True, False))
+    traj = run_until(spec, 2.0, [0.0, 2.0], rng_stream(5, 0), seed=0,
+                     record_events=True)
     assert traj.n_events > 0
     assert sum(traj.final_counts) == 2 * n
-    assert unlogged.final_counts == traj.final_counts
-    assert np.array_equal(unlogged.samples, traj.samples)
     # the symmetric point is a fixed point of the mean field
     path = integrate(np.full(n, 1 / n), 1.0, t_end=3e-3, step=1e-3)
     assert path.step_states.shape == (4, n)
