@@ -13,7 +13,7 @@ from rpsim import (
     counts_from_fractions,
     integrate,
     lln_test,
-    run_ensembles,
+    run_ensemble,
 )
 
 
@@ -36,12 +36,12 @@ def main() -> int:
     specs = [ModelSpec(n=len(fractions), lam=args.rate, total=m,
                        initial=counts_from_fractions(fractions, m))
              for m in populations]
-    # every population in one lockstep, population k on base seed + k
-    ensembles = run_ensembles(
-        specs, args.replicas, args.t_end, grid,
-        [args.base_seed + k for k in range(len(populations))])
-    for m in populations:
-        print(f"simulated M={m}")
+    # population k on base seed + k
+    ensembles = []
+    for k, spec in enumerate(specs):
+        ensembles.append(run_ensemble(spec, args.replicas, args.t_end, grid,
+                                      args.base_seed + k, record_events=False))
+        print(f"simulated M={spec.total}")
 
     report = lln_test(ensembles, mf, args.t_end, ratio_band=None)
     print(f"\n{'M':>8} {'median':>10} {'q95':>10} {'median*sqrt(M)':>16}")

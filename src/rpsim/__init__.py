@@ -48,7 +48,6 @@ from .simulate import (
     Ensemble,
     ReplicaError,
     run_ensemble,
-    run_ensembles,
     run_until,
 )
 from .validate import (
@@ -74,7 +73,7 @@ __all__ = [
     "counts_from_fractions", "symmetric_counts", "rng_stream",
     "rng_streams", "trajectories_identical",
     # event-driven simulation
-    "Ensemble", "run_until", "run_ensemble", "run_ensembles",
+    "Ensemble", "run_until", "run_ensemble",
     # deterministic limit
     "ConservationAudit", "MeanFieldPath", "MeanFieldState",
     "conserved_quantities", "integrate", "rk4_step", "vector_field",

@@ -32,10 +32,10 @@ Two engines run this loop with the same arithmetic in the same order:
   column ties, the first (lowest-indexed) minimum fires.  Its draws sit in
   a buffer indexed by replica, up to 256 columns (``_LOCKSTEP_DRAWS``) of
   each replica's stream, 4 MiB per chunk; a refill calls only the live
-  replicas' generators.  :func:`run_ensembles` runs several specs'
-  ensembles as one set of columns, so a chunk may hold replicas of more
-  than one spec, each column with its own spec's rate, total and initial
-  counts.
+  replicas' generators.  ``_run`` takes several specs' ensembles as one
+  set of columns (``validate`` runs its LLN populations this way), so a
+  chunk may hold replicas of more than one spec, each column with its own
+  spec's rate, total and initial counts.
 
 Both write their replicas' rows of the ensemble's arrays in place and append
 their events, in replica order, to the ensemble's one flat event log.  The
@@ -83,7 +83,6 @@ __all__ = [
     "ReplicaError",
     "run_until",
     "run_ensemble",
-    "run_ensembles",
     "DEFAULT_MAX_EVENTS",
 ]
 
@@ -106,8 +105,8 @@ _PLACE_CELLS = 1 << 14
 
 
 class ReplicaError(RpsimError):
-    """Wraps a failure inside one ensemble replica with its index, and, from
-    :func:`run_ensembles`, the index of its spec (else ``spec`` is None)."""
+    """Wraps a failure inside one ensemble replica with its index, and, in a
+    run of several specs, its spec's label (else ``spec`` is None)."""
 
     def __init__(self, index: int, cause: BaseException,
                  spec: int | None = None):
@@ -662,10 +661,13 @@ def _run_lockstep(runs: list, replicas: int, first: int, t_end: float,
 
 def _run(specs: list, replicas: int, t_end: float, grid, base_seeds: list,
          record_events: bool, max_events: int, labels) -> list[Ensemble]:
-    """The engine behind :func:`run_ensemble` and :func:`run_ensembles`:
-    ``replicas`` replicas of each spec, as spec-major columns; a failure
-    names the replica and the spec's label (``None`` names none).  Events
-    are logged only for one spec, as :func:`run_ensemble` asks."""
+    """The engine behind :func:`run_ensemble`: ``replicas`` replicas of each
+    spec, as spec-major columns, in near-equal lockstep chunks of at most
+    ``STREAM_BLOCK`` columns that may span specs, or one replica at a time
+    below ``_LOCKSTEP_MIN`` columns in all; each ensemble equals its own
+    one-spec run bit for bit.  The specs share ``n``.  A failure names the
+    replica and the spec's label (``None`` names none).  Events are logged
+    only for one spec, as :func:`run_ensemble` asks."""
     replicas = check_seed(replicas, "replica count")
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
@@ -683,10 +685,8 @@ def _run(specs: list, replicas: int, t_end: float, grid, base_seeds: list,
         absorbed = np.full(columns, math.nan)
         offsets = np.zeros(columns + 1, dtype=np.int64)
     except (MemoryError, ValueError):   # ValueError: past numpy's size limit
-        asked = (f"{replicas} replicas" if len(runs) == 1 else
-                 f"{columns} replicas ({len(runs)} specs × {replicas})")
-        raise DomainError(f"{asked} of {len(grid)} sample times, too many "
-                          "to hold in memory") from None
+        raise DomainError(f"{columns} replicas of {len(grid)} sample times, "
+                          "too many to hold in memory") from None
     ends = offsets[1:]              # the log's length after each column
     log = (array.array("d"), array.array("h")) if record_events else None
     if columns < _LOCKSTEP_MIN:
@@ -733,41 +733,10 @@ def run_ensemble(spec: ModelSpec, replicas: int, t_end: float, grid,
     :class:`ReplicaError` carrying the index of the lowest-indexed failing
     replica, as a serial run would report it.  Replicas whose samples do
     not fit in memory, and a ``max_events`` that is not a non-negative
-    integer, raise :class:`DomainError`.  The one-spec case of
-    :func:`run_ensembles`.
+    integer, raise :class:`DomainError`.
     """
     if record_events is None:
         record_events = _expected_events(spec, t_end) < RETENTION_LIMIT
     return _run([spec], replicas, t_end, grid, [base_seed], record_events,
                 max_events, [None])[0]
 
-
-def run_ensembles(specs, replicas: int, t_end: float, grid,
-                  base_seeds) -> list[Ensemble]:
-    """One ensemble per spec, all stepped together.
-
-    Ensemble ``k`` equals ``run_ensemble(specs[k], replicas, t_end, grid,
-    base_seeds[k], record_events=False)`` bit for bit in every field; its
-    arrays are views into arrays shared by all the ensembles.  The specs'
-    replicas run as spec-major columns, in near-equal lockstep chunks of at
-    most ``STREAM_BLOCK`` columns that may span specs, or one replica at a
-    time below ``_LOCKSTEP_MIN`` columns in all, so a batch of small
-    ensembles takes fewer, wider steps than one call each.  A failure,
-    under the default ``max_events``, raises the
-    :class:`ReplicaError` that running the specs one after another would
-    raise first, naming the spec's index and the replica.  Specs that do
-    not share ``n``, no specs, a ``base_seeds`` whose length is not the
-    specs', and the inputs :func:`run_ensemble` refuses raise
-    :class:`DomainError` before any replica runs.
-    """
-    specs, base_seeds = list(specs), list(base_seeds)
-    if not specs:
-        raise DomainError("need at least one spec")
-    if any(spec.n != specs[0].n for spec in specs):
-        raise DomainError("the specs must share the species count n, got "
-                          f"{[spec.n for spec in specs]}")
-    if len(base_seeds) != len(specs):
-        raise DomainError(f"{len(base_seeds)} base seeds for {len(specs)} "
-                          "specs")
-    return _run(specs, replicas, t_end, grid, base_seeds, False,
-                DEFAULT_MAX_EVENTS, range(len(specs)))

@@ -45,7 +45,7 @@ from .core import (
 )
 from .fluctuation import CovarianceState, FluctuationModel, propagate_covariance
 from .meanfield import MeanFieldPath, integrate
-from .simulate import Ensemble, run_ensemble, run_ensembles
+from .simulate import DEFAULT_MAX_EVENTS, Ensemble, _run, run_ensemble
 
 __all__ = [
     "ValidationConfig",
@@ -681,16 +681,17 @@ def _lln_ensembles(config: ValidationConfig, specs: list, grid: np.ndarray):
     """The LLN populations' ensembles, run in groups as they are asked for:
     each group in one lockstep, as many populations as keep its samples
     (R·G·n int64 values a population) within ``_LLN_GROUP_BYTES``, and at
-    least one."""
+    least one.  A failure names the population by its index in
+    ``lln_populations``."""
     per = max(1, _LLN_GROUP_BYTES
               // (config.lln_replicas * len(grid) * config.n * 8))
     for k in range(0, len(specs), per):
         group = specs[k:k + per]
+        labels = range(k, k + len(group))
         # yield from binds no name, so a finished group is not held
-        yield from run_ensembles(
-            group, config.lln_replicas, config.lln_time, grid,
-            [config.base_seed + _SEED_LLN + j
-             for j in range(k, k + len(group))])
+        yield from _run(group, config.lln_replicas, config.lln_time, grid,
+                        [config.base_seed + _SEED_LLN + j for j in labels],
+                        False, DEFAULT_MAX_EVENTS, labels)
 
 
 def run_validation(config: ValidationConfig, *, echo=None) -> dict[str, dict]:

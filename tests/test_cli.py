@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,24 @@ def test_no_command_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_python_m_rpsim_is_the_cli(tmp_path):
+    # python -m rpsim runs cli.main: the same file, and a usage error's 2
+    src = str(Path(rpsim.__file__).parents[1])
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "rpsim", *args],
+                              capture_output=True, text=True,
+                              env={"PYTHONPATH": src})
+
+    ran = module("meanfield", "--t-end", "1", "--out", str(tmp_path / "m.csv"))
+    assert ran.returncode == 0, ran.stderr
+    assert main(["meanfield", "--t-end", "1",
+                 "--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "m.csv").read_bytes() == \
+        (tmp_path / "main.csv").read_bytes()
+    assert module().returncode == 2
 
 
 class TestSimulateCommand:

@@ -25,13 +25,12 @@ from rpsim import (
     integrate,
     rng_stream,
     run_ensemble,
-    run_ensembles,
     run_until,
     symmetric_counts,
     trajectories_identical,
 )
 from rpsim.core import MAX_SPECIES, STREAM_BLOCK
-from rpsim.simulate import _LOCKSTEP_DRAWS
+from rpsim.simulate import DEFAULT_MAX_EVENTS, _LOCKSTEP_DRAWS, _run
 
 
 class FixedDraws:
@@ -732,24 +731,32 @@ class TestLockstep:
 
 
 def one_call_each(specs, replicas, t_end, grid, base_seeds, **kw):
-    """What run_ensembles must equal: one run_ensemble call per spec."""
+    """What a merged run must equal: one run_ensemble call per spec."""
     kw.setdefault("record_events", False)
     return [run_ensemble(spec, replicas, t_end, grid, seed, **kw)
             for spec, seed in zip(specs, base_seeds)]
 
 
+def merged(specs, replicas, t_end, grid, base_seeds,
+           max_events=DEFAULT_MAX_EVENTS):
+    """The specs' ensembles as one run, each spec labelled by its index."""
+    return _run(specs, replicas, t_end, grid, base_seeds, False, max_events,
+                range(len(specs)))
+
+
 def assert_each_is_its_own_run(specs, replicas, t_end, grid, base_seeds):
-    ensembles = run_ensembles(specs, replicas, t_end, grid, base_seeds)
+    ensembles = merged(specs, replicas, t_end, grid, base_seeds)
     alone = one_call_each(specs, replicas, t_end, grid, base_seeds)
     assert len(ensembles) == len(alone)
-    for merged, single in zip(ensembles, alone):
-        assert_same_arrays(merged, single)
+    for one, single in zip(ensembles, alone):
+        assert_same_arrays(one, single)
     return ensembles
 
 
-class TestRunEnsembles:
-    # the specs' replicas run as one set of spec-major columns; each
-    # ensemble must equal its own run_ensemble call, byte for byte
+class TestMergedRun:
+    # the engine runs several specs' replicas as one set of spec-major
+    # columns, as validate runs its LLN populations; each ensemble must
+    # equal its own run_ensemble call, byte for byte
 
     @pytest.mark.parametrize("replicas", [8, 32])
     def test_validate_lln_populations(self, replicas):
@@ -805,11 +812,9 @@ class TestRunEnsembles:
         assert_each_is_its_own_run(specs, 10, 1.0, grid01(4), [1, 2, 3])
 
     @pytest.mark.parametrize("replicas", [6, 20])
-    def test_budget_failure_names_the_spec_and_replica(self, monkeypatch,
-                                                       replicas):
+    def test_budget_failure_names_the_spec_and_replica(self, replicas):
         # spec 0 fits the budget; spec 1's replica 0 does, and a later one
         # does not.  Below and above _LOCKSTEP_MIN columns in all.
-        # run_ensembles takes the default budget, lowered here.
         specs = [ModelSpec(n=3, lam=1.0, total=30, initial=(10, 10, 10)),
                  ModelSpec(n=3, lam=1.0, total=45, initial=(15, 15, 15))]
         grid, seeds = [0.0, 1.0], [5, 6]
@@ -824,32 +829,20 @@ class TestRunEnsembles:
             run_ensemble(specs[1], replicas, 1.0, grid, seeds[1],
                          max_events=budget)
         assert alone.value.index == first_over
-        monkeypatch.setattr(rpsim.simulate, "DEFAULT_MAX_EVENTS", budget)
         with pytest.raises(ReplicaError) as err:
-            run_ensembles(specs, replicas, 1.0, grid, seeds)
+            merged(specs, replicas, 1.0, grid, seeds, max_events=budget)
         assert (err.value.spec, err.value.index) == (1, first_over)
         assert str(err.value) == f"spec 1, {alone.value}"
         assert isinstance(err.value.__cause__, BudgetExceeded)
 
-    @pytest.mark.parametrize("specs, seeds, message", [
-        ([ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1)),
-          ModelSpec(n=4, lam=1.0, total=4, initial=(1, 1, 1, 1))], [0, 1],
-         r"^the specs must share the species count n, got \[3, 4\]$"),
-        ([ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))] * 2, [0],
-         r"^1 base seeds for 2 specs$"),
-        ([], [], r"^need at least one spec$"),
-    ], ids=["other-n", "seed-count", "no-spec"])
-    def test_bad_specs_are_refused(self, specs, seeds, message):
-        with pytest.raises(DomainError, match=message):
-            run_ensembles(specs, 20, 1.0, [0.0], seeds)
-
     def test_count_past_memory_is_a_domain_error(self):
-        # far past any machine's memory, so that nothing is allocated
+        # far past any machine's memory, so that nothing is allocated; the
+        # count is of all the specs' columns
         specs = [ModelSpec(n=3, lam=1.0, total=3, initial=(1, 1, 1))] * 2
         with pytest.raises(DomainError, match=re.escape(
-                "20000000000000 replicas (2 specs × 10000000000000) of 2 "
-                "sample times, too many to hold in memory")):
-            run_ensembles(specs, 10**13, 1.0, [0.0, 1.0], [0, 1])
+                "20000000000000 replicas of 2 sample times, too many to hold "
+                "in memory")):
+            merged(specs, 10**13, 1.0, [0.0, 1.0], [0, 1])
 
 
 @pytest.mark.parametrize("budget", [None, "5", math.nan, -1, 2.5, True])

@@ -24,6 +24,7 @@ from rpsim import (
     InsufficientReplicas,
     MissingEventLog,
     ModelSpec,
+    ReplicaError,
     ValidationConfig,
     clt_test,
     counts_from_fractions,
@@ -691,24 +692,43 @@ def test_run_validation_smoke(tmp_path):
     assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
 
 
-def test_defaults_run_one_logged_ensemble(monkeypatch):
-    # beside the LLN groups, the defaults run the CLT ensemble and the
-    # martingale ensemble, the only one that keeps an event log: the
-    # first-event check reads it rather than running its own
-    calls = []
-    run_ensemble = rpsim.validate.run_ensemble
+def test_default_engine_calls(monkeypatch):
+    # the four LLN populations run as one engine call, each on its own
+    # seed: split, the stage took about 1.2x as long.  Then the CLT
+    # ensemble and the martingale ensemble, the only one that keeps an
+    # event log: the first-event check reads it rather than running its own
+    lln, calls = [], []
+    run, run_ensemble = rpsim.validate._run, rpsim.validate.run_ensemble
+
+    def lln_run(specs, replicas, t_end, grid, base_seeds, *rest):
+        lln.append(([s.total for s in specs], list(base_seeds)))
+        return run(specs, replicas, t_end, grid, base_seeds, *rest)
 
     def recorded(spec, replicas, *args, record_events, **kw):
         calls.append((spec.total, replicas, record_events))
         return run_ensemble(spec, replicas, *args,
                             record_events=record_events, **kw)
 
+    monkeypatch.setattr(rpsim.validate, "_run", lln_run)
     monkeypatch.setattr(rpsim.validate, "run_ensemble", recorded)
     cfg = ValidationConfig()
     run_validation(cfg)
+    assert lln == [([100, 400, 1600, 6400], [43, 44, 45, 46])]
     assert calls == [
         (cfg.clt_population, cfg.clt_replicas, False),
         (cfg.martingale_population, cfg.martingale_replicas, True)]
+
+
+def test_a_failing_lln_population_is_named_by_its_index(monkeypatch):
+    # one population a group, and a budget that the fourth, M = 6400,
+    # exceeds first: the error named it "spec 0", its index in its group
+    monkeypatch.setattr(rpsim.validate, "_LLN_GROUP_BYTES", 0)
+    monkeypatch.setattr(rpsim.validate, "DEFAULT_MAX_EVENTS", 1500)
+    with pytest.raises(ReplicaError) as err:
+        run_validation(ValidationConfig())
+    assert (err.value.spec, err.value.index) == (3, 0)
+    assert str(err.value) == ("spec 3, replica 0: exceeded 1500 events at "
+                              "t=0.717008 (horizon 2.0)")
 
 
 # a small run of all four checks, and one move of each setting away from it
@@ -843,7 +863,7 @@ def test_bad_config_fails_before_any_ensemble_runs(tmp_path, monkeypatch,
         raise AssertionError("an ensemble ran")
 
     monkeypatch.setattr(rpsim.validate, "run_ensemble", no_ensemble)
-    monkeypatch.setattr(rpsim.validate, "run_ensembles", no_ensemble)
+    monkeypatch.setattr(rpsim.validate, "_run", no_ensemble)
     ini = tmp_path / "v.ini"
     ini.write_text(line + "\n")
     with pytest.raises(error, match=message):
@@ -976,13 +996,13 @@ def test_lln_groups_keep_within_the_budget(monkeypatch):
         martingale_population=20, martingale_replicas=20)
     whole = run_validation(cfg)["lln"]
     groups = []
-    run_ensembles = rpsim.validate.run_ensembles
+    run = rpsim.validate._run
 
-    def recorded(specs, replicas, t_end, grid, base_seeds):
+    def recorded(specs, replicas, t_end, grid, base_seeds, *rest):
         groups.append(([s.total for s in specs], base_seeds))
-        return run_ensembles(specs, replicas, t_end, grid, base_seeds)
+        return run(specs, replicas, t_end, grid, base_seeds, *rest)
 
-    monkeypatch.setattr(rpsim.validate, "run_ensembles", recorded)
+    monkeypatch.setattr(rpsim.validate, "_run", recorded)
     monkeypatch.setattr(rpsim.validate, "_LLN_GROUP_BYTES",
                         3 * 10 * 5 * 3 * 8 + 1)
     assert run_validation(cfg)["lln"] == whole
@@ -993,11 +1013,10 @@ def test_lln_groups_keep_within_the_budget(monkeypatch):
 
 def test_lln_ensembles_are_released_before_the_clt_run(monkeypatch):
     lln, at_clt = [], []
-    run_ensembles, run_ensemble = (rpsim.validate.run_ensembles,
-                                   rpsim.validate.run_ensemble)
+    run, run_ensemble = rpsim.validate._run, rpsim.validate.run_ensemble
 
     def lln_ensembles(*args, **kw):
-        ensembles = run_ensembles(*args, **kw)
+        ensembles = run(*args, **kw)
         lln.extend(weakref.ref(e.samples.base) for e in ensembles)
         return ensembles
 
@@ -1007,7 +1026,7 @@ def test_lln_ensembles_are_released_before_the_clt_run(monkeypatch):
             lln.clear()
         return run_ensemble(spec, *args, **kw)
 
-    monkeypatch.setattr(rpsim.validate, "run_ensembles", lln_ensembles)
+    monkeypatch.setattr(rpsim.validate, "_run", lln_ensembles)
     monkeypatch.setattr(rpsim.validate, "run_ensemble", ensemble)
     run_validation(ValidationConfig(
         lln_populations=(20, 80), lln_replicas=10, lln_grid_points=5,
