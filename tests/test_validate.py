@@ -692,31 +692,39 @@ def test_run_validation_smoke(tmp_path):
     assert all(("PASS" in ln) or ("FAIL" in ln) for ln in lines)
 
 
-def test_default_engine_calls(monkeypatch):
-    # the four LLN populations run as one engine call, each on its own
-    # seed: split, the stage took about 1.2x as long.  Then the CLT
-    # ensemble and the martingale ensemble, the only one that keeps an
-    # event log: the first-event check reads it rather than running its own
-    lln, calls = [], []
-    run, run_ensemble = rpsim.validate._run, rpsim.validate.run_ensemble
-
-    def lln_run(specs, replicas, t_end, grid, base_seeds, *rest):
-        lln.append(([s.total for s in specs], list(base_seeds)))
-        return run(specs, replicas, t_end, grid, base_seeds, *rest)
+def test_defaults_run_one_logged_ensemble(monkeypatch):
+    # beside the LLN groups, the defaults run the CLT ensemble and the
+    # martingale ensemble, the only one that keeps an event log: the
+    # first-event check reads it rather than running its own
+    calls = []
+    run_ensemble = rpsim.validate.run_ensemble
 
     def recorded(spec, replicas, *args, record_events, **kw):
         calls.append((spec.total, replicas, record_events))
         return run_ensemble(spec, replicas, *args,
                             record_events=record_events, **kw)
 
-    monkeypatch.setattr(rpsim.validate, "_run", lln_run)
     monkeypatch.setattr(rpsim.validate, "run_ensemble", recorded)
     cfg = ValidationConfig()
     run_validation(cfg)
-    assert lln == [([100, 400, 1600, 6400], [43, 44, 45, 46])]
     assert calls == [
         (cfg.clt_population, cfg.clt_replicas, False),
         (cfg.martingale_population, cfg.martingale_replicas, True)]
+
+
+def test_default_lln_populations_run_as_one_engine_call(monkeypatch):
+    # the four LLN populations run as one engine call, each on its own
+    # seed: split, the stage took about 1.2x as long
+    lln = []
+    run = rpsim.validate._run
+
+    def lln_run(specs, replicas, t_end, grid, base_seeds, *rest):
+        lln.append(([s.total for s in specs], list(base_seeds)))
+        return run(specs, replicas, t_end, grid, base_seeds, *rest)
+
+    monkeypatch.setattr(rpsim.validate, "_run", lln_run)
+    run_validation(ValidationConfig())
+    assert lln == [([100, 400, 1600, 6400], [43, 44, 45, 46])]
 
 
 def test_a_failing_lln_population_is_named_by_its_index(monkeypatch):
