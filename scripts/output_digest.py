@@ -235,6 +235,9 @@ CASES = [
     validate_case("validate-n4-absorbing", VALIDATE_N4),
     validate_case("validate-every-setting", VALIDATE_EVERY_SETTING),
     validate_case("validate-lln-absorbing", VALIDATE_LLN_ABSORBING),
+    # refused: a config file that repeats its [run] section
+    validate_case("validate-repeated-run",
+                  "[run]\nbase_seed = 1\n[run]\nbase_seed = 2\n"),
 ]
 
 

@@ -13,8 +13,9 @@ them, and a table of 4-digit groups turns digits and integers into text.
 The block's text is one ``uint8`` array, written in one call.  Only the
 doubles that ``%.17g`` prints with an exponent, and non-finite ones, go
 through ``%`` itself, one at a time; each cell's printed width places their
-text in the block.  A grid that every replica or path shares is formatted
-once per file, and each block gathers its rows' times from that text.
+text in the block.  A grid that every replica or path shares is printed
+once per file by ``%`` itself, into a NUL-padded bytes array, and each
+block gathers its rows' times from that array as cells printed already.
 
 An ensemble's CSVs are output for people and for sha256 pins; nothing reads
 them back.  Next to them :func:`write_ensemble` saves each array of the
@@ -225,21 +226,25 @@ def _int_cells(x: np.ndarray):
     return text, valid, count + neg, _NO_LATE
 
 
+def _bytes_cells(x: np.ndarray):
+    """The cells of byte strings ``x``, printed already, as the cells of
+    :func:`_float_cells`, none of them late: each string's bytes, its NUL
+    padding invalid."""
+    text = np.ascontiguousarray(x).view(np.uint8).reshape(len(x), x.itemsize)
+    return [text], [text != 0], np.char.str_len(x), _NO_LATE
+
+
 def _csv_block(columns: list) -> np.ndarray:
     """The CSV text of rows given as ``columns`` of equal length, each a
-    1-D array (one CSV column), a 2-D one (a CSV column per column of it)
-    or the cells of one CSV column formatted already (a tuple, as
-    :func:`_float_cells` gives them), as one ``uint8`` array: floats as
-    ``%.17g``, integers as ``%d``.  A late cell's text goes at its row's
+    1-D array (one CSV column) or a 2-D one (a CSV column per column of
+    it), as one ``uint8`` array: floats as ``%.17g``, integers as ``%d``
+    and byte strings as they are.  A late cell's text goes at its row's
     start plus the widths of the cells before it and their separators.
     """
-    cells = []
-    for column in columns:
-        if isinstance(column, tuple):
-            cells.append(column)
-        else:
-            cells += [(_float_cells if x.dtype.kind == "f" else _int_cells)(x)
-                      for x in (column.T if column.ndim == 2 else (column,))]
+    cells = [(_float_cells if x.dtype.kind == "f" else
+              _bytes_cells if x.dtype.kind == "S" else _int_cells)(x)
+             for column in columns
+             for x in (column.T if column.ndim == 2 else (column,))]
     rows = len(cells[0][2])
     comma, every = _const(ord(","), rows), np.broadcast_to(True, (rows, 1))
     text, valid = [], []
@@ -265,21 +270,6 @@ def _csv_block(columns: list) -> np.ndarray:
     return out
 
 
-def _formatted(x: np.ndarray):
-    """The cells of column ``x``, as :func:`_float_cells` gives them but
-    none of them late: every cell's text is left-aligned in one padded
-    array.  They are formatted a block of ``_WRITE_CELLS`` at a time."""
-    out = np.concatenate([_csv_block([x[lo:lo + _WRITE_CELLS]])
-                          for lo in range(0, len(x), _WRITE_CELLS)]
-                         or [np.empty(0, dtype=np.uint8)])
-    ends = np.flatnonzero(out == ord("\n"))
-    width = (np.diff(ends, prepend=-1) - 1).astype(np.uint8)
-    valid = np.arange(width.max(initial=0)) < width[:, None]
-    text = np.zeros(valid.shape, dtype=np.uint8)
-    text[valid] = np.delete(out, ends)
-    return text, valid, width
-
-
 def _write_csv(path: Path, header: list[str], parts: list, indexed: bool,
                grid: np.ndarray | None = None) -> None:
     """Write CSV ``path``: ``header``, then the rows of each part in turn,
@@ -289,13 +279,14 @@ def _write_csv(path: Path, header: list[str], parts: list, indexed: bool,
 
     The rows of all parts are formatted a block of ``_WRITE_CELLS`` cells
     (or one row) at a time, whatever part they come from, and each block's
-    text is written in one call.  The grid is formatted once per file, and
-    each block gathers its rows' times from that text.
+    text is written in one call.  The grid is printed once per file, by
+    ``%``, and each block gathers its rows' times from that text.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     offsets = np.cumsum([0] + [len(part[0]) for part in parts])
     block = max(1, _WRITE_CELLS // len(header))
-    times = None if grid is None else _formatted(grid)
+    times = None if grid is None else np.array(
+        [b"%.17g" % t for t in grid.tolist()], dtype=bytes)
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         for lo in range(0, int(offsets[-1]), block):
@@ -307,10 +298,7 @@ def _write_csv(path: Path, header: list[str], parts: list, indexed: bool,
             columns = [np.concatenate([parts[i][c][a:b] for i, a, b in spans])
                        for c in range(len(parts[0]))]
             if times is not None:       # every part has a row per time
-                text, valid, width = times
-                at = np.arange(lo, hi) % len(grid)
-                columns.insert(0, ([text[at]], [valid[at]], width[at],
-                                   _NO_LATE))
+                columns.insert(0, times[np.arange(lo, hi) % len(grid)])
             if indexed:
                 columns.insert(0, np.repeat([i for i, _, _ in spans],
                                             [b - a for _, a, b in spans]))

@@ -545,10 +545,18 @@ class ValidationConfig:
     def from_ini(cls, path) -> "ValidationConfig":
         """Read a config file: ``[model]``, ``[run]`` and ``[validate]``
         sections whose options are the field names (``lambda`` for ``lam``).
-        An unknown section or option, or a value that does not parse, is a
+        The file is UTF-8 text, and a value is read as written (``%`` is no
+        interpolation).  A file that is not UTF-8 or does not parse as INI
+        (a repeated section or option, no section header), an unknown
+        section or option, or a value that does not parse, is a
         :class:`DomainError`."""
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # configparser's messages may span lines; the CLI prints one
+            raise DomainError(f"{path}: not a valid config file: "
+                              + " ".join(str(exc).split())) from None
         if not read:
             raise DomainError(f"could not read config file {path!r}")
 

@@ -663,6 +663,28 @@ class TestValidateCommand:
         assert rc == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("text", [
+        b"[run]\nbase_seed = 1\n[run]\nbase_seed = 2\n",
+        b"[run]\nbase_seed = 1\nbase_seed = 2\n",
+        b"base_seed = 1\n",
+        b"[model]\nn = %(x)s\n",
+        b"[model]\nn = 3\xff\n",
+    ], ids=["repeated-section", "repeated-option", "no-section-header",
+            "interpolation", "not-utf8"])
+    def test_malformed_config_file_is_one_error_line(self, tmp_path, capsys,
+                                                     text):
+        # main returns 1 with one error line where configparser's error or
+        # a UnicodeDecodeError used to escape it as a traceback
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text)
+        rc = main(["validate", "--config", str(ini),
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
+
     def test_malformed_config_is_reported(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text("[model]\nn = abc\n")

@@ -317,6 +317,25 @@ class TestBlockFormatter:
         text = rpsim.io._csv_block(columns).tobytes().decode()
         assert text.split("\n")[:-1] == self.reference_rows(columns)
 
+    def test_bytes_cells_sit_next_to_late_cells(self):
+        # a NUL-padded bytes column of mixed widths, printed already, before
+        # and between float columns whose late cells are placed by the
+        # bytes cells' widths
+        rows = 40
+        rng = np.random.default_rng(1)
+        late = [1e-5, -math.inf, math.nan, 5e-324, -1e300, 1e16, 2.5]
+        floats = np.resize(late, (rows, 3))
+        floats[::3] = rng.standard_normal((len(floats[::3]), 3))
+        printed = [b"%.17g" % v for v in
+                   [0.0, 1e-5, 0.25, -3.0, 1e300, 123456.5, math.inf]]
+        times = np.array(np.resize(printed, rows), dtype=bytes)
+        columns = [times, floats, times[::-1], np.resize(late[::-1], rows)]
+        text = rpsim.io._csv_block(columns).tobytes().decode()
+        expected = [",".join(["%s" % t.decode(), *("%.17g" % v for v in f),
+                              "%s" % u.decode(), "%.17g" % x])
+                    for t, f, u, x in zip(*(c.tolist() for c in columns))]
+        assert text.split("\n")[:-1] == expected
+
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     def test_integers_match_str(self, dtype):
         info = np.iinfo(dtype)
@@ -607,8 +626,9 @@ def test_paths_on_different_grids_are_a_domain_error(tmp_path, grid):
 
 
 def test_the_grid_is_formatted_once_per_file(tmp_path, monkeypatch):
-    # P paths of n species on G grid times: P*G*n values and G times, not
-    # P*G*(n + 1); the rows span several blocks
+    # P paths of n species on G grid times: the block formatter formats the
+    # P*G*n values and no time, which ``%`` prints once per file; the rows
+    # span several blocks
     monkeypatch.setattr(rpsim.io, "_WRITE_CELLS", 3 * 1024)
     counts, float_cells = [], rpsim.io._float_cells
 
@@ -619,14 +639,14 @@ def test_the_grid_is_formatted_once_per_file(tmp_path, monkeypatch):
     monkeypatch.setattr(rpsim.io, "_float_cells", counting)
     paths = shared_grid_paths(40, 101, 3)
     write_gaussian_paths(paths, tmp_path / "p.csv")
-    assert sum(counts) == 40 * 101 * 3 + 101
+    assert sum(counts) == 40 * 101 * 3
     assert (tmp_path / "p.csv").read_bytes() == \
         reference_gaussian_paths(paths).encode()
-    # samples.csv formats its grid once and its counts as integers
+    # samples.csv formats its counts as integers, and no double at all
     counts.clear()
     ens = synthetic_ensemble(SPEC, np.linspace(0.0, 1.0, 101), [None] * 40)
     write_ensemble(ens, tmp_path / "e")
-    assert sum(counts) == 101
+    assert sum(counts) == 0
     assert_files(tmp_path / "e", reference_ensemble_csvs(ens.trajectories))
 
 

@@ -663,6 +663,36 @@ class TestValidationConfig:
         with pytest.raises(DomainError, match=r"\[modle\]: unknown section"):
             ValidationConfig.from_ini(ini)
 
+    @pytest.mark.parametrize("text, message", [
+        (b"[run]\nbase_seed = 1\n[run]\nbase_seed = 2\n",
+         "section 'run' already exists"),
+        (b"[run]\nbase_seed = 1\nbase_seed = 2\n",
+         "option 'base_seed' in section 'run' already exists"),
+        (b"base_seed = 1\n", "File contains no section headers"),
+        (b"[model]\nn = 3\xff\n", "can't decode byte 0xff"),
+    ], ids=["repeated-section", "repeated-option", "no-section-header",
+            "not-utf8"])
+    def test_malformed_file_is_a_domain_error(self, tmp_path, text, message):
+        ini = tmp_path / "v.ini"
+        ini.write_bytes(text)
+        with pytest.raises(DomainError) as err:
+            ValidationConfig.from_ini(ini)
+        assert str(err.value).startswith(f"{ini}: not a valid config file: ")
+        assert message in str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_percent_is_read_as_written(self, tmp_path):
+        # no interpolation: %(x)s is a value that does not parse, and a
+        # lone % is read as it stands
+        ini = tmp_path / "v.ini"
+        ini.write_text("[model]\nn = %(x)s\n")
+        with pytest.raises(DomainError,
+                           match=r"^\[model\] n: cannot parse '%\(x\)s' as int"):
+            ValidationConfig.from_ini(ini)
+        ini.write_text("[model]\nlambda = 2%\n")
+        with pytest.raises(DomainError, match=r"cannot parse '2%'"):
+            ValidationConfig.from_ini(ini)
+
     def test_readme_example_loads_as_the_defaults(self, tmp_path):
         # the INI block in README.md lists every key with its default
         readme = (Path(__file__).parents[1] / "README.md").read_text()
