@@ -227,10 +227,10 @@ def _int_cells(x: np.ndarray):
 
 
 def _bytes_cells(x: np.ndarray):
-    """The cells of byte strings ``x``, printed already, as the cells of
-    :func:`_float_cells`, none of them late: each string's bytes, its NUL
-    padding invalid."""
-    text = np.ascontiguousarray(x).view(np.uint8).reshape(len(x), x.itemsize)
+    """The cells of contiguous byte strings ``x``, printed already, as the
+    cells of :func:`_float_cells`, none of them late: each string's bytes,
+    its NUL padding invalid."""
+    text = x.view(np.uint8).reshape(len(x), x.itemsize)
     return [text], [text != 0], np.char.str_len(x), _NO_LATE
 
 
@@ -280,7 +280,7 @@ def _write_csv(path: Path, header: list[str], parts: list, indexed: bool,
     The rows of all parts are formatted a block of ``_WRITE_CELLS`` cells
     (or one row) at a time, whatever part they come from, and each block's
     text is written in one call.  The grid is printed once per file, by
-    ``%``, and each block gathers its rows' times from that text.
+    ``%``, and each block gathers its rows' times from that array.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     offsets = np.cumsum([0] + [len(part[0]) for part in parts])

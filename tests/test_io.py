@@ -329,7 +329,8 @@ class TestBlockFormatter:
         printed = [b"%.17g" % v for v in
                    [0.0, 1e-5, 0.25, -3.0, 1e300, 123456.5, math.inf]]
         times = np.array(np.resize(printed, rows), dtype=bytes)
-        columns = [times, floats, times[::-1], np.resize(late[::-1], rows)]
+        columns = [times, floats, times[::-1].copy(),
+                   np.resize(late[::-1], rows)]
         text = rpsim.io._csv_block(columns).tobytes().decode()
         expected = [",".join(["%s" % t.decode(), *("%.17g" % v for v in f),
                               "%s" % u.decode(), "%.17g" % x])
